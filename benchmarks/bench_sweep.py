@@ -1,9 +1,8 @@
 """Sweep-throughput benchmark (cells/sec per execution backend).
 
 Unlike ``bench_core.py`` -- which measures one ``Processor.run`` -- this
-benchmark measures whole-sweep throughput per backend (serial, pre-batch
-process pool, shared-trace pool, batch runner) and proves the parallel
-backends bit-identical to ``SerialBackend`` cell by cell.  Results are
+benchmark measures whole-sweep throughput per backend (serial, batch
+runner) and proves the parallel backend bit-identical to ``SerialBackend`` cell by cell.  Results are
 written to ``BENCH_sweep.json`` so sweep throughput is tracked from
 commit to commit.
 
@@ -41,14 +40,12 @@ def test_bench_sweep_quick():
         assert len(cell["stats_fingerprint"]) == 64
     # Every backend must reproduce SerialBackend bit by bit.
     assert payload["equivalence"]["identical"], payload["equivalence"]["diverged"]
-    # Trace generation is amortized: across all provider-backed modes and
-    # repeats, each workload was generated at most once.
-    provider_gens = sum(
-        payload["modes"][mode]["trace_generations"]
-        for mode in MODE_ORDER
-        if mode != BASELINE_MODE
+    # Trace generation is amortized: across all modes and repeats, each
+    # workload was generated at most once.
+    generations = sum(
+        payload["modes"][mode]["trace_generations"] for mode in MODE_ORDER
     )
-    assert provider_gens <= len(payload["workloads"])
+    assert generations == len(payload["workloads"])
     # A payload compared against itself reports bit-identical cells.
     report = compare_sweep_bench(payload, payload)
     assert "bit-identical" in report

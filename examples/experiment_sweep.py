@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Experiment API walkthrough: declarative specs, backends, cached results.
 
-Builds a small Figure-5-style sweep, runs it four ways -- serially, across
-a process pool, through the workload-batched runner, and against a warm
-on-disk cache -- and shows that all four produce identical statistics.
+Builds a small Figure-5-style sweep, runs it three ways -- serially,
+through the workload-batched runner, and against a warm on-disk cache --
+and shows that all three produce identical statistics.
 """
 
 import tempfile
@@ -12,7 +12,6 @@ import time
 from repro.experiments import (
     BatchRunner,
     ExperimentBuilder,
-    ProcessPoolBackend,
     ResultStore,
     SerialBackend,
     run_experiment,
@@ -33,11 +32,6 @@ def main() -> None:
     started = time.perf_counter()
     serial = run_experiment(spec, backend=SerialBackend())
     print(f"serial backend:       {time.perf_counter() - started:.1f}s")
-
-    started = time.perf_counter()
-    pooled = run_experiment(spec, backend=ProcessPoolBackend(jobs=4))
-    print(f"process-pool backend: {time.perf_counter() - started:.1f}s")
-    assert pooled.to_dict() == serial.to_dict(), "backends must agree bit-for-bit"
 
     # The batch runner (what `svw-repro --jobs N` uses) generates/encodes
     # each workload trace once, ships it to workers via shared memory, and

@@ -21,7 +21,7 @@ Quickstart::
 For sweeps, use the experiment API::
 
     from repro import ExperimentBuilder, run_experiment
-    from repro.experiments import ProcessPoolBackend, ResultStore
+    from repro.experiments import BatchRunner
     from repro.harness.configs import fig5_configs
 
     spec = (
@@ -30,7 +30,7 @@ For sweeps, use the experiment API::
         .workloads(["gcc", "vortex"])
         .build()
     )
-    result = run_experiment(spec, backend=ProcessPoolBackend(jobs=8))
+    result = run_experiment(spec, backend=BatchRunner(jobs=8))
 
 See :mod:`repro.harness` for the paper's named configurations and the
 per-figure experiment drivers, and :mod:`repro.experiments` for backends

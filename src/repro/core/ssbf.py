@@ -31,12 +31,6 @@ a cleared filter always accompanies an empty pipeline (section 3.6).
 from __future__ import annotations
 
 import abc
-from typing import Sequence
-
-try:  # vectorized probe-index precompute; scalar fallback below
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None
 
 
 class SSBFBase(abc.ABC):
@@ -83,14 +77,6 @@ class SimpleSSBF(SSBFBase):
         self._mask = entries - 1
         self._table = [0] * entries
 
-    def _indices(self, addr: int, size: int) -> tuple[int, ...]:
-        first = (addr >> self._shift) & self._mask
-        if size > self.granularity:
-            second = ((addr + 4) >> self._shift) & self._mask
-            if second != first:
-                return (first, second)
-        return (first,)
-
     def update(self, addr: int, size: int, ssn: int) -> None:
         # Flat single-entry fast path: this runs once per retired store.
         table = self._table
@@ -114,40 +100,6 @@ class SimpleSSBF(SSBFBase):
 
     def flash_clear(self) -> None:
         self._table = [0] * self.entries
-
-    def probe_columns(
-        self, addrs: Sequence[int], sizes: Sequence[int]
-    ) -> tuple[list[int], list[int]]:
-        """Trace-wide probe indices: :meth:`_indices` over flat columns.
-
-        Returns ``(first, second)`` plain lists with ``second[i] == -1``
-        when access ``i`` touches a single entry.  Addresses are static
-        per trace, so the re-execution pipe can index these columns by
-        dynamic seq instead of redoing the shift-and-mask arithmetic on
-        every probe and update (the table contents stay scalar -- only
-        the index computation is lifted out of the per-cycle loop).
-        """
-        if _np is not None:
-            addr = _np.asarray(addrs, dtype=_np.int64)
-            size = _np.asarray(sizes, dtype=_np.int64)
-            first = (addr >> self._shift) & self._mask
-            second = ((addr + 4) >> self._shift) & self._mask
-            second[(size <= self.granularity) | (second == first)] = -1
-            return first.tolist(), second.tolist()
-        shift = self._shift
-        mask = self._mask
-        granularity = self.granularity
-        first_list: list[int] = []
-        second_list: list[int] = []
-        for addr, size in zip(addrs, sizes):
-            index = (addr >> shift) & mask
-            first_list.append(index)
-            if size > granularity:
-                second = ((addr + 4) >> shift) & mask
-                second_list.append(second if second != index else -1)
-            else:
-                second_list.append(-1)
-        return first_list, second_list
 
 
 class DualBloomSSBF(SSBFBase):

@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.core.ssbf import SSBFBase, make_ssbf
 from repro.core.ssn import SSNState
@@ -144,21 +144,6 @@ class SVWEngine:
         """A store passed the SVW stage: ``SSBF[st.addr] = st.SSN``."""
         if self.config.enabled:
             self.ssbf.update(addr, size, ssn)
-
-    def probe_columns(
-        self, addrs: "Sequence[int]", sizes: "Sequence[int]"
-    ) -> tuple[list[int], list[int]] | None:
-        """Trace-wide SSBF probe-index columns for the processor's inlined
-        probe-and-update fast path, or ``None`` when no such fast path is
-        sound: the filter is disabled (the scalar methods then keep their
-        always-re-execute, count-nothing contract) or the organization has
-        no flat single-table form (dual/infinite/banked)."""
-        if not self.config.enabled:
-            return None
-        probe = getattr(self.ssbf, "probe_columns", None)
-        if probe is None:
-            return None
-        return probe(addrs, sizes)
 
     def record_invalidation(self, line_addr: int, line_bytes: int = 64) -> None:
         """A coherence invalidation (NLQ-SM): pretend an asynchronous store

@@ -3,7 +3,7 @@
 Quickstart::
 
     from repro.experiments import (
-        ExperimentBuilder, ProcessPoolBackend, ResultStore, run_experiment,
+        BatchRunner, ExperimentBuilder, ResultStore, run_experiment,
     )
     from repro.harness.configs import fig5_configs
 
@@ -16,7 +16,7 @@ Quickstart::
     )
     result = run_experiment(
         spec,
-        backend=ProcessPoolBackend(jobs=8),      # or SerialBackend()
+        backend=BatchRunner(jobs=8),             # or SerialBackend()
         store=ResultStore("~/.cache/svw-repro"),  # reruns become cache reads
     )
     print(result.avg_speedup_pct("+SVW+UPD"))
@@ -25,12 +25,12 @@ The pieces:
 
 - :class:`ExperimentSpec` / :class:`ExperimentBuilder` -- a hashable,
   declarative description of a sweep (configs x workloads x budget).
-- :class:`SerialBackend` / :class:`ProcessPoolBackend` /
-  :class:`BatchRunner` -- interchangeable executors producing
-  bit-identical statistics for the same spec.  The batch runner (what
-  ``make_backend`` picks for ``jobs > 1``) groups cells by workload,
-  publishes each encoded trace once per sweep through shared memory, and
-  runs all configs of a workload in a single pass over one decoded trace.
+- :class:`SerialBackend` / :class:`BatchRunner` -- interchangeable
+  executors producing bit-identical statistics for the same spec.  The
+  batch runner (what ``make_backend`` picks for ``jobs > 1``) groups
+  cells by workload, publishes each encoded trace once per sweep through
+  shared memory, and runs all configs of a workload in a single pass over
+  one decoded trace.
 - :class:`RemoteBackend` / :class:`WorkerAgent` -- the same sweep fanned
   out to other hosts over the trace wire format (codec bytes + config
   ``to_dict`` JSON, nothing pickled), with host-level trace caching,
@@ -56,20 +56,16 @@ The pieces:
   keyed by a stable fingerprint of (machine config, workload, budget);
   stores merge across hosts by content address
   (:meth:`ResultStore.merge`).
-- :func:`run_experiment` -- spec + backend + store -> :class:`FigureResult`.
-
-``repro.harness.runner.run_matrix`` remains as a one-call compatibility
-shim over this API.
+- :func:`run_experiment` -- spec + backend + store -> :class:`FigureResult`;
+  ``run_experiment(matrix_spec(...))`` is the one-call serial form.
 """
 
 from repro.experiments.backends import (
     CellExecutionError,
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     execute_request,
     make_backend,
-    submission_order,
 )
 from repro.experiments.batch import BatchRunner, CostModel, session_cost_model
 from repro.experiments.campaign import (
@@ -128,7 +124,6 @@ __all__ = [
     "FsckReport",
     "JournalScrubReport",
     "MergeReport",
-    "ProcessPoolBackend",
     "RemoteBackend",
     "ResultMergeError",
     "ResultStore",
@@ -146,6 +141,5 @@ __all__ = [
     "scrub_journals",
     "session_cost_model",
     "shutdown_session_pools",
-    "submission_order",
     "workload_key",
 ]

@@ -9,48 +9,32 @@ results, so every backend is deterministic and interchangeable.
 trace at most once per sweep through a
 :class:`~repro.experiments.traces.TraceProvider`.
 
-:class:`ProcessPoolBackend` fans cells out across worker processes with
-:mod:`concurrent.futures`.  By default the parent generates and encodes
-each workload trace exactly once and publishes it through
-:mod:`~repro.experiments.transport` (shared memory, tempfile-mmap
-fallback); workers attach, decode straight into a column-native
-:class:`~repro.isa.coltrace.ColumnTrace` (no ``DynInst`` graph is ever
-built), and cache it process-locally, so trace generation cost is paid
-once per sweep instead of once per cell.  ``share_traces=False`` restores
-the historical regenerate-per-cell behaviour (kept as the comparison
-baseline for ``svw-repro bench-sweep``).
-
-``pool_scope`` (see :mod:`repro.experiments.pool`) selects worker-pool
-lifetime: per-sweep (default) or one session-scoped pool reused across
-runs -- ``svw-repro all --pool-scope session`` amortizes fork+import over
-all eight figure sweeps and keeps worker-side trace memos warm.
-
-Submissions are ordered longest-expected-job-first (by instruction budget,
-then workload) so stragglers start early; results are still returned in
-request order.  A failing cell surfaces as :class:`CellExecutionError`
-carrying the cell's identity, not a bare worker traceback.
-
+For ``jobs > 1``, :func:`make_backend` returns the
 :class:`~repro.experiments.batch.BatchRunner` (re-exported from
-:mod:`repro.experiments`) goes one step further and runs all configs of a
-workload in a single worker pass over one decoded trace; it is what
-:func:`make_backend` returns for ``jobs > 1``.
+:mod:`repro.experiments`): the parent generates and encodes each workload
+trace exactly once and publishes it through
+:mod:`~repro.experiments.transport` (shared memory, tempfile-mmap
+fallback) with :func:`run_with_published_traces`; workers attach, decode
+straight into a column-native :class:`~repro.isa.coltrace.ColumnTrace`
+(:func:`decoded_trace`, memoized per process), and run all configs of a
+workload in a single pass over it.  A failing cell surfaces as
+:class:`CellExecutionError` carrying the cell's identity, not a bare
+worker traceback.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import gc
-import os
 from typing import Callable, Protocol, Sequence
 
-from repro.experiments.pool import acquire_pool, validate_pool_scope
+from repro.experiments.pool import acquire_pool
 from repro.experiments.spec import RunRequest
-from repro.experiments.traces import TraceProvider, request_key
+from repro.experiments.traces import TraceProvider
 from repro.experiments.transport import TraceRef, open_trace, publish_trace, release_trace
 from repro.isa.codec import decode_trace
 from repro.isa.coltrace import ColumnTrace
 from repro.isa.inst import Trace
-from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import Processor
 from repro.pipeline.stats import SimStats
 from repro.workloads.trace_cache import TraceCache
@@ -73,26 +57,10 @@ def execute_request(
     ).run()
 
 
-def submission_order(requests: Sequence[RunRequest]) -> list[int]:
-    """Longest-expected-job-first indices (budget desc, workload, position).
-
-    Bigger instruction budgets run first so the pool never ends on one
-    straggler; the workload tiebreak keeps one workload's cells adjacent,
-    which is what makes worker-local decoded-trace caches and the parent's
-    generate-publish pipeline effective.  Sorting is stable on the original
-    position, and callers realign results positionally, so submission
-    order never shows in the output.
-    """
-    return sorted(
-        range(len(requests)),
-        key=lambda i: (-requests[i].n_insts, requests[i].workload.name, i),
-    )
-
-
 #: Worker-process memo of decoded traces, keyed by content key.  Two slots:
-#: sorted submission keeps one workload's cells adjacent, so the common
-#: case is a single decode per workload per worker; the second slot absorbs
-#: the overlap at workload boundaries.
+#: a batch chunk holds one workload's cells, so the common case is a
+#: single decode per workload per worker; the second slot absorbs the
+#: overlap when a worker alternates between two workloads' chunks.
 _WORKER_TRACE_SLOTS = 2
 _worker_traces: dict[str, ColumnTrace] = {}
 
@@ -140,16 +108,6 @@ def paused_gc(fn, *args):
         if enabled:
             gc.enable()
             gc.collect(0)
-
-
-def _execute_published(
-    config: MachineConfig, warmup: int, validate: bool, ref: TraceRef
-) -> SimStats:
-    """Pool target for shared-trace cells (picklable, tiny arguments)."""
-    trace = decoded_trace(ref)
-    return paused_gc(
-        lambda: Processor(config, trace, validate=validate, warmup=warmup).run()
-    )
 
 
 class ExecutionBackend(Protocol):
@@ -210,8 +168,7 @@ def run_with_published_traces(
     """The pooled execution protocol, single-sourced for every backend.
 
     ``units`` is an iterable of ``(trace_key, exemplar_request, payload)``
-    work units (``trace_key`` None skips publishing -- the regenerate-
-    per-cell compatibility mode).  For each unit, the exemplar's trace is
+    work units.  For each unit, the exemplar's trace is
     encoded and published **at most once per key**, in submission order,
     so workers chew on earlier units while the parent prepares the next
     workload.  ``submit(pool, ref, payload)`` starts a unit,
@@ -227,16 +184,14 @@ def run_with_published_traces(
             futures: dict[concurrent.futures.Future, object] = {}
             try:
                 for key, request, payload in units:
-                    ref = None
-                    if key is not None:
-                        ref = published.get(key)
-                        if ref is None:
-                            ref = publish_trace(
-                                key,
-                                provider.encoded(request.workload, request.n_insts),
-                                carrier=carrier,
-                            )
-                            published[key] = ref
+                    ref = published.get(key)
+                    if ref is None:
+                        ref = publish_trace(
+                            key,
+                            provider.encoded(request.workload, request.n_insts),
+                            carrier=carrier,
+                        )
+                        published[key] = ref
                     futures[submit(pool, ref, payload)] = payload
                 for future in concurrent.futures.as_completed(futures):
                     payload = futures[future]
@@ -266,70 +221,6 @@ def run_with_published_traces(
             release_trace(ref)
 
 
-class ProcessPoolBackend:
-    """Fan cells out across worker processes, one task per cell.
-
-    Results are collected by request index, so completion order (which
-    varies with scheduling) cannot affect the output.  See the module
-    docstring for the trace-distribution strategy.
-    """
-
-    def __init__(
-        self,
-        jobs: int | None = None,
-        share_traces: bool = True,
-        trace_cache: TraceCache | None = None,
-        carrier: str | None = None,
-        pool_scope: str = "sweep",
-    ) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = jobs or os.cpu_count() or 1
-        self.share_traces = share_traces
-        self.trace_cache = trace_cache
-        self.carrier = carrier
-        self.pool_scope = validate_pool_scope(pool_scope)
-        self.last_provider: TraceProvider | None = None
-
-    def run(
-        self, requests: Sequence[RunRequest], progress: ProgressFn | None = None
-    ) -> list[SimStats]:
-        requests = list(requests)
-        results: list[SimStats | None] = [None] * len(requests)
-        provider = TraceProvider(cache=self.trace_cache)
-        self.last_provider = provider
-
-        units = [
-            (request_key(requests[i]) if self.share_traces else None, requests[i], i)
-            for i in submission_order(requests)
-        ]
-
-        def submit(pool, ref, index: int):
-            request = requests[index]
-            if ref is None:
-                return pool.submit(execute_request, request)
-            return pool.submit(
-                _execute_published, request.config, request.warmup, request.validate, ref
-            )
-
-        def collect(index: int, stats: SimStats) -> None:
-            results[index] = stats
-            if progress is not None:
-                progress(f"{requests[index].describe()} [done]")
-
-        run_with_published_traces(
-            self.jobs,
-            provider,
-            self.carrier,
-            units,
-            submit,
-            collect,
-            lambda index: requests[index].describe(),
-            pool_scope=self.pool_scope,
-        )
-        return results  # type: ignore[return-value]
-
-
 def make_backend(
     jobs: int | None,
     trace_cache: TraceCache | None = None,
@@ -339,9 +230,8 @@ def make_backend(
     """Backend for a ``--jobs`` setting: serial for 1/None, batched above.
 
     Parallel sweeps get the :class:`~repro.experiments.batch.BatchRunner`
-    (single-pass multi-config execution over shared traces); plain
-    :class:`ProcessPoolBackend` remains available for callers that want
-    cell-granular scheduling.  ``pool_scope="session"`` makes the batched
+    (single-pass multi-config execution over shared traces).
+    ``pool_scope="session"`` makes the batched
     backend reuse one long-lived worker pool across runs.  A ``campaign``
     daemon address trumps ``jobs``: the sweep becomes a campaign
     submission executed by the daemon's worker fleet

@@ -49,10 +49,9 @@ and persists the cost model.  Journals are JSONL (schema 2): one
 atomically-written header record naming the submission, then one
 appended record per state transition and completed cell.  Replay is
 tolerant by construction -- a record torn by kill -9 mid-append is
-skipped with a warning and the store recheck recovers the cell -- and
-schema-1 journals (one atomic JSON object) still replay and are migrated
-on the spot.  A restarted daemon replays the journal: finished cells hit
-the store, unfinished ones re-enter the queue, and reconnecting clients
+skipped with a warning and the store recheck recovers the cell.  A
+restarted daemon replays the journal: finished cells hit the store,
+unfinished ones re-enter the queue, and reconnecting clients
 (or idempotent re-submissions -- campaign ids are content addresses of
 the submission) resume without recomputing anything.
 
@@ -100,8 +99,7 @@ from repro.pipeline.stats import SimStats
 from repro.workloads.trace_cache import TraceCache
 
 #: Journal payload layout version.  Schema 2 is JSONL: an atomic header
-#: record plus appended transition records; schema 1 (one whole-file JSON
-#: object) still replays and is migrated at load.
+#: record plus appended transition records.
 JOURNAL_SCHEMA = 2
 
 #: Campaign states a client can observe.
@@ -267,22 +265,11 @@ def _read_journal(path: Path) -> tuple[dict | None, int]:
     updated by the last intact ``status`` record, or ``None`` when the
     file is unreadable or its header is damaged.  ``torn_records`` counts
     skipped unparseable lines -- the scar tissue of interrupted appends.
-
-    Reads both layouts: schema-2 JSONL (``*.jsonl``) and the legacy
-    schema-1 whole-file JSON object (``*.json``).
     """
     try:
         text = path.read_text()
     except OSError:
         return None, 0
-    if path.suffix == ".json":
-        try:
-            payload = json.loads(text)
-            if not isinstance(payload, dict) or payload.get("schema") != 1:
-                return None, 0
-            return payload, 0
-        except ValueError:
-            return None, 1  # torn whole-file journal (pre-JSONL era)
     header: dict | None = None
     torn = 0
     for line in text.splitlines():
@@ -352,7 +339,7 @@ def scrub_journals(journal_dir: str | Path, fix: bool = False) -> JournalScrubRe
         return report
     from repro.ioutil import atomic_write_text
 
-    for path in sorted(journal_dir.glob("*.json*")):
+    for path in sorted(journal_dir.glob("*.jsonl")):
         report.scanned += 1
         payload, torn = _read_journal(path)
         report.torn_records += torn
@@ -363,7 +350,7 @@ def scrub_journals(journal_dir: str | Path, fix: bool = False) -> JournalScrubRe
                 report.repaired += 1
             continue
         report.campaigns += 1
-        if torn and fix and path.suffix == ".jsonl":
+        if torn and fix:
             lines = []
             for line in path.read_text().splitlines():
                 line = line.strip()
@@ -1383,7 +1370,7 @@ class CampaignDaemon:
 
     def _write_journal(self, campaign: _Campaign) -> None:
         """Write a campaign's full journal snapshot (header + current
-        status), atomically -- submission time and v1 migration."""
+        status), atomically, at submission time."""
         if self.journal_dir is None:
             return
         from repro.ioutil import atomic_write_text
@@ -1431,20 +1418,14 @@ class CampaignDaemon:
         """Replay persisted campaigns (daemon restart): finished cells are
         satisfied from the store, unfinished ones re-enter the queue.
 
-        Reads both schema-2 JSONL journals and legacy schema-1 whole-file
-        JSON ones (migrated to JSONL on the spot).  Torn records -- the
-        final line a kill -9 interrupted, or the line that merged with the
+        Only ``*.jsonl`` files are journals.  Torn records -- the final
+        line a kill -9 interrupted, or the line that merged with the
         append after it -- are skipped with a warning; the store recheck
         in :meth:`_register_campaign` recovers anything a lost breadcrumb
         would have recorded.
         """
         assert self.journal_dir is not None
-        for path in sorted(self.journal_dir.glob("*.json*")):
-            if path.suffix == ".json" and path.with_suffix(".jsonl").exists():
-                # Crash between v1->v2 migration steps: the JSONL twin is
-                # newer and complete; retire the legacy file.
-                path.unlink(missing_ok=True)
-                continue
+        for path in sorted(self.journal_dir.glob("*.jsonl")):
             payload, torn = _read_journal(path)
             if torn:
                 self.journal_torn_records += torn
@@ -1484,12 +1465,6 @@ class CampaignDaemon:
                     error=payload.get("error"),
                 )
                 self._campaigns.setdefault(campaign.id, campaign)
-                campaign = self._campaigns[campaign.id]
-            if path.suffix == ".json":
-                # Migrate the legacy journal to JSONL (atomic write, then
-                # retire the old file; a crash in between is handled above).
-                self._write_journal(campaign)
-                path.unlink(missing_ok=True)
 
 
 # ------------------------------------------------------------------ the client

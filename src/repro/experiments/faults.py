@@ -92,8 +92,7 @@ class FaultPlan:
     """A seeded, bounded, reproducible schedule of injected faults.
 
     Deterministic triggers (``drop_after``, ``crash_after``) fire on a
-    job count, matching the retired ``WorkerAgent(drop_after=N)`` chaos
-    knob exactly; rate triggers fire on a per-site seeded RNG draw.  Rate
+    job count; rate triggers fire on a per-site seeded RNG draw.  Rate
     precedence within one job decision is fixed (crash, then drop, then
     delay) so the draw stream never depends on evaluation order.
 
@@ -253,11 +252,11 @@ class FaultPlan:
     def job_fault(self, site: str, jobs_done: int = 0) -> FaultEvent | None:
         """The fault (if any) to inject into the job starting now.
 
-        ``jobs_done`` drives the deterministic ``*_after`` triggers (the
-        ``drop_after`` compat contract: fire once the agent has completed
-        that many jobs).  Returns at most one event; the caller enacts it
-        (``crash`` -> die without cleanup, ``drop`` -> sever connections,
-        ``delay`` -> stall ``event.value`` seconds before serving).
+        ``jobs_done`` drives the deterministic ``*_after`` triggers (fire
+        once the agent has completed that many jobs).  Returns at most one
+        event; the caller enacts it (``crash`` -> die without cleanup,
+        ``drop`` -> sever connections, ``delay`` -> stall ``event.value``
+        seconds before serving).
         """
         with self._lock:
             if self.crash_after is not None and jobs_done >= self.crash_after:

@@ -343,9 +343,7 @@ class WorkerAgent:
     every served job (site ``worker.job``) and enacts what it decides --
     ``drop`` severs every connection like a killed host, ``crash`` exits
     the process without cleanup (subprocess fleets only), ``delay``
-    stalls the job to manufacture a straggler.  The retired ``drop_after``
-    knob remains as a compat shim that builds the equivalent one-fault
-    plan.
+    stalls the job to manufacture a straggler.
 
     :meth:`register_with` joins a campaign daemon's worker registry (see
     :mod:`repro.experiments.campaign`): the agent dials the daemon,
@@ -362,7 +360,6 @@ class WorkerAgent:
         port: int = 0,
         slots: int = 1,
         trace_cache: TraceCache | None = None,
-        drop_after: int | None = None,
         progress: Callable[[str], None] | None = None,
         result_store: "ResultStore | None" = None,
         compress: bool = True,
@@ -371,16 +368,6 @@ class WorkerAgent:
     ) -> None:
         if slots < 1:
             raise ValueError("slots must be >= 1")
-        if drop_after is not None:
-            # Compat shim for the retired chaos knob: an agent that drops
-            # every connection after N completed jobs is just a one-fault
-            # plan now.
-            if faults is not None:
-                raise ValueError(
-                    "pass drop_after through the FaultPlan (FaultPlan(drop_after=N)), "
-                    "not alongside one"
-                )
-            faults = FaultPlan(drop_after=drop_after)
         self.faults = faults
         self.slots = slots
         self.trace_cache = trace_cache

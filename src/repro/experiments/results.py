@@ -1,7 +1,6 @@
 """Sweep results: per-cell statistics plus figure-level derived metrics.
 
-:class:`FigureResult` (historically of :mod:`repro.harness.runner`, still
-re-exported there) is the in-memory result of one sweep and now serializes:
+:class:`FigureResult` is the in-memory result of one sweep and serializes:
 ``to_dict``/``from_dict`` round-trip losslessly through JSON, so results
 survive process exit and can feed dashboards or later analysis.
 """

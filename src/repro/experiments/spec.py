@@ -311,7 +311,7 @@ def matrix_spec(
     traces: Mapping[str, Trace | ColumnTrace] | None = None,
     warmup: int | None = None,
 ) -> ExperimentSpec:
-    """Spec for a classic config x benchmark matrix (the ``run_matrix`` shape).
+    """Spec for a classic config x benchmark matrix (the figure-sweep shape).
 
     ``traces`` injects pre-built traces (e.g. kernels) keyed by name; other
     benchmarks resolve to SPEC2000 profiles.

@@ -1,9 +1,6 @@
 """Experiment harness: the paper's named configurations and figure drivers.
 
 - :mod:`repro.harness.configs` -- the machine configurations of Figures 5-8.
-- :mod:`repro.harness.runner` -- ``run_matrix``, a compatibility shim over
-  the :mod:`repro.experiments` API (declarative specs, pluggable backends,
-  cached results).
 - :mod:`repro.harness.figures` -- one spec constructor + driver per
   table/figure; each driver returns a
   :class:`~repro.experiments.results.FigureResult` with the same
@@ -15,6 +12,7 @@
 - :mod:`repro.harness.cli` -- ``svw-repro`` command-line entry point.
 """
 
+from repro.experiments.results import FigureResult
 from repro.harness.configs import (
     fig5_configs,
     fig6_configs,
@@ -29,7 +27,6 @@ from repro.harness.figures import (
     spec_updates_experiment,
     ssn_width_experiment,
 )
-from repro.harness.runner import FigureResult, run_matrix
 
 __all__ = [
     "FigureResult",
@@ -41,7 +38,6 @@ __all__ = [
     "figure6",
     "figure7",
     "figure8",
-    "run_matrix",
     "spec_updates_experiment",
     "ssn_width_experiment",
 ]

@@ -26,7 +26,7 @@ Methodology:
       "schema_version": 1,
       "created_unix": <float, seconds since epoch>,
       "python": "3.11.7", "platform": "Linux-...",
-      "numpy": "2.4.6", "vectorization": "numpy", "trace_epoch": 2,
+      "numpy": "2.4.6", "trace_epoch": 2,
       "n_insts": 30000, "repeats": 3,
       "workloads": ["bzip2", ...],
       "workload_taxonomy": {"bzip2": "profile", ...},
@@ -53,7 +53,7 @@ from typing import Callable
 from repro.harness.configs import fig5_configs, fig6_configs
 from repro.ioutil import atomic_write_text
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.processor import Processor, vectorization_mode
+from repro.pipeline.processor import Processor
 from repro.workloads.registry import workload_taxonomy
 from repro.workloads.spec2000 import spec_profile
 from repro.workloads.synthetic import TRACE_EPOCH, generate_trace
@@ -77,20 +77,15 @@ def runtime_provenance() -> dict:
     """Execution-environment keys recorded in every BENCH payload.
 
     Additive to schema 1 (readers use ``.get`` and tolerate absence in
-    older snapshots): the numpy version and vectorization mode explain a
-    throughput delta between two snapshots, and ``trace_epoch`` names
-    the workload-generator fingerprint epoch the run simulated under --
+    older snapshots): the numpy version explains a throughput delta
+    between two snapshots, and ``trace_epoch`` names the
+    workload-generator fingerprint epoch the run simulated under --
     fingerprints from different epochs are expected to differ.
     """
-    try:
-        import numpy
+    import numpy
 
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy ships with the toolchain
-        numpy_version = None
     return {
-        "numpy": numpy_version,
-        "vectorization": vectorization_mode(),
+        "numpy": numpy.__version__,
         "trace_epoch": TRACE_EPOCH,
     }
 

@@ -12,43 +12,38 @@ statistics fingerprint is recorded and cross-checked against
 
 Modes (same cell set, same machine):
 
-- ``serial``        -- ``SerialBackend``: the in-process reference.
-- ``pool_regen``    -- ``ProcessPoolBackend(share_traces=False)``: the
-  pre-batching parallel backend; every worker regenerates its cell's
-  trace from the workload profile.  This is the comparison baseline.
-- ``pool_shared``   -- ``ProcessPoolBackend``: per-cell tasks, but traces
+- ``serial``        -- ``SerialBackend``: the in-process reference that
+  speedups are quoted against.
+- ``batch``         -- ``BatchRunner`` (what ``--jobs N`` selects): traces
   are generated/encoded once in the parent and published through shared
-  memory; workers decode and memoize.
-- ``batch``         -- ``BatchRunner``: single decode per workload chunk,
-  all of its configs run in one pass over one ``Trace``/``TraceMeta``.
+  memory; each worker decodes a workload chunk once and runs all of its
+  configs in one pass over one ``ColumnTrace``/``TraceMeta``.
 - ``remote``        -- ``RemoteBackend`` (only with ``remote_workers``):
   cells shipped to worker agents over the TCP trace wire format.  The
   ``remote-equivalence`` CI job runs this against two loopback agents,
   which makes the fingerprint cross-check below a wire-protocol
   equivalence gate, not just a backend one.
 
-All provider-backed modes share one on-disk
+All modes share one on-disk
 :class:`~repro.workloads.trace_cache.TraceCache` for the duration of the
 benchmark, so across *all* modes and repeats each (workload, seed, budget)
 trace is generated at most once -- the ``trace_generations`` numbers in
-the payload are the amortization proof.  ``pool_regen`` cannot use it by
-construction (that is the behaviour being measured).
+the payload are the amortization proof.
 
-``BENCH_sweep.json`` schema (``schema_version`` 1)::
+``BENCH_sweep.json`` schema (``schema_version`` 2)::
 
     {
-      "schema_version": 1, "created_unix": ..., "python": ..., "platform": ...,
-      "numpy": ..., "vectorization": ..., "trace_epoch": 2,
+      "schema_version": 2, "created_unix": ..., "python": ..., "platform": ...,
+      "numpy": ..., "trace_epoch": 2,
       "jobs": 2, "n_insts": 30000, "repeats": 2,
       "workloads": [...], "configs": [...], "n_cells": 50,
       "cells": [{"workload": ..., "config": ..., "stats_fingerprint": ...}],
       "modes": {"serial": {"wall_seconds": ..., "cells_per_sec": ...,
                            "trace_generations": ...}, ...},
-      "trace_generation": {"insts_per_sec": ..., "legacy_insts_per_sec": ...,
-                           "speedup": ...},
+      "trace_generation": {"n_insts": ..., "workloads": [...],
+                           "insts_per_sec": ...},
       "equivalence": {"identical": true, "diverged": []},
-      "speedups": {"batch_vs_pool_regen": ..., "pool_shared_vs_pool_regen": ...,
-                   "batch_vs_serial": ...}
+      "speedups": {"batch_vs_serial": ..., "remote_vs_serial": ...}
     }
 """
 
@@ -61,7 +56,7 @@ import tempfile
 import time
 from typing import Callable
 
-from repro.experiments.backends import ProcessPoolBackend, SerialBackend
+from repro.experiments.backends import SerialBackend
 from repro.experiments.batch import BatchRunner
 from repro.experiments.remote import RemoteBackend
 from repro.experiments.spec import ExperimentSpec, matrix_spec
@@ -70,12 +65,11 @@ from repro.harness.configs import fig5_configs, fig6_configs
 from repro.ioutil import atomic_write_text
 from repro.isa.codec import encode_trace
 from repro.pipeline.config import MachineConfig
-from repro.workloads.reference import generate_trace_objects
 from repro.workloads.spec2000 import spec_profile
 from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace_cache import TraceCache
 
-SWEEP_SCHEMA_VERSION = 1
+SWEEP_SCHEMA_VERSION = 2
 
 #: Default instruction budget per cell (the figure sweeps' default).
 SWEEP_INSTS = 30_000
@@ -85,11 +79,10 @@ SWEEP_JOBS = 2
 
 QUICK_INSTS = 6_000
 
-#: The baseline mode speedups are quoted against (the pre-batching
-#: parallel backend).
-BASELINE_MODE = "pool_regen"
+#: The baseline mode speedups are quoted against.
+BASELINE_MODE = "serial"
 
-MODE_ORDER = ("serial", "pool_regen", "pool_shared", "batch")
+MODE_ORDER = ("serial", "batch")
 
 
 def sweep_configs() -> dict[str, MachineConfig]:
@@ -129,8 +122,6 @@ def _make_backends(
 ) -> dict[str, object]:
     backends: dict[str, object] = {
         "serial": SerialBackend(trace_cache=cache),
-        "pool_regen": ProcessPoolBackend(jobs=jobs, share_traces=False),
-        "pool_shared": ProcessPoolBackend(jobs=jobs, trace_cache=cache),
         "batch": BatchRunner(jobs=jobs, trace_cache=cache),
     }
     if remote_workers:
@@ -141,46 +132,25 @@ def _make_backends(
 def measure_generation(
     workloads: list[str], n_insts: int, repeats: int = 2
 ) -> dict:
-    """Cold-sweep trace-production throughput, column-native vs reference.
+    """Cold-sweep trace-production throughput of the live generator.
 
     Times what a cold sweep pays per workload -- generate the trace and
-    encode it for publication -- for the column-native generator and for
-    the *pre-column pipeline* reconstructed from its frozen pieces: the
-    object-path reference generator
-    (:func:`~repro.workloads.reference.generate_trace_objects`, whose
-    output is bit-identical) plus the explicit ``TraceMeta`` build its
-    encoder used to perform.  Today's ``encode_trace`` derives metadata
-    from the op column and ignores a prebuilt ``TraceMeta``, so the
-    ``meta()`` call below is charged deliberately: the baseline is the
-    historical cost of producing a publishable trace, not the cost of
-    running the old generator through the new encoder.  Best-of-
-    ``repeats`` per workload; the aggregate speedup is the refactor's
-    trace-generation claim.
+    encode it for publication.  Best-of-``repeats`` per workload.
     """
-    column_wall = 0.0
-    legacy_wall = 0.0
-    total = 0
+    wall = 0.0
     for name in workloads:
         profile = spec_profile(name)
-        best_column = best_legacy = float("inf")
+        best = float("inf")
         for _ in range(max(1, repeats)):
             started = time.perf_counter()
             encode_trace(generate_trace(profile, n_insts))
-            best_column = min(best_column, time.perf_counter() - started)
-            started = time.perf_counter()
-            trace = generate_trace_objects(profile, n_insts)
-            trace.meta()
-            encode_trace(trace)
-            best_legacy = min(best_legacy, time.perf_counter() - started)
-        column_wall += best_column
-        legacy_wall += best_legacy
-        total += n_insts
+            best = min(best, time.perf_counter() - started)
+        wall += best
+    total = n_insts * len(workloads)
     return {
         "n_insts": n_insts,
         "workloads": list(workloads),
-        "insts_per_sec": total / column_wall if column_wall else 0.0,
-        "legacy_insts_per_sec": total / legacy_wall if legacy_wall else 0.0,
-        "speedup": legacy_wall / column_wall if column_wall else 0.0,
+        "insts_per_sec": total / wall if wall else 0.0,
     }
 
 
@@ -229,10 +199,6 @@ def run_sweep_bench(
                 if provider is not None:
                     generations += provider.generations
             assert stats is not None
-            if mode == BASELINE_MODE:
-                # Workers regenerate per cell by construction; the parent
-                # cannot observe it, but the count is exact.
-                generations = len(requests) * max(1, repeats)
             fingerprints[mode] = [s.fingerprint() for s in stats]
             mode_rows[mode] = {
                 "wall_seconds": best,
@@ -241,12 +207,12 @@ def run_sweep_bench(
             }
 
     if progress is not None:
-        progress("bench-sweep: trace generation (column-native vs reference)")
+        progress("bench-sweep: trace generation")
     generation = measure_generation(
         spec.benchmark_names, spec.n_insts, repeats=max(1, repeats)
     )
 
-    reference = fingerprints["serial"]
+    reference = fingerprints[BASELINE_MODE]
     diverged = sorted(
         f"{mode}:{workload}/{config}"
         for mode, prints in fingerprints.items()
@@ -254,26 +220,13 @@ def run_sweep_bench(
         if ours != theirs
     )
     baseline_rate = mode_rows[BASELINE_MODE]["cells_per_sec"]
-    speedup = lambda mode: (  # noqa: E731 - local one-liner
-        mode_rows[mode]["cells_per_sec"] / baseline_rate if baseline_rate else 0.0
-    )
     speedups = {
-        "batch_vs_pool_regen": speedup("batch"),
-        "pool_shared_vs_pool_regen": speedup("pool_shared"),
-        "batch_vs_serial": (
-            mode_rows["batch"]["cells_per_sec"]
-            / mode_rows["serial"]["cells_per_sec"]
-            if mode_rows["serial"]["cells_per_sec"]
-            else 0.0
-        ),
-    }
-    if "remote" in mode_rows:
-        speedups["remote_vs_serial"] = (
-            mode_rows["remote"]["cells_per_sec"]
-            / mode_rows["serial"]["cells_per_sec"]
-            if mode_rows["serial"]["cells_per_sec"]
-            else 0.0
+        f"{mode}_vs_{BASELINE_MODE}": (
+            row["cells_per_sec"] / baseline_rate if baseline_rate else 0.0
         )
+        for mode, row in mode_rows.items()
+        if mode != BASELINE_MODE
+    }
     return {
         "schema_version": SWEEP_SCHEMA_VERSION,
         "created_unix": time.time(),
@@ -308,7 +261,7 @@ def render_sweep_bench(payload: dict) -> str:
         f"({len(payload['workloads'])} workloads x {len(payload['configs'])} configs, "
         f"{payload['n_insts']} insts/cell), jobs={payload['jobs']}, "
         f"best of {payload['repeats']}, python {payload['python']}",
-        f"{'mode':14s} {'wall s':>8s} {'cells/s':>9s} {'trace gens':>11s} {'vs pre-PR':>10s}",
+        f"{'mode':14s} {'wall s':>8s} {'cells/s':>9s} {'trace gens':>11s} {'vs serial':>10s}",
     ]
     baseline = payload["modes"][BASELINE_MODE]["cells_per_sec"]
     extra_modes = [mode for mode in payload["modes"] if mode not in MODE_ORDER]
@@ -324,9 +277,7 @@ def render_sweep_bench(payload: dict) -> str:
     generation = payload.get("trace_generation")
     if generation:
         lines.append(
-            f"trace generation: {generation['insts_per_sec'] / 1000:.0f}k insts/s "
-            f"column-native vs {generation['legacy_insts_per_sec'] / 1000:.0f}k "
-            f"object-path ({generation['speedup']:.2f}x)"
+            f"trace generation: {generation['insts_per_sec'] / 1000:.0f}k insts/s"
         )
     equivalence = payload["equivalence"]
     if equivalence["identical"]:

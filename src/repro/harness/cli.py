@@ -63,7 +63,6 @@ from repro.experiments.store import ResultStore
 from repro.harness import bench, bench_sweep, figures
 from repro.harness.report import render_claims, render_figure
 from repro.workloads.ingest import IngestError, IngestStore
-from repro.workloads.registry import resolve_workload
 from repro.workloads.trace_cache import TraceCache
 
 _EXPERIMENTS: dict[str, Callable[..., FigureResult]] = {

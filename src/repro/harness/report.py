@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.results import FigureResult
 from repro.harness.paper_data import PaperClaim, claims_for
-from repro.harness.runner import FigureResult
 from repro.workloads.spec2000 import SPEC_SHORT_NAMES
 
 

@@ -54,12 +54,7 @@ def append_bytes(path: str | Path, data: bytes) -> None:
     crash mid-``write`` can leave a torn tail.  Callers own that risk:
     the campaign journal (the one appender in the tree) writes one JSON
     record per line and replays tolerantly, skipping any line a torn
-    append damaged (see ``campaign._read_journal_records``).
+    append damaged (see ``campaign._read_journal``).
     """
     with open(path, "ab") as handle:
         handle.write(data)
-
-
-def append_text(path: str | Path, text: str) -> None:
-    """Text-mode convenience wrapper over :func:`append_bytes`."""
-    append_bytes(path, text.encode("utf-8"))

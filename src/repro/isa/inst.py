@@ -289,8 +289,3 @@ class Trace:
             "store_frac": counts.get(OpClass.STORE, 0) / total,
             "branch_frac": counts.get(OpClass.BRANCH, 0) / total,
         }
-
-
-def producers_of(insts: Sequence[DynInst], seq: int) -> tuple[int, ...]:
-    """Convenience accessor used by analysis tools."""
-    return insts[seq].src_seqs

@@ -51,7 +51,6 @@ class MemoryHierarchy:
 
     __slots__ = (
         "config",
-        "l1i",
         "l1d",
         "l2",
         "_l1d_latency",
@@ -63,7 +62,6 @@ class MemoryHierarchy:
 
     def __init__(self, config: HierarchyConfig | None = None) -> None:
         self.config = config or HierarchyConfig()
-        self.l1i = Cache(self.config.l1i)
         self.l1d = Cache(self.config.l1d)
         self.l2 = Cache(self.config.l2)
         # Latencies and bank geometry cached flat for the per-access path.
@@ -107,16 +105,6 @@ class MemoryHierarchy:
         """
         self.load_access(addr)  # keep residency/statistics honest
         return 1
-
-    def fetch_access(self, pc: int) -> int:
-        """Latency of an instruction fetch at ``pc``."""
-        latency = self.config.l1i.latency
-        if self.l1i.access(pc):
-            return latency
-        latency += self._l2_latency
-        if self.l2.access(pc):
-            return latency
-        return latency + self._memory_latency
 
     def invalidate(self, addr: int) -> None:
         """Coherence invalidation from another thread/agent."""

@@ -57,11 +57,6 @@ import gc
 from collections import deque
 from heapq import heappop, heappush
 
-try:  # column-kernel precompute (see Performance notes above)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None
-
 from repro.core.ssn import SSNState
 from repro.core.svw import SVWEngine
 from repro.deps.spct import SPCT
@@ -95,22 +90,6 @@ _SVW_FLUSH = RexState.SVW_FLUSH
 
 #: Terminal states that let an entry retire from the re-execution queue.
 _REX_RETIRED = (_DONE_OK, _FILTERED, _FAILED, _SVW_FLUSH)
-
-#: Default for :class:`Processor`'s ``vectorize`` flag: precompute per-seq
-#: probe/bank columns over the flat trace columns (numpy-accelerated when
-#: available) and index them from the per-cycle loops.  The scalar path
-#: stays selectable so the column-vs-kernel oracle suite can assert both
-#: produce bit-identical fingerprints.
-VECTORIZE_DEFAULT = True
-
-
-def vectorization_mode(vectorize: bool | None = None) -> str:
-    """The vectorization tag recorded in BENCH payloads."""
-    enabled = VECTORIZE_DEFAULT if vectorize is None else vectorize
-    if not enabled:
-        return "scalar"
-    return "numpy" if _np is not None else "column"
-
 
 class SimulationError(RuntimeError):
     """The simulation reached an inconsistent or deadlocked state."""
@@ -171,10 +150,6 @@ class Processor:
         "_event_heap",
         "_wake_cause",
         # flat trace columns (hot-loop flattening; see ColumnTrace.hot)
-        "vectorized",
-        "_ssbf_i1",
-        "_ssbf_i2",
-        "_bank_bits",
         "_m_kind",
         "_m_pc",
         "_m_dst",
@@ -229,7 +204,6 @@ class Processor:
         validate: bool = False,
         warmup: int = 0,
         skip_ahead: bool = True,
-        vectorize: bool | None = None,
     ) -> None:
         """Args:
         config: The machine to model.
@@ -246,12 +220,6 @@ class Processor:
             are bit-identical either way (the golden-equivalence tests
             assert this); disabling it exists for those tests and for
             debugging cycle-by-cycle traces.
-        vectorize: Precompute per-seq probe/bank columns and index them
-            from the per-cycle loops instead of redoing the address
-            arithmetic per access.  ``None`` takes the module default
-            (:data:`VECTORIZE_DEFAULT`).  Results are bit-identical
-            either way (the column-vs-kernel oracle suite asserts this);
-            the scalar path exists for those tests.
         """
         trace = trace.columns()
         self.config = config
@@ -397,29 +365,6 @@ class Processor:
             0,
         ]
         self._total_issue = sum(self._slot_template)
-        # Column kernels: per-seq precomputes over the flat trace columns.
-        # Addresses are trace-static, so the SSBF probe indices and the
-        # L1D bank bits are pure functions of seq -- computed once here
-        # (vectorized) and indexed from the re-execution and issue loops.
-        self.vectorized = VECTORIZE_DEFAULT if vectorize is None else vectorize
-        self._ssbf_i1: list[int] | None = None
-        self._ssbf_i2: list[int] | None = None
-        self._bank_bits: list[int] | None = None
-        if self.vectorized:
-            if self.svw is not None:
-                probes = self.svw.probe_columns(hot.addr, hot.size)
-                if probes is not None:
-                    self._ssbf_i1, self._ssbf_i2 = probes
-            line_bytes = self._l1d_line_bytes
-            bank_mask = self._l1d_bank_mask
-            if _np is not None:
-                addr = _np.asarray(hot.addr, dtype=_np.int64)
-                bits = _np.left_shift(1, (addr // line_bytes) & bank_mask)
-                self._bank_bits = bits.tolist()
-            else:
-                self._bank_bits = [
-                    1 << ((a // line_bytes) & bank_mask) for a in hot.addr
-                ]
         #: Exact count of squashed-but-still-heaped ready entries.  While
         #: it is zero and the cycle's issue bandwidth is spent, the select
         #: loop can stop popping: every further pop in the naive loop
@@ -913,13 +858,6 @@ class Processor:
         svw = self.svw
         atomic = svw is not None and not svw.config.speculative_updates
         budget = self._width
-        i1 = self._ssbf_i1
-        if i1 is not None:
-            i2 = self._ssbf_i2
-            # Re-fetched every call: a wrap-around drain rebinds the table.
-            table = svw.ssbf._table
-        else:
-            i2 = table = None
         qlen = len(queue)
         index = 0
         processed = 0
@@ -939,18 +877,7 @@ class Processor:
                         # has retired -- the elongated serialization the
                         # paper warns about.
                         break
-                    if table is not None:
-                        # record_store inlined over the precomputed probe
-                        # columns (SimpleSSBF with the filter enabled).
-                        seq = entry.seq
-                        ssn = entry.ssn
-                        first = i1[seq]
-                        if ssn > table[first]:
-                            table[first] = ssn
-                        second = i2[seq]
-                        if second >= 0 and ssn > table[second]:
-                            table[second] = ssn
-                    elif svw is not None:
+                    if svw is not None:
                         svw.record_store(entry.addr, entry.size, entry.ssn)
                     entry.rex_state = _DONE_OK
                     self._worked = True
@@ -964,19 +891,7 @@ class Processor:
                     entry.rex_state = _DONE_OK
                     self._worked = True
                 else:
-                    if table is not None:
-                        # must_reexecute inlined over the precomputed probe
-                        # columns (filter counters maintained).
-                        svw.filter_tests += 1
-                        seq = entry.seq
-                        value = table[i1[seq]]
-                        second = i2[seq]
-                        if second >= 0 and table[second] > value:
-                            value = table[second]
-                        must = value > entry.svw
-                        if must:
-                            svw.filter_hits += 1
-                    elif svw is not None:
+                    if svw is not None:
                         must = svw.must_reexecute(entry.addr, entry.size, entry.svw)
                     else:
                         must = True
@@ -1043,7 +958,6 @@ class Processor:
         m_latency = meta.latency
         line_bytes = self._l1d_line_bytes
         bank_mask = self._l1d_bank_mask
-        bank_bits = self._bank_bits
         load_must_wait = self._load_must_wait
         execute_load = self._execute_load
         load_access = self._load_access
@@ -1090,10 +1004,7 @@ class Processor:
                     # SQ CAM hit on a store without data: replay next cycle.
                     deferred.append(item)
                     continue
-                if bank_bits is not None:
-                    bank_bit = bank_bits[seq]
-                else:
-                    bank_bit = 1 << ((entry.addr // line_bytes) & bank_mask)
+                bank_bit = 1 << ((entry.addr // line_bytes) & bank_mask)
                 if banks_used & bank_bit:
                     deferred.append(item)
                     continue

@@ -142,9 +142,6 @@ class SimStats:
             payload.pop(name, None)
         return stable_digest(payload)
 
-    def note_dispatch_stall(self, reason: str) -> None:
-        self.dispatch_stalls[reason] = self.dispatch_stalls.get(reason, 0) + 1
-
     def summary(self) -> str:
         lines = [
             f"{self.config_name} on {self.workload}:",

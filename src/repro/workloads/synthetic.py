@@ -3,19 +3,17 @@
 This is the live synthetic-trace generator.  It samples instructions in
 fixed blocks of :data:`BLOCK_SLOTS` slots with batched numpy RNG draws --
 kind selection, static-PC skew, address/alias/size selection, dependence
-distances and branch outcomes are all vectorized over the block -- and
+distances and branch outcomes are all drawn for the whole block -- and
 scatters the results straight into the codec's flat columns.  Only the
 few inherently sequential decisions (exact silent-store values against
 the functional memory image, collision claiming, wrong-path payloads)
 run as small per-block Python loops over a handful of rows.
 
-This module deliberately draws a **different RNG stream** than the frozen
-epoch-v1 pair (:mod:`repro.workloads.synthetic_v1` /
-:mod:`repro.workloads.reference`): moving from per-instruction
-``random.Random`` draws to per-block ``numpy`` PCG64 streams is the
-one-time fingerprint break recorded in ROADMAP.md.  v2 traces are pinned
-by their own golden fingerprints (``tests/workloads/test_v2_goldens.py``)
-and the v1 pair remains importable as the draw-exact oracle.
+This module draws a **different RNG stream** than the retired epoch-v1
+generator: moving from per-instruction ``random.Random`` draws to
+per-block ``numpy`` PCG64 streams was the one-time fingerprint break
+recorded in ROADMAP.md.  v2 traces are pinned by their golden
+fingerprints (``tests/workloads/test_v2_goldens.py``).
 
 Determinism and the prefix property are preserved by construction:
 

@@ -17,14 +17,12 @@ import pytest
 from repro.experiments import (
     BatchRunner,
     CellExecutionError,
-    ProcessPoolBackend,
     ResultStore,
     SerialBackend,
     TraceProvider,
     make_backend,
     matrix_spec,
     run_experiment,
-    submission_order,
 )
 from repro.experiments.spec import ExperimentBuilder, WorkloadSpec
 from repro.harness.bench import bench_configs
@@ -67,12 +65,6 @@ class TestBatchEquivalence:
 
     def test_batch_pool_matches_serial_backend(self, family_spec, family_serial):
         results = BatchRunner(jobs=2).run(family_spec.cells())
-        assert [s.fingerprint() for s in results] == [
-            s.fingerprint() for s in family_serial
-        ]
-
-    def test_pool_shared_traces_matches_serial_backend(self, family_spec, family_serial):
-        results = ProcessPoolBackend(jobs=2).run(family_spec.cells())
         assert [s.fingerprint() for s in results] == [
             s.fingerprint() for s in family_serial
         ]
@@ -190,20 +182,6 @@ class TestGenerationAmortization:
 
 
 class TestScheduling:
-    def test_submission_order_longest_first_then_workload(self):
-        configs = {"baseline": lsu_family_configs()["conventional"]}
-        big = matrix_spec("big", configs, ["vortex", "gcc"], 4 * INSTS)
-        small = matrix_spec("small", configs, ["twolf", "bzip2"], INSTS)
-        requests = small.cells() + big.cells()
-        order = submission_order(requests)
-        ranked = [(requests[i].n_insts, requests[i].workload.name) for i in order]
-        assert ranked == [
-            (4 * INSTS, "gcc"),
-            (4 * INSTS, "vortex"),
-            (INSTS, "bzip2"),
-            (INSTS, "twolf"),
-        ]
-
     def test_chunks_split_when_fewer_workloads_than_jobs(self):
         spec = matrix_spec(
             "one", lsu_family_configs(), ["gcc"], INSTS, baseline="conventional"
@@ -239,14 +217,6 @@ class TestFailureIdentity:
         return matrix_spec(
             "poisoned", {"baseline": healthy, "bad": poisoned}, ["gcc"], INSTS
         )
-
-    def test_pool_exception_names_the_cell(self, poisoned_spec):
-        with pytest.raises(CellExecutionError, match=r"poisoned: gcc / bad"):
-            ProcessPoolBackend(jobs=2).run(poisoned_spec.cells())
-
-    def test_pool_regen_exception_names_the_cell(self, poisoned_spec):
-        with pytest.raises(CellExecutionError, match=r"poisoned: gcc / bad"):
-            ProcessPoolBackend(jobs=2, share_traces=False).run(poisoned_spec.cells())
 
     def test_batch_exception_names_the_cell(self, poisoned_spec):
         with pytest.raises(CellExecutionError, match=r"poisoned: gcc / bad"):

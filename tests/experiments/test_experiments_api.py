@@ -6,10 +6,10 @@ import json
 import pytest
 
 from repro.experiments import (
+    BatchRunner,
     ExperimentBuilder,
     ExperimentSpec,
     FigureResult,
-    ProcessPoolBackend,
     ResultStore,
     SerialBackend,
     WorkloadSpec,
@@ -18,7 +18,6 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.harness.configs import fig5_configs
-from repro.harness.runner import run_matrix
 from repro.pipeline.config import eight_wide
 from repro.pipeline.stats import SimStats
 from repro.workloads.kernels import kernel_trace
@@ -129,8 +128,8 @@ class TestFingerprints:
 
 
 class TestBackendParity:
-    def test_process_pool_matches_serial_bitwise(self, small_spec, serial_result):
-        pooled = run_experiment(small_spec, backend=ProcessPoolBackend(jobs=2))
+    def test_batch_runner_matches_serial_bitwise(self, small_spec, serial_result):
+        pooled = run_experiment(small_spec, backend=BatchRunner(jobs=2))
         for benchmark in small_spec.benchmark_names:
             for config in small_spec.config_order:
                 assert (
@@ -139,16 +138,10 @@ class TestBackendParity:
                 ), (benchmark, config)
 
     def test_make_backend_dispatch(self):
-        from repro.experiments import BatchRunner
-
         assert isinstance(make_backend(None), SerialBackend)
         assert isinstance(make_backend(1), SerialBackend)
         backend = make_backend(3)
         assert isinstance(backend, BatchRunner) and backend.jobs == 3
-
-    def test_run_matrix_shim_matches_new_api(self, serial_result):
-        shimmed = run_matrix("small", small_configs(), ["gcc", "bzip2"], INSTS)
-        assert shimmed.to_dict()["stats"] == serial_result.to_dict()["stats"]
 
     def test_trace_workloads_run(self):
         trace = kernel_trace("spill_fill", n_frames=50)

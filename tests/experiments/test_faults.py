@@ -28,7 +28,7 @@ from repro.experiments import (
     matrix_spec,
     scrub_journals,
 )
-from repro.experiments.campaign import JOURNAL_SCHEMA, _read_journal, campaign_id_for
+from repro.experiments.campaign import JOURNAL_SCHEMA, _read_journal
 from repro.experiments.faults import FaultEvent
 from repro.experiments.remote import (
     FRAME_ZTRACE,
@@ -179,19 +179,6 @@ class TestFaultPlan:
         plan = FaultPlan.from_spec("seed=1,corrupt_rate=1.0", log=lambda e: seen.append(e.describe()))
         plan.mutate_trace("client.trace", b"abc")
         assert seen and "corrupt @client.trace #0" in seen[0]
-
-
-class TestDropAfterCompatShim:
-    def test_drop_after_builds_an_equivalent_plan(self):
-        agent = WorkerAgent(drop_after=2)
-        try:
-            assert agent.faults is not None and agent.faults.drop_after == 2
-        finally:
-            agent.close()
-
-    def test_drop_after_and_faults_are_exclusive(self):
-        with pytest.raises(ValueError, match="drop_after"):
-            WorkerAgent(drop_after=1, faults=FaultPlan())
 
 
 class TestDamagedTraceFrames:
@@ -471,32 +458,6 @@ class TestTornJournalReplay:
             with CampaignClient(daemon2.address) as client:
                 assert client.status(campaign_id)["state"] == "running"
 
-    def test_v1_journal_migrates_to_jsonl(self, tmp_path, spec):
-        central = tmp_path / "central"
-        journal_dir = central / "campaigns"
-        journal_dir.mkdir(parents=True)
-        cells = spec.cells()
-        fingerprints = []
-        for request in cells:
-            f = request.fingerprint()
-            if f not in fingerprints:
-                fingerprints.append(f)
-        campaign_id = campaign_id_for(spec.name, fingerprints)
-        v1 = {
-            "schema": 1,
-            "campaign": campaign_id,
-            "name": spec.name,
-            "status": "done",
-            "error": None,
-            "cells": [r.to_payload() for r in cells],
-        }
-        (journal_dir / f"{campaign_id}.json").write_text(json.dumps(v1))
-        with CampaignDaemon(cache_dir=central) as daemon:
-            with CampaignClient(daemon.address) as client:
-                assert client.status(campaign_id)["state"] == "done"
-        assert (journal_dir / f"{campaign_id}.jsonl").exists()
-        assert not (journal_dir / f"{campaign_id}.json").exists()
-
     def test_scrub_journals_compacts_and_removes(self, tmp_path):
         good = {
             "record": "campaign",
@@ -510,6 +471,8 @@ class TestTornJournalReplay:
         (tmp_path / "ok.jsonl").write_text(json.dumps(good) + "\n")
         (tmp_path / "torn.jsonl").write_text(json.dumps(good) + "\n" + '{"half')
         (tmp_path / "hopeless.jsonl").write_text("not json at all\n")
+        # Not a journal: a stray .json file is neither scanned nor removed.
+        (tmp_path / "notes.json").write_text("not json at all\n")
         report = scrub_journals(tmp_path)
         assert report.scanned == 3 and report.campaigns == 2
         assert report.torn_records >= 1 and report.unreadable == ["hopeless.jsonl"]
@@ -517,6 +480,7 @@ class TestTornJournalReplay:
         assert fixed.repaired >= 2
         after = scrub_journals(tmp_path)
         assert after.clean and after.campaigns == 2
+        assert (tmp_path / "notes.json").exists()
 
 
 class TestFsck:

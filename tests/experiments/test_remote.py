@@ -12,6 +12,7 @@ import pytest
 from repro.experiments import (
     CellExecutionError,
     CostModel,
+    FaultPlan,
     RemoteBackend,
     SerialBackend,
     WorkerAgent,
@@ -185,7 +186,7 @@ class TestFaultTolerance:
     ):
         # The chaotic agent dies (connection severed, no goodbye) after two
         # results; its in-flight cell must re-run elsewhere, identically.
-        with WorkerAgent(drop_after=2) as chaotic, WorkerAgent() as healthy:
+        with WorkerAgent(faults=FaultPlan(drop_after=2)) as chaotic, WorkerAgent() as healthy:
             stats = RemoteBackend([chaotic.address, healthy.address]).run(requests)
             assert [s.fingerprint() for s in stats] == serial_fingerprints
             assert chaotic.jobs_done == 2
@@ -199,14 +200,14 @@ class TestFaultTolerance:
         spec = small_spec(workloads=("gcc",), n_configs=2)
         cells = spec.cells()
         serial = [s.fingerprint() for s in SerialBackend().run(cells)]
-        with WorkerAgent(drop_after=0) as doomed, WorkerAgent() as healthy:
+        with WorkerAgent(faults=FaultPlan(drop_after=0)) as doomed, WorkerAgent() as healthy:
             stats = RemoteBackend([doomed.address, healthy.address]).run(cells)
             assert [s.fingerprint() for s in stats] == serial
             assert healthy.jobs_done == len(cells)
             assert doomed.jobs_done == 0
 
     def test_all_workers_lost_raises(self, requests):
-        with WorkerAgent(drop_after=0) as doomed:
+        with WorkerAgent(faults=FaultPlan(drop_after=0)) as doomed:
             with pytest.raises(CellExecutionError, match="unfinished"):
                 RemoteBackend([doomed.address]).run(requests)
 

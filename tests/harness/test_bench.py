@@ -105,7 +105,6 @@ class TestCheckFingerprints:
 
         payload = _tiny_payload()
         assert payload["numpy"] == numpy.__version__
-        assert payload["vectorization"] in {"scalar", "numpy", "column"}
         assert payload["trace_epoch"] == TRACE_EPOCH == 2
 
     def test_pre_epoch_snapshot_fails_with_epoch_message(self):

@@ -48,29 +48,27 @@ def test_payload_records_runtime_provenance(tiny_payload):
     from repro.workloads.synthetic import TRACE_EPOCH
 
     assert tiny_payload["numpy"] == numpy.__version__
-    assert tiny_payload["vectorization"] in {"scalar", "numpy", "column"}
     assert tiny_payload["trace_epoch"] == TRACE_EPOCH
 
 
 def test_generation_amortized_across_modes(tiny_payload):
-    """serial/pool_shared/batch share one trace cache: one generation for
-    the whole benchmark; the pre-PR mode regenerates per cell."""
+    """Every mode shares one trace cache: one generation for the whole
+    benchmark."""
     modes = tiny_payload["modes"]
-    provider_generations = sum(
-        modes[mode]["trace_generations"] for mode in MODE_ORDER if mode != "pool_regen"
-    )
-    assert provider_generations == len(tiny_payload["workloads"])
-    assert modes["pool_regen"]["trace_generations"] == tiny_payload["n_cells"]
+    generations = sum(modes[mode]["trace_generations"] for mode in MODE_ORDER)
+    assert generations == len(tiny_payload["workloads"])
 
 
 def test_speedups_present(tiny_payload):
     speedups = tiny_payload["speedups"]
-    assert set(speedups) == {
-        "batch_vs_pool_regen",
-        "pool_shared_vs_pool_regen",
-        "batch_vs_serial",
-    }
+    assert set(speedups) == {"batch_vs_serial"}
     assert all(value > 0 for value in speedups.values())
+
+
+def test_trace_generation_measures_live_generator(tiny_payload):
+    generation = tiny_payload["trace_generation"]
+    assert set(generation) == {"n_insts", "workloads", "insts_per_sec"}
+    assert generation["insts_per_sec"] > 0
 
 
 def test_render_write_load_compare(tiny_payload, tmp_path):

@@ -1,7 +1,8 @@
-"""Tests for the experiment harness: configs, runner, report, CLI."""
+"""Tests for the experiment harness: configs, matrix sweeps, report, CLI."""
 
 import pytest
 
+from repro.experiments import matrix_spec, run_experiment
 from repro.harness.cli import main
 from repro.harness.configs import (
     composition_configs,
@@ -14,7 +15,6 @@ from repro.harness.configs import (
 )
 from repro.harness.paper_data import PAPER_CLAIMS, claims_for
 from repro.harness.report import check_claims, render_claims, render_figure
-from repro.harness.runner import run_matrix
 from repro.pipeline.config import RexMode
 
 
@@ -56,8 +56,10 @@ class TestConfigs:
 
 @pytest.fixture(scope="module")
 def tiny_result():
-    return run_matrix(
-        "fig5", fig5_configs(), benchmarks=["gzip"], n_insts=2500, warmup=500
+    return run_experiment(
+        matrix_spec(
+            "fig5", fig5_configs(), benchmarks=["gzip"], n_insts=2500, warmup=500
+        )
     )
 
 

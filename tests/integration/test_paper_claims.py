@@ -7,9 +7,9 @@ full rows.
 
 import pytest
 
-from repro.harness.figures import figure5, figure6, figure7
-from repro.harness.runner import run_matrix
+from repro.experiments import matrix_spec, run_experiment
 from repro.harness.configs import fig5_configs
+from repro.harness.figures import figure5, figure6, figure7
 
 INSTS = 8_000
 #: Figure 7 asserts a *performance ordering* (+SVW vs RLE), not just
@@ -88,16 +88,20 @@ class TestRunnerMechanics:
         from repro.workloads.kernels import kernel_trace
 
         traces = {"spill_fill": kernel_trace("spill_fill", n_frames=60)}
-        result = run_matrix(
-            "kernels", fig5_configs(), benchmarks=["spill_fill"], traces=traces,
-            warmup=0,
+        result = run_experiment(
+            matrix_spec(
+                "kernels", fig5_configs(), benchmarks=["spill_fill"], traces=traces,
+                warmup=0,
+            )
         )
         assert "spill_fill" in result.stats
         assert result.stats["spill_fill"]["NLQ"].committed == len(traces["spill_fill"])
 
     def test_short_names_resolve(self):
-        result = run_matrix(
-            "short", {"baseline": fig5_configs()["baseline"]},
-            benchmarks=["perl.d"], n_insts=1500, warmup=0,
+        result = run_experiment(
+            matrix_spec(
+                "short", {"baseline": fig5_configs()["baseline"]},
+                benchmarks=["perl.d"], n_insts=1500, warmup=0,
+            )
         )
         assert result.benchmarks == ["perl.diffmail"]

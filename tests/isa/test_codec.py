@@ -212,12 +212,11 @@ class TestDualVersionDecode:
             assert roundtrip_equal(trace, clone), version
 
     def test_v1_era_cache_entry_decodes(self):
-        # A frozen-v1-generator trace framed as version 1 is exactly what
-        # a v1-era on-disk cache entry holds; re-encoding the decode must
-        # give the current-version frame of the same columns.
-        from repro.workloads.synthetic_v1 import generate_trace_v1
-
-        trace = generate_trace_v1(spec_profile("gcc"), 800)
+        # A v1 frame is the current layout with version byte 1, which is
+        # what a v1-era on-disk cache entry or external ``.svwt`` file
+        # holds; re-encoding the decode must give the current-version
+        # frame of the same columns.
+        trace = generate_trace(spec_profile("gcc"), 800)
         current_frame = encode_trace(trace)
         v1_frame = bytearray(current_frame)
         v1_frame[4] = 1

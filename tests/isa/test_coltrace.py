@@ -6,10 +6,15 @@ import pickle
 
 import pytest
 
+from repro.harness.bench import bench_configs
+from repro.isa.codec import decode_trace, encode_trace
 from repro.isa.coltrace import INST_COLUMNS, ColumnTrace
 from repro.isa.golden import golden_execute
 from repro.isa.inst import DynInst, Trace
 from repro.isa.ops import OpClass
+from repro.pipeline.processor import Processor
+from repro.workloads.spec2000 import spec_profile
+from repro.workloads.synthetic import generate_trace
 
 
 def small_trace() -> Trace:
@@ -139,3 +144,49 @@ class TestValidate:
         arrays["op"] = arrays["op"][:2]
         with pytest.raises(ValueError, match="expected"):
             ColumnTrace("ragged", arrays)
+
+
+class TestProcessorEquivalence:
+    """Processor-on-columns == Processor-on-objects, bit for bit, for the
+    live generator, the fixed kernels and the codec round-trip."""
+
+    N = 4000
+
+    @staticmethod
+    def object_built(columns: ColumnTrace) -> Trace:
+        # A fresh Trace over the DynInst view, with no columns or meta
+        # attached, so the processor columnizes it from the objects.
+        return Trace(
+            name=columns.name,
+            insts=list(columns.insts),
+            initial_memory=dict(columns.initial_memory),
+            wrong_path_addrs=columns.wrong_path_addrs,
+        )
+
+    @pytest.mark.parametrize("kind", sorted(bench_configs()))
+    def test_columns_match_objects_per_lsu(self, kind):
+        _, config = bench_configs()[kind]
+        column = generate_trace(spec_profile("gcc"), self.N)
+        on_objects = Processor(
+            config, self.object_built(column), validate=True, warmup=500
+        ).run()
+        on_columns = Processor(config, column, validate=True, warmup=500).run()
+        assert on_objects.fingerprint() == on_columns.fingerprint(), kind
+
+    @pytest.mark.parametrize("kind", sorted(bench_configs()))
+    def test_kernel_columns_match_objects_per_lsu(self, kind, spill_fill_trace):
+        """Fixed (object-built) kernel traces behave identically columnized."""
+        _, config = bench_configs()[kind]
+        columns = ColumnTrace.from_trace(spill_fill_trace)
+        on_objects = Processor(config, spill_fill_trace, validate=True).run()
+        on_columns = Processor(config, columns, validate=True).run()
+        assert on_objects.fingerprint() == on_columns.fingerprint(), kind
+
+    def test_decoded_trace_matches_generated(self):
+        """The codec round-trip simulates identically to the original."""
+        _, config = bench_configs()["nlq"]
+        column = generate_trace(spec_profile("twolf"), self.N)
+        clone = decode_trace(encode_trace(column))
+        direct = Processor(config, column, warmup=500).run()
+        decoded = Processor(config, clone, warmup=500).run()
+        assert direct.fingerprint() == decoded.fingerprint()

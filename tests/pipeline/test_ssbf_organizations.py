@@ -1,0 +1,98 @@
+"""Every SSBF organization through the one probe path.
+
+Stores update the SSBF through ``SVWEngine.record_store`` and marked loads
+test it through ``SVWEngine.must_reexecute``, whatever the table's
+organization.  For every LSU kind, re-execution mode and SSBF organization
+-- including the edge contracts of the probe path: SSN-wrap drains that
+flash-clear the table mid-run, atomic (non-speculative) updates, SVW as a
+replacement for re-execution, dual/banked tables and a disabled filter --
+this suite pins that:
+
+- the filter is safe: with ``validate=True`` every committed load value
+  matches the golden functional execution;
+- an object-built trace gives the statistics fingerprint and the filter
+  counters of the column-native trace, bit for bit;
+- the skip-ahead scheduler leaves the fingerprint bit-identical to the
+  cycle-by-cycle run (the raw counters are not compared there: a positive
+  test that stalls on the data-cache port is probed again next cycle, so
+  they count cycles stepped, not loads);
+- the counters are consistent: positive tests never outnumber tests, and an
+  enabled filter is actually probed.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.svw import SVWConfig
+from repro.harness.bench import bench_configs
+from repro.isa.inst import Trace
+from repro.pipeline.config import LSUKind, RexMode, eight_wide
+from repro.pipeline.processor import Processor
+from repro.workloads.spec2000 import spec_profile
+from repro.workloads.synthetic import generate_trace
+
+N = 4000
+
+#: Beyond the bench trio: the probe path's edge contracts and the
+#: non-simple organizations.
+EXTRA_CONFIGS = {
+    "svw-only": eight_wide(
+        "svw-only", lsu=LSUKind.NLQ, rex_mode=RexMode.SVW_ONLY, rex_stages=2,
+        store_issue=2, svw=SVWConfig(),
+    ),
+    "tiny-ssn": eight_wide(
+        "tiny-ssn", lsu=LSUKind.NLQ, rex_mode=RexMode.REEXECUTE, rex_stages=2,
+        store_issue=2, svw=SVWConfig(ssn_bits=6),
+    ),
+    "atomic": eight_wide(
+        "atomic", lsu=LSUKind.SSQ, rex_mode=RexMode.REEXECUTE, rex_stages=2,
+        load_latency=2, svw=SVWConfig(speculative_updates=False),
+    ),
+    "dual-ssbf": eight_wide(
+        "dual-ssbf", lsu=LSUKind.NLQ, rex_mode=RexMode.REEXECUTE, rex_stages=2,
+        store_issue=2, svw=SVWConfig(ssbf_kind="dual"),
+    ),
+    "banked-ssbf": eight_wide(
+        "banked-ssbf", lsu=LSUKind.NLQ, rex_mode=RexMode.REEXECUTE, rex_stages=2,
+        store_issue=2, svw=SVWConfig(ssbf_kind="banked"),
+    ),
+    "disabled-svw": eight_wide(
+        "disabled-svw", lsu=LSUKind.NLQ, rex_mode=RexMode.REEXECUTE, rex_stages=2,
+        store_issue=2, svw=SVWConfig(enabled=False),
+    ),
+}
+
+ALL_CONFIGS = {
+    **{kind: config for kind, (_, config) in bench_configs().items()},
+    **EXTRA_CONFIGS,
+}
+
+
+def object_built(columns) -> Trace:
+    return Trace(
+        name=columns.name,
+        insts=list(columns.insts),
+        initial_memory=dict(columns.initial_memory),
+        wrong_path_addrs=columns.wrong_path_addrs,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
+@pytest.mark.parametrize("workload", ["gcc", "mcf"])
+def test_probe_path_safe_and_consistent(name, workload):
+    config = ALL_CONFIGS[name]
+    trace = generate_trace(spec_profile(workload), N)
+    columns = Processor(config, trace, validate=True, warmup=500)
+    objects = Processor(config, object_built(trace), validate=True, warmup=500)
+    slow = Processor(config, trace, validate=True, warmup=500, skip_ahead=False)
+    fingerprint = columns.run().fingerprint()
+    assert objects.run().fingerprint() == fingerprint, name
+    assert slow.run().fingerprint() == fingerprint, name
+    if columns.svw is None:
+        return
+    assert columns.svw.filter_tests == objects.svw.filter_tests, name
+    assert columns.svw.filter_hits == objects.svw.filter_hits, name
+    assert columns.svw.filter_hits <= columns.svw.filter_tests, name
+    if config.svw.enabled:
+        assert columns.svw.filter_tests > 0, name
