@@ -35,8 +35,12 @@ The pieces:
   out to other hosts over the trace wire format (codec bytes + config
   ``to_dict`` JSON, nothing pickled), with host-level trace caching,
   negotiated zlib compression, worker-side result memoization,
-  cost-weighted longest-job-first dispatch, and re-dispatch on worker
-  loss.  Start an agent with ``svw-repro worker``.
+  cost-weighted longest-job-first dispatch over every slot an agent
+  advertises, and re-dispatch on worker loss.  Start an agent with
+  ``svw-repro worker``.
+- :class:`~repro.experiments.scheduler.Scheduler` -- the one
+  transport-free cell scheduler under both the remote backend and the
+  campaign daemon.
 - :class:`CampaignDaemon` / :class:`CampaignClient` /
   :class:`CampaignBackend` -- sweeps as a service: a long-lived daemon
   (``svw-repro campaignd``) takes concurrent submissions from many

@@ -13,10 +13,11 @@ site                      consulted by
 ``worker.job``            :class:`~repro.experiments.remote.WorkerAgent`
                           at the top of every served job (crash / drop /
                           delay decisions)
-``client.trace``          :class:`~repro.experiments.remote.RemoteBackend`
-                          before shipping trace bytes (corrupt / truncate)
-``daemon.trace``          :class:`~repro.experiments.campaign.CampaignDaemon`
-                          before shipping trace bytes (corrupt / truncate)
+``client.trace``          the job dispatcher of a :class:`~repro.experiments.
+                          remote.RemoteBackend` before shipping trace bytes
+                          (corrupt / truncate)
+``daemon.trace``          the same dispatcher under a :class:`~repro.
+                          experiments.campaign.CampaignDaemon`
 ``daemon.journal``        the campaign journal appender (torn final record,
                           as a kill -9 mid-``write`` would leave it)
 ========================  ====================================================

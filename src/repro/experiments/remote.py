@@ -56,19 +56,15 @@ that residual is the perimeter trust model documented in the README.
 Scheduling and fault tolerance
 ------------------------------
 
-:class:`RemoteBackend` dispatches cells longest-expected-job-first, where
-"expected" comes from the session :class:`~repro.experiments.batch.
-CostModel` (persisted next to the :class:`~repro.experiments.store.
-ResultStore`, so cold sessions start balanced).  One client thread serves
-each worker; a worker that disconnects mid-cell has its in-flight cell
-re-queued at the front and is dropped from the rotation, so a killed host
-costs one re-dispatch, never the sweep.  Deterministic cell failures
-(the simulation itself raising) are *not* retried -- they surface as
-:class:`~repro.experiments.backends.CellExecutionError` exactly like the
-local backends.  Results are positionally aligned with the request list
-and bit-identical to :class:`~repro.experiments.backends.SerialBackend`
-(``svw-repro bench-sweep --remote-workers`` and the ``remote-equivalence``
-CI job enforce this).
+:class:`RemoteBackend` is a static-fleet client of the one scheduling
+core also under the campaign daemon: the transport-free
+:class:`~repro.experiments.scheduler.Scheduler` plus the asyncio
+:class:`JobDispatcher` below.  A lost, misbehaving or straggling worker
+costs a re-dispatch, never the sweep; a deterministic cell failure
+raises :class:`~repro.experiments.backends.CellExecutionError`; results
+are bit-identical to :class:`~repro.experiments.backends.SerialBackend`
+(``svw-repro bench-sweep --remote-workers`` and the
+``remote-equivalence`` CI job enforce this).
 """
 
 from __future__ import annotations
@@ -85,13 +81,14 @@ import sys
 import threading
 import time
 import zlib
-from collections import deque
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.experiments.backends import CellExecutionError, ProgressFn, paused_gc
 from repro.experiments.faults import CRASH_EXIT_CODE, FaultPlan
+from repro.experiments.scheduler import Cell, Scheduler, Submission, check_limits
 from repro.experiments.spec import RunRequest
 from repro.experiments.store import ResultStore
 from repro.experiments.traces import TraceProvider, request_key
@@ -102,6 +99,9 @@ from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import Processor
 from repro.pipeline.stats import SimStats
 from repro.workloads.trace_cache import TraceCache
+
+if TYPE_CHECKING:
+    from repro.experiments.batch import CostModel
 
 PROTOCOL_VERSION = 1
 
@@ -122,15 +122,12 @@ MAX_FRAME_BYTES = 1 << 30
 
 _HEADER = struct.Struct(">cI")
 
+#: Most job connections the dispatcher opens to one agent.
+MAX_SLOTS = 64
+
 #: How many times a worker re-requests a trace whose bytes arrive damaged
 #: (CRC/digest/zlib failure) before giving up on the connection.
 TRACE_FETCH_ATTEMPTS = 3
-
-#: Job-deadline derivation for ``job_deadline="auto"``: never strike a
-#: worker before the floor, and allow a generous multiple of the cost
-#: model's prediction (EMAs wobble; a straggler is *way* past expected).
-DEADLINE_FLOOR = 60.0
-DEADLINE_FACTOR = 8.0
 
 
 class RemoteProtocolError(RuntimeError):
@@ -144,32 +141,6 @@ class CorruptTraceError(RemoteProtocolError):
     intact -- only the payload is bad -- so the receiver may re-request
     the trace on the same connection instead of tearing it down.
     """
-
-
-def derive_deadline(
-    cost_model: "CostModel | None",
-    request: RunRequest,
-    setting: float | str | None,
-) -> float | None:
-    """The per-job execution deadline for one cell, in seconds.
-
-    ``setting`` is the dispatcher's ``job_deadline`` knob: a number is a
-    fixed deadline, ``None`` disables deadlines, and ``"auto"`` derives
-    one from the session cost model -- ``max(DEADLINE_FLOOR, factor *
-    expected)`` when the config has measured timings, and **no deadline**
-    when it does not (guessing an absolute bound for an unmeasured config
-    would strike healthy workers on cold caches).
-    """
-    if setting is None:
-        return None
-    if setting != "auto":
-        return float(setting)
-    if cost_model is None:
-        return None
-    expected = cost_model.expected_seconds(request.config, request.n_insts)
-    if expected is None:
-        return None
-    return max(DEADLINE_FLOOR, DEADLINE_FACTOR * expected)
 
 
 # --------------------------------------------------------------------- framing
@@ -188,35 +159,28 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return bytes(buf)
 
 
-def send_frame(sock: socket.socket, kind: bytes, payload: bytes) -> None:
+def _frame(kind: bytes, payload: bytes) -> bytes:
     """One wire frame: kind byte, u32 length, payload."""
     if len(payload) > MAX_FRAME_BYTES:
         raise RemoteProtocolError(f"frame of {len(payload)} bytes exceeds protocol bound")
-    sock.sendall(_HEADER.pack(kind, len(payload)) + payload)
+    return _HEADER.pack(kind, len(payload)) + payload
 
 
-def check_frame_header(kind: bytes, length: int) -> None:
-    """Shared frame-header validation (sync sockets and asyncio streams)."""
+def _check_header(header: bytes) -> tuple[bytes, int]:
+    kind, length = _HEADER.unpack(header)
     if kind not in (FRAME_JSON, FRAME_TRACE, FRAME_ZTRACE):
         raise RemoteProtocolError(f"unknown frame kind {kind!r}")
     if length > MAX_FRAME_BYTES:
         raise RemoteProtocolError(f"frame length {length} exceeds protocol bound")
+    return kind, length
 
 
-def recv_frame(sock: socket.socket) -> tuple[bytes, bytes]:
-    """The next ``(kind, payload)`` frame; validates kind and length."""
-    kind, length = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-    check_frame_header(kind, length)
-    return kind, _recv_exact(sock, length)
+def _json_frame(message: dict) -> bytes:
+    return _frame(FRAME_JSON, json.dumps(message, sort_keys=True).encode("utf-8"))
 
 
-def send_json(sock: socket.socket, message: dict) -> None:
-    send_frame(sock, FRAME_JSON, json.dumps(message, sort_keys=True).encode("utf-8"))
-
-
-def recv_json(sock: socket.socket) -> dict:
-    """The next frame, which must be JSON with a ``type`` field."""
-    kind, payload = recv_frame(sock)
+def _parse_json(kind: bytes, payload: bytes) -> dict:
+    """A received frame that must be JSON with a ``type`` field."""
     if kind != FRAME_JSON:
         raise RemoteProtocolError(f"expected a JSON frame, got kind {kind!r}")
     try:
@@ -226,6 +190,46 @@ def recv_json(sock: socket.socket) -> dict:
     if not isinstance(message, dict) or "type" not in message:
         raise RemoteProtocolError("JSON frame is not a typed object")
     return message
+
+
+def send_frame(sock: socket.socket, kind: bytes, payload: bytes) -> None:
+    sock.sendall(_frame(kind, payload))
+
+
+def recv_frame(sock: socket.socket) -> tuple[bytes, bytes]:
+    """The next ``(kind, payload)`` frame; validates kind and length."""
+    kind, length = _check_header(_recv_exact(sock, _HEADER.size))
+    return kind, _recv_exact(sock, length)
+
+
+def send_json(sock: socket.socket, message: dict) -> None:
+    sock.sendall(_json_frame(message))
+
+
+def recv_json(sock: socket.socket) -> dict:
+    """The next frame, which must be JSON with a ``type`` field."""
+    return _parse_json(*recv_frame(sock))
+
+
+# The same frames over asyncio streams (the job dispatcher and the
+# campaign daemon's registry and client connections).
+
+
+async def recv_json_async(reader) -> dict:
+    """The next frame on an asyncio stream, which must be typed JSON."""
+    import asyncio
+
+    try:
+        kind, length = _check_header(await reader.readexactly(_HEADER.size))
+        payload = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise ConnectionError("connection closed mid-frame") from exc
+    return _parse_json(kind, payload)
+
+
+async def send_json_async(writer, message: dict) -> None:
+    writer.write(_json_frame(message))
+    await writer.drain()
 
 
 def _handshake(sock: socket.socket, reply: dict | None = None) -> dict:
@@ -252,13 +256,12 @@ def negotiated_zlib(peer_hello: dict) -> bool:
     return isinstance(advertised, list) and "zlib" in advertised
 
 
-def send_trace_frame(sock: socket.socket, data: bytes, compress: bool) -> None:
-    """Ship encoded trace bytes, zlib-compressed iff ``compress`` (which
-    callers must only set after both hellos advertised it)."""
+def _trace_frame(data: bytes, compress: bool) -> bytes:
+    """Encoded trace bytes as a ``Z`` frame when both hellos advertised
+    zlib, else as a raw ``T`` frame."""
     if compress:
-        send_frame(sock, FRAME_ZTRACE, zlib.compress(data, level=1))
-    else:
-        send_frame(sock, FRAME_TRACE, data)
+        return _frame(FRAME_ZTRACE, zlib.compress(data, level=1))
+    return _frame(FRAME_TRACE, data)
 
 
 def decode_trace_frame(kind: bytes, payload: bytes, context: str) -> bytes:
@@ -818,9 +821,7 @@ class WorkerAgent:
 def build_job_message(
     request: RunRequest, job_id: object, key: str, digest: str | None
 ) -> dict:
-    """The wire ``job`` frame for one cell (shared by every dispatcher:
-    :class:`RemoteBackend` threads and the campaign daemon's asyncio
-    dispatch loops build byte-identical jobs)."""
+    """The wire ``job`` frame for one cell."""
     job = {
         "type": "job",
         "job_id": job_id,
@@ -840,43 +841,402 @@ def build_job_message(
     return job
 
 
+# -------------------------------------------------------------- job dispatcher
+
+
+@dataclass
+class WorkerLink:
+    """One worker agent as the dispatcher drives it.
+
+    The dispatcher dials ``slots`` job connections to ``host:port``;
+    ``slots=0`` (a static-fleet member) sizes the link to the slots the
+    agent advertises in its hello.  ``dead`` and ``draining`` stop its
+    slots taking new cells; ``error`` says why it died.
+    """
+
+    id: str
+    host: str
+    port: int
+    slots: int = 1
+    draining: bool = False
+    dead: bool = False
+    in_flight: int = 0
+    jobs_done: int = 0
+    error: str | None = None
+    tasks: list = field(default_factory=list)
+    writers: list = field(default_factory=list)
+
+    def abort(self) -> None:
+        """Sever every job connection (busy slots unwind as worker loss)."""
+        for writer in self.writers:
+            writer.transport.abort()
+
+
+class JobDispatcher:
+    """Runs a :class:`~repro.experiments.scheduler.Scheduler`'s cells on
+    worker agents, one asyncio task per job connection ("slot"), for
+    both :class:`RemoteBackend` and the campaign daemon.
+
+    A slot dials its agent, says hello (advertising zlib), then loops:
+    take the next cell, run the job exchange, settle the outcome.  A
+    result is re-verified against its stats fingerprint and feeds the
+    cost model.  An error frame, a bad result, or any other client-side
+    error running the cell is deterministic, so the cell fails.  A
+    dropped connection, a protocol violation or a job past its deadline
+    is worker loss: the worker is retired and struck, and the cell
+    re-queued.  ``need_trace`` is answered from ``provider``, off the
+    event loop; once a slot ships a frame (the fleet is cold) it
+    prefetches the next pending workload's frame, one at a time per
+    slot.  ``faults`` may mutate outgoing trace bytes at ``trace_site``;
+    ``settled(cell, affected, ended)`` runs after every outcome with the
+    submissions that got a result and those it ended; ``note`` gets
+    progress lines.
+    """
+
+    def __init__(
+        self,
+        scheduler: Scheduler,
+        provider: TraceProvider,
+        connect_timeout: float = 10.0,
+        faults: FaultPlan | None = None,
+        trace_site: str = "client.trace",
+        note: Callable[[str], None] | None = None,
+        settled: Callable[[Cell, list[Submission], list[Submission]], None] = (
+            lambda cell, affected, ended: None
+        ),
+    ) -> None:
+        import asyncio
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.scheduler = scheduler
+        self.provider = provider
+        self.connect_timeout = connect_timeout
+        self.faults = faults
+        self.trace_site = trace_site
+        self.note = note or (lambda message: None)
+        self.settled = settled
+        #: Guards the scheduler and every worker's slot state.
+        self.work = asyncio.Condition()
+        self.closing = False
+        #: Trace generation, hashing and framing run off the event loop on
+        #: one thread.  That keeps the memoizing provider single-writer (each
+        #: trace is generated at most once) and the trace buffers in one
+        #: malloc arena (a thread pool measured ~10 MB more peak RSS on the
+        #: ``remote`` benchmark).
+        self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="svw-trace")
+        #: trace key -> SHA-256 of its encoded bytes, once known.
+        self._digests: dict[str, str] = {}
+        #: Trace keys whose encoded bytes a prefetch produced.
+        self._prefetched: set[str] = set()
+        #: Live slot and prefetch tasks.
+        self._tasks: set = set()
+        #: Results received from workers.
+        self.cells_simulated = 0
+        #: Jobs struck by the per-job deadline (cell re-dispatched).
+        self.stragglers = 0
+        #: ``need_trace`` requests answered from a prefetched frame.
+        self.prefetch_hits = 0
+
+    def _track(self, coroutine):
+        import asyncio
+
+        task = asyncio.create_task(coroutine)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return task
+
+    def spawn(self, worker: WorkerLink) -> None:
+        """Start one more slot on ``worker``."""
+        worker.tasks.append(self._track(self._slot(worker)))
+
+    async def close(self) -> None:
+        """Stop handing out cells and wait for every slot and prefetch:
+        idle slots exit at once, busy ones after their current cell."""
+        import asyncio
+
+        async with self.work:
+            self.closing = True
+            self.work.notify_all()
+        while self._tasks:
+            await asyncio.gather(*self._tasks, return_exceptions=True)
+        self._executor.shutdown(wait=False)
+
+    def _has_encoded(self, request: RunRequest) -> bool:
+        return self.provider.has_encoded(request.workload, request.n_insts)
+
+    # -- slots ---------------------------------------------------------------
+
+    async def _slot(self, worker: WorkerLink) -> None:
+        import asyncio
+
+        writer = None
+        cell: Cell | None = None
+        try:
+            try:
+                reader, writer = await asyncio.wait_for(
+                    asyncio.open_connection(worker.host, worker.port),
+                    self.connect_timeout,
+                )
+                worker.writers.append(writer)
+                await send_json_async(
+                    writer,
+                    {
+                        "type": "hello",
+                        "protocol": PROTOCOL_VERSION,
+                        "compress": list(SUPPORTED_COMPRESSION),
+                    },
+                )
+                peer = await asyncio.wait_for(
+                    recv_json_async(reader), self.connect_timeout
+                )
+                if peer.get("type") != "hello" or peer.get("protocol") != PROTOCOL_VERSION:
+                    raise RemoteProtocolError("worker hello mismatch")
+            except (OSError, RemoteProtocolError, asyncio.TimeoutError) as exc:
+                # Unreachable from here (a wrong address, NAT, or a worker
+                # that died between registering and the dial-back).
+                async with self.work:
+                    worker.dead = True
+                    worker.error = f"connect failed: {exc}"
+                    pause = self.scheduler.strike(worker.id)
+                    self.work.notify_all()
+                self._quarantined(worker, pause, "dial-back failed")
+                return
+            if worker.slots == 0 and not self.closing:
+                # Static fleet: one slot per connection the agent advertises.
+                advertised = peer.get("slots")
+                worker.slots = (
+                    min(advertised, MAX_SLOTS)
+                    if isinstance(advertised, int) and advertised > 0
+                    else 1
+                )
+                for _ in range(worker.slots - 1):
+                    self.spawn(worker)
+            compress = negotiated_zlib(peer)
+            prefetch = None
+
+            def start_prefetch(current_key: str) -> None:
+                nonlocal prefetch
+                if prefetch is not None and not prefetch.done():
+                    return
+                request = self.scheduler.prefetch_candidate(
+                    current_key, self._has_encoded
+                )
+                if request is not None:
+                    prefetch = self._track(self._prefetch(request))
+
+            while True:
+                cell = await self._next_cell(worker)
+                if cell is None:
+                    return
+                try:
+                    stats, seconds = await self._run_job(
+                        reader, writer, cell, compress, start_prefetch
+                    )
+                except (OSError, RemoteProtocolError) as exc:
+                    await self._lost(worker, cell, exc)
+                    return
+                except Exception as exc:
+                    message = (
+                        str(exc)
+                        if isinstance(exc, CellExecutionError)
+                        else f"{type(exc).__name__}: {exc}"
+                    )
+                    await self._failed(worker, cell, message)
+                else:
+                    await self._done(worker, cell, stats, seconds)
+                cell = None
+        except asyncio.CancelledError:
+            if cell is not None:
+                await self._lost(worker, cell, ConnectionError("dispatcher shutdown"))
+            raise
+        finally:
+            if writer is not None:
+                writer.close()
+
+    async def _next_cell(self, worker: WorkerLink) -> Cell | None:
+        async with self.work:
+            while not (self.closing or worker.dead or worker.draining):
+                cell = self.scheduler.next_cell()
+                if cell is not None:
+                    worker.in_flight += 1
+                    return cell
+                await self.work.wait()
+            return None
+
+    async def _run_job(
+        self,
+        reader,
+        writer,
+        cell: Cell,
+        compress: bool,
+        on_trace_shipped: Callable[[str], None],
+    ) -> tuple[SimStats, float]:
+        import asyncio
+
+        request = cell.request
+        key = cell.trace_key
+        # Pin the trace's content whenever this dispatcher already knows it
+        # (bytes memoized or trace-cached locally): a worker whose cached
+        # entry disagrees then refetches instead of simulating the wrong
+        # trace.  Never *generate* just to name a digest -- that would
+        # forfeit the warm-worker path where the client ships nothing.
+        if key not in self._digests and self._has_encoded(request):
+            await self._encoded(request)
+        # The execution deadline covers the whole exchange, trace transfer
+        # included: a worker quiet past it is a straggler, and the
+        # TimeoutError -- an OSError -- takes the worker-lost path, which
+        # re-queues the cell for another worker (hedged retry) and strikes
+        # this one.
+        deadline = self.scheduler.deadline(request)
+        loop = asyncio.get_running_loop()
+        budget = None if deadline is None else loop.time() + deadline
+
+        async def receive() -> dict:
+            if budget is None:
+                return await recv_json_async(reader)
+            try:
+                return await asyncio.wait_for(
+                    recv_json_async(reader), max(0.0, budget - loop.time())
+                )
+            except asyncio.TimeoutError:
+                self.stragglers += 1
+                raise TimeoutError(f"job deadline {deadline:.1f}s exceeded") from None
+
+        await send_json_async(
+            writer,
+            build_job_message(request, cell.fingerprint, key, self._digests.get(key)),
+        )
+        while True:
+            message = await receive()
+            kind = message.get("type")
+            if kind == "need_trace":
+                data = await self._encoded(request)
+                if key in self._prefetched:
+                    self.prefetch_hits += 1
+                if self.faults is not None:
+                    mutated = self.faults.mutate_trace(self.trace_site, data)
+                    if mutated is not None:
+                        data = mutated
+                # Framing (zlib) runs off the loop so other slots' results
+                # are not held up behind it.
+                writer.write(
+                    await loop.run_in_executor(self._executor, _trace_frame, data, compress)
+                )
+                await writer.drain()
+                on_trace_shipped(key)
+            elif kind == "result":
+                try:
+                    stats = SimStats.from_dict(message["stats"])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise CellExecutionError(
+                        f"undecodable result payload: {exc}"
+                    ) from exc
+                if stats.fingerprint() != message.get("fingerprint"):
+                    raise CellExecutionError(
+                        "result fingerprint does not match its payload "
+                        "(wire or schema skew)"
+                    )
+                return stats, float(message.get("seconds", 0.0))
+            elif kind == "error":
+                raise CellExecutionError(str(message.get("message")))
+            else:
+                raise RemoteProtocolError(f"unexpected frame type {kind!r}")
+
+    # -- traces --------------------------------------------------------------
+
+    def _encode(self, request: RunRequest) -> bytes:
+        data = self.provider.encoded(request.workload, request.n_insts)
+        key = request_key(request)
+        if key not in self._digests:
+            self._digests[key] = hashlib.sha256(data).hexdigest()
+        return data
+
+    async def _encoded(self, request: RunRequest) -> bytes:
+        """Encoded trace bytes for a cell, generated and hashed at most
+        once per key."""
+        import asyncio
+
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, self._encode, request
+        )
+
+    async def _prefetch(self, request: RunRequest) -> None:
+        """Build one trace frame ahead of demand.  A failure only releases
+        the claim: generation errors surface deterministically when the
+        cell itself dispatches, never from a prefetch."""
+        key = request_key(request)
+        try:
+            await self._encoded(request)
+        except Exception:
+            self.scheduler.prefetch_claimed.discard(key)
+            return
+        self._prefetched.add(key)
+
+    # -- outcomes ------------------------------------------------------------
+
+    async def _done(
+        self, worker: WorkerLink, cell: Cell, stats: SimStats, seconds: float
+    ) -> None:
+        self.scheduler.cost_model.observe(cell.request.config, cell.request.n_insts, seconds)
+        async with self.work:
+            worker.in_flight -= 1
+            worker.jobs_done += 1
+            self.cells_simulated += 1
+            affected, finished = self.scheduler.complete(cell, stats, worker.id)
+            self.work.notify_all()
+        self.note(f"{cell.request.describe()} [done @{worker.id}]")
+        self.settled(cell, affected, finished)
+
+    async def _failed(self, worker: WorkerLink, cell: Cell, message: str) -> None:
+        async with self.work:
+            worker.in_flight -= 1
+            failed = self.scheduler.fail(cell, message)
+            self.work.notify_all()
+        self.settled(cell, [], failed)
+
+    async def _lost(self, worker: WorkerLink, cell: Cell, exc: Exception) -> None:
+        async with self.work:
+            worker.in_flight -= 1
+            worker.dead = True
+            worker.error = f"lost mid-cell: {exc}"
+            failed, pause = self.scheduler.lost(cell, worker.id, str(exc))
+            self.work.notify_all()
+        self.note(f"worker {worker.id} lost ({exc})")
+        self._quarantined(worker, pause, exc)
+        self.settled(cell, [], failed)
+
+    def _quarantined(self, worker: WorkerLink, pause: float | None, reason: object) -> None:
+        if pause is not None:
+            self.note(
+                f"worker {worker.id} quarantined for {pause:.1f}s "
+                f"(repeated failures, last: {reason})"
+            )
+
+
 # --------------------------------------------------------------- client backend
 
 
 class RemoteBackend:
     """Fan sweep cells out to :class:`WorkerAgent` hosts over TCP.
 
-    ``workers`` is a sequence of ``"host:port"`` addresses.  Results are
-    positionally aligned with the request list and bit-identical to
-    :class:`~repro.experiments.backends.SerialBackend`; scheduling is
-    longest-expected-job-first under the (persisted) session cost model,
-    and a worker lost mid-cell has its cell re-dispatched to a surviving
-    worker (``max_attempts`` bounds how often one cell may be struck by
-    worker loss before the sweep fails).
+    ``workers`` is a sequence of ``"host:port"`` addresses.  Each
+    :meth:`run` is one submission to a fresh
+    :class:`~repro.experiments.scheduler.Scheduler`, driven by a
+    :class:`JobDispatcher` with one slot per connection each agent
+    advertises.  Results are positionally aligned with the request list
+    and bit-identical to :class:`~repro.experiments.backends.
+    SerialBackend`.  The first failed cell raises
+    :class:`~repro.experiments.backends.CellExecutionError`, as does
+    losing every slot with cells unfinished; ``max_attempts`` bounds how
+    often one cell is dispatched.
 
-    ``job_deadline`` bounds how long one job may stay quiet before the
-    worker is declared a straggler and the cell re-dispatched (hedged
-    retry): a number is a fixed per-job deadline in seconds, ``None``
-    disables deadlines, and the default ``"auto"`` derives one from the
-    cost model via :func:`derive_deadline` -- generous multiples of
-    measured timings, and no deadline at all for never-measured configs.
-
-    ``faults`` injects a :class:`~repro.experiments.faults.FaultPlan` on
-    the *sending* side (site ``client.trace``): outgoing trace bytes may
-    be corrupted or truncated before framing, which is how the chaos
-    suite proves a damaged transfer costs a re-request, never a wrong
-    figure.
-
-    ``prefetch`` enables **trace-push pipelining**: dispatch is otherwise
-    stop-and-wait, so the first cell of each workload stalls its worker
-    for a full generate+encode while the connection sits idle.  With
-    prefetch on, the moment a slot ships a trace (proof the fleet is cold
-    for this client's traces) it starts encoding the next *different*
-    workload's frame in a background thread -- one outstanding prefetch
-    per worker slot -- so the frame is ready behind the current cell's
-    simulation.  ``prefetch_hits`` counts ``need_trace`` requests answered
-    from a prefetched frame; results are bit-identical either way (the
-    prefetch fills the same memoized provider the demand path reads).
+    ``job_deadline`` bounds one job exchange: a number of seconds,
+    ``None`` for no deadline, or ``"auto"`` (see
+    :func:`~repro.experiments.scheduler.derive_deadline`).  ``faults``
+    corrupts or truncates outgoing trace bytes at site ``client.trace``.
+    After each run ``last_provider`` is the sweep's trace provider, and
+    ``stragglers`` / ``prefetch_hits`` have accumulated the dispatcher's
+    counters.
     """
 
     def __init__(
@@ -886,10 +1246,8 @@ class RemoteBackend:
         cost_model: "CostModel | None" = None,
         max_attempts: int = 3,
         connect_timeout: float = 10.0,
-        compress: bool = True,
         job_deadline: float | str | None = "auto",
         faults: FaultPlan | None = None,
-        prefetch: bool = True,
     ) -> None:
         self.addresses = [
             address if isinstance(address, str) else f"{address[0]}:{address[1]}"
@@ -899,331 +1257,82 @@ class RemoteBackend:
             raise ValueError("RemoteBackend needs at least one worker address")
         for address in self.addresses:
             parse_worker(address)  # fail at construction, not mid-sweep
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        self.job_deadline = check_limits(max_attempts, job_deadline)
+        self.max_attempts = max_attempts
         self.trace_cache = trace_cache
         if cost_model is None:
             from repro.experiments.batch import session_cost_model
 
             cost_model = session_cost_model()
         self.cost_model = cost_model
-        self.max_attempts = max_attempts
         self.connect_timeout = connect_timeout
-        self.compress = compress
-        if job_deadline is not None and job_deadline != "auto":
-            job_deadline = float(job_deadline)
-            if job_deadline <= 0:
-                raise ValueError("job_deadline must be positive (or None/'auto')")
-        self.job_deadline = job_deadline
         self.faults = faults
-        self.prefetch = prefetch
         self.last_provider: TraceProvider | None = None
-        #: Traces this backend shipped as negotiated zlib frames.
-        self.compressed_sends = 0
         #: Jobs struck by the deadline and re-dispatched (hedged retries).
         self.stragglers = 0
         #: ``need_trace`` requests answered from a prefetched frame.
         self.prefetch_hits = 0
 
-    # -- connection ----------------------------------------------------------
-
-    def _connect(self, address: str) -> tuple[socket.socket, bool]:
-        """Connect + handshake; returns the socket and whether both sides
-        negotiated zlib trace compression."""
-        host, port = parse_worker(address)
-        conn = socket.create_connection((host, port), timeout=self.connect_timeout)
-        # Sweeps legitimately leave a connection quiet for the length of a
-        # simulation; only connect/handshake get a deadline.
-        hello: dict = {"type": "hello", "protocol": PROTOCOL_VERSION}
-        if self.compress:
-            hello["compress"] = list(SUPPORTED_COMPRESSION)
-        send_json(conn, hello)
-        peer = _handshake(conn)
-        conn.settimeout(None)
-        return conn, self.compress and negotiated_zlib(peer)
-
-    # -- execution -----------------------------------------------------------
-
     def run(
         self, requests: Sequence[RunRequest], progress: ProgressFn | None = None
     ) -> list[SimStats]:
+        import asyncio
+
         requests = list(requests)
-        results: list[SimStats | None] = [None] * len(requests)
-        provider = TraceProvider(cache=self.trace_cache)
-        self.last_provider = provider
+        self.last_provider = TraceProvider(cache=self.trace_cache)
         if not requests:
             return []
-
-        cost = self.cost_model.cost
-        order = sorted(
-            range(len(requests)),
-            key=lambda i: (-cost(requests[i]), requests[i].workload.name, i),
-        )
-        # Shared scheduler state, guarded by one condition variable.  A
-        # worker whose queue is empty but whose peers still have cells in
-        # flight must WAIT, not exit: a peer dying would re-queue its cell,
-        # and an exited thread could strand it (the last-cell-kill case).
-        state = threading.Condition()
-        provider_lock = threading.Lock()
-        #: key -> SHA-256 of the encoded trace, once this run knows it
-        #: (guarded by provider_lock, like the provider that feeds it).
-        digests: dict[str, str] = {}
-        #: Keys whose encoded bytes a prefetch produced, and keys some
-        #: slot's prefetch already claimed (both guarded by provider_lock).
-        prefetched: set[str] = set()
-        prefetch_claimed: set[str] = set()
-        queue: deque[int] = deque(order)
-        attempts = [0] * len(requests)
-        in_flight = 0
-        completed = 0
-        failures: list[BaseException] = []
-        worker_errors: dict[str, str] = {}
-
-        def next_index() -> int | None:
-            nonlocal in_flight
-            with state:
-                while True:
-                    if failures:
-                        return None
-                    if queue:
-                        index = queue.popleft()
-                        attempts[index] += 1
-                        in_flight += 1
-                        return index
-                    if completed == len(requests) or in_flight == 0:
-                        return None
-                    state.wait()
-
-        def prefetch_candidate(current_key: str) -> RunRequest | None:
-            """The queued request whose trace frame a prefetch should build
-            next: the frontmost one for a *different*, not-yet-encoded, not
-            already claimed workload (the current key is excluded -- its
-            frame is being shipped right now)."""
-            with state:
-                pending = list(queue)
-            with provider_lock:
-                for i in pending:
-                    request = requests[i]
-                    key = request_key(request)
-                    if key == current_key or key in prefetch_claimed:
-                        continue
-                    if provider.has_encoded(request.workload, request.n_insts):
-                        continue
-                    prefetch_claimed.add(key)
-                    return request
-            return None
-
-        def run_prefetch(request: RunRequest) -> None:
-            key = request_key(request)
-            try:
-                with provider_lock:
-                    data = provider.encoded(request.workload, request.n_insts)
-                    digests.setdefault(key, hashlib.sha256(data).hexdigest())
-                    prefetched.add(key)
-            except Exception:
-                # Generation failures surface (deterministically) when the
-                # cell itself dispatches; a prefetch never fails a sweep.
-                with provider_lock:
-                    prefetch_claimed.discard(key)
-
-        def serve(address: str) -> None:
-            nonlocal in_flight, completed
-            try:
-                conn, compress = self._connect(address)
-            except (OSError, RemoteProtocolError) as exc:
-                with state:
-                    worker_errors[address] = f"connect failed: {exc}"
-                return
-            prefetch_thread: threading.Thread | None = None
-
-            def on_trace_shipped(current_key: str) -> None:
-                """Trace-push pipelining: this slot just shipped a frame (the
-                fleet is cold for this client's traces), so build the next
-                workload's frame behind the simulation now starting.  One
-                outstanding prefetch per worker slot."""
-                nonlocal prefetch_thread
-                if not self.prefetch:
-                    return
-                if prefetch_thread is not None and prefetch_thread.is_alive():
-                    return
-                candidate = prefetch_candidate(current_key)
-                if candidate is None:
-                    return
-                prefetch_thread = threading.Thread(
-                    target=run_prefetch, args=(candidate,), daemon=True
-                )
-                prefetch_thread.start()
-
-            try:
-                while True:
-                    index = next_index()
-                    if index is None:
-                        return
-                    try:
-                        self._run_cell(
-                            conn, address, requests[index], index, results,
-                            provider, provider_lock, digests, progress, compress,
-                            prefetched, on_trace_shipped,
-                        )
-                        with state:
-                            in_flight -= 1
-                            completed += 1
-                            state.notify_all()
-                    except OSError as exc:
-                        # Worker lost mid-cell: re-queue at the front (it
-                        # was the longest remaining job) and retire this
-                        # worker.  A waiting peer picks it up.
-                        with state:
-                            in_flight -= 1
-                            worker_errors[address] = f"lost mid-cell: {exc}"
-                            if results[index] is None:
-                                if attempts[index] >= self.max_attempts:
-                                    failures.append(
-                                        CellExecutionError(
-                                            f"{requests[index].describe()}: worker "
-                                            f"lost {attempts[index]} times "
-                                            f"(last: {address}: {exc})"
-                                        )
-                                    )
-                                else:
-                                    queue.appendleft(index)
-                            else:
-                                completed += 1
-                            state.notify_all()
-                        return
-                    except Exception as exc:
-                        # Everything that is not worker loss -- cell
-                        # failures, protocol violations, and any schema
-                        # skew _run_cell's parsing trips over (KeyError,
-                        # TypeError, ...) -- is deterministic: retrying on
-                        # another worker would reproduce it.  Fail the
-                        # sweep loudly, and ALWAYS under the condition
-                        # variable: a thread dying without decrementing
-                        # in_flight would leave waiting peers asleep
-                        # forever.
-                        with state:
-                            in_flight -= 1
-                            failures.append(
-                                exc
-                                if isinstance(exc, CellExecutionError)
-                                else CellExecutionError(
-                                    f"{requests[index].describe()} on {address}: "
-                                    f"{type(exc).__name__}: {exc}"
-                                )
-                            )
-                            state.notify_all()
-                        return
-            finally:
-                conn.close()
-
-        threads = [
-            threading.Thread(target=serve, args=(address,), daemon=True)
+        scheduler = Scheduler(self.cost_model, self.max_attempts, self.job_deadline)
+        submission, _ = scheduler.submit(requests[0].experiment, requests)
+        workers = [
+            WorkerLink(address, *parse_worker(address), slots=0)
             for address in self.addresses
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        if failures:
-            raise failures[0]
-        unfinished = [
-            requests[i].describe() for i, stats in enumerate(results) if stats is None
-        ]
-        if unfinished:
+        dispatcher = asyncio.run(self._sweep(scheduler, submission, workers, progress))
+        self.stragglers += dispatcher.stragglers
+        self.prefetch_hits += dispatcher.prefetch_hits
+        if submission.status == "failed":
+            raise CellExecutionError(submission.error)
+        if submission.remaining:
+            unfinished = [
+                request.describe()
+                for request, fingerprint in zip(submission.requests, submission.fingerprints)
+                if fingerprint in submission.remaining
+            ]
             detail = "; ".join(
-                f"{address}: {error}" for address, error in sorted(worker_errors.items())
+                f"{worker.id}: {worker.error}"
+                for worker in sorted(workers, key=lambda worker: worker.id)
+                if worker.error
             )
             raise CellExecutionError(
                 f"{len(unfinished)} cell(s) unfinished after losing all workers "
                 f"({detail or 'no worker reachable'}): {unfinished[:3]}"
             )
-        return results  # type: ignore[return-value]
+        return [scheduler.cells[request.fingerprint()].stats for request in requests]
 
-    def _run_cell(
+    async def _sweep(
         self,
-        conn: socket.socket,
-        address: str,
-        request: RunRequest,
-        index: int,
-        results: list[SimStats | None],
-        provider: TraceProvider,
-        provider_lock: threading.Lock,
-        digests: dict[str, str],
+        scheduler: Scheduler,
+        submission: Submission,
+        workers: list[WorkerLink],
         progress: ProgressFn | None,
-        compress: bool = False,
-        prefetched: set[str] | None = None,
-        on_trace_shipped: Callable[[str], None] | None = None,
-    ) -> None:
-        key = request_key(request)
-        # Pin the trace's content whenever this run already knows it
-        # (bytes memoized or trace-cached locally): a worker whose cached
-        # entry disagrees then refetches instead of simulating the wrong
-        # trace.  Never *generate* just to name a digest -- that would
-        # forfeit the warm-worker path where the client ships nothing.
-        with provider_lock:
-            digest = digests.get(key)
-            if digest is None and provider.has_encoded(request.workload, request.n_insts):
-                digest = hashlib.sha256(
-                    provider.encoded(request.workload, request.n_insts)
-                ).hexdigest()
-                digests[key] = digest
-        # The per-job execution deadline rides on the socket: any recv in
-        # this exchange left waiting past it raises socket.timeout, an
-        # OSError, which the scheduler's worker-loss path converts into a
-        # front-of-queue re-dispatch -- exactly the hedged-retry semantics
-        # a straggler needs.
-        deadline = derive_deadline(self.cost_model, request, self.job_deadline)
-        conn.settimeout(deadline)
-        send_json(conn, build_job_message(request, index, key, digest))
-        while True:
-            try:
-                message = recv_json(conn)
-            except socket.timeout:
-                self.stragglers += 1
-                raise TimeoutError(
-                    f"job deadline {deadline:.1f}s exceeded by {address} "
-                    f"({request.describe()}); re-dispatching"
-                ) from None
-            kind = message.get("type")
-            if kind == "need_trace":
-                # Generation/encode is memoized per sweep; the lock keeps
-                # the provider single-writer while both worker threads may
-                # miss on the same workload at once.
-                with provider_lock:
-                    data = provider.encoded(request.workload, request.n_insts)
-                    digests.setdefault(key, hashlib.sha256(data).hexdigest())
-                    if prefetched is not None and key in prefetched:
-                        self.prefetch_hits += 1
-                if self.faults is not None:
-                    mutated = self.faults.mutate_trace("client.trace", data)
-                    if mutated is not None:
-                        data = mutated
-                if compress:
-                    self.compressed_sends += 1
-                send_trace_frame(conn, data, compress)
-                if on_trace_shipped is not None:
-                    on_trace_shipped(key)
-            elif kind == "result":
-                stats = SimStats.from_dict(message["stats"])
-                if stats.fingerprint() != message.get("fingerprint"):
-                    raise CellExecutionError(
-                        f"{request.describe()} on {address}: result fingerprint "
-                        "does not match its payload (wire or schema skew)"
-                    )
-                self.cost_model.observe(
-                    request.config, request.n_insts, float(message.get("seconds", 0.0))
-                )
-                results[index] = stats
-                if progress is not None:
-                    progress(f"{request.describe()} [done @{address}]")
-                return
-            elif kind == "error":
-                raise CellExecutionError(
-                    f"{request.describe()} on {address}: {message.get('message')}"
-                )
-            else:
-                raise RemoteProtocolError(f"unexpected frame type {kind!r}")
+    ) -> JobDispatcher:
+        dispatcher = JobDispatcher(
+            scheduler,
+            self.last_provider,
+            connect_timeout=self.connect_timeout,
+            faults=self.faults,
+            note=progress,
+        )
+        for worker in workers:
+            dispatcher.spawn(worker)
+        async with dispatcher.work:
+            await dispatcher.work.wait_for(
+                lambda: submission.status != "running"
+                or all(worker.dead for worker in workers)
+            )
+        await dispatcher.close()
+        return dispatcher
 
 
 # ---------------------------------------------------------------- loopback fleet

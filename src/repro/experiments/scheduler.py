@@ -1,0 +1,377 @@
+"""The cell scheduler behind every off-host dispatcher.
+
+:class:`~repro.experiments.remote.RemoteBackend` (one client, a static
+worker list) and :class:`~repro.experiments.campaign.CampaignDaemon`
+(many clients, a registered fleet) both schedule through a
+:class:`Scheduler`: the cell table keyed by
+:meth:`~repro.experiments.spec.RunRequest.fingerprint` with the
+submissions waiting on each cell, the dispatch order, attempts,
+deadlines, worker strikes and quarantine, and prefetch claims.  It holds
+no sockets, tasks or locks -- the asyncio
+:class:`~repro.experiments.remote.JobDispatcher` drives it from one event
+loop -- and reads time from an injected clock, so every decision is
+testable without a network or a sleep.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Sequence
+
+from repro.experiments.spec import RunRequest
+from repro.experiments.traces import request_key
+from repro.fingerprint import stable_digest
+from repro.pipeline.stats import SimStats
+
+if TYPE_CHECKING:
+    from repro.experiments.batch import CostModel
+
+#: Job-deadline derivation for ``job_deadline="auto"``: never strike a
+#: worker before the floor, and allow a generous multiple of the cost
+#: model's prediction (EMAs wobble; a straggler is *way* past expected).
+DEADLINE_FLOOR = 60.0
+DEADLINE_FACTOR = 8.0
+
+
+def derive_deadline(
+    cost_model: "CostModel | None",
+    request: RunRequest,
+    setting: float | str | None,
+) -> float | None:
+    """The per-job execution deadline for one cell, in seconds.
+
+    ``setting`` is the dispatcher's ``job_deadline`` knob: a number is a
+    fixed deadline, ``None`` disables deadlines, and ``"auto"`` derives
+    one from the session cost model -- ``max(DEADLINE_FLOOR, factor *
+    expected)`` when the config has measured timings, and **no deadline**
+    when it does not (guessing an absolute bound for an unmeasured config
+    would strike healthy workers on cold caches).
+    """
+    if setting is None:
+        return None
+    if setting != "auto":
+        return float(setting)
+    if cost_model is None:
+        return None
+    expected = cost_model.expected_seconds(request.config, request.n_insts)
+    if expected is None:
+        return None
+    return max(DEADLINE_FLOOR, DEADLINE_FACTOR * expected)
+
+
+def check_limits(
+    max_attempts: int, job_deadline: float | str | None
+) -> float | str | None:
+    """Validate the dispatch limits every scheduler owner takes; returns
+    ``job_deadline`` normalized to ``"auto"``, ``None`` or float seconds."""
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
+    if job_deadline is None or job_deadline == "auto":
+        return job_deadline
+    seconds = float(job_deadline)
+    if seconds <= 0:
+        raise ValueError("job_deadline must be positive (or None/'auto')")
+    return seconds
+
+
+def campaign_id_for(name: str, fingerprints: Sequence[str]) -> str:
+    """Submission ids are content addresses of the submission itself, so a
+    client that resubmits after a lost connection (or a daemon restart)
+    attaches to the same campaign instead of forking a duplicate."""
+    return stable_digest({"name": name, "cells": list(fingerprints)})
+
+
+@dataclass
+class Cell:
+    """One unique (config, workload, budget) cell across all submissions."""
+
+    fingerprint: str
+    request: RunRequest
+    #: Dispatch-order key, fixed when the cell is first submitted.
+    order: tuple[float, str, str]
+    #: Content key of the cell's trace (:func:`~repro.experiments.traces.
+    #: request_key`).
+    trace_key: str
+    status: str = "pending"  # pending | in_flight | done | failed
+    submissions: set[str] = field(default_factory=set)
+    attempts: int = 0
+    error: str | None = None
+    stats: SimStats | None = None
+
+
+@dataclass
+class Submission:
+    """One sweep submitted to the scheduler: an ordered view over shared
+    cells (``requests`` holds one request per unique fingerprint)."""
+
+    id: str
+    name: str
+    fingerprints: list[str]
+    requests: list[RunRequest]
+    remaining: set[str] = field(default_factory=set)
+    status: str = "running"  # running | done | failed | cancelled
+    error: str | None = None
+
+
+@dataclass
+class WorkerHealth:
+    """Strike/quarantine record for one worker id.
+
+    Outlives any one registration (keyed by ``host:port``), so a worker
+    that fails, drops off the registry, and re-registers carries its
+    history with it.
+    """
+
+    strikes: int = 0
+    quarantines: int = 0
+    quarantined_until: float = 0.0  # clock() deadline, 0 = clear
+
+
+class Scheduler:
+    """Cell table, dispatch order, attempts, deadlines, quarantine and
+    prefetch claims.
+
+    Not thread-safe: the owner serializes every call (the dispatcher holds
+    its asyncio condition around them).
+    """
+
+    def __init__(
+        self,
+        cost_model: "CostModel",
+        max_attempts: int = 3,
+        job_deadline: float | str | None = "auto",
+        quarantine_after: int = 3,
+        quarantine_base: float = 5.0,
+        quarantine_cap: float = 300.0,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        self.job_deadline = check_limits(max_attempts, job_deadline)
+        if quarantine_after < 1:
+            raise ValueError("quarantine_after must be >= 1")
+        self.cost_model = cost_model
+        self.max_attempts = max_attempts
+        self.quarantine_after = quarantine_after
+        self.quarantine_base = quarantine_base
+        self.quarantine_cap = quarantine_cap
+        self.clock = clock
+        self.cells: dict[str, Cell] = {}
+        self.pending: set[str] = set()
+        self.submissions: dict[str, Submission] = {}
+        #: worker id -> strike/quarantine history.
+        self.health: dict[str, WorkerHealth] = {}
+        #: Trace keys some slot's prefetch has claimed.
+        self.prefetch_claimed: set[str] = set()
+        #: Cells satisfied by the ``stored`` lookup at submit time.
+        self.cells_from_store = 0
+        #: Cells a submission shared with an already-known one.
+        self.cells_deduped = 0
+
+    # -- submissions ---------------------------------------------------------
+
+    def submit(
+        self,
+        name: str,
+        requests: Sequence[RunRequest],
+        stored: Callable[[str], SimStats | None] | None = None,
+    ) -> tuple[Submission, bool]:
+        """Get-or-create the submission for ``requests``; returns it and
+        whether an identical submission was already known (ids are content
+        addresses, so identical submissions attach).  ``stored`` answers a
+        new cell from a result store instead of queueing it."""
+        by_fp: dict[str, RunRequest] = {}
+        for request in requests:
+            by_fp.setdefault(request.fingerprint(), request)
+        submission_id = campaign_id_for(name, list(by_fp))
+        existing = self.submissions.get(submission_id)
+        if existing is not None:
+            return existing, True
+        submission = Submission(
+            id=submission_id,
+            name=name,
+            fingerprints=list(by_fp),
+            requests=list(by_fp.values()),
+        )
+        for fingerprint, request in by_fp.items():
+            cell = self.cells.get(fingerprint)
+            if cell is None:
+                order = (-self.cost_model.cost(request), request.workload.name, fingerprint)
+                cell = Cell(fingerprint, request, order, request_key(request))
+                stats = stored(fingerprint) if stored is not None else None
+                if stats is not None:
+                    cell.status = "done"
+                    cell.stats = stats
+                    self.cells_from_store += 1
+                else:
+                    self.pending.add(fingerprint)
+                self.cells[fingerprint] = cell
+            else:
+                self.cells_deduped += 1
+            cell.submissions.add(submission_id)
+            if cell.status in ("pending", "in_flight"):
+                submission.remaining.add(fingerprint)
+            elif cell.status == "failed":
+                submission.status = "failed"
+                submission.error = f"{cell.request.describe()}: {cell.error}"
+        if submission.status == "running" and not submission.remaining:
+            submission.status = "done"
+        self.submissions[submission_id] = submission
+        return submission, False
+
+    def cancel(self, submission: Submission) -> None:
+        """Cancel a running submission.  Pending cells nobody else waits on
+        are dropped; in-flight cells finish (and still reach any store)."""
+        if submission.status != "running":
+            return
+        submission.status = "cancelled"
+        self._release(submission)
+
+    def _release(self, submission: Submission) -> None:
+        for fingerprint in submission.remaining:
+            cell = self.cells.get(fingerprint)
+            if cell is None:
+                continue
+            cell.submissions.discard(submission.id)
+            if not cell.submissions and cell.status == "pending":
+                self.pending.discard(fingerprint)
+                del self.cells[fingerprint]
+        submission.remaining.clear()
+
+    def counts(self, submission: Submission) -> tuple[int, int]:
+        """``(total, done)`` cells of a submission."""
+        total = len(submission.fingerprints)
+        if submission.status == "done":
+            return total, total
+        done = 0
+        for fingerprint in submission.fingerprints:
+            cell = self.cells.get(fingerprint)
+            if cell is not None and cell.status == "done":
+                done += 1
+        return total, done
+
+    # -- dispatch ------------------------------------------------------------
+
+    def next_cell(self) -> Cell | None:
+        """Take the first pending cell in dispatch order (now in flight):
+        longest expected first, by the cost model's estimate when the cell
+        was submitted, then by workload name (so a workload's cells run
+        back to back on a warm trace), then by fingerprint."""
+        if not self.pending:
+            return None
+        fingerprint = min(self.pending, key=lambda fp: self.cells[fp].order)
+        self.pending.discard(fingerprint)
+        cell = self.cells[fingerprint]
+        cell.status = "in_flight"
+        cell.attempts += 1
+        return cell
+
+    def complete(
+        self, cell: Cell, stats: SimStats, worker_id: str
+    ) -> tuple[list[Submission], list[Submission]]:
+        """Record a cell's result; a completed cell clears the worker's
+        strikes.  Returns the submissions that received the result and
+        the subset that it finished."""
+        health = self.health.get(worker_id)
+        if health is not None:
+            health.strikes = 0
+        cell.status = "done"
+        cell.stats = stats
+        affected: list[Submission] = []
+        finished: list[Submission] = []
+        for submission_id in cell.submissions:
+            submission = self.submissions[submission_id]
+            submission.remaining.discard(cell.fingerprint)
+            affected.append(submission)
+            if not submission.remaining and submission.status == "running":
+                submission.status = "done"
+                finished.append(submission)
+        return affected, finished
+
+    def fail(self, cell: Cell, message: str) -> list[Submission]:
+        """Mark a cell failed, fail every running submission waiting on it,
+        and release those submissions' claims on their other cells."""
+        cell.status = "failed"
+        cell.error = message
+        self.pending.discard(cell.fingerprint)
+        failed: list[Submission] = []
+        for submission_id in list(cell.submissions):
+            submission = self.submissions[submission_id]
+            if submission.status != "running":
+                continue
+            submission.status = "failed"
+            submission.error = f"{cell.request.describe()}: {message}"
+            submission.remaining.discard(cell.fingerprint)
+            self._release(submission)
+            failed.append(submission)
+        return failed
+
+    def lost(
+        self, cell: Cell, worker_id: str, reason: str
+    ) -> tuple[list[Submission], float | None]:
+        """A worker died with ``cell`` in flight: strike the worker, then
+        re-queue the cell, or fail it once it has used ``max_attempts``.
+        Returns the failed submissions and the quarantine pause (if this
+        strike tripped one)."""
+        pause = self.strike(worker_id)
+        failed: list[Submission] = []
+        if cell.status == "in_flight":
+            if cell.attempts >= self.max_attempts:
+                failed = self.fail(
+                    cell,
+                    f"worker lost {cell.attempts} times (last: {worker_id}: {reason})",
+                )
+            else:
+                cell.status = "pending"
+                self.pending.add(cell.fingerprint)
+        return failed, pause
+
+    def deadline(self, request: RunRequest) -> float | None:
+        """The execution deadline for one job of ``request``, in seconds."""
+        return derive_deadline(self.cost_model, request, self.job_deadline)
+
+    # -- worker health -------------------------------------------------------
+
+    def strike(self, worker_id: str) -> float | None:
+        """Score one failure against a worker.
+
+        Returns the quarantine pause in seconds when this strike tripped
+        the threshold (``quarantine_after`` failures without a completed
+        job in between), else None.  Each successive quarantine doubles
+        the pause up to ``quarantine_cap``.
+        """
+        health = self.health.setdefault(worker_id, WorkerHealth())
+        health.strikes += 1
+        if health.strikes < self.quarantine_after:
+            return None
+        pause = min(self.quarantine_base * (2 ** health.quarantines), self.quarantine_cap)
+        health.quarantined_until = self.clock() + pause
+        health.quarantines += 1
+        health.strikes = 0
+        return pause
+
+    def quarantined_for(self, worker_id: str) -> float:
+        """Seconds of quarantine a worker has left (0 when admitted)."""
+        health = self.health.get(worker_id)
+        if health is None:
+            return 0.0
+        return max(0.0, health.quarantined_until - self.clock())
+
+    # -- prefetch ------------------------------------------------------------
+
+    def prefetch_candidate(
+        self, current_key: str, encoded: Callable[[RunRequest], bool]
+    ) -> RunRequest | None:
+        """Claim the pending cell whose trace frame a prefetch should build
+        next: the first in dispatch order whose workload is not the one
+        being shipped now (``current_key``), not already claimed, and not
+        already ``encoded``."""
+        skip = {current_key, *self.prefetch_claimed}
+        for fingerprint in sorted(self.pending, key=lambda fp: self.cells[fp].order):
+            cell = self.cells[fingerprint]
+            if cell.trace_key in skip:
+                continue
+            skip.add(cell.trace_key)
+            if not encoded(cell.request):
+                self.prefetch_claimed.add(cell.trace_key)
+                return cell.request
+        return None

@@ -57,6 +57,7 @@ from repro.experiments.faults import FaultPlan
 from repro.experiments.pool import shutdown_session_pools
 from repro.experiments.remote import RemoteBackend, WorkerAgent, resolve_worker_fleet
 from repro.experiments.results import FigureResult
+from repro.experiments.scheduler import check_limits
 from repro.experiments.fuzz import FUZZ_INSTS, FUZZ_WORKLOADS, run_fuzz
 from repro.experiments.spec import DEFAULT_INSTS
 from repro.experiments.store import ResultStore
@@ -129,20 +130,15 @@ def _parse_fault_plan(value: str | None) -> FaultPlan | None:
 
 def _parse_job_deadline(value: str) -> float | str | None:
     """``--job-deadline`` -> 'auto' | None | positive seconds."""
-    if value == "auto":
-        return "auto"
     if value in ("none", "off"):
         return None
     try:
-        seconds = float(value)
-        if seconds <= 0:
-            raise ValueError
+        return check_limits(1, value)
     except ValueError:
         raise SystemExit(
             f"--job-deadline: expected 'auto', 'none', or positive seconds, "
             f"got {value!r}"
         ) from None
-    return seconds
 
 
 def _run_fsck(args) -> int:

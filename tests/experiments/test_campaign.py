@@ -5,6 +5,7 @@ as with every backend -- bit-identical equivalence to
 
 from __future__ import annotations
 
+import errno
 import threading
 import time
 
@@ -340,18 +341,6 @@ class TestPrefetch:
                 with CampaignClient(daemon.address) as client:
                     assert client.stats()["prefetch_hits"] == daemon.prefetch_hits
 
-    def test_prefetch_disabled_still_bit_identical(
-        self, tmp_path, requests, serial_fingerprints
-    ):
-        with CampaignDaemon(
-            cache_dir=tmp_path / "central", prefetch=False
-        ) as daemon:
-            with WorkerAgent() as agent:
-                agent.register_with(daemon.address)
-                stats = CampaignBackend(daemon.address).run(requests)
-                assert [s.fingerprint() for s in stats] == serial_fingerprints
-                assert daemon.prefetch_hits == 0
-
 
 class TestFailure:
     def test_cancel_releases_cells(self, tmp_path, requests):
@@ -368,6 +357,29 @@ class TestFailure:
                 assert client.stats()["cells_pending"] == 0
                 with pytest.raises(CellExecutionError, match="cancelled"):
                     CampaignBackend(daemon.address).run(requests)
+
+    def test_store_write_failure_still_delivers(
+        self, tmp_path, requests, serial_fingerprints, monkeypatch
+    ):
+        # A full disk under the central store must not strand the cell:
+        # the write is best-effort, reported, and the in-memory result
+        # still finishes the campaign.
+        notes: list[str] = []
+        with CampaignDaemon(
+            cache_dir=tmp_path / "central", progress=notes.append
+        ) as daemon:
+
+            def disk_full(*args, **kwargs):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr(daemon.store, "save_stats", disk_full)
+            with WorkerAgent(slots=2) as agent:
+                agent.register_with(daemon.address)
+                stats = CampaignBackend(daemon.address, timeout=60).run(requests)
+            assert [s.fingerprint() for s in stats] == serial_fingerprints
+            assert daemon.cells_simulated == len(requests)
+            assert len(daemon.store) == 0
+        assert sum("store write failed" in note for note in notes) == len(requests)
 
     def test_unknown_campaign_is_a_clear_error(self, tmp_path):
         with CampaignDaemon() as daemon:

@@ -10,6 +10,7 @@ import json
 import socket
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -34,13 +35,12 @@ from repro.experiments.remote import (
     FRAME_ZTRACE,
     PROTOCOL_VERSION,
     build_job_message,
-    derive_deadline,
     parse_worker,
     recv_json,
     send_frame,
     send_json,
-    send_trace_frame,
 )
+from repro.experiments.scheduler import derive_deadline
 from repro.experiments.traces import workload_key
 from repro.harness.configs import fig5_configs
 from repro.isa.codec import encode_trace
@@ -203,7 +203,7 @@ class TestDamagedTraceFrames:
     ):
         plan = FaultPlan(seed=6, truncate_rate=1.0, max_faults=2)
         with WorkerAgent(compress=False) as agent:  # raw T frames
-            backend = RemoteBackend([agent.address], compress=False, faults=plan)
+            backend = RemoteBackend([agent.address], faults=plan)
             stats = backend.run(requests)
             assert [s.fingerprint() for s in stats] == serial_fingerprints
             assert agent.trace_rejections == 2
@@ -242,7 +242,7 @@ class TestDamagedTraceFrames:
                 send_frame(conn, FRAME_ZTRACE, b"certainly not zlib")
                 # The session survives: the worker asks again in place.
                 assert recv_json(conn)["type"] == "need_trace"
-                send_trace_frame(conn, data, compress=True)
+                send_frame(conn, FRAME_ZTRACE, zlib.compress(data))
                 result = recv_json(conn)
                 assert result["type"] == "result"
             assert agent.trace_rejections == 1

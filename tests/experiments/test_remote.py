@@ -206,6 +206,19 @@ class TestFaultTolerance:
             assert healthy.jobs_done == len(cells)
             assert doomed.jobs_done == 0
 
+    def test_many_slots_with_a_dropping_agent(self, requests, serial_fingerprints):
+        # More slots than cores, one agent dying mid-sweep: the dead
+        # agent's cells are re-dispatched and the results stay
+        # bit-identical to serial.  (The dying agent's other slot may
+        # finish a simulation whose result never ships, so only a lower
+        # bound on the simulations holds.)
+        with WorkerAgent(slots=2, faults=FaultPlan(drop_after=1)) as chaotic, \
+                WorkerAgent(slots=2) as a, WorkerAgent(slots=2) as b:
+            stats = RemoteBackend([chaotic.address, a.address, b.address]).run(requests)
+            assert [s.fingerprint() for s in stats] == serial_fingerprints
+            assert chaotic.connections_served == 2
+            assert a.jobs_done + b.jobs_done >= len(requests) - chaotic.jobs_done
+
     def test_all_workers_lost_raises(self, requests):
         with WorkerAgent(faults=FaultPlan(drop_after=0)) as doomed:
             with pytest.raises(CellExecutionError, match="unfinished"):
@@ -282,6 +295,15 @@ class TestScheduling:
             abs(model.weight(requests[0].config) - 1.0) < 0.5
         )
 
+    def test_advertised_slots_are_honoured(self, requests, serial_fingerprints):
+        # One agent advertising two slots gets two job connections, and
+        # the results stay bit-identical to serial.
+        with WorkerAgent(slots=2) as agent:
+            stats = RemoteBackend([agent.address]).run(requests)
+            assert [s.fingerprint() for s in stats] == serial_fingerprints
+            assert agent.connections_served == 2
+            assert agent.jobs_done == len(requests)
+
     def test_agent_requires_positive_slots(self):
         with pytest.raises(ValueError):
             WorkerAgent(slots=0)
@@ -339,8 +361,7 @@ class TestCompression:
             backend = RemoteBackend([agent.address])
             stats = backend.run(requests)
             assert [s.fingerprint() for s in stats] == serial_fingerprints
-            assert backend.compressed_sends > 0
-            assert agent.compressed_traces == backend.compressed_sends
+            assert agent.compressed_traces > 0
 
     def test_old_agent_keeps_working(self, requests, serial_fingerprints):
         # An agent that does not advertise zlib gets raw T frames.
@@ -348,16 +369,6 @@ class TestCompression:
             backend = RemoteBackend([agent.address])
             stats = backend.run(requests)
             assert [s.fingerprint() for s in stats] == serial_fingerprints
-            assert backend.compressed_sends == 0
-            assert agent.compressed_traces == 0
-
-    def test_old_client_keeps_working(self, requests, serial_fingerprints):
-        # A client that does not advertise zlib never receives Z frames.
-        with WorkerAgent() as agent:
-            backend = RemoteBackend([agent.address], compress=False)
-            stats = backend.run(requests)
-            assert [s.fingerprint() for s in stats] == serial_fingerprints
-            assert backend.compressed_sends == 0
             assert agent.compressed_traces == 0
 
 
@@ -381,15 +392,6 @@ class TestPrefetch:
             # same memoized provider, so still one generation per workload.
             assert backend.last_provider is not None
             assert backend.last_provider.generations == 2
-
-    def test_prefetch_disabled_still_bit_identical(
-        self, requests, serial_fingerprints
-    ):
-        with WorkerAgent() as agent:
-            backend = RemoteBackend([agent.address], prefetch=False)
-            stats = backend.run(requests)
-            assert [s.fingerprint() for s in stats] == serial_fingerprints
-            assert backend.prefetch_hits == 0
 
     def test_single_workload_sweep_never_prefetches(self):
         # Nothing to build ahead: every queued cell shares the current key.

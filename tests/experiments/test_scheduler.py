@@ -1,0 +1,301 @@
+"""The transport-free cell scheduler shared by RemoteBackend and the
+campaign daemon: dispatch order, attempts, quarantine, dedup, cancel,
+failure cascades and prefetch claims -- no sockets, no sleeps, a fake
+clock."""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.experiments import matrix_spec
+from repro.experiments.scheduler import (
+    DEADLINE_FLOOR,
+    Scheduler,
+    check_limits,
+    derive_deadline,
+)
+from repro.experiments.traces import request_key
+from repro.harness.configs import fig5_configs
+
+CONFIGS = dict(list(fig5_configs().items())[:3])  # baseline, NLQ, +SVW-UPD
+
+
+def cells(name="sched", workloads=("gcc", "vortex"), labels=None):
+    configs = CONFIGS if labels is None else {label: CONFIGS[label] for label in labels}
+    return matrix_spec(
+        name, configs, list(workloads), n_insts=1000, baseline=next(iter(configs))
+    ).cells()
+
+
+class FakeCost:
+    """Cost by (workload, config label); every unlisted cell costs 1."""
+
+    def __init__(self, table=None):
+        self.table = table or {}
+
+    def cost(self, request):
+        return self.table.get((request.workload.name, request.config_label), 1.0)
+
+    def expected_seconds(self, config, n_insts):
+        return None
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self):
+        return self.now
+
+
+def drain_order(scheduler):
+    order = []
+    while (cell := scheduler.next_cell()) is not None:
+        order.append(cell)
+    return order
+
+
+class TestDispatchOrder:
+    def test_longest_first_then_workload_then_fingerprint(self):
+        requests = cells()
+        cost = FakeCost(
+            {
+                ("gcc", "baseline"): 5.0,
+                ("vortex", "baseline"): 5.0,
+                ("gcc", "NLQ"): 9.0,
+                ("vortex", "NLQ"): 0.5,
+                ("gcc", "+SVW-UPD"): 5.0,
+                ("vortex", "+SVW-UPD"): 0.5,
+            }
+        )
+        scheduler = Scheduler(cost)
+        scheduler.submit("s", requests)
+        order = drain_order(scheduler)
+        by_label = {(r.workload.name, r.config_label): r for r in requests}
+        gcc_ties = sorted(
+            (by_label[("gcc", "baseline")], by_label[("gcc", "+SVW-UPD")]),
+            key=lambda r: r.fingerprint(),
+        )
+        vortex_ties = sorted(
+            (by_label[("vortex", "NLQ")], by_label[("vortex", "+SVW-UPD")]),
+            key=lambda r: r.fingerprint(),
+        )
+        expected = [
+            by_label[("gcc", "NLQ")],  # most expensive
+            *gcc_ties,  # cost 5: gcc before vortex, then by fingerprint
+            by_label[("vortex", "baseline")],
+            *vortex_ties,
+        ]
+        assert [c.fingerprint for c in order] == [r.fingerprint() for r in expected]
+        assert all(c.status == "in_flight" and c.attempts == 1 for c in order)
+        assert scheduler.next_cell() is None
+
+    def test_duplicate_requests_are_one_cell(self):
+        requests = cells(workloads=("gcc",), labels=("baseline",))
+        scheduler = Scheduler(FakeCost())
+        submission, attached = scheduler.submit("s", requests * 3)
+        assert not attached
+        assert submission.fingerprints == [requests[0].fingerprint()]
+        assert len(drain_order(scheduler)) == 1
+
+
+class TestAttempts:
+    def test_requeued_below_max_attempts_then_failed(self):
+        requests = cells(workloads=("gcc",), labels=("baseline",))
+        scheduler = Scheduler(FakeCost(), max_attempts=2)
+        submission, _ = scheduler.submit("s", requests)
+        cell = scheduler.next_cell()
+        failed, _ = scheduler.lost(cell, "w1:1", "connection reset")
+        assert failed == []
+        assert cell.status == "pending" and cell.fingerprint in scheduler.pending
+        assert submission.status == "running"
+        again = scheduler.next_cell()
+        assert again is cell and cell.attempts == 2
+        failed, _ = scheduler.lost(cell, "w2:1", "connection reset")
+        assert failed == [submission]
+        assert cell.status == "failed"
+        assert submission.status == "failed"
+        assert "worker lost 2 times (last: w2:1: connection reset)" in submission.error
+        assert scheduler.next_cell() is None
+
+    def test_limits_are_validated(self):
+        with pytest.raises(ValueError, match="max_attempts"):
+            Scheduler(FakeCost(), max_attempts=0)
+        with pytest.raises(ValueError, match="job_deadline"):
+            Scheduler(FakeCost(), job_deadline=-1)
+        with pytest.raises(ValueError, match="quarantine_after"):
+            Scheduler(FakeCost(), quarantine_after=0)
+        assert check_limits(1, "auto") == "auto"
+        assert check_limits(1, None) is None
+        assert check_limits(1, "2.5") == 2.5
+
+    def test_deadline_follows_the_setting(self):
+        request = cells(workloads=("gcc",), labels=("baseline",))[0]
+        assert Scheduler(FakeCost(), job_deadline=3).deadline(request) == 3.0
+        assert Scheduler(FakeCost(), job_deadline=None).deadline(request) is None
+        # "auto" with an unmeasured config: no deadline at all.
+        assert Scheduler(FakeCost()).deadline(request) is None
+
+        class Measured(FakeCost):
+            def expected_seconds(self, config, n_insts):
+                return 0.5
+
+        assert derive_deadline(Measured(), request, "auto") == DEADLINE_FLOOR
+
+
+class TestQuarantine:
+    def test_pause_doubles_up_to_the_cap(self):
+        clock = FakeClock()
+        scheduler = Scheduler(
+            FakeCost(),
+            quarantine_after=2,
+            quarantine_base=5.0,
+            quarantine_cap=12.0,
+            clock=clock,
+        )
+        pauses = [scheduler.strike("w:1") for _ in range(8)]
+        assert pauses == [None, 5.0, None, 10.0, None, 12.0, None, 12.0]
+        assert scheduler.quarantined_for("w:1") == 12.0
+        clock.now += 11.5
+        assert scheduler.quarantined_for("w:1") == pytest.approx(0.5)
+        clock.now += 1.0
+        assert scheduler.quarantined_for("w:1") == 0.0
+        assert scheduler.quarantined_for("never-struck:1") == 0.0
+
+    def test_completed_cell_clears_strikes(self):
+        from repro.pipeline.stats import SimStats
+
+        clock = FakeClock()
+        scheduler = Scheduler(FakeCost(), quarantine_after=2, clock=clock)
+        scheduler.submit("s", cells(workloads=("gcc",)))
+        assert scheduler.strike("w:1") is None
+        cell = scheduler.next_cell()
+        scheduler.complete(cell, SimStats(), "w:1")
+        assert scheduler.health["w:1"].strikes == 0
+        # One more failure is again the first strike, not a quarantine.
+        assert scheduler.strike("w:1") is None
+        assert scheduler.quarantined_for("w:1") == 0.0
+
+
+class TestSubmissions:
+    def test_overlapping_submissions_share_cells(self):
+        from repro.pipeline.stats import SimStats
+
+        a = cells(name="a", workloads=("gcc",), labels=("baseline", "NLQ"))
+        b = cells(name="b", workloads=("gcc",), labels=("NLQ", "+SVW-UPD"))
+        scheduler = Scheduler(FakeCost())
+        sub_a, _ = scheduler.submit("a", a)
+        sub_b, _ = scheduler.submit("b", b)
+        assert len(scheduler.cells) == 3
+        assert scheduler.cells_deduped == 1
+        shared = scheduler.cells[a[1].fingerprint()]
+        assert shared.submissions == {sub_a.id, sub_b.id}
+        stats = SimStats()
+        affected, finished = scheduler.complete(shared, stats, "w:1")
+        assert {s.id for s in affected} == {sub_a.id, sub_b.id}
+        assert finished == []
+        only_a = scheduler.cells[a[0].fingerprint()]
+        affected, finished = scheduler.complete(only_a, stats, "w:1")
+        assert finished == [sub_a]
+        assert sub_a.status == "done" and sub_b.status == "running"
+        assert scheduler.counts(sub_b) == (2, 1)
+
+    def test_identical_submission_attaches(self):
+        requests = cells()
+        scheduler = Scheduler(FakeCost())
+        first, attached = scheduler.submit("s", requests)
+        again, attached_again = scheduler.submit("s", list(reversed(requests)) + requests)
+        assert not attached
+        # A different cell order is a different submission id ...
+        assert again is not first and not attached_again
+        # ... the same cells in the same order attach.
+        same, attached_same = scheduler.submit("s", requests)
+        assert same is first and attached_same
+
+    def test_stored_cells_are_answered_at_submit(self):
+        from repro.pipeline.stats import SimStats
+
+        requests = cells(workloads=("gcc",))
+        known = {requests[0].fingerprint(): SimStats()}
+        scheduler = Scheduler(FakeCost())
+        submission, _ = scheduler.submit("s", requests, stored=known.get)
+        assert scheduler.cells_from_store == 1
+        assert scheduler.cells[requests[0].fingerprint()].status == "done"
+        assert scheduler.counts(submission) == (3, 1)
+        assert len(scheduler.pending) == 2
+
+    def test_cancel_releases_only_unshared_pending_cells(self):
+        a = cells(name="a", workloads=("gcc",), labels=("baseline", "NLQ", "+SVW-UPD"))
+        b = cells(name="b", workloads=("gcc",), labels=("NLQ",))
+        cost = FakeCost({("gcc", "+SVW-UPD"): 9.0})
+        scheduler = Scheduler(cost)
+        sub_a, _ = scheduler.submit("a", a)
+        sub_b, _ = scheduler.submit("b", b)
+        in_flight = scheduler.next_cell()  # the expensive a-only cell
+        assert in_flight.fingerprint == a[2].fingerprint()
+        scheduler.cancel(sub_a)
+        assert sub_a.status == "cancelled" and not sub_a.remaining
+        # a-only pending cell: gone.  Shared cell: still queued for b.
+        # a-only in-flight cell: kept, it finishes (and may be stored).
+        assert a[0].fingerprint() not in scheduler.cells
+        assert scheduler.pending == {b[0].fingerprint()}
+        assert scheduler.cells[b[0].fingerprint()].submissions == {sub_b.id}
+        assert in_flight.fingerprint in scheduler.cells
+        assert sub_b.status == "running"
+        scheduler.cancel(sub_a)  # idempotent on a terminal submission
+        assert sub_a.status == "cancelled"
+
+    def test_failure_cascades_to_every_waiting_submission(self):
+        a = cells(name="a", workloads=("gcc",), labels=("baseline", "NLQ"))
+        b = cells(name="b", workloads=("gcc",), labels=("NLQ", "+SVW-UPD"))
+        scheduler = Scheduler(FakeCost())
+        sub_a, _ = scheduler.submit("a", a)
+        sub_b, _ = scheduler.submit("b", b)
+        shared = scheduler.cells[a[1].fingerprint()]
+        failed = scheduler.fail(shared, "SimulationError: boom")
+        assert {s.id for s in failed} == {sub_a.id, sub_b.id}
+        for submission in (sub_a, sub_b):
+            assert submission.status == "failed"
+            assert submission.error.endswith("gcc / NLQ: SimulationError: boom")
+            assert not submission.remaining
+        # Both submissions' other cells were released.
+        assert scheduler.pending == set()
+        assert set(scheduler.cells) == {shared.fingerprint}
+        # A later submission touching the failed cell fails at once.
+        late, _ = scheduler.submit("late", b[:1])
+        assert late.status == "failed" and "boom" in late.error
+
+
+class TestPrefetchCandidate:
+    def test_skips_current_claimed_and_encoded(self):
+        requests = cells(workloads=("gcc", "vortex", "gzip"), labels=("baseline",))
+        by_workload = {r.workload.name: r for r in requests}
+        cost = FakeCost({("gcc", "baseline"): 3.0, ("vortex", "baseline"): 2.0})
+        scheduler = Scheduler(cost)
+        scheduler.submit("s", requests)
+        gcc_key = request_key(by_workload["gcc"])
+        never = lambda request: False  # noqa: E731
+        # The shipped workload is skipped; the next in dispatch order wins.
+        first = scheduler.prefetch_candidate(gcc_key, never)
+        assert first is by_workload["vortex"]
+        assert scheduler.prefetch_claimed == {request_key(first)}
+        # Claimed now, so the next call moves on.
+        second = scheduler.prefetch_candidate(gcc_key, never)
+        assert second is by_workload["gzip"]
+        assert scheduler.prefetch_candidate(gcc_key, never) is None
+        # Already-encoded workloads are never prefetched.
+        fresh = Scheduler(cost)
+        fresh.submit("s", requests)
+        encoded = {request_key(by_workload["vortex"])}
+        pick = fresh.prefetch_candidate(
+            gcc_key, lambda request: request_key(request) in encoded
+        )
+        assert pick is by_workload["gzip"]
+
+    def test_only_pending_cells_are_candidates(self):
+        requests = cells(workloads=("gcc", "vortex"), labels=("baseline",))
+        scheduler = Scheduler(FakeCost({("gcc", "baseline"): 3.0}))
+        scheduler.submit("s", requests)
+        scheduler.next_cell()  # gcc in flight
+        scheduler.next_cell()  # vortex in flight
+        assert scheduler.prefetch_candidate("other-key", lambda request: False) is None
