@@ -7,7 +7,8 @@ injects every failure mode the tier claims to survive:
 
 - **worker crash mid-job**: worker 1 runs ``crash_after=3`` and dies like
   kill -9 (exit code :data:`~repro.experiments.faults.CRASH_EXIT_CODE`)
-  on its fourth job; the harness respawns a clean replacement;
+  on its fourth job; the harness respawns a clean replacement once the
+  first daemon has been killed and restarted;
 - **straggling beyond the job deadline**: worker 2 stalls its early jobs
   8s against a 4s ``--job-deadline``; the daemon re-dispatches and
   strikes it (three strikes organically exercise quarantine + backoff
@@ -15,7 +16,8 @@ injects every failure mode the tier claims to survive:
 - **frame corruption and truncation**: the daemon's plan damages trace
   payloads before framing; workers must reject on digest/CRC and
   re-request (or declare the connection lost), never compute on them;
-- **daemon SIGKILL + restart** mid-campaign on the same port and cache
+- **daemon SIGKILL + restart** mid-campaign (after the first deadline
+  strike, before the last cell is stored) on the same port and cache
   directory, with a **torn journal append** written behind its back so
   replay must skip the damaged final record;
 - **torn journal appends** also fire from the daemon's own plan
@@ -159,6 +161,7 @@ def main() -> int:
         workers: list[subprocess.Popen] = []
         crash_exit: list[int] = []
         stop_monitor = threading.Event()
+        daemon_restarted = threading.Event()
         try:
             wait_port(port)
             workers.append(spawn_worker(1, WORKER1_PLAN))
@@ -166,11 +169,17 @@ def main() -> int:
 
             def monitor_crash() -> None:
                 # Worker 1 is scheduled to die mid-job; respawn a clean
-                # replacement, as any supervisor would.
+                # replacement, as any supervisor would -- but only under
+                # the restarted daemon.  Until the kill, the cell re-queued
+                # by the first deadline strike then has no idle worker to
+                # finish on, so the kill cannot race the campaign's end.
                 workers[0].wait()
                 if stop_monitor.is_set():
                     return
                 crash_exit.append(workers[0].returncode)
+                daemon_restarted.wait()
+                if stop_monitor.is_set():
+                    return
                 workers.append(spawn_worker(3, None))
 
             threading.Thread(target=monitor_crash, daemon=True).start()
@@ -193,26 +202,33 @@ def main() -> int:
                 except BaseException as exc:  # noqa: BLE001 - reported below
                     errors.append(exc)
 
-            client_thread = threading.Thread(target=submit)
+            client_thread = threading.Thread(target=submit, daemon=True)
             client_thread.start()
 
-            # SIGKILL the daemon once real progress exists, remembering the
-            # straggler count its deadline enforcement racked up so far.
+            # SIGKILL the daemon once real progress exists AND worker 2's
+            # first stalled job has struck the deadline: the straggler path
+            # is then proven before the kill, whatever the restart's timing
+            # (worker 2 re-registering with the new daemon in time to
+            # straggle again is a race, not a property of the plan).
             pre_kill_stragglers = 0
             with CampaignClient(address) as probe:
                 deadline = time.monotonic() + 300
                 while True:
                     stats = probe.stats()
-                    if stats["cells_simulated"] >= 2:
-                        pre_kill_stragglers = stats.get("stragglers", 0)
+                    if stats["stragglers"] >= 1 and stats["cells_simulated"] >= 2:
+                        pre_kill_stragglers = stats["stragglers"]
                         break
                     if time.monotonic() > deadline:
-                        raise SystemExit("campaign never started simulating")
-                    time.sleep(0.1)
+                        raise SystemExit("no job struck the deadline before the kill")
+                    time.sleep(0.05)
             daemon.send_signal(signal.SIGKILL)
             daemon.wait(30)
             stored_at_kill = len(ResultStore(central))
             print(f"daemon SIGKILLed with {stored_at_kill} cells stored")
+            assert stored_at_kill < len(union), (
+                f"the kill landed after the campaign finished "
+                f"({stored_at_kill}/{len(union)} cells stored)"
+            )
 
             # Tear the journal behind the daemon's back -- the torn final
             # record a kill -9 mid-append leaves -- so the restart MUST
@@ -225,6 +241,7 @@ def main() -> int:
 
             daemon = spawn_daemon()
             wait_port(port)
+            daemon_restarted.set()
             print("daemon restarted on the torn journal")
 
             client_thread.join(900)
@@ -237,6 +254,7 @@ def main() -> int:
                 stats2 = probe.stats()
         finally:
             stop_monitor.set()
+            daemon_restarted.set()
             for proc in [daemon, *workers]:
                 if proc.poll() is None:
                     proc.kill()

@@ -34,8 +34,9 @@ def main() -> None:
     print(f"serial backend:       {time.perf_counter() - started:.1f}s")
 
     # The batch runner (what `svw-repro --jobs N` uses) generates/encodes
-    # each workload trace once, ships it to workers via shared memory, and
-    # runs all of a workload's configs in a single pass over one trace.
+    # each workload trace once, ships its encoded bytes to the session
+    # worker pool inside each chunk task, and runs all of a workload's
+    # configs in a single pass over one decoded trace.
     started = time.perf_counter()
     batched = run_experiment(spec, backend=BatchRunner(jobs=4))
     print(f"batch runner:         {time.perf_counter() - started:.1f}s")

@@ -28,9 +28,9 @@ The pieces:
 - :class:`SerialBackend` / :class:`BatchRunner` -- interchangeable
   executors producing bit-identical statistics for the same spec.  The
   batch runner (what ``make_backend`` picks for ``jobs > 1``) groups
-  cells by workload, publishes each encoded trace once per sweep through
-  shared memory, and runs all configs of a workload in a single pass over
-  one decoded trace.
+  cells by workload, encodes each trace once per sweep, ships the bytes
+  inside its chunk tasks on one session worker pool, and runs all configs
+  of a workload in a single pass over one decoded trace.
 - :class:`RemoteBackend` / :class:`WorkerAgent` -- the same sweep fanned
   out to other hosts over the trace wire format (codec bytes + config
   ``to_dict`` JSON, nothing pickled), with host-level trace caching,

@@ -7,14 +7,17 @@ groups a sweep's cells by workload and runs **all configs of one workload
 in a single pass over one decoded trace**:
 
 - the parent generates + encodes each workload trace at most once per
-  sweep (:class:`~repro.experiments.traces.TraceProvider`) and publishes
-  it via shared memory (:mod:`~repro.experiments.transport`);
+  sweep (:class:`~repro.experiments.traces.TraceProvider`);
 - each worker task is a *chunk* -- one workload's configs (or a slice of
-  them when the sweep has fewer workloads than workers) -- that decodes
-  the trace once into a column-native
-  :class:`~repro.isa.coltrace.ColumnTrace` and feeds the same columns and
-  ``TraceMeta`` to every :class:`~repro.pipeline.processor.Processor` it
-  builds;
+  them when the sweep has fewer workloads than workers) -- that carries
+  the encoded trace bytes, decodes them once into a column-native
+  :class:`~repro.isa.coltrace.ColumnTrace` (memoized per worker, so a
+  workload split over several chunks decodes once per worker) and feeds
+  the same columns and ``TraceMeta`` to every
+  :class:`~repro.pipeline.processor.Processor` it builds;
+- chunks run on the process-wide session pool
+  (:mod:`~repro.experiments.pool`), and ``jobs <= 1`` runs the same chunk
+  loop in-process on the provider's decoded trace;
 - chunks are scheduled costliest-first, where cost is *adaptive*: a
   :class:`CostModel` weights each cell by its measured per-config
   seconds-per-instruction (seeded by heuristics -- ``+PERFECT``-style
@@ -32,24 +35,21 @@ and resizes chunks; it can never change a cell's result.
 
 from __future__ import annotations
 
+import concurrent.futures
+import gc
 import json
 import os
 import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.experiments.backends import (
-    CellExecutionError,
-    ProgressFn,
-    decoded_trace,
-    execute_request,
-    paused_gc,
-    run_with_published_traces,
-)
-from repro.experiments.pool import validate_pool_scope
+from repro.experiments.backends import CellExecutionError, ProgressFn, paused_gc
+from repro.experiments.pool import session_pool
 from repro.experiments.spec import RunRequest
 from repro.experiments.traces import TraceProvider, request_key
-from repro.experiments.transport import TraceRef
+from repro.isa.codec import decode_trace
+from repro.isa.coltrace import ColumnTrace
+from repro.isa.inst import Trace
 from repro.pipeline.config import MachineConfig, RexMode
 from repro.pipeline.processor import Processor
 from repro.pipeline.stats import SimStats
@@ -183,19 +183,47 @@ def session_cost_model() -> CostModel:
     return _SESSION_COST_MODEL
 
 
-def _run_chunk(
-    ref: TraceRef, cells: list[_CellPayload]
+#: Worker-process memo of decoded traces, keyed by content key.  Two slots:
+#: a batch chunk holds one workload's cells, so the common case is a
+#: single decode per workload per worker; the second slot absorbs the
+#: overlap when a worker alternates between two workloads' chunks.
+_WORKER_TRACE_SLOTS = 2
+_worker_traces: dict[str, ColumnTrace] = {}
+
+
+def _decoded(key: str, data: bytes) -> ColumnTrace:
+    """Worker-side decode of a chunk's trace bytes, memoized per process.
+
+    Decoding is column-native: the bytes become typed-array columns (plus
+    lazily-built metadata/hot views), never a ``DynInst`` object graph.
+    The result is long-lived and acyclic, so after memoizing it the heap
+    is frozen into the permanent generation -- subsequent cyclic-GC
+    passes stop re-walking it.  Eviction still frees evicted traces
+    (refcounting does not care about freezing).  Session-pool workers
+    outlive a sweep, so figures sharing workloads decode nothing.
+    """
+    trace = _worker_traces.get(key)
+    if trace is None:
+        # Decode allocates ~n objects; don't re-scan mid-build.
+        trace = paused_gc(decode_trace, data)
+        _worker_traces[key] = trace
+        while len(_worker_traces) > _WORKER_TRACE_SLOTS:
+            _worker_traces.pop(next(iter(_worker_traces)))
+        gc.collect()
+        gc.freeze()
+    return trace
+
+
+def _simulate_chunk(
+    trace: Trace | ColumnTrace, cells: list[_CellPayload]
 ) -> list[tuple[SimStats, float]]:
-    """Worker target: decode once, simulate every cell against that trace.
+    """Simulate every cell of a chunk against one trace.
 
     Returns ``(stats, seconds)`` per cell so the parent's cost model can
     learn real per-config rates.  The whole chunk runs with cyclic GC
-    paused: the frozen decoded trace (see
-    :func:`~repro.experiments.backends.decoded_trace`) plus the sims'
-    cycle-free allocation profile make collections pure overhead here; one
-    collection at chunk end settles the heap.
+    paused: the sims' cycle-free allocation profile makes collections
+    pure overhead here; one collection at chunk end settles the heap.
     """
-    trace = decoded_trace(ref)
 
     def simulate() -> list[tuple[SimStats, float]]:
         results = []
@@ -211,22 +239,27 @@ def _run_chunk(
     return paused_gc(simulate)
 
 
+def _run_chunk(
+    key: str, data: bytes, cells: list[_CellPayload]
+) -> list[tuple[SimStats, float]]:
+    """Worker target: decode the chunk's trace bytes once, run its cells."""
+    return _simulate_chunk(_decoded(key, data), cells)
+
+
 class BatchRunner:
     """Workload-grouped, single-pass sweep execution.
 
-    ``jobs <= 1`` runs the same grouped schedule in-process (no pool, no
-    transport) -- useful for tests and for machines where fork is costly.
-    ``pool_scope="session"`` reuses one long-lived pool across runs (see
-    :mod:`repro.experiments.pool`); ``cost_model`` defaults to a shared
-    session-wide model so later sweeps chunk on earlier sweeps' timings.
+    ``jobs <= 1`` runs the same chunk loop in-process (no pool) -- useful
+    for tests and for machines where fork is costly.  Pooled runs share
+    the process-wide session pool (see :mod:`repro.experiments.pool`);
+    ``cost_model`` defaults to a shared session-wide model so later
+    sweeps chunk on earlier sweeps' timings.
     """
 
     def __init__(
         self,
         jobs: int | None = None,
         trace_cache: TraceCache | None = None,
-        carrier: str | None = None,
-        pool_scope: str = "sweep",
         cost_model: CostModel | None = None,
     ) -> None:
         if jobs is not None and jobs < 1:
@@ -241,8 +274,6 @@ class BatchRunner:
         #: pure loss).
         self.workers = max(1, min(self.jobs, os.cpu_count() or self.jobs))
         self.trace_cache = trace_cache
-        self.carrier = carrier
-        self.pool_scope = validate_pool_scope(pool_scope)
         self.cost_model = cost_model if cost_model is not None else _SESSION_COST_MODEL
         #: Provider of the most recent run (its ``generations`` counter is
         #: the amortization proof surfaced by ``svw-repro bench-sweep``).
@@ -323,46 +354,13 @@ class BatchRunner:
         self, requests: Sequence[RunRequest], progress: ProgressFn | None = None
     ) -> list[SimStats]:
         requests = list(requests)
-        if self.jobs <= 1 or len(requests) <= 1:
-            return self._run_serial(requests, progress)
-        return self._run_pooled(requests, progress)
-
-    def _run_serial(
-        self, requests: Sequence[RunRequest], progress: ProgressFn | None
-    ) -> list[SimStats]:
         provider = TraceProvider(cache=self.trace_cache, decoded_capacity=1)
         self.last_provider = provider
         observe = self.cost_model.observe
         results: list[SimStats | None] = [None] * len(requests)
-        for _, indices in self._groups(requests):
-            trace = provider.trace_for(requests[indices[0]])
-            for index in indices:
-                request = requests[index]
-                if progress is not None:
-                    progress(f"{request.describe()} [batch]")
-                started = time.perf_counter()
-                try:
-                    results[index] = execute_request(request, trace)
-                except Exception as exc:
-                    raise CellExecutionError(f"{request.describe()}: {exc}") from exc
-                observe(request.config, request.n_insts, time.perf_counter() - started)
-        return results  # type: ignore[return-value]
 
-    def _run_pooled(
-        self, requests: Sequence[RunRequest], progress: ProgressFn | None
-    ) -> list[SimStats]:
-        provider = TraceProvider(cache=self.trace_cache)
-        self.last_provider = provider
-        observe = self.cost_model.observe
-        results: list[SimStats | None] = [None] * len(requests)
-
-        units = [
-            (key, requests[indices[0]], indices)
-            for key, indices in self._chunks(requests)
-        ]
-
-        def submit(pool, ref, indices: list[int]):
-            cells: list[_CellPayload] = [
+        def cells(indices: list[int]) -> list[_CellPayload]:
+            return [
                 (
                     requests[i].config,
                     requests[i].warmup,
@@ -371,7 +369,6 @@ class BatchRunner:
                 )
                 for i in indices
             ]
-            return pool.submit(_run_chunk, ref, cells)
 
         def collect(
             indices: list[int], chunk_results: list[tuple[SimStats, float]]
@@ -382,14 +379,39 @@ class BatchRunner:
                 if progress is not None:
                     progress(f"{requests[index].describe()} [done]")
 
-        run_with_published_traces(
-            self.workers,
-            provider,
-            self.carrier,
-            units,
-            submit,
-            collect,
-            lambda indices: requests[indices[0]].describe(),
-            pool_scope=self.pool_scope,
-        )
+        chunks = self._chunks(requests)
+        if self.jobs <= 1 or len(requests) <= 1:
+            for _, indices in chunks:
+                trace = provider.trace_for(requests[indices[0]])
+                collect(indices, _simulate_chunk(trace, cells(indices)))
+            return results  # type: ignore[return-value]
+
+        pool = session_pool(self.workers)
+        futures: dict[concurrent.futures.Future, list[int]] = {}
+        try:
+            # Submit in schedule order: workers chew on earlier chunks while
+            # the parent generates and encodes the next workload's trace.
+            for key, indices in chunks:
+                exemplar = requests[indices[0]]
+                data = provider.encoded(exemplar.workload, exemplar.n_insts)
+                futures[pool.submit(_run_chunk, key, data, cells(indices))] = indices
+            for future in concurrent.futures.as_completed(futures):
+                indices = futures[future]
+                try:
+                    chunk_results = future.result()
+                except CellExecutionError:
+                    raise
+                except Exception as exc:
+                    # A lost worker (BrokenProcessPool) or a result that
+                    # failed to cross the pipe: name the chunk's first cell.
+                    raise CellExecutionError(
+                        f"{requests[indices[0]].describe()}: {exc}"
+                    ) from exc
+                collect(indices, chunk_results)
+        except BaseException:
+            # Fail fast: the session pool outlives this sweep, so drop the
+            # chunks that have not started rather than draining them.
+            for pending in futures:
+                pending.cancel()
+            raise
         return results  # type: ignore[return-value]

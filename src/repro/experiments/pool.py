@@ -1,45 +1,25 @@
-"""Worker-pool lifecycle: per-sweep pools and the session-scoped pool.
+"""The session worker pool: one process-wide pool per worker count.
 
-Every pooled backend used to create (and tear down) one
-``ProcessPoolExecutor`` per ``run()`` call, which makes a multi-sweep
-session -- ``svw-repro all`` runs eight figure sweeps back to back -- pay
-worker fork+import once per sweep and throw away the workers' decoded-trace
-memos between figures that share workloads.
+Every pooled sweep in a process draws its workers from here.  The pool is
+created on first use and reused by every later run that asks for the same
+size, so a multi-sweep session -- ``svw-repro all`` runs eight figure
+sweeps back to back -- pays worker fork+import once, and the workers'
+decoded-trace memos (:mod:`repro.experiments.batch`) stay warm across
+figures that share workloads.  Pools are shut down at interpreter exit
+(or explicitly via :func:`shutdown_session_pools`); a pool broken by a
+crashed worker is discarded and replaced on the next acquisition.
 
-``pool_scope`` selects the lifetime:
-
-- ``"sweep"`` (default): a fresh pool per run, shut down when the run
-  finishes.  Fully isolated; what every caller got before.
-- ``"session"``: one process-wide pool per worker count, created on first
-  use and reused by every subsequent run that asks for the same size.
-  Workers stay alive across sweeps, so fork+import is paid once per
-  session and worker-side caches (the decoded-trace memo in
-  :mod:`repro.experiments.backends`) stay warm across figures.  Pools are
-  shut down at interpreter exit (or explicitly via
-  :func:`shutdown_session_pools`); a pool broken by a crashed worker is
-  discarded and replaced on the next acquisition.
-
-Session scope changes *scheduling* only -- results remain positionally
-aligned and bit-identical to serial execution either way.
+Pool lifetime changes *scheduling* only -- results remain positionally
+aligned and bit-identical to serial execution.
 """
 
 from __future__ import annotations
 
 import atexit
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from typing import Iterator
-
-POOL_SCOPES = ("sweep", "session")
 
 #: Live session pools keyed by worker count.
 _session_pools: dict[int, ProcessPoolExecutor] = {}
-
-
-def validate_pool_scope(scope: str) -> str:
-    if scope not in POOL_SCOPES:
-        raise ValueError(f"pool_scope must be one of {POOL_SCOPES}, got {scope!r}")
-    return scope
 
 
 def _probe() -> None:
@@ -47,7 +27,7 @@ def _probe() -> None:
 
 
 def session_pool(workers: int) -> ProcessPoolExecutor:
-    """The session-scoped pool for ``workers``, created or revived on demand."""
+    """The session pool for ``workers``, created or revived on demand."""
     pool = _session_pools.get(workers)
     if pool is not None:
         try:
@@ -66,23 +46,8 @@ def session_pool(workers: int) -> ProcessPoolExecutor:
     return pool
 
 
-@contextmanager
-def acquire_pool(workers: int, scope: str = "sweep") -> Iterator[ProcessPoolExecutor]:
-    """A pool with the requested lifetime.
-
-    Sweep scope owns (and shuts down) its pool; session scope hands out the
-    shared long-lived pool and leaves it running on exit.
-    """
-    validate_pool_scope(scope)
-    if scope == "sweep":
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield pool
-        return
-    yield session_pool(workers)
-
-
 def shutdown_session_pools(wait: bool = True) -> None:
-    """Tear down every session-scoped pool (idempotent; also runs atexit)."""
+    """Tear down every session pool (idempotent; also runs atexit)."""
     while _session_pools:
         _, pool = _session_pools.popitem()
         pool.shutdown(wait=wait, cancel_futures=True)

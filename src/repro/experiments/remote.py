@@ -7,7 +7,7 @@ over a small length-prefixed TCP protocol that reuses the pieces the
 local backends already trust:
 
 - traces travel as :mod:`repro.isa.codec` v1 bytes (the exact buffer
-  shared-memory transport publishes locally), addressed by the same
+  the batch runner ships to its local workers), addressed by the same
   content key (:func:`~repro.experiments.traces.workload_key`);
 - machine configurations travel as their ``to_dict`` form and rebuild via
   :meth:`~repro.pipeline.config.MachineConfig.from_dict`;

@@ -17,8 +17,8 @@ contract the batch subsystem is built on:
   per trace.
 
 Fixed-trace workloads (kernels, hand-built streams) participate too: their
-"generation" is free, but encoding them once lets the transport layer ship
-them to workers by reference instead of pickling the object per cell.
+"generation" is free, but encoding them once lets pooled and remote
+backends ship compact codec bytes instead of pickling the object per cell.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ class TraceProvider:
     ``decoded_capacity`` bounds the in-memory decoded-trace memo (sweeps
     visit workloads in grouped order, so a small window gets every reuse
     while peak memory stays at a couple of traces; encoded bytes are ~4x
-    smaller and kept for the whole sweep so transports can republish).
+    smaller and kept for the whole sweep so every chunk of a workload
+    ships the same buffer).
     """
 
     def __init__(self, cache: TraceCache | None = None, decoded_capacity: int = 2) -> None:
@@ -101,12 +102,12 @@ class TraceProvider:
         if data is None:
             if self.cache is None:
                 # Nothing would consume the encoded form (no disk cache;
-                # transports call encoded() themselves), so the in-process
+                # pooled backends call encoded() themselves), so the in-process
                 # serial path generates directly and skips encode entirely.
                 trace = self._generate(workload, n_insts)
                 self._remember_decoded(key, trace)
                 return trace
-            # Fill the encoded memo too: a later transport publish for the
+            # Fill the encoded memo too: a later encoded() call for the
             # same workload must not regenerate.
             self.encoded(workload, n_insts)
             trace = self._decoded.get(key)

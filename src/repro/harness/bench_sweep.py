@@ -5,8 +5,8 @@ instructions per second of one ``Processor.run``), this benchmark measures
 what the paper's figures are actually bottlenecked on: **cells per
 second** of a whole configs x workloads sweep, per execution backend.  It
 is the regression harness for the sweep-execution subsystem (trace codec,
-shared-memory distribution, batch runner) and, because every cell's
-statistics fingerprint is recorded and cross-checked against
+session worker pool, batch runner) and, because every cell's statistics
+fingerprint is recorded and cross-checked against
 :class:`~repro.experiments.backends.SerialBackend`, every speedup claim in
 ``BENCH_sweep.json`` doubles as a bit-identical equivalence proof.
 
@@ -15,9 +15,11 @@ Modes (same cell set, same machine):
 - ``serial``        -- ``SerialBackend``: the in-process reference that
   speedups are quoted against.
 - ``batch``         -- ``BatchRunner`` (what ``--jobs N`` selects): traces
-  are generated/encoded once in the parent and published through shared
-  memory; each worker decodes a workload chunk once and runs all of its
-  configs in one pass over one ``ColumnTrace``/``TraceMeta``.
+  are generated/encoded once in the parent and their bytes ride in each
+  chunk task on the session worker pool; each worker decodes a workload
+  once and runs all of a chunk's configs in one pass over one
+  ``ColumnTrace``/``TraceMeta``.  The pool outlives a run, so repeats
+  after the first start on warm workers.
 - ``remote``        -- ``RemoteBackend`` (only with ``remote_workers``):
   cells shipped to worker agents over the TCP trace wire format.  The
   ``remote-equivalence`` CI job runs this against two loopback agents,

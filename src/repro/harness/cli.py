@@ -7,7 +7,7 @@ Examples::
     svw-repro fig7 --benchmarks crafty,vortex
     svw-repro all --insts 20000            # every experiment
     svw-repro fig5 --jobs 8                # fan cells out across processes
-    svw-repro all --jobs 8 --pool-scope session  # one pool for all sweeps
+    svw-repro all --jobs 8                 # one worker pool for all sweeps
     svw-repro all --cache-dir ~/.cache/svw # reruns become cache reads
     svw-repro fig5 --json results.json     # machine-readable results
     svw-repro fig5 --jobs 8 --trace-cache-dir ~/.cache/svw-traces
@@ -357,15 +357,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="worker processes per sweep (default: serial in-process; "
         "bench-sweep defaults to 2)",
-    )
-    parser.add_argument(
-        "--pool-scope",
-        choices=["sweep", "session"],
-        default=None,
-        help="worker-pool lifetime for parallel sweeps: 'sweep' tears the "
-        "pool down per sweep, 'session' reuses one pool (and its warm "
-        "worker-side trace memos) across sweeps; default is 'session' for "
-        "'all' with --jobs, else 'sweep'",
     )
     parser.add_argument(
         "--cache-dir",
@@ -790,12 +781,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if payload["equivalence"]["identical"] else 1
     names = sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     trace_cache = TraceCache(args.trace_cache_dir) if args.trace_cache_dir else None
-    pool_scope = args.pool_scope
-    if pool_scope is None:
-        # 'all' runs eight sweeps back to back: amortize fork+import and
-        # keep worker-side decoded-trace memos warm across the figures.
-        parallel = args.jobs is not None and args.jobs > 1
-        pool_scope = "session" if args.experiment == "all" and parallel else "sweep"
     store = ResultStore(args.cache_dir) if args.cache_dir else None
     if store is not None:
         # A --cache-dir also persists *scheduling knowledge*: the session
@@ -819,9 +804,7 @@ def main(argv: list[str] | None = None) -> int:
             elif remote is not None:
                 backend = RemoteBackend(remote, trace_cache=trace_cache)
             else:
-                backend = make_backend(
-                    args.jobs, trace_cache=trace_cache, pool_scope=pool_scope
-                )
+                backend = make_backend(args.jobs, trace_cache=trace_cache)
             for name in names:
                 results[name] = run_experiment(
                     name,

@@ -224,9 +224,9 @@ def _read_columns(header: dict, payload: memoryview) -> dict[str, array]:
 def decode_trace(buf) -> ColumnTrace:
     """Rebuild a :class:`ColumnTrace` from :func:`encode_trace` output.
 
-    ``buf`` is any bytes-like object -- a ``bytes`` string, an ``mmap``, or
-    the buffer of a shared-memory segment; columns are copied out of it, so
-    the underlying mapping may be closed once this returns.  No ``DynInst``
+    ``buf`` is any bytes-like object -- a ``bytes`` string, a
+    ``memoryview`` or an ``mmap``; columns are copied out of it, so the
+    underlying buffer may be released once this returns.  No ``DynInst``
     list is built; consumers that need the object view pay for it lazily
     via :attr:`ColumnTrace.insts`.
     """

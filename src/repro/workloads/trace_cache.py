@@ -9,8 +9,9 @@ instruction budget, so repeated sweeps -- and every backend of one sweep
 -- skip generation entirely and pay only the (much cheaper) decode.
 
 The cache stores *encoded bytes*, not traces: callers that ship traces to
-workers (shared memory, mmap) can forward the bytes without re-encoding,
-and a cache hit never pays object construction it does not need.
+workers (batch chunk tasks, the remote wire) can forward the bytes without
+re-encoding, and a cache hit never pays object construction it does not
+need.
 
 Corruption safety mirrors :class:`~repro.experiments.store.ResultStore`:
 writes are atomic (tmp file + rename), and entries whose checksum or

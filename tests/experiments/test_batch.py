@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -24,6 +27,7 @@ from repro.experiments import (
     matrix_spec,
     run_experiment,
 )
+from repro.experiments import pool as pool_mod
 from repro.experiments.spec import ExperimentBuilder, WorkloadSpec
 from repro.harness.bench import bench_configs
 from repro.harness.configs import fig5_configs
@@ -65,12 +69,6 @@ class TestBatchEquivalence:
 
     def test_batch_pool_matches_serial_backend(self, family_spec, family_serial):
         results = BatchRunner(jobs=2).run(family_spec.cells())
-        assert [s.fingerprint() for s in results] == [
-            s.fingerprint() for s in family_serial
-        ]
-
-    def test_file_carrier_matches_shm(self, family_spec, family_serial):
-        results = BatchRunner(jobs=2, carrier="file").run(family_spec.cells())
         assert [s.fingerprint() for s in results] == [
             s.fingerprint() for s in family_serial
         ]
@@ -225,6 +223,50 @@ class TestFailureIdentity:
     def test_serial_exception_names_the_cell(self, poisoned_spec):
         with pytest.raises(CellExecutionError, match=r"poisoned: gcc / bad"):
             SerialBackend().run(poisoned_spec.cells())
+
+    def test_worker_crash_mid_chunk_names_a_chunk_cell(self, monkeypatch):
+        """A pool worker that dies mid-chunk (``os._exit``: no cleanup, no
+        exception) fails the sweep with a :class:`CellExecutionError`
+        naming a cell of a lost chunk, and the next sweep runs on a fresh
+        session pool, bit-identical to serial."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the crash hook reaches the workers by fork inheritance")
+        import repro.experiments.batch as batch_mod
+
+        healthy = lsu_family_configs()["conventional"]
+        crashing = dataclasses.replace(healthy, name="crash")
+        spec = matrix_spec(
+            "crash", {"baseline": healthy, "crash": crashing}, ["gcc", "bzip2"], INSTS
+        )
+        requests = spec.cells()
+        real_processor = batch_mod.Processor
+
+        def processor_that_dies_on_crash(config, trace, **kwargs):
+            if config.name == "crash":
+                os._exit(17)
+            return real_processor(config, trace, **kwargs)
+
+        # Each workload is one chunk [baseline, crash]: its worker finishes
+        # the baseline cell, then exits in the middle of the chunk.
+        runner = BatchRunner(jobs=2)
+        assert [
+            [requests[i].config_label for i in indices]
+            for _, indices in runner._chunks(requests)
+        ] == [["baseline", "crash"]] * 2
+        pool_mod.shutdown_session_pools()  # fresh workers inherit the hook
+        monkeypatch.setattr(batch_mod, "Processor", processor_that_dies_on_crash)
+        with pytest.raises(
+            CellExecutionError, match=r"^crash: (gcc|bzip2) / baseline: "
+        ) as excinfo:
+            runner.run(requests)
+        assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+        broken = pool_mod._session_pools[runner.workers]
+
+        monkeypatch.undo()
+        pooled = BatchRunner(jobs=2).run(requests)
+        assert pool_mod._session_pools[runner.workers] is not broken
+        serial = SerialBackend().run(requests)
+        assert [s.fingerprint() for s in pooled] == [s.fingerprint() for s in serial]
 
 
 class TestMakeBackend:

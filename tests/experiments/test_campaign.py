@@ -20,7 +20,6 @@ from repro.experiments import (
     ResultStore,
     SerialBackend,
     WorkerAgent,
-    make_backend,
     matrix_spec,
 )
 from repro.experiments.campaign import campaign_id_for, spec_campaign_id
@@ -108,12 +107,11 @@ class TestEquivalence:
                 for ours, theirs in zip(stats, serial):
                     assert ours.fingerprint() == theirs.fingerprint()
 
-    def test_make_backend_campaign_address(self, tmp_path, requests):
+    def test_campaign_backend_from_address(self, tmp_path, requests):
         with CampaignDaemon(cache_dir=tmp_path / "central") as daemon:
             with WorkerAgent() as agent:
                 agent.register_with(daemon.address)
-                backend = make_backend(jobs=8, campaign=daemon.address)
-                assert isinstance(backend, CampaignBackend)
+                backend = CampaignBackend(daemon.address)
                 assert len(backend.run(requests)) == len(requests)
 
 

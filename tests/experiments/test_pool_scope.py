@@ -1,4 +1,4 @@
-"""Session-scoped worker pools and adaptive (cost-model) chunking."""
+"""The session worker pool and adaptive (cost-model) chunking."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import dataclasses
 import pytest
 
 import repro.experiments.pool as pool_mod
-from repro.experiments import BatchRunner, CostModel, SerialBackend, make_backend, matrix_spec
-from repro.experiments.pool import acquire_pool, session_pool, shutdown_session_pools
+from repro.experiments import BatchRunner, CostModel, SerialBackend, matrix_spec
+from repro.experiments.pool import session_pool, shutdown_session_pools
 from repro.harness.bench import bench_configs
 from repro.pipeline.config import RexMode
 
@@ -27,35 +27,39 @@ def _clean_session_pools():
 
 
 class TestSessionPool:
-    def test_invalid_scope_rejected(self):
-        with pytest.raises(ValueError, match="pool_scope"):
-            BatchRunner(jobs=2, pool_scope="forever")
-        with pytest.raises(ValueError, match="pool_scope"):
-            with acquire_pool(2, "forever"):
-                pass
-
     def test_session_pool_is_reused_across_runs(self):
         spec = matrix_spec(
             "scope", family_configs(), ["gcc"], INSTS, baseline="conventional"
         )
         serial = SerialBackend().run(spec.cells())
-        first_runner = BatchRunner(jobs=2, pool_scope="session")
+        first_runner = BatchRunner(jobs=2)
         first = first_runner.run(spec.cells())
         pool = pool_mod._session_pools.get(first_runner.workers)
         assert pool is not None
-        second = BatchRunner(jobs=2, pool_scope="session").run(spec.cells())
+        second = BatchRunner(jobs=2).run(spec.cells())
         # Same long-lived pool object served both sweeps...
         assert pool_mod._session_pools.get(first_runner.workers) is pool
         # ...and results stay bit-identical to serial either way.
         assert [s.fingerprint() for s in first] == [s.fingerprint() for s in serial]
         assert [s.fingerprint() for s in second] == [s.fingerprint() for s in serial]
 
-    def test_sweep_scope_leaves_no_session_pool(self):
+    def test_shutdown_leaves_no_process_behind(self):
+        """A pooled sweep starts only the pool's workers: shutdown reaps
+        them, and nothing (no resource tracker) outlives the sweep."""
+        from multiprocessing import resource_tracker
+
         spec = matrix_spec(
             "scope2", family_configs(), ["gcc"], INSTS, baseline="conventional"
         )
-        BatchRunner(jobs=2, pool_scope="sweep").run(spec.cells())
+        tracker_fd = resource_tracker._resource_tracker._fd
+        runner = BatchRunner(jobs=2)
+        runner.run(spec.cells())
+        workers = list(pool_mod._session_pools[runner.workers]._processes.values())
+        assert workers
+        shutdown_session_pools()
         assert pool_mod._session_pools == {}
+        assert not any(process.is_alive() for process in workers)
+        assert resource_tracker._resource_tracker._fd == tracker_fd
 
     def test_shutdown_is_idempotent(self):
         session_pool(2)
@@ -71,10 +75,6 @@ class TestSessionPool:
         assert replacement is not pool
         assert list(replacement.map(int, ["7"])) == [7]
 
-    def test_make_backend_passes_scope_through(self):
-        backend = make_backend(2, pool_scope="session")
-        assert isinstance(backend, BatchRunner)
-        assert backend.pool_scope == "session"
 
 
 class TestCostModel:
