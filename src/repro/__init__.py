@@ -39,13 +39,14 @@ and the on-disk result cache.
 
 from repro.core import SVWConfig, SVWEngine
 from repro.experiments import ExperimentBuilder, ExperimentSpec, run_experiment
-from repro.isa import DynInst, Trace
+from repro.isa import ColumnTrace, DynInst
 from repro.pipeline import MachineConfig, Processor, RexMode, SimStats, eight_wide, four_wide
 from repro.workloads import generate_trace, kernel_trace, spec_profile
 
 __version__ = "1.1.0"
 
 __all__ = [
+    "ColumnTrace",
     "DynInst",
     "ExperimentBuilder",
     "ExperimentSpec",
@@ -55,7 +56,6 @@ __all__ = [
     "SVWConfig",
     "SVWEngine",
     "SimStats",
-    "Trace",
     "__version__",
     "eight_wide",
     "four_wide",

@@ -28,7 +28,6 @@ from typing import Callable, Protocol, Sequence
 from repro.experiments.spec import RunRequest
 from repro.experiments.traces import TraceProvider
 from repro.isa.coltrace import ColumnTrace
-from repro.isa.inst import Trace
 from repro.pipeline.processor import Processor
 from repro.pipeline.stats import SimStats
 from repro.workloads.trace_cache import TraceCache
@@ -41,7 +40,7 @@ class CellExecutionError(RuntimeError):
 
 
 def execute_request(
-    request: RunRequest, trace: Trace | ColumnTrace | None = None
+    request: RunRequest, trace: ColumnTrace | None = None
 ) -> SimStats:
     """Simulate one cell, materializing its trace when none is given."""
     if trace is None:

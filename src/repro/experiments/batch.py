@@ -49,7 +49,6 @@ from repro.experiments.spec import RunRequest
 from repro.experiments.traces import TraceProvider, request_key
 from repro.isa.codec import decode_trace
 from repro.isa.coltrace import ColumnTrace
-from repro.isa.inst import Trace
 from repro.pipeline.config import MachineConfig, RexMode
 from repro.pipeline.processor import Processor
 from repro.pipeline.stats import SimStats
@@ -215,7 +214,7 @@ def _decoded(key: str, data: bytes) -> ColumnTrace:
 
 
 def _simulate_chunk(
-    trace: Trace | ColumnTrace, cells: list[_CellPayload]
+    trace: ColumnTrace, cells: list[_CellPayload]
 ) -> list[tuple[SimStats, float]]:
     """Simulate every cell of a chunk against one trace.
 

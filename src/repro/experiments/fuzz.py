@@ -42,7 +42,6 @@ from repro.experiments.spec import RunRequest
 from repro.fingerprint import stable_digest
 from repro.pipeline.config import LSUKind, MachineConfig, RexMode, eight_wide
 from repro.pipeline.stats import SimStats
-from repro.isa.coltrace import ColumnTrace
 from repro.workloads.mutate import (
     MUTATION_KINDS,
     MutationOp,
@@ -287,21 +286,16 @@ def _mutated_spec(base_spec: WorkloadSpec, mutation: TraceMutation) -> WorkloadS
 
     Regenerable bases (profiles, phased workloads) carry the mutation in
     the spec itself -- pure JSON, runs on every backend.  Fixed bases
-    (ingested trace files) can't regenerate, so the mutation is applied
-    to the columns directly and the result travels as another fixed
-    trace; those trials are restricted to in-process backends.
+    (ingested trace files, kernel traces) can't regenerate, so the
+    mutation is applied to the columns directly and the result travels as
+    another fixed trace; those trials are restricted to in-process
+    backends.
     """
     if base_spec.persistable:
         return base_spec.mutated(mutation)
-    trace = base_spec.trace
-    if not isinstance(trace, ColumnTrace):
-        raise ValueError(
-            f"fixed workload {base_spec.name!r} is not column-native; "
-            "only ingested traces can be fuzzed as fixed bases"
-        )
     return WorkloadSpec.from_trace(
         f"{base_spec.name}+mut{mutation.fingerprint()[:8]}",
-        apply_mutation(trace, mutation),
+        apply_mutation(base_spec.trace, mutation),
     )
 
 

@@ -94,7 +94,6 @@ from repro.experiments.store import ResultStore
 from repro.experiments.traces import TraceProvider, request_key
 from repro.isa.codec import TraceCodecError, decode_trace
 from repro.isa.coltrace import ColumnTrace
-from repro.isa.inst import Trace
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import Processor
 from repro.pipeline.stats import SimStats
@@ -384,7 +383,7 @@ class WorkerAgent:
         self._sim_gate = threading.Semaphore(slots)
         self._closed = threading.Event()
         #: key -> (decoded trace, SHA-256 of its encoded bytes when known).
-        self._decoded: dict[str, tuple[Trace | ColumnTrace, str | None]] = {}
+        self._decoded: dict[str, tuple[ColumnTrace, str | None]] = {}
         self._connections: set[socket.socket] = set()
         self._accept_thread: threading.Thread | None = None
         self._registry_thread: threading.Thread | None = None
@@ -735,7 +734,7 @@ class WorkerAgent:
 
     def _trace_for(
         self, key: str, want_digest: str | None, conn: socket.socket
-    ) -> Trace | ColumnTrace:
+    ) -> ColumnTrace:
         """The decoded trace for ``key``: memo, then disk, then the wire.
 
         ``want_digest`` is the client's SHA-256 of the encoded bytes, when

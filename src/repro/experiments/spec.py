@@ -17,7 +17,6 @@ from typing import Iterable, Mapping
 
 from repro.fingerprint import stable_digest
 from repro.isa.coltrace import ColumnTrace
-from repro.isa.inst import Trace
 from repro.pipeline.config import MachineConfig
 from repro.workloads.phased import PhasedWorkload
 from repro.workloads.profile import WorkloadProfile
@@ -269,7 +268,7 @@ class ExperimentBuilder:
             self.workload(workload)
         return self
 
-    def trace(self, name: str, trace: Trace | ColumnTrace) -> "ExperimentBuilder":
+    def trace(self, name: str, trace: ColumnTrace) -> "ExperimentBuilder":
         self._workloads.append(WorkloadSpec.from_trace(name, trace))
         return self
 
@@ -308,7 +307,7 @@ def matrix_spec(
     n_insts: int = DEFAULT_INSTS,
     baseline: str = "baseline",
     validate: bool = False,
-    traces: Mapping[str, Trace | ColumnTrace] | None = None,
+    traces: Mapping[str, ColumnTrace] | None = None,
     warmup: int | None = None,
 ) -> ExperimentSpec:
     """Spec for a classic config x benchmark matrix (the figure-sweep shape).

@@ -26,7 +26,6 @@ from __future__ import annotations
 from repro.experiments.spec import RunRequest, WorkloadSpec
 from repro.isa.codec import TraceCodecError, decode_trace, encode_trace, verify_encoded
 from repro.isa.coltrace import ColumnTrace
-from repro.isa.inst import Trace
 from repro.workloads.registry import workload_key  # noqa: F401  (re-exported API)
 from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace_cache import TraceCache
@@ -50,7 +49,7 @@ class TraceProvider:
         self.cache = cache
         self.decoded_capacity = max(1, decoded_capacity)
         self._encoded: dict[str, bytes] = {}
-        self._decoded: dict[str, Trace | ColumnTrace] = {}
+        self._decoded: dict[str, ColumnTrace] = {}
         #: Actual ``generate_trace`` invocations (the amortization proof).
         self.generations = 0
         #: Encoded payloads served from the on-disk cache.
@@ -91,9 +90,8 @@ class TraceProvider:
 
     # -- decoded form --------------------------------------------------------
 
-    def trace(self, workload: WorkloadSpec, n_insts: int) -> Trace | ColumnTrace:
-        """The decoded trace (column-native for generated workloads),
-        reusing any memoized form."""
+    def trace(self, workload: WorkloadSpec, n_insts: int) -> ColumnTrace:
+        """The decoded trace, reusing any memoized form."""
         key = workload_key(workload, n_insts)
         trace = self._decoded.get(key)
         if trace is not None:
@@ -129,7 +127,7 @@ class TraceProvider:
         self._remember_decoded(key, trace)
         return trace
 
-    def trace_for(self, request: RunRequest) -> Trace | ColumnTrace:
+    def trace_for(self, request: RunRequest) -> ColumnTrace:
         return self.trace(request.workload, request.n_insts)
 
     def has_encoded(self, workload: WorkloadSpec, n_insts: int) -> bool:
@@ -149,11 +147,10 @@ class TraceProvider:
 
     # -- internals -----------------------------------------------------------
 
-    def _generate(self, workload: WorkloadSpec, n_insts: int) -> Trace | ColumnTrace:
+    def _generate(self, workload: WorkloadSpec, n_insts: int) -> ColumnTrace:
         if workload.trace is not None:
-            # Fixed traces are returned as-is: the codec columnizes (and
-            # caches the columns) on encode, and simulators derive their
-            # metadata from the columns, so nothing needs pre-building.
+            # Fixed traces are returned as-is: they are already columns,
+            # and simulators derive their metadata from the columns.
             return workload.trace
         self.generations += 1
         if workload.profile is not None and workload.mutation is None:
@@ -163,7 +160,7 @@ class TraceProvider:
         # Any other regenerable registry form (phased, mutated base).
         return workload.materialize(n_insts)
 
-    def _remember_decoded(self, key: str, trace: Trace | ColumnTrace) -> None:
+    def _remember_decoded(self, key: str, trace: ColumnTrace) -> None:
         self._decoded[key] = trace
         while len(self._decoded) > self.decoded_capacity:
             self._decoded.pop(next(iter(self._decoded)))

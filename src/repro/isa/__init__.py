@@ -9,10 +9,11 @@ effective addresses, access sizes, and store values.
 Four layers live here:
 
 - :mod:`repro.isa.ops` -- operation classes and their execution latencies.
-- :mod:`repro.isa.inst` -- the :class:`DynInst` record and trace containers.
-- :mod:`repro.isa.coltrace` -- the column-native :class:`ColumnTrace`
-  representation (flat per-field arrays; ``DynInst`` demoted to a lazy
-  view) shared by the generator, the codec, and the simulator core.
+- :mod:`repro.isa.inst` -- the :class:`DynInst` record and the per-trace
+  :class:`~repro.isa.inst.TraceMeta` tables.
+- :mod:`repro.isa.coltrace` -- :class:`ColumnTrace`, the one trace type
+  (flat per-field arrays; ``DynInst`` records are a lazy view), shared by
+  the generator, the kernel tracer, the codec, and the simulator core.
 - :mod:`repro.isa.program` / :mod:`repro.isa.golden` -- a small assembler for
   register-level kernel programs and a functional executor that both produces
   dynamic traces from them and defines architecturally-correct results for
@@ -20,8 +21,8 @@ Four layers live here:
 """
 
 from repro.isa.coltrace import ColumnTrace
-from repro.isa.golden import GoldenResult, golden_execute, golden_memory_image
-from repro.isa.inst import DynInst, Trace
+from repro.isa.golden import GoldenResult, golden_execute
+from repro.isa.inst import DynInst
 from repro.isa.ops import OpClass, latency_of
 from repro.isa.program import Label, Op, Program, ProgramBuilder
 
@@ -34,8 +35,6 @@ __all__ = [
     "OpClass",
     "Program",
     "ProgramBuilder",
-    "Trace",
     "golden_execute",
-    "golden_memory_image",
     "latency_of",
 ]

@@ -5,9 +5,7 @@ column-native refactor, the codec is a thin framing layer around
 :class:`~repro.isa.coltrace.ColumnTrace`: the in-memory representation and
 the wire representation share one layout, so encoding is one ``tobytes()``
 per column and decoding is one ``frombytes()`` per column -- **no**
-``DynInst`` object graph is built on either side.  Object-built
-:class:`~repro.isa.inst.Trace` inputs are accepted too (normalized through
-:meth:`Trace.columns`) and produce bit-identical bytes.
+``DynInst`` object graph is built on either side.
 
 Why not pickle?  A pickled 30K-instruction trace is ~2 MB of per-object
 overhead that both sides pay again on every transfer; the columnar form is
@@ -45,7 +43,7 @@ from repro.isa.coltrace import (
     ColumnTrace,
     narrowest_array,
 )
-from repro.isa.inst import Trace, memory_signature
+from repro.isa.inst import memory_signature
 
 MAGIC = b"SVWT"
 
@@ -58,8 +56,8 @@ MAGIC = b"SVWT"
 CODEC_VERSION = 2
 
 #: Versions :func:`decode_trace` accepts.  v1 and v2 share one layout, so
-#: archived v1-era traces stay decodable (oracle suites, tooling) even
-#: though the cache no longer serves them.
+#: external ``.svwt`` files written by v1-era tools still ingest even
+#: though the trace cache no longer serves v1 entries.
 SUPPORTED_VERSIONS = frozenset({1, 2})
 
 _HEADER_FMT = "<4sII"
@@ -71,24 +69,18 @@ class TraceCodecError(ValueError):
     """Raised when a buffer is not a decodable encoded trace."""
 
 
-def encode_trace(trace: Trace | ColumnTrace) -> bytes:
-    """Serialize ``trace`` (columns plus derived metadata) to bytes.
-
-    Accepts a :class:`ColumnTrace` (zero-copy: the columns are written
-    as-is) or an object-built :class:`Trace` (columnized once via
-    :meth:`Trace.columns`); both forms of the same stream encode to
-    identical bytes.
-    """
-    ct = trace.columns()
+def encode_trace(trace: ColumnTrace) -> bytes:
+    """Serialize ``trace`` (columns plus derived metadata) to bytes; the
+    instruction columns are written as-is."""
     columns: dict[str, array] = {
-        name: getattr(ct, name) for name, _, _ in INST_COLUMNS
+        name: getattr(trace, name) for name, _, _ in INST_COLUMNS
     }
-    columns["src_offsets"] = ct.src_offsets
-    columns["src_flat"] = ct.src_flat
+    columns["src_offsets"] = trace.src_offsets
+    columns["src_flat"] = trace.src_flat
 
     # Derived per-instruction metadata, translated from the op bytes in one
     # C-level pass each (identical values to TraceMeta's tables).
-    op_bytes = ct.op.tobytes()
+    op_bytes = trace.op.tobytes()
     columns["meta_kind"] = array("B", op_bytes.translate(KIND_TABLE))
     columns["meta_latency"] = array("B", op_bytes.translate(LATENCY_TABLE))
     columns["meta_issue_class"] = array("B", op_bytes.translate(ISSUE_TABLE))
@@ -97,13 +89,13 @@ def encode_trace(trace: Trace | ColumnTrace) -> bytes:
     # both dicts is preserved bit-for-bit: nothing downstream should depend
     # on it, but "decode(encode(t)) is indistinguishable from t" is a far
     # easier invariant to test than "order never matters".
-    columns["mem_addr"] = narrowest_array(ct.initial_memory.keys(), "I", "Q")
-    columns["mem_value"] = array("Q", ct.initial_memory.values())
-    wp_seq = narrowest_array(ct.wrong_path_addrs.keys(), "I", "Q")
+    columns["mem_addr"] = narrowest_array(trace.initial_memory.keys(), "I", "Q")
+    columns["mem_value"] = array("Q", trace.initial_memory.values())
+    wp_seq = narrowest_array(trace.wrong_path_addrs.keys(), "I", "Q")
     wp_offsets = array("Q", bytes(8 * (len(wp_seq) + 1)))
     wp_flat: list[int] = []
     total = 0
-    for i, addrs in enumerate(ct.wrong_path_addrs.values()):
+    for i, addrs in enumerate(trace.wrong_path_addrs.values()):
         wp_flat.extend(addrs)
         total += len(addrs)
         wp_offsets[i + 1] = total
@@ -115,8 +107,8 @@ def encode_trace(trace: Trace | ColumnTrace) -> bytes:
     payload = b"".join(col.tobytes() for col in columns.values())
     header = json.dumps(
         {
-            "name": ct.name,
-            "n_insts": len(ct),
+            "name": trace.name,
+            "n_insts": len(trace),
             "crc32": zlib.crc32(payload),
             "columns": table,
         },
@@ -272,7 +264,7 @@ def _build_column_trace(header: dict, columns: dict[str, array]) -> ColumnTrace:
     )
 
 
-def roundtrip_equal(a: Trace | ColumnTrace, b: Trace | ColumnTrace) -> bool:
+def roundtrip_equal(a: ColumnTrace, b: ColumnTrace) -> bool:
     """Structural equality of two traces (used by tests and cache checks)."""
     return (
         a.name == b.name

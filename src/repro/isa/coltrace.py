@@ -3,9 +3,8 @@
 A :class:`ColumnTrace` stores one dynamic instruction stream as typed
 :mod:`array` columns -- one array per :class:`~repro.isa.inst.DynInst`
 field, plus a CSR pair (``src_offsets``/``src_flat``) for the
-variable-length register-source lists.  This is the same layout the trace
-codec puts on the wire, which makes it the natural *native* representation
-of a trace end to end:
+variable-length register-source lists.  It is the only trace type in the
+system, and its layout is the one the trace codec puts on the wire:
 
 - the synthetic generator emits these columns directly (no per-instruction
   object allocation);
@@ -15,14 +14,10 @@ of a trace end to end:
 - the :class:`~repro.pipeline.processor.Processor` reads the columns by
   dynamic seq in its dispatch loop instead of walking ``DynInst`` records.
 
-``DynInst`` still exists, demoted to a *view*: :attr:`ColumnTrace.insts`
-materializes the object list lazily for compatibility consumers (golden
-execution of legacy traces, analysis code, tests), and
-:meth:`ColumnTrace.from_trace` converts an object-built
-:class:`~repro.isa.inst.Trace` (kernels, hand-written streams) into
-columns.  The two representations are interchangeable and bit-identical:
-``encode(from_trace(t)) == encode(t)`` and simulating either yields the
-same :meth:`~repro.pipeline.stats.SimStats.fingerprint`.
+``DynInst`` is a *view*: :attr:`ColumnTrace.insts` materializes the object
+list lazily for consumers that want records (fixed-trace digests, analysis
+code, tests), and :meth:`ColumnTrace.from_insts` builds the columns from a
+``DynInst`` list (the kernel tracer, hand-written streams).
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from repro.isa.inst import (
     KIND_STORE,
     NO_PRODUCER,
     DynInst,
-    Trace,
     TraceMeta,
 )
 from repro.isa.ops import ISSUE_CLASS_BY_OP, LATENCY_BY_OP, OpClass
@@ -122,10 +116,18 @@ class HotColumns:
 class ColumnTrace:
     """A program-ordered dynamic instruction stream in columnar form.
 
-    Duck-types :class:`~repro.isa.inst.Trace` (``name``, ``initial_memory``,
-    ``wrong_path_addrs``, ``len``, iteration/indexing over ``DynInst``
-    views, ``meta()``, ``validate()``, ``stats()``) so existing consumers
-    keep working; column-aware consumers read the arrays directly.
+    Attributes:
+        name: Workload name (benchmark profile or kernel).
+        initial_memory: Word-granularity initial memory image
+            (4-byte-aligned address -> 32-bit value); absent words read 0.
+        wrong_path_addrs: Plausible wrong-path store addresses per dynamic
+            branch/flush point, keyed by the seq at which a flush might
+            occur; used to model speculative SSBF pollution.
+
+    One typed array per :data:`INST_COLUMNS` entry plus the
+    ``src_offsets``/``src_flat`` CSR pair hold the instructions; ``seq`` is
+    implicit (dense ``0..n-1``).  Iteration and indexing go through the
+    ``DynInst`` view.
     """
 
     __slots__ = (
@@ -201,9 +203,21 @@ class ColumnTrace:
         return cls(name, arrays, initial_memory, wrong_path_addrs)
 
     @classmethod
-    def from_trace(cls, trace: Trace) -> "ColumnTrace":
-        """Columnize an object-built :class:`Trace` (kernels, tests)."""
-        insts = trace.insts
+    def from_insts(
+        cls,
+        name: str,
+        insts: Sequence[DynInst],
+        initial_memory: dict[int, int] | None = None,
+        wrong_path_addrs: dict[int, tuple[int, ...]] | None = None,
+    ) -> "ColumnTrace":
+        """Columnize a ``DynInst`` list (kernels, hand-written streams).
+
+        Raises ``ValueError`` unless ``insts[i].seq == i``: the columns
+        store no seq, so a non-dense numbering cannot be represented.
+        """
+        for i, inst in enumerate(insts):
+            if inst.seq != i:
+                raise ValueError(f"inst {i} has seq {inst.seq}")
         columns: dict[str, list[int]] = {
             col_name: [getattr(inst, col_name) for inst in insts]
             for col_name, _, _ in INST_COLUMNS
@@ -215,21 +229,12 @@ class ColumnTrace:
             src_offsets.append(len(src_flat))
         columns["src_offsets"] = src_offsets
         columns["src_flat"] = src_flat
-        return cls.from_lists(
-            trace.name,
-            columns,
-            initial_memory=trace.initial_memory,
-            wrong_path_addrs=trace.wrong_path_addrs,
-        )
+        return cls.from_lists(name, columns, initial_memory, wrong_path_addrs)
 
     # -- protocol ------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.pc)
-
-    def columns(self) -> "ColumnTrace":
-        """Self: the shared ``Trace``/``ColumnTrace`` normalization hook."""
-        return self
 
     def meta(self) -> TraceMeta:
         """Per-instruction metadata derived from the columns, built once.
@@ -252,7 +257,7 @@ class ColumnTrace:
                 (b, o, s) if k in mem and b != NO_PRODUCER else None
                 for k, b, o, s in zip(kind, self.base_seq, self.offset, self.size)
             ]
-            self._meta = TraceMeta.from_columns(
+            self._meta = TraceMeta(
                 kind=kind,
                 latency=latency,
                 issue_class=issue_class,
@@ -281,11 +286,11 @@ class ColumnTrace:
             self._hot = hot
         return self._hot
 
-    # -- DynInst view (compatibility) ----------------------------------------
+    # -- DynInst view ---------------------------------------------------------
 
     @property
     def insts(self) -> list[DynInst]:
-        """Lazily-materialized ``DynInst`` list, identical to the object path."""
+        """Lazily-materialized ``DynInst`` list (``insts[i].seq == i``)."""
         if self._insts is None:
             n = len(self.pc)
             ops = tuple(OpClass)
@@ -315,23 +320,17 @@ class ColumnTrace:
     def __getitem__(self, i: int) -> DynInst:
         return self.insts[i]
 
-    def as_trace(self) -> Trace:
-        """An object-backed :class:`Trace` sharing this stream (tests/tools)."""
-        trace = Trace(
-            name=self.name,
-            insts=self.insts,
-            initial_memory=self.initial_memory,
-            wrong_path_addrs=self.wrong_path_addrs,
-        )
-        trace.attach_meta(self.meta())
-        return trace
-
     # -- invariants / statistics ---------------------------------------------
 
     def validate(self) -> None:
-        """Column-native version of :meth:`Trace.validate` (same invariants:
-        dense seqs are structural here; producers precede consumers; memory
-        ops are aligned and sanely sized; (base, offset) maps to one address).
+        """Check internal consistency; raises ``ValueError`` on violation.
+
+        Invariants: producers strictly precede consumers; memory ops have
+        aligned addresses and sane sizes; and address generation is
+        register-consistent -- two memory ops with the same (base producer,
+        offset) compute the same address, which is what register-integration
+        signatures rely on.  Dense seq numbering is structural here (and
+        checked by :meth:`from_insts`).
 
         Runs after every generation, so the columns are flattened to lists
         once (C-speed) and walked in a single fused pass.

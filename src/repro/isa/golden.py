@@ -4,11 +4,12 @@ Two jobs live here:
 
 1. :func:`trace_program` runs a :class:`~repro.isa.program.Program` on a
    simple in-order functional machine and records the dynamic instruction
-   stream as a :class:`~repro.isa.inst.Trace`, resolving register dataflow
-   into producer seq numbers exactly as register renaming would.
+   stream as a :class:`~repro.isa.coltrace.ColumnTrace`, resolving register
+   dataflow into producer seq numbers exactly as register renaming would.
 
-2. :func:`golden_execute` runs any :class:`Trace` in program order and
-   returns the architecturally-correct load values and final memory image.
+2. :func:`golden_execute` runs any trace in program order, straight off its
+   columns, and returns the architecturally-correct load values and final
+   memory image.
    Every timing configuration -- baseline or speculative -- must commit
    state identical to this; the integration suite enforces it.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.isa.coltrace import ColumnTrace
-from repro.isa.inst import NO_PRODUCER, DynInst, Trace
+from repro.isa.inst import NO_PRODUCER, DynInst
 from repro.isa.ops import OpClass
 from repro.isa.program import Mnemonic, Program
 from repro.memsys.memimg import MemoryImage
@@ -41,46 +42,28 @@ class GoldenResult:
     memory: MemoryImage
 
 
-def golden_execute(trace: Trace | ColumnTrace) -> GoldenResult:
-    """Execute ``trace`` in program order on a functional memory.
-
-    Column traces are executed straight off their flat columns (no
-    ``DynInst`` materialization); object traces walk the instruction list.
-    Both paths are value-identical.
-    """
+def golden_execute(trace: ColumnTrace) -> GoldenResult:
+    """Execute ``trace`` in program order on a functional memory, reading
+    its flat columns (no ``DynInst`` materialization)."""
     memory = MemoryImage(trace.initial_memory)
     load_values: dict[int, int] = {}
     silent: set[int] = set()
-    if isinstance(trace, ColumnTrace):
-        op = trace.op
-        addr = trace.addr
-        size = trace.size
-        store_value = trace.store_value
-        load, store = int(OpClass.LOAD), int(OpClass.STORE)
-        read, write = memory.read, memory.write
-        for seq in range(len(op)):
-            code = op[seq]
-            if code == load:
-                load_values[seq] = read(addr[seq], size[seq])
-            elif code == store:
-                value = store_value[seq]
-                if read(addr[seq], size[seq]) == value:
-                    silent.add(seq)
-                write(addr[seq], value, size[seq])
-        return GoldenResult(load_values=load_values, silent_stores=silent, memory=memory)
-    for inst in trace.insts:
-        if inst.op is OpClass.LOAD:
-            load_values[inst.seq] = memory.read(inst.addr, inst.size)
-        elif inst.op is OpClass.STORE:
-            if memory.read(inst.addr, inst.size) == inst.store_value:
-                silent.add(inst.seq)
-            memory.write(inst.addr, inst.store_value, inst.size)
+    op = trace.op
+    addr = trace.addr
+    size = trace.size
+    store_value = trace.store_value
+    load, store = int(OpClass.LOAD), int(OpClass.STORE)
+    read, write = memory.read, memory.write
+    for seq in range(len(op)):
+        code = op[seq]
+        if code == load:
+            load_values[seq] = read(addr[seq], size[seq])
+        elif code == store:
+            value = store_value[seq]
+            if read(addr[seq], size[seq]) == value:
+                silent.add(seq)
+            write(addr[seq], value, size[seq])
     return GoldenResult(load_values=load_values, silent_stores=silent, memory=memory)
-
-
-def golden_memory_image(trace: Trace) -> MemoryImage:
-    """Final memory image of a program-order execution of ``trace``."""
-    return golden_execute(trace).memory
 
 
 _ALU_MNEMONICS = {
@@ -225,7 +208,7 @@ class _FunctionalMachine:
         self.pc = next_pc
 
 
-def trace_program(program: Program, max_insts: int = 1_000_000) -> Trace:
+def trace_program(program: Program, max_insts: int = 1_000_000) -> ColumnTrace:
     """Run ``program`` functionally and return its dynamic trace.
 
     Raises ``RuntimeError`` if the program executes more than ``max_insts``
@@ -238,10 +221,8 @@ def trace_program(program: Program, max_insts: int = 1_000_000) -> Trace:
                 f"program {program.name!r} exceeded {max_insts} dynamic instructions"
             )
         machine.step()
-    trace = Trace(
-        name=program.name,
-        insts=machine.insts,
-        initial_memory=dict(program.initial_memory),
+    trace = ColumnTrace.from_insts(
+        program.name, machine.insts, initial_memory=dict(program.initial_memory)
     )
     trace.validate()
     return trace

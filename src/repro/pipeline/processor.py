@@ -31,12 +31,11 @@ is written for interpreter throughput while staying *bit-identical* to the
 straightforward formulation (``tests/pipeline/test_skip_ahead.py`` and the
 golden-equivalence suite enforce this):
 
-- the trace is consumed in its column-native form
-  (:class:`~repro.isa.coltrace.ColumnTrace`): the dispatch loop reads the
-  flat per-field columns by dynamic seq and copies the few static facts an
-  in-flight entry needs into :class:`~repro.pipeline.inflight.InFlight`;
-  no ``DynInst`` objects exist on this path (object-built traces are
-  columnized once via :meth:`~repro.isa.inst.Trace.columns`);
+- the trace is a :class:`~repro.isa.coltrace.ColumnTrace`: the dispatch
+  loop reads the flat per-field columns by dynamic seq and copies the few
+  static facts an in-flight entry needs into
+  :class:`~repro.pipeline.inflight.InFlight`;
+  no ``DynInst`` objects exist on this path;
 - per-instruction facts (kind, latency, issue class, touched words,
   integration signature) come from :class:`~repro.isa.inst.TraceMeta`,
   precomputed once per trace instead of per cycle;
@@ -65,7 +64,7 @@ from repro.frontend.btb import BTB
 from repro.frontend.direction import HybridPredictor
 from repro.isa.coltrace import ColumnTrace
 from repro.isa.golden import golden_execute
-from repro.isa.inst import KIND_BRANCH, KIND_LOAD, KIND_STORE, Trace
+from repro.isa.inst import KIND_BRANCH, KIND_LOAD, KIND_STORE
 from repro.isa.ops import LATENCY_BY_OP, OpClass
 from repro.lsu.base import LoadStoreUnit, store_word_value
 from repro.lsu.conventional import ConventionalLSU
@@ -200,17 +199,14 @@ class Processor:
     def __init__(
         self,
         config: MachineConfig,
-        trace: Trace | ColumnTrace,
+        trace: ColumnTrace,
         validate: bool = False,
         warmup: int = 0,
         skip_ahead: bool = True,
     ) -> None:
         """Args:
         config: The machine to model.
-        trace: The dynamic instruction stream to execute -- natively a
-            :class:`~repro.isa.coltrace.ColumnTrace`; an object-built
-            :class:`Trace` is columnized once (and the conversion cached
-            on it) so both forms simulate bit-identically.
+        trace: The dynamic instruction stream to execute.
         validate: Check every committed load value against the golden
             functional execution (slower; used by the test suite).
         warmup: Number of committed instructions to exclude from the
@@ -221,7 +217,6 @@ class Processor:
             assert this); disabling it exists for those tests and for
             debugging cycle-by-cycle traces.
         """
-        trace = trace.columns()
         self.config = config
         self.trace = trace
         self.meta = trace.meta()

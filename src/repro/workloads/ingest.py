@@ -41,7 +41,6 @@ from repro.isa.codec import (
     verify_encoded,
 )
 from repro.isa.coltrace import ColumnTrace
-from repro.isa.inst import Trace
 
 #: Hard cap on an ingested trace file.  Far above any realistic column
 #: trace (30K instructions encode to ~200 KB) while keeping a corrupt or
@@ -161,7 +160,7 @@ class IngestStore:
         return self.ingest_bytes(path.read_bytes(), name=name)
 
     def ingest_trace(
-        self, trace: Trace | ColumnTrace, name: str | None = None
+        self, trace: ColumnTrace, name: str | None = None
     ) -> IngestRecord:
         """Encode and check in an in-memory trace (archival path)."""
         return self.ingest_bytes(encode_trace(trace), name=name)

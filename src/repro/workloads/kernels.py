@@ -22,8 +22,8 @@ from __future__ import annotations
 import random
 from typing import Callable
 
+from repro.isa.coltrace import ColumnTrace
 from repro.isa.golden import trace_program
-from repro.isa.inst import Trace
 from repro.isa.program import Program, ProgramBuilder
 
 _HEAP = 0x3000_0000
@@ -283,7 +283,7 @@ KERNELS: dict[str, Callable[[], Program]] = {
 }
 
 
-def kernel_trace(name: str, **kwargs: int) -> Trace:
+def kernel_trace(name: str, **kwargs: int) -> ColumnTrace:
     """Build and functionally execute a kernel, returning its trace."""
     if name not in KERNELS:
         raise KeyError(f"unknown kernel {name!r}; options: {sorted(KERNELS)}")

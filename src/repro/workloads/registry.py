@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.fingerprint import stable_digest
 from repro.isa.coltrace import ColumnTrace
-from repro.isa.inst import Trace
 from repro.workloads.mutate import TraceMutation, apply_mutation
 from repro.workloads.phased import PHASED_CATALOG, PhasedWorkload, generate_phased_trace
 from repro.workloads.profile import WorkloadProfile
@@ -51,7 +50,7 @@ if TYPE_CHECKING:
     from repro.workloads.ingest import IngestStore
 
 
-def _trace_digest(trace: Trace | ColumnTrace) -> str:
+def _trace_digest(trace: ColumnTrace) -> str:
     """Content digest of a fixed trace's dynamic instruction stream."""
     insts = [
         (
@@ -99,7 +98,7 @@ class WorkloadSpec:
 
     name: str
     profile: WorkloadProfile | None = None
-    trace: Trace | ColumnTrace | None = field(default=None, compare=False)
+    trace: ColumnTrace | None = field(default=None, compare=False)
     trace_digest: str | None = None
     phased: PhasedWorkload | None = None
     mutation: TraceMutation | None = None
@@ -145,7 +144,7 @@ class WorkloadSpec:
         return cls(name=phased.name, phased=phased)
 
     @classmethod
-    def from_trace(cls, name: str, trace: Trace | ColumnTrace) -> "WorkloadSpec":
+    def from_trace(cls, name: str, trace: ColumnTrace) -> "WorkloadSpec":
         return cls(name=name, trace=trace)
 
     def mutated(self, mutation: TraceMutation) -> "WorkloadSpec":
@@ -240,9 +239,9 @@ class WorkloadSpec:
 
     def materialize(
         self, n_insts: int, seed: int | None = None
-    ) -> Trace | ColumnTrace:
-        """The trace to simulate (column-native for generated workloads,
-        as-is for fixed traces).  ``seed`` overrides the base's own seed
+    ) -> ColumnTrace:
+        """The trace to simulate (generated, or as-is for fixed traces).
+        ``seed`` overrides the base's own seed
         for regenerable workloads; it must be ``None`` for fixed traces."""
         if self.trace is not None:
             if seed is not None:
@@ -347,7 +346,7 @@ def generate_trace(
     workload: "str | WorkloadSpec | WorkloadProfile | PhasedWorkload",
     n_insts: int,
     seed: int | None = None,
-) -> Trace | ColumnTrace:
+) -> ColumnTrace:
     """Normalized trace generation over the whole registry union.
 
     Accepts anything :func:`resolve_workload` does.  Passing a plain

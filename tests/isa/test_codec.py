@@ -1,4 +1,4 @@
-"""The trace codec: exact round-trips, corruption detection, meta reuse."""
+"""The trace codec: exact round-trips, corruption detection, derived metadata."""
 
 from __future__ import annotations
 
@@ -14,14 +14,16 @@ from repro.isa.codec import (
     encode_trace,
     roundtrip_equal,
 )
-from repro.isa.inst import NO_PRODUCER, DynInst, Trace, TraceMeta
+from repro.isa.coltrace import ColumnTrace
+from repro.isa.inst import NO_PRODUCER, DynInst, TraceMeta
 from repro.isa.ops import OpClass
 from repro.workloads.kernels import kernel_trace
 from repro.workloads.spec2000 import SPEC_ORDER, spec_profile
 from repro.workloads.synthetic import generate_trace
+from tests.isa.test_coltrace import assert_meta_matches_oracle
 
 
-def all_opclass_trace() -> Trace:
+def all_opclass_trace() -> ColumnTrace:
     """A hand-built trace with at least one instruction of every OpClass,
     both memory sizes, untrackable bases, 64-bit store values, negative
     offsets, wrong-path sets, and an initial memory image."""
@@ -66,9 +68,9 @@ def all_opclass_trace() -> Trace:
         DynInst(seq=7, pc=0x11C, op=OpClass.NOP),
         DynInst(seq=8, pc=0x120, op=OpClass.BRANCH, taken=False),
     ]
-    return Trace(
-        name="all-ops",
-        insts=insts,
+    return ColumnTrace.from_insts(
+        "all-ops",
+        insts,
         initial_memory={0x2000: (1 << 63) + 17, 0x1000: 42, 0x2004: 7},
         wrong_path_addrs={6: (0x3000, 0x3008), 8: ()},
     )
@@ -97,9 +99,10 @@ class TestRoundTrip:
         assert clone.insts[6].taken is True
         assert clone.insts[8].taken is False
         assert_meta_equal(trace.meta(), clone.meta())
+        assert_meta_matches_oracle(clone)
 
     def test_empty_trace(self):
-        trace = Trace(name="empty", insts=[])
+        trace = ColumnTrace.from_insts("empty", [])
         clone = decode_trace(encode_trace(trace))
         assert roundtrip_equal(trace, clone)
         assert len(clone) == 0
@@ -117,15 +120,17 @@ class TestRoundTrip:
         clone = decode_trace(memoryview(data))
         assert roundtrip_equal(trace, clone)
 
-    def test_decoded_meta_is_attached_not_rebuilt(self, monkeypatch):
-        data = encode_trace(all_opclass_trace())
+    def test_decoded_meta_builds_no_dyninsts(self, monkeypatch):
+        trace = all_opclass_trace()
+        expected = trace.meta()
+        data = encode_trace(trace)
 
-        def forbidden(self, insts):
-            raise AssertionError("TraceMeta rebuilt on decode")
+        def forbidden(self):
+            raise AssertionError("DynInst view built on decode")
 
-        monkeypatch.setattr(TraceMeta, "__init__", forbidden)
+        monkeypatch.setattr(ColumnTrace, "insts", property(forbidden))
         clone = decode_trace(data)
-        assert clone.meta().kind  # served from the attached columns
+        assert_meta_equal(clone.meta(), expected)  # derived from the columns
 
     @pytest.mark.parametrize("seed", [1, 7, 1234])
     def test_fuzz_round_trip_over_profile_seeds(self, seed):
@@ -197,7 +202,7 @@ class TestCorruption:
 
 class TestDualVersionDecode:
     """v1 and v2 share one byte layout; both epochs must stay decodable
-    (archived v1-era cache entries, oracle suites, tooling)."""
+    (external ``.svwt`` files and archived v1-era cache entries)."""
 
     def test_decodes_every_supported_version(self):
         from repro.isa.codec import SUPPORTED_VERSIONS
@@ -224,15 +229,9 @@ class TestDualVersionDecode:
 
 
 class TestMetaHooks:
-    def test_attach_meta_rejects_size_mismatch(self):
-        trace = all_opclass_trace()
-        other = Trace(name="short", insts=trace.insts[:2])
-        with pytest.raises(ValueError, match="meta covers"):
-            other.attach_meta(trace.meta())
-
     def test_from_columns_rejects_ragged_columns(self):
         with pytest.raises(ValueError, match="equal lengths"):
-            TraceMeta.from_columns(
+            TraceMeta(
                 kind=[0, 0], latency=[1], issue_class=[0, 0], words=[(), ()],
                 signature=[None, None],
             )

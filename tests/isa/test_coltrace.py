@@ -10,15 +10,86 @@ from repro.harness.bench import bench_configs
 from repro.isa.codec import decode_trace, encode_trace
 from repro.isa.coltrace import INST_COLUMNS, ColumnTrace
 from repro.isa.golden import golden_execute
-from repro.isa.inst import DynInst, Trace
-from repro.isa.ops import OpClass
+from repro.isa.inst import (
+    KIND_BRANCH,
+    KIND_LOAD,
+    KIND_OTHER,
+    KIND_STORE,
+    DynInst,
+    memory_signature,
+)
+from repro.isa.ops import ISSUE_CLASS_BY_OP, LATENCY_BY_OP, OpClass
+from repro.memsys.memimg import MemoryImage
 from repro.pipeline.processor import Processor
 from repro.workloads.spec2000 import spec_profile
 from repro.workloads.synthetic import generate_trace
 
 
-def small_trace() -> Trace:
-    insts = [
+def meta_oracle(trace: ColumnTrace) -> dict[str, list]:
+    """``TraceMeta`` recomputed per ``DynInst`` from the ops tables: an
+    independent reference for :meth:`ColumnTrace.meta`."""
+    insts = trace.insts
+    return {
+        "kind": [
+            KIND_LOAD
+            if inst.is_load
+            else KIND_STORE
+            if inst.is_store
+            else KIND_BRANCH
+            if inst.is_branch
+            else KIND_OTHER
+            for inst in insts
+        ],
+        "latency": [LATENCY_BY_OP[inst.op] for inst in insts],
+        "issue_class": [ISSUE_CLASS_BY_OP[inst.op] for inst in insts],
+        "words": [inst.words() if inst.is_mem else () for inst in insts],
+        "signature": [memory_signature(inst) if inst.is_mem else None for inst in insts],
+    }
+
+
+def assert_meta_matches_oracle(trace: ColumnTrace) -> None:
+    meta = trace.meta()
+    for field, expected in meta_oracle(trace).items():
+        assert getattr(meta, field) == expected, field
+
+
+def golden_oracle(trace: ColumnTrace) -> tuple[dict[int, int], set[int], MemoryImage]:
+    """Program-order replay of the ``DynInst`` view on a fresh memory: an
+    independent reference for :func:`golden_execute`."""
+    memory = MemoryImage(trace.initial_memory)
+    load_values: dict[int, int] = {}
+    silent: set[int] = set()
+    for inst in trace.insts:
+        if inst.is_load:
+            load_values[inst.seq] = memory.read(inst.addr, inst.size)
+        elif inst.is_store:
+            if memory.read(inst.addr, inst.size) == inst.store_value:
+                silent.add(inst.seq)
+            memory.write(inst.addr, inst.store_value, inst.size)
+    return load_values, silent, memory
+
+
+def assert_golden_matches_oracle(trace: ColumnTrace) -> None:
+    result = golden_execute(trace)
+    load_values, silent, memory = golden_oracle(trace)
+    assert result.load_values == load_values
+    assert result.silent_stores == silent
+    assert result.memory == memory
+
+
+def rebuilt_from_insts(trace: ColumnTrace) -> ColumnTrace:
+    """Fresh columns built from ``trace``'s ``DynInst`` view, sharing no
+    cached meta or hot lists with it."""
+    return ColumnTrace.from_insts(
+        trace.name,
+        list(trace.insts),
+        initial_memory=dict(trace.initial_memory),
+        wrong_path_addrs=dict(trace.wrong_path_addrs),
+    )
+
+
+def small_insts() -> list[DynInst]:
+    return [
         DynInst(seq=0, pc=0x100, op=OpClass.IALU, dst_reg=1),
         DynInst(
             seq=1,
@@ -45,40 +116,40 @@ def small_trace() -> Trace:
         ),
         DynInst(seq=3, pc=0x10C, op=OpClass.BRANCH, src_seqs=(2,), taken=True),
     ]
-    return Trace(name="small", insts=insts, initial_memory={0x1000: 7})
+
+
+def small_trace() -> ColumnTrace:
+    return ColumnTrace.from_insts("small", small_insts(), initial_memory={0x1000: 7})
 
 
 class TestConversion:
-    def test_from_trace_round_trips_through_view(self):
-        trace = small_trace()
-        columns = ColumnTrace.from_trace(trace)
+    def test_from_insts_round_trips_through_view(self):
+        insts = small_insts()
+        columns = ColumnTrace.from_insts("small", insts, initial_memory={0x1000: 7})
         assert len(columns) == 4
-        assert columns.insts == trace.insts
+        assert columns.insts == insts
         assert columns.name == "small"
         assert columns.initial_memory == {0x1000: 7}
-
-    def test_trace_columns_is_cached(self):
-        trace = small_trace()
-        assert trace.columns() is trace.columns()
-
-    def test_as_trace_shares_stream(self):
-        columns = small_trace().columns()
-        back = columns.as_trace()
-        assert back.insts == columns.insts
-        assert back.meta() is columns.meta()
+        assert columns.wrong_path_addrs == {}
 
     def test_iteration_and_indexing(self):
-        columns = small_trace().columns()
+        columns = small_trace()
         assert [inst.seq for inst in columns] == [0, 1, 2, 3]
         assert columns[2].is_load
         assert columns[3].taken is True
 
     def test_stats_match_object_path(self):
         trace = small_trace()
-        assert trace.columns().stats() == trace.stats()
+        total = len(trace.insts)
+        assert trace.stats() == {
+            "insts": float(total),
+            "load_frac": sum(inst.is_load for inst in trace) / total,
+            "store_frac": sum(inst.is_store for inst in trace) / total,
+            "branch_frac": sum(inst.is_branch for inst in trace) / total,
+        }
 
     def test_pickle_round_trip(self):
-        columns = small_trace().columns()
+        columns = small_trace()
         clone = pickle.loads(pickle.dumps(columns))
         assert clone.insts == columns.insts
         assert clone.name == columns.name
@@ -86,7 +157,7 @@ class TestConversion:
 
 class TestHotView:
     def test_hot_columns_are_plain_lists(self):
-        columns = small_trace().columns()
+        columns = small_trace()
         hot = columns.hot()
         assert hot.pc == [0x100, 0x104, 0x108, 0x10C]
         assert hot.taken == [False, False, False, True]
@@ -97,35 +168,38 @@ class TestHotView:
 class TestMetaAndGolden:
     def test_meta_matches_object_meta(self):
         trace = small_trace()
-        object_meta = Trace(name="m", insts=trace.insts).meta()
-        column_meta = trace.columns().meta()
-        assert column_meta.kind == object_meta.kind
-        assert column_meta.latency == object_meta.latency
-        assert column_meta.issue_class == object_meta.issue_class
-        assert column_meta.words == object_meta.words
-        assert column_meta.signature == object_meta.signature
+        assert_meta_matches_oracle(trace)
+        assert trace.meta() is trace.meta()  # built once, shared
+        assert trace.meta().kind == [KIND_OTHER, KIND_STORE, KIND_LOAD, KIND_BRANCH]
+        assert trace.meta().words[1] == (0x1000, 0x1004)
 
     def test_golden_execute_matches_object_path(self):
         trace = small_trace()
-        on_objects = golden_execute(trace)
-        on_columns = golden_execute(trace.columns())
-        assert on_columns.load_values == on_objects.load_values
-        assert on_columns.silent_stores == on_objects.silent_stores
+        assert_golden_matches_oracle(trace)
+        assert golden_execute(trace).load_values == {2: 0xAB}
 
 
 class TestValidate:
     def test_validate_accepts_consistent_columns(self):
-        small_trace().columns().validate()
+        small_trace().validate()
 
     def test_future_producer_rejected(self):
         insts = [DynInst(seq=0, pc=0, op=OpClass.IALU, src_seqs=(0,))]
         with pytest.raises(ValueError, match="future/invalid producer"):
-            ColumnTrace.from_trace(Trace(name="bad", insts=insts)).validate()
+            ColumnTrace.from_insts("bad", insts).validate()
+
+    def test_non_dense_seq_rejected(self):
+        insts = [
+            DynInst(seq=0, pc=0, op=OpClass.IALU),
+            DynInst(seq=2, pc=4, op=OpClass.IALU),
+        ]
+        with pytest.raises(ValueError, match="inst 1 has seq 2"):
+            ColumnTrace.from_insts("bad", insts).validate()
 
     def test_unaligned_mem_rejected(self):
         insts = [DynInst(seq=0, pc=0, op=OpClass.LOAD, addr=0x1002, size=4)]
         with pytest.raises(ValueError, match="unaligned"):
-            ColumnTrace.from_trace(Trace(name="bad", insts=insts)).validate()
+            ColumnTrace.from_insts("bad", insts).validate()
 
     def test_signature_collision_rejected(self):
         insts = [
@@ -134,10 +208,10 @@ class TestValidate:
             DynInst(seq=2, pc=8, op=OpClass.LOAD, addr=0x2000, size=4, base_seq=0, offset=8),
         ]
         with pytest.raises(ValueError, match="maps to both"):
-            ColumnTrace.from_trace(Trace(name="bad", insts=insts)).validate()
+            ColumnTrace.from_insts("bad", insts).validate()
 
     def test_ragged_columns_rejected(self):
-        columns = small_trace().columns()
+        columns = small_trace()
         arrays = {name: getattr(columns, name) for name, _, _ in INST_COLUMNS}
         arrays["src_offsets"] = columns.src_offsets
         arrays["src_flat"] = columns.src_flat
@@ -147,39 +221,28 @@ class TestValidate:
 
 
 class TestProcessorEquivalence:
-    """Processor-on-columns == Processor-on-objects, bit for bit, for the
-    live generator, the fixed kernels and the codec round-trip."""
+    """Columns rebuilt from the ``DynInst`` view simulate bit-identically
+    to the generated columns, for the live generator, the fixed kernels
+    and the codec round-trip."""
 
     N = 4000
-
-    @staticmethod
-    def object_built(columns: ColumnTrace) -> Trace:
-        # A fresh Trace over the DynInst view, with no columns or meta
-        # attached, so the processor columnizes it from the objects.
-        return Trace(
-            name=columns.name,
-            insts=list(columns.insts),
-            initial_memory=dict(columns.initial_memory),
-            wrong_path_addrs=columns.wrong_path_addrs,
-        )
 
     @pytest.mark.parametrize("kind", sorted(bench_configs()))
     def test_columns_match_objects_per_lsu(self, kind):
         _, config = bench_configs()[kind]
         column = generate_trace(spec_profile("gcc"), self.N)
         on_objects = Processor(
-            config, self.object_built(column), validate=True, warmup=500
+            config, rebuilt_from_insts(column), validate=True, warmup=500
         ).run()
         on_columns = Processor(config, column, validate=True, warmup=500).run()
         assert on_objects.fingerprint() == on_columns.fingerprint(), kind
 
     @pytest.mark.parametrize("kind", sorted(bench_configs()))
     def test_kernel_columns_match_objects_per_lsu(self, kind, spill_fill_trace):
-        """Fixed (object-built) kernel traces behave identically columnized."""
+        """Kernel traces rebuilt from their ``DynInst`` view behave identically."""
         _, config = bench_configs()[kind]
-        columns = ColumnTrace.from_trace(spill_fill_trace)
-        on_objects = Processor(config, spill_fill_trace, validate=True).run()
-        on_columns = Processor(config, columns, validate=True).run()
+        on_objects = Processor(config, rebuilt_from_insts(spill_fill_trace), validate=True).run()
+        on_columns = Processor(config, spill_fill_trace, validate=True).run()
         assert on_objects.fingerprint() == on_columns.fingerprint(), kind
 
     def test_decoded_trace_matches_generated(self):

@@ -1,8 +1,9 @@
-"""Unit tests for dynamic instruction records and traces."""
+"""Unit tests for dynamic instruction records and trace validation."""
 
 import pytest
 
-from repro.isa.inst import NO_PRODUCER, DynInst, Trace
+from repro.isa.coltrace import ColumnTrace
+from repro.isa.inst import DynInst
 from repro.isa.ops import OpClass, issue_class_of, latency_of
 
 
@@ -28,7 +29,7 @@ class TestDynInst:
 
 class TestTraceValidation:
     def _mk(self, insts):
-        return Trace(name="t", insts=insts)
+        return ColumnTrace.from_insts("t", insts)
 
     def test_valid_trace_passes(self):
         trace = self._mk(
@@ -40,9 +41,8 @@ class TestTraceValidation:
         trace.validate()
 
     def test_dense_seq_numbering_enforced(self):
-        trace = self._mk([DynInst(seq=1, pc=0, op=OpClass.IALU)])
         with pytest.raises(ValueError, match="seq"):
-            trace.validate()
+            self._mk([DynInst(seq=1, pc=0, op=OpClass.IALU)]).validate()
 
     def test_future_producer_rejected(self):
         trace = self._mk(

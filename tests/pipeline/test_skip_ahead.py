@@ -97,7 +97,8 @@ def test_skip_ahead_drain_into_empty_rob(small_gcc_trace):
     wake the skip-ahead scheduler -- it used to jump straight to the
     watchdog deadline because no event candidate covered the drain.
     """
-    from repro.isa.inst import DynInst, Trace
+    from repro.isa.coltrace import ColumnTrace
+    from repro.isa.inst import DynInst
     from repro.isa.ops import OpClass
 
     insts = []
@@ -121,7 +122,7 @@ def test_skip_ahead_drain_into_empty_rob(small_gcc_trace):
         DynInst(seq=16, pc=0x300, op=OpClass.STORE, addr=0x2000, size=4, store_value=99)
     )
     insts.append(DynInst(seq=17, pc=0x304, op=OpClass.IALU, dst_reg=1))
-    trace = Trace(name="drain-into-empty-rob", insts=insts)
+    trace = ColumnTrace.from_insts("drain-into-empty-rob", insts)
     trace.validate()
     config = eight_wide(
         "drain-regression",

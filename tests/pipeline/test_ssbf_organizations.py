@@ -10,8 +10,9 @@ this suite pins that:
 
 - the filter is safe: with ``validate=True`` every committed load value
   matches the golden functional execution;
-- an object-built trace gives the statistics fingerprint and the filter
-  counters of the column-native trace, bit for bit;
+- columns rebuilt from the trace's ``DynInst`` view give the statistics
+  fingerprint and the filter counters of the generated columns, bit for
+  bit;
 - the skip-ahead scheduler leaves the fingerprint bit-identical to the
   cycle-by-cycle run (the raw counters are not compared there: a positive
   test that stalls on the data-cache port is probed again next cycle, so
@@ -26,11 +27,11 @@ import pytest
 
 from repro.core.svw import SVWConfig
 from repro.harness.bench import bench_configs
-from repro.isa.inst import Trace
 from repro.pipeline.config import LSUKind, RexMode, eight_wide
 from repro.pipeline.processor import Processor
 from repro.workloads.spec2000 import spec_profile
 from repro.workloads.synthetic import generate_trace
+from tests.isa.test_coltrace import rebuilt_from_insts
 
 N = 4000
 
@@ -69,22 +70,13 @@ ALL_CONFIGS = {
 }
 
 
-def object_built(columns) -> Trace:
-    return Trace(
-        name=columns.name,
-        insts=list(columns.insts),
-        initial_memory=dict(columns.initial_memory),
-        wrong_path_addrs=columns.wrong_path_addrs,
-    )
-
-
 @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
 @pytest.mark.parametrize("workload", ["gcc", "mcf"])
 def test_probe_path_safe_and_consistent(name, workload):
     config = ALL_CONFIGS[name]
     trace = generate_trace(spec_profile(workload), N)
     columns = Processor(config, trace, validate=True, warmup=500)
-    objects = Processor(config, object_built(trace), validate=True, warmup=500)
+    objects = Processor(config, rebuilt_from_insts(trace), validate=True, warmup=500)
     slow = Processor(config, trace, validate=True, warmup=500, skip_ahead=False)
     fingerprint = columns.run().fingerprint()
     assert objects.run().fingerprint() == fingerprint, name

@@ -1,17 +1,20 @@
-"""Column/object consistency of the live generator on every shipped profile.
+"""The live generator's columns against their ``DynInst`` view, on every
+shipped profile.
 
 The generator emits column-native traces; the rest of the system also
-reads them through the lazy :class:`DynInst` view and through object-built
-:class:`Trace` instances (kernels, ingested traces).  For every shipped
-workload profile, this suite pins that the two forms are the same trace:
+reads them through the lazy :class:`DynInst` view (fixed-trace digests,
+the codec's round-trip check) and rebuilds columns from ``DynInst`` lists
+(kernels, hand-written streams).  For every shipped workload profile,
+this suite pins that the two forms are the same trace:
 
-1. **Wire identity**: re-columnizing the object view gives the exact
-   encoded wire bytes of the generated trace (every column, the CSR source
-   lists, wrong-path sets, the initial memory image and the name), per
-   profile x 3 seeds.
+1. **Wire identity**: columns rebuilt with ``ColumnTrace.from_insts`` from
+   the view give the exact encoded wire bytes of the generated trace
+   (every column, the CSR source lists, wrong-path sets, the initial
+   memory image and the name), per profile x 3 seeds.
 2. **Metadata and golden execution**: the per-instruction ``TraceMeta``
    and the golden functional execution computed from the columns equal
-   the ones computed from the objects.
+   independent per-``DynInst`` oracles (the ops tables and a
+   program-order ``MemoryImage`` replay).
 """
 
 from __future__ import annotations
@@ -22,11 +25,14 @@ import pytest
 
 from repro.isa.codec import encode_trace
 from repro.isa.coltrace import ColumnTrace
-from repro.isa.golden import golden_execute
-from repro.isa.inst import Trace
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.spec2000 import SPEC_ORDER, spec_profile
 from repro.workloads.synthetic import _BlockGenerator, generate_trace
+from tests.isa.test_coltrace import (
+    assert_golden_matches_oracle,
+    assert_meta_matches_oracle,
+    rebuilt_from_insts,
+)
 
 INSTS = 1500
 SEED_SHIFTS = (0, 1, 2)
@@ -39,17 +45,6 @@ SHIPPED_PROFILES: dict[str, WorkloadProfile] = {
 SHIPPED_PROFILES["synthetic-default"] = WorkloadProfile(name="synthetic-default")
 
 
-def object_built(columns: ColumnTrace) -> Trace:
-    """A fresh ``Trace`` over the ``DynInst`` view, with no columns or meta
-    attached, so anything reading it works from the objects."""
-    return Trace(
-        name=columns.name,
-        insts=list(columns.insts),
-        initial_memory=dict(columns.initial_memory),
-        wrong_path_addrs=columns.wrong_path_addrs,
-    )
-
-
 class TestShippedProfiles:
     @pytest.mark.parametrize("seed_shift", SEED_SHIFTS)
     @pytest.mark.parametrize("name", sorted(SHIPPED_PROFILES))
@@ -60,27 +55,16 @@ class TestShippedProfiles:
         )
         column = generate_trace(profile, INSTS)
         assert isinstance(column, ColumnTrace)
-        rebuilt = ColumnTrace.from_trace(object_built(column))
+        rebuilt = rebuilt_from_insts(column)
         assert encode_trace(rebuilt) == encode_trace(column), (name, profile.seed)
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_PROFILES))
     def test_meta_identical(self, name):
-        column = generate_trace(SHIPPED_PROFILES[name], INSTS)
-        on_objects = object_built(column).meta()
-        on_columns = column.meta()
-        assert on_columns.kind == on_objects.kind
-        assert on_columns.latency == on_objects.latency
-        assert on_columns.issue_class == on_objects.issue_class
-        assert on_columns.words == on_objects.words
-        assert on_columns.signature == on_objects.signature
+        assert_meta_matches_oracle(generate_trace(SHIPPED_PROFILES[name], INSTS))
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_PROFILES))
     def test_golden_execution_identical(self, name):
-        column = generate_trace(SHIPPED_PROFILES[name], INSTS)
-        on_objects = golden_execute(object_built(column))
-        on_columns = golden_execute(column)
-        assert on_columns.load_values == on_objects.load_values
-        assert on_columns.silent_stores == on_objects.silent_stores
+        assert_golden_matches_oracle(generate_trace(SHIPPED_PROFILES[name], INSTS))
 
 
 def test_heap_draw_bounds_use_ceiling():

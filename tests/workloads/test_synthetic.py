@@ -89,7 +89,7 @@ class TestAmbiguousStoreSignatures:
     def test_ambiguous_stores_keep_signatures_one_to_one(self):
         """Regression: two ambiguous stores sharing a base load but targeting
         different regions used to collide in (base, offset) signature space,
-        making Trace.validate (and, through it, every property test that
+        making ColumnTrace.validate (and, through it, every property test that
         generates ambiguity-heavy workloads) fail probabilistically."""
         profile = dataclasses.replace(
             WorkloadProfile(name="amb"),

@@ -1,17 +1,14 @@
 """Golden fingerprints for the epoch-v2 trace identity.
 
-The v2 block-sampled generator deliberately broke draw-exactness with the
-frozen v1 reference (whose identity the v1-vs-v1 oracle in
-``test_column_equivalence.py`` pins forever).  v2 has no independent
-reference implementation, so its identity is pinned the other way: by
-golden ``SimStats.fingerprint()`` values, one per LSU kind x re-execution
-mode, each required to be identical with the skip-ahead scheduler on and
-off.  Any change to the generator's draw sequence, the trace columns, the
+The v2 block-sampled generator has no independent reference
+implementation, so its trace identity is pinned by golden
+``SimStats.fingerprint()`` values, one per LSU kind x re-execution mode,
+each required to be identical with the skip-ahead scheduler on and off.  Any change to the generator's draw sequence, the trace columns, the
 statistics, or the timing model moves these fingerprints and must be a
 deliberate epoch bump -- regenerate via the loop below and say so in the
 changelog.
 
-The ``v2-goldens`` CI gate runs exactly this file.
+The ``v2-goldens`` CI gate runs this file.
 """
 
 from __future__ import annotations
