@@ -20,6 +20,11 @@ Methodology:
   fingerprint` of its run, so a perf comparison between two commits can
   simultaneously prove the runs were bit-identical.
 
+``BENCH_core.json`` is a timing snapshot: its per-cell fingerprints are
+provenance for :func:`compare_bench`, not a gate.  The same cells are
+pinned, with every other golden fingerprint, in the golden table of
+:mod:`repro.harness.goldens`.
+
 ``BENCH_core.json`` schema (``schema_version`` 1)::
 
     {
@@ -250,66 +255,6 @@ def load_bench(path: str) -> dict:
     return payload
 
 
-def check_fingerprints(baseline: dict, payload: dict) -> list[str]:
-    """Divergent ``(lsu, workload)`` cells of ``payload`` vs a snapshot.
-
-    The bit-identity gate behind ``svw-repro bench --check``: a fresh run
-    must reproduce the checked-in snapshot's per-cell statistics
-    fingerprints exactly.  Raises ``ValueError`` when the runs are not
-    comparable (different instruction budgets, or no overlapping cells) --
-    a gate that compares nothing must fail loudly, not pass silently.
-    """
-    baseline_epoch = baseline.get("trace_epoch", 1)
-    payload_epoch = payload.get("trace_epoch", TRACE_EPOCH)
-    if baseline_epoch != payload_epoch:
-        # Snapshots predating a deliberate trace-identity bump cannot be
-        # compared cell by cell; name the break instead of reporting every
-        # cell as diverged.
-        raise ValueError(
-            f"fingerprint epoch mismatch (v{baseline_epoch} snapshot vs "
-            f"v{payload_epoch} core): the trace identity was re-versioned "
-            f"deliberately; regenerate the snapshot with `svw-repro bench` "
-            f"instead of chasing per-cell divergence"
-        )
-    if baseline.get("n_insts") != payload.get("n_insts"):
-        raise ValueError(
-            f"fingerprint check needs matching budgets: baseline ran "
-            f"{baseline.get('n_insts')} insts, this run {payload.get('n_insts')}"
-        )
-    old = {
-        (r["lsu"], r["workload"]): r["stats_fingerprint"]
-        for r in baseline["results"]
-    }
-    comparable = [
-        r for r in payload["results"] if (r["lsu"], r["workload"]) in old
-    ]
-    if not comparable:
-        raise ValueError("fingerprint check found no overlapping cells")
-    return sorted(
-        f"{r['lsu']}/{r['workload']}"
-        for r in comparable
-        if r["stats_fingerprint"] != old[(r["lsu"], r["workload"])]
-    )
-
-
-def render_gate(baseline: dict, payload: dict) -> tuple[bool, str]:
-    """Shared ``--check`` verdict for both bench entry points.
-
-    Returns ``(passed, message)``.  Comparability errors from
-    :func:`check_fingerprints` (epoch or budget mismatch, no overlapping
-    cells) fail the gate with the error's own message rather than
-    escaping as a traceback -- ``svw-repro bench --check`` across a
-    deliberate fingerprint break must say "epoch mismatch", not crash.
-    """
-    try:
-        diverged = check_fingerprints(baseline, payload)
-    except ValueError as exc:
-        return False, str(exc)
-    if diverged:
-        return False, f"FINGERPRINT DIVERGENCE: {diverged}"
-    return True, "fingerprints identical to the baseline snapshot"
-
-
 def compare_bench(old: dict, new: dict) -> str:
     """Per-LSU-kind speedup table between two ``BENCH_core.json`` payloads.
 
@@ -360,14 +305,10 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - thin CLI
     parser.add_argument("--lsus", type=str, default=None, help="comma-separated LSU kinds")
     parser.add_argument("--out", default="BENCH_core.json")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
-    parser.add_argument("--check", metavar="BASELINE", default=None)
     args = parser.parse_args(argv)
     if args.compare:
         print(compare_bench(load_bench(args.compare[0]), load_bench(args.compare[1])))
         return 0
-    # Read the baseline up front: --out defaults to BENCH_core.json, the
-    # usual --check target, and the gate must never compare a run to itself.
-    baseline = load_bench(args.check) if args.check else None
     payload = run_bench(
         workloads=args.workloads.split(",") if args.workloads else None,
         n_insts=args.insts,
@@ -377,20 +318,6 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - thin CLI
         lsus=args.lsus.split(",") if args.lsus else None,
     )
     print(render_bench(payload))
-    passed, message = (
-        render_gate(baseline, payload) if baseline is not None else (True, "")
-    )
-    import os as _os
-
-    if passed or _os.path.abspath(args.out) != _os.path.abspath(args.check):
-        write_bench(payload, args.out)
-        print(f"wrote {args.out}")
-    else:
-        # Never replace the baseline with the payload that just failed
-        # against it -- an immediate re-run would falsely pass.
-        print(f"not overwriting {args.out}: fingerprint gate failed against it")
-    if baseline is not None:
-        print(f"{message} ({args.check})")
-        if not passed:
-            return 1
+    write_bench(payload, args.out)
+    print(f"wrote {args.out}")
     return 0

@@ -15,6 +15,7 @@ Examples::
     svw-repro bench --quick --out BENCH_core.json
     svw-repro bench --workloads gcc --lsus nlq   # one cell, for development
     svw-repro bench-sweep --jobs 4         # sweep-throughput benchmark
+    svw-repro goldens                      # regenerate tests/goldens.json
     svw-repro worker --port 7501           # start a remote worker agent
     svw-repro fig5 --remote-workers hostA:7501,hostB:7501
     svw-repro bench-sweep --quick --remote-workers auto:2   # loopback fleet
@@ -38,7 +39,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 import time
 from typing import Callable
@@ -61,7 +61,7 @@ from repro.experiments.scheduler import check_limits
 from repro.experiments.fuzz import FUZZ_INSTS, FUZZ_WORKLOADS, run_fuzz
 from repro.experiments.spec import DEFAULT_INSTS
 from repro.experiments.store import ResultStore
-from repro.harness import bench, bench_sweep, figures
+from repro.harness import bench, bench_sweep, figures, goldens
 from repro.harness.report import render_claims, render_figure
 from repro.workloads.ingest import IngestError, IngestStore
 from repro.workloads.trace_cache import TraceCache
@@ -316,12 +316,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiment",
         choices=sorted(_EXPERIMENTS)
-        + ["all", "bench", "bench-sweep", "worker", "campaignd", "fsck"]
+        + ["all", "bench", "bench-sweep", "goldens", "worker", "campaignd", "fsck"]
         + ["fuzz", "ingest"]
         + list(_CAMPAIGN_COMMANDS),
         help="which table/figure to regenerate ('bench' runs the "
         "core-simulator throughput benchmark, 'bench-sweep' the "
-        "sweep-throughput/backend-equivalence benchmark, 'worker' starts "
+        "sweep-throughput/backend-equivalence benchmark, 'goldens' "
+        "regenerates the golden fingerprint table, 'worker' starts "
         "a remote execution agent serving sweeps over TCP, 'campaignd' a "
         "long-lived campaign daemon; 'submit'/'status'/'fetch'/'cancel' "
         "talk to a campaign daemon about one campaign; 'fsck' scrubs the "
@@ -526,19 +527,9 @@ def main(argv: list[str] | None = None) -> int:
         type=str,
         default=None,
         metavar="PATH",
-        help="bench/bench-sweep only: where to write the benchmark JSON "
-        "(default BENCH_core.json / BENCH_sweep.json unless --json "
-        "already directs it)",
-    )
-    parser.add_argument(
-        "--check",
-        type=str,
-        default=None,
-        metavar="BASELINE",
-        help="bench only: compare this run's per-cell stats fingerprints "
-        "against a BENCH_core.json snapshot and exit non-zero on any "
-        "divergence (the column-native bit-identity gate; budgets must "
-        "match the snapshot's)",
+        help="bench/bench-sweep/goldens only: where to write the JSON "
+        "(default BENCH_core.json / BENCH_sweep.json / tests/goldens.json "
+        "unless --json already directs it)",
     )
     args = parser.parse_args(argv)
 
@@ -690,45 +681,23 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"    reproducer: {json.dumps(div.reproducer, sort_keys=True)}")
         return 0 if report.ok else 1
 
-    def emit_benchmark(
-        payload: dict, render, write, default_out: str, protect: str | None = None
-    ) -> None:
-        """Shared --json/--out plumbing for the benchmark subcommands.
-
-        ``protect`` names a file that must not be overwritten (the --check
-        baseline after a failed gate: clobbering it with the divergent
-        payload would make an immediate re-run falsely pass and destroy
-        the regression evidence).
-        """
-
-        def guarded_write(data, path):
-            if protect is not None and os.path.abspath(path) == os.path.abspath(protect):
-                print(
-                    f"not overwriting {path}: fingerprint gate failed against it",
-                    file=sys.stderr,
-                )
-                return
-            write(data, path)
-
+    def emit_benchmark(payload: dict, render, write, default_out: str) -> None:
+        """Shared --json/--out plumbing for bench, bench-sweep and goldens."""
         if args.json == "-":
             print(json.dumps(payload, indent=1, sort_keys=True))
         else:
             print(render(payload))
             if args.json is not None:
-                guarded_write(payload, args.json)
+                write(payload, args.json)
         out = args.out
         if out is None and args.json is None:
             out = default_out
         if out is not None:
-            guarded_write(payload, out)
+            write(payload, out)
             if not args.quiet:
                 print(f"wrote {out}", file=sys.stderr)
 
     if args.experiment == "bench":
-        # Load the gate baseline before anything can write to its path:
-        # with no --out, emit_benchmark writes the fresh payload to
-        # BENCH_core.json, which is exactly where the baseline usually is.
-        check_baseline = bench.load_bench(args.check) if args.check else None
         payload = bench.run_bench(
             workloads=workloads,
             n_insts=args.insts,
@@ -737,24 +706,15 @@ def main(argv: list[str] | None = None) -> int:
             progress=None if args.quiet else _progress,
             lsus=args.lsus.split(",") if args.lsus else None,
         )
-        passed, message = (
-            bench.render_gate(check_baseline, payload)
-            if check_baseline is not None
-            else (True, "")
-        )
+        emit_benchmark(payload, bench.render_bench, bench.write_bench, "BENCH_core.json")
+        return 0
+    if args.experiment == "goldens":
         emit_benchmark(
-            payload,
-            bench.render_bench,
+            goldens.build_table(),
+            goldens.render_table,
             bench.write_bench,
-            "BENCH_core.json",
-            protect=None if passed else args.check,
+            goldens.GOLDENS_PATH,
         )
-        if check_baseline is not None:
-            if not passed:
-                print(f"{message} (vs {args.check})", file=sys.stderr)
-                return 1
-            if not args.quiet:
-                print(f"{message} ({args.check})", file=sys.stderr)
         return 0
     if args.experiment == "bench-sweep":
         with contextlib.ExitStack() as stack:

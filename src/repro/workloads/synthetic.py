@@ -13,7 +13,7 @@ This module draws a **different RNG stream** than the retired epoch-v1
 generator: moving from per-instruction ``random.Random`` draws to
 per-block ``numpy`` PCG64 streams was the one-time fingerprint break
 recorded in ROADMAP.md.  v2 traces are pinned by their golden
-fingerprints (``tests/workloads/test_v2_goldens.py``).
+fingerprints in the golden table (``tests/goldens.json``).
 
 Determinism and the prefix property are preserved by construction:
 
@@ -57,8 +57,9 @@ from repro.memsys.memimg import MemoryImage
 from repro.workloads.profile import WorkloadProfile
 
 #: Trace-identity epoch.  Bumped exactly once per deliberate fingerprint
-#: break; recorded in codec headers and benchmark payloads so readers can
-#: refuse cross-epoch comparisons with a clear error.
+#: break; recorded in codec headers, benchmark payloads and the golden
+#: table (regenerated by ``svw-repro goldens``), so readers can refuse
+#: cross-epoch comparisons with a clear error.
 TRACE_EPOCH = 2
 
 #: Instruction slots sampled per block (each slot expands to one or two

@@ -17,16 +17,28 @@ from repro.experiments.fuzz import (
     plan_trials,
     run_fuzz,
 )
+from repro.harness.goldens import golden_cells
+from repro.pipeline.config import LSUKind, RexMode
 from repro.workloads.mutate import MUTATION_KINDS
-from tests.workloads.test_v2_goldens import GOLDEN_FINGERPRINTS, matrix_configs
 
 
 class TestMatrix:
     def test_covers_every_golden_cell(self):
-        cells = fuzz_matrix()
-        assert set(GOLDEN_FINGERPRINTS) <= set(cells)
-        for name, config in matrix_configs().items():
-            assert cells[name].fingerprint() == config.fingerprint(), name
+        """The golden table's v2 rows pin every valid LSUKind x RexMode
+        cell of the matrix (NONE is conventional-only)."""
+        valid = {
+            f"{lsu.value}/{rex.value}"
+            for lsu in LSUKind
+            for rex in RexMode
+            if rex is not RexMode.NONE or lsu is LSUKind.CONVENTIONAL
+        }
+        assert valid <= set(fuzz_matrix())
+        v2 = {
+            key.removeprefix("v2/gcc/")
+            for key in golden_cells()
+            if key.startswith("v2/")
+        }
+        assert v2 == valid
 
     def test_wraparound_variants_present(self):
         cells = fuzz_matrix()
