@@ -15,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.fuzz import fuzz_matrix
 from repro.harness import goldens
+from repro.harness.bench import BENCH_WORKLOADS, bench_configs
 from repro.harness.cli import main
+from repro.workloads.phased import PHASED_CATALOG
 from repro.workloads.synthetic import TRACE_EPOCH
 
 TABLE = Path(__file__).resolve().parents[1] / "goldens.json"
@@ -59,13 +62,46 @@ def test_table_matches_epoch_and_cells(pinned):
     assert sorted(pinned) == sorted(CELLS)
 
 
-def test_stale_epoch_fails_loudly(tmp_path):
-    stale = json.loads(TABLE.read_text())
-    stale["trace_epoch"] = 1
+def test_trace_epoch_is_v2():
+    assert TRACE_EPOCH == 2
+    assert json.loads(TABLE.read_text())["trace_epoch"] == 2
+
+
+def test_v2_rows_are_the_base_fuzz_matrix(pinned):
+    """One v2 row per fuzz_matrix() cell without a ``+`` variant."""
+    base = {name for name in fuzz_matrix() if "+" not in name}
+    v2 = {k.removeprefix("v2/gcc/") for k in pinned if k.startswith("v2/")}
+    assert v2 == base
+
+
+def test_phased_rows_cover_catalog(pinned):
+    phased = {k.split("/")[1] for k in pinned if k.startswith("phased/")}
+    assert sorted(phased) == sorted(PHASED_CATALOG)
+
+
+def test_kernel_and_core_rows_cover_bench_configs(pinned):
+    """The kernel row and each core workload pin every bench_configs() LSU."""
+    lsus = sorted(bench_configs())
+    for prefix in ["kernel/spill_fill"] + [f"core/{w}" for w in BENCH_WORKLOADS]:
+        rows = sorted(
+            k.removeprefix(prefix + "/") for k in pinned if k.startswith(prefix + "/")
+        )
+        assert rows == lsus, prefix
+
+
+@pytest.mark.parametrize("stale", [1, None], ids=["1", "unstamped"])
+def test_stale_epoch_fails_loudly(tmp_path, stale):
+    """A table from another epoch, or one predating the ``trace_epoch``
+    stamp, names both epochs instead of reporting every row."""
+    table = json.loads(TABLE.read_text())
+    if stale is None:
+        del table["trace_epoch"]
+    else:
+        table["trace_epoch"] = stale
     path = tmp_path / "goldens.json"
-    path.write_text(json.dumps(stale))
+    path.write_text(json.dumps(table))
     with pytest.raises(
-        ValueError, match=rf"trace_epoch 1 .* trace_epoch {TRACE_EPOCH}:"
+        ValueError, match=rf"trace_epoch {stale} .* trace_epoch {TRACE_EPOCH}:"
     ):
         load_table(path)
 
