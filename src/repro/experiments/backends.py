@@ -5,9 +5,9 @@ into a list of :class:`~repro.pipeline.stats.SimStats`, **positionally
 aligned with the request list** -- completion order never leaks into
 results, so every backend is deterministic and interchangeable.
 
-:class:`SerialBackend` runs cells in-process, materializing each workload's
-trace at most once per sweep through a
-:class:`~repro.experiments.traces.TraceProvider`.
+:class:`SerialBackend` runs cells in-process through one
+:class:`~repro.experiments.traces.TraceProvider` kept for its lifetime,
+so consecutive cells of a workload replay one materialized trace.
 
 For ``jobs > 1``, :func:`make_backend` returns the
 :class:`~repro.experiments.batch.BatchRunner` (re-exported from
@@ -22,7 +22,6 @@ carrying the cell's identity, not a bare worker traceback.
 
 from __future__ import annotations
 
-import gc
 from typing import Callable, Protocol, Sequence
 
 from repro.experiments.spec import RunRequest
@@ -50,20 +49,6 @@ def execute_request(
     ).run()
 
 
-def paused_gc(fn, *args):
-    """Run ``fn`` with cyclic GC paused (simulation allocates heavily but
-    leaks no cycles per run; one collection afterwards settles the heap)."""
-    enabled = gc.isenabled()
-    if enabled:
-        gc.disable()
-    try:
-        return fn(*args)
-    finally:
-        if enabled:
-            gc.enable()
-            gc.collect(0)
-
-
 class ExecutionBackend(Protocol):
     """Anything that can run a batch of cells.
 
@@ -80,24 +65,22 @@ class SerialBackend:
     """In-process, in-order execution (the default).
 
     Traces are materialized once per (workload, n_insts) and replayed
-    across configurations; with a ``trace_cache`` attached, repeated
+    across consecutive cells, also across :meth:`run` calls (the fuzzer
+    submits one cell at a time); with a ``trace_cache`` attached, repeated
     sweeps skip generation entirely and pay only the codec decode.
     """
 
     def __init__(self, trace_cache: TraceCache | None = None) -> None:
         self.trace_cache = trace_cache
-        #: The provider of the most recent :meth:`run` (introspection: its
-        #: ``generations`` counter is the sweep's trace-generation count).
-        self.last_provider: TraceProvider | None = None
+        #: The provider for the backend's lifetime; ``generations`` counts
+        #: since creation.  Cells arrive workload-major, so one decoded
+        #: slot gets every reuse, and serial runs never keep encoded bytes.
+        self.last_provider = TraceProvider(cache=trace_cache, decoded_capacity=1)
 
     def run(
         self, requests: Sequence[RunRequest], progress: ProgressFn | None = None
     ) -> list[SimStats]:
-        # Cells arrive workload-major, so a single-slot decoded memo gets
-        # every reuse while keeping peak memory at one trace, not one per
-        # workload in the sweep.
-        provider = TraceProvider(cache=self.trace_cache, decoded_capacity=1)
-        self.last_provider = provider
+        provider = self.last_provider
         results = []
         for request in requests:
             if progress is not None:

@@ -36,14 +36,13 @@ and resizes chunks; it can never change a cell's result.
 from __future__ import annotations
 
 import concurrent.futures
-import gc
 import json
 import os
 import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.experiments.backends import CellExecutionError, ProgressFn, paused_gc
+from repro.experiments.backends import CellExecutionError, ProgressFn
 from repro.experiments.pool import session_pool
 from repro.experiments.spec import RunRequest
 from repro.experiments.traces import TraceProvider, request_key
@@ -195,21 +194,17 @@ def _decoded(key: str, data: bytes) -> ColumnTrace:
 
     Decoding is column-native: the bytes become typed-array columns (plus
     lazily-built metadata/hot views), never a ``DynInst`` object graph.
-    The result is long-lived and acyclic, so after memoizing it the heap
-    is frozen into the permanent generation -- subsequent cyclic-GC
-    passes stop re-walking it.  Eviction still frees evicted traces
-    (refcounting does not care about freezing).  Session-pool workers
-    outlive a sweep, so figures sharing workloads decode nothing.
+    The trace is acyclic, and so is every simulation run over it, so
+    refcounting frees an evicted trace and each finished cell without a
+    cyclic collection.  Session-pool workers outlive a sweep, so figures
+    sharing workloads decode nothing.
     """
     trace = _worker_traces.get(key)
     if trace is None:
-        # Decode allocates ~n objects; don't re-scan mid-build.
-        trace = paused_gc(decode_trace, data)
+        trace = decode_trace(data)
         _worker_traces[key] = trace
         while len(_worker_traces) > _WORKER_TRACE_SLOTS:
             _worker_traces.pop(next(iter(_worker_traces)))
-        gc.collect()
-        gc.freeze()
     return trace
 
 
@@ -219,23 +214,19 @@ def _simulate_chunk(
     """Simulate every cell of a chunk against one trace.
 
     Returns ``(stats, seconds)`` per cell so the parent's cost model can
-    learn real per-config rates.  The whole chunk runs with cyclic GC
-    paused: the sims' cycle-free allocation profile makes collections
-    pure overhead here; one collection at chunk end settles the heap.
+    learn real per-config rates.  Each finished
+    :class:`~repro.pipeline.processor.Processor` is freed by refcounting
+    as the next one replaces it.
     """
-
-    def simulate() -> list[tuple[SimStats, float]]:
-        results = []
-        for config, warmup, validate, describe in cells:
-            started = time.perf_counter()
-            try:
-                stats = Processor(config, trace, validate=validate, warmup=warmup).run()
-            except Exception as exc:
-                raise CellExecutionError(f"{describe}: {exc}") from exc
-            results.append((stats, time.perf_counter() - started))
-        return results
-
-    return paused_gc(simulate)
+    results = []
+    for config, warmup, validate, describe in cells:
+        started = time.perf_counter()
+        try:
+            stats = Processor(config, trace, validate=validate, warmup=warmup).run()
+        except Exception as exc:
+            raise CellExecutionError(f"{describe}: {exc}") from exc
+        results.append((stats, time.perf_counter() - started))
+    return results
 
 
 def _run_chunk(

@@ -86,7 +86,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from repro.experiments.backends import CellExecutionError, ProgressFn, paused_gc
+from repro.experiments.backends import CellExecutionError, ProgressFn
 from repro.experiments.faults import CRASH_EXIT_CODE, FaultPlan
 from repro.experiments.scheduler import Cell, Scheduler, Submission, check_limits
 from repro.experiments.spec import RunRequest
@@ -663,14 +663,12 @@ class WorkerAgent:
             )
             with self._sim_gate:
                 started = time.perf_counter()
-                stats = paused_gc(
-                    lambda: Processor(
-                        config,
-                        trace,
-                        validate=bool(job["validate"]),
-                        warmup=int(job["warmup"]),
-                    ).run()
-                )
+                stats = Processor(
+                    config,
+                    trace,
+                    validate=bool(job["validate"]),
+                    warmup=int(job["warmup"]),
+                ).run()
                 seconds = time.perf_counter() - started
         except (ConnectionError, OSError, RemoteProtocolError):
             raise  # transport trouble is connection-fatal, not a cell error
@@ -764,7 +762,7 @@ class WorkerAgent:
                     data = None  # stale/poisoned disk entry: refetch
         if data is not None:
             try:
-                trace = paused_gc(lambda: decode_trace(data))
+                trace = decode_trace(data)
             except TraceCodecError:
                 trace = None  # torn cache entry: fall through to the wire
         if trace is None:
@@ -787,7 +785,7 @@ class WorkerAgent:
                         )
                     # Decode before persisting: a client shipping undecodable
                     # bytes must fail its own cell, not poison the host cache.
-                    trace = paused_gc(lambda: decode_trace(payload))
+                    trace = decode_trace(payload)
                 except (CorruptTraceError, TraceCodecError) as exc:
                     # Damaged in transit: reject and re-request in place.
                     with self._lock:

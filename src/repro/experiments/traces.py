@@ -7,9 +7,10 @@ contract the batch subsystem is built on:
 - ``generate_trace`` runs **at most once** per (workload, seed, budget)
   per sweep, whatever the backend or worker count (``generations``
   counts actual generator invocations so tests can prove it);
-- the encoded (:mod:`repro.isa.codec`) form is memoized in-process and,
-  when a :class:`~repro.workloads.trace_cache.TraceCache` is attached,
-  persisted across sweeps and processes;
+- the encoded (:mod:`repro.isa.codec`) form is memoized in-process for
+  the backends that ship it and, when a
+  :class:`~repro.workloads.trace_cache.TraceCache` is attached, persisted
+  across sweeps and processes;
 - traces flow column-native end to end: the generator emits a
   :class:`~repro.isa.coltrace.ColumnTrace`, the codec ships its columns
   verbatim, and decode rebuilds columns (never a ``DynInst`` graph) that
@@ -40,9 +41,10 @@ class TraceProvider:
 
     ``decoded_capacity`` bounds the in-memory decoded-trace memo (sweeps
     visit workloads in grouped order, so a small window gets every reuse
-    while peak memory stays at a couple of traces; encoded bytes are ~4x
-    smaller and kept for the whole sweep so every chunk of a workload
-    ships the same buffer).
+    while peak memory stays at a couple of traces).  Bytes served by
+    :meth:`encoded` are ~4x smaller and kept for the provider's lifetime,
+    so every chunk of a workload ships the same buffer; :meth:`trace`
+    keeps none.
     """
 
     def __init__(self, cache: TraceCache | None = None, decoded_capacity: int = 2) -> None:
@@ -63,18 +65,7 @@ class TraceProvider:
         data = self._encoded.get(key)
         if data is not None:
             return data
-        if self.cache is not None and workload.persistable:
-            data = self.cache.load(key)
-            if data is not None:
-                try:
-                    # Cheap structural+checksum validation before trusting a
-                    # shared on-disk entry; no DynInst materialization --
-                    # pooled sweeps ship the bytes and never decode here.
-                    verify_encoded(data)
-                except TraceCodecError:
-                    data = None
-                else:
-                    self.disk_hits += 1
+        data = self._cached(workload, key)
         if data is None:
             # Reuse a decoded trace the serial path may already have built;
             # generation stays at-most-once even when trace() came first.
@@ -91,39 +82,26 @@ class TraceProvider:
     # -- decoded form --------------------------------------------------------
 
     def trace(self, workload: WorkloadSpec, n_insts: int) -> ColumnTrace:
-        """The decoded trace, reusing any memoized form."""
+        """The decoded trace, reusing any memoized form; only the decoded
+        memo is filled, so a serial provider holds no encoded payloads."""
         key = workload_key(workload, n_insts)
         trace = self._decoded.get(key)
         if trace is not None:
             return trace
-        data = self._encoded.get(key)
-        if data is None:
-            if self.cache is None:
-                # Nothing would consume the encoded form (no disk cache;
-                # pooled backends call encoded() themselves), so the in-process
-                # serial path generates directly and skips encode entirely.
-                trace = self._generate(workload, n_insts)
-                self._remember_decoded(key, trace)
-                return trace
-            # Fill the encoded memo too: a later encoded() call for the
-            # same workload must not regenerate.
-            self.encoded(workload, n_insts)
-            trace = self._decoded.get(key)
-            if trace is not None:
-                return trace
-            data = self._encoded[key]
-        try:
-            trace = decode_trace(data)
-        except TraceCodecError:
-            # A disk-cache entry can pass the cheap verification yet fail
-            # full decode (e.g. a same-version build with different
-            # columns); the documented contract is that any undecodable
-            # entry costs one regeneration, never a crashed sweep.
-            self._encoded.pop(key, None)
+        data = self._encoded.get(key) or self._cached(workload, key)
+        trace = None
+        if data is not None:
+            try:
+                trace = decode_trace(data)
+            except TraceCodecError:
+                # A disk-cache entry can pass the cheap verification yet
+                # fail full decode (e.g. a same-version build with other
+                # columns): it costs one regeneration, never a crashed sweep.
+                self._encoded.pop(key, None)
+        if trace is None:
             trace = self._generate(workload, n_insts)
-            self._encoded[key] = encode_trace(trace)
             if self.cache is not None and workload.persistable:
-                self.cache.save(key, self._encoded[key])
+                self.cache.save(key, encode_trace(trace))
         self._remember_decoded(key, trace)
         return trace
 
@@ -146,6 +124,23 @@ class TraceProvider:
         )
 
     # -- internals -----------------------------------------------------------
+
+    def _cached(self, workload: WorkloadSpec, key: str) -> bytes | None:
+        """The on-disk cache's entry for ``key``, if present and sound."""
+        if self.cache is None or not workload.persistable:
+            return None
+        data = self.cache.load(key)
+        if data is None:
+            return None
+        try:
+            # Cheap structural+checksum validation before trusting a shared
+            # on-disk entry; no column decode -- pooled sweeps ship the
+            # bytes and never decode here.
+            verify_encoded(data)
+        except TraceCodecError:
+            return None
+        self.disk_hits += 1
+        return data
 
     def _generate(self, workload: WorkloadSpec, n_insts: int) -> ColumnTrace:
         if workload.trace is not None:

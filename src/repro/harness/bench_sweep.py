@@ -189,6 +189,9 @@ def run_sweep_bench(
             backend = backends[mode]
             best = float("inf")
             generations = 0
+            # A serial backend keeps one provider for its lifetime, so its
+            # counter is cumulative: count each run's delta.
+            provider, counted = None, 0
             stats = None
             for repeat in range(max(1, repeats)):
                 if progress is not None:
@@ -197,9 +200,12 @@ def run_sweep_bench(
                 started = time.perf_counter()
                 stats = backend.run(requests)
                 best = min(best, time.perf_counter() - started)
-                provider = getattr(backend, "last_provider", None)
-                if provider is not None:
-                    generations += provider.generations
+                current = getattr(backend, "last_provider", None)
+                if current is not None:
+                    if current is not provider:
+                        provider, counted = current, 0
+                    generations += current.generations - counted
+                    counted = current.generations
             assert stats is not None
             fingerprints[mode] = [s.fingerprint() for s in stats]
             mode_rows[mode] = {

@@ -29,12 +29,22 @@ def store_word_value(store: InFlight, word: int) -> int:
 
 
 class LoadStoreUnit(abc.ABC):
-    """One load-store unit organization."""
+    """One load-store unit organization.
 
-    __slots__ = ("proc",)
+    An LSU holds the processor substrates it reads, which the processor
+    binds once and never rebinds (``stats``, swapped after warm-up, is
+    handed over), never the processor itself: a simulation is acyclic.
+    """
+
+    __slots__ = ("words", "store_words", "committed_memory", "hierarchy", "store_sets", "stats")
 
     def __init__(self, proc: "Processor") -> None:
-        self.proc = proc
+        self.words = proc.meta.words
+        self.store_words = proc.store_words
+        self.committed_memory = proc.committed_memory
+        self.hierarchy = proc.hierarchy
+        self.store_sets = proc.store_sets
+        self.stats = proc.stats
 
     # -- dispatch hooks ---------------------------------------------------------
 
@@ -85,10 +95,10 @@ class LoadStoreUnit(abc.ABC):
 
     def _sq_data_blocker(self, load: InFlight) -> InFlight | None:
         """Shared implementation of :meth:`load_must_wait` for CAM-SQ LSUs."""
-        proc = self.proc
         load_seq = load.seq
-        for word in proc.meta.words[load_seq]:
-            stores = proc.store_words.get(word)
+        store_words = self.store_words
+        for word in self.words[load_seq]:
+            stores = store_words.get(word)
             if not stores:
                 continue
             for store in reversed(stores):
@@ -126,11 +136,10 @@ class LoadStoreUnit(abc.ABC):
         rule (``store.done``), inlined without a predicate call per store
         because this runs once per issued load.
         """
-        proc = self.proc
         load_seq = load.seq
-        store_words = proc.store_words
-        committed_read = proc.committed_memory.read
-        words = proc.meta.words[load_seq]
+        store_words = self.store_words
+        committed_read = self.committed_memory.read
+        words = self.words[load_seq]
         if len(words) == 1 and visible is None:
             # Single-word fast path (the overwhelmingly common shape).
             word = words[0]
@@ -150,7 +159,7 @@ class LoadStoreUnit(abc.ABC):
                 load.word_sources = (supplier.seq,)
                 load.forwarded_ssn = supplier.ssn
                 if supplier.ssn > 0:
-                    proc.stats.forwarded_loads += 1
+                    self.stats.forwarded_loads += 1
             return
         sources = []
         forwarded_ssns = []
@@ -184,4 +193,4 @@ class LoadStoreUnit(abc.ABC):
         # means no shrink at all (ssn 0).
         load.forwarded_ssn = min(forwarded_ssns)
         if load.forwarded_ssn > 0:
-            proc.stats.forwarded_loads += 1
+            self.stats.forwarded_loads += 1

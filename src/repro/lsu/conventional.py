@@ -31,7 +31,7 @@ class ConventionalLSU(LoadStoreUnit):
     def execute_load(self, load: InFlight) -> None:
         self._assemble(load)  # default visibility: store.done
         loads_by_word = self._loads_by_word
-        for word in self.proc.meta.words[load.seq]:
+        for word in self.words[load.seq]:
             loads_by_word.setdefault(word, []).append(load)
 
     def on_store_resolved(self, store: InFlight) -> InFlight | None:
@@ -44,7 +44,7 @@ class ConventionalLSU(LoadStoreUnit):
         not flushed.
         """
         victim: InFlight | None = None
-        for word in self.proc.meta.words[store.seq]:
+        for word in self.words[store.seq]:
             loads = self._loads_by_word.get(word)
             if not loads:
                 continue
@@ -68,7 +68,7 @@ class ConventionalLSU(LoadStoreUnit):
 
     def _drop(self, load: InFlight) -> None:
         if load.kind == KIND_LOAD and load.word_sources is not None:
-            for word in self.proc.meta.words[load.seq]:
+            for word in self.words[load.seq]:
                 loads = self._loads_by_word.get(word)
                 if loads is not None:
                     try:

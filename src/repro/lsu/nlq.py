@@ -14,6 +14,8 @@ and fed to store-sets.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from repro.lsu.base import LoadStoreUnit
 from repro.pipeline.inflight import InFlight
 
@@ -21,7 +23,31 @@ from repro.pipeline.inflight import InFlight
 class NonAssociativeLQ(LoadStoreUnit):
     """Associative SQ for forwarding; re-execution for ordering."""
 
-    __slots__ = ()
+    __slots__ = ("_unresolved",)
+
+    def __init__(self, proc) -> None:
+        super().__init__(proc)
+        #: In-flight stores by age, pruned lazily once resolved or squashed.
+        self._unresolved: list[tuple[int, InFlight]] = []
+
+    def on_store_dispatch(self, store: InFlight) -> None:
+        heappush(self._unresolved, (store.seq, store))
+
+    def older_unresolved_store_exists(self, seq: int) -> bool:
+        """Is any older in-flight store's address still unknown?
+
+        This is the NLQ-LS natural-filter condition the scheduler evaluates.
+        A store's address is known to the scheduler once the store issues
+        (AGEN happens in the issue cycle).
+        """
+        heap = self._unresolved
+        while heap:
+            _, store = heap[0]
+            if store.squashed or store.issued:
+                heappop(heap)
+                continue
+            return heap[0][0] < seq
+        return False
 
     def load_must_wait(self, load: InFlight) -> InFlight | None:
         return self._sq_data_blocker(load)
@@ -29,10 +55,10 @@ class NonAssociativeLQ(LoadStoreUnit):
     def execute_load(self, load: InFlight) -> None:
         self._assemble(load)  # default visibility: store.done
         # Natural filter: mark loads issuing past unresolved older stores.
-        if self.proc.older_unresolved_store_exists(load.seq):
+        if self.older_unresolved_store_exists(load.seq):
             load.marked = True
 
     def on_rex_failure(self, load: InFlight, store_pc: int | None) -> None:
         """Train a precise store-load pair through the SPCT."""
-        if store_pc is not None and self.proc.store_sets is not None:
-            self.proc.store_sets.train(load.pc, store_pc)
+        if store_pc is not None and self.store_sets is not None:
+            self.store_sets.train(load.pc, store_pc)

@@ -73,9 +73,8 @@ class SpeculativeSQ(LoadStoreUnit):
             self._assemble(load, lambda st: st.fsq and st.done)
             return
         # Best-effort path: the bank's forwarding buffer, else the cache.
-        proc = self.proc
-        words = proc.meta.words[load.seq]
-        bank = proc.hierarchy.load_bank(load.addr)
+        words = self.words[load.seq]
+        bank = self.hierarchy.load_bank(load.addr)
         match: InFlight | None = None
         for store in reversed(self._buffers[bank]):
             if (
@@ -92,13 +91,13 @@ class SpeculativeSQ(LoadStoreUnit):
             # Best-effort forwarding "does not maintain the invariants
             # required" for the SVW forward update (section 4.2).
             load.forwarded_ssn = 0
-            proc.stats.forwarded_loads += 1
+            self.stats.forwarded_loads += 1
             return
         # In-flight stores are invisible outside the FSQ/buffer: read the
         # committed image (the cache).  Stale values are caught by rex.
         value = 0
         for shift, word in enumerate(words):
-            value |= proc.committed_memory.read(word, 4) << (32 * shift)
+            value |= self.committed_memory.read(word, 4) << (32 * shift)
         if load.size == 4:
             value &= 0xFFFF_FFFF
         load.exec_value = value
@@ -108,7 +107,7 @@ class SpeculativeSQ(LoadStoreUnit):
     def on_store_forwardable(self, store: InFlight) -> None:
         # Insert into the bank's best-effort buffer (FIFO, unordered) once
         # both the address and the value exist.
-        bank = self.proc.hierarchy.load_bank(store.addr)
+        bank = self.hierarchy.load_bank(store.addr)
         self._buffers[bank].append(store)
 
     # -- retirement / recovery --------------------------------------------------------
@@ -124,7 +123,7 @@ class SpeculativeSQ(LoadStoreUnit):
         if store.fsq:
             store.fsq = False
             self.fsq_occupancy -= 1
-        bank = self.proc.hierarchy.load_bank(store.addr)
+        bank = self.hierarchy.load_bank(store.addr)
         try:
             self._buffers[bank].remove(store)
         except ValueError:
@@ -140,5 +139,5 @@ class SpeculativeSQ(LoadStoreUnit):
         self.load_bits.add(load.pc)
         if store_pc is not None:
             self.store_bits.add(store_pc)
-            if self.proc.store_sets is not None:
-                self.proc.store_sets.train(load.pc, store_pc)
+            if self.store_sets is not None:
+                self.store_sets.train(load.pc, store_pc)

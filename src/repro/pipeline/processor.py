@@ -136,7 +136,6 @@ class Processor:
         "_tiebreak",
         "_completes",
         "_rex_port_busy_until",
-        "_unresolved",
         "_uncommitted_loads",
         "_svw_retried",
         "_svw_weak_upd",
@@ -241,11 +240,6 @@ class Processor:
         )
         if self.svw is not None and self.it is not None:
             self.svw.on_drain.append(self.it.flash_clear)
-        self.lsu: LoadStoreUnit = {
-            LSUKind.CONVENTIONAL: ConventionalLSU,
-            LSUKind.NLQ: NonAssociativeLQ,
-            LSUKind.SSQ: SpeculativeSQ,
-        }[config.lsu](self)
 
         # Dynamic state.
         self.cycle = 0
@@ -270,7 +264,11 @@ class Processor:
         self._rex_port_busy_until = 0
         #: In-flight stores indexed by 4-byte word (dispatch order).
         self.store_words: dict[int, list[InFlight]] = {}
-        self._unresolved: list[tuple[int, InFlight]] = []
+        self.lsu: LoadStoreUnit = {
+            LSUKind.CONVENTIONAL: ConventionalLSU,
+            LSUKind.NLQ: NonAssociativeLQ,
+            LSUKind.SSQ: SpeculativeSQ,
+        }[config.lsu](self)
         self._uncommitted_loads: deque[int] = deque()
         #: Seqs already flushed once by `_svw_only_flush`; a repeat positive
         #: filter test on a refetched load is a false positive (see the
@@ -369,22 +367,6 @@ class Processor:
 
     # ------------------------------------------------------------------ helpers
 
-    def older_unresolved_store_exists(self, seq: int) -> bool:
-        """Is any older in-flight store's address still unknown?
-
-        This is the NLQ-LS natural-filter condition the scheduler evaluates.
-        A store's address is known to the scheduler once the store issues
-        (AGEN happens in the issue cycle).
-        """
-        heap = self._unresolved
-        while heap:
-            _, store = heap[0]
-            if store.squashed or store.issued:
-                heappop(heap)
-                continue
-            return heap[0][0] < seq
-        return False
-
     def _push_ready(self, entry: InFlight) -> None:
         self._tiebreak += 1
         heappush(self._ready, (entry.seq, self._tiebreak, entry))
@@ -466,9 +448,12 @@ class Processor:
 
         The cyclic-garbage collector is suspended for the duration: the
         loop allocates heavily (one :class:`InFlight` plus several tuples
-        per dispatched instruction) but creates no reference cycles --
-        every container is emptied explicitly as entries retire -- so the
-        periodic generation-0 scans are pure overhead.
+        per dispatched instruction) but creates no reference cycles, so
+        the periodic generation-0 scans are pure overhead: entries point
+        only at younger entries (a producer lists its waiters) and no
+        substrate, the LSU included, holds the processor.  A processor --
+        finished, stopped by ``max_cycles`` or by a
+        :class:`SimulationError` -- is freed by refcounting alone.
         """
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
@@ -763,6 +748,7 @@ class Processor:
         self.stats = SimStats(
             config_name=self.config.name, workload=self.trace.name
         )
+        self.lsu.stats = self.stats
         self._warmup_cycle = self.cycle
         if self.svw is not None:
             self.stats.ssn_drains = -self.svw.ssn.drains
@@ -1286,7 +1272,6 @@ class Processor:
                 store_words[word] = [entry]
             else:
                 bucket.append(entry)
-        heappush(self._unresolved, (entry.seq, entry))
         if self.store_sets is not None:
             previous = self.store_sets.store_dispatched(entry.pc, entry.seq)
             if previous is not None:

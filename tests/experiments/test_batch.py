@@ -174,9 +174,19 @@ class TestGenerationAmortization:
         ]
 
     def test_serial_backend_generates_once_per_workload(self, family_spec):
-        backend = SerialBackend()
-        backend.run(family_spec.cells())
-        assert backend.last_provider.generations == 2
+        """One generation per workload, whether the cells arrive as one
+        sweep or one ``run([request])`` at a time (the fuzzer's pattern);
+        between runs the backend holds one decoded trace and no more
+        encoded bytes."""
+        cells = family_spec.cells()
+        for batches in ([cells], [[request] for request in cells]):
+            backend = SerialBackend()
+            for batch in batches:
+                backend.run(batch)
+            provider = backend.last_provider
+            assert provider.generations == 2, len(batches)
+            assert len(provider._decoded) == 1
+            assert len(provider._encoded) <= 1
 
 
 class TestScheduling:

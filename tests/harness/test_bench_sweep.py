@@ -53,10 +53,13 @@ def test_payload_records_runtime_provenance(tiny_payload):
 
 def test_generation_amortized_across_modes(tiny_payload):
     """Every mode shares one trace cache: one generation for the whole
-    benchmark."""
-    modes = tiny_payload["modes"]
-    generations = sum(modes[mode]["trace_generations"] for mode in MODE_ORDER)
-    assert generations == len(tiny_payload["workloads"])
+    benchmark, however many repeats (a serial backend's provider outlives
+    a run, so its cumulative counter must not be summed per repeat)."""
+    repeated = run_sweep_bench(workloads=["gcc"], n_insts=1200, jobs=2, repeats=2)
+    for payload in (tiny_payload, repeated):
+        modes = payload["modes"]
+        generations = sum(modes[mode]["trace_generations"] for mode in MODE_ORDER)
+        assert generations == len(payload["workloads"]), payload["repeats"]
 
 
 def test_speedups_present(tiny_payload):

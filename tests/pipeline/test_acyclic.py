@@ -1,0 +1,77 @@
+"""A simulated cell holds no reference cycle: refcounting frees it.
+
+Every machine the fuzzer and the fig5-7 sweeps build is run with the
+cyclic collector off, then dropped; a following ``gc.collect()`` must
+find nothing.  A run cut short -- by ``max_cycles`` or by a raised
+:class:`SimulationError` -- must leave nothing behind either.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+
+import pytest
+
+from repro.experiments.fuzz import fuzz_matrix
+from repro.harness.configs import fig5_configs, fig6_configs, fig7_configs
+from repro.pipeline.processor import Processor, SimulationError
+from repro.workloads.spec2000 import spec_profile
+from repro.workloads.synthetic import generate_trace
+
+CONFIGS = {
+    f"{family.__name__}:{name}": config
+    for family in (fuzz_matrix, fig5_configs, fig6_configs, fig7_configs)
+    for name, config in family().items()
+}
+
+
+@pytest.fixture(scope="module")
+def trace():
+    trace = generate_trace(spec_profile("gcc"), 1500)
+    # Build the trace's lazy views up front: they belong to the trace,
+    # not to the cell under test.
+    trace.meta()
+    trace.hot()
+    return trace
+
+
+def garbage_left(simulate) -> int:
+    """Cyclic garbage left once ``simulate`` returns and its cell is dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        simulate()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_finished_run_is_refcount_freed(trace, name):
+    def simulate():
+        processor = Processor(CONFIGS[name], trace, warmup=300)
+        stats = processor.run()
+        assert stats.committed == len(trace) - 300
+        # The warm-up swap handed the measured stats to the LSU too.
+        assert processor.lsu.stats is processor.stats
+
+    assert garbage_left(simulate) == 0
+
+
+def test_max_cycles_run_is_refcount_freed(trace):
+    def simulate():
+        processor = Processor(CONFIGS["fig6_configs:+SVW+UPD"], trace)
+        assert processor.run(max_cycles=200).committed < len(trace)
+
+    assert garbage_left(simulate) == 0
+
+
+def test_failed_run_is_refcount_freed(trace):
+    config = dataclasses.replace(fig5_configs()["NLQ"], watchdog_cycles=1)
+
+    def simulate():
+        with pytest.raises(SimulationError):
+            Processor(config, trace).run()
+
+    assert garbage_left(simulate) == 0
