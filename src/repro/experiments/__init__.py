@@ -34,7 +34,7 @@ The pieces:
 - :class:`RemoteBackend` / :class:`WorkerAgent` -- the same sweep fanned
   out to other hosts over the trace wire format (codec bytes + config
   ``to_dict`` JSON, nothing pickled), with host-level trace caching,
-  negotiated zlib compression, worker-side result memoization,
+  zlib-compressed trace frames, worker-side result memoization,
   cost-weighted longest-job-first dispatch over every slot an agent
   advertises, and re-dispatch on worker loss.  Start an agent with
   ``svw-repro worker``.

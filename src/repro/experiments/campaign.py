@@ -14,9 +14,9 @@ store and the journals.
 Architecture
 ------------
 
-Everything speaks the remote wire format (length-prefixed ``J`` JSON /
-``T`` raw-codec / negotiated ``Z`` zlib frames; nothing pickled ever
-crosses a socket):
+Everything speaks the remote wire format (length-prefixed ``J`` JSON and
+``Z`` zlib-compressed trace frames; nothing pickled ever crosses a
+socket):
 
 - **Clients** connect with a ``hello`` and issue JSON requests:
   ``submit`` (an :class:`~repro.experiments.spec.ExperimentSpec` payload,
@@ -28,12 +28,11 @@ crosses a socket):
   runs the same codec bytes through the same worker agents and the client
   re-verifies every stats fingerprint.
 - **Workers** are ordinary ``svw-repro worker`` agents that additionally
-  ``register``: they dial the daemon, advertise their port, slots, and
-  capabilities (compression codecs), then heartbeat; the daemon dials
-  *back* with the ordinary job protocol, one connection per slot.  A
-  missed heartbeat deregisters the worker and re-queues its in-flight
-  cells; a ``drain`` request stops new assignments and answers
-  ``drained`` once in-flight cells finish.  Workers reconnect through
+  ``register``: they dial the daemon, advertise their port and slots,
+  then heartbeat; the daemon dials *back* with the ordinary job
+  protocol, one connection per slot.  A missed heartbeat deregisters the
+  worker and re-queues its in-flight cells; a ``drain`` request stops
+  new assignments and answers ``drained`` once in-flight cells finish.  Workers reconnect through
   daemon restarts on their own.
 
 Scheduling is **cell-granular across campaigns**: every submission's
@@ -90,6 +89,7 @@ from repro.experiments.remote import (
     recv_json_async,
     send_json,
     send_json_async,
+    verified_stats,
 )
 from repro.experiments.scheduler import Cell, Scheduler, Submission, campaign_id_for
 from repro.experiments.spec import ExperimentSpec, RunRequest
@@ -114,14 +114,6 @@ class CampaignUnreachableError(CampaignError):
     """No daemon answered within ``retry_timeout`` -- a connection-level
     outage, not a request error, so callers may degrade gracefully
     (``CampaignBackend(fallback="local")`` runs the cells serially)."""
-
-
-@dataclass
-class _Worker(WorkerLink):
-    """One registered agent (the daemon dials back for jobs): the
-    dispatcher's link plus the capabilities it advertised."""
-
-    compress: list[str] = field(default_factory=list)
 
 
 def spec_campaign_id(spec: "ExperimentSpec") -> str:
@@ -313,7 +305,7 @@ class CampaignDaemon:
             settled=self._settled,
         )
         self._conn_writers: set = set()
-        self._workers: dict[str, _Worker] = {}
+        self._workers: dict[str, WorkerLink] = {}
         self._loop = None
         self._stop = None
         self._thread: threading.Thread | None = None
@@ -337,11 +329,6 @@ class CampaignDaemon:
         """Cells satisfied straight from the central store (including every
         journal-replayed cell a restarted daemon finds already done)."""
         return self._scheduler.cells_from_store
-
-    @property
-    def prefetch_hits(self) -> int:
-        """``need_trace`` requests answered from a prefetched frame."""
-        return self._dispatcher.prefetch_hits
 
     def _note(self, message: str) -> None:
         if self.progress is not None:
@@ -515,13 +502,8 @@ class CampaignDaemon:
                 },
             )
             return
-        advertised = register.get("compress")
-        worker = _Worker(
-            id=f"{host}:{port}",
-            host=host,
-            port=port,
-            slots=min(slots, MAX_SLOTS),
-            compress=[str(c) for c in advertised] if isinstance(advertised, list) else [],
+        worker = WorkerLink(
+            id=f"{host}:{port}", host=host, port=port, slots=min(slots, MAX_SLOTS)
         )
         work = self._dispatcher.work
         async with work:
@@ -567,7 +549,7 @@ class CampaignDaemon:
         finally:
             await self._remove_worker(worker)
 
-    async def _remove_worker(self, worker: _Worker) -> None:
+    async def _remove_worker(self, worker: WorkerLink) -> None:
         import asyncio
 
         async with self._dispatcher.work:
@@ -586,23 +568,13 @@ class CampaignDaemon:
         """Persist what the dispatcher just settled: a finished cell's
         stats to the central store, then the journal records."""
         if cell.status == "done" and self.store is not None:
-            request = cell.request
-            provenance = {
-                "experiment": request.experiment,
-                "config_label": request.config_label,
-                "n_insts": request.n_insts,
-                "warmup": request.warmup,
-                "validate": request.validate,
-                "workload": request.workload.name,
-                "config_name": request.config.name,
-            }
             try:
-                self.store.save_stats(cell.fingerprint, cell.stats, provenance=provenance)
+                self.store.save(cell.request, cell.stats)
             except (OSError, ValueError) as exc:
                 # The store is a cache: its loss costs a recompute after a
                 # restart, never this campaign -- the result still ships
                 # from memory.
-                self._note(f"store write failed for {request.describe()} ({exc})")
+                self._note(f"store write failed for {cell.request.describe()} ({exc})")
         for campaign in affected:
             self._journal_event(
                 campaign, {"record": "cell", "fingerprint": cell.fingerprint}
@@ -748,7 +720,6 @@ class CampaignDaemon:
             {
                 "id": worker.id,
                 "slots": worker.slots,
-                "compress": worker.compress,
                 "in_flight": worker.in_flight,
                 "jobs_done": worker.jobs_done,
                 "draining": worker.draining,
@@ -782,7 +753,6 @@ class CampaignDaemon:
             "cells_from_store": scheduler.cells_from_store,
             "cells_deduped": scheduler.cells_deduped,
             "stragglers": self._dispatcher.stragglers,
-            "prefetch_hits": self.prefetch_hits,
         }
 
     # -- journal -------------------------------------------------------------
@@ -1156,6 +1126,11 @@ class CampaignBackend:
                     f"{status.get('error') or 'no detail'}"
                 )
             payload_map = client.results(campaign_id).get("results", {})
+        if not isinstance(payload_map, dict):
+            raise CellExecutionError(
+                f"campaign {campaign_id[:12]}: results reply is a "
+                f"{type(payload_map).__name__}, not a map of cells"
+            )
         results: list[SimStats] = []
         for request in requests:
             entry = payload_map.get(request.fingerprint())
@@ -1163,11 +1138,5 @@ class CampaignBackend:
                 raise CellExecutionError(
                     f"{request.describe()}: campaign finished without its result"
                 )
-            stats = SimStats.from_dict(entry["stats"])
-            if stats.fingerprint() != entry.get("fingerprint"):
-                raise CellExecutionError(
-                    f"{request.describe()}: result fingerprint does not match "
-                    "its payload (wire or schema skew)"
-                )
-            results.append(stats)
+            results.append(verified_stats(request, entry))
         return results

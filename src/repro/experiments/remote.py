@@ -1,14 +1,14 @@
 """Remote sweep execution over the trace wire format.
 
-PR 3/4 made traces content-addressed and codec-encoded, so a worker needs
-nothing but bytes to run a cell; this module is the network half of that
+Traces are content-addressed and codec-encoded, so a worker needs nothing
+but bytes to run a cell; this module is the network half of that
 bargain.  It distributes sweep cells to **worker agents** on other hosts
 over a small length-prefixed TCP protocol that reuses the pieces the
 local backends already trust:
 
-- traces travel as :mod:`repro.isa.codec` v1 bytes (the exact buffer
-  the batch runner ships to its local workers), addressed by the same
-  content key (:func:`~repro.experiments.traces.workload_key`);
+- traces travel as zlib-compressed :mod:`repro.isa.codec` v1 bytes (the
+  exact buffer the batch runner ships to its local workers), addressed
+  by the same content key (:func:`~repro.experiments.traces.workload_key`);
 - machine configurations travel as their ``to_dict`` form and rebuild via
   :meth:`~repro.pipeline.config.MachineConfig.from_dict`;
 - results travel as ``SimStats.to_dict`` JSON plus the stats fingerprint,
@@ -16,27 +16,28 @@ local backends already trust:
   schema skew fails loudly instead of corrupting a figure.
 
 Nothing pickled ever crosses the wire (see the trust model in the
-README): every frame is either UTF-8 JSON or raw codec bytes, both fully
-validated before use, so a worker agent never executes attacker-supplied
-code paths beyond "simulate this machine on this trace".
+README): every frame is either UTF-8 JSON or zlib-compressed codec bytes,
+both fully validated before use, so a worker agent never executes
+attacker-supplied code paths beyond "simulate this machine on this
+trace".
 
-Wire protocol (version 1)
+Wire protocol (version 2)
 -------------------------
 
 Frames are ``kind (1 byte) + big-endian u32 length + payload``.  Kind
-``J`` is a JSON object; kind ``T`` is a raw encoded trace.  Per
-connection::
+``J`` is a JSON object; kind ``Z`` is a zlib-compressed encoded trace.
+Per connection::
 
     client                                worker
     ------                                ------
-    J {type: hello, protocol: 1}    ->
-                                    <-    J {type: hello, protocol: 1, slots}
+    J {type: hello, protocol: 2}    ->
+                                    <-    J {type: hello, protocol: 2, slots}
     J {type: job, job_id, fingerprint,
        config, n_insts, warmup,
        validate, trace_key,
        trace_sha256?, ...}          ->
                                     <-    J {type: need_trace, key}   (miss only)
-    T <codec bytes>                 ->
+    Z <zlib(codec bytes)>           ->
                                     <-    J {type: result, job_id,
                                              fingerprint, stats, seconds}
                                           or J {type: error, job_id, message}
@@ -52,6 +53,7 @@ pins ``trace_sha256``; a host cache entry that disagrees is refetched
 instead of trusted, so a stale or poisoned host cache costs one transfer,
 never a wrong figure.  A job without a digest trusts the host cache --
 that residual is the perimeter trust model documented in the README.
+The client builds a trace frame only when a worker asks for it.
 
 Scheduling and fault tolerance
 ------------------------------
@@ -102,18 +104,13 @@ from repro.workloads.trace_cache import TraceCache
 if TYPE_CHECKING:
     from repro.experiments.batch import CostModel
 
-PROTOCOL_VERSION = 1
+#: Version 2 ships every trace as a ``Z`` frame; version-1 peers could
+#: also send raw ``T`` frames, so the hello exchange refuses them.
+PROTOCOL_VERSION = 2
 
 FRAME_JSON = b"J"
-FRAME_TRACE = b"T"
-#: Zlib-compressed trace frame -- sent only after BOTH sides advertised
-#: ``compress: ["zlib"]`` in the hello exchange, so protocol-v1 peers that
-#: predate compression interoperate untouched (they never negotiate it and
-#: therefore never see a ``Z`` frame).
+#: The one trace frame kind: zlib-compressed encoded-trace bytes.
 FRAME_ZTRACE = b"Z"
-
-#: The compression codecs this build can negotiate, best-first.
-SUPPORTED_COMPRESSION = ("zlib",)
 
 #: Upper bound on a single frame (codec traces are ~1.5 MB at figure
 #: budgets; 1 GiB rejects garbage lengths without constraining real use).
@@ -130,7 +127,7 @@ TRACE_FETCH_ATTEMPTS = 3
 
 
 class RemoteProtocolError(RuntimeError):
-    """The peer spoke, but not protocol v1 -- fatal, never retried."""
+    """The peer spoke, but not this protocol version -- fatal, never retried."""
 
 
 class CorruptTraceError(RemoteProtocolError):
@@ -167,7 +164,7 @@ def _frame(kind: bytes, payload: bytes) -> bytes:
 
 def _check_header(header: bytes) -> tuple[bytes, int]:
     kind, length = _HEADER.unpack(header)
-    if kind not in (FRAME_JSON, FRAME_TRACE, FRAME_ZTRACE):
+    if kind not in (FRAME_JSON, FRAME_ZTRACE):
         raise RemoteProtocolError(f"unknown frame kind {kind!r}")
     if length > MAX_FRAME_BYTES:
         raise RemoteProtocolError(f"frame length {length} exceeds protocol bound")
@@ -244,36 +241,45 @@ def _handshake(sock: socket.socket, reply: dict | None = None) -> dict:
     return hello
 
 
-def negotiated_zlib(peer_hello: dict) -> bool:
-    """Whether the peer's hello advertised zlib trace compression.
-
-    A peer that predates negotiation simply has no ``compress`` field, so
-    the answer is False and both directions stay on raw ``T`` frames --
-    old agents keep working against new clients and vice versa.
-    """
-    advertised = peer_hello.get("compress")
-    return isinstance(advertised, list) and "zlib" in advertised
-
-
-def _trace_frame(data: bytes, compress: bool) -> bytes:
-    """Encoded trace bytes as a ``Z`` frame when both hellos advertised
-    zlib, else as a raw ``T`` frame."""
-    if compress:
-        return _frame(FRAME_ZTRACE, zlib.compress(data, level=1))
-    return _frame(FRAME_TRACE, data)
+def _trace_frame(data: bytes) -> bytes:
+    """Encoded trace bytes as a ``Z`` frame."""
+    return _frame(FRAME_ZTRACE, zlib.compress(data, level=1))
 
 
 def decode_trace_frame(kind: bytes, payload: bytes, context: str) -> bytes:
-    """The raw encoded-trace bytes of a ``T`` or ``Z`` frame."""
-    if kind == FRAME_TRACE:
-        return payload
-    if kind == FRAME_ZTRACE:
-        try:
-            return zlib.decompress(payload)
-        except zlib.error as exc:
-            # Damaged payload, intact framing: retryable (CorruptTraceError).
-            raise CorruptTraceError(f"undecompressable trace for {context}: {exc}")
-    raise RemoteProtocolError(f"expected trace bytes for {context}, got kind {kind!r}")
+    """The encoded-trace bytes of a ``Z`` frame."""
+    if kind != FRAME_ZTRACE:
+        raise RemoteProtocolError(f"expected trace bytes for {context}, got kind {kind!r}")
+    try:
+        return zlib.decompress(payload)
+    except zlib.error as exc:
+        # Damaged payload, intact framing: retryable (CorruptTraceError).
+        raise CorruptTraceError(f"undecompressable trace for {context}: {exc}")
+
+
+def verified_stats(request: RunRequest, entry: object) -> SimStats:
+    """A wire result ``{stats, fingerprint}`` for ``request``, decoded and
+    re-verified: the fingerprint re-derived from the decoded stats must be
+    the one the sender claims.  Any malformed or skewed entry raises
+    :class:`~repro.experiments.backends.CellExecutionError` naming the
+    cell, never a bare decoding error."""
+    cell = request.describe()
+    if not isinstance(entry, dict):
+        raise CellExecutionError(
+            f"{cell}: result entry is a {type(entry).__name__}, not an object"
+        )
+    try:
+        stats = SimStats.from_dict(entry["stats"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CellExecutionError(
+            f"{cell}: undecodable result payload: {type(exc).__name__}: {exc}"
+        ) from exc
+    if stats.fingerprint() != entry.get("fingerprint"):
+        raise CellExecutionError(
+            f"{cell}: result fingerprint does not match its payload "
+            "(wire or schema skew)"
+        )
+    return stats
 
 
 def parse_worker(address: str) -> tuple[str, int]:
@@ -349,9 +355,9 @@ class WorkerAgent:
 
     :meth:`register_with` joins a campaign daemon's worker registry (see
     :mod:`repro.experiments.campaign`): the agent dials the daemon,
-    advertises its port/slots/capabilities, heartbeats, and reconnects
-    through daemon restarts; :meth:`drain` asks the daemon to stop
-    assigning work and returns once in-flight cells have finished.
+    advertises its port and slots, heartbeats, and reconnects through
+    daemon restarts; :meth:`drain` asks the daemon to stop assigning
+    work and returns once in-flight cells have finished.
     """
 
     _DECODED_SLOTS = 2
@@ -364,7 +370,6 @@ class WorkerAgent:
         trace_cache: TraceCache | None = None,
         progress: Callable[[str], None] | None = None,
         result_store: "ResultStore | None" = None,
-        compress: bool = True,
         advertise_host: str | None = None,
         faults: FaultPlan | None = None,
     ) -> None:
@@ -375,7 +380,6 @@ class WorkerAgent:
         self.trace_cache = trace_cache
         self.progress = progress
         self.result_store = result_store
-        self.compress = compress
         self.advertise_host = advertise_host
         self._server = socket.create_server((host, port))
         self.host, self.port = self._server.getsockname()[:2]
@@ -397,8 +401,6 @@ class WorkerAgent:
         self.connections_served = 0
         #: Jobs answered from the local result store without simulating.
         self.memo_hits = 0
-        #: Traces that arrived as negotiated zlib (``Z``) frames.
-        self.compressed_traces = 0
         #: Wire trace transfers rejected as damaged (CRC/digest/zlib) and
         #: re-requested.
         self.trace_rejections = 0
@@ -464,8 +466,8 @@ class WorkerAgent:
 
         The agent keeps serving direct :class:`RemoteBackend` clients on
         its own port; registration *additionally* advertises that port
-        (plus slots and capabilities) to the daemon, which dials back with
-        the ordinary job protocol.  The registry connection carries only
+        and its slots to the daemon, which dials back with the ordinary
+        job protocol.  The registry connection carries only
         tiny JSON frames: ``register`` -> ``registered``, then a
         ``heartbeat`` every ``heartbeat_interval`` seconds.
 
@@ -514,7 +516,6 @@ class WorkerAgent:
             "protocol": PROTOCOL_VERSION,
             "port": self.port,
             "slots": self.slots,
-            "compress": list(SUPPORTED_COMPRESSION) if self.compress else [],
         }
         if self.advertise_host is not None:
             register["host"] = self.advertise_host
@@ -599,10 +600,10 @@ class WorkerAgent:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
-            reply = {"type": "hello", "protocol": PROTOCOL_VERSION, "slots": self.slots}
-            if self.compress:
-                reply["compress"] = list(SUPPORTED_COMPRESSION)
-            _handshake(conn, reply=reply)
+            _handshake(
+                conn,
+                reply={"type": "hello", "protocol": PROTOCOL_VERSION, "slots": self.slots},
+            )
             while not self._closed.is_set():
                 message = recv_json(conn)
                 if message.get("type") != "job":
@@ -640,51 +641,29 @@ class WorkerAgent:
         describe = job.get("describe", f"job {job_id}")
         if self.progress is not None:
             self.progress(f"worker {self.address}: {describe}")
-        memoized = self._memoized_stats(job)
-        if memoized is not None:
+        stats = self._memoized_stats(job)
+        seconds = 0.0  # <= 0 keeps memo hits out of cost models
+        if stats is not None:
             with self._lock:
                 self.memo_hits += 1
-            send_json(
-                conn,
-                {
-                    "type": "result",
-                    "job_id": job_id,
-                    "fingerprint": memoized.fingerprint(),
-                    "stats": memoized.to_dict(),
-                    "seconds": 0.0,  # <= 0 keeps memo hits out of cost models
-                    "memoized": True,
-                },
-            )
-            return
-        try:
-            config = MachineConfig.from_dict(job["config"])
-            trace = self._trace_for(
-                str(job["trace_key"]), job.get("trace_sha256"), conn
-            )
-            with self._sim_gate:
-                started = time.perf_counter()
-                stats = Processor(
-                    config,
-                    trace,
-                    validate=bool(job["validate"]),
-                    warmup=int(job["warmup"]),
-                ).run()
-                seconds = time.perf_counter() - started
-        except (ConnectionError, OSError, RemoteProtocolError):
-            raise  # transport trouble is connection-fatal, not a cell error
-        except Exception as exc:  # deterministic cell failure -> error frame
-            send_json(
-                conn,
-                {
-                    "type": "error",
-                    "job_id": job_id,
-                    "message": f"{type(exc).__name__}: {exc}",
-                },
-            )
-            return
-        with self._lock:
-            self.jobs_done += 1
-        self._memoize_stats(job, stats)
+        else:
+            try:
+                stats, seconds = self._simulate(job, conn)
+            except (ConnectionError, OSError, RemoteProtocolError):
+                raise  # transport trouble is connection-fatal, not a cell error
+            except Exception as exc:  # deterministic cell failure -> error frame
+                send_json(
+                    conn,
+                    {
+                        "type": "error",
+                        "job_id": job_id,
+                        "message": f"{type(exc).__name__}: {exc}",
+                    },
+                )
+                return
+            with self._lock:
+                self.jobs_done += 1
+            self._memoize_stats(job, stats)
         send_json(
             conn,
             {
@@ -695,6 +674,20 @@ class WorkerAgent:
                 "seconds": seconds,
             },
         )
+
+    def _simulate(self, job: dict, conn: socket.socket) -> tuple[SimStats, float]:
+        """Run one job's cell: its stats and simulation seconds."""
+        config = MachineConfig.from_dict(job["config"])
+        trace = self._trace_for(str(job["trace_key"]), job.get("trace_sha256"), conn)
+        with self._sim_gate:
+            started = time.perf_counter()
+            stats = Processor(
+                config,
+                trace,
+                validate=bool(job["validate"]),
+                warmup=int(job["warmup"]),
+            ).run()
+            return stats, time.perf_counter() - started
 
     def _memoized_stats(self, job: dict) -> SimStats | None:
         """The locally cached result for a job's cell fingerprint, if any.
@@ -772,9 +765,6 @@ class WorkerAgent:
             for _ in range(TRACE_FETCH_ATTEMPTS):
                 send_json(conn, {"type": "need_trace", "key": key})
                 kind, payload = recv_frame(conn)
-                if kind == FRAME_ZTRACE:
-                    with self._lock:
-                        self.compressed_traces += 1
                 try:
                     payload = decode_trace_frame(kind, payload, key)
                     digest = hashlib.sha256(payload).hexdigest()
@@ -874,20 +864,19 @@ class JobDispatcher:
     worker agents, one asyncio task per job connection ("slot"), for
     both :class:`RemoteBackend` and the campaign daemon.
 
-    A slot dials its agent, says hello (advertising zlib), then loops:
-    take the next cell, run the job exchange, settle the outcome.  A
-    result is re-verified against its stats fingerprint and feeds the
+    A slot dials its agent, says hello, then loops: take the next cell,
+    run the job exchange, settle the outcome.  A result is re-verified
+    against its stats fingerprint (:func:`verified_stats`) and feeds the
     cost model.  An error frame, a bad result, or any other client-side
     error running the cell is deterministic, so the cell fails.  A
     dropped connection, a protocol violation or a job past its deadline
     is worker loss: the worker is retired and struck, and the cell
-    re-queued.  ``need_trace`` is answered from ``provider``, off the
-    event loop; once a slot ships a frame (the fleet is cold) it
-    prefetches the next pending workload's frame, one at a time per
-    slot.  ``faults`` may mutate outgoing trace bytes at ``trace_site``;
-    ``settled(cell, affected, ended)`` runs after every outcome with the
-    submissions that got a result and those it ended; ``note`` gets
-    progress lines.
+    re-queued.  ``need_trace`` is answered from ``provider`` with one
+    ``Z`` frame built off the event loop; no frame is built before a
+    worker asks for it.  ``faults`` may mutate outgoing trace bytes at
+    ``trace_site``; ``settled(cell, affected, ended)`` runs after every
+    outcome with the submissions that got a result and those it ended;
+    ``note`` gets progress lines.
     """
 
     def __init__(
@@ -923,32 +912,25 @@ class JobDispatcher:
         self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="svw-trace")
         #: trace key -> SHA-256 of its encoded bytes, once known.
         self._digests: dict[str, str] = {}
-        #: Trace keys whose encoded bytes a prefetch produced.
-        self._prefetched: set[str] = set()
-        #: Live slot and prefetch tasks.
+        #: Live slot tasks.
         self._tasks: set = set()
         #: Results received from workers.
         self.cells_simulated = 0
         #: Jobs struck by the per-job deadline (cell re-dispatched).
         self.stragglers = 0
-        #: ``need_trace`` requests answered from a prefetched frame.
-        self.prefetch_hits = 0
-
-    def _track(self, coroutine):
-        import asyncio
-
-        task = asyncio.create_task(coroutine)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return task
 
     def spawn(self, worker: WorkerLink) -> None:
         """Start one more slot on ``worker``."""
-        worker.tasks.append(self._track(self._slot(worker)))
+        import asyncio
+
+        task = asyncio.create_task(self._slot(worker))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        worker.tasks.append(task)
 
     async def close(self) -> None:
-        """Stop handing out cells and wait for every slot and prefetch:
-        idle slots exit at once, busy ones after their current cell."""
+        """Stop handing out cells and wait for every slot: idle slots exit
+        at once, busy ones after their current cell."""
         import asyncio
 
         async with self.work:
@@ -976,12 +958,7 @@ class JobDispatcher:
                 )
                 worker.writers.append(writer)
                 await send_json_async(
-                    writer,
-                    {
-                        "type": "hello",
-                        "protocol": PROTOCOL_VERSION,
-                        "compress": list(SUPPORTED_COMPRESSION),
-                    },
+                    writer, {"type": "hello", "protocol": PROTOCOL_VERSION}
                 )
                 peer = await asyncio.wait_for(
                     recv_json_async(reader), self.connect_timeout
@@ -1008,33 +985,19 @@ class JobDispatcher:
                 )
                 for _ in range(worker.slots - 1):
                     self.spawn(worker)
-            compress = negotiated_zlib(peer)
-            prefetch = None
-
-            def start_prefetch(current_key: str) -> None:
-                nonlocal prefetch
-                if prefetch is not None and not prefetch.done():
-                    return
-                request = self.scheduler.prefetch_candidate(
-                    current_key, self._has_encoded
-                )
-                if request is not None:
-                    prefetch = self._track(self._prefetch(request))
-
             while True:
                 cell = await self._next_cell(worker)
                 if cell is None:
                     return
                 try:
-                    stats, seconds = await self._run_job(
-                        reader, writer, cell, compress, start_prefetch
-                    )
+                    stats, seconds = await self._run_job(reader, writer, cell)
                 except (OSError, RemoteProtocolError) as exc:
                     await self._lost(worker, cell, exc)
                     return
                 except Exception as exc:
+                    # The scheduler names the cell in the failure itself.
                     message = (
-                        str(exc)
+                        str(exc).removeprefix(f"{cell.request.describe()}: ")
                         if isinstance(exc, CellExecutionError)
                         else f"{type(exc).__name__}: {exc}"
                     )
@@ -1060,14 +1023,7 @@ class JobDispatcher:
                 await self.work.wait()
             return None
 
-    async def _run_job(
-        self,
-        reader,
-        writer,
-        cell: Cell,
-        compress: bool,
-        on_trace_shipped: Callable[[str], None],
-    ) -> tuple[SimStats, float]:
+    async def _run_job(self, reader, writer, cell: Cell) -> tuple[SimStats, float]:
         import asyncio
 
         request = cell.request
@@ -1108,8 +1064,6 @@ class JobDispatcher:
             kind = message.get("type")
             if kind == "need_trace":
                 data = await self._encoded(request)
-                if key in self._prefetched:
-                    self.prefetch_hits += 1
                 if self.faults is not None:
                     mutated = self.faults.mutate_trace(self.trace_site, data)
                     if mutated is not None:
@@ -1117,23 +1071,11 @@ class JobDispatcher:
                 # Framing (zlib) runs off the loop so other slots' results
                 # are not held up behind it.
                 writer.write(
-                    await loop.run_in_executor(self._executor, _trace_frame, data, compress)
+                    await loop.run_in_executor(self._executor, _trace_frame, data)
                 )
                 await writer.drain()
-                on_trace_shipped(key)
             elif kind == "result":
-                try:
-                    stats = SimStats.from_dict(message["stats"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise CellExecutionError(
-                        f"undecodable result payload: {exc}"
-                    ) from exc
-                if stats.fingerprint() != message.get("fingerprint"):
-                    raise CellExecutionError(
-                        "result fingerprint does not match its payload "
-                        "(wire or schema skew)"
-                    )
-                return stats, float(message.get("seconds", 0.0))
+                return verified_stats(request, message), float(message.get("seconds", 0.0))
             elif kind == "error":
                 raise CellExecutionError(str(message.get("message")))
             else:
@@ -1156,18 +1098,6 @@ class JobDispatcher:
         return await asyncio.get_running_loop().run_in_executor(
             self._executor, self._encode, request
         )
-
-    async def _prefetch(self, request: RunRequest) -> None:
-        """Build one trace frame ahead of demand.  A failure only releases
-        the claim: generation errors surface deterministically when the
-        cell itself dispatches, never from a prefetch."""
-        key = request_key(request)
-        try:
-            await self._encoded(request)
-        except Exception:
-            self.scheduler.prefetch_claimed.discard(key)
-            return
-        self._prefetched.add(key)
 
     # -- outcomes ------------------------------------------------------------
 
@@ -1232,8 +1162,7 @@ class RemoteBackend:
     :func:`~repro.experiments.scheduler.derive_deadline`).  ``faults``
     corrupts or truncates outgoing trace bytes at site ``client.trace``.
     After each run ``last_provider`` is the sweep's trace provider, and
-    ``stragglers`` / ``prefetch_hits`` have accumulated the dispatcher's
-    counters.
+    ``stragglers`` has accumulated the dispatcher's deadline strikes.
     """
 
     def __init__(
@@ -1267,8 +1196,6 @@ class RemoteBackend:
         self.last_provider: TraceProvider | None = None
         #: Jobs struck by the deadline and re-dispatched (hedged retries).
         self.stragglers = 0
-        #: ``need_trace`` requests answered from a prefetched frame.
-        self.prefetch_hits = 0
 
     def run(
         self, requests: Sequence[RunRequest], progress: ProgressFn | None = None
@@ -1287,7 +1214,6 @@ class RemoteBackend:
         ]
         dispatcher = asyncio.run(self._sweep(scheduler, submission, workers, progress))
         self.stragglers += dispatcher.stragglers
-        self.prefetch_hits += dispatcher.prefetch_hits
         if submission.status == "failed":
             raise CellExecutionError(submission.error)
         if submission.remaining:

@@ -6,11 +6,11 @@ worker list) and :class:`~repro.experiments.campaign.CampaignDaemon`
 :class:`Scheduler`: the cell table keyed by
 :meth:`~repro.experiments.spec.RunRequest.fingerprint` with the
 submissions waiting on each cell, the dispatch order, attempts,
-deadlines, worker strikes and quarantine, and prefetch claims.  It holds
-no sockets, tasks or locks -- the asyncio
-:class:`~repro.experiments.remote.JobDispatcher` drives it from one event
-loop -- and reads time from an injected clock, so every decision is
-testable without a network or a sleep.
+deadlines, and worker strikes and quarantine.  It holds no sockets,
+tasks or locks -- the asyncio :class:`~repro.experiments.remote.
+JobDispatcher` drives it from one event loop -- and reads time from an
+injected clock, so every decision is testable without a network or a
+sleep.
 """
 
 from __future__ import annotations
@@ -129,8 +129,7 @@ class WorkerHealth:
 
 
 class Scheduler:
-    """Cell table, dispatch order, attempts, deadlines, quarantine and
-    prefetch claims.
+    """Cell table, dispatch order, attempts, deadlines and quarantine.
 
     Not thread-safe: the owner serializes every call (the dispatcher holds
     its asyncio condition around them).
@@ -160,8 +159,6 @@ class Scheduler:
         self.submissions: dict[str, Submission] = {}
         #: worker id -> strike/quarantine history.
         self.health: dict[str, WorkerHealth] = {}
-        #: Trace keys some slot's prefetch has claimed.
-        self.prefetch_claimed: set[str] = set()
         #: Cells satisfied by the ``stored`` lookup at submit time.
         self.cells_from_store = 0
         #: Cells a submission shared with an already-known one.
@@ -355,23 +352,3 @@ class Scheduler:
         if health is None:
             return 0.0
         return max(0.0, health.quarantined_until - self.clock())
-
-    # -- prefetch ------------------------------------------------------------
-
-    def prefetch_candidate(
-        self, current_key: str, encoded: Callable[[RunRequest], bool]
-    ) -> RunRequest | None:
-        """Claim the pending cell whose trace frame a prefetch should build
-        next: the first in dispatch order whose workload is not the one
-        being shipped now (``current_key``), not already claimed, and not
-        already ``encoded``."""
-        skip = {current_key, *self.prefetch_claimed}
-        for fingerprint in sorted(self.pending, key=lambda fp: self.cells[fp].order):
-            cell = self.cells[fingerprint]
-            if cell.trace_key in skip:
-                continue
-            skip.add(cell.trace_key)
-            if not encoded(cell.request):
-                self.prefetch_claimed.add(cell.trace_key)
-                return cell.request
-        return None

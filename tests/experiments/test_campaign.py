@@ -6,6 +6,7 @@ as with every backend -- bit-identical equivalence to
 from __future__ import annotations
 
 import errno
+import re
 import threading
 import time
 
@@ -25,6 +26,7 @@ from repro.experiments import (
 from repro.experiments.campaign import campaign_id_for, spec_campaign_id
 from repro.experiments.spec import ExperimentSpec, RunRequest
 from repro.harness.configs import fig5_configs
+from repro.pipeline.stats import SimStats
 
 INSTS = 1500
 
@@ -320,26 +322,6 @@ class TestFleet:
                 assert len(stats) == 2
 
 
-class TestPrefetch:
-    """Trace-push pipelining on the daemon's dispatch loops: the next
-    pending workload's frame is encoded behind the current cell's
-    simulation, one outstanding prefetch per worker slot."""
-
-    def test_prefetch_hits_counted_and_bit_identical(
-        self, tmp_path, requests, serial_fingerprints
-    ):
-        with CampaignDaemon(cache_dir=tmp_path / "central") as daemon:
-            with WorkerAgent() as agent:
-                agent.register_with(daemon.address)
-                stats = CampaignBackend(daemon.address).run(requests)
-                assert [s.fingerprint() for s in stats] == serial_fingerprints
-                # Two workloads, one cold worker: the second workload's
-                # frame was prefetched behind the first's simulations.
-                assert daemon.prefetch_hits >= 1
-                with CampaignClient(daemon.address) as client:
-                    assert client.stats()["prefetch_hits"] == daemon.prefetch_hits
-
-
 class TestFailure:
     def test_cancel_releases_cells(self, tmp_path, requests):
         with CampaignDaemon(cache_dir=tmp_path / "central") as daemon:
@@ -378,6 +360,38 @@ class TestFailure:
             assert daemon.cells_simulated == len(requests)
             assert len(daemon.store) == 0
         assert sum("store write failed" in note for note in notes) == len(requests)
+
+    def test_malformed_results_reply_is_a_cell_error(self, requests, monkeypatch):
+        # No daemon: the client's replies are patched in, so each malformed
+        # results payload reaches the backend's decode-and-verify step.
+        request = requests[0]
+        stats = SimStats().to_dict()
+        entry = {"stats": stats, "fingerprint": SimStats().fingerprint()}
+        fingerprint = request.fingerprint()
+        monkeypatch.setattr(
+            CampaignClient,
+            "submit",
+            lambda self, **kwargs: {"campaign": "c" * 64, "done": 0, "total": 1},
+        )
+        monkeypatch.setattr(
+            CampaignClient, "wait", lambda self, *args, **kwargs: {"state": "done"}
+        )
+        cell = re.escape(request.describe())
+        replies = [
+            # An unknown stats key, then a non-object entry, name the cell;
+            # a list in place of the results map names the campaign.
+            ({fingerprint: {**entry, "stats": {**stats, "bogus": 1}}}, cell),
+            ({fingerprint: ["not", "an", "object"]}, cell),
+            ([entry], "not a map of cells"),
+        ]
+        for results, match in replies:
+            monkeypatch.setattr(
+                CampaignClient,
+                "results",
+                lambda self, campaign_id, results=results: {"results": results},
+            )
+            with pytest.raises(CellExecutionError, match=match):
+                CampaignBackend("127.0.0.1:1").run([request])
 
     def test_unknown_campaign_is_a_clear_error(self, tmp_path):
         with CampaignDaemon() as daemon:

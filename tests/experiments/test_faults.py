@@ -182,16 +182,16 @@ class TestFaultPlan:
 
 
 class TestDamagedTraceFrames:
-    """Satellite contract: corrupted or truncated trace payloads -- raw T
-    frames and negotiated-zlib Z frames alike -- surface as a worker-side
-    re-request or a clean :class:`CellExecutionError`.  Never a hang,
-    never a silently wrong result."""
+    """Satellite contract: corrupted or truncated trace payloads inside
+    ``Z`` frames surface as a worker-side re-request or a clean
+    :class:`CellExecutionError`.  Never a hang, never a silently wrong
+    result."""
 
     def test_corrupt_z_frames_rerequested_end_to_end(
         self, requests, serial_fingerprints
     ):
         plan = FaultPlan(seed=5, corrupt_rate=1.0, max_faults=2)
-        with WorkerAgent() as agent:  # compression on: Z frames
+        with WorkerAgent() as agent:
             backend = RemoteBackend([agent.address], faults=plan)
             stats = backend.run(requests)
             assert [s.fingerprint() for s in stats] == serial_fingerprints
@@ -201,8 +201,10 @@ class TestDamagedTraceFrames:
     def test_truncated_t_frames_rerequested_end_to_end(
         self, requests, serial_fingerprints
     ):
+        # The truncated trace travels inside an intact Z frame, so it is
+        # the codec, not zlib, that rejects it.
         plan = FaultPlan(seed=6, truncate_rate=1.0, max_faults=2)
-        with WorkerAgent(compress=False) as agent:  # raw T frames
+        with WorkerAgent() as agent:
             backend = RemoteBackend([agent.address], faults=plan)
             stats = backend.run(requests)
             assert [s.fingerprint() for s in stats] == serial_fingerprints
@@ -232,10 +234,8 @@ class TestDamagedTraceFrames:
         with WorkerAgent() as agent:
             host, port = parse_worker(agent.address)
             with socket.create_connection((host, port)) as conn:
-                send_json(
-                    conn,
-                    {"type": "hello", "protocol": PROTOCOL_VERSION, "compress": ["zlib"]},
-                )
+                # A hello with no capability field still gets Z frames.
+                send_json(conn, {"type": "hello", "protocol": PROTOCOL_VERSION})
                 assert recv_json(conn)["type"] == "hello"
                 send_json(conn, build_job_message(cell, 0, key, digest))
                 assert recv_json(conn)["type"] == "need_trace"
@@ -367,7 +367,6 @@ class TestQuarantine:
                         "protocol": PROTOCOL_VERSION,
                         "port": dead_port,
                         "slots": 1,
-                        "compress": [],
                     },
                 )
                 assert recv_json(registry)["type"] == "registered"
@@ -390,7 +389,6 @@ class TestQuarantine:
                         "protocol": PROTOCOL_VERSION,
                         "port": dead_port,
                         "slots": 1,
-                        "compress": [],
                     },
                 )
                 refusal = recv_json(again)

@@ -20,7 +20,7 @@ from repro.experiments import (
 )
 from repro.experiments.remote import (
     FRAME_JSON,
-    FRAME_TRACE,
+    FRAME_ZTRACE,
     PROTOCOL_VERSION,
     RemoteProtocolError,
     parse_worker,
@@ -54,18 +54,20 @@ class TestFraming:
     def test_round_trip(self):
         left, right = socket.socketpair()
         with left, right:
-            send_frame(left, FRAME_TRACE, b"\x00\x01payload")
+            send_frame(left, FRAME_ZTRACE, b"\x00\x01payload")
             send_json(left, {"type": "hello", "protocol": PROTOCOL_VERSION})
             kind, payload = recv_frame(right)
-            assert (kind, payload) == (FRAME_TRACE, b"\x00\x01payload")
+            assert (kind, payload) == (FRAME_ZTRACE, b"\x00\x01payload")
             assert recv_json(right)["protocol"] == PROTOCOL_VERSION
 
     def test_unknown_kind_rejected(self):
-        left, right = socket.socketpair()
-        with left, right:
-            left.sendall(b"X\x00\x00\x00\x01z")
-            with pytest.raises(RemoteProtocolError, match="frame kind"):
-                recv_frame(right)
+        # ``T`` was protocol 1's raw trace frame; protocol 2 has no such kind.
+        for kind in (b"X", b"T"):
+            left, right = socket.socketpair()
+            with left, right:
+                left.sendall(kind + b"\x00\x00\x00\x01z")
+                with pytest.raises(RemoteProtocolError, match="frame kind"):
+                    recv_frame(right)
 
     def test_truncated_stream_is_connection_error(self):
         left, right = socket.socketpair()
@@ -78,7 +80,7 @@ class TestFraming:
     def test_trace_frame_where_json_expected(self):
         left, right = socket.socketpair()
         with left, right:
-            send_frame(left, FRAME_TRACE, b"bytes")
+            send_frame(left, FRAME_ZTRACE, b"bytes")
             with pytest.raises(RemoteProtocolError, match="JSON"):
                 recv_json(right)
 
@@ -266,13 +268,16 @@ class TestProtocolRobustness:
             assert stats[0].committed == INSTS - requests[0].warmup
 
     def test_hello_mismatch_rejected(self):
+        assert PROTOCOL_VERSION == 2
         with WorkerAgent() as agent:
             host, port = parse_worker(agent.address)
-            with socket.create_connection((host, port)) as conn:
-                send_json(conn, {"type": "hello", "protocol": 999})
-                # Agent drops the connection without a hello back.
-                with pytest.raises((ConnectionError, RemoteProtocolError)):
-                    recv_json(conn)
+            # Protocol 1 peers could still send raw T trace frames.
+            for protocol in (999, 1):
+                with socket.create_connection((host, port)) as conn:
+                    send_json(conn, {"type": "hello", "protocol": protocol})
+                    # Agent drops the connection without a hello back.
+                    with pytest.raises((ConnectionError, RemoteProtocolError)):
+                        recv_json(conn)
 
     def test_backend_rejects_bad_addresses_up_front(self):
         with pytest.raises(ValueError):
@@ -331,77 +336,19 @@ class TestConcurrentClients:
 
 
 class TestCompression:
-    """Negotiated zlib trace frames: used only when both hellos advertise
-    it, invisible to peers that predate the negotiation."""
-
-    def test_negotiated_zlib_requires_advertisement(self):
-        from repro.experiments.remote import negotiated_zlib
-
-        assert negotiated_zlib({"compress": ["zlib"]})
-        assert not negotiated_zlib({})
-        assert not negotiated_zlib({"compress": []})
-        assert not negotiated_zlib({"compress": "zlib"})  # not a list
-        assert not negotiated_zlib({"compress": ["lz4"]})
+    """Every trace travels as one zlib-compressed ``Z`` frame."""
 
     def test_decode_trace_frame(self):
         import zlib
 
-        from repro.experiments.remote import FRAME_ZTRACE, decode_trace_frame
+        from repro.experiments.remote import decode_trace_frame
 
-        assert decode_trace_frame(FRAME_TRACE, b"raw", "ctx") == b"raw"
         packed = zlib.compress(b"raw")
         assert decode_trace_frame(FRAME_ZTRACE, packed, "ctx") == b"raw"
         with pytest.raises(RemoteProtocolError, match="undecompressable"):
             decode_trace_frame(FRAME_ZTRACE, b"not zlib", "ctx")
         with pytest.raises(RemoteProtocolError, match="expected trace"):
             decode_trace_frame(FRAME_JSON, b"{}", "ctx")
-
-    def test_both_new_sides_compress(self, requests, serial_fingerprints):
-        with WorkerAgent() as agent:
-            backend = RemoteBackend([agent.address])
-            stats = backend.run(requests)
-            assert [s.fingerprint() for s in stats] == serial_fingerprints
-            assert agent.compressed_traces > 0
-
-    def test_old_agent_keeps_working(self, requests, serial_fingerprints):
-        # An agent that does not advertise zlib gets raw T frames.
-        with WorkerAgent(compress=False) as agent:
-            backend = RemoteBackend([agent.address])
-            stats = backend.run(requests)
-            assert [s.fingerprint() for s in stats] == serial_fingerprints
-            assert agent.compressed_traces == 0
-
-
-class TestPrefetch:
-    """Trace-push pipelining: once a slot ships a frame (cold-fleet
-    evidence), the next workload's frame is encoded behind the current
-    cell's simulation, one outstanding prefetch per worker slot."""
-
-    def test_prefetch_hides_the_second_workload_miss(
-        self, requests, serial_fingerprints
-    ):
-        with WorkerAgent() as agent:
-            backend = RemoteBackend([agent.address])
-            stats = backend.run(requests)
-            assert [s.fingerprint() for s in stats] == serial_fingerprints
-            # Two workloads, one cold worker: the first miss triggers a
-            # prefetch of the other workload, whose need_trace is then
-            # answered from the prefetched frame.
-            assert backend.prefetch_hits >= 1
-            # The amortization contract is untouched: prefetch fills the
-            # same memoized provider, so still one generation per workload.
-            assert backend.last_provider is not None
-            assert backend.last_provider.generations == 2
-
-    def test_single_workload_sweep_never_prefetches(self):
-        # Nothing to build ahead: every queued cell shares the current key.
-        cells = small_spec(workloads=("gcc",), n_configs=3).cells()
-        with WorkerAgent() as agent:
-            backend = RemoteBackend([agent.address])
-            backend.run(cells)
-            assert backend.prefetch_hits == 0
-            assert backend.last_provider is not None
-            assert backend.last_provider.generations == 1
 
 
 class TestWorkerMemoization:

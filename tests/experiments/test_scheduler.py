@@ -1,7 +1,6 @@
 """The transport-free cell scheduler shared by RemoteBackend and the
 campaign daemon: dispatch order, attempts, quarantine, dedup, cancel,
-failure cascades and prefetch claims -- no sockets, no sleeps, a fake
-clock."""
+failure cascades -- no sockets, no sleeps, a fake clock."""
 
 from __future__ import annotations
 
@@ -14,7 +13,6 @@ from repro.experiments.scheduler import (
     check_limits,
     derive_deadline,
 )
-from repro.experiments.traces import request_key
 from repro.harness.configs import fig5_configs
 
 CONFIGS = dict(list(fig5_configs().items())[:3])  # baseline, NLQ, +SVW-UPD
@@ -264,38 +262,3 @@ class TestSubmissions:
         # A later submission touching the failed cell fails at once.
         late, _ = scheduler.submit("late", b[:1])
         assert late.status == "failed" and "boom" in late.error
-
-
-class TestPrefetchCandidate:
-    def test_skips_current_claimed_and_encoded(self):
-        requests = cells(workloads=("gcc", "vortex", "gzip"), labels=("baseline",))
-        by_workload = {r.workload.name: r for r in requests}
-        cost = FakeCost({("gcc", "baseline"): 3.0, ("vortex", "baseline"): 2.0})
-        scheduler = Scheduler(cost)
-        scheduler.submit("s", requests)
-        gcc_key = request_key(by_workload["gcc"])
-        never = lambda request: False  # noqa: E731
-        # The shipped workload is skipped; the next in dispatch order wins.
-        first = scheduler.prefetch_candidate(gcc_key, never)
-        assert first is by_workload["vortex"]
-        assert scheduler.prefetch_claimed == {request_key(first)}
-        # Claimed now, so the next call moves on.
-        second = scheduler.prefetch_candidate(gcc_key, never)
-        assert second is by_workload["gzip"]
-        assert scheduler.prefetch_candidate(gcc_key, never) is None
-        # Already-encoded workloads are never prefetched.
-        fresh = Scheduler(cost)
-        fresh.submit("s", requests)
-        encoded = {request_key(by_workload["vortex"])}
-        pick = fresh.prefetch_candidate(
-            gcc_key, lambda request: request_key(request) in encoded
-        )
-        assert pick is by_workload["gzip"]
-
-    def test_only_pending_cells_are_candidates(self):
-        requests = cells(workloads=("gcc", "vortex"), labels=("baseline",))
-        scheduler = Scheduler(FakeCost({("gcc", "baseline"): 3.0}))
-        scheduler.submit("s", requests)
-        scheduler.next_cell()  # gcc in flight
-        scheduler.next_cell()  # vortex in flight
-        assert scheduler.prefetch_candidate("other-key", lambda request: False) is None
