@@ -36,7 +36,8 @@ The pieces:
   ``to_dict`` JSON, nothing pickled), with host-level trace caching,
   zlib-compressed trace frames, worker-side result memoization,
   cost-weighted longest-job-first dispatch over every slot an agent
-  advertises, and re-dispatch on worker loss.  Start an agent with
+  advertises (each agent first draining the cells of the trace it
+  holds), and re-dispatch on worker loss.  Start an agent with
   ``svw-repro worker``.
 - :class:`~repro.experiments.scheduler.Scheduler` -- the one
   transport-free cell scheduler under both the remote backend and the

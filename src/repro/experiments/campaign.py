@@ -41,7 +41,9 @@ cells land in the scheduler's one table keyed by the
 so two users sweeping overlapping grids pay for the union once -- an
 overlapping cell is simulated exactly once and its result fans out to
 every waiting campaign.  Dispatch is longest-expected-job-first under
-the persisted :class:`~repro.experiments.batch.CostModel`.
+the persisted :class:`~repro.experiments.batch.CostModel`, except that a
+worker first drains the pending cells of the trace it was last handed,
+so it fetches each trace about once rather than once per config.
 
 Durability: with ``--cache-dir`` the daemon anchors a central
 :class:`~repro.experiments.store.ResultStore` (completed cells are
@@ -753,6 +755,7 @@ class CampaignDaemon:
             "cells_from_store": scheduler.cells_from_store,
             "cells_deduped": scheduler.cells_deduped,
             "stragglers": self._dispatcher.stragglers,
+            "traces_shipped": self._dispatcher.traces_shipped,
         }
 
     # -- journal -------------------------------------------------------------

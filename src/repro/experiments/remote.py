@@ -336,8 +336,8 @@ class WorkerAgent:
     Trace handling is host-level and pickle-free: jobs name traces by
     content key only; misses are fetched over the wire as codec bytes,
     persisted to ``trace_cache`` when one is configured (shared between
-    every agent on the host), and decoded into a bounded in-memory memo of
-    column-native traces shared by all connections.
+    every agent on the host), and decoded into a small least-recently-used
+    memo of column-native traces shared by all connections.
 
     ``result_store`` turns on **worker-side result memoization**: jobs
     already carry the cell's :meth:`~repro.experiments.spec.RunRequest.
@@ -742,8 +742,10 @@ class WorkerAgent:
         """
         with self._lock:
             entry = self._decoded.get(key)
-        if entry is not None and (want_digest is None or entry[1] == want_digest):
-            return entry[0]
+            if entry is not None and (want_digest is None or entry[1] == want_digest):
+                # Least recently used goes first: a hit moves to the back.
+                self._decoded[key] = self._decoded.pop(key)
+                return entry[0]
         trace = None
         digest = None
         data: bytes | None = None
@@ -838,7 +840,9 @@ class WorkerLink:
     The dispatcher dials ``slots`` job connections to ``host:port``;
     ``slots=0`` (a static-fleet member) sizes the link to the slots the
     agent advertises in its hello.  ``dead`` and ``draining`` stop its
-    slots taking new cells; ``error`` says why it died.
+    slots taking new cells; ``error`` says why it died.  ``trace_key`` is
+    the trace of the last cell handed to the agent, the one its decoded
+    memo holds warm.
     """
 
     id: str
@@ -850,6 +854,7 @@ class WorkerLink:
     in_flight: int = 0
     jobs_done: int = 0
     error: str | None = None
+    trace_key: str | None = None
     tasks: list = field(default_factory=list)
     writers: list = field(default_factory=list)
 
@@ -865,14 +870,18 @@ class JobDispatcher:
     both :class:`RemoteBackend` and the campaign daemon.
 
     A slot dials its agent, says hello, then loops: take the next cell,
-    run the job exchange, settle the outcome.  A result is re-verified
-    against its stats fingerprint (:func:`verified_stats`) and feeds the
-    cost model.  An error frame, a bad result, or any other client-side
-    error running the cell is deterministic, so the cell fails.  A
-    dropped connection, a protocol violation or a job past its deadline
-    is worker loss: the worker is retired and struck, and the cell
-    re-queued.  ``need_trace`` is answered from ``provider`` with one
-    ``Z`` frame built off the event loop; no frame is built before a
+    run the job exchange, settle the outcome.  The next cell is the
+    scheduler's first pending cell of the trace the agent was last handed
+    (:attr:`WorkerLink.trace_key`), else its first pending cell, so an
+    agent drains the trace its memo holds before it asks for another.  A
+    result is re-verified against its stats fingerprint
+    (:func:`verified_stats`) and feeds the cost model.  An error frame, a
+    bad result, or any other client-side error running the cell is
+    deterministic, so the cell fails.  A dropped connection, a protocol
+    violation or a job past its deadline is worker loss: the worker is
+    retired and struck, and the cell re-queued.  ``need_trace`` is
+    answered from ``provider`` with one ``Z`` frame built off the event
+    loop (counted in ``traces_shipped``); no frame is built before a
     worker asks for it.  ``faults`` may mutate outgoing trace bytes at
     ``trace_site``; ``settled(cell, affected, ended)`` runs after every
     outcome with the submissions that got a result and those it ended;
@@ -918,6 +927,8 @@ class JobDispatcher:
         self.cells_simulated = 0
         #: Jobs struck by the per-job deadline (cell re-dispatched).
         self.stragglers = 0
+        #: ``Z`` frames sent in answer to ``need_trace``.
+        self.traces_shipped = 0
 
     def spawn(self, worker: WorkerLink) -> None:
         """Start one more slot on ``worker``."""
@@ -1016,9 +1027,10 @@ class JobDispatcher:
     async def _next_cell(self, worker: WorkerLink) -> Cell | None:
         async with self.work:
             while not (self.closing or worker.dead or worker.draining):
-                cell = self.scheduler.next_cell()
+                cell = self.scheduler.next_cell(warm=worker.trace_key)
                 if cell is not None:
                     worker.in_flight += 1
+                    worker.trace_key = cell.trace_key
                     return cell
                 await self.work.wait()
             return None
@@ -1074,6 +1086,7 @@ class JobDispatcher:
                     await loop.run_in_executor(self._executor, _trace_frame, data)
                 )
                 await writer.drain()
+                self.traces_shipped += 1
             elif kind == "result":
                 return verified_stats(request, message), float(message.get("seconds", 0.0))
             elif kind == "error":
@@ -1161,8 +1174,9 @@ class RemoteBackend:
     ``None`` for no deadline, or ``"auto"`` (see
     :func:`~repro.experiments.scheduler.derive_deadline`).  ``faults``
     corrupts or truncates outgoing trace bytes at site ``client.trace``.
-    After each run ``last_provider`` is the sweep's trace provider, and
-    ``stragglers`` has accumulated the dispatcher's deadline strikes.
+    After each run ``last_provider`` is the sweep's trace provider;
+    ``stragglers`` and ``traces_shipped`` accumulate the dispatcher's
+    deadline strikes and trace transfers over every run.
     """
 
     def __init__(
@@ -1196,6 +1210,8 @@ class RemoteBackend:
         self.last_provider: TraceProvider | None = None
         #: Jobs struck by the deadline and re-dispatched (hedged retries).
         self.stragglers = 0
+        #: Traces sent to workers that asked for them (``need_trace``).
+        self.traces_shipped = 0
 
     def run(
         self, requests: Sequence[RunRequest], progress: ProgressFn | None = None
@@ -1214,6 +1230,7 @@ class RemoteBackend:
         ]
         dispatcher = asyncio.run(self._sweep(scheduler, submission, workers, progress))
         self.stragglers += dispatcher.stragglers
+        self.traces_shipped += dispatcher.traces_shipped
         if submission.status == "failed":
             raise CellExecutionError(submission.error)
         if submission.remaining:

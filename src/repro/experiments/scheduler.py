@@ -248,14 +248,24 @@ class Scheduler:
 
     # -- dispatch ------------------------------------------------------------
 
-    def next_cell(self) -> Cell | None:
-        """Take the first pending cell in dispatch order (now in flight):
-        longest expected first, by the cost model's estimate when the cell
-        was submitted, then by workload name (so a workload's cells run
-        back to back on a warm trace), then by fingerprint."""
+    def next_cell(self, warm: str | None = None) -> Cell | None:
+        """Take the next pending cell (now in flight).
+
+        Dispatch order is longest expected first, by the cost model's
+        estimate when the cell was submitted, then by workload name, then
+        by fingerprint.  A session cost model's cost depends on the config
+        alone, so that order is config-major: it visits every trace once
+        per config.  ``warm`` is the trace key of the cell the asking
+        worker was last handed; the first pending cell of that trace in
+        dispatch order is taken ahead of the rest, so a worker drains the
+        trace it holds before fetching another.  With no pending cell of
+        ``warm`` (or ``warm=None``) the first pending cell in dispatch
+        order is taken.
+        """
         if not self.pending:
             return None
-        fingerprint = min(self.pending, key=lambda fp: self.cells[fp].order)
+        same = [fp for fp in self.pending if self.cells[fp].trace_key == warm]
+        fingerprint = min(same or self.pending, key=lambda fp: self.cells[fp].order)
         self.pending.discard(fingerprint)
         cell = self.cells[fingerprint]
         cell.status = "in_flight"

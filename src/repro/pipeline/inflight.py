@@ -44,7 +44,6 @@ class InFlight:
         "data_pending",
         "waiters",
         "issued",
-        "dispatch_cycle",
         "complete_cycle",
         "done",
         "rex_state",
@@ -65,7 +64,7 @@ class InFlight:
         "mispredicted",
     )
 
-    def __init__(self, seq: int, pc: int, kind: int, dst_reg: int, dispatch_cycle: int) -> None:
+    def __init__(self, seq: int, pc: int, kind: int, dst_reg: int) -> None:
         self.seq = seq
         self.pc = pc
         #: ``KIND_*`` code (see :mod:`repro.isa.inst`).
@@ -88,7 +87,6 @@ class InFlight:
         #: Waiters as (role, entry): role 0 = register operand, 1 = store data.
         self.waiters: list[tuple[int, InFlight]] | None = None
         self.issued = False
-        self.dispatch_cycle = dispatch_cycle
         self.complete_cycle = -1
         self.done = False
         self.rex_state = RexState.NOT_NEEDED

@@ -1130,7 +1130,7 @@ class Processor:
             # The in-flight entry is the instruction's *view*: the static
             # facts the stage loops and LSU hooks read are copied out of
             # the flat columns here, once per dispatch.
-            entry = InFlight(fetch_seq, m_pc[fetch_seq], kind, dst_reg, cycle)
+            entry = InFlight(fetch_seq, m_pc[fetch_seq], kind, dst_reg)
             if kind == KIND_LOAD or kind == KIND_STORE:
                 entry.addr = m_addr[fetch_seq]
                 entry.size = m_size[fetch_seq]

@@ -99,6 +99,9 @@ class TestEquivalence:
                 assert a.jobs_done > 0 and b.jobs_done > 0
                 assert a.jobs_done + b.jobs_done == len(requests)
                 assert daemon.cells_simulated == len(requests)
+                with CampaignClient(daemon.address) as client:
+                    shipped = client.stats()["traces_shipped"]
+                assert shipped == a.trace_misses + b.trace_misses
 
     def test_results_positionally_aligned(self, tmp_path, requests):
         with CampaignDaemon(cache_dir=tmp_path / "central") as daemon:

@@ -133,6 +133,7 @@ class TestHostTraceCache:
             backend.run(requests)
             # Two workloads -> two wire fetches, however many cells ran.
             assert agent.trace_misses == 2
+            assert backend.traces_shipped == 2
             backend.run(requests)
             # Second sweep: the decoded memo answers, nothing re-sent.
             assert agent.trace_misses == 2
@@ -173,6 +174,38 @@ class TestHostTraceCache:
             stats = backend.run(cells)
             assert [s.fingerprint() for s in stats] == serial
             assert agent.trace_misses == 1  # the poisoned entry was refetched
+
+    def test_one_agent_fetches_each_trace_once(self):
+        """Config-major dispatch would cycle the agent through every trace
+        once per config; trace affinity drains one trace at a time."""
+        from repro.harness import figures
+
+        profiles = ["bzip2", "crafty", "gap", "gcc", "mcf", "vortex"]
+        with WorkerAgent() as agent:
+            backend = RemoteBackend([agent.address], cost_model=CostModel())
+            figures.figure5(benchmarks=profiles, n_insts=800, backend=backend)
+            assert agent.trace_misses == len(profiles)
+            assert backend.traces_shipped == len(profiles)
+
+    def test_memo_evicts_least_recently_used(self, tmp_path):
+        from repro.isa.codec import encode_trace
+        from repro.workloads.spec2000 import spec_profile
+        from repro.workloads.synthetic import generate_trace
+
+        cache = TraceCache(tmp_path / "host")
+        for name in ("gcc", "mcf", "vortex"):
+            cache.save(name, encode_trace(generate_trace(spec_profile(name), 300)))
+        agent = WorkerAgent(trace_cache=cache)
+        try:
+            # Every trace is on disk, so filling the memo needs no client.
+            a = agent._trace_for("gcc", None, None)
+            b = agent._trace_for("mcf", None, None)
+            assert agent._trace_for("gcc", None, None) is a  # hit: gcc is newest
+            agent._trace_for("vortex", None, None)  # evicts mcf, not gcc
+            assert agent._trace_for("gcc", None, None) is a
+            assert agent._trace_for("mcf", None, None) is not b
+        finally:
+            agent.close()
 
     def test_client_provider_generates_each_workload_once(self, requests):
         with WorkerAgent() as a, WorkerAgent() as b:

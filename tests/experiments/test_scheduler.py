@@ -97,6 +97,88 @@ class TestDispatchOrder:
         assert len(drain_order(scheduler)) == 1
 
 
+class TestTraceAffinity:
+    """``next_cell(warm=...)``: a worker drains the trace it holds first."""
+
+    def test_warm_takes_first_pending_cell_of_that_trace(self):
+        requests = cells()
+        # Config-major: NLQ costs most, baseline least, on both workloads.
+        cost = FakeCost(
+            {
+                (workload, label): weight
+                for workload in ("gcc", "vortex")
+                for label, weight in (("baseline", 1.0), ("NLQ", 3.0), ("+SVW-UPD", 2.0))
+            }
+        )
+        scheduler = Scheduler(cost)
+        scheduler.submit("s", requests)
+        first = scheduler.next_cell()
+        assert (first.request.workload.name, first.request.config_label) == ("gcc", "NLQ")
+        vortex = next(r for r in requests if r.workload.name == "vortex")
+        warm = scheduler.cells[vortex.fingerprint()].trace_key
+        taken = [scheduler.next_cell(warm=warm) for _ in range(3)]
+        # vortex's three cells in dispatch order, ahead of gcc's cheaper two.
+        assert [(c.request.workload.name, c.request.config_label) for c in taken] == [
+            ("vortex", "NLQ"),
+            ("vortex", "+SVW-UPD"),
+            ("vortex", "baseline"),
+        ]
+        assert all(c.status == "in_flight" and c.attempts == 1 for c in taken)
+
+    def test_falls_back_to_dispatch_order_when_trace_drained(self):
+        scheduler = Scheduler(FakeCost())
+        scheduler.submit("s", cells())
+        expected = sorted(scheduler.cells.values(), key=lambda c: c.order)
+        gcc = [c.fingerprint for c in expected if c.request.workload.name == "gcc"]
+        vortex = [c.fingerprint for c in expected if c.request.workload.name == "vortex"]
+        warm = scheduler.cells[vortex[0]].trace_key
+        # vortex sorts after gcc, so warm vortex runs first; once it is
+        # drained, gcc follows in dispatch order.
+        order = [scheduler.next_cell(warm=warm).fingerprint for _ in expected]
+        assert order == vortex + gcc
+        assert scheduler.next_cell(warm=warm) is None
+
+    def test_unknown_or_no_warm_trace_keeps_dispatch_order(self):
+        requests = cells(workloads=("gcc", "vortex", "mcf"))
+        for warm in (None, "no-such-trace"):
+            scheduler = Scheduler(FakeCost())
+            scheduler.submit("s", requests)
+            expected = sorted(scheduler.cells.values(), key=lambda c: c.order)
+            order = [scheduler.next_cell(warm=warm) for _ in requests]
+            assert [c.fingerprint for c in order] == [c.fingerprint for c in expected]
+
+    def test_two_workers_switch_traces_about_once_per_trace(self):
+        workloads = ("bzip2", "crafty", "gap", "gcc", "mcf", "vortex")
+        configs = fig5_configs()
+        requests = matrix_spec("affine", configs, list(workloads), n_insts=1000).cells()
+        # Cost by config alone: the dispatch order is config-major.
+        cost = FakeCost(
+            {
+                (workload, label): float(len(configs) - rank)
+                for workload in workloads
+                for rank, label in enumerate(configs)
+            }
+        )
+        scheduler = Scheduler(cost)
+        scheduler.submit("s", requests)
+        held = [None, None]
+        switches = 0
+        turn = 0
+        while (cell := scheduler.next_cell(warm=held[turn])) is not None:
+            if cell.trace_key != held[turn]:
+                switches += 1
+                held[turn] = cell.trace_key
+            scheduler.complete(cell, object(), f"w{turn}")
+            turn = 1 - turn
+        assert all(c.status == "done" for c in scheduler.cells.values())
+        assert switches <= 2 * len(workloads)
+        # Without the warm trace every cell of this order is a switch.
+        blind = Scheduler(cost)
+        blind.submit("s", requests)
+        keys = [c.trace_key for c in drain_order(blind)]
+        assert sum(a != b for a, b in zip(keys, keys[2:])) + 2 == len(requests)
+
+
 class TestAttempts:
     def test_requeued_below_max_attempts_then_failed(self):
         requests = cells(workloads=("gcc",), labels=("baseline",))

@@ -9,7 +9,7 @@ from repro.rle.integration import IntegrationTable, signature_of
 
 
 def _load(seq, value=0):
-    entry = InFlight(seq, 0x100, KIND_LOAD, 1, dispatch_cycle=0)
+    entry = InFlight(seq, 0x100, KIND_LOAD, 1)
     entry.addr, entry.size = 0x1000, 8
     entry.done = True
     entry.exec_value = value
@@ -17,7 +17,7 @@ def _load(seq, value=0):
 
 
 def _store(seq, value=0):
-    entry = InFlight(seq, 0x200, KIND_STORE, -1, dispatch_cycle=0)
+    entry = InFlight(seq, 0x200, KIND_STORE, -1)
     entry.addr, entry.size = 0x1000, 8
     entry.store_value = value
     entry.done = True
