@@ -2,7 +2,7 @@
 """Experiment API walkthrough: declarative specs, backends, cached results.
 
 Builds a small Figure-5-style sweep, runs it three ways -- serially,
-through the workload-batched runner, and against a warm on-disk cache --
+on local worker processes, and against a warm on-disk cache --
 and shows that all three produce identical statistics.
 """
 
@@ -33,10 +33,10 @@ def main() -> None:
     serial = run_experiment(spec, backend=SerialBackend())
     print(f"serial backend:       {time.perf_counter() - started:.1f}s")
 
-    # The batch runner (what `svw-repro --jobs N` uses) generates/encodes
-    # each workload trace once, ships its encoded bytes to the session
-    # worker pool inside each chunk task, and runs all of a workload's
-    # configs in a single pass over one decoded trace.
+    # The batch runner (what `svw-repro --jobs N` uses) runs the sweep on
+    # the process's fleet of loopback worker agents: each workload trace
+    # is generated/encoded once, shipped to an agent that asks for it,
+    # and every config of that workload is drained on the agent holding it.
     started = time.perf_counter()
     batched = run_experiment(spec, backend=BatchRunner(jobs=4))
     print(f"batch runner:         {time.perf_counter() - started:.1f}s")

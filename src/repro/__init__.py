@@ -30,11 +30,13 @@ For sweeps, use the experiment API::
         .workloads(["gcc", "vortex"])
         .build()
     )
+    # Eight local worker processes, bit-identical to the serial default.
     result = run_experiment(spec, backend=BatchRunner(jobs=8))
 
 See :mod:`repro.harness` for the paper's named configurations and the
 per-figure experiment drivers, and :mod:`repro.experiments` for backends
-and the on-disk result cache.
+(serial, the local worker fleet, remote agents, campaigns) and the
+on-disk result cache.
 """
 
 from repro.core import SVWConfig, SVWEngine

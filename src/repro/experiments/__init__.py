@@ -27,10 +27,10 @@ The pieces:
   declarative description of a sweep (configs x workloads x budget).
 - :class:`SerialBackend` / :class:`BatchRunner` -- interchangeable
   executors producing bit-identical statistics for the same spec.  The
-  batch runner (what ``make_backend`` picks for ``jobs > 1``) groups
-  cells by workload, encodes each trace once per sweep, ships the bytes
-  inside its chunk tasks on one session worker pool, and runs all configs
-  of a workload in a single pass over one decoded trace.
+  batch runner (what ``make_backend`` picks for ``jobs > 1``) is a
+  :class:`RemoteBackend` over the process's session fleet of loopback
+  worker agents (:mod:`~repro.experiments.pool`), started by the first
+  parallel sweep and reused by every later one.
 - :class:`RemoteBackend` / :class:`WorkerAgent` -- the same sweep fanned
   out to other hosts over the trace wire format (codec bytes + config
   ``to_dict`` JSON, nothing pickled), with host-level trace caching,
@@ -40,8 +40,9 @@ The pieces:
   holds), and re-dispatch on worker loss.  Start an agent with
   ``svw-repro worker``.
 - :class:`~repro.experiments.scheduler.Scheduler` -- the one
-  transport-free cell scheduler under both the remote backend and the
-  campaign daemon.
+  transport-free cell scheduler under the batch runner, the remote
+  backend and the campaign daemon, ordering cells by the learned
+  :class:`CostModel`.
 - :class:`CampaignDaemon` / :class:`CampaignClient` /
   :class:`CampaignBackend` -- sweeps as a service: a long-lived daemon
   (``svw-repro campaignd``) takes concurrent submissions from many
@@ -72,7 +73,6 @@ from repro.experiments.backends import (
     execute_request,
     make_backend,
 )
-from repro.experiments.batch import BatchRunner, CostModel, session_cost_model
 from repro.experiments.campaign import (
     CampaignBackend,
     CampaignClient,
@@ -83,7 +83,7 @@ from repro.experiments.campaign import (
     scrub_journals,
 )
 from repro.experiments.faults import FaultEvent, FaultPlan
-from repro.experiments.pool import shutdown_session_pools
+from repro.experiments.pool import BatchRunner, shutdown_session_pools
 from repro.experiments.remote import (
     CorruptTraceError,
     RemoteBackend,
@@ -91,6 +91,7 @@ from repro.experiments.remote import (
     local_worker_fleet,
 )
 from repro.experiments.results import FigureResult
+from repro.experiments.scheduler import CostModel, session_cost_model
 from repro.experiments.traces import TraceProvider, workload_key
 from repro.experiments.run import run_experiment
 from repro.experiments.spec import (

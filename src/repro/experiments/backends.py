@@ -10,14 +10,13 @@ results, so every backend is deterministic and interchangeable.
 so consecutive cells of a workload replay one materialized trace.
 
 For ``jobs > 1``, :func:`make_backend` returns the
-:class:`~repro.experiments.batch.BatchRunner` (re-exported from
-:mod:`repro.experiments`): the parent generates and encodes each workload
-trace exactly once and ships the encoded bytes inside each chunk task on
-the session worker pool (:mod:`~repro.experiments.pool`); workers decode
-straight into a column-native :class:`~repro.isa.coltrace.ColumnTrace`
-(memoized per process) and run all configs of a workload in a single
-pass over it.  A failing cell surfaces as :class:`CellExecutionError`
-carrying the cell's identity, not a bare worker traceback.
+:class:`~repro.experiments.pool.BatchRunner` (re-exported from
+:mod:`repro.experiments`): a
+:class:`~repro.experiments.remote.RemoteBackend` over the session's
+loopback worker fleet, so a local parallel sweep is scheduled, shipped
+and verified exactly like a remote one.  A failing cell surfaces as
+:class:`CellExecutionError` carrying the cell's identity, not a bare
+worker traceback.
 """
 
 from __future__ import annotations
@@ -73,9 +72,10 @@ class SerialBackend:
     def __init__(self, trace_cache: TraceCache | None = None) -> None:
         self.trace_cache = trace_cache
         #: The provider for the backend's lifetime; ``generations`` counts
-        #: since creation.  Cells arrive workload-major, so one decoded
-        #: slot gets every reuse, and serial runs never keep encoded bytes.
-        self.last_provider = TraceProvider(cache=trace_cache, decoded_capacity=1)
+        #: since creation.  Cells arrive workload-major, so the provider's
+        #: one decoded slot gets every reuse, and serial runs never keep
+        #: encoded bytes.
+        self.last_provider = TraceProvider(cache=trace_cache)
 
     def run(
         self, requests: Sequence[RunRequest], progress: ProgressFn | None = None
@@ -95,13 +95,10 @@ class SerialBackend:
 def make_backend(
     jobs: int | None, trace_cache: TraceCache | None = None
 ) -> ExecutionBackend:
-    """Backend for a ``--jobs`` setting: serial for 1/None, batched above.
-
-    Parallel sweeps get the :class:`~repro.experiments.batch.BatchRunner`
-    (single-pass multi-config execution over shared traces on the session
-    worker pool).
-    """
-    from repro.experiments.batch import BatchRunner
+    """Backend for a ``--jobs`` setting: serial for 1/None, and above that
+    a :class:`~repro.experiments.pool.BatchRunner` on ``jobs`` local
+    worker processes (capped at the core count)."""
+    from repro.experiments.pool import BatchRunner
 
     if jobs is None or jobs <= 1:
         return SerialBackend(trace_cache=trace_cache)

@@ -41,7 +41,7 @@ cells land in the scheduler's one table keyed by the
 so two users sweeping overlapping grids pay for the union once -- an
 overlapping cell is simulated exactly once and its result fans out to
 every waiting campaign.  Dispatch is longest-expected-job-first under
-the persisted :class:`~repro.experiments.batch.CostModel`, except that a
+the persisted :class:`~repro.experiments.scheduler.CostModel`, except that a
 worker first drains the pending cells of the trace it was last handed,
 so it fetches each trace about once rather than once per config.
 
@@ -93,7 +93,13 @@ from repro.experiments.remote import (
     send_json_async,
     verified_stats,
 )
-from repro.experiments.scheduler import Cell, Scheduler, Submission, campaign_id_for
+from repro.experiments.scheduler import (
+    Cell,
+    Scheduler,
+    Submission,
+    campaign_id_for,
+    session_cost_model,
+)
 from repro.experiments.spec import ExperimentSpec, RunRequest
 from repro.experiments.store import ResultStore
 from repro.experiments.traces import TraceProvider
@@ -271,13 +277,9 @@ class CampaignDaemon:
         quarantine_cap: float = 300.0,
         faults: FaultPlan | None = None,
     ) -> None:
-        if cost_model is None:
-            from repro.experiments.batch import session_cost_model
-
-            cost_model = session_cost_model()
-        self.cost_model = cost_model
+        self.cost_model = cost_model if cost_model is not None else session_cost_model()
         self._scheduler = Scheduler(
-            cost_model,
+            self.cost_model,
             max_attempts=max_attempts,
             job_deadline=job_deadline,
             quarantine_after=quarantine_after,

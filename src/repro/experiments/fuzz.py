@@ -343,7 +343,7 @@ def run_fuzz(
     """Run a seeded differential-fuzz campaign; returns the full report.
 
     ``backend`` is any :mod:`~repro.experiments.backends` backend
-    (serial, process pool, remote fleet, campaign); cells run one request
+    (serial, local worker fleet, remote fleet, campaign); cells run one request
     at a time so a failing cell is attributed precisely instead of
     aborting the batch.  ``store`` is an optional
     :class:`~repro.workloads.ingest.IngestStore` so ``ingest:<digest>``

@@ -1,56 +1,107 @@
-"""The session worker pool: one process-wide pool per worker count.
+"""Local parallel sweeps: the session worker fleet and the ``BatchRunner``.
 
-Every pooled sweep in a process draws its workers from here.  The pool is
-created on first use and reused by every later run that asks for the same
-size, so a multi-sweep session -- ``svw-repro all`` runs eight figure
-sweeps back to back -- pays worker fork+import once, and the workers'
-decoded-trace memos (:mod:`repro.experiments.batch`) stay warm across
-figures that share workloads.  Pools are shut down at interpreter exit
-(or explicitly via :func:`shutdown_session_pools`); a pool broken by a
-crashed worker is discarded and replaced on the next acquisition.
+Every local parallel sweep in a process runs on a *session fleet*: one
+set of loopback ``svw-repro worker`` agents per worker count
+(:func:`~repro.experiments.remote.spawn_worker_agents`).  The fleet is
+started by the first run that needs it and reused by every later one,
+so a multi-sweep session -- ``svw-repro all`` runs eight figure sweeps
+back to back -- pays agent start-up once, and the agents' decoded-trace
+memos stay warm across figures that share workloads.  A fleet with an
+exited agent is replaced at the next acquisition.  Fleets are stopped at
+interpreter exit, or explicitly via :func:`shutdown_session_pools`.
 
-Pool lifetime changes *scheduling* only -- results remain positionally
-aligned and bit-identical to serial execution.
+:class:`BatchRunner` (what ``--jobs N`` selects) is a
+:class:`~repro.experiments.remote.RemoteBackend` over that fleet, so
+local and remote sweeps share one scheduler
+(:class:`~repro.experiments.scheduler.Scheduler`), one trace wire and
+one worker.  Fleet lifetime changes *scheduling* only -- results remain
+positionally aligned and bit-identical to serial execution.
 """
 
 from __future__ import annotations
 
 import atexit
-from concurrent.futures import ProcessPoolExecutor
+import os
+import subprocess
+from typing import Sequence
 
-#: Live session pools keyed by worker count.
-_session_pools: dict[int, ProcessPoolExecutor] = {}
+from repro.experiments.backends import ProgressFn
+from repro.experiments.remote import (
+    RemoteBackend,
+    spawn_worker_agents,
+    stop_worker_agents,
+)
+from repro.experiments.scheduler import CostModel, session_cost_model
+from repro.experiments.spec import RunRequest
+from repro.experiments.traces import TraceProvider
+from repro.pipeline.stats import SimStats
+from repro.workloads.trace_cache import TraceCache
+
+#: Live session fleets keyed by worker count: each agent and its address.
+_session_fleets: dict[int, list[tuple[subprocess.Popen, str]]] = {}
 
 
-def _probe() -> None:
-    """No-op task submitted to health-check a cached pool."""
-
-
-def session_pool(workers: int) -> ProcessPoolExecutor:
-    """The session pool for ``workers``, created or revived on demand."""
-    pool = _session_pools.get(workers)
-    if pool is not None:
-        try:
-            # Documented-behavior health check: submit raises
-            # BrokenProcessPool if a worker died mid-task (the executor is
-            # then permanently unusable) and RuntimeError if something shut
-            # the pool down -- either way it must be replaced, and this
-            # avoids depending on the executor's private broken flag.
-            pool.submit(_probe)
-        except Exception:
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = None
-    if pool is None:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        _session_pools[workers] = pool
-    return pool
+def session_fleet(workers: int) -> list[str]:
+    """Addresses of the session fleet of ``workers`` agents, started or
+    replaced on demand."""
+    fleet = _session_fleets.get(workers)
+    if fleet is not None and any(agent.poll() is not None for agent, _ in fleet):
+        del _session_fleets[workers]
+        stop_worker_agents([agent for agent, _ in fleet])
+        fleet = None
+    if fleet is None:
+        fleet = spawn_worker_agents(workers)
+        _session_fleets[workers] = fleet
+    return [address for _, address in fleet]
 
 
 def shutdown_session_pools(wait: bool = True) -> None:
-    """Tear down every session pool (idempotent; also runs atexit)."""
-    while _session_pools:
-        _, pool = _session_pools.popitem()
-        pool.shutdown(wait=wait, cancel_futures=True)
+    """Stop every session fleet's agents (idempotent; also runs atexit)."""
+    while _session_fleets:
+        _, fleet = _session_fleets.popitem()
+        stop_worker_agents([agent for agent, _ in fleet], wait=wait)
 
 
 atexit.register(shutdown_session_pools)
+
+
+class BatchRunner:
+    """Local parallel sweep execution on the session fleet.
+
+    ``jobs`` is the intended parallelism (default: the core count); the
+    fleet has ``workers = min(jobs, cores)`` agents, because agents beyond
+    the core count only timeshare the same CPUs.  ``cost_model`` orders
+    the cells and defaults to the session-wide model, so later sweeps are
+    ordered by earlier sweeps' timings.
+    """
+
+    def __init__(
+        self,
+        jobs: int | None = None,
+        trace_cache: TraceCache | None = None,
+        cost_model: CostModel | None = None,
+    ) -> None:
+        if jobs is not None and jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        self.jobs = jobs or os.cpu_count() or 1
+        self.workers = max(1, min(self.jobs, os.cpu_count() or self.jobs))
+        self.trace_cache = trace_cache
+        self.cost_model = cost_model if cost_model is not None else session_cost_model()
+        #: Provider of the most recent run (its ``generations`` counter is
+        #: the amortization proof surfaced by ``svw-repro bench-sweep``).
+        self.last_provider: TraceProvider | None = None
+
+    def run(
+        self, requests: Sequence[RunRequest], progress: ProgressFn | None = None
+    ) -> list[SimStats]:
+        # Free the previous sweep's traces before this one generates its own.
+        self.last_provider = None
+        backend = RemoteBackend(
+            session_fleet(self.workers),
+            trace_cache=self.trace_cache,
+            cost_model=self.cost_model,
+        )
+        try:
+            return backend.run(requests, progress)
+        finally:
+            self.last_provider = backend.last_provider

@@ -6,9 +6,11 @@ bargain.  It distributes sweep cells to **worker agents** on other hosts
 over a small length-prefixed TCP protocol that reuses the pieces the
 local backends already trust:
 
-- traces travel as zlib-compressed :mod:`repro.isa.codec` v1 bytes (the
-  exact buffer the batch runner ships to its local workers), addressed
-  by the same content key (:func:`~repro.experiments.traces.workload_key`);
+- traces travel as zlib-compressed :mod:`repro.isa.codec` bytes (the
+  buffer :meth:`~repro.experiments.traces.TraceProvider.encoded` returns
+  and a :class:`~repro.workloads.trace_cache.TraceCache` stores),
+  addressed by the same content key
+  (:func:`~repro.experiments.traces.workload_key`);
 - machine configurations travel as their ``to_dict`` form and rebuild via
   :meth:`~repro.pipeline.config.MachineConfig.from_dict`;
 - results travel as ``SimStats.to_dict`` JSON plus the stats fingerprint,
@@ -71,6 +73,7 @@ are bit-identical to :class:`~repro.experiments.backends.SerialBackend`
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -86,11 +89,18 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.experiments.backends import CellExecutionError, ProgressFn
 from repro.experiments.faults import CRASH_EXIT_CODE, FaultPlan
-from repro.experiments.scheduler import Cell, Scheduler, Submission, check_limits
+from repro.experiments.scheduler import (
+    Cell,
+    CostModel,
+    Scheduler,
+    Submission,
+    check_limits,
+    session_cost_model,
+)
 from repro.experiments.spec import RunRequest
 from repro.experiments.store import ResultStore
 from repro.experiments.traces import TraceProvider, request_key
@@ -100,9 +110,6 @@ from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import Processor
 from repro.pipeline.stats import SimStats
 from repro.workloads.trace_cache import TraceCache
-
-if TYPE_CHECKING:
-    from repro.experiments.batch import CostModel
 
 #: Version 2 ships every trace as a ``Z`` frame; version-1 peers could
 #: also send raw ``T`` frames, so the hello exchange refuses them.
@@ -1183,7 +1190,7 @@ class RemoteBackend:
         self,
         workers: Sequence[str],
         trace_cache: TraceCache | None = None,
-        cost_model: "CostModel | None" = None,
+        cost_model: CostModel | None = None,
         max_attempts: int = 3,
         connect_timeout: float = 10.0,
         job_deadline: float | str | None = "auto",
@@ -1200,11 +1207,7 @@ class RemoteBackend:
         self.job_deadline = check_limits(max_attempts, job_deadline)
         self.max_attempts = max_attempts
         self.trace_cache = trace_cache
-        if cost_model is None:
-            from repro.experiments.batch import session_cost_model
-
-            cost_model = session_cost_model()
-        self.cost_model = cost_model
+        self.cost_model = cost_model if cost_model is not None else session_cost_model()
         self.connect_timeout = connect_timeout
         self.faults = faults
         self.last_provider: TraceProvider | None = None
@@ -1248,7 +1251,16 @@ class RemoteBackend:
                 f"{len(unfinished)} cell(s) unfinished after losing all workers "
                 f"({detail or 'no worker reachable'}): {unfinished[:3]}"
             )
-        return [scheduler.cells[request.fingerprint()].stats for request in requests]
+        # Cells whose configs differ only in display name share a
+        # fingerprint and so one simulation; each result is stamped with
+        # its own request's config name, as SerialBackend's would be.
+        results = []
+        for request in requests:
+            stats = scheduler.cells[request.fingerprint()].stats
+            if stats.config_name != request.config.name:
+                stats = dataclasses.replace(stats, config_name=request.config.name)
+            results.append(stats)
+        return results
 
     async def _sweep(
         self,
@@ -1311,19 +1323,18 @@ def resolve_worker_fleet(
     return addresses
 
 
-@contextmanager
-def local_worker_fleet(
+def spawn_worker_agents(
     count: int,
     trace_cache_dir: str | None = None,
     slots: int = 1,
     startup_timeout: float = 30.0,
-) -> Iterator[list[str]]:
-    """``count`` loopback ``svw-repro worker`` subprocesses on ephemeral ports.
+) -> list[tuple[subprocess.Popen, str]]:
+    """Start ``count`` loopback ``svw-repro worker`` subprocesses on
+    ephemeral ports; returns each agent with its ``host:port`` address.
 
-    Yields their ``host:port`` addresses and tears the agents down on
-    exit.  This is what ``svw-repro bench-sweep --remote-workers auto:N``
-    uses: real worker processes, real sockets, no port coordination --
-    each agent binds port 0 and reports the kernel's pick on stdout.
+    Each agent binds port 0 and reports the kernel's pick on stdout, so
+    there is no port coordination.  If any agent fails to start, every
+    agent started so far is stopped before the error propagates.
     """
     if count < 1:
         raise ValueError("a worker fleet needs at least one agent")
@@ -1372,13 +1383,45 @@ def local_worker_fleet(
                     f"worker agent failed to start (pid {agent.pid}): {line!r}"
                 )
             addresses.append(line.rsplit(" ", 1)[-1])
-        yield addresses
-    finally:
-        for agent in agents:
+    except BaseException:
+        stop_worker_agents(agents)
+        raise
+    return list(zip(agents, addresses))
+
+
+def stop_worker_agents(agents: Sequence[subprocess.Popen], wait: bool = True) -> None:
+    """Terminate agents from :func:`spawn_worker_agents`; with ``wait``,
+    reap each one (killing an agent that ignores the terminate)."""
+    for agent in agents:
+        if agent.poll() is None:
             agent.terminate()
-        for agent in agents:
-            try:
-                agent.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck agent
-                agent.kill()
-                agent.wait()
+    for agent in agents:
+        if agent.stdout is not None:
+            agent.stdout.close()
+        if not wait:
+            continue
+        try:
+            agent.wait(timeout=10)
+        except subprocess.TimeoutExpired:  # pragma: no cover - stuck agent
+            agent.kill()
+            agent.wait()
+
+
+@contextmanager
+def local_worker_fleet(
+    count: int,
+    trace_cache_dir: str | None = None,
+    slots: int = 1,
+    startup_timeout: float = 30.0,
+) -> Iterator[list[str]]:
+    """``count`` loopback ``svw-repro worker`` subprocesses on ephemeral ports.
+
+    Yields their ``host:port`` addresses and tears the agents down on
+    exit.  This is what ``svw-repro bench-sweep --remote-workers auto:N``
+    uses: real worker processes, real sockets.
+    """
+    fleet = spawn_worker_agents(count, trace_cache_dir, slots, startup_timeout)
+    try:
+        yield [address for _, address in fleet]
+    finally:
+        stop_worker_agents([agent for agent, _ in fleet])

@@ -4,7 +4,7 @@ The one entry point every driver, benchmark, and CLI path funnels through:
 
 1. expand the spec into its cells,
 2. satisfy what it can from the :class:`~repro.experiments.store.ResultStore`,
-3. hand the remainder to the backend (serial or process pool),
+3. hand the remainder to the backend (serial or a worker fleet),
 4. persist fresh results and assemble the :class:`FigureResult` in spec
    order -- never in completion order.
 

@@ -1,31 +1,153 @@
-"""The cell scheduler behind every off-host dispatcher.
+"""The one cell scheduler: every parallel sweep orders its cells here.
 
 :class:`~repro.experiments.remote.RemoteBackend` (one client, a static
-worker list) and :class:`~repro.experiments.campaign.CampaignDaemon`
-(many clients, a registered fleet) both schedule through a
-:class:`Scheduler`: the cell table keyed by
-:meth:`~repro.experiments.spec.RunRequest.fingerprint` with the
-submissions waiting on each cell, the dispatch order, attempts,
+worker list -- also the session loopback fleet behind
+:class:`~repro.experiments.pool.BatchRunner`) and
+:class:`~repro.experiments.campaign.CampaignDaemon` (many clients, a
+registered fleet) both schedule through a :class:`Scheduler`: the cell
+table keyed by :meth:`~repro.experiments.spec.RunRequest.fingerprint`
+with the submissions waiting on each cell, the dispatch order, attempts,
 deadlines, and worker strikes and quarantine.  It holds no sockets,
 tasks or locks -- the asyncio :class:`~repro.experiments.remote.
 JobDispatcher` drives it from one event loop -- and reads time from an
 injected clock, so every decision is testable without a network or a
-sleep.
+sleep.  The :class:`CostModel` it orders cells by lives here too.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from pathlib import Path
+from typing import Callable, Sequence
 
 from repro.experiments.spec import RunRequest
 from repro.experiments.traces import request_key
 from repro.fingerprint import stable_digest
+from repro.pipeline.config import MachineConfig, RexMode
 from repro.pipeline.stats import SimStats
 
-if TYPE_CHECKING:
-    from repro.experiments.batch import CostModel
+
+class CostModel:
+    """Relative simulation cost of a sweep cell, learned from timings.
+
+    Tracks an exponential moving average of measured seconds-per-committed-
+    instruction per configuration name.  Unmeasured configurations fall
+    back to a heuristic: ``RexMode.PERFECT`` machines re-derive the
+    program-order value of every marked load at commit, which reliably
+    simulates slower than timing-true re-execution, so they weigh heavier.
+    Weights are *relative* (measured rates are normalized by the running
+    mean), making measured and heuristic cells comparable.
+
+    The model feeds :class:`Scheduler` dispatch order and job deadlines
+    only, never results; a wildly wrong model costs balance, not
+    correctness.
+    """
+
+    #: Heuristic weight for ideal-re-execution configs before any timing.
+    PERFECT_WEIGHT = 1.6
+
+    #: Bump when the persisted payload layout changes.
+    SCHEMA_VERSION = 1
+
+    __slots__ = ("_rates",)
+
+    def __init__(self) -> None:
+        #: config name -> EMA of seconds per instruction.
+        self._rates: dict[str, float] = {}
+
+    def weight(self, config: MachineConfig) -> float:
+        """Relative per-instruction cost of ``config`` (1.0 = average)."""
+        rate = self._rates.get(config.name)
+        if rate is not None and self._rates:
+            mean = sum(self._rates.values()) / len(self._rates)
+            if mean > 0.0:
+                return rate / mean
+        return self.PERFECT_WEIGHT if config.rex_mode is RexMode.PERFECT else 1.0
+
+    def observe(self, config: MachineConfig, n_insts: int, seconds: float) -> None:
+        """Fold one measured cell (``n_insts`` simulated in ``seconds``) in."""
+        if n_insts <= 0 or seconds <= 0.0:
+            return
+        rate = seconds / n_insts
+        previous = self._rates.get(config.name)
+        self._rates[config.name] = (
+            rate if previous is None else 0.5 * previous + 0.5 * rate
+        )
+
+    def cost(self, request: RunRequest) -> float:
+        """Expected cost of one cell (weighted instruction budget)."""
+        return request.n_insts * self.weight(request.config)
+
+    def expected_seconds(self, config: MachineConfig, n_insts: int) -> float | None:
+        """Predicted wall seconds for ``n_insts`` on ``config``, or None
+        when the config was never measured.
+
+        Unlike :meth:`weight` this is an *absolute* estimate, so there is
+        no heuristic fallback -- callers deriving job deadlines must treat
+        an unmeasured config as "no deadline", never guess one (a wrong
+        relative weight costs balance; a wrong absolute deadline would
+        strike healthy workers).
+        """
+        rate = self._rates.get(config.name)
+        if rate is None or rate <= 0.0 or n_insts <= 0:
+            return None
+        return rate * n_insts
+
+    # -- persistence ---------------------------------------------------------
+
+    def to_dict(self) -> dict[str, object]:
+        return {"schema": self.SCHEMA_VERSION, "rates": dict(self._rates)}
+
+    def save(self, path: str | os.PathLike) -> None:
+        """Persist the learned rates (atomic write; see :func:`load_from`).
+
+        The canonical location is next to the
+        :class:`~repro.experiments.store.ResultStore`
+        (``ResultStore.cost_model_path``), so the cache directory that
+        makes results durable also makes *scheduling knowledge* durable:
+        a cold session's first sweep dispatches on the previous session's
+        measured per-config rates instead of the heuristic seed.
+        """
+        from repro.ioutil import atomic_write_text
+
+        atomic_write_text(path, json.dumps(self.to_dict(), indent=1, sort_keys=True))
+
+    def load_from(self, path: str | os.PathLike) -> bool:
+        """Fold persisted rates in (disk seeds, fresher in-memory wins).
+
+        Returns True when rates were loaded.  A missing, corrupt, or
+        stale-schema file is a plain cold start, never an error -- the
+        model only steers scheduling.
+        """
+        try:
+            payload = json.loads(Path(path).read_text())
+            if payload["schema"] != self.SCHEMA_VERSION:
+                return False
+            rates = {
+                str(name): float(rate)
+                for name, rate in payload["rates"].items()
+                if float(rate) > 0.0
+            }
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return False
+        self._rates = {**rates, **self._rates}
+        return True
+
+
+#: Session-wide default model: sweeps run back to back (``svw-repro all``)
+#: seed each other's dispatch order, which is the point of measuring at all.
+_SESSION_COST_MODEL = CostModel()
+
+
+def session_cost_model() -> CostModel:
+    """The process-wide :class:`CostModel` every backend orders its cells
+    by unless given its own.  The CLI loads persisted rates into it when
+    ``--cache-dir`` names a store, and saves them back on exit."""
+    return _SESSION_COST_MODEL
+
 
 #: Job-deadline derivation for ``job_deadline="auto"``: never strike a
 #: worker before the floor, and allow a generous multiple of the cost
@@ -35,7 +157,7 @@ DEADLINE_FACTOR = 8.0
 
 
 def derive_deadline(
-    cost_model: "CostModel | None",
+    cost_model: CostModel | None,
     request: RunRequest,
     setting: float | str | None,
 ) -> float | None:
@@ -137,7 +259,7 @@ class Scheduler:
 
     def __init__(
         self,
-        cost_model: "CostModel",
+        cost_model: CostModel,
         max_attempts: int = 3,
         job_deadline: float | str | None = "auto",
         quarantine_after: int = 3,

@@ -16,7 +16,7 @@ conflicts (which can only mean schema skew or corruption, never a
 legitimate disagreement).
 
 The store directory additionally anchors the persisted scheduling
-:class:`~repro.experiments.batch.CostModel` (``cost_model.json``, see
+:class:`~repro.experiments.scheduler.CostModel` (``cost_model.json``, see
 :attr:`ResultStore.cost_model_path`); cell files are exactly the 64-hex
 fingerprint names, so auxiliary files never alias a cell.
 """

@@ -2,7 +2,7 @@
 
 The :class:`TraceProvider` is the single authority a sweep's backends go
 through for workload traces.  It guarantees the sweep-level amortization
-contract the batch subsystem is built on:
+contract every backend is built on:
 
 - ``generate_trace`` runs **at most once** per (workload, seed, budget)
   per sweep, whatever the backend or worker count (``generations``
@@ -18,7 +18,7 @@ contract the batch subsystem is built on:
   per trace.
 
 Fixed-trace workloads (kernels, hand-built streams) participate too: their
-"generation" is free, but encoding them once lets pooled and remote
+"generation" is free, but encoding them once lets the worker-fleet
 backends ship compact codec bytes instead of pickling the object per cell.
 """
 
@@ -39,17 +39,15 @@ def request_key(request: RunRequest) -> str:
 class TraceProvider:
     """Memoizing generate/encode/decode pipeline for one sweep.
 
-    ``decoded_capacity`` bounds the in-memory decoded-trace memo (sweeps
-    visit workloads in grouped order, so a small window gets every reuse
-    while peak memory stays at a couple of traces).  Bytes served by
-    :meth:`encoded` are ~4x smaller and kept for the provider's lifetime,
-    so every chunk of a workload ships the same buffer; :meth:`trace`
-    keeps none.
+    :meth:`trace` keeps the one trace it served last (serial sweeps visit
+    cells workload-major, so one slot gets every reuse) and no bytes.
+    :meth:`encoded` keeps the ~4x smaller bytes for the provider's
+    lifetime, so every worker that asks for a trace gets the same buffer,
+    and keeps no decoded trace.
     """
 
-    def __init__(self, cache: TraceCache | None = None, decoded_capacity: int = 2) -> None:
+    def __init__(self, cache: TraceCache | None = None) -> None:
         self.cache = cache
-        self.decoded_capacity = max(1, decoded_capacity)
         self._encoded: dict[str, bytes] = {}
         self._decoded: dict[str, ColumnTrace] = {}
         #: Actual ``generate_trace`` invocations (the amortization proof).
@@ -67,12 +65,10 @@ class TraceProvider:
             return data
         data = self._cached(workload, key)
         if data is None:
-            # Reuse a decoded trace the serial path may already have built;
-            # generation stays at-most-once even when trace() came first.
+            # Reuse a decoded trace trace() may already have built.
             trace = self._decoded.get(key)
             if trace is None:
                 trace = self._generate(workload, n_insts)
-                self._remember_decoded(key, trace)
             data = encode_trace(trace)
             if self.cache is not None and workload.persistable:
                 self.cache.save(key, data)
@@ -102,7 +98,7 @@ class TraceProvider:
             trace = self._generate(workload, n_insts)
             if self.cache is not None and workload.persistable:
                 self.cache.save(key, encode_trace(trace))
-        self._remember_decoded(key, trace)
+        self._decoded = {key: trace}
         return trace
 
     def trace_for(self, request: RunRequest) -> ColumnTrace:
@@ -134,7 +130,7 @@ class TraceProvider:
             return None
         try:
             # Cheap structural+checksum validation before trusting a shared
-            # on-disk entry; no column decode -- pooled sweeps ship the
+            # on-disk entry; no column decode -- fleet sweeps ship the
             # bytes and never decode here.
             verify_encoded(data)
         except TraceCodecError:
@@ -154,8 +150,3 @@ class TraceProvider:
             return generate_trace(workload.profile, n_insts)
         # Any other regenerable registry form (phased, mutated base).
         return workload.materialize(n_insts)
-
-    def _remember_decoded(self, key: str, trace: ColumnTrace) -> None:
-        self._decoded[key] = trace
-        while len(self._decoded) > self.decoded_capacity:
-            self._decoded.pop(next(iter(self._decoded)))

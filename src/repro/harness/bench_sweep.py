@@ -5,7 +5,7 @@ instructions per second of one ``Processor.run``), this benchmark measures
 what the paper's figures are actually bottlenecked on: **cells per
 second** of a whole configs x workloads sweep, per execution backend.  It
 is the regression harness for the sweep-execution subsystem (trace codec,
-session worker pool, batch runner) and, because every cell's statistics
+session worker fleet, scheduler and trace wire) and, because every cell's statistics
 fingerprint is recorded and cross-checked against
 :class:`~repro.experiments.backends.SerialBackend`, every speedup claim in
 ``BENCH_sweep.json`` doubles as a bit-identical equivalence proof.
@@ -14,12 +14,12 @@ Modes (same cell set, same machine):
 
 - ``serial``        -- ``SerialBackend``: the in-process reference that
   speedups are quoted against.
-- ``batch``         -- ``BatchRunner`` (what ``--jobs N`` selects): traces
-  are generated/encoded once in the parent and their bytes ride in each
-  chunk task on the session worker pool; each worker decodes a workload
-  once and runs all of a chunk's configs in one pass over one
-  ``ColumnTrace``/``TraceMeta``.  The pool outlives a run, so repeats
-  after the first start on warm workers.
+- ``batch``         -- ``BatchRunner`` (what ``--jobs N`` selects): the
+  ``remote`` machinery over the session's ``min(jobs, cores)`` loopback
+  worker agents.  Traces are generated/encoded at most once in the
+  parent and shipped only to an agent that asks for one; each agent
+  drains the cells of the trace it holds first.  The fleet outlives a
+  run, so repeats after the first start on warm agents.
 - ``remote``        -- ``RemoteBackend`` (only with ``remote_workers``):
   cells shipped to worker agents over the TCP trace wire format.  The
   ``remote-equivalence`` CI job runs this against two loopback agents,
@@ -59,7 +59,7 @@ import time
 from typing import Callable
 
 from repro.experiments.backends import SerialBackend
-from repro.experiments.batch import BatchRunner
+from repro.experiments.pool import BatchRunner
 from repro.experiments.remote import RemoteBackend
 from repro.experiments.spec import ExperimentSpec, matrix_spec
 from repro.harness.bench import BENCH_WORKLOADS, QUICK_WORKLOADS, runtime_provenance
@@ -76,7 +76,7 @@ SWEEP_SCHEMA_VERSION = 2
 #: Default instruction budget per cell (the figure sweeps' default).
 SWEEP_INSTS = 30_000
 
-#: Default worker count for the pooled modes.
+#: Default worker count for the parallel modes.
 SWEEP_JOBS = 2
 
 QUICK_INSTS = 6_000

@@ -7,7 +7,7 @@ Examples::
     svw-repro fig7 --benchmarks crafty,vortex
     svw-repro all --insts 20000            # every experiment
     svw-repro fig5 --jobs 8                # fan cells out across processes
-    svw-repro all --jobs 8                 # one worker pool for all sweeps
+    svw-repro all --jobs 8                 # one worker fleet for all sweeps
     svw-repro all --cache-dir ~/.cache/svw # reruns become cache reads
     svw-repro fig5 --json results.json     # machine-readable results
     svw-repro fig5 --jobs 8 --trace-cache-dir ~/.cache/svw-traces
@@ -43,8 +43,11 @@ import sys
 import time
 from typing import Callable
 
-from repro.experiments.backends import CellExecutionError, make_backend
-from repro.experiments.batch import session_cost_model
+from repro.experiments.backends import (
+    CellExecutionError,
+    ExecutionBackend,
+    make_backend,
+)
 from repro.experiments.campaign import (
     CampaignBackend,
     CampaignClient,
@@ -57,7 +60,7 @@ from repro.experiments.faults import FaultPlan
 from repro.experiments.pool import shutdown_session_pools
 from repro.experiments.remote import RemoteBackend, WorkerAgent, resolve_worker_fleet
 from repro.experiments.results import FigureResult
-from repro.experiments.scheduler import check_limits
+from repro.experiments.scheduler import check_limits, session_cost_model
 from repro.experiments.fuzz import FUZZ_INSTS, FUZZ_WORKLOADS, run_fuzz
 from repro.experiments.spec import DEFAULT_INSTS
 from repro.experiments.store import ResultStore
@@ -111,6 +114,35 @@ def _resolve_remote_workers(
         return resolve_worker_fleet(value, stack, trace_cache_dir)
     except ValueError as exc:
         raise SystemExit(f"--remote-workers: {exc}") from exc
+
+
+def _backend(
+    args: argparse.Namespace,
+    stack: contextlib.ExitStack,
+    trace_cache: TraceCache | None,
+) -> ExecutionBackend:
+    """The backend a sweep command runs on: ``--campaign``, else
+    ``--remote-workers``, else the ``--jobs`` backend."""
+    if args.campaign is not None and args.remote_workers is not None:
+        raise SystemExit(
+            "--campaign and --remote-workers are mutually exclusive "
+            "(the campaign daemon owns its own worker fleet)"
+        )
+    remote = _resolve_remote_workers(args.remote_workers, stack, args.trace_cache_dir)
+    if args.campaign is not None:
+        return CampaignBackend(args.campaign, fallback=args.fallback)
+    if remote is not None:
+        return RemoteBackend(remote, trace_cache=trace_cache)
+    return make_backend(args.jobs, trace_cache=trace_cache)
+
+
+def _write_json(args: argparse.Namespace, payload: str) -> None:
+    """Write serialized ``--json`` output to stdout (``-``) or the named file."""
+    if args.json == "-":
+        print(payload)
+    else:
+        with open(args.json, "w") as handle:
+            handle.write(payload + "\n")
 
 
 def _parse_fault_plan(value: str | None) -> FaultPlan | None:
@@ -272,12 +304,7 @@ def _run_campaign_command(args, benchmarks: list[str] | None) -> int:
                 render=args.json != "-",
             )
             if args.json is not None:
-                payload = json.dumps({args.target: result.to_dict()}, indent=1)
-                if args.json == "-":
-                    print(payload)
-                else:
-                    with open(args.json, "w") as handle:
-                        handle.write(payload + "\n")
+                _write_json(args, json.dumps({args.target: result.to_dict()}, indent=1))
             return 0
         with CampaignClient(args.campaign) as client:
             if command == "submit":
@@ -640,20 +667,7 @@ def main(argv: list[str] | None = None) -> int:
         n_insts = FUZZ_INSTS if args.insts == DEFAULT_INSTS else args.insts
         trace_cache = TraceCache(args.trace_cache_dir) if args.trace_cache_dir else None
         with contextlib.ExitStack() as stack:
-            if args.campaign is not None and args.remote_workers is not None:
-                raise SystemExit(
-                    "--campaign and --remote-workers are mutually exclusive "
-                    "(the campaign daemon owns its own worker fleet)"
-                )
-            remote = _resolve_remote_workers(
-                args.remote_workers, stack, args.trace_cache_dir
-            )
-            if args.campaign is not None:
-                backend = CampaignBackend(args.campaign, fallback=args.fallback)
-            elif remote is not None:
-                backend = RemoteBackend(remote, trace_cache=trace_cache)
-            else:
-                backend = make_backend(args.jobs, trace_cache=trace_cache)
+            backend = _backend(args, stack, trace_cache)
             try:
                 report = run_fuzz(
                     args.seed,
@@ -667,12 +681,7 @@ def main(argv: list[str] | None = None) -> int:
             except (ValueError, IngestError) as exc:
                 raise SystemExit(f"fuzz: {exc}") from exc
         if args.json is not None:
-            payload = json.dumps(report.to_dict(), indent=1, sort_keys=True)
-            if args.json == "-":
-                print(payload)
-            else:
-                with open(args.json, "w") as handle:
-                    handle.write(payload + "\n")
+            _write_json(args, json.dumps(report.to_dict(), indent=1, sort_keys=True))
         if args.json != "-":
             print(report.describe())
             print(f"  fingerprint: {report.fingerprint()}")
@@ -745,26 +754,13 @@ def main(argv: list[str] | None = None) -> int:
     if store is not None:
         # A --cache-dir also persists *scheduling knowledge*: the session
         # cost model starts from the rates previous sessions measured, so
-        # batch chunking and remote dispatch are balanced from the first
-        # sweep, and what this session learns is saved back below.
+        # dispatch order is balanced from the first sweep, and what this
+        # session learns is saved back below.
         session_cost_model().load_from(store.cost_model_path)
     results: dict[str, FigureResult] = {}
     try:
         with contextlib.ExitStack() as stack:
-            if args.campaign is not None and args.remote_workers is not None:
-                raise SystemExit(
-                    "--campaign and --remote-workers are mutually exclusive "
-                    "(the campaign daemon owns its own worker fleet)"
-                )
-            remote = _resolve_remote_workers(
-                args.remote_workers, stack, args.trace_cache_dir
-            )
-            if args.campaign is not None:
-                backend = CampaignBackend(args.campaign, fallback=args.fallback)
-            elif remote is not None:
-                backend = RemoteBackend(remote, trace_cache=trace_cache)
-            else:
-                backend = make_backend(args.jobs, trace_cache=trace_cache)
+            backend = _backend(args, stack, trace_cache)
             for name in names:
                 results[name] = run_experiment(
                     name,
@@ -780,14 +776,10 @@ def main(argv: list[str] | None = None) -> int:
         if store is not None:
             session_cost_model().save(store.cost_model_path)
     if args.json is not None:
-        payload = json.dumps(
-            {name: result.to_dict() for name, result in results.items()}, indent=1
+        _write_json(
+            args,
+            json.dumps({name: result.to_dict() for name, result in results.items()}, indent=1),
         )
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(payload + "\n")
     return 0
 
 

@@ -9,7 +9,7 @@ instruction budget, so repeated sweeps -- and every backend of one sweep
 -- skip generation entirely and pay only the (much cheaper) decode.
 
 The cache stores *encoded bytes*, not traces: callers that ship traces to
-workers (batch chunk tasks, the remote wire) can forward the bytes without
+workers (the worker-fleet trace wire) can forward the bytes without
 re-encoding, and a cache hit never pays object construction it does not
 need.
 

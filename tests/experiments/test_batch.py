@@ -1,19 +1,17 @@
 """The sweep-execution subsystem: batch runner, shared traces, providers.
 
-The contract under test is the PR's headline claim: every backend mode is
-bit-identical to :class:`SerialBackend`, and trace generation runs at most
-once per (workload, seed, n_insts) per sweep regardless of backend or
-worker count.
+The contract under test: every backend mode is bit-identical to
+:class:`SerialBackend`, and trace generation runs at most once per
+(workload, seed, n_insts) per sweep regardless of backend or worker
+count.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 import os
 import threading
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -27,7 +25,7 @@ from repro.experiments import (
     matrix_spec,
     run_experiment,
 )
-from repro.experiments import pool as pool_mod
+from repro.experiments.pool import shutdown_session_pools
 from repro.experiments.spec import ExperimentBuilder, WorkloadSpec
 from repro.harness.bench import bench_configs
 from repro.harness.configs import fig5_configs
@@ -55,6 +53,12 @@ def family_spec():
 @pytest.fixture(scope="module")
 def family_serial(family_spec):
     return SerialBackend().run(family_spec.cells())
+
+
+@pytest.fixture()
+def fresh_fleet():
+    """Start the next BatchRunner on agents that hold no trace yet."""
+    shutdown_session_pools()
 
 
 class TestBatchEquivalence:
@@ -97,14 +101,17 @@ class TestBatchEquivalence:
 
 
 class TestGenerationAmortization:
-    def test_generate_trace_runs_once_per_workload_serial(self, family_spec):
+    def test_generate_trace_runs_once_per_workload_serial(self, family_spec, fresh_fleet):
         backend = BatchRunner(jobs=1)
         backend.run(family_spec.cells())
         assert backend.last_provider is not None
         assert backend.last_provider.generations == 2  # one per workload
 
-    def test_generate_trace_runs_once_per_workload_pooled(self, family_spec, monkeypatch):
-        """Count actual generator invocations across the whole sweep."""
+    def test_generate_trace_runs_once_per_workload_pooled(
+        self, family_spec, monkeypatch, fresh_fleet
+    ):
+        """Count actual generator invocations across the whole sweep: once
+        per workload on a fresh fleet, at most once on a warm one."""
         import repro.experiments.traces as traces_mod
 
         calls: list[str] = []
@@ -122,8 +129,16 @@ class TestGenerationAmortization:
         # ever decode.
         assert sorted(calls) == [f"bzip2/{INSTS}", f"gcc/{INSTS}"]
         assert backend.last_provider.generations == 2
+        # The warm agents still hold both traces, so a second sweep asks
+        # for none of them again.
+        calls.clear()
+        warm = BatchRunner(jobs=2)
+        warm.run(family_spec.cells())
+        assert len(calls) == len(set(calls)) == warm.last_provider.generations <= 2
 
-    def test_trace_cache_skips_generation_across_sweeps(self, family_spec, tmp_path):
+    def test_trace_cache_skips_generation_across_sweeps(
+        self, family_spec, tmp_path, fresh_fleet
+    ):
         cache = TraceCache(tmp_path)
         first = BatchRunner(jobs=1, trace_cache=cache)
         first.run(family_spec.cells())
@@ -190,14 +205,12 @@ class TestGenerationAmortization:
 
 
 class TestScheduling:
-    def test_chunks_split_when_fewer_workloads_than_jobs(self):
+    def test_more_jobs_than_cores_caps_the_fleet(self):
         spec = matrix_spec(
             "one", lsu_family_configs(), ["gcc"], INSTS, baseline="conventional"
         )
-        runner = BatchRunner(jobs=3)
-        chunks = runner._chunks(spec.cells())
-        assert len(chunks) == 3
-        assert sorted(i for _, indices in chunks for i in indices) == [0, 1, 2]
+        runner = BatchRunner(jobs=(os.cpu_count() or 1) + 1)
+        assert runner.workers == (os.cpu_count() or 1)
         serial = SerialBackend().run(spec.cells())
         pooled = runner.run(spec.cells())
         assert [s.fingerprint() for s in pooled] == [s.fingerprint() for s in serial]
@@ -234,50 +247,6 @@ class TestFailureIdentity:
         with pytest.raises(CellExecutionError, match=r"poisoned: gcc / bad"):
             SerialBackend().run(poisoned_spec.cells())
 
-    def test_worker_crash_mid_chunk_names_a_chunk_cell(self, monkeypatch):
-        """A pool worker that dies mid-chunk (``os._exit``: no cleanup, no
-        exception) fails the sweep with a :class:`CellExecutionError`
-        naming a cell of a lost chunk, and the next sweep runs on a fresh
-        session pool, bit-identical to serial."""
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("the crash hook reaches the workers by fork inheritance")
-        import repro.experiments.batch as batch_mod
-
-        healthy = lsu_family_configs()["conventional"]
-        crashing = dataclasses.replace(healthy, name="crash")
-        spec = matrix_spec(
-            "crash", {"baseline": healthy, "crash": crashing}, ["gcc", "bzip2"], INSTS
-        )
-        requests = spec.cells()
-        real_processor = batch_mod.Processor
-
-        def processor_that_dies_on_crash(config, trace, **kwargs):
-            if config.name == "crash":
-                os._exit(17)
-            return real_processor(config, trace, **kwargs)
-
-        # Each workload is one chunk [baseline, crash]: its worker finishes
-        # the baseline cell, then exits in the middle of the chunk.
-        runner = BatchRunner(jobs=2)
-        assert [
-            [requests[i].config_label for i in indices]
-            for _, indices in runner._chunks(requests)
-        ] == [["baseline", "crash"]] * 2
-        pool_mod.shutdown_session_pools()  # fresh workers inherit the hook
-        monkeypatch.setattr(batch_mod, "Processor", processor_that_dies_on_crash)
-        with pytest.raises(
-            CellExecutionError, match=r"^crash: (gcc|bzip2) / baseline: "
-        ) as excinfo:
-            runner.run(requests)
-        assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
-        broken = pool_mod._session_pools[runner.workers]
-
-        monkeypatch.undo()
-        pooled = BatchRunner(jobs=2).run(requests)
-        assert pool_mod._session_pools[runner.workers] is not broken
-        serial = SerialBackend().run(requests)
-        assert [s.fingerprint() for s in pooled] == [s.fingerprint() for s in serial]
-
 
 class TestMakeBackend:
     def test_dispatch(self, tmp_path):
@@ -302,12 +271,17 @@ class TestProvider:
         assert provider.generations == 1
 
     def test_decoded_memo_is_bounded(self):
-        provider = TraceProvider(decoded_capacity=1)
+        provider = TraceProvider()
         a = WorkloadSpec.from_profile(spec_profile("gcc"))
         b = WorkloadSpec.from_profile(spec_profile("bzip2"))
         provider.trace(a, INSTS)
         provider.trace(b, INSTS)
         assert len(provider._decoded) == 1
+
+    def test_encoded_keeps_no_decoded_trace(self):
+        provider = TraceProvider()
+        provider.encoded(WorkloadSpec.from_profile(spec_profile("gcc")), INSTS)
+        assert provider._decoded == {}
 
 
 class TestAtomicStore:

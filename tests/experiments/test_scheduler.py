@@ -1,19 +1,24 @@
 """The transport-free cell scheduler shared by RemoteBackend and the
 campaign daemon: dispatch order, attempts, quarantine, dedup, cancel,
-failure cascades -- no sockets, no sleeps, a fake clock."""
+failure cascades -- no sockets, no sleeps, a fake clock -- and the
+CostModel it orders cells by."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.experiments import matrix_spec
+from repro.experiments import BatchRunner, CostModel, SerialBackend, matrix_spec
 from repro.experiments.scheduler import (
     DEADLINE_FLOOR,
     Scheduler,
     check_limits,
     derive_deadline,
 )
+from repro.harness.bench import bench_configs
 from repro.harness.configs import fig5_configs
+from repro.pipeline.config import RexMode
 
 CONFIGS = dict(list(fig5_configs().items())[:3])  # baseline, NLQ, +SVW-UPD
 
@@ -344,3 +349,62 @@ class TestSubmissions:
         # A later submission touching the failed cell fails at once.
         late, _ = scheduler.submit("late", b[:1])
         assert late.status == "failed" and "boom" in late.error
+
+
+class TestCostModel:
+    INSTS = 1200
+
+    @staticmethod
+    def family_configs():
+        return {kind: config for kind, (_, config) in bench_configs().items()}
+
+    def spec(self):
+        configs = self.family_configs()
+        slow = dataclasses.replace(configs["conventional"], name="slow")
+        return matrix_spec(
+            "adaptive",
+            {"slow": slow, "a": configs["conventional"], "b": configs["nlq"],
+             "c": configs["ssq"]},
+            ["gcc"],
+            self.INSTS,
+            baseline="a",
+        )
+
+    def test_perfect_configs_weigh_heavier_unmeasured(self):
+        model = CostModel()
+        configs = self.family_configs()
+        perfect = dataclasses.replace(
+            configs["conventional"], name="ideal", rex_mode=RexMode.PERFECT
+        )
+        assert model.weight(perfect) == CostModel.PERFECT_WEIGHT
+        assert model.weight(configs["conventional"]) == 1.0
+
+    def test_observations_shift_weights(self):
+        model = CostModel()
+        configs = self.family_configs()
+        slow, fast = configs["ssq"], configs["conventional"]
+        model.observe(slow, 1000, 1.0)  # 1 ms/inst
+        model.observe(fast, 1000, 0.1)  # 0.1 ms/inst
+        assert model.weight(slow) > model.weight(fast)
+        assert model.weight(slow) / model.weight(fast) == pytest.approx(10.0)
+
+    def test_bogus_observations_ignored(self):
+        model = CostModel()
+        config = self.family_configs()["nlq"]
+        model.observe(config, 0, 1.0)
+        model.observe(config, 1000, 0.0)
+        assert model.weight(config) == 1.0
+
+    def test_results_identical_whatever_the_model_believes(self):
+        requests = self.spec().cells()
+        serial = SerialBackend().run(requests)
+        skewed = CostModel()
+        skewed.observe(requests[0].config, self.INSTS, 100.0)
+        skewed.observe(requests[1].config, self.INSTS, 0.001)
+        pooled = BatchRunner(jobs=2, cost_model=skewed).run(requests)
+        assert [s.fingerprint() for s in pooled] == [s.fingerprint() for s in serial]
+
+    def test_runner_learns_rates_from_real_runs(self):
+        model = CostModel()
+        BatchRunner(jobs=2, cost_model=model).run(self.spec().cells())
+        assert model._rates  # workers reported per-cell timings

@@ -114,3 +114,17 @@ class TestCLI:
     def test_cli_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    def test_campaign_and_remote_workers_are_exclusive_everywhere(self):
+        """Every sweep command chooses its backend the same way, so each
+        rejects ``--campaign`` with ``--remote-workers`` identically."""
+        messages = []
+        for command in ("fig5", "fuzz"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(
+                    [command, "--campaign", "127.0.0.1:1",
+                     "--remote-workers", "127.0.0.1:2", "--quiet"]
+                )
+            messages.append(str(excinfo.value.code))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("--campaign and --remote-workers are mutually exclusive")
