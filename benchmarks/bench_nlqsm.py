@@ -8,7 +8,7 @@ to that line then fail the filter test and re-execute.
 
 We exercise the mechanism with a synthetic invalidation stream (see
 repro.multi): silent invalidations measure filtering cost without
-perturbing single-thread functional correctness (DESIGN.md).
+perturbing single-thread functional correctness.
 """
 
 from repro.multi.invalidation import run_nlqsm_experiment

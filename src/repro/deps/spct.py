@@ -33,10 +33,12 @@ class SPCT:
 
     def record(self, addr: int, size: int, pc: int) -> None:
         """Note that a store at ``pc`` retired to ``addr``."""
-        self._table[self._index(addr)] = pc
-        if size == 8 and self._shift == 2:
+        # ``_index`` inlined: this runs once per committed store.
+        shift = self._shift
+        self._table[(addr >> shift) & self._mask] = pc
+        if size == 8 and shift == 2:
             # 4-byte granularity: an 8-byte store covers two entries.
-            self._table[self._index(addr + 4)] = pc
+            self._table[((addr + 4) >> shift) & self._mask] = pc
 
     def lookup(self, addr: int) -> int | None:
         """PC of the last retired store to a matching address, if any."""

@@ -55,11 +55,6 @@ class StoreSets:
     def _index(self, pc: int) -> int:
         return (pc >> 2) & self._ssit_mask
 
-    def _tick(self) -> None:
-        self._accesses_since_clear += 1
-        if self._accesses_since_clear >= self._clear_interval:
-            self.clear()
-
     def clear(self) -> None:
         """Cyclic clearing: forget all sets (stale dependences decay)."""
         self._ssit = [_INVALID] * (self._ssit_mask + 1)
@@ -67,11 +62,16 @@ class StoreSets:
         self._accesses_since_clear = 0
 
     # -- dispatch-time queries -------------------------------------------------
+    #
+    # Each counts an access towards the cyclic clear and inlines
+    # ``_index``: they run once per dispatched load or store.
 
     def load_dependence(self, load_pc: int) -> int | None:
         """The in-flight store seq this load must wait for, if any."""
-        self._tick()
-        ssid = self._ssit[self._index(load_pc)]
+        self._accesses_since_clear += 1
+        if self._accesses_since_clear >= self._clear_interval:
+            self.clear()
+        ssid = self._ssit[(load_pc >> 2) & self._ssit_mask]
         if ssid == _INVALID:
             return None
         store_seq = self._lfst.get(ssid)
@@ -85,8 +85,10 @@ class StoreSets:
         Returns the seq of an older same-set store it should be ordered
         behind (store-store ordering within a set), or None.
         """
-        self._tick()
-        ssid = self._ssit[self._index(store_pc)]
+        self._accesses_since_clear += 1
+        if self._accesses_since_clear >= self._clear_interval:
+            self.clear()
+        ssid = self._ssit[(store_pc >> 2) & self._ssit_mask]
         if ssid == _INVALID:
             return None
         previous = self._lfst.get(ssid)
@@ -95,7 +97,7 @@ class StoreSets:
 
     def store_done(self, store_pc: int, seq: int) -> None:
         """Remove a completed/squashed store from the LFST if still current."""
-        ssid = self._ssit[self._index(store_pc)]
+        ssid = self._ssit[(store_pc >> 2) & self._ssit_mask]
         if ssid != _INVALID and self._lfst.get(ssid) == seq:
             del self._lfst[ssid]
 

@@ -28,8 +28,9 @@ from repro.workloads.registry import (  # noqa: F401  (re-exported API)
 from repro.workloads.spec2000 import SPEC_ORDER, SPEC_SHORT_NAMES
 
 #: Default instruction budget per (config, workload) run.  The paper uses
-#: 10M-instruction samples; rates and relative IPCs stabilize far earlier
-#: on synthetic workloads (see DESIGN.md).
+#: 10M-instruction samples; the stationary synthetic profiles have no
+#: program phases to sample, so rates and relative IPCs stabilize far
+#: earlier.
 DEFAULT_INSTS = 30_000
 
 #: Bump when the meaning of a run-request fingerprint changes (e.g. a new

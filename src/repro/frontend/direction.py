@@ -9,12 +9,10 @@ All tables use saturating 2-bit counters.
 from __future__ import annotations
 
 
-def _saturate_up(counter: int) -> int:
-    return counter + 1 if counter < 3 else 3
-
-
-def _saturate_down(counter: int) -> int:
-    return counter - 1 if counter > 0 else 0
+#: A 2-bit saturating counter's next value, indexed by its current value
+#: (tables, not functions: the hybrid predictor updates three per branch).
+_UP = (1, 2, 3, 3)
+_DOWN = (0, 0, 1, 2)
 
 
 class Bimodal:
@@ -37,7 +35,7 @@ class Bimodal:
     def update(self, pc: int, taken: bool) -> None:
         i = self._index(pc)
         counter = self._table[i]
-        self._table[i] = _saturate_up(counter) if taken else _saturate_down(counter)
+        self._table[i] = _UP[counter] if taken else _DOWN[counter]
 
 
 class Gshare:
@@ -62,7 +60,7 @@ class Gshare:
     def update(self, pc: int, taken: bool) -> None:
         i = self._index(pc)
         counter = self._table[i]
-        self._table[i] = _saturate_up(counter) if taken else _saturate_down(counter)
+        self._table[i] = _UP[counter] if taken else _DOWN[counter]
         self._history = ((self._history << 1) | int(taken)) & self._history_mask
 
 
@@ -109,16 +107,16 @@ class HybridPredictor:
         prediction = gshare_pred if self._chooser[i] >= 2 else bimodal_pred
         if bimodal_pred != gshare_pred:
             if gshare_pred == taken:
-                self._chooser[i] = _saturate_up(self._chooser[i])
+                self._chooser[i] = _UP[self._chooser[i]]
             else:
-                self._chooser[i] = _saturate_down(self._chooser[i])
+                self._chooser[i] = _DOWN[self._chooser[i]]
         if taken:
-            bimodal._table[bi_i] = _saturate_up(bimodal_counter)
-            gshare._table[gs_i] = _saturate_up(gshare_counter)
+            bimodal._table[bi_i] = _UP[bimodal_counter]
+            gshare._table[gs_i] = _UP[gshare_counter]
             gshare._history = ((gshare._history << 1) | 1) & gshare._history_mask
         else:
-            bimodal._table[bi_i] = _saturate_down(bimodal_counter)
-            gshare._table[gs_i] = _saturate_down(gshare_counter)
+            bimodal._table[bi_i] = _DOWN[bimodal_counter]
+            gshare._table[gs_i] = _DOWN[gshare_counter]
             gshare._history = (gshare._history << 1) & gshare._history_mask
         correct = prediction == taken
         if not correct:

@@ -18,7 +18,13 @@ Methodology:
   scheduler noise from a throughput measurement;
 - every cell also records the :meth:`~repro.pipeline.stats.SimStats.
   fingerprint` of its run, so a perf comparison between two commits can
-  simultaneously prove the runs were bit-identical.
+  simultaneously prove the runs were bit-identical;
+- ``stages=True`` (``svw-repro bench --stages``) adds one more run per
+  cell, after the timed repeats, on :class:`StageTimedProcessor`: the
+  cell's ``stage_seconds`` split ``Processor.run`` into its five stages
+  plus the loop remainder, and ``stages_wall_seconds`` is that run's
+  total, to read beside the uninstrumented best (the difference is the
+  wrappers' cost).  The timed repeats never run the wrappers.
 
 ``BENCH_core.json`` is a timing snapshot: its per-cell fingerprints are
 provenance for :func:`compare_bench`, not a gate.  The same cells are
@@ -38,7 +44,9 @@ pinned, with every other golden fingerprint, in the golden table of
       "results": [
         {"lsu": "nlq", "config": "+SVW+UPD", "workload": "gcc",
          "committed": 30000, "cycles": 46652, "wall_seconds": 0.25,
-         "insts_per_sec": 120000.0, "stats_fingerprint": "..."},
+         "insts_per_sec": 120000.0, "stats_fingerprint": "...",
+         "stage_seconds": {"complete": ..., ..., "loop": ...},  # --stages
+         "stages_wall_seconds": 0.3},                          # --stages
         ...
       ],
       "aggregate": {"nlq": {"committed": ..., "wall_seconds": ...,
@@ -64,6 +72,9 @@ from repro.workloads.spec2000 import spec_profile
 from repro.workloads.synthetic import TRACE_EPOCH, generate_trace
 
 BENCH_SCHEMA_VERSION = 1
+
+#: The stages of ``Processor.run`` that ``--stages`` times, in loop order.
+STAGES = ("complete", "commit", "rex", "issue", "dispatch")
 
 #: Default instruction budget per cell (the figure sweeps' default).
 BENCH_INSTS = 30_000
@@ -110,6 +121,53 @@ def bench_configs() -> dict[str, tuple[str, MachineConfig]]:
     }
 
 
+def _timed_stage(stage: str):
+    method = getattr(Processor, f"_do_{stage}")
+
+    def timed(self, *args):
+        started = time.perf_counter()
+        result = method(self, *args)
+        self.stage_seconds[stage] += time.perf_counter() - started
+        return result
+
+    return timed
+
+
+class StageTimedProcessor(Processor):
+    """A :class:`Processor` that accumulates wall seconds per stage method.
+
+    The stage loop looks its stage methods up once per run, so overriding
+    them here times every call without touching the plain processor.
+    """
+
+    __slots__ = ("stage_seconds",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.stage_seconds = dict.fromkeys(STAGES, 0.0)
+
+    _do_complete = _timed_stage("complete")
+    _do_commit = _timed_stage("commit")
+    _do_rex = _timed_stage("rex")
+    _do_issue = _timed_stage("issue")
+    _do_dispatch = _timed_stage("dispatch")
+
+
+def stage_split(config: MachineConfig, trace) -> tuple[dict[str, float], float, str]:
+    """One instrumented run: ``(stage_seconds, wall_seconds, fingerprint)``.
+
+    ``stage_seconds`` has one key per :data:`STAGES` entry plus ``loop``,
+    the part of the wall time spent outside every stage method.
+    """
+    processor = StageTimedProcessor(config, trace)
+    started = time.perf_counter()
+    stats = processor.run()
+    wall = time.perf_counter() - started
+    split = dict(processor.stage_seconds)
+    split["loop"] = wall - sum(split.values())
+    return split, wall, stats.fingerprint()
+
+
 def run_bench(
     workloads: list[str] | None = None,
     n_insts: int = BENCH_INSTS,
@@ -117,12 +175,14 @@ def run_bench(
     quick: bool = False,
     progress: Callable[[str], None] | None = None,
     lsus: list[str] | None = None,
+    stages: bool = False,
 ) -> dict:
     """Run the core benchmark; returns the ``BENCH_core.json`` payload.
 
     ``workloads`` and ``lsus`` narrow the matrix (``svw-repro bench
     --workloads gcc --lsus nlq``), which is how the perf-regression
-    harness targets a single cell during development.
+    harness targets a single cell during development.  ``stages`` adds
+    each cell's per-stage split (see :func:`stage_split`).
     """
     if quick:
         workloads = workloads or QUICK_WORKLOADS
@@ -155,25 +215,32 @@ def run_bench(
                 stats = processor.run()
                 best = min(best, time.perf_counter() - started)
             assert stats is not None
-            results.append(
-                {
-                    "lsu": kind,
-                    "config": label,
-                    "workload": name,
-                    "committed": stats.committed,
-                    "cycles": stats.cycles,
-                    "wall_seconds": best,
-                    "insts_per_sec": stats.committed / best if best else 0.0,
-                    "stats_fingerprint": stats.fingerprint(),
-                    # Scheduler observability (excluded from the fingerprint):
-                    # how much of the run the skip-ahead scheduler covered,
-                    # and what woke it.  A bench regression with a collapsed
-                    # skip share points at the scheduler, not the core.
-                    "skip_jumps": stats.skip_jumps,
-                    "skipped_cycles": stats.skipped_cycles,
-                    "wakeup_causes": dict(stats.wakeup_causes),
-                }
-            )
+            row = {
+                "lsu": kind,
+                "config": label,
+                "workload": name,
+                "committed": stats.committed,
+                "cycles": stats.cycles,
+                "wall_seconds": best,
+                "insts_per_sec": stats.committed / best if best else 0.0,
+                "stats_fingerprint": stats.fingerprint(),
+                # Scheduler observability (excluded from the fingerprint):
+                # how much of the run the skip-ahead scheduler covered,
+                # and what woke it.  A bench regression with a collapsed
+                # skip share points at the scheduler, not the core.
+                "skip_jumps": stats.skip_jumps,
+                "skipped_cycles": stats.skipped_cycles,
+                "wakeup_causes": dict(stats.wakeup_causes),
+            }
+            if stages:
+                split, wall, fingerprint = stage_split(config, trace)
+                if fingerprint != row["stats_fingerprint"]:
+                    raise RuntimeError(
+                        f"bench: stage-timed run of {kind} / {name} diverged"
+                    )
+                row["stage_seconds"] = split
+                row["stages_wall_seconds"] = wall
+            results.append(row)
     aggregate: dict[str, dict] = {}
     for kind in list(configs) + ["all"]:
         cells = [r for r in results if kind == "all" or r["lsu"] == kind]
@@ -223,6 +290,27 @@ def render_bench(payload: dict) -> str:
             f"{r['lsu']:14s} {r['workload']:12s} "
             f"{r['insts_per_sec'] / 1000:9.1f} {r['cycles']:8d} {share}"
         )
+    split_rows = [r for r in payload["results"] if "stage_seconds" in r]
+    if split_rows:
+        lines.append("")
+        lines.append(
+            "stage split (ms; one instrumented run per cell, beside the "
+            "uninstrumented best):"
+        )
+        keys = (*STAGES, "loop")
+        lines.append(
+            f"{'lsu':14s} {'workload':12s} "
+            + " ".join(f"{key:>8s}" for key in keys)
+            + f" {'timed':>8s} {'best':>8s}"
+        )
+        for r in split_rows:
+            split = r["stage_seconds"]
+            lines.append(
+                f"{r['lsu']:14s} {r['workload']:12s} "
+                + " ".join(f"{split[key] * 1e3:8.1f}" for key in keys)
+                + f" {r['stages_wall_seconds'] * 1e3:8.1f}"
+                + f" {r['wall_seconds'] * 1e3:8.1f}"
+            )
     lines.append("")
     for kind, agg in payload["aggregate"].items():
         lines.append(f"{kind:14s} aggregate    {agg['insts_per_sec'] / 1000:9.1f}")

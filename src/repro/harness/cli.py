@@ -14,6 +14,7 @@ Examples::
     svw-repro bench                        # core-throughput benchmark
     svw-repro bench --quick --out BENCH_core.json
     svw-repro bench --workloads gcc --lsus nlq   # one cell, for development
+    svw-repro bench --quick --stages       # plus the per-stage wall split
     svw-repro bench-sweep --jobs 4         # sweep-throughput benchmark
     svw-repro goldens                      # regenerate tests/goldens.json
     svw-repro worker --port 7501           # start a remote worker agent
@@ -550,6 +551,12 @@ def main(argv: list[str] | None = None) -> int:
         "with --workloads this narrows the harness to a single cell",
     )
     parser.add_argument(
+        "--stages",
+        action="store_true",
+        help="bench only: add each cell's per-stage wall split (complete, "
+        "commit, rex, issue, dispatch, loop) from one extra instrumented run",
+    )
+    parser.add_argument(
         "--out",
         type=str,
         default=None,
@@ -714,6 +721,7 @@ def main(argv: list[str] | None = None) -> int:
             quick=args.quick,
             progress=None if args.quiet else _progress,
             lsus=args.lsus.split(",") if args.lsus else None,
+            stages=args.stages,
         )
         emit_benchmark(payload, bench.render_bench, bench.write_bench, "BENCH_core.json")
         return 0

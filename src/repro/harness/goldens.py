@@ -4,8 +4,9 @@
 fingerprint and is stamped with the ``TRACE_EPOCH`` it was computed
 under.  The cells reuse the configurations the system already runs
 (:func:`~repro.experiments.fuzz.fuzz_matrix`,
-:func:`~repro.harness.bench.bench_configs`), so there is no second config
-matrix.  A fingerprint moves only through a deliberate epoch bump: bump
+:func:`~repro.harness.bench.bench_configs` and the fig5-7 configurations
+of :mod:`repro.harness.configs`), so there is no second config matrix.
+A fingerprint moves only through a deliberate epoch bump: bump
 ``TRACE_EPOCH``, run ``svw-repro goldens``, review the table diff.
 """
 
@@ -16,6 +17,7 @@ from typing import Callable
 
 from repro.experiments.fuzz import fuzz_matrix
 from repro.harness.bench import BENCH_INSTS, BENCH_WORKLOADS, bench_configs
+from repro.harness.configs import fig5_configs, fig6_configs, fig7_configs
 from repro.pipeline.processor import Processor
 from repro.workloads.kernels import kernel_trace
 from repro.workloads.phased import PHASED_CATALOG, generate_phased_trace
@@ -25,6 +27,9 @@ from repro.workloads.synthetic import TRACE_EPOCH, generate_trace
 
 #: Default output of ``svw-repro goldens`` (relative to the repo root).
 GOLDENS_PATH = "tests/goldens.json"
+
+#: The figures whose every configuration is pinned on the v2 gcc trace.
+FIGURE_CONFIGS = {"fig5": fig5_configs, "fig6": fig6_configs, "fig7": fig7_configs}
 
 
 def _simulate(config, trace, warmup=0, validate=False, skip_ahead=True) -> str:
@@ -48,6 +53,12 @@ def golden_cells() -> dict[str, Callable[..., str]]:
     for name, config in fuzz.items():
         if "+" not in name:
             cells[f"v2/gcc/{name}"] = functools.partial(
+                _simulate, config, gcc, warmup=500
+            )
+    # The paper's figures: every fig5-7 configuration on the same trace.
+    for figure, configs in FIGURE_CONFIGS.items():
+        for name, config in configs().items():
+            cells[f"fig/gcc/{figure}/{name}"] = functools.partial(
                 _simulate, config, gcc, warmup=500
             )
     # The phase composer: each catalog class on three fuzz cells.

@@ -102,7 +102,7 @@ class LoadStoreUnit(abc.ABC):
             if not stores:
                 continue
             for store in reversed(stores):
-                if store.seq >= load.seq or store.squashed or not store.issued:
+                if store.seq >= load_seq or store.squashed or not store.issued:
                     continue  # younger, gone, or address unknown to the CAM
                 if not store.done:
                     return store  # CAM match without data yet: replay
@@ -134,32 +134,25 @@ class LoadStoreUnit(abc.ABC):
 
         ``visible=None`` is the common "address resolved and data present"
         rule (``store.done``), inlined without a predicate call per store
-        because this runs once per issued load.
+        because this runs once per issued load.  ``store_words`` holds no
+        empty bucket (commit and squash delete them), so a word it lacks
+        has no in-flight writer.
         """
         load_seq = load.seq
         store_words = self.store_words
         committed_read = self.committed_memory.read
         words = self.words[load_seq]
-        if len(words) == 1 and visible is None:
-            # Single-word fast path (the overwhelmingly common shape).
-            word = words[0]
-            supplier = None
-            stores = store_words.get(word)
-            if stores:
-                for store in reversed(stores):
-                    if store.seq < load_seq and not store.squashed and store.done:
-                        supplier = store
-                        break
-            if supplier is None:
-                load.exec_value = committed_read(word, 4)
-                load.word_sources = (FROM_MEMORY,)
-                load.forwarded_ssn = 0
-            else:
-                load.exec_value = store_word_value(supplier, word)
-                load.word_sources = (supplier.seq,)
-                load.forwarded_ssn = supplier.ssn
-                if supplier.ssn > 0:
-                    self.stats.forwarded_loads += 1
+        for word in words:
+            if word in store_words:
+                break
+        else:
+            # Fast path (most loads): no in-flight store writes any of the
+            # words, so committed memory supplies the value under any
+            # visibility rule.  ``words`` are the aligned words from
+            # ``addr`` on, so one ``size``-byte read assembles them.
+            load.exec_value = committed_read(load.addr, load.size)
+            load.word_sources = (FROM_MEMORY,) * len(words)
+            load.forwarded_ssn = 0
             return
         sources = []
         forwarded_ssns = []

@@ -25,8 +25,8 @@ class ConventionalLSU(LoadStoreUnit):
         # Issued speculative loads indexed by word, for the LQ search.
         self._loads_by_word: dict[int, list[InFlight]] = {}
 
-    def load_must_wait(self, load: InFlight) -> InFlight | None:
-        return self._sq_data_blocker(load)
+    #: The associative SQ's CAM check, bound directly (no wrapper frame).
+    load_must_wait = LoadStoreUnit._sq_data_blocker
 
     def execute_load(self, load: InFlight) -> None:
         self._assemble(load)  # default visibility: store.done

@@ -49,8 +49,8 @@ class NonAssociativeLQ(LoadStoreUnit):
             return heap[0][0] < seq
         return False
 
-    def load_must_wait(self, load: InFlight) -> InFlight | None:
-        return self._sq_data_blocker(load)
+    #: The associative SQ's CAM check, bound directly (no wrapper frame).
+    load_must_wait = LoadStoreUnit._sq_data_blocker
 
     def execute_load(self, load: InFlight) -> None:
         self._assemble(load)  # default visibility: store.done

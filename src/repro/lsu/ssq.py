@@ -30,6 +30,11 @@ from repro.lsu.base import FROM_MEMORY, LoadStoreUnit
 from repro.pipeline.inflight import InFlight
 
 
+def _fsq_visible(store: InFlight) -> bool:
+    """FSQ search: only FSQ-resident complete stores are visible."""
+    return store.fsq and store.done
+
+
 class SpeculativeSQ(LoadStoreUnit):
     """RSQ + FSQ + per-bank best-effort forwarding buffers."""
 
@@ -69,25 +74,25 @@ class SpeculativeSQ(LoadStoreUnit):
 
     def execute_load(self, load: InFlight) -> None:
         if load.fsq:
-            # FSQ search: only FSQ-resident complete stores are visible.
-            self._assemble(load, lambda st: st.fsq and st.done)
+            self._assemble(load, _fsq_visible)
             return
         # Best-effort path: the bank's forwarding buffer, else the cache.
         words = self.words[load.seq]
-        bank = self.hierarchy.load_bank(load.addr)
+        addr = load.addr
+        bank = self.hierarchy.load_bank(addr)
         match: InFlight | None = None
         for store in reversed(self._buffers[bank]):
             if (
-                store.seq < load.seq
+                store.addr == addr
+                and store.seq < load.seq
                 and not store.squashed
-                and store.addr == load.addr
                 and store.size == load.size
             ):
                 match = store
                 break
         if match is not None:
             load.exec_value = match.store_value
-            load.word_sources = tuple(match.seq for _ in words)
+            load.word_sources = (match.seq,) * len(words)
             # Best-effort forwarding "does not maintain the invariants
             # required" for the SVW forward update (section 4.2).
             load.forwarded_ssn = 0
@@ -95,13 +100,9 @@ class SpeculativeSQ(LoadStoreUnit):
             return
         # In-flight stores are invisible outside the FSQ/buffer: read the
         # committed image (the cache).  Stale values are caught by rex.
-        value = 0
-        for shift, word in enumerate(words):
-            value |= self.committed_memory.read(word, 4) << (32 * shift)
-        if load.size == 4:
-            value &= 0xFFFF_FFFF
-        load.exec_value = value
-        load.word_sources = tuple(FROM_MEMORY for _ in words)
+        # ``words`` are the aligned words from ``addr`` on: one read.
+        load.exec_value = self.committed_memory.read(addr, load.size)
+        load.word_sources = (FROM_MEMORY,) * len(words)
         load.forwarded_ssn = 0
 
     def on_store_forwardable(self, store: InFlight) -> None:

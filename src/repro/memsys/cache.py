@@ -90,16 +90,17 @@ class Cache:
         """Access ``addr``: update LRU, fill on miss.  Returns hit."""
         line = addr // self._line_bytes
         ways = self._sets[line & self._set_mask]
-        self._stamp += 1
+        stamp = self._stamp + 1
+        self._stamp = stamp
         if line in ways:
-            ways[line] = self._stamp
+            ways[line] = stamp
             self.hits += 1
             return True
         self.misses += 1
         if len(ways) >= self._assoc:
             victim = min(ways, key=ways.get)  # true LRU
             del ways[victim]
-        ways[line] = self._stamp
+        ways[line] = stamp
         return False
 
     def invalidate(self, addr: int) -> bool:

@@ -5,7 +5,8 @@ infrastructure does not execute shared-memory programs").  We provide the
 mechanism -- banked SSBF, invalidation-as-asynchronous-store, window-wide
 load marking -- plus a synthetic invalidation stream so its filtering cost
 can be measured.  Invalidations are silent (no remote value), preserving
-single-thread golden correctness; see DESIGN.md's substitution table.
+single-thread golden correctness; the stream stands in for the
+shared-memory programs the paper does not run.
 """
 
 from __future__ import annotations

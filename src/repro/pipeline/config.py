@@ -116,7 +116,9 @@ class MachineConfig:
     #: (2 for NLQ/SSQ, 4 for RLE; 0 when re-execution is absent/perfect).
     rex_stages: int = 0
     svw: SVWConfig | None = None
-    #: Inject wrong-path SSBF updates at flushes (stress knob; see DESIGN.md).
+    #: Stress knob: at each flush (with speculative SSBF updates), write the
+    #: trace's recorded wrong-path store addresses into the SSBF, modelling
+    #: pollution by the squashed path's stores.
     wrong_path_injection: bool = False
 
     # -- predictors -------------------------------------------------------------------

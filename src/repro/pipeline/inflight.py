@@ -8,6 +8,19 @@ memory ops and branches, ``addr``/``size``/``store_value``/``taken`` --
 copied out of the trace's flat columns at dispatch; it no longer wraps a
 :class:`~repro.isa.inst.DynInst` object.  All timing and speculation state
 lives here, never in the immutable trace.
+
+Allocation is on the per-instruction path, so ``__init__`` writes only the
+fields some stage may read before setting them.  The others stay unset
+until the event that gives them meaning writes them, and nothing reads
+them earlier:
+
+- ``complete_cycle``: at issue (or integration), read once ``done``;
+- ``rex_done_cycle``: when re-execution starts (``IN_FLIGHT``);
+- ``rex_value``: when re-execution or perfect verification finishes;
+- ``forwarded_ssn``: by the LSU's ``execute_load``;
+- ``ssn``: at store dispatch, read only on stores;
+- ``elim_bypass``, ``squash_reuse``: at integration, read only on
+  ``eliminated`` loads.
 """
 
 from __future__ import annotations
@@ -27,6 +40,11 @@ class RexState(enum.IntEnum):
     SVW_FLUSH = 6  # svw-only mode: positive test, flush-and-refetch
 
 
+#: Read once here: every dispatch allocates an entry, and on CPython 3.11
+#: an enum-member read costs several plain attribute reads.
+_NOT_NEEDED = RexState.NOT_NEEDED
+
+
 class InFlight:
     """Pipeline state of one dispatched dynamic instruction."""
 
@@ -44,24 +62,32 @@ class InFlight:
         "data_pending",
         "waiters",
         "issued",
-        "complete_cycle",
         "done",
         "rex_state",
-        "rex_done_cycle",
         "marked",
         "svw",
         "exec_value",
-        "rex_value",
         "word_sources",
-        "forwarded_ssn",
-        "ssn",
         "resolved",
         "fsq",
         "eliminated",
-        "elim_bypass",
-        "squash_reuse",
         "it_signature",
         "mispredicted",
+        # Unset until first written (see the module docstring).
+        #: Cycle the execution (or integration) completes.
+        "complete_cycle",
+        #: Cycle the re-execution access completes.
+        "rex_done_cycle",
+        #: Architecturally-correct value found at re-execution.
+        "rex_value",
+        #: SSN of the youngest store that forwarded any word (0 = none).
+        "forwarded_ssn",
+        #: Store sequence number (stores only).
+        "ssn",
+        #: RLE: elimination came from a store (bypassing) vs a load (reuse).
+        "elim_bypass",
+        #: RLE: the matched IT entry's creator was squashed.
+        "squash_reuse",
     )
 
     def __init__(self, seq: int, pc: int, kind: int, dst_reg: int) -> None:
@@ -87,33 +113,21 @@ class InFlight:
         #: Waiters as (role, entry): role 0 = register operand, 1 = store data.
         self.waiters: list[tuple[int, InFlight]] | None = None
         self.issued = False
-        self.complete_cycle = -1
         self.done = False
-        self.rex_state = RexState.NOT_NEEDED
-        self.rex_done_cycle = -1
+        self.rex_state = _NOT_NEEDED
         self.marked = False
         #: SSN of the youngest older store this load is NOT vulnerable to.
         self.svw = 0
         #: Value obtained at execution (loads) -- possibly mis-speculated.
         self.exec_value = 0
-        #: Architecturally-correct value found at re-execution.
-        self.rex_value = 0
         #: For issued loads: per-word seq of the supplying store (-1 = memory).
         self.word_sources: tuple[int, ...] | None = None
-        #: SSN of the youngest store that forwarded any word (0 = none).
-        self.forwarded_ssn = 0
-        #: Store sequence number (stores only).
-        self.ssn = 0
         #: Store address generation done (stores only).
         self.resolved = False
         #: SSQ steering: this load/store uses the FSQ.
         self.fsq = False
         #: RLE: load removed from the execution engine.
         self.eliminated = False
-        #: RLE: elimination came from a store (bypassing) vs a load (reuse).
-        self.elim_bypass = False
-        #: RLE: the matched IT entry's creator was squashed.
-        self.squash_reuse = False
         #: RLE: signature of the IT entry this load integrated with.
         self.it_signature: tuple[int, int, int] | None = None
         #: Branches: direction or target misprediction.

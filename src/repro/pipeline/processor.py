@@ -39,15 +39,36 @@ golden-equivalence suite enforce this):
 - per-instruction facts (kind, latency, issue class, touched words,
   integration signature) come from :class:`~repro.isa.inst.TraceMeta`,
   precomputed once per trace instead of per cycle;
-- the stage methods pull shared state into locals and avoid rebuilding
-  per-cycle containers (issue slots are a flat list copy, bank arbitration
-  is a bitmask);
+- each stage method unpacks one tuple of per-run constants (containers,
+  columns, configuration scalars, hooks) bound in ``__init__`` instead of
+  re-reading a dozen attributes per call, and avoids rebuilding per-cycle
+  containers (issue slots are a flat list copy, bank arbitration is a
+  bitmask);
+- enum members are read once, into module constants or per-run booleans:
+  CPython 3.11 does not cache an enum-member read, which costs several
+  times a plain attribute read;
+- the cycle loop counts front-end and branch stalls itself (most cycles
+  that cannot dispatch are those) and hands ``_do_complete`` the bucket it
+  popped; ``_wake`` pushes ready entries itself, and dispatch appends
+  register waiters inline and writes ``fetch_seq`` back once per call;
+- :class:`~repro.pipeline.inflight.InFlight` is allocated about 1.2
+  times per committed instruction, so ``__init__`` writes only the fields
+  some stage can read before setting them;
 - an idle-cycle *skip-ahead* scheduler detects cycles in which no
   architectural state changed and jumps the clock to the next cycle at
   which anything can happen (a scheduled completion, the commit-depth
   horizon of the ROB head, a re-execution port release, a front-end
   redirect, an invalidation tick, or the watchdog), replicating the
   stall-counter increments the skipped cycles would have made.
+
+Measured and rejected on CPython 3.11 (do not rebuild): per-kind
+``InFlight`` subclasses with class-level defaults (measured 0.90x
+and 0.92x: the attribute sites turn polymorphic and lose their per-site
+caches), and a per-ROB-slot column window (reading three per-slot columns
+costs about twice three slotted attributes, and resetting a slot saves
+little over allocating).
+``svw-repro bench --stages`` splits ``Processor.run`` per stage to measure
+the next candidate against.
 """
 
 from __future__ import annotations
@@ -65,7 +86,6 @@ from repro.frontend.direction import HybridPredictor
 from repro.isa.coltrace import ColumnTrace
 from repro.isa.golden import golden_execute
 from repro.isa.inst import KIND_BRANCH, KIND_LOAD, KIND_STORE
-from repro.isa.ops import LATENCY_BY_OP, OpClass
 from repro.lsu.base import LoadStoreUnit, store_word_value
 from repro.lsu.conventional import ConventionalLSU
 from repro.lsu.nlq import NonAssociativeLQ
@@ -138,7 +158,6 @@ class Processor:
         "_rex_port_busy_until",
         "_uncommitted_loads",
         "_svw_retried",
-        "_svw_weak_upd",
         "_last_commit_cycle",
         "_committed_total",
         # skip-ahead scheduler
@@ -147,39 +166,19 @@ class Processor:
         "_stall_note",
         "_event_heap",
         "_wake_cause",
-        # flat trace columns (hot-loop flattening; see ColumnTrace.hot)
-        "_m_kind",
-        "_m_pc",
-        "_m_dst",
-        "_m_addr",
-        "_m_size",
-        "_m_sval",
-        "_m_sdata",
-        "_m_base",
-        "_m_taken",
-        "_m_srcs",
-        # cached configuration scalars (hot-loop flattening)
+        # per-run constants
         "_trace_len",
-        "_width",
-        "_rob_size",
-        "_iq_size",
-        "_lq_size",
-        "_sq_size",
-        "_num_regs",
         "_commit_depth",
-        "_store_retire_ports",
         "_uses_rex",
-        "_load_latency",
-        "_store_latency",
-        "_l1d_latency",
-        "_l1d_line_bytes",
-        "_l1d_bank_mask",
-        "_fsq_ports",
-        "_max_pops",
-        "_slot_template",
-        "_total_issue",
+        "_rex_reexecute",
+        "_rex_perfect",
+        "_rex_svw_only",
         "_ready_stale",
-        "_svw_upd",
+        # stage constants, bound once per run and unpacked per stage call
+        "_dispatch_consts",
+        "_issue_consts",
+        "_commit_consts",
+        "_rex_consts",
         # devirtualized hooks (bound methods, or None when the LSU variant
         # inherits the no-op default)
         "_on_load_dispatch",
@@ -288,42 +287,16 @@ class Processor:
         #: per distinct cycle), consumed lazily by the skip-ahead scan.
         self._event_heap: list[int] = []
 
-        # Flat trace columns for the dispatch loop (plain lists, built
-        # once per trace and shared by every configuration replaying it).
-        hot = trace.hot()
-        self._m_kind = self.meta.kind
-        self._m_pc = hot.pc
-        self._m_dst = hot.dst_reg
-        self._m_addr = hot.addr
-        self._m_size = hot.size
-        self._m_sval = hot.store_value
-        self._m_sdata = hot.store_data_seq
-        self._m_base = hot.base_seq
-        self._m_taken = hot.taken
-        self._m_srcs = hot.srcs
-
-        # Flattened configuration scalars for the per-cycle loops.
+        # Per-run constants.  Enum members are read here, once: on CPython
+        # 3.11 a member read costs several plain attribute reads.
         self._trace_len = len(trace)
-        self._width = config.width
-        self._rob_size = config.rob_size
-        self._iq_size = config.iq_size
-        self._lq_size = config.lq_size
-        self._sq_size = config.sq_size
-        self._num_regs = config.num_regs
         self._commit_depth = config.commit_depth
-        self._store_retire_ports = config.store_retire_ports
         self._uses_rex = config.uses_rex
-        self._load_latency = config.load_latency
-        self._store_latency = LATENCY_BY_OP[OpClass.STORE]
-        self._l1d_latency = config.hierarchy.l1d.latency
-        self._l1d_line_bytes = config.hierarchy.l1d.line_bytes
-        self._l1d_bank_mask = config.hierarchy.l1d.banks - 1
-        self._fsq_ports = config.fsq_ports
-        self._max_pops = 3 * config.width + 8
-        self._svw_upd = (
-            self.svw is not None and self.svw.config.update_on_forward
-        )
-        self._svw_weak_upd = self._svw_upd and self.svw.weak_upd
+        rex_mode = config.rex_mode
+        self._rex_reexecute = rex_mode is RexMode.REEXECUTE
+        self._rex_perfect = rex_mode is RexMode.PERFECT
+        self._rex_svw_only = rex_mode is RexMode.SVW_ONLY
+        svw_upd = self.svw is not None and self.svw.config.update_on_forward
         # Devirtualize the per-instruction LSU hooks: variants that keep
         # the base no-op pay nothing per event, overriding variants get a
         # pre-bound method (no attribute chase in the loops).
@@ -348,7 +321,7 @@ class Processor:
         #: (IMUL and NOP draw from the IALU budget via
         #: :data:`~repro.isa.ops.ISSUE_CLASS_BY_OP`, so their own indices
         #: stay zero).
-        self._slot_template = [
+        slot_template = [
             config.int_issue,
             0,
             config.fp_issue,
@@ -357,7 +330,6 @@ class Processor:
             config.branch_issue,
             0,
         ]
-        self._total_issue = sum(self._slot_template)
         #: Exact count of squashed-but-still-heaped ready entries.  While
         #: it is zero and the cycle's issue bandwidth is spent, the select
         #: loop can stop popping: every further pop in the naive loop
@@ -365,11 +337,81 @@ class Processor:
         #: back unchanged, so stopping early is observationally identical.
         self._ready_stale = 0
 
-    # ------------------------------------------------------------------ helpers
+        # Stage constants: the containers, flat trace columns (plain lists,
+        # built once per trace and shared by every configuration replaying
+        # it), configuration scalars and hooks each stage reads.  None is
+        # ever rebound, so each stage call unpacks one tuple instead of
+        # re-reading a dozen attributes.  Each tuple's order is the order
+        # its stage method unpacks it in.
+        hot = trace.hot()
+        l1d = config.hierarchy.l1d
+        self._dispatch_consts = (
+            self._trace_len,
+            config.width,
+            config.rob_size,
+            config.iq_size,
+            config.lq_size,
+            config.sq_size,
+            config.num_regs,
+            self.meta.kind,
+            hot.dst_reg,
+            hot.pc,
+            hot.taken,
+            hot.addr,
+            hot.size,
+            hot.store_value,
+            hot.base_seq,
+            hot.store_data_seq,
+            hot.srcs,
+            self.rob,
+            self.inflight_by_seq,
+            self._ready,
+            self._store_dispatch_ready,
+            self.ssn,
+            self.svw is not None,
+        )
+        self._issue_consts = (
+            self._ready,
+            self.meta.kind,
+            self.meta.issue_class,
+            self.meta.latency,
+            l1d.line_bytes,
+            l1d.banks - 1,
+            self._load_must_wait,
+            self._execute_load,
+            self._load_access,
+            svw_upd,
+            svw_upd and self.svw.weak_upd,
+            self.ssn,
+            config.load_latency - l1d.latency,
+            self._completes,
+            self._event_heap,
+            slot_template,
+            config.fsq_ports,
+            sum(slot_template),
+            3 * config.width + 8,
+        )
+        self._commit_consts = (
+            self.rob,
+            config.width,
+            self._commit_depth,
+            config.store_retire_ports,
+            self._uses_rex,
+            self._rex_perfect,
+            self.inflight_by_seq,
+            self.warmup,
+        )
+        self._rex_consts = (
+            self.rex_queue,
+            self.svw,
+            self.svw is not None and not self.svw.config.speculative_updates,
+            config.width,
+            self._rex_svw_only,
+            self._uncommitted_loads,
+            self.hierarchy.rex_access,
+        )
 
-    def _push_ready(self, entry: InFlight) -> None:
-        self._tiebreak += 1
-        heappush(self._ready, (entry.seq, self._tiebreak, entry))
+    # ------------------------------------------------------------------ helpers
 
     def _schedule_completion(self, entry: InFlight, when: int) -> None:
         entry.complete_cycle = when
@@ -381,33 +423,38 @@ class Processor:
             bucket.append(entry)
 
     def _wake(self, producer: InFlight) -> None:
+        """Release ``producer``'s waiters (the caller checked it has some).
+
+        A register waiter whose last operand arrived joins the ready heap
+        (an integrated load completes instead); a store-data waiter whose
+        address is known becomes done.
+        """
         waiters = producer.waiters
-        if not waiters:
-            return
         producer.waiters = None
         for role, waiter in waiters:
             if waiter.squashed:
                 continue
             if role:
+                # Store data arrived; the store is fully done once its
+                # address exists too (data_pending blocked it until now).
                 waiter.data_pending = 0
-                self._store_maybe_done(waiter)
+                if waiter.resolved:
+                    waiter.done = True
+                    if self._on_store_forwardable is not None:
+                        self._on_store_forwardable(waiter)
+                    if waiter.waiters is not None:
+                        self._wake(waiter)
                 continue
-            waiter.pending_srcs -= 1
-            if waiter.pending_srcs == 0:
+            pending = waiter.pending_srcs - 1
+            waiter.pending_srcs = pending
+            if pending == 0:
                 if waiter.eliminated:
                     # Integrated loads "complete" as soon as their value does.
                     self._schedule_completion(waiter, self.cycle + 1)
                 else:
-                    self._push_ready(waiter)
-
-    def _store_maybe_done(self, store: InFlight) -> None:
-        """A store is fully done once its address and its data both exist."""
-        if store.resolved and store.data_pending == 0 and not store.done:
-            store.done = True
-            if self._on_store_forwardable is not None:
-                self._on_store_forwardable(store)
-            if store.waiters is not None:
-                self._wake(store)
+                    tiebreak = self._tiebreak + 1
+                    self._tiebreak = tiebreak
+                    heappush(self._ready, (waiter.seq, tiebreak, waiter))
 
     def _program_order_value(self, load: InFlight) -> int:
         """The architecturally-correct value at the load's position.
@@ -469,8 +516,7 @@ class Processor:
         watchdog = self.config.watchdog_cycles
         inval = self.config.invalidation_interval
         skip = self._skip_ahead
-        rex_mode = self.config.rex_mode
-        rex_active = rex_mode is RexMode.REEXECUTE or rex_mode is RexMode.SVW_ONLY
+        rex_active = self._rex_reexecute or self._rex_svw_only
         # Containers are bound once in __init__ and never rebound, so the
         # per-cycle stage gates below can hold direct references.  Stage
         # methods are bound once too: the gates run every simulated cycle.
@@ -479,12 +525,14 @@ class Processor:
         rex_queue = self.rex_queue
         rob = self.rob
         commit_depth = self._commit_depth
-        store_retire_ports = self._store_retire_ports
+        store_retire_ports = self.config.store_retire_ports
         do_complete = self._do_complete
         do_commit = self._do_commit
         do_rex = self._do_rex
         do_issue = self._do_issue
         do_dispatch = self._do_dispatch
+        # Only commit swaps the stats object (at the warm-up boundary).
+        stats = self.stats
         rex0 = ser0 = 0
         while self._committed_total < total:
             if max_cycles is not None and self.cycle >= max_cycles:
@@ -494,23 +542,34 @@ class Processor:
             if skip:
                 self._worked = False
                 self._stall_note = None
-                stats = self.stats
                 rex0 = stats.rex_port_stalls
                 ser0 = stats.serialization_stalls
             # Stage gates: each stage's own early-out precondition is
             # evaluated here so no-op stages cost a test, not a call.
             if cycle in completes:
-                do_complete()
+                do_complete(completes.pop(cycle))
             port_budget = store_retire_ports
             if rob:
                 head = rob[0]
                 if head.done and cycle >= head.complete_cycle + commit_depth:
                     port_budget = do_commit()
+                    stats = self.stats
             if rex_active and rex_queue and rex_queue[0].done:
                 do_rex(port_budget)
             if ready:
                 do_issue()
-            do_dispatch()
+            # Most cycles that cannot dispatch wait on a front-end redirect
+            # or an unresolved mispredicted branch; count those here.
+            if cycle < self.fetch_resume:
+                self._stall_note = "frontend"
+                stalls = stats.dispatch_stalls
+                stalls["frontend"] = stalls.get("frontend", 0) + 1
+            elif self.fetch_blocker is not None:
+                self._stall_note = "branch"
+                stalls = stats.dispatch_stalls
+                stalls["branch"] = stalls.get("branch", 0) + 1
+            else:
+                do_dispatch()
             if inval and cycle % inval == 0:
                 self._inject_invalidation()
                 self._worked = True
@@ -533,7 +592,6 @@ class Processor:
                     self._wake_cause = "max_cycles"
                 n = limit - cycle
                 if n > 0:
-                    stats = self.stats
                     delta = stats.rex_port_stalls - rex0
                     if delta:
                         stats.rex_port_stalls += delta * n
@@ -591,7 +649,7 @@ class Processor:
         if cycle < busy < nxt:
             nxt = busy
             cause = "rex_port"
-        if self.config.rex_mode is RexMode.REEXECUTE:
+        if self._rex_reexecute:
             # IN_FLIGHT entries only exist ahead of the first incomplete
             # entry (the re-execution pipe is in-order), so the scan is
             # short and bounded.
@@ -617,11 +675,10 @@ class Processor:
 
     # ------------------------------------------------------------------ complete
 
-    def _do_complete(self) -> None:
-        events = self._completes.pop(self.cycle, None)
-        if not events:
-            return
+    def _do_complete(self, events: list[InFlight]) -> None:
+        """Finish this cycle's executions (``events``, never empty)."""
         self._worked = True
+        on_store_resolved = self._on_store_resolved
         for entry in events:
             if entry.squashed:
                 continue
@@ -630,15 +687,18 @@ class Processor:
                 # Address generation finished (STA); data may still be
                 # outstanding (STD) -- the store is done when both are.
                 entry.resolved = True
-                if self._on_store_resolved is not None:
-                    victim = self._on_store_resolved(entry)
+                if on_store_resolved is not None:
+                    victim = on_store_resolved(entry)
                     if victim is not None and not victim.squashed:
                         self._ordering_flush(victim, entry)
-                self._store_maybe_done(entry)
-                continue
-            entry.done = True
-            if kind == KIND_BRANCH:
-                if entry.mispredicted and self.fetch_blocker is entry:
+                if entry.data_pending:
+                    continue  # the data producer's wake-up finishes it
+                entry.done = True
+                if self._on_store_forwardable is not None:
+                    self._on_store_forwardable(entry)
+            else:
+                entry.done = True
+                if kind == KIND_BRANCH and entry.mispredicted and self.fetch_blocker is entry:
                     self.fetch_resume = max(
                         self.fetch_resume, self.cycle + self.config.mispredict_penalty
                     )
@@ -650,22 +710,11 @@ class Processor:
 
     def _do_commit(self) -> int:
         """Commit up to ``width``; returns leftover D$ port capacity."""
-        port_budget = self._store_retire_ports
-        rob = self.rob
-        if not rob:
-            return port_budget
+        (rob, width, commit_depth, port_budget, uses_rex, rex_perfect,
+         inflight_by_seq, warmup) = self._commit_consts
         cycle = self.cycle
-        commit_depth = self._commit_depth
-        head = rob[0]
-        if not head.done or cycle < head.complete_cycle + commit_depth:
-            # Head not retirement-eligible: nothing can commit this cycle.
-            return port_budget
-        width = self._width
-        uses_rex = self._uses_rex
-        rex_mode = self.config.rex_mode
-        inflight_by_seq = self.inflight_by_seq
-        warmup = self.warmup
         stats = self.stats
+        committed_total = self._committed_total
         commits = 0
         branches = 0
         # ``committed``/``committed_branches`` are batched into locals and
@@ -673,17 +722,17 @@ class Processor:
         # increment lands in the stats object that was current when its
         # instruction retired).
         flushed = flushed_branches = 0
+        flush_after = False
         while rob and commits < width:
             head = rob[0]
             if not head.done or cycle < head.complete_cycle + commit_depth:
                 break
             kind = head.kind
-            flush_after = False
             if kind == KIND_LOAD:
                 if uses_rex:
                     state = head.rex_state
                     if state is _PENDING or state is _IN_FLIGHT:
-                        if rex_mode is RexMode.PERFECT:
+                        if rex_perfect:
                             self._perfect_verify(head)
                             state = head.rex_state
                         else:
@@ -694,12 +743,12 @@ class Processor:
                     elif state is _SVW_FLUSH:
                         self._svw_only_flush(head)
                         break
-                self._commit_load(head)
+                self._commit_load(head, stats)
             elif kind == KIND_STORE:
                 if uses_rex and head.rex_state is not _DONE_OK:
                     # Store may not commit until it (and all older loads)
                     # cleared the re-execution pipe -- the critical loop.
-                    if rex_mode is RexMode.PERFECT:
+                    if rex_perfect:
                         head.rex_state = _DONE_OK
                     else:
                         stats.serialization_stalls += 1
@@ -711,15 +760,14 @@ class Processor:
                     stats.rex_port_stalls += 1
                     break
                 port_budget -= 1
-                self._commit_store(head)
+                self._commit_store(head, stats)
             elif kind == KIND_BRANCH:
                 branches += 1
             # Retire the head (inline: this runs once per committed
             # instruction).
             rob.popleft()
             del inflight_by_seq[head.seq]
-            committed_total = self._committed_total + 1
-            self._committed_total = committed_total
+            committed_total += 1
             if head.dst_reg >= 0:
                 self.reg_occ -= 1
             commits += 1
@@ -737,6 +785,7 @@ class Processor:
                 self._rex_failure_flush(head)
                 break
         if commits:
+            self._committed_total = committed_total
             stats.committed += commits - flushed
             stats.committed_branches += branches - flushed_branches
             self._last_commit_cycle = cycle
@@ -753,8 +802,7 @@ class Processor:
         if self.svw is not None:
             self.stats.ssn_drains = -self.svw.ssn.drains
 
-    def _commit_load(self, head: InFlight) -> None:
-        stats = self.stats
+    def _commit_load(self, head: InFlight, stats: SimStats) -> None:
         stats.committed_loads += 1
         self.lq_occ -= 1
         uncommitted = self._uncommitted_loads
@@ -765,7 +813,7 @@ class Processor:
             state = head.rex_state
             if state is _FILTERED:
                 stats.filtered_loads += 1
-            elif self.config.rex_mode in (RexMode.REEXECUTE, RexMode.PERFECT):
+            elif self._rex_reexecute or self._rex_perfect:
                 stats.reexecuted_loads += 1
             if state is _FAILED:
                 stats.rex_failures += 1
@@ -789,13 +837,14 @@ class Processor:
                     f"golden value is {expected:#x} (config {self.config.name})"
                 )
 
-    def _commit_store(self, head: InFlight) -> None:
-        self.stats.committed_stores += 1
+    def _commit_store(self, head: InFlight, stats: SimStats) -> None:
+        stats.committed_stores += 1
         self.sq_occ -= 1
-        self.hierarchy.store_access(head.addr)
-        self.committed_memory.write(head.addr, head.store_value, head.size)
+        addr = head.addr
+        self.hierarchy.store_access(addr)
+        self.committed_memory.write(addr, head.store_value, head.size)
         self.ssn.retire_store()
-        self.spct.record(head.addr, head.size, head.pc)
+        self.spct.record(addr, head.size, head.pc)
         store_words = self.store_words
         for word in self.meta.words[head.seq]:
             stores = store_words.get(word)
@@ -809,7 +858,7 @@ class Processor:
         if self.store_sets is not None:
             self.store_sets.store_done(head.pc, head.seq)
         if head.fsq:
-            self.stats.fsq_stores += 1
+            stats.fsq_stores += 1
         if self._on_store_commit is not None:
             self._on_store_commit(head)
 
@@ -826,19 +875,11 @@ class Processor:
     # ------------------------------------------------------------------ re-execution
 
     def _do_rex(self, port_budget: int) -> None:
-        rex_mode = self.config.rex_mode
-        if rex_mode is not RexMode.REEXECUTE and rex_mode is not RexMode.SVW_ONLY:
-            return
-        queue = self.rex_queue
-        if not queue or not queue[0].done:
-            # The pipe is in-order and the front entry is never terminal
-            # (terminal entries retire eagerly below), so an incomplete
-            # front entry means no transition is possible this cycle.
-            return
+        """Advance the in-order re-execution pipe (the caller checked that
+        re-execution is on and the front entry is done)."""
+        (queue, svw, atomic, budget, svw_only, uncommitted_loads,
+         rex_access) = self._rex_consts
         cycle = self.cycle
-        svw = self.svw
-        atomic = svw is not None and not svw.config.speculative_updates
-        budget = self._width
         qlen = len(queue)
         index = 0
         processed = 0
@@ -850,8 +891,8 @@ class Processor:
                 if entry.rex_state is _NOT_NEEDED:
                     if (
                         atomic
-                        and self._uncommitted_loads
-                        and self._uncommitted_loads[0] < entry.seq
+                        and uncommitted_loads
+                        and uncommitted_loads[0] < entry.seq
                     ):
                         # Atomic updates: the store (and everything behind
                         # it in the SVW stage) waits until every older load
@@ -876,7 +917,7 @@ class Processor:
                         must = svw.must_reexecute(entry.addr, entry.size, entry.svw)
                     else:
                         must = True
-                    if rex_mode is RexMode.SVW_ONLY:
+                    if svw_only:
                         # Config validation guarantees svw is present here.
                         if must and self._svw_retried:
                             # A load refetched by `_svw_only_flush` restarted
@@ -900,7 +941,7 @@ class Processor:
                             self.stats.rex_port_stalls += 1
                             break  # in-order start
                         entry.rex_state = _IN_FLIGHT
-                        access = self.hierarchy.rex_access(entry.addr)
+                        access = rex_access(entry.addr)
                         # RLE's elongated pipe (register-file address/value
                         # reads) adds latency but does not hold the D$ port.
                         extra = 2 if entry.eliminated else 0
@@ -929,44 +970,29 @@ class Processor:
     # ------------------------------------------------------------------ issue
 
     def _do_issue(self) -> None:
-        ready = self._ready
-        if not ready:
-            return
+        (ready, m_kind, m_iclass, m_latency, line_bytes, bank_mask,
+         load_must_wait, execute_load, load_access, svw_upd, svw_weak, ssn,
+         load_base_latency, completes, event_heap, slot_template, fsq_budget,
+         total_issue, max_pops) = self._issue_consts
         cycle = self.cycle
-        meta = self.meta
-        m_kind = self._m_kind
-        m_iclass = meta.issue_class
-        m_latency = meta.latency
-        line_bytes = self._l1d_line_bytes
-        bank_mask = self._l1d_bank_mask
-        load_must_wait = self._load_must_wait
-        execute_load = self._execute_load
-        load_access = self._load_access
-        svw_upd = self._svw_upd
-        svw_weak = self._svw_weak_upd
-        load_base_latency = self._load_latency - self._l1d_latency
-        store_latency = self._store_latency
-        completes = self._completes
-        event_heap = self._event_heap
-        slots = self._slot_template.copy()
+        slots = slot_template.copy()
         banks_used = 0
-        fsq_budget = self._fsq_ports
         issued = 0
-        remaining = self._total_issue
         deferred: list[tuple[int, int, InFlight]] = []
-        max_pops = self._max_pops
         pops = 0
         while ready and pops < max_pops:
-            if remaining <= 0 and self._ready_stale <= 0:
+            if issued >= total_issue and self._ready_stale <= 0:
                 # All issue bandwidth consumed and no stale entries left
                 # to drop: every further pop would just defer-and-repush.
                 break
             pops += 1
             item = heappop(ready)
             entry = item[2]
-            if entry.squashed or entry.issued or entry.pending_srcs > 0:
-                if entry.squashed:
-                    self._ready_stale -= 1
+            if entry.squashed:
+                # An entry joins the heap once, when it is ready and not
+                # issued (deferral re-pushes it unchanged), so a squashed
+                # entry is the only kind to drop.
+                self._ready_stale -= 1
                 continue
             seq = entry.seq
             iclass = m_iclass[seq]
@@ -997,21 +1023,16 @@ class Processor:
                 execute_load(entry)
                 if svw_upd and entry.forwarded_ssn > entry.svw:
                     # ``+UPD``: forwarding shrinks the vulnerability window.
-                    entry.svw = (
-                        self.svw.ssn.rename if svw_weak else entry.forwarded_ssn
-                    )
+                    entry.svw = ssn.rename if svw_weak else entry.forwarded_ssn
                 # Timing: the configured load-to-use latency covers the
                 # L1D + SQ path; anything beyond the L1 adds the
                 # hierarchy's miss penalty.
                 when = cycle + load_base_latency + load_access(entry.addr)
-            elif kind == KIND_STORE:
-                entry.issued = True
-                when = cycle + store_latency
             else:
+                # A store's latency is its address generation.
                 entry.issued = True
                 when = cycle + m_latency[seq]
             issued += 1
-            remaining -= 1
             slots[iclass] -= 1
             # _schedule_completion inlined (once per issued instruction).
             entry.complete_cycle = when
@@ -1030,163 +1051,124 @@ class Processor:
     # ------------------------------------------------------------------ dispatch
 
     def _do_dispatch(self) -> None:
-        cycle = self.cycle
-        if cycle < self.fetch_resume:
-            self._note_stall("frontend")
-            return
-        if self.fetch_blocker is not None:
-            self._note_stall("branch")
-            return
+        """Dispatch up to ``width`` instructions in program order.
+
+        The caller has already counted the cycles in which a front-end
+        redirect or an unresolved mispredicted branch blocks fetch.
+        """
         if self.drain_wait:
-            if not self.rob:
-                assert self.svw is not None
-                self.svw.drain()
-                self.drain_wait = False
-                self._worked = True
-            else:
+            if self.rob:
                 self._note_stall("drain")
                 return
+            self.svw.drain()
+            self.drain_wait = False
+            self._worked = True
+        (trace_len, width, rob_size, iq_size, lq_size, sq_size, num_regs,
+         m_kind, m_dst, m_pc, m_taken, m_addr, m_size, m_sval, m_base, m_sdata,
+         m_srcs, rob, inflight_by_seq, ready, store_dispatch_ready, ssn,
+         svw_present) = self._dispatch_consts
+        # Written back once per call: nothing the loop calls reads them.
         fetch_seq = self.fetch_seq
-        trace_len = self._trace_len
-        if fetch_seq >= trace_len:
-            return
-        m_kind = self._m_kind
-        m_dst = self._m_dst
-        # Cheap first-instruction occupancy check: the majority of calls
-        # stall right here, so decide before paying the loop's local binds
-        # (the loop re-evaluates the same chain for dispatched entries).
-        kind = m_kind[fetch_seq]
-        if len(self.rob) >= self._rob_size:
-            self._note_stall("rob")
-            return
-        if self.iq_occ >= self._iq_size:
-            self._note_stall("iq")
-            return
-        if kind == KIND_LOAD:
-            if self.lq_occ >= self._lq_size:
-                self._note_stall("lq")
-                return
-        elif kind == KIND_STORE and self.sq_occ >= self._sq_size:
-            self._note_stall("sq")
-            return
-        if m_dst[fetch_seq] >= 0 and self.reg_occ >= self._num_regs:
-            self._note_stall("regs")
-            return
-        m_pc = self._m_pc
-        m_taken = self._m_taken
-        m_addr = self._m_addr
-        m_size = self._m_size
-        m_sval = self._m_sval
-        m_base = self._m_base
-        m_sdata = self._m_sdata
-        m_srcs = self._m_srcs
-        rob = self.rob
-        inflight_by_seq = self.inflight_by_seq
-        store_dispatch_ready = self._store_dispatch_ready
-        ssn = self.ssn
-        svw_present = self.svw is not None
-        width = self._width
-        rob_size = self._rob_size
-        iq_size = self._iq_size
-        lq_size = self._lq_size
-        sq_size = self._sq_size
-        num_regs = self._num_regs
+        tiebreak = self._tiebreak
         dispatched = 0
-        taken_branches = 0
+        taken_branch = False
+        stall = None
         while fetch_seq < trace_len and dispatched < width:
-            kind = m_kind[fetch_seq]
-            dst_reg = m_dst[fetch_seq]
             if len(rob) >= rob_size:
-                reason = "rob"
-            elif self.iq_occ >= iq_size:
-                reason = "iq"
-            elif kind == KIND_LOAD and self.lq_occ >= lq_size:
-                reason = "lq"
+                stall = "rob"
+                break
+            if self.iq_occ >= iq_size:
+                stall = "iq"
+                break
+            kind = m_kind[fetch_seq]
+            if kind == KIND_LOAD:
+                if self.lq_occ >= lq_size:
+                    stall = "lq"
+                    break
             elif kind == KIND_STORE and self.sq_occ >= sq_size:
-                reason = "sq"
-            elif dst_reg >= 0 and self.reg_occ >= num_regs:
-                reason = "regs"
-            else:
-                reason = None
-            if reason is not None:
-                self.fetch_seq = fetch_seq
-                self._note_stall(reason)
+                stall = "sq"
                 break
-            if kind == KIND_STORE and ssn.wrap_pending and svw_present:
-                # Entering drain_wait is a state transition the skip-ahead
-                # scheduler has no wake-up candidate for (with an empty ROB
-                # the drain would fire on the very next cycle), so the
-                # cycle must count as worked.
-                self.drain_wait = True
-                self._worked = True
-                self.fetch_seq = fetch_seq
-                self._note_stall("drain")
-                break
-            taken = kind == KIND_BRANCH and m_taken[fetch_seq]
-            if taken and taken_branches >= 1 and dispatched > 0:
-                # Can fetch past one taken branch per cycle.
-                self.fetch_seq = fetch_seq
+            dst_reg = m_dst[fetch_seq]
+            if dst_reg >= 0 and self.reg_occ >= num_regs:
+                stall = "regs"
                 break
             # The in-flight entry is the instruction's *view*: the static
             # facts the stage loops and LSU hooks read are copied out of
             # the flat columns here, once per dispatch.
-            entry = InFlight(fetch_seq, m_pc[fetch_seq], kind, dst_reg)
-            if kind == KIND_LOAD or kind == KIND_STORE:
+            if kind == KIND_STORE:
+                if svw_present and ssn.wrap_pending:
+                    # Entering drain_wait is a state transition the skip-ahead
+                    # scheduler has no wake-up candidate for (with an empty ROB
+                    # the drain would fire on the very next cycle), so the
+                    # cycle must count as worked.
+                    self.drain_wait = True
+                    self._worked = True
+                    stall = "drain"
+                    break
+                entry = InFlight(fetch_seq, m_pc[fetch_seq], kind, dst_reg)
                 entry.addr = m_addr[fetch_seq]
                 entry.size = m_size[fetch_seq]
-                if kind == KIND_STORE:
-                    entry.store_value = m_sval[fetch_seq]
-            elif taken:
-                entry.taken = True
-            if (
-                kind == KIND_STORE
-                and store_dispatch_ready is not None
-                and not store_dispatch_ready(entry)
-            ):
-                self.fetch_seq = fetch_seq
-                self._note_stall("fsq")
-                break
-            # Register dataflow.  Stores split address (issue-gating) from
-            # data (commit/forwarding-gating) operands.
-            if kind == KIND_STORE:
-                addr_producer = inflight_by_seq.get(m_base[fetch_seq])
-                if addr_producer is not None and not addr_producer.done:
-                    entry.pending_srcs += 1
-                    addr_producer.add_waiter(entry)
-                data_producer = inflight_by_seq.get(m_sdata[fetch_seq])
-                if data_producer is not None and not data_producer.done:
+                entry.store_value = m_sval[fetch_seq]
+                if store_dispatch_ready is not None and not store_dispatch_ready(entry):
+                    stall = "fsq"
+                    break
+                # Stores split address (issue-gating) from data
+                # (commit/forwarding-gating) operands.
+                producer = inflight_by_seq.get(m_base[fetch_seq])
+                if producer is not None and not producer.done:
+                    entry.pending_srcs = 1
+                    producer.add_waiter(entry)
+                producer = inflight_by_seq.get(m_sdata[fetch_seq])
+                if producer is not None and not producer.done:
                     entry.data_pending = 1
-                    data_producer.add_waiter(entry, role=1)
+                    producer.add_waiter(entry, role=1)
+                self._dispatch_store(entry)
             else:
+                taken = kind == KIND_BRANCH and m_taken[fetch_seq]
+                if taken:
+                    if taken_branch:
+                        break  # can fetch past one taken branch per cycle
+                    taken_branch = True
+                entry = InFlight(fetch_seq, m_pc[fetch_seq], kind, dst_reg)
+                if kind == KIND_LOAD:
+                    entry.addr = m_addr[fetch_seq]
+                    entry.size = m_size[fetch_seq]
+                elif taken:
+                    entry.taken = True
+                # Register dataflow (waiters appended inline: this runs
+                # once per source operand).
                 for src in m_srcs[fetch_seq]:
                     producer = inflight_by_seq.get(src)
                     if producer is not None and not producer.done:
                         entry.pending_srcs += 1
-                        producer.add_waiter(entry)
-            # Place the entry into the window.
-            if kind == KIND_LOAD:
-                self._dispatch_load(entry)
-            elif kind == KIND_STORE:
-                self._dispatch_store(entry)
-            else:
-                if kind == KIND_BRANCH:
-                    self._dispatch_branch(entry)
-                self.iq_occ += 1
+                        waiters = producer.waiters
+                        if waiters is None:
+                            producer.waiters = [(0, entry)]
+                        else:
+                            waiters.append((0, entry))
+                if kind == KIND_LOAD:
+                    self._dispatch_load(entry)
+                else:
+                    if kind == KIND_BRANCH:
+                        self._dispatch_branch(entry)
+                    self.iq_occ += 1
+            # Place the entry into the window.  Only an integrated load
+            # is issued at dispatch, and it never enters the ready heap.
             rob.append(entry)
-            inflight_by_seq[entry.seq] = entry
+            inflight_by_seq[fetch_seq] = entry
             if dst_reg >= 0:
                 self.reg_occ += 1
-            if not entry.eliminated and not entry.issued and entry.pending_srcs == 0:
-                tiebreak = self._tiebreak + 1
-                self._tiebreak = tiebreak
-                heappush(self._ready, (entry.seq, tiebreak, entry))
+            if entry.pending_srcs == 0 and not entry.issued:
+                tiebreak += 1
+                heappush(ready, (fetch_seq, tiebreak, entry))
             dispatched += 1
             fetch_seq += 1
-            self.fetch_seq = fetch_seq
-            if taken:
-                taken_branches += 1
             if entry.mispredicted:
                 break
+        self.fetch_seq = fetch_seq
+        self._tiebreak = tiebreak
+        if stall is not None:
+            self._note_stall(stall)
         if dispatched:
             self._worked = True
 
@@ -1206,12 +1188,11 @@ class Processor:
     def _dispatch_load(self, entry: InFlight) -> None:
         self.lq_occ += 1
         self._uncommitted_loads.append(entry.seq)
-        svw = self.svw
         if self._uses_rex:
             entry.rex_state = _PENDING
-        if svw is not None:
+        if self.svw is not None:
             # svw_at_dispatch() inlined: the NLQ/SSQ baseline window.
-            entry.svw = svw.ssn.retire
+            entry.svw = self.ssn.retire
         # RLE: try to integrate before doing anything else.
         if self.it is not None and self._try_integrate(entry):
             self.rex_queue.append(entry)
@@ -1385,7 +1366,11 @@ class Processor:
             self._inject_wrong_path_updates(flush_seq)
 
     def _inject_invalidation(self) -> None:
-        """Synthetic NLQ-SM coherence invalidation (see DESIGN.md).
+        """Synthetic NLQ-SM coherence invalidation.
+
+        The paper defines NLQ-SM but runs no shared-memory program, so
+        :mod:`repro.multi.invalidation` drives the mechanism with this
+        stream instead.
 
         A remote agent invalidates the line of a recently-touched load
         address.  All in-flight loads become vulnerable (the NLQ-SM
@@ -1410,7 +1395,12 @@ class Processor:
                 entry.marked = True
 
     def _inject_wrong_path_updates(self, flush_seq: int) -> None:
-        """Model SSBF pollution by wrong-path stores (see DESIGN.md)."""
+        """Model SSBF pollution by wrong-path stores.
+
+        The first of the next 8 seqs that has recorded wrong-path store
+        addresses writes each of them into the SSBF at ``SSN_RENAME + 1``,
+        as the squashed stores' speculative updates would have.
+        """
         assert self.svw is not None
         for seq in range(flush_seq, min(flush_seq + 8, self._trace_len)):
             addrs = self.trace.wrong_path_addrs.get(seq)

@@ -24,6 +24,7 @@ reuse to make the remaining re-executions filterable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.isa.inst import DynInst, Signature, memory_signature
 from repro.pipeline.inflight import InFlight
@@ -58,15 +59,13 @@ class ITEntry:
     stamp: int = 0
 
     @property
-    def ready(self) -> bool:
-        """The creator's value exists (it executed or was itself integrated)."""
-        return self.creator.done
-
-    @property
     def value(self) -> int:
         if self.from_store:
             return self.creator.store_value
         return self.creator.exec_value
+
+
+_STAMP = attrgetter("stamp")
 
 
 class IntegrationTable:
@@ -90,9 +89,10 @@ class IntegrationTable:
         return self._sets[hash(signature) % self._sets_count]
 
     def lookup(self, signature: Signature) -> ITEntry | None:
-        """Find a usable entry (creator value available)."""
+        """Find a usable entry: its creator's value exists (the creator
+        executed or was itself integrated)."""
         entry = self._set_for(signature).get(signature)
-        if entry is None or not entry.ready:
+        if entry is None or not entry.creator.done:
             self.misses += 1
             return None
         self.hits += 1
@@ -104,7 +104,7 @@ class IntegrationTable:
         ways = self._set_for(signature)
         self._stamp += 1
         if signature not in ways and len(ways) >= self._assoc:
-            victim = min(ways.values(), key=lambda e: e.stamp)
+            victim = min(ways.values(), key=_STAMP)
             del ways[victim.signature]
         ways[signature] = ITEntry(
             signature=signature,

@@ -1,8 +1,8 @@
 """Workload substrate: synthetic SPEC2000int-like traces and real kernels.
 
 The paper evaluates on the SPEC2000 integer suite compiled for Alpha.  That
-toolchain is unavailable here, so this package provides the substitution
-described in DESIGN.md:
+toolchain is unavailable here, so this package substitutes stand-ins (the
+README's *Workloads* section lists every workload class):
 
 - :mod:`repro.workloads.profile` / :mod:`repro.workloads.spec2000` --
   parameterised statistical models of the 16 benchmark runs the paper uses

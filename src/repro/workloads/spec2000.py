@@ -18,8 +18,9 @@ paper reports:
 - bzip2/gzip stream; crafty is global-table heavy with high redundancy
   (peak RLE speedup); gcc has a large static footprint and branch pressure.
 
-Absolute SPEC behaviour is not claimed -- see DESIGN.md for the substitution
-argument.
+Absolute SPEC behaviour is not claimed: each profile models the
+memory-reference structure the studied mechanisms are sensitive to, and the
+figures compare machines on the same traces, so the claims are relative.
 """
 
 from __future__ import annotations

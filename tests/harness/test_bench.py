@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.harness.bench import (
     BENCH_SCHEMA_VERSION,
+    STAGES,
     bench_configs,
     compare_bench,
     load_bench,
@@ -72,3 +75,23 @@ def test_payload_records_runtime_provenance():
     payload = _tiny_payload()
     assert payload["numpy"] == numpy.__version__
     assert payload["trace_epoch"] == TRACE_EPOCH == 2
+
+
+def test_stage_split_leaves_fingerprints_unchanged():
+    """``--stages`` times one extra run per cell; the timed runs and every
+    fingerprint are the same as without it."""
+    plain = run_bench(workloads=["gcc"], n_insts=2000, repeats=1)
+    split = run_bench(workloads=["gcc"], n_insts=2000, repeats=1, stages=True)
+    fp = lambda payload: [
+        (r["lsu"], r["stats_fingerprint"], r["cycles"]) for r in payload["results"]
+    ]
+    assert fp(split) == fp(plain)
+    for r in plain["results"]:
+        assert "stage_seconds" not in r
+    for r in split["results"]:
+        seconds = r["stage_seconds"]
+        assert list(seconds) == [*STAGES, "loop"]
+        assert all(value >= 0 for key, value in seconds.items() if key != "loop")
+        assert sum(seconds.values()) == pytest.approx(r["stages_wall_seconds"])
+    assert "stage split" in render_bench(split)
+    assert "stage split" not in render_bench(plain)

@@ -74,6 +74,18 @@ def test_v2_rows_are_the_base_fuzz_matrix(pinned):
     assert v2 == base
 
 
+def test_fig_rows_are_the_figure_configs(pinned):
+    """One ``fig/gcc/<figure>/<config>`` row per fig5-7 configuration."""
+    expected = {
+        f"{figure}/{name}"
+        for figure, configs in goldens.FIGURE_CONFIGS.items()
+        for name in configs()
+    }
+    fig = {k.removeprefix("fig/gcc/") for k in pinned if k.startswith("fig/")}
+    assert fig == expected
+    assert len(fig) == 15
+
+
 def test_phased_rows_cover_catalog(pinned):
     phased = {k.split("/")[1] for k in pinned if k.startswith("phased/")}
     assert sorted(phased) == sorted(PHASED_CATALOG)
