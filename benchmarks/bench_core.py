@@ -6,15 +6,14 @@ per second of ``Processor.run`` for one representative configuration per
 LSU kind across the default figure workloads, written to
 ``BENCH_core.json`` so performance is tracked from commit to commit.
 
-Run standalone::
+Run it through the CLI::
 
-    python benchmarks/bench_core.py                  # full run
-    python benchmarks/bench_core.py --quick          # CI smoke
-    python benchmarks/bench_core.py --compare old.json new.json
+    svw-repro bench                              # full run
+    svw-repro bench --quick                      # CI smoke
+    svw-repro bench --compare old.json new.json  # speedups + fingerprint check
 
-or through the CLI (``svw-repro bench [--quick] [--out PATH]``), or as a
-pytest module (``pytest benchmarks/bench_core.py``), which runs the quick
-variant and sanity-checks the emitted schema.
+or as a pytest module (``pytest benchmarks/bench_core.py``), which runs
+the quick variant and sanity-checks the emitted schema.
 """
 
 from repro.harness.bench import (
@@ -42,10 +41,3 @@ def test_bench_core_quick(tmp_path):
     assert "bit-identical" in report
     assert "WARNING" not in report
 
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    from repro.harness.bench import main
-
-    sys.exit(main())

@@ -6,15 +6,14 @@ runner) and proves the parallel backend bit-identical to ``SerialBackend`` cell 
 written to ``BENCH_sweep.json`` so sweep throughput is tracked from
 commit to commit.
 
-Run standalone::
+Run it through the CLI::
 
-    python benchmarks/bench_sweep.py                 # full run
-    python benchmarks/bench_sweep.py --quick         # CI smoke
-    python benchmarks/bench_sweep.py --compare old.json new.json
+    svw-repro bench-sweep --jobs 2                     # full run
+    svw-repro bench-sweep --quick                      # CI smoke
+    svw-repro bench-sweep --compare old.json new.json  # cells/s ratios
 
-or through the CLI (``svw-repro bench-sweep [--quick] [--jobs N]``), or as
-a pytest module (``pytest benchmarks/bench_sweep.py``), which runs the
-quick variant and sanity-checks the emitted schema and equivalence.
+or as a pytest module (``pytest benchmarks/bench_sweep.py``), which runs
+the quick variant and sanity-checks the emitted schema and equivalence.
 """
 
 from repro.harness.bench_sweep import (
@@ -51,10 +50,3 @@ def test_bench_sweep_quick():
     assert "bit-identical" in report
     assert "WARNING" not in report
 
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    from repro.harness.bench_sweep import main
-
-    sys.exit(main())

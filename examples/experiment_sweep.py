@@ -11,22 +11,19 @@ import time
 
 from repro.experiments import (
     BatchRunner,
-    ExperimentBuilder,
     ResultStore,
     SerialBackend,
+    matrix_spec,
     run_experiment,
 )
 from repro.harness.configs import fig5_configs
 
 
 def main() -> None:
-    spec = (
-        ExperimentBuilder("fig5-demo")
-        .configs(fig5_configs())
-        .workloads(["gcc", "vortex"])
-        .insts(10_000)
-        .build()
-    )
+    # Every Figure 5 machine crossed with two SPEC workloads.  Workloads
+    # may also be profiles, phased workloads or fixed traces
+    # (WorkloadSpec.from_trace); None means the whole SPEC2000int suite.
+    spec = matrix_spec("fig5-demo", fig5_configs(), ["gcc", "vortex"], n_insts=10_000)
     print(f"spec: {len(spec.cells())} cells, fingerprint {spec.fingerprint()[:12]}...")
 
     started = time.perf_counter()

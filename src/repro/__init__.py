@@ -20,16 +20,11 @@ Quickstart::
 
 For sweeps, use the experiment API::
 
-    from repro import ExperimentBuilder, run_experiment
+    from repro import matrix_spec, run_experiment
     from repro.experiments import BatchRunner
     from repro.harness.configs import fig5_configs
 
-    spec = (
-        ExperimentBuilder("fig5")
-        .configs(fig5_configs())
-        .workloads(["gcc", "vortex"])
-        .build()
-    )
+    spec = matrix_spec("fig5", fig5_configs(), ["gcc", "vortex"])
     # Eight local worker processes, bit-identical to the serial default.
     result = run_experiment(spec, backend=BatchRunner(jobs=8))
 
@@ -40,7 +35,7 @@ on-disk result cache.
 """
 
 from repro.core import SVWConfig, SVWEngine
-from repro.experiments import ExperimentBuilder, ExperimentSpec, run_experiment
+from repro.experiments import ExperimentSpec, matrix_spec, run_experiment
 from repro.isa import ColumnTrace, DynInst
 from repro.pipeline import MachineConfig, Processor, RexMode, SimStats, eight_wide, four_wide
 from repro.workloads import generate_trace, kernel_trace, spec_profile
@@ -50,7 +45,6 @@ __version__ = "1.1.0"
 __all__ = [
     "ColumnTrace",
     "DynInst",
-    "ExperimentBuilder",
     "ExperimentSpec",
     "MachineConfig",
     "Processor",
@@ -63,6 +57,7 @@ __all__ = [
     "four_wide",
     "generate_trace",
     "kernel_trace",
+    "matrix_spec",
     "run_experiment",
     "spec_profile",
 ]

@@ -3,17 +3,12 @@
 Quickstart::
 
     from repro.experiments import (
-        BatchRunner, ExperimentBuilder, ResultStore, run_experiment,
+        BatchRunner, ResultStore, matrix_spec, run_experiment,
     )
     from repro.harness.configs import fig5_configs
 
-    spec = (
-        ExperimentBuilder("fig5")
-        .configs(fig5_configs())
-        .workloads(["gcc", "vortex"])   # None = full SPEC2000int suite
-        .insts(30_000)
-        .build()
-    )
+    # None instead of the list = the full SPEC2000int suite.
+    spec = matrix_spec("fig5", fig5_configs(), ["gcc", "vortex"], 30_000)
     result = run_experiment(
         spec,
         backend=BatchRunner(jobs=8),             # or SerialBackend()
@@ -23,8 +18,8 @@ Quickstart::
 
 The pieces:
 
-- :class:`ExperimentSpec` / :class:`ExperimentBuilder` -- a hashable,
-  declarative description of a sweep (configs x workloads x budget).
+- :class:`ExperimentSpec` -- a hashable, declarative description of a
+  sweep (configs x workloads x budget), built by :func:`matrix_spec`.
 - :class:`SerialBackend` / :class:`BatchRunner` -- interchangeable
   executors producing bit-identical statistics for the same spec.  The
   batch runner (what ``make_backend`` picks for ``jobs > 1``) is a
@@ -96,12 +91,10 @@ from repro.experiments.traces import TraceProvider, workload_key
 from repro.experiments.run import run_experiment
 from repro.experiments.spec import (
     DEFAULT_INSTS,
-    ExperimentBuilder,
     ExperimentSpec,
     RunRequest,
     WorkloadSpec,
     matrix_spec,
-    resolve_benchmarks,
 )
 from repro.experiments.store import (
     FsckReport,
@@ -122,7 +115,6 @@ __all__ = [
     "CorruptTraceError",
     "CostModel",
     "ExecutionBackend",
-    "ExperimentBuilder",
     "ExperimentSpec",
     "FaultEvent",
     "FaultPlan",
@@ -142,7 +134,6 @@ __all__ = [
     "local_worker_fleet",
     "make_backend",
     "matrix_spec",
-    "resolve_benchmarks",
     "run_experiment",
     "scrub_journals",
     "session_cost_model",

@@ -188,7 +188,7 @@ class JournalScrubReport:
     repaired: int = 0
 
     @property
-    def clean(self) -> bool:
+    def ok(self) -> bool:
         return not self.torn_records and not self.unreadable
 
     def describe(self) -> str:
@@ -1143,5 +1143,6 @@ class CampaignBackend:
                 raise CellExecutionError(
                     f"{request.describe()}: campaign finished without its result"
                 )
-            results.append(verified_stats(request, entry))
+            # Cells that differ only in config name share one entry.
+            results.append(request.stamp(verified_stats(request, entry)))
         return results

@@ -73,7 +73,6 @@ are bit-identical to :class:`~repro.experiments.backends.SerialBackend`
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -1252,15 +1251,11 @@ class RemoteBackend:
                 f"({detail or 'no worker reachable'}): {unfinished[:3]}"
             )
         # Cells whose configs differ only in display name share a
-        # fingerprint and so one simulation; each result is stamped with
-        # its own request's config name, as SerialBackend's would be.
-        results = []
-        for request in requests:
-            stats = scheduler.cells[request.fingerprint()].stats
-            if stats.config_name != request.config.name:
-                stats = dataclasses.replace(stats, config_name=request.config.name)
-            results.append(stats)
-        return results
+        # fingerprint and so one simulation.
+        return [
+            request.stamp(scheduler.cells[request.fingerprint()].stats)
+            for request in requests
+        ]
 
     async def _sweep(
         self,

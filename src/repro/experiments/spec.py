@@ -12,20 +12,16 @@ each (config, workload) cell reduces to a :class:`RunRequest` whose
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from repro.fingerprint import stable_digest
-from repro.isa.coltrace import ColumnTrace
 from repro.pipeline.config import MachineConfig
+from repro.pipeline.stats import SimStats
 from repro.workloads.phased import PhasedWorkload
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.registry import (  # noqa: F401  (re-exported API)
-    WorkloadSpec,
-    _trace_digest,
-    resolve_workload,
-)
-from repro.workloads.spec2000 import SPEC_ORDER, SPEC_SHORT_NAMES
+from repro.workloads.registry import WorkloadSpec, resolve_workload
+from repro.workloads.spec2000 import SPEC_ORDER
 
 #: Default instruction budget per (config, workload) run.  The paper uses
 #: 10M-instruction samples; the stationary synthetic profiles have no
@@ -37,14 +33,6 @@ DEFAULT_INSTS = 30_000
 #: field starts affecting simulation results): stale cache entries must
 #: stop matching.
 FINGERPRINT_VERSION = 1
-
-
-def resolve_benchmarks(benchmarks: Iterable[str] | None) -> list[str]:
-    """Expand None to the full SPEC2000int suite; accept short names."""
-    if benchmarks is None:
-        return list(SPEC_ORDER)
-    short_to_full = {short: full for full, short in SPEC_SHORT_NAMES.items()}
-    return [short_to_full.get(name, name) for name in benchmarks]
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,6 +67,19 @@ class RunRequest:
                 "validate": self.validate,
             }
         )
+
+    def stamp(self, stats: SimStats) -> SimStats:
+        """``stats`` under this cell's own ``config.name``.
+
+        Configs that differ only in name share a :meth:`fingerprint`, so a
+        result read from a store or shared with another cell may carry the
+        other config's name; a path that hands out such a result stamps it
+        here, as :class:`~repro.experiments.backends.SerialBackend`'s own
+        simulation would have named it.
+        """
+        if stats.config_name == self.config.name:
+            return stats
+        return replace(stats, config_name=self.config.name)
 
     def to_payload(self) -> dict[str, object]:
         """JSON-safe wire form; round-trips through :meth:`from_payload`
@@ -118,7 +119,7 @@ class ExperimentSpec:
     ``configs`` is an ordered tuple of ``(label, MachineConfig)`` pairs --
     labels are the figure-legend names speedups are reported under and may
     differ from ``MachineConfig.name``.  Build specs with
-    :class:`ExperimentBuilder` or :func:`matrix_spec`.
+    :func:`matrix_spec`.
     """
 
     name: str
@@ -216,117 +217,34 @@ class ExperimentSpec:
         )
 
 
-class ExperimentBuilder:
-    """Fluent constructor for :class:`ExperimentSpec`.
-
-    Example::
-
-        spec = (
-            ExperimentBuilder("fig5")
-            .configs(fig5_configs())
-            .workloads(["gcc", "vortex"])
-            .insts(30_000)
-            .build()
-        )
-    """
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-        self._configs: list[tuple[str, MachineConfig]] = []
-        self._workloads: list[WorkloadSpec] = []
-        self._n_insts = DEFAULT_INSTS
-        self._warmup: int | None = None
-        self._baseline = "baseline"
-        self._validate = False
-
-    def config(self, label: str, config: MachineConfig) -> "ExperimentBuilder":
-        self._configs.append((label, config))
-        return self
-
-    def configs(self, configs: Mapping[str, MachineConfig]) -> "ExperimentBuilder":
-        for label, config in configs.items():
-            self.config(label, config)
-        return self
-
-    def workload(
-        self, workload: str | WorkloadProfile | PhasedWorkload | WorkloadSpec
-    ) -> "ExperimentBuilder":
-        # Everything workload-shaped funnels through the registry, so
-        # phased-catalog names and ingest references work wherever a
-        # benchmark name does.
-        self._workloads.append(resolve_workload(workload))
-        return self
-
-    def workloads(
-        self,
-        workloads: Iterable[str | WorkloadProfile | PhasedWorkload | WorkloadSpec]
-        | None,
-    ) -> "ExperimentBuilder":
-        """Add workloads; ``None`` adds the full SPEC2000int suite."""
-        if workloads is None:
-            workloads = resolve_benchmarks(None)
-        for workload in workloads:
-            self.workload(workload)
-        return self
-
-    def trace(self, name: str, trace: ColumnTrace) -> "ExperimentBuilder":
-        self._workloads.append(WorkloadSpec.from_trace(name, trace))
-        return self
-
-    def insts(self, n_insts: int) -> "ExperimentBuilder":
-        self._n_insts = n_insts
-        return self
-
-    def warmup(self, warmup: int | None) -> "ExperimentBuilder":
-        self._warmup = warmup
-        return self
-
-    def baseline(self, label: str) -> "ExperimentBuilder":
-        self._baseline = label
-        return self
-
-    def validated(self, validate: bool = True) -> "ExperimentBuilder":
-        self._validate = validate
-        return self
-
-    def build(self) -> ExperimentSpec:
-        return ExperimentSpec(
-            name=self._name,
-            configs=tuple(self._configs),
-            workloads=tuple(self._workloads),
-            n_insts=self._n_insts,
-            warmup=self._warmup,
-            baseline=self._baseline,
-            validate=self._validate,
-        )
-
-
 def matrix_spec(
     name: str,
     configs: Mapping[str, MachineConfig],
-    benchmarks: Iterable[str] | None = None,
+    benchmarks: Iterable[str | WorkloadProfile | PhasedWorkload | WorkloadSpec]
+    | None = None,
     n_insts: int = DEFAULT_INSTS,
     baseline: str = "baseline",
     validate: bool = False,
-    traces: Mapping[str, ColumnTrace] | None = None,
     warmup: int | None = None,
 ) -> ExperimentSpec:
-    """Spec for a classic config x benchmark matrix (the figure-sweep shape).
+    """The one constructor of an :class:`ExperimentSpec`: ``configs`` (in
+    order, keyed by label) crossed with ``benchmarks``.
 
-    ``traces`` injects pre-built traces (e.g. kernels) keyed by name; other
-    benchmarks resolve to SPEC2000 profiles.
+    ``benchmarks`` takes anything :func:`resolve_workload` resolves without
+    an ingest store -- full or short SPEC2000 names, phased-catalog names,
+    ``.svwt`` paths, profiles, phased workloads and :class:`WorkloadSpec`
+    objects (a fixed trace is ``WorkloadSpec.from_trace(name, trace)``);
+    ``None`` is the full SPEC2000int suite.
     """
-    builder = (
-        ExperimentBuilder(name)
-        .configs(configs)
-        .insts(n_insts)
-        .warmup(warmup)
-        .baseline(baseline)
-        .validated(validate)
+    return ExperimentSpec(
+        name=name,
+        configs=tuple(configs.items()),
+        workloads=tuple(
+            resolve_workload(benchmark)
+            for benchmark in (SPEC_ORDER if benchmarks is None else benchmarks)
+        ),
+        n_insts=n_insts,
+        warmup=warmup,
+        baseline=baseline,
+        validate=validate,
     )
-    for benchmark in resolve_benchmarks(benchmarks):
-        if traces is not None and benchmark in traces:
-            builder.trace(benchmark, traces[benchmark])
-        else:
-            builder.workload(benchmark)
-    return builder.build()

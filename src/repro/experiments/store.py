@@ -156,8 +156,13 @@ class ResultStore:
                 yield path
 
     def load(self, request: RunRequest) -> SimStats | None:
-        """The cached statistics for a cell, or None on miss."""
-        return self.load_stats(request.fingerprint())
+        """The cached statistics for a cell, or None on miss.
+
+        A hit is stamped with the request's own config name: the entry may
+        have been saved by a config that differs only in name.
+        """
+        stats = self.load_stats(request.fingerprint())
+        return None if stats is None else request.stamp(stats)
 
     def load_stats(self, fingerprint: str) -> SimStats | None:
         """The cached statistics at a raw content address, or None.

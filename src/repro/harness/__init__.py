@@ -2,7 +2,8 @@
 
 - :mod:`repro.harness.configs` -- the machine configurations of Figures 5-8.
 - :mod:`repro.harness.figures` -- one spec constructor + driver per
-  table/figure; each driver returns a
+  table/figure (``EXPERIMENTS`` names the spec constructors for the
+  CLI); each driver returns a
   :class:`~repro.experiments.results.FigureResult` with the same
   rows/series the paper reports.
 - :mod:`repro.harness.paper_data` -- the paper's published numbers

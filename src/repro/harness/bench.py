@@ -6,7 +6,7 @@ processor.Processor` -- the quantity every figure sweep is bottlenecked on
 default figure workloads.  Results are written to ``BENCH_core.json`` so
 the performance trajectory of the simulation core is tracked from PR to
 PR; compare two snapshots with :func:`compare_bench` (or
-``python benchmarks/bench_core.py --compare old.json new.json``).
+``svw-repro bench --compare old.json new.json``).
 
 Methodology:
 
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import json
 import platform
-import sys
 import time
 from typing import Callable
 
@@ -331,14 +330,18 @@ def render_bench(payload: dict) -> str:
 
 
 def write_bench(payload: dict, path: str) -> None:
+    """Write a JSON payload atomically (every ``svw-repro`` JSON file)."""
     atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
-def load_bench(path: str) -> dict:
+def load_bench(path: str, schema_version: int = BENCH_SCHEMA_VERSION) -> dict:
+    """Read a benchmark snapshot, refusing any other schema version
+    (``BENCH_core.json`` by default; pass ``SWEEP_SCHEMA_VERSION`` for
+    ``BENCH_sweep.json``)."""
     with open(path) as handle:
         payload = json.load(handle)
     version = payload.get("schema_version")
-    if version != BENCH_SCHEMA_VERSION:
+    if version != schema_version:
         raise ValueError(f"{path}: unsupported bench schema {version!r}")
     return payload
 
@@ -380,32 +383,3 @@ def compare_bench(old: dict, new: dict) -> str:
     else:
         lines.append("results bit-identical across comparable cells")
     return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover - thin CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--insts", type=int, default=BENCH_INSTS)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--workloads", type=str, default=None, help="comma-separated subset")
-    parser.add_argument("--lsus", type=str, default=None, help="comma-separated LSU kinds")
-    parser.add_argument("--out", default="BENCH_core.json")
-    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
-    args = parser.parse_args(argv)
-    if args.compare:
-        print(compare_bench(load_bench(args.compare[0]), load_bench(args.compare[1])))
-        return 0
-    payload = run_bench(
-        workloads=args.workloads.split(",") if args.workloads else None,
-        n_insts=args.insts,
-        repeats=args.repeats,
-        quick=args.quick,
-        progress=lambda msg: print(f"  ... {msg}", file=sys.stderr, flush=True),
-        lsus=args.lsus.split(",") if args.lsus else None,
-    )
-    print(render_bench(payload))
-    write_bench(payload, args.out)
-    print(f"wrote {args.out}")
-    return 0

@@ -51,9 +51,7 @@ the payload are the amortization proof.
 
 from __future__ import annotations
 
-import json
 import platform
-import sys
 import tempfile
 import time
 from typing import Callable
@@ -64,7 +62,6 @@ from repro.experiments.remote import RemoteBackend
 from repro.experiments.spec import ExperimentSpec, matrix_spec
 from repro.harness.bench import BENCH_WORKLOADS, QUICK_WORKLOADS, runtime_provenance
 from repro.harness.configs import fig5_configs, fig6_configs
-from repro.ioutil import atomic_write_text
 from repro.isa.codec import encode_trace
 from repro.pipeline.config import MachineConfig
 from repro.workloads.spec2000 import spec_profile
@@ -295,19 +292,6 @@ def render_sweep_bench(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def write_sweep_bench(payload: dict, path: str) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
-
-
-def load_sweep_bench(path: str) -> dict:
-    with open(path) as handle:
-        payload = json.load(handle)
-    version = payload.get("schema_version")
-    if version != SWEEP_SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported sweep-bench schema {version!r}")
-    return payload
-
-
 def compare_sweep_bench(old: dict, new: dict) -> str:
     """Cells/sec ratios between two ``BENCH_sweep.json`` payloads."""
     lines = [f"{'mode':14s} {'old c/s':>9s} {'new c/s':>9s} {'speedup':>8s}"]
@@ -338,48 +322,3 @@ def compare_sweep_bench(old: dict, new: dict) -> str:
     else:
         lines.append("results bit-identical across comparable cells")
     return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover - thin CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--insts", type=int, default=SWEEP_INSTS)
-    parser.add_argument("--jobs", type=int, default=SWEEP_JOBS)
-    parser.add_argument("--repeats", type=int, default=2)
-    parser.add_argument("--workloads", type=str, default=None)
-    parser.add_argument("--trace-cache-dir", type=str, default=None)
-    parser.add_argument("--remote-workers", type=str, default=None)
-    parser.add_argument("--out", default="BENCH_sweep.json")
-    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
-    args = parser.parse_args(argv)
-    if args.compare:
-        print(
-            compare_sweep_bench(
-                load_sweep_bench(args.compare[0]), load_sweep_bench(args.compare[1])
-            )
-        )
-        return 0
-    from contextlib import ExitStack
-
-    from repro.experiments.remote import resolve_worker_fleet
-
-    with ExitStack() as stack:
-        remote = resolve_worker_fleet(
-            args.remote_workers, stack, args.trace_cache_dir
-        )
-        payload = run_sweep_bench(
-            workloads=args.workloads.split(",") if args.workloads else None,
-            n_insts=args.insts,
-            jobs=args.jobs,
-            repeats=args.repeats,
-            quick=args.quick,
-            progress=lambda msg: print(f"  ... {msg}", file=sys.stderr, flush=True),
-            trace_cache_dir=args.trace_cache_dir,
-            remote_workers=remote,
-        )
-    print(render_sweep_bench(payload))
-    write_sweep_bench(payload, args.out)
-    print(f"wrote {args.out}")
-    return 0 if payload["equivalence"]["identical"] else 1

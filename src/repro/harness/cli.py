@@ -15,7 +15,9 @@ Examples::
     svw-repro bench --quick --out BENCH_core.json
     svw-repro bench --workloads gcc --lsus nlq   # one cell, for development
     svw-repro bench --quick --stages       # plus the per-stage wall split
+    svw-repro bench --compare old.json new.json   # speedups + fingerprint check
     svw-repro bench-sweep --jobs 4         # sweep-throughput benchmark
+    svw-repro bench-sweep --compare old.json new.json
     svw-repro goldens                      # regenerate tests/goldens.json
     svw-repro worker --port 7501           # start a remote worker agent
     svw-repro fig5 --remote-workers hostA:7501,hostB:7501
@@ -42,7 +44,6 @@ import contextlib
 import json
 import sys
 import time
-from typing import Callable
 
 from repro.experiments.backends import (
     CellExecutionError,
@@ -61,38 +62,15 @@ from repro.experiments.faults import FaultPlan
 from repro.experiments.pool import shutdown_session_pools
 from repro.experiments.remote import RemoteBackend, WorkerAgent, resolve_worker_fleet
 from repro.experiments.results import FigureResult
+from repro.experiments.run import run_experiment
 from repro.experiments.scheduler import check_limits, session_cost_model
 from repro.experiments.fuzz import FUZZ_INSTS, FUZZ_WORKLOADS, run_fuzz
-from repro.experiments.spec import DEFAULT_INSTS
+from repro.experiments.spec import DEFAULT_INSTS, ExperimentSpec
 from repro.experiments.store import ResultStore
 from repro.harness import bench, bench_sweep, figures, goldens
 from repro.harness.report import render_claims, render_figure
 from repro.workloads.ingest import IngestError, IngestStore
 from repro.workloads.trace_cache import TraceCache
-
-_EXPERIMENTS: dict[str, Callable[..., FigureResult]] = {
-    "fig5": figures.figure5,
-    "fig6": figures.figure6,
-    "fig7": figures.figure7,
-    "fig8": figures.figure8,
-    "ssn-width": figures.ssn_width_experiment,
-    "spec-updates": figures.spec_updates_experiment,
-    "composition": figures.composition_experiment,
-    "svw-replacement": figures.svw_replacement_experiment,
-}
-
-#: Spec constructors for the campaign commands (submit ships the spec
-#: payload; status/cancel re-derive the content-addressed campaign id).
-_SPECS: dict[str, Callable] = {
-    "fig5": figures.figure5_spec,
-    "fig6": figures.figure6_spec,
-    "fig7": figures.figure7_spec,
-    "fig8": figures.figure8_spec,
-    "ssn-width": figures.ssn_width_spec,
-    "spec-updates": figures.spec_updates_spec,
-    "composition": figures.composition_spec,
-    "svw-replacement": figures.svw_replacement_spec,
-}
 
 #: Subcommands that talk to a campaign daemon about one campaign.
 _CAMPAIGN_COMMANDS = ("submit", "status", "fetch", "cancel")
@@ -137,13 +115,12 @@ def _backend(
     return make_backend(args.jobs, trace_cache=trace_cache)
 
 
-def _write_json(args: argparse.Namespace, payload: str) -> None:
-    """Write serialized ``--json`` output to stdout (``-``) or the named file."""
+def _write_json(args: argparse.Namespace, payload: object) -> None:
+    """Write ``--json`` output to stdout (``-``) or, atomically, the named file."""
     if args.json == "-":
-        print(payload)
+        print(json.dumps(payload, indent=1, sort_keys=True))
     else:
-        with open(args.json, "w") as handle:
-            handle.write(payload + "\n")
+        bench.write_bench(payload, args.json)
 
 
 def _parse_fault_plan(value: str | None) -> FaultPlan | None:
@@ -193,33 +170,31 @@ def _run_fsck(args) -> int:
         )
     failures: list[str] = []
 
-    def check(label: str, scrub, healthy) -> None:
+    def check(label: str, scrub) -> None:
         report = scrub(args.fix)
         print(f"{label}: {report.describe()}")
         # After a --fix pass, trust a fresh scan over repair bookkeeping.
-        ok = healthy(scrub(False)) if args.fix else healthy(report)
-        if not ok:
+        if not (scrub(False) if args.fix else report).ok:
             failures.append(label)
 
     if args.cache_dir is not None:
         store = ResultStore(args.cache_dir)
-        check(f"result store {store.root}", store.fsck, lambda r: r.ok)
+        check(f"result store {store.root}", store.fsck)
         journal_dir = store.root / "campaigns"
         if journal_dir.is_dir():
             check(
                 f"campaign journals {journal_dir}",
                 lambda fix: scrub_journals(journal_dir, fix),
-                lambda r: r.clean,
             )
     if args.trace_cache_dir is not None:
         cache = TraceCache(args.trace_cache_dir)
-        check(f"trace cache {cache.root}", cache.scrub, lambda r: r.ok)
+        check(f"trace cache {cache.root}", cache.scrub)
     if args.ingest_dir is not None:
         # Ingested traces are source data, not a recomputable cache, so
         # the health bar is stricter (orphans count) and --fix deletion is
         # the operator's explicit choice, same flag, higher stakes.
         ingest = IngestStore(args.ingest_dir)
-        check(f"ingest store {ingest.root}", ingest.scrub, lambda r: r.ok)
+        check(f"ingest store {ingest.root}", ingest.scrub)
     if failures:
         hint = "" if args.fix else " (re-run with --fix to repair)"
         print(
@@ -230,25 +205,23 @@ def _run_fsck(args) -> int:
     return 0
 
 
-def run_experiment(
+def _run_figure(
+    args: argparse.Namespace,
     name: str,
-    benchmarks: list[str] | None,
-    n_insts: int,
-    quiet: bool,
-    backend=None,
-    store: ResultStore | None = None,
-    render: bool = True,
+    spec: ExperimentSpec,
+    backend: ExecutionBackend,
+    store: ResultStore | None,
 ) -> FigureResult:
-    driver = _EXPERIMENTS[name]
+    """Run one experiment's spec and, unless ``--json -``, print its table
+    and claim checks."""
     started = time.time()
-    result = driver(
-        benchmarks=benchmarks,
-        n_insts=n_insts,
-        progress=None if quiet else _progress,
+    result = run_experiment(
+        spec,
         backend=backend,
         store=store,
+        progress=None if args.quiet else _progress,
     )
-    if render:
+    if args.json != "-":
         print(render_figure(result))
         print()
         print(render_claims(result))
@@ -279,13 +252,13 @@ def _run_campaign_command(args, benchmarks: list[str] | None) -> int:
             + (")" if command in ("submit", "fetch") else " or a campaign id)")
         )
     spec = None
-    if args.target in _SPECS:
-        spec = _SPECS[args.target](benchmarks, args.insts)
+    if args.target in figures.EXPERIMENTS:
+        spec = figures.EXPERIMENTS[args.target](benchmarks, args.insts)
         campaign_id = spec_campaign_id(spec)
     elif command not in ("submit", "fetch") and _is_campaign_id(args.target):
         campaign_id = args.target
     else:
-        choices = ", ".join(sorted(_SPECS))
+        choices = ", ".join(sorted(figures.EXPERIMENTS))
         raise SystemExit(
             f"{command}: unknown target {args.target!r} (expected one of "
             f"{choices}"
@@ -295,17 +268,15 @@ def _run_campaign_command(args, benchmarks: list[str] | None) -> int:
     try:
         if command == "fetch":
             store = ResultStore(args.cache_dir) if args.cache_dir else None
-            result = run_experiment(
+            result = _run_figure(
+                args,
                 args.target,
-                benchmarks,
-                args.insts,
-                args.quiet,
-                backend=CampaignBackend(args.campaign, fallback=args.fallback),
-                store=store,
-                render=args.json != "-",
+                spec,
+                CampaignBackend(args.campaign, fallback=args.fallback),
+                store,
             )
             if args.json is not None:
-                _write_json(args, json.dumps({args.target: result.to_dict()}, indent=1))
+                _write_json(args, {args.target: result.to_dict()})
             return 0
         with CampaignClient(args.campaign) as client:
             if command == "submit":
@@ -335,7 +306,8 @@ def _run_campaign_command(args, benchmarks: list[str] | None) -> int:
         return 1
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``svw-repro`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="svw-repro",
         description="Reproduce the experiments of Roth, 'Store Vulnerability "
@@ -343,10 +315,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_EXPERIMENTS)
+        choices=sorted(figures.EXPERIMENTS)
         + ["all", "bench", "bench-sweep", "goldens", "worker", "campaignd", "fsck"]
-        + ["fuzz", "ingest"]
-        + list(_CAMPAIGN_COMMANDS),
+        + ["fuzz", "ingest", *_CAMPAIGN_COMMANDS],
         help="which table/figure to regenerate ('bench' runs the "
         "core-simulator throughput benchmark, 'bench-sweep' the "
         "sweep-throughput/backend-equivalence benchmark, 'goldens' "
@@ -565,6 +536,20 @@ def main(argv: list[str] | None = None) -> int:
         "(default BENCH_core.json / BENCH_sweep.json / tests/goldens.json "
         "unless --json already directs it)",
     )
+    parser.add_argument(
+        "--compare",
+        nargs=2,
+        default=None,
+        metavar=("OLD", "NEW"),
+        help="bench/bench-sweep only: instead of running, print the speedup "
+        "table between two saved snapshots and cross-check their per-cell "
+        "fingerprints (a WARNING line names any cell that diverged)",
+    )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.target is not None and args.experiment not in (
@@ -688,7 +673,7 @@ def main(argv: list[str] | None = None) -> int:
             except (ValueError, IngestError) as exc:
                 raise SystemExit(f"fuzz: {exc}") from exc
         if args.json is not None:
-            _write_json(args, json.dumps(report.to_dict(), indent=1, sort_keys=True))
+            _write_json(args, report.to_dict())
         if args.json != "-":
             print(report.describe())
             print(f"  fingerprint: {report.fingerprint()}")
@@ -697,23 +682,25 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"    reproducer: {json.dumps(div.reproducer, sort_keys=True)}")
         return 0 if report.ok else 1
 
-    def emit_benchmark(payload: dict, render, write, default_out: str) -> None:
+    def emit_benchmark(payload: dict, render, default_out: str) -> None:
         """Shared --json/--out plumbing for bench, bench-sweep and goldens."""
-        if args.json == "-":
-            print(json.dumps(payload, indent=1, sort_keys=True))
-        else:
+        if args.json != "-":
             print(render(payload))
-            if args.json is not None:
-                write(payload, args.json)
+        if args.json is not None:
+            _write_json(args, payload)
         out = args.out
         if out is None and args.json is None:
             out = default_out
         if out is not None:
-            write(payload, out)
+            bench.write_bench(payload, out)
             if not args.quiet:
                 print(f"wrote {out}", file=sys.stderr)
 
     if args.experiment == "bench":
+        if args.compare is not None:
+            old, new = (bench.load_bench(path) for path in args.compare)
+            print(bench.compare_bench(old, new))
+            return 0
         payload = bench.run_bench(
             workloads=workloads,
             n_insts=args.insts,
@@ -723,17 +710,19 @@ def main(argv: list[str] | None = None) -> int:
             lsus=args.lsus.split(",") if args.lsus else None,
             stages=args.stages,
         )
-        emit_benchmark(payload, bench.render_bench, bench.write_bench, "BENCH_core.json")
+        emit_benchmark(payload, bench.render_bench, "BENCH_core.json")
         return 0
     if args.experiment == "goldens":
-        emit_benchmark(
-            goldens.build_table(),
-            goldens.render_table,
-            bench.write_bench,
-            goldens.GOLDENS_PATH,
-        )
+        emit_benchmark(goldens.build_table(), goldens.render_table, goldens.GOLDENS_PATH)
         return 0
     if args.experiment == "bench-sweep":
+        if args.compare is not None:
+            old, new = (
+                bench.load_bench(path, bench_sweep.SWEEP_SCHEMA_VERSION)
+                for path in args.compare
+            )
+            print(bench_sweep.compare_sweep_bench(old, new))
+            return 0
         with contextlib.ExitStack() as stack:
             payload = bench_sweep.run_sweep_bench(
                 workloads=workloads,
@@ -747,16 +736,11 @@ def main(argv: list[str] | None = None) -> int:
                     args.remote_workers, stack, args.trace_cache_dir
                 ),
             )
-        emit_benchmark(
-            payload,
-            bench_sweep.render_sweep_bench,
-            bench_sweep.write_sweep_bench,
-            "BENCH_sweep.json",
-        )
+        emit_benchmark(payload, bench_sweep.render_sweep_bench, "BENCH_sweep.json")
         # A sweep benchmark whose backends disagree is a failed run: the
         # CI smoke job leans on this exit code.
         return 0 if payload["equivalence"]["identical"] else 1
-    names = sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    names = sorted(figures.EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     trace_cache = TraceCache(args.trace_cache_dir) if args.trace_cache_dir else None
     store = ResultStore(args.cache_dir) if args.cache_dir else None
     if store is not None:
@@ -770,24 +754,14 @@ def main(argv: list[str] | None = None) -> int:
         with contextlib.ExitStack() as stack:
             backend = _backend(args, stack, trace_cache)
             for name in names:
-                results[name] = run_experiment(
-                    name,
-                    benchmarks,
-                    args.insts,
-                    args.quiet,
-                    backend=backend,
-                    store=store,
-                    render=args.json != "-",
-                )
+                spec = figures.EXPERIMENTS[name](benchmarks, args.insts)
+                results[name] = _run_figure(args, name, spec, backend, store)
     finally:
         shutdown_session_pools()
         if store is not None:
             session_cost_model().save(store.cost_model_path)
     if args.json is not None:
-        _write_json(
-            args,
-            json.dumps({name: result.to_dict() for name, result in results.items()}, indent=1),
-        )
+        _write_json(args, {name: result.to_dict() for name, result in results.items()})
     return 0
 
 

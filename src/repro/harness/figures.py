@@ -1,13 +1,14 @@
 """One driver per table/figure in the paper's evaluation (section 4).
 
-Each figure now has two faces:
+Each figure has two faces:
 
 - ``<figure>_spec(...)`` builds the declarative
-  :class:`~repro.experiments.spec.ExperimentSpec` for the sweep -- hand it
-  to :func:`~repro.experiments.run.run_experiment` with any backend/store;
+  :class:`~repro.experiments.spec.ExperimentSpec` for the sweep (every one
+  a :func:`~repro.experiments.spec.matrix_spec`) -- hand it to
+  :func:`~repro.experiments.run.run_experiment` with any backend/store;
+  :data:`EXPERIMENTS` names them all for the CLI;
 - ``<figure>(...)`` runs the spec immediately and returns the
-  :class:`~repro.experiments.results.FigureResult` (the historical
-  interface, now accepting ``backend=``/``store=``).
+  :class:`~repro.experiments.results.FigureResult`.
 
 Rendering lives in :mod:`repro.harness.report`.
 """
@@ -15,7 +16,7 @@ Rendering lives in :mod:`repro.harness.report`.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.core.svw import SVWConfig
 from repro.experiments.backends import ExecutionBackend, ProgressFn
@@ -123,6 +124,22 @@ def svw_replacement_spec(
 ) -> ExperimentSpec:
     """Section 6 future work: SVW as a replacement for re-execution."""
     return matrix_spec("svw_replacement", svw_replacement_configs(), benchmarks, n_insts)
+
+
+#: Every experiment of the paper's evaluation, by CLI name: the one table
+#: behind ``svw-repro <experiment>``, ``all``, and the campaign commands'
+#: targets.  Each entry builds the experiment's spec from
+#: ``(benchmarks, n_insts)``.
+EXPERIMENTS: dict[str, Callable[[Iterable[str] | None, int], ExperimentSpec]] = {
+    "fig5": figure5_spec,
+    "fig6": figure6_spec,
+    "fig7": figure7_spec,
+    "fig8": figure8_spec,
+    "ssn-width": ssn_width_spec,
+    "spec-updates": spec_updates_spec,
+    "composition": composition_spec,
+    "svw-replacement": svw_replacement_spec,
+}
 
 
 def _run(

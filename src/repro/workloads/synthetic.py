@@ -57,9 +57,10 @@ from repro.memsys.memimg import MemoryImage
 from repro.workloads.profile import WorkloadProfile
 
 #: Trace-identity epoch.  Bumped exactly once per deliberate fingerprint
-#: break; recorded in codec headers, benchmark payloads and the golden
-#: table (regenerated by ``svw-repro goldens``), so readers can refuse
-#: cross-epoch comparisons with a clear error.
+#: break; recorded in benchmark payloads and the golden table (regenerated
+#: by ``svw-repro goldens``, whose test refuses a table from another
+#: epoch).  Encoded traces do not carry it: the codec header records only
+#: ``CODEC_VERSION``.
 TRACE_EPOCH = 2
 
 #: Instruction slots sampled per block (each slot expands to one or two

@@ -26,7 +26,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.pool import shutdown_session_pools
-from repro.experiments.spec import ExperimentBuilder, WorkloadSpec
+from repro.experiments.spec import WorkloadSpec
 from repro.harness.bench import bench_configs
 from repro.harness.configs import fig5_configs
 from repro.pipeline.config import LSUKind
@@ -79,13 +79,12 @@ class TestBatchEquivalence:
 
     def test_fixed_trace_workloads_run_pooled(self):
         trace = kernel_trace("spill_fill", n_frames=60)
-        spec = (
-            ExperimentBuilder("kernel")
-            .configs({k: v for k, v in fig5_configs().items() if k != "+PERFECT"})
-            .trace("spill_fill", trace)
-            .insts(INSTS)
-            .warmup(0)
-            .build()
+        spec = matrix_spec(
+            "kernel",
+            {k: v for k, v in fig5_configs().items() if k != "+PERFECT"},
+            [WorkloadSpec.from_trace("spill_fill", trace)],
+            n_insts=INSTS,
+            warmup=0,
         )
         serial = SerialBackend().run(spec.cells())
         pooled = BatchRunner(jobs=2).run(spec.cells())

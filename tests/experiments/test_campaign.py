@@ -112,6 +112,20 @@ class TestEquivalence:
                 for ours, theirs in zip(stats, serial):
                     assert ours.fingerprint() == theirs.fingerprint()
 
+    def test_configs_differing_only_in_name_keep_their_names(self, tmp_path):
+        base = fig5_configs()["baseline"]
+        requests = matrix_spec(
+            "rename", {"baseline": base, "renamed": base.derive("renamed")},
+            ["gcc"], n_insts=INSTS,
+        ).cells()
+        with CampaignDaemon(cache_dir=tmp_path / "central") as daemon:
+            with WorkerAgent() as agent:
+                agent.register_with(daemon.address)
+                stats = CampaignBackend(daemon.address).run(requests)
+        serial = SerialBackend().run(requests)
+        assert [s.config_name for s in stats] == [base.name, "renamed"]
+        assert [s.fingerprint() for s in stats] == [s.fingerprint() for s in serial]
+
     def test_campaign_backend_from_address(self, tmp_path, requests):
         with CampaignDaemon(cache_dir=tmp_path / "central") as daemon:
             with WorkerAgent() as agent:

@@ -7,7 +7,6 @@ import pytest
 
 from repro.experiments import (
     BatchRunner,
-    ExperimentBuilder,
     ExperimentSpec,
     FigureResult,
     ResultStore,
@@ -43,15 +42,13 @@ def serial_result(small_spec):
 
 class TestSpec:
     def test_builder_fluent(self):
-        spec = (
-            ExperimentBuilder("built")
-            .configs(small_configs())
-            .workloads(["gcc"])
-            .workload(spec_profile("bzip2"))
-            .insts(INSTS)
-            .warmup(100)
-            .validated()
-            .build()
+        spec = matrix_spec(
+            "built",
+            small_configs(),
+            ["gcc", spec_profile("bzip2")],
+            n_insts=INSTS,
+            warmup=100,
+            validate=True,
         )
         assert spec.config_order == ["baseline", "NLQ"]
         assert spec.benchmark_names == ["gcc", "bzip2"]
@@ -145,13 +142,12 @@ class TestBackendParity:
 
     def test_trace_workloads_run(self):
         trace = kernel_trace("spill_fill", n_frames=50)
-        spec = (
-            ExperimentBuilder("kernel")
-            .configs(small_configs())
-            .trace("spill_fill", trace)
-            .insts(INSTS)
-            .warmup(0)  # count every committed instruction
-            .build()
+        spec = matrix_spec(
+            "kernel",
+            small_configs(),
+            [WorkloadSpec.from_trace("spill_fill", trace)],
+            n_insts=INSTS,
+            warmup=0,  # count every committed instruction
         )
         result = run_experiment(spec)
         assert result.stats["spill_fill"]["NLQ"].committed == len(trace)
@@ -199,6 +195,21 @@ class TestResultStore:
         run_experiment(small_spec, store=store)
         bigger = dataclasses.replace(small_spec, n_insts=INSTS * 2)
         assert store.load(bigger.cells()[0]) is None
+
+    def test_hit_carries_the_requesting_configs_name(self, tmp_path):
+        """Configs that differ only in name share a stored cell; a hit is
+        stamped with the asking config's name, exactly as a cold run."""
+        base = small_configs()["baseline"]
+        first = matrix_spec("first", {"baseline": base}, ["gcc"], INSTS)
+        second = matrix_spec(
+            "second", {"baseline": base.derive("renamed")}, ["gcc"], INSTS
+        )
+        store = ResultStore(tmp_path)
+        run_experiment(first, store=store)
+        warm = run_experiment(second, store=store)
+        assert store.hits == 1
+        assert warm.stats["gcc"]["baseline"].config_name == "renamed"
+        assert warm.to_dict() == run_experiment(second).to_dict()
 
 
 class TestSerialization:

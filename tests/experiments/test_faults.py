@@ -477,7 +477,7 @@ class TestTornJournalReplay:
         fixed = scrub_journals(tmp_path, fix=True)
         assert fixed.repaired >= 2
         after = scrub_journals(tmp_path)
-        assert after.clean and after.campaigns == 2
+        assert after.ok and after.campaigns == 2
         assert (tmp_path / "notes.json").exists()
 
 

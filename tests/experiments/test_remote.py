@@ -126,6 +126,20 @@ class TestEquivalence:
             assert cell_stats.config_name == request.config.name
 
 
+    def test_configs_differing_only_in_name_keep_their_names(self):
+        base = fig5_configs()["baseline"]
+        requests = matrix_spec(
+            "rename", {"baseline": base, "renamed": base.derive("renamed")},
+            ["gcc"], n_insts=INSTS,
+        ).cells()
+        with WorkerAgent() as agent:
+            stats = RemoteBackend([agent.address]).run(requests)
+            assert agent.jobs_done == 1  # one fingerprint, one simulation
+        serial = SerialBackend().run(requests)
+        assert [s.config_name for s in stats] == [base.name, "renamed"]
+        assert [s.fingerprint() for s in stats] == [s.fingerprint() for s in serial]
+
+
 class TestHostTraceCache:
     def test_trace_bytes_sent_only_on_miss(self, requests):
         with WorkerAgent() as agent:

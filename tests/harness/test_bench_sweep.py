@@ -6,16 +6,14 @@ import json
 
 import pytest
 
-from repro.harness.bench import run_bench
+from repro.harness.bench import load_bench, run_bench, write_bench
 from repro.harness.bench_sweep import (
     MODE_ORDER,
     SWEEP_SCHEMA_VERSION,
     compare_sweep_bench,
-    load_sweep_bench,
     render_sweep_bench,
     run_sweep_bench,
     sweep_configs,
-    write_sweep_bench,
 )
 
 
@@ -76,8 +74,8 @@ def test_trace_generation_measures_live_generator(tiny_payload):
 
 def test_render_write_load_compare(tiny_payload, tmp_path):
     path = tmp_path / "BENCH_sweep.json"
-    write_sweep_bench(tiny_payload, str(path))
-    loaded = load_sweep_bench(str(path))
+    write_bench(tiny_payload, str(path))
+    loaded = load_bench(str(path), SWEEP_SCHEMA_VERSION)
     assert loaded == json.loads(path.read_text())
     rendered = render_sweep_bench(loaded)
     assert "bit-identical" in rendered
@@ -91,7 +89,7 @@ def test_load_rejects_other_schemas(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema_version": 999}))
     with pytest.raises(ValueError, match="schema"):
-        load_sweep_bench(str(path))
+        load_bench(str(path), SWEEP_SCHEMA_VERSION)
 
 
 class TestRemoteMode:

@@ -1,9 +1,15 @@
 """Tests for the experiment harness: configs, matrix sweeps, report, CLI."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.experiments import matrix_spec, run_experiment
-from repro.harness.cli import main
+from repro.experiments import FigureResult, matrix_spec, run_experiment
+from repro.harness import cli
+from repro.harness.bench import compare_bench
+from repro.harness.bench_sweep import compare_sweep_bench
+from repro.harness.cli import build_parser, main
 from repro.harness.configs import (
     composition_configs,
     fig5_configs,
@@ -13,6 +19,7 @@ from repro.harness.configs import (
     fig8_ssbf_variants,
     svw_replacement_configs,
 )
+from repro.harness.figures import EXPERIMENTS
 from repro.harness.paper_data import PAPER_CLAIMS, claims_for
 from repro.harness.report import check_claims, render_claims, render_figure
 from repro.pipeline.config import RexMode
@@ -114,6 +121,57 @@ class TestCLI:
     def test_cli_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    def test_one_experiment_table(self, monkeypatch):
+        """The experiment choices, the members of ``all`` and the campaign
+        commands' targets are all ``figures.EXPERIMENTS``."""
+        commands = {
+            "all", "bench", "bench-sweep", "goldens", "worker", "campaignd",
+            "fsck", "fuzz", "ingest", "submit", "status", "fetch", "cancel",
+        }
+        (action,) = [a for a in build_parser()._actions if a.dest == "experiment"]
+        assert set(action.choices) - commands == set(EXPERIMENTS)
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", "fig99", "--campaign", "127.0.0.1:1"])
+        listed = str(excinfo.value.code).split("expected one of ")[1].rstrip(")")
+        assert set(listed.split(", ")) == set(EXPERIMENTS)
+
+        ran = []
+
+        def record(args, name, spec, backend, store):
+            ran.append(name)
+            return FigureResult(spec.name, spec.baseline, spec.config_order, [])
+
+        monkeypatch.setattr(cli, "_run_figure", record)
+        assert main(["all", "--benchmarks", "gcc", "--quiet"]) == 0
+        assert ran == sorted(EXPERIMENTS)
+
+    @pytest.mark.parametrize(
+        "command, snapshot, cells, compare",
+        [
+            ("bench", "BENCH_core.json", "results", compare_bench),
+            ("bench-sweep", "BENCH_sweep.json", "cells", compare_sweep_bench),
+        ],
+    )
+    def test_compare_snapshots(self, command, snapshot, cells, compare, tmp_path, capsys):
+        """``--compare OLD NEW`` prints the compare table: a snapshot is
+        bit-identical to itself, and a doctored fingerprint is a WARNING."""
+        payload = json.loads((Path(__file__).parents[2] / snapshot).read_text())
+        same = tmp_path / "same.json"
+        same.write_text(json.dumps(payload))
+        payload[cells][0]["stats_fingerprint"] = "0" * 64
+        doctored = tmp_path / "doctored.json"
+        doctored.write_text(json.dumps(payload))
+
+        assert main([command, "--compare", str(same), str(same)]) == 0
+        out = capsys.readouterr().out
+        assert "bit-identical" in out and "WARNING" not in out
+        original = json.loads(same.read_text())
+        assert out == compare(original, original) + "\n"
+
+        assert main([command, "--compare", str(same), str(doctored)]) == 0
+        assert "WARNING" in capsys.readouterr().out
 
     def test_campaign_and_remote_workers_are_exclusive_everywhere(self):
         """Every sweep command chooses its backend the same way, so each

@@ -7,7 +7,7 @@ full rows.
 
 import pytest
 
-from repro.experiments import matrix_spec, run_experiment
+from repro.experiments import WorkloadSpec, matrix_spec, run_experiment
 from repro.harness.configs import fig5_configs
 from repro.harness.figures import figure5, figure6, figure7
 
@@ -87,15 +87,17 @@ class TestRunnerMechanics:
     def test_kernel_injection(self):
         from repro.workloads.kernels import kernel_trace
 
-        traces = {"spill_fill": kernel_trace("spill_fill", n_frames=60)}
+        trace = kernel_trace("spill_fill", n_frames=60)
         result = run_experiment(
             matrix_spec(
-                "kernels", fig5_configs(), benchmarks=["spill_fill"], traces=traces,
+                "kernels",
+                fig5_configs(),
+                benchmarks=[WorkloadSpec.from_trace("spill_fill", trace)],
                 warmup=0,
             )
         )
         assert "spill_fill" in result.stats
-        assert result.stats["spill_fill"]["NLQ"].committed == len(traces["spill_fill"])
+        assert result.stats["spill_fill"]["NLQ"].committed == len(trace)
 
     def test_short_names_resolve(self):
         result = run_experiment(

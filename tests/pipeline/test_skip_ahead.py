@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.svw import SVWConfig
 from repro.experiments.backends import SerialBackend
-from repro.experiments.spec import ExperimentBuilder
+from repro.experiments.spec import WorkloadSpec, matrix_spec
 from repro.experiments.run import run_experiment
 from repro.harness.configs import NLQ_REX_STAGES, SSQ_REX_STAGES
 from repro.pipeline.config import LSUKind, MachineConfig, RexMode, eight_wide
@@ -72,15 +72,12 @@ def test_skip_ahead_bit_identical_under_max_cycles(name, small_gcc_trace):
 
 def test_serial_backend_matches_unskipped_run(small_gcc_trace):
     """Backend results (skip-ahead on by default) == cycle-by-cycle runs."""
-    spec = (
-        ExperimentBuilder("skip-equiv")
-        .config("baseline", CASES["conventional-none"])
-        .config("nlq+svw", CASES["nlq-reexecute-svw"])
-        .trace("gcc-small", small_gcc_trace)
-        .insts(len(small_gcc_trace))
-        .warmup(1000)
-        .baseline("baseline")
-        .build()
+    spec = matrix_spec(
+        "skip-equiv",
+        {"baseline": CASES["conventional-none"], "nlq+svw": CASES["nlq-reexecute-svw"]},
+        [WorkloadSpec.from_trace("gcc-small", small_gcc_trace)],
+        n_insts=len(small_gcc_trace),
+        warmup=1000,
     )
     result = run_experiment(spec, backend=SerialBackend())
     for label, config in spec.configs:
