@@ -431,7 +431,7 @@ class WorkerAgent:
             try:
                 conn, _ = self._server.accept()
             except OSError:
-                break  # close() closed the listening socket
+                break  # close() shut the listening socket down
             with self._lock:
                 if self._closed.is_set():
                     conn.close()
@@ -443,21 +443,23 @@ class WorkerAgent:
             ).start()
 
     def close(self) -> None:
-        """Stop accepting, sever every live connection (idempotent)."""
+        """Stop accepting, sever every live connection (the registry link
+        too), and wait for the accept and registry threads (idempotent)."""
         self._closed.set()
         self._drained.set()  # unblock any drain() waiter
-        try:
-            self._server.close()
-        except OSError:
-            pass
         with self._lock:
             connections, self._connections = self._connections, set()
-        for conn in connections:
+        # close() alone does not wake a thread blocked in accept() or
+        # recv() on Linux; shutdown() does.
+        for conn in (self._server, *connections):
             try:
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
             conn.close()
+        for thread in (self._accept_thread, self._registry_thread):
+            if thread is not None and thread is not threading.current_thread():
+                thread.join()
 
     # -- campaign registry ----------------------------------------------------
 
@@ -541,6 +543,11 @@ class WorkerAgent:
         while not self._closed.is_set():
             try:
                 conn = socket.create_connection((host, port), timeout=10.0)
+                with self._lock:
+                    if self._closed.is_set():
+                        conn.close()
+                        return
+                    self._connections.add(conn)  # close() severs it
             except OSError as exc:
                 # Daemon down (or not yet up): announce the transition once,
                 # then retry with jittered exponential backoff forever.
@@ -593,6 +600,8 @@ class WorkerAgent:
                     announce(f"lost daemon {host}:{port} ({exc}); reconnecting")
                     down_announced = True
             finally:
+                with self._lock:
+                    self._connections.discard(conn)
                 conn.close()
             back_off()
 

@@ -346,6 +346,11 @@ def load_bench(path: str, schema_version: int = BENCH_SCHEMA_VERSION) -> dict:
     return payload
 
 
+#: First words of the line a ``compare_*`` table ends with when a cell's
+#: stats fingerprint differs between the two snapshots.
+DIVERGED = "WARNING: results diverged"
+
+
 def compare_bench(old: dict, new: dict) -> str:
     """Per-LSU-kind speedup table between two ``BENCH_core.json`` payloads.
 
@@ -379,7 +384,7 @@ def compare_bench(old: dict, new: dict) -> str:
         )
     ]
     if diverged:
-        lines.append(f"WARNING: results diverged for {sorted(diverged)}")
+        lines.append(f"{DIVERGED} for {sorted(diverged)}")
     else:
         lines.append("results bit-identical across comparable cells")
     return "\n".join(lines)

@@ -60,7 +60,12 @@ from repro.experiments.backends import SerialBackend
 from repro.experiments.pool import BatchRunner
 from repro.experiments.remote import RemoteBackend
 from repro.experiments.spec import ExperimentSpec, matrix_spec
-from repro.harness.bench import BENCH_WORKLOADS, QUICK_WORKLOADS, runtime_provenance
+from repro.harness.bench import (
+    BENCH_WORKLOADS,
+    DIVERGED,
+    QUICK_WORKLOADS,
+    runtime_provenance,
+)
 from repro.harness.configs import fig5_configs, fig6_configs
 from repro.isa.codec import encode_trace
 from repro.pipeline.config import MachineConfig
@@ -318,7 +323,7 @@ def compare_sweep_bench(old: dict, new: dict) -> str:
         != c["stats_fingerprint"]
     )
     if diverged:
-        lines.append(f"WARNING: results diverged for {diverged}")
+        lines.append(f"{DIVERGED} for {diverged}")
     else:
         lines.append("results bit-identical across comparable cells")
     return "\n".join(lines)

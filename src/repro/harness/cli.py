@@ -70,6 +70,7 @@ from repro.experiments.store import ResultStore
 from repro.harness import bench, bench_sweep, figures, goldens
 from repro.harness.report import render_claims, render_figure
 from repro.workloads.ingest import IngestError, IngestStore
+from repro.workloads.registry import WorkloadSpec, resolve_workload
 from repro.workloads.trace_cache import TraceCache
 
 #: Subcommands that talk to a campaign daemon about one campaign.
@@ -121,6 +122,25 @@ def _write_json(args: argparse.Namespace, payload: object) -> None:
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
         bench.write_bench(payload, args.json)
+
+
+def _experiment_workloads(args: argparse.Namespace) -> list[WorkloadSpec] | None:
+    """``--benchmarks`` for a figure or campaign command, each reference
+    resolved (``ingest:<digest>`` in ``--ingest-dir``); ``None`` when not
+    given, so the experiment runs its default set."""
+    if not args.benchmarks:
+        return None
+    ingest = IngestStore(args.ingest_dir) if args.ingest_dir else None
+    try:
+        return [resolve_workload(ref, store=ingest) for ref in args.benchmarks.split(",")]
+    except ValueError as exc:
+        raise SystemExit(f"{args.experiment}: {exc}") from exc
+
+
+def _print_compare(table: str) -> int:
+    """Print a ``--compare`` table; exit 1 if it reports diverged results."""
+    print(table)
+    return 1 if bench.DIVERGED in table else 0
 
 
 def _parse_fault_plan(value: str | None) -> FaultPlan | None:
@@ -233,7 +253,7 @@ def _is_campaign_id(value: str) -> bool:
     return len(value) == 64 and all(c in "0123456789abcdef" for c in value)
 
 
-def _run_campaign_command(args, benchmarks: list[str] | None) -> int:
+def _run_campaign_command(args, benchmarks: list[WorkloadSpec] | None) -> int:
     """``svw-repro submit/status/fetch/cancel`` against a campaign daemon.
 
     ``submit`` enqueues and returns immediately; ``fetch`` waits for
@@ -301,7 +321,9 @@ def _run_campaign_command(args, benchmarks: list[str] | None) -> int:
             reply = client.cancel(campaign_id)
             print(f"campaign {reply['campaign']}: {reply.get('state')}")
             return 0
-    except (CampaignError, CellExecutionError) as exc:
+    except (CampaignError, CellExecutionError, ValueError) as exc:
+        # ValueError: a fixed-trace workload (an ingested one) cannot be
+        # carried by a campaign submission.
         print(f"svw-repro {command}: {exc}", file=sys.stderr)
         return 1
 
@@ -543,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("OLD", "NEW"),
         help="bench/bench-sweep only: instead of running, print the speedup "
         "table between two saved snapshots and cross-check their per-cell "
-        "fingerprints (a WARNING line names any cell that diverged)",
+        "fingerprints (a WARNING line names any cell that diverged, and "
+        "the command exits 1)",
     )
     return parser
 
@@ -644,11 +667,11 @@ def main(argv: list[str] | None = None) -> int:
             daemon.close()
         return 0
 
-    benchmarks = args.benchmarks.split(",") if args.benchmarks else None
-    workloads = args.workloads.split(",") if args.workloads else benchmarks
-
     if args.experiment in _CAMPAIGN_COMMANDS:
-        return _run_campaign_command(args, benchmarks)
+        return _run_campaign_command(args, _experiment_workloads(args))
+
+    names = args.workloads or args.benchmarks
+    workloads = names.split(",") if names else None
 
     if args.experiment == "fuzz":
         # Differential fuzzing over the machine matrix on any backend; the
@@ -699,8 +722,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "bench":
         if args.compare is not None:
             old, new = (bench.load_bench(path) for path in args.compare)
-            print(bench.compare_bench(old, new))
-            return 0
+            return _print_compare(bench.compare_bench(old, new))
         payload = bench.run_bench(
             workloads=workloads,
             n_insts=args.insts,
@@ -721,8 +743,7 @@ def main(argv: list[str] | None = None) -> int:
                 bench.load_bench(path, bench_sweep.SWEEP_SCHEMA_VERSION)
                 for path in args.compare
             )
-            print(bench_sweep.compare_sweep_bench(old, new))
-            return 0
+            return _print_compare(bench_sweep.compare_sweep_bench(old, new))
         with contextlib.ExitStack() as stack:
             payload = bench_sweep.run_sweep_bench(
                 workloads=workloads,
@@ -740,7 +761,8 @@ def main(argv: list[str] | None = None) -> int:
         # A sweep benchmark whose backends disagree is a failed run: the
         # CI smoke job leans on this exit code.
         return 0 if payload["equivalence"]["identical"] else 1
-    names = sorted(figures.EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    benchmarks = _experiment_workloads(args)
+    experiments = sorted(figures.EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     trace_cache = TraceCache(args.trace_cache_dir) if args.trace_cache_dir else None
     store = ResultStore(args.cache_dir) if args.cache_dir else None
     if store is not None:
@@ -753,7 +775,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with contextlib.ExitStack() as stack:
             backend = _backend(args, stack, trace_cache)
-            for name in names:
+            for name in experiments:
                 spec = figures.EXPERIMENTS[name](benchmarks, args.insts)
                 results[name] = _run_figure(args, name, spec, backend, store)
     finally:

@@ -32,34 +32,40 @@ from repro.harness.configs import (
     fig8_configs,
     svw_replacement_configs,
 )
+from repro.workloads.registry import WorkloadSpec
+
+#: What an experiment runs on: benchmark names, or workloads already
+#: resolved (the CLI resolves ``ingest:`` references against
+#: ``--ingest-dir``); ``None`` is the experiment's default set.
+Benchmarks = Iterable[str | WorkloadSpec] | None
 
 #: The benchmark subset Figure 8 uses.
 FIG8_BENCHMARKS = ["crafty", "gcc", "perl.diffmail", "vortex", "vpr.route"]
 
 
 def figure5_spec(
-    benchmarks: Iterable[str] | None = None, n_insts: int = DEFAULT_INSTS
+    benchmarks: Benchmarks = None, n_insts: int = DEFAULT_INSTS
 ) -> ExperimentSpec:
     """Figure 5: NLQ-LS re-execution rate (top) and speedup (bottom)."""
     return matrix_spec("fig5", fig5_configs(), benchmarks, n_insts)
 
 
 def figure6_spec(
-    benchmarks: Iterable[str] | None = None, n_insts: int = DEFAULT_INSTS
+    benchmarks: Benchmarks = None, n_insts: int = DEFAULT_INSTS
 ) -> ExperimentSpec:
     """Figure 6: SSQ re-execution rate (top) and speedup (bottom)."""
     return matrix_spec("fig6", fig6_configs(), benchmarks, n_insts)
 
 
 def figure7_spec(
-    benchmarks: Iterable[str] | None = None, n_insts: int = DEFAULT_INSTS
+    benchmarks: Benchmarks = None, n_insts: int = DEFAULT_INSTS
 ) -> ExperimentSpec:
     """Figure 7: RLE re-execution rate (top) and speedup (bottom)."""
     return matrix_spec("fig7", fig7_configs(), benchmarks, n_insts)
 
 
 def figure8_spec(
-    benchmarks: Iterable[str] | None = None, n_insts: int = DEFAULT_INSTS
+    benchmarks: Benchmarks = None, n_insts: int = DEFAULT_INSTS
 ) -> ExperimentSpec:
     """Figure 8: SSBF organization vs SSQ re-execution rate."""
     if benchmarks is None:
@@ -68,7 +74,7 @@ def figure8_spec(
 
 
 def ssn_width_spec(
-    benchmarks: Iterable[str] | None = None,
+    benchmarks: Benchmarks = None,
     n_insts: int = DEFAULT_INSTS,
     widths: Iterable[int | None] = (8, 10, 12, 16, None),
 ) -> ExperimentSpec:
@@ -90,7 +96,7 @@ def ssn_width_spec(
 
 
 def spec_updates_spec(
-    benchmarks: Iterable[str] | None = None, n_insts: int = DEFAULT_INSTS
+    benchmarks: Benchmarks = None, n_insts: int = DEFAULT_INSTS
 ) -> ExperimentSpec:
     """Section 3.6: speculative vs atomic SSBF updates.
 
@@ -113,14 +119,14 @@ def spec_updates_spec(
 
 
 def composition_spec(
-    benchmarks: Iterable[str] | None = None, n_insts: int = DEFAULT_INSTS
+    benchmarks: Benchmarks = None, n_insts: int = DEFAULT_INSTS
 ) -> ExperimentSpec:
     """Section 3.5: SSQ + RLE composed, with and without SVW."""
     return matrix_spec("composition", composition_configs(), benchmarks, n_insts)
 
 
 def svw_replacement_spec(
-    benchmarks: Iterable[str] | None = None, n_insts: int = DEFAULT_INSTS
+    benchmarks: Benchmarks = None, n_insts: int = DEFAULT_INSTS
 ) -> ExperimentSpec:
     """Section 6 future work: SVW as a replacement for re-execution."""
     return matrix_spec("svw_replacement", svw_replacement_configs(), benchmarks, n_insts)
@@ -130,7 +136,7 @@ def svw_replacement_spec(
 #: behind ``svw-repro <experiment>``, ``all``, and the campaign commands'
 #: targets.  Each entry builds the experiment's spec from
 #: ``(benchmarks, n_insts)``.
-EXPERIMENTS: dict[str, Callable[[Iterable[str] | None, int], ExperimentSpec]] = {
+EXPERIMENTS: dict[str, Callable[[Benchmarks, int], ExperimentSpec]] = {
     "fig5": figure5_spec,
     "fig6": figure6_spec,
     "fig7": figure7_spec,
@@ -144,7 +150,7 @@ EXPERIMENTS: dict[str, Callable[[Iterable[str] | None, int], ExperimentSpec]] = 
 
 def _run(
     spec_fn,
-    benchmarks: Iterable[str] | None,
+    benchmarks: Benchmarks,
     n_insts: int,
     progress: ProgressFn | None,
     backend: ExecutionBackend | None,
@@ -156,7 +162,7 @@ def _run(
 
 
 def figure5(
-    benchmarks: Iterable[str] | None = None,
+    benchmarks: Benchmarks = None,
     n_insts: int = DEFAULT_INSTS,
     progress: ProgressFn | None = None,
     backend: ExecutionBackend | None = None,
@@ -167,7 +173,7 @@ def figure5(
 
 
 def figure6(
-    benchmarks: Iterable[str] | None = None,
+    benchmarks: Benchmarks = None,
     n_insts: int = DEFAULT_INSTS,
     progress: ProgressFn | None = None,
     backend: ExecutionBackend | None = None,
@@ -178,7 +184,7 @@ def figure6(
 
 
 def figure7(
-    benchmarks: Iterable[str] | None = None,
+    benchmarks: Benchmarks = None,
     n_insts: int = DEFAULT_INSTS,
     progress: ProgressFn | None = None,
     backend: ExecutionBackend | None = None,
@@ -189,7 +195,7 @@ def figure7(
 
 
 def figure8(
-    benchmarks: Iterable[str] | None = None,
+    benchmarks: Benchmarks = None,
     n_insts: int = DEFAULT_INSTS,
     progress: ProgressFn | None = None,
     backend: ExecutionBackend | None = None,
@@ -200,7 +206,7 @@ def figure8(
 
 
 def ssn_width_experiment(
-    benchmarks: Iterable[str] | None = None,
+    benchmarks: Benchmarks = None,
     n_insts: int = DEFAULT_INSTS,
     widths: Iterable[int | None] = (8, 10, 12, 16, None),
     progress: ProgressFn | None = None,
@@ -212,7 +218,7 @@ def ssn_width_experiment(
 
 
 def spec_updates_experiment(
-    benchmarks: Iterable[str] | None = None,
+    benchmarks: Benchmarks = None,
     n_insts: int = DEFAULT_INSTS,
     progress: ProgressFn | None = None,
     backend: ExecutionBackend | None = None,
@@ -223,7 +229,7 @@ def spec_updates_experiment(
 
 
 def composition_experiment(
-    benchmarks: Iterable[str] | None = None,
+    benchmarks: Benchmarks = None,
     n_insts: int = DEFAULT_INSTS,
     progress: ProgressFn | None = None,
     backend: ExecutionBackend | None = None,
@@ -234,7 +240,7 @@ def composition_experiment(
 
 
 def svw_replacement_experiment(
-    benchmarks: Iterable[str] | None = None,
+    benchmarks: Benchmarks = None,
     n_insts: int = DEFAULT_INSTS,
     progress: ProgressFn | None = None,
     backend: ExecutionBackend | None = None,

@@ -389,7 +389,6 @@ class Processor:
             slot_template,
             config.fsq_ports,
             sum(slot_template),
-            3 * config.width + 8,
         )
         self._commit_consts = (
             self.rob,
@@ -973,19 +972,17 @@ class Processor:
         (ready, m_kind, m_iclass, m_latency, line_bytes, bank_mask,
          load_must_wait, execute_load, load_access, svw_upd, svw_weak, ssn,
          load_base_latency, completes, event_heap, slot_template, fsq_budget,
-         total_issue, max_pops) = self._issue_consts
+         total_issue) = self._issue_consts
         cycle = self.cycle
         slots = slot_template.copy()
         banks_used = 0
         issued = 0
         deferred: list[tuple[int, int, InFlight]] = []
-        pops = 0
-        while ready and pops < max_pops:
+        while ready:
             if issued >= total_issue and self._ready_stale <= 0:
                 # All issue bandwidth consumed and no stale entries left
                 # to drop: every further pop would just defer-and-repush.
                 break
-            pops += 1
             item = heappop(ready)
             entry = item[2]
             if entry.squashed:

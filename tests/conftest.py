@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.isa.golden import golden_execute
 from repro.workloads.kernels import kernel_trace
 from repro.workloads.spec2000 import spec_profile
 from repro.workloads.synthetic import generate_trace
@@ -30,18 +29,3 @@ def small_gcc_trace():
 def small_vortex_trace():
     return generate_trace(spec_profile("vortex"), 4000)
 
-
-@pytest.fixture(scope="session")
-def golden_of():
-    # Key by id() but keep the trace alive alongside the result: without
-    # the strong reference, a freed trace's id can be reused by a new
-    # allocation and the cache would hand back a stale golden execution.
-    cache = {}
-
-    def _golden(trace):
-        key = id(trace)
-        if key not in cache:
-            cache[key] = (trace, golden_execute(trace))
-        return cache[key][1]
-
-    return _golden

@@ -25,7 +25,8 @@ from repro.experiments import (
     matrix_spec,
     run_experiment,
 )
-from repro.experiments.pool import shutdown_session_pools
+from repro.experiments.pool import _session_fleets
+from repro.experiments.remote import stop_worker_agents
 from repro.experiments.spec import WorkloadSpec
 from repro.harness.bench import bench_configs
 from repro.harness.configs import fig5_configs
@@ -55,10 +56,11 @@ def family_serial(family_spec):
     return SerialBackend().run(family_spec.cells())
 
 
-@pytest.fixture()
-def fresh_fleet():
-    """Start the next BatchRunner on agents that hold no trace yet."""
-    shutdown_session_pools()
+def cold_fleet(runner: BatchRunner) -> BatchRunner:
+    """``runner`` with its session fleet stopped: its next run starts on
+    new agents that hold no trace yet, and other fleets stay up."""
+    stop_worker_agents([agent for agent, _ in _session_fleets.pop(runner.workers, [])])
+    return runner
 
 
 class TestBatchEquivalence:
@@ -100,15 +102,13 @@ class TestBatchEquivalence:
 
 
 class TestGenerationAmortization:
-    def test_generate_trace_runs_once_per_workload_serial(self, family_spec, fresh_fleet):
-        backend = BatchRunner(jobs=1)
+    def test_generate_trace_runs_once_per_workload_serial(self, family_spec):
+        backend = cold_fleet(BatchRunner(jobs=1))
         backend.run(family_spec.cells())
         assert backend.last_provider is not None
         assert backend.last_provider.generations == 2  # one per workload
 
-    def test_generate_trace_runs_once_per_workload_pooled(
-        self, family_spec, monkeypatch, fresh_fleet
-    ):
+    def test_generate_trace_runs_once_per_workload_pooled(self, family_spec, monkeypatch):
         """Count actual generator invocations across the whole sweep: once
         per workload on a fresh fleet, at most once on a warm one."""
         import repro.experiments.traces as traces_mod
@@ -121,7 +121,7 @@ class TestGenerationAmortization:
             return real(profile, n_insts)
 
         monkeypatch.setattr(traces_mod, "generate_trace", counting)
-        backend = BatchRunner(jobs=2)
+        backend = cold_fleet(BatchRunner(jobs=2))
         backend.run(family_spec.cells())
         # 2 workloads x 3 configs = 6 cells, but generation ran exactly
         # once per (workload, seed, n_insts) -- in the parent; workers only
@@ -135,11 +135,9 @@ class TestGenerationAmortization:
         warm.run(family_spec.cells())
         assert len(calls) == len(set(calls)) == warm.last_provider.generations <= 2
 
-    def test_trace_cache_skips_generation_across_sweeps(
-        self, family_spec, tmp_path, fresh_fleet
-    ):
+    def test_trace_cache_skips_generation_across_sweeps(self, family_spec, tmp_path):
         cache = TraceCache(tmp_path)
-        first = BatchRunner(jobs=1, trace_cache=cache)
+        first = cold_fleet(BatchRunner(jobs=1, trace_cache=cache))
         first.run(family_spec.cells())
         assert first.last_provider.generations == 2
         assert len(cache) == 2
@@ -284,12 +282,12 @@ class TestProvider:
 
 
 class TestAtomicStore:
-    def test_concurrent_writers_never_tear_json(self, family_spec, tmp_path):
+    def test_concurrent_writers_never_tear_json(self, family_spec, family_serial, tmp_path):
         """Racing sweep workers sharing a --cache-dir last-write-win whole
         files; a reader polling throughout must never see torn JSON."""
         store = ResultStore(tmp_path)
         request = family_spec.cells()[0]
-        stats = SerialBackend().run([request])[0]
+        stats = family_serial[0]
         path = store.path_for(request)
         stop = threading.Event()
         torn: list[str] = []

@@ -8,7 +8,6 @@ from __future__ import annotations
 import errno
 import re
 import threading
-import time
 
 import pytest
 
@@ -21,43 +20,11 @@ from repro.experiments import (
     ResultStore,
     SerialBackend,
     WorkerAgent,
-    matrix_spec,
 )
 from repro.experiments.campaign import campaign_id_for, spec_campaign_id
 from repro.experiments.spec import ExperimentSpec, RunRequest
 from repro.harness.configs import fig5_configs
 from repro.pipeline.stats import SimStats
-
-INSTS = 1500
-
-
-def small_spec(name="campaign-test", workloads=("gcc", "vortex"), n_configs=3):
-    configs = dict(list(fig5_configs().items())[:n_configs])
-    return matrix_spec(name, configs, list(workloads), n_insts=INSTS)
-
-
-@pytest.fixture(scope="module")
-def spec():
-    return small_spec()
-
-
-@pytest.fixture(scope="module")
-def requests(spec):
-    return spec.cells()
-
-
-@pytest.fixture(scope="module")
-def serial_fingerprints(requests):
-    return [s.fingerprint() for s in SerialBackend().run(requests)]
-
-
-def wait_for(predicate, timeout=30.0, interval=0.05, message="condition"):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() > deadline:
-            raise AssertionError(f"timed out waiting for {message}")
-        time.sleep(interval)
-
 
 class TestPayloads:
     """to_payload/from_payload round trips are the protocol's correctness
@@ -78,7 +45,7 @@ class TestPayloads:
         assert clone.name == spec.name
         assert clone.baseline == spec.baseline
 
-    def test_campaign_id_is_content_addressed(self, spec):
+    def test_campaign_id_is_content_addressed(self, spec, small_spec):
         assert spec_campaign_id(spec) == spec_campaign_id(small_spec())
         other = small_spec(workloads=("gcc",))
         assert spec_campaign_id(spec) != spec_campaign_id(other)
@@ -103,20 +70,19 @@ class TestEquivalence:
                     shipped = client.stats()["traces_shipped"]
                 assert shipped == a.trace_misses + b.trace_misses
 
-    def test_results_positionally_aligned(self, tmp_path, requests):
+    def test_results_positionally_aligned(self, tmp_path, requests, serial_stats):
         with CampaignDaemon(cache_dir=tmp_path / "central") as daemon:
             with WorkerAgent() as agent:
                 agent.register_with(daemon.address)
                 stats = CampaignBackend(daemon.address).run(requests)
-                serial = SerialBackend().run(requests)
-                for ours, theirs in zip(stats, serial):
+                for ours, theirs in zip(stats, serial_stats):
                     assert ours.fingerprint() == theirs.fingerprint()
 
-    def test_configs_differing_only_in_name_keep_their_names(self, tmp_path):
+    def test_configs_differing_only_in_name_keep_their_names(self, tmp_path, small_spec):
         base = fig5_configs()["baseline"]
-        requests = matrix_spec(
-            "rename", {"baseline": base, "renamed": base.derive("renamed")},
-            ["gcc"], n_insts=INSTS,
+        requests = small_spec(
+            "rename", workloads=("gcc",),
+            configs={"baseline": base, "renamed": base.derive("renamed")},
         ).cells()
         with CampaignDaemon(cache_dir=tmp_path / "central") as daemon:
             with WorkerAgent() as agent:
@@ -136,7 +102,7 @@ class TestEquivalence:
 
 class TestDedup:
     def test_concurrent_overlapping_campaigns_simulate_union_once(
-        self, tmp_path, serial_fingerprints
+        self, tmp_path, small_spec, serial_fingerprints
     ):
         # Two submitters share one daemon; their grids overlap on the
         # first two configs.  The union must be simulated exactly once.
@@ -168,7 +134,7 @@ class TestDedup:
                 assert not errors
                 assert daemon.cells_simulated == len(union)
                 assert agent.jobs_done == len(union)
-        # Campaign A covers the module-level spec's grid: same stats.
+        # Campaign A covers the shared spec's grid: same stats.
         assert [s.fingerprint() for s in results["a"]] == serial_fingerprints
 
     def test_attach_counts_shared_cells(self, tmp_path, requests):
@@ -186,11 +152,11 @@ class TestDedup:
                 assert daemon.cells_simulated == before
 
     def test_warm_store_submission_is_pure_read(
-        self, tmp_path, spec, requests, serial_fingerprints
+        self, tmp_path, requests, serial_stats, serial_fingerprints
     ):
         central = tmp_path / "central"
         store = ResultStore(central)
-        for request, stats in zip(requests, SerialBackend().run(requests)):
+        for request, stats in zip(requests, serial_stats):
             store.save(request, stats)
         with CampaignDaemon(cache_dir=central) as daemon:
             # No workers registered at all: the store must answer everything.
@@ -229,15 +195,14 @@ class TestRestartResume:
         assert campaign_id == spec_campaign_id(spec)
 
     def test_restart_recomputes_only_missing_cells(
-        self, tmp_path, requests, serial_fingerprints
+        self, tmp_path, requests, serial_stats, serial_fingerprints
     ):
         central = tmp_path / "central"
         # Pre-fill the store with a strict subset (as if the first daemon
         # died mid-campaign after completing 4 cells).
         store = ResultStore(central)
-        serial = SerialBackend().run(requests)
         completed = 4
-        for request, stats in zip(requests[:completed], serial):
+        for request, stats in zip(requests[:completed], serial_stats):
             store.save(request, stats)
         with CampaignDaemon(cache_dir=central) as daemon:
             with WorkerAgent(slots=2) as agent:
@@ -272,7 +237,7 @@ class TestRestartResume:
 
 
 class TestFleet:
-    def test_graceful_drain(self, tmp_path, requests):
+    def test_graceful_drain(self, tmp_path, requests, wait_for):
         with CampaignDaemon(cache_dir=tmp_path / "central") as daemon:
             with WorkerAgent(slots=1) as agent:
                 agent.register_with(daemon.address)
@@ -285,7 +250,9 @@ class TestFleet:
                         message="worker deregistration",
                     )
 
-    def test_heartbeat_timeout_deregisters_and_requeues(self, tmp_path, requests):
+    def test_heartbeat_timeout_deregisters_and_requeues(
+        self, tmp_path, requests, wait_for
+    ):
         with CampaignDaemon(
             cache_dir=tmp_path / "central", heartbeat_timeout=1.0
         ) as daemon:
@@ -314,7 +281,7 @@ class TestFleet:
                     status = client.wait(campaign_id, timeout=120)
                     assert status["state"] == "done"
 
-    def test_worker_reconnects_through_daemon_restart(self, tmp_path, requests):
+    def test_worker_reconnects_through_daemon_restart(self, tmp_path, requests, wait_for):
         central = tmp_path / "central"
         daemon1 = CampaignDaemon(cache_dir=central, heartbeat_timeout=2.0).start()
         port = daemon1.port
@@ -416,7 +383,7 @@ class TestFailure:
                 with pytest.raises(CampaignError, match="unknown campaign"):
                     client.status("f" * 64)
 
-    def test_deterministic_cell_failure_fails_the_campaign(self, tmp_path):
+    def test_deterministic_cell_failure_fails_the_campaign(self, tmp_path, small_spec):
         # An unsimulatable cell (watchdog_cycles=0 trips immediately) must
         # fail the campaign with the cell's error, not hang or retry.
         from dataclasses import replace
@@ -425,7 +392,7 @@ class TestFailure:
             label: replace(config, watchdog_cycles=0)
             for label, config in list(fig5_configs().items())[:1]
         }
-        bad = matrix_spec("bad", configs, ["gcc"], n_insts=INSTS)
+        bad = small_spec("bad", workloads=("gcc",), configs=configs)
         with CampaignDaemon(cache_dir=tmp_path / "central") as daemon:
             with WorkerAgent() as agent:
                 agent.register_with(daemon.address)

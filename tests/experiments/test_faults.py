@@ -24,9 +24,7 @@ from repro.experiments import (
     FaultPlan,
     RemoteBackend,
     ResultStore,
-    SerialBackend,
     WorkerAgent,
-    matrix_spec,
     scrub_journals,
 )
 from repro.experiments.campaign import JOURNAL_SCHEMA, _read_journal
@@ -42,41 +40,10 @@ from repro.experiments.remote import (
 )
 from repro.experiments.scheduler import derive_deadline
 from repro.experiments.traces import workload_key
-from repro.harness.configs import fig5_configs
 from repro.isa.codec import encode_trace
 from repro.workloads.spec2000 import spec_profile
 from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace_cache import TraceCache
-
-INSTS = 1500
-
-
-def small_spec(name="faults-test", workloads=("gcc", "vortex"), n_configs=3):
-    configs = dict(list(fig5_configs().items())[:n_configs])
-    return matrix_spec(name, configs, list(workloads), n_insts=INSTS)
-
-
-@pytest.fixture(scope="module")
-def spec():
-    return small_spec()
-
-
-@pytest.fixture(scope="module")
-def requests(spec):
-    return spec.cells()
-
-
-@pytest.fixture(scope="module")
-def serial_fingerprints(requests):
-    return [s.fingerprint() for s in SerialBackend().run(requests)]
-
-
-def wait_for(predicate, timeout=30.0, interval=0.05, message="condition"):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() > deadline:
-            raise AssertionError(f"timed out waiting for {message}")
-        time.sleep(interval)
 
 
 def drive(plan: FaultPlan, payload: bytes = b"x" * 64, rounds: int = 40):
@@ -210,7 +177,7 @@ class TestDamagedTraceFrames:
             assert [s.fingerprint() for s in stats] == serial_fingerprints
             assert agent.trace_rejections == 2
 
-    def test_persistent_corruption_is_a_clean_failure(self):
+    def test_persistent_corruption_is_a_clean_failure(self, small_spec):
         # Every transfer damaged, no cap: the worker gives up after its
         # bounded re-requests, the dispatcher retires it, and the sweep
         # fails with a CellExecutionError -- not a hang, not bad data.
@@ -221,12 +188,12 @@ class TestDamagedTraceFrames:
                 RemoteBackend([agent.address], faults=plan).run(cells)
             assert agent.trace_rejections >= 3
 
-    def test_undecompressable_z_frame_rerequested_in_place(self):
+    def test_undecompressable_z_frame_rerequested_in_place(self, small_spec):
         # Protocol-level proof on a hand-driven socket: garbage zlib bytes
         # cost one re-request on the SAME connection, and the job then
         # completes with the true bytes.
         cell = small_spec(workloads=("gcc",), n_configs=1).cells()[0]
-        data = encode_trace(generate_trace(spec_profile("gcc"), INSTS))
+        data = encode_trace(generate_trace(spec_profile("gcc"), cell.n_insts))
         key = workload_key(cell.workload, cell.n_insts)
         import hashlib
 
@@ -249,7 +216,7 @@ class TestDamagedTraceFrames:
 
 
 class TestStragglerDeadlines:
-    def test_derive_deadline(self):
+    def test_derive_deadline(self, small_spec):
         cell = small_spec(workloads=("gcc",), n_configs=1).cells()[0]
         assert derive_deadline(None, cell, None) is None
         assert derive_deadline(None, cell, 2.5) == 2.5
@@ -277,7 +244,7 @@ class TestStragglerDeadlines:
 
 
 class TestRegistryBackoff:
-    def test_daemon_down_announced_once_then_backoff(self):
+    def test_daemon_down_announced_once_then_backoff(self, wait_for):
         notes: list[str] = []
         agent = WorkerAgent(progress=notes.append)
         try:
@@ -298,7 +265,7 @@ class TestRegistryBackoff:
         finally:
             agent.close()
 
-    def test_refusal_backs_off_then_readmits(self):
+    def test_refusal_backs_off_then_readmits(self, wait_for):
         # A fake daemon refuses twice (as a quarantine would), then
         # registers the worker: the loop must announce each transition and
         # keep retrying until readmitted.
@@ -347,7 +314,9 @@ class TestRegistryBackoff:
 
 
 class TestQuarantine:
-    def test_striking_worker_is_quarantined_and_refused(self, tmp_path):
+    def test_striking_worker_is_quarantined_and_refused(
+        self, tmp_path, small_spec, wait_for
+    ):
         # Register a worker address nobody is listening on; the dial-back
         # failure is a strike, and quarantine_after=1 banishes it at once.
         probe = socket.socket()
@@ -482,9 +451,9 @@ class TestTornJournalReplay:
 
 
 class TestFsck:
-    def test_store_fsck_finds_and_fixes(self, tmp_path, requests):
+    def test_store_fsck_finds_and_fixes(self, tmp_path, requests, serial_stats):
         store = ResultStore(tmp_path / "store")
-        serial = SerialBackend().run(requests[:2])
+        serial = serial_stats[:2]
         for request, stats in zip(requests[:2], serial):
             store.save(request, stats)
         good = store.fsck()
@@ -511,7 +480,7 @@ class TestFsck:
 
     def test_trace_cache_scrub(self, tmp_path):
         cache = TraceCache(tmp_path / "traces")
-        data = encode_trace(generate_trace(spec_profile("gcc"), INSTS))
+        data = encode_trace(generate_trace(spec_profile("gcc"), 1500))
         cache.save("good-key", data)
         flipped = bytearray(data)
         flipped[-1] ^= 0xFF

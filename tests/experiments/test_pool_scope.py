@@ -1,11 +1,13 @@
-"""The session worker fleet behind ``BatchRunner`` (``--jobs N``)."""
+"""The session worker fleet behind ``BatchRunner`` (``--jobs N``).
+
+The tests share the session fleets like any other sweep would; a test
+that needs a killed, replaced or stopped fleet brings that about itself.
+"""
 
 from __future__ import annotations
 
 import os
 import signal
-
-import pytest
 
 import repro.experiments.pool as pool_mod
 from repro.experiments import BatchRunner, SerialBackend, matrix_spec
@@ -21,13 +23,6 @@ def family_configs():
 
 def fleet_agents(workers):
     return [agent for agent, _ in pool_mod._session_fleets[workers]]
-
-
-@pytest.fixture(autouse=True)
-def _clean_session_pools():
-    shutdown_session_pools()
-    yield
-    shutdown_session_pools()
 
 
 class TestSessionPool:

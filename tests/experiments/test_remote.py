@@ -10,13 +10,14 @@ import threading
 import pytest
 
 from repro.experiments import (
+    CampaignClient,
+    CampaignDaemon,
     CellExecutionError,
     CostModel,
     FaultPlan,
     RemoteBackend,
     SerialBackend,
     WorkerAgent,
-    matrix_spec,
 )
 from repro.experiments.remote import (
     FRAME_JSON,
@@ -31,23 +32,6 @@ from repro.experiments.remote import (
 )
 from repro.harness.configs import fig5_configs
 from repro.workloads.trace_cache import TraceCache
-
-INSTS = 1500
-
-
-def small_spec(name="remote-test", workloads=("gcc", "vortex"), n_configs=3):
-    configs = dict(list(fig5_configs().items())[:n_configs])
-    return matrix_spec(name, configs, list(workloads), n_insts=INSTS)
-
-
-@pytest.fixture(scope="module")
-def requests():
-    return small_spec().cells()
-
-
-@pytest.fixture(scope="module")
-def serial_fingerprints(requests):
-    return [s.fingerprint() for s in SerialBackend().run(requests)]
 
 
 class TestFraming:
@@ -125,12 +109,11 @@ class TestEquivalence:
             assert cell_stats.workload == request.workload.name
             assert cell_stats.config_name == request.config.name
 
-
-    def test_configs_differing_only_in_name_keep_their_names(self):
+    def test_configs_differing_only_in_name_keep_their_names(self, small_spec):
         base = fig5_configs()["baseline"]
-        requests = matrix_spec(
-            "rename", {"baseline": base, "renamed": base.derive("renamed")},
-            ["gcc"], n_insts=INSTS,
+        requests = small_spec(
+            "rename", workloads=("gcc",),
+            configs={"baseline": base, "renamed": base.derive("renamed")},
         ).cells()
         with WorkerAgent() as agent:
             stats = RemoteBackend([agent.address]).run(requests)
@@ -163,7 +146,7 @@ class TestHostTraceCache:
             RemoteBackend([reborn.address]).run(requests)
             assert reborn.trace_misses == 0
 
-    def test_poisoned_host_cache_is_detected_and_healed(self, tmp_path):
+    def test_poisoned_host_cache_is_detected_and_healed(self, tmp_path, small_spec):
         """A host cache entry whose bytes are not the trace the key names
         (version skew, corruption, a bad peer) must be refetched -- the
         client pins the content digest whenever it knows the bytes."""
@@ -181,7 +164,7 @@ class TestHostTraceCache:
             for s in SerialBackend(trace_cache=client_cache).run(cells)
         ]
         host_cache = TraceCache(tmp_path / "host")
-        wrong = encode_trace(generate_trace(spec_profile("vortex"), INSTS))
+        wrong = encode_trace(generate_trace(spec_profile("vortex"), cells[0].n_insts))
         host_cache.save(workload_key(cells[0].workload, cells[0].n_insts), wrong)
         with WorkerAgent(trace_cache=host_cache) as agent:
             backend = RemoteBackend([agent.address], trace_cache=client_cache)
@@ -241,7 +224,7 @@ class TestFaultTolerance:
             assert chaotic.jobs_done == 2
             assert healthy.jobs_done == len(requests) - 2
 
-    def test_kill_with_drained_queue_still_redispatches(self):
+    def test_kill_with_drained_queue_still_redispatches(self, small_spec):
         """Regression: with as many cells as workers the queue drains
         instantly, so when one worker dies its re-queued cell appears
         *after* every other worker saw an empty queue -- idle workers must
@@ -286,19 +269,19 @@ class TestFaultTolerance:
             stats = backend.run(requests)
             assert [s.fingerprint() for s in stats] == serial_fingerprints
 
-    def test_deterministic_cell_failure_not_retried(self):
+    def test_deterministic_cell_failure_not_retried(self, small_spec):
         # warmup > n_insts makes SimStats impossible? No -- use a config
         # whose watchdog trips instantly: watchdog_cycles is validated
         # nowhere, and a 0-cycle watchdog aborts the first cycle.
         configs = {"bad": fig5_configs()["baseline"].derive("bad", watchdog_cycles=0)}
-        spec = matrix_spec("doomed", configs, ["gcc"], n_insts=INSTS, baseline="bad")
+        spec = small_spec("doomed", workloads=("gcc",), configs=configs, baseline="bad")
         with WorkerAgent() as agent:
             with pytest.raises(CellExecutionError, match="doomed: gcc / bad"):
                 RemoteBackend([agent.address]).run(spec.cells())
             # The agent survives a failing cell and serves the next sweep.
             good = small_spec(workloads=("gcc",), n_configs=1).cells()
             stats = RemoteBackend([agent.address]).run(good)[0]
-            assert stats.committed == INSTS - good[0].warmup
+            assert stats.committed == good[0].n_insts - good[0].warmup
 
     def test_empty_request_list(self):
         with WorkerAgent() as agent:
@@ -312,7 +295,7 @@ class TestProtocolRobustness:
             with socket.create_connection((host, port)) as conn:
                 conn.sendall(b"not a frame at all")
             stats = RemoteBackend([agent.address]).run(requests[:1])
-            assert stats[0].committed == INSTS - requests[0].warmup
+            assert stats[0].committed == requests[0].n_insts - requests[0].warmup
 
     def test_hello_mismatch_rejected(self):
         assert PROTOCOL_VERSION == 2
@@ -331,6 +314,24 @@ class TestProtocolRobustness:
             RemoteBackend([])
         with pytest.raises(ValueError):
             RemoteBackend(["malformed"])
+
+
+class TestClose:
+    def test_closed_agent_refuses_connections_and_joins_its_threads(self, wait_for):
+        with CampaignDaemon() as daemon:
+            agent = WorkerAgent().start()
+            # A long heartbeat: only close() severing the registry link
+            # lets the registry thread exit promptly.
+            agent.register_with(daemon.address, heartbeat_interval=60.0)
+            with CampaignClient(daemon.address) as client:
+                wait_for(lambda: client.stats()["workers"], message="registration")
+            agent.close()
+            alive = {thread.name for thread in threading.enumerate()}
+            assert f"svw-worker-{agent.port}" not in alive
+            assert f"svw-worker-registry-{agent.port}" not in alive
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection((agent.host, agent.port), timeout=1.0)
+            agent.close()  # idempotent
 
 
 class TestScheduling:

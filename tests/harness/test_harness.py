@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import FigureResult, matrix_spec, run_experiment
+from repro.experiments import CampaignDaemon, FigureResult, matrix_spec, run_experiment
 from repro.harness import cli
 from repro.harness.bench import compare_bench
 from repro.harness.bench_sweep import compare_sweep_bench
@@ -22,6 +22,7 @@ from repro.harness.configs import (
 from repro.harness.figures import EXPERIMENTS
 from repro.harness.paper_data import PAPER_CLAIMS, claims_for
 from repro.harness.report import check_claims, render_claims, render_figure
+from repro.isa.codec import encode_trace
 from repro.pipeline.config import RexMode
 
 
@@ -118,6 +119,31 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "% loads re-executed" in output
 
+    def test_figures_resolve_benchmarks_in_the_ingest_store(
+        self, tmp_path, capsys, spill_fill_trace
+    ):
+        """``--benchmarks ingest:<digest>`` resolves in ``--ingest-dir`` for
+        figure commands and campaign commands alike."""
+        trace_file = tmp_path / "spill_fill.svwt"
+        trace_file.write_bytes(encode_trace(spill_fill_trace))
+        ingest = ["--ingest-dir", str(tmp_path / "ingest")]
+        assert main(["ingest", str(trace_file), *ingest]) == 0
+        ref = capsys.readouterr().out.split("workload reference: ")[1].strip()
+        workload = ["--benchmarks", ref, *ingest, "--insts", "3000"]
+
+        assert main(["fig5", *workload, "--json", "-", "--quiet"]) == 0
+        fig5 = json.loads(capsys.readouterr().out)["fig5"]
+        assert fig5["benchmarks"] == ["spill_fill"]
+        assert set(fig5["stats"]["spill_fill"]) == set(fig5_configs())
+
+        with CampaignDaemon() as daemon:
+            # The id is derived from the resolved spec; a fixed trace cannot
+            # ride a campaign submission, and both say so cleanly.
+            assert main(["status", "fig5", *workload, "--campaign", daemon.address]) == 1
+            assert "unknown campaign" in capsys.readouterr().err
+            assert main(["submit", "fig5", *workload, "--campaign", daemon.address]) == 1
+            assert "fixed trace" in capsys.readouterr().err
+
     def test_cli_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
@@ -156,7 +182,8 @@ class TestCLI:
     )
     def test_compare_snapshots(self, command, snapshot, cells, compare, tmp_path, capsys):
         """``--compare OLD NEW`` prints the compare table: a snapshot is
-        bit-identical to itself, and a doctored fingerprint is a WARNING."""
+        bit-identical to itself, and a doctored fingerprint is a WARNING
+        and a failed run."""
         payload = json.loads((Path(__file__).parents[2] / snapshot).read_text())
         same = tmp_path / "same.json"
         same.write_text(json.dumps(payload))
@@ -170,7 +197,7 @@ class TestCLI:
         original = json.loads(same.read_text())
         assert out == compare(original, original) + "\n"
 
-        assert main([command, "--compare", str(same), str(doctored)]) == 0
+        assert main([command, "--compare", str(same), str(doctored)]) == 1
         assert "WARNING" in capsys.readouterr().out
 
     def test_campaign_and_remote_workers_are_exclusive_everywhere(self):

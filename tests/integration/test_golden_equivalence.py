@@ -8,6 +8,8 @@ processor flag asserts per-load value equality at commit; this file adds
 the final-memory check and sweeps configurations x workloads.
 """
 
+import functools
+
 import pytest
 
 from repro.core.svw import SVWConfig
@@ -63,11 +65,27 @@ CONFIGS = {
 }
 
 
+@pytest.fixture(scope="module")
+def golden_run():
+    """``golden_run(workload)`` -> (trace, golden execution) of a kernel or
+    a SPEC profile.  Each is built once and replayed by every config; the
+    module's traces are freed when it ends."""
+
+    @functools.cache
+    def build(workload):
+        if workload in KERNELS:
+            trace = kernel_trace(workload)
+        else:
+            trace = generate_trace(spec_profile(workload), 5000)
+        return trace, golden_execute(trace)
+
+    return build
+
+
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_kernel_golden_equivalence(config_name, kernel, golden_of):
-    trace = kernel_trace(kernel)
-    golden = golden_of(trace)
+def test_kernel_golden_equivalence(config_name, kernel, golden_run):
+    trace, golden = golden_run(kernel)
     processor = Processor(CONFIGS[config_name], trace, validate=True)
     stats = processor.run()
     assert stats.committed == len(trace)
@@ -78,9 +96,8 @@ def test_kernel_golden_equivalence(config_name, kernel, golden_of):
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("profile", ["gcc", "vortex", "twolf"])
-def test_synthetic_golden_equivalence(config_name, profile):
-    trace = generate_trace(spec_profile(profile), 5000)
-    golden = golden_execute(trace)
+def test_synthetic_golden_equivalence(config_name, profile, golden_run):
+    trace, golden = golden_run(profile)
     processor = Processor(CONFIGS[config_name], trace, validate=True)
     stats = processor.run()
     assert stats.committed == len(trace)

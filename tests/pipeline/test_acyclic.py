@@ -37,14 +37,32 @@ def trace():
 
 
 def garbage_left(simulate) -> int:
-    """Cyclic garbage left once ``simulate`` returns and its cell is dropped."""
+    """Cyclic garbage left once ``simulate`` returns and its cell is dropped.
+
+    Everything alive beforehand is frozen out of the collector's view, so
+    the count -- and the time spent collecting -- covers only what
+    ``simulate`` allocated, not the rest of the test session's heap.
+    """
     gc.collect()
+    gc.freeze()
     gc.disable()
     try:
         simulate()
         return gc.collect()
     finally:
+        gc.unfreeze()
         gc.enable()
+
+
+def test_planted_cycle_is_counted(trace):
+    """The check bites: a cell that keeps a reference to itself is found."""
+
+    def simulate():
+        processor = Processor(CONFIGS["fig5_configs:NLQ"], trace, warmup=300)
+        processor.run()
+        processor.inflight_by_seq[-1] = processor
+
+    assert garbage_left(simulate) > 0
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -23,6 +23,8 @@ this suite pins that:
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.core.svw import SVWConfig
@@ -70,13 +72,26 @@ ALL_CONFIGS = {
 }
 
 
+@pytest.fixture(scope="module")
+def traces():
+    """``traces(workload)`` -> (generated columns, columns rebuilt from its
+    ``DynInst`` view), built once and replayed by every config."""
+
+    @functools.cache
+    def build(workload):
+        trace = generate_trace(spec_profile(workload), N)
+        return trace, rebuilt_from_insts(trace)
+
+    return build
+
+
 @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
 @pytest.mark.parametrize("workload", ["gcc", "mcf"])
-def test_probe_path_safe_and_consistent(name, workload):
+def test_probe_path_safe_and_consistent(name, workload, traces):
     config = ALL_CONFIGS[name]
-    trace = generate_trace(spec_profile(workload), N)
+    trace, rebuilt = traces(workload)
     columns = Processor(config, trace, validate=True, warmup=500)
-    objects = Processor(config, rebuilt_from_insts(trace), validate=True, warmup=500)
+    objects = Processor(config, rebuilt, validate=True, warmup=500)
     slow = Processor(config, trace, validate=True, warmup=500, skip_ahead=False)
     fingerprint = columns.run().fingerprint()
     assert objects.run().fingerprint() == fingerprint, name
