@@ -397,6 +397,9 @@ class WorkerAgent:
         self._connections: set[socket.socket] = set()
         self._accept_thread: threading.Thread | None = None
         self._registry_thread: threading.Thread | None = None
+        #: The live registry link, once registered; guarded by ``_lock``,
+        #: which also serialises every frame sent on it.
+        self._registry_conn: socket.socket | None = None
         self._draining = threading.Event()
         self._drained = threading.Event()
         #: Completed simulations (all connections).
@@ -508,7 +511,16 @@ class WorkerAgent:
         """
         if self._registry_thread is None:
             return True
-        self._draining.set()
+        with self._lock:
+            # Whichever of this and the registry loop's registration runs
+            # second sends the one ``drain`` frame.
+            if not self._draining.is_set():
+                self._draining.set()
+                if self._registry_conn is not None:
+                    try:
+                        send_json(self._registry_conn, {"type": "drain"})
+                    except OSError:
+                        pass  # the loop re-registers and sends it then
         return self._drained.wait(timeout)
 
     def _registry_loop(
@@ -581,16 +593,17 @@ class WorkerAgent:
                 backoff = retry_interval  # healthy again: reset the backoff
                 down_announced = False
                 announce(f"registered with {host}:{port}")
-                drain_sent = False
                 conn.settimeout(heartbeat_interval)
-                while not self._closed.is_set():
-                    if self._draining.is_set() and not drain_sent:
+                with self._lock:
+                    self._registry_conn = conn
+                    if self._draining.is_set():
                         send_json(conn, {"type": "drain"})
-                        drain_sent = True
+                while not self._closed.is_set():
                     try:
                         message = recv_json(conn)
                     except socket.timeout:
-                        send_json(conn, {"type": "heartbeat"})
+                        with self._lock:
+                            send_json(conn, {"type": "heartbeat"})
                         continue
                     if message.get("type") == "drained":
                         self._drained.set()
@@ -601,6 +614,7 @@ class WorkerAgent:
                     down_announced = True
             finally:
                 with self._lock:
+                    self._registry_conn = None
                     self._connections.discard(conn)
                 conn.close()
             back_off()

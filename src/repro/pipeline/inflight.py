@@ -134,8 +134,10 @@ class InFlight:
         self.mispredicted = False
 
     def __lt__(self, other: "InFlight") -> bool:
-        """Age order; ties (a squashed and a refetched incarnation of the
-        same seq inside a lazy heap) break arbitrarily but deterministically."""
+        """Age order for the processor's ``(seq, entry)`` ready heap.
+
+        A squashed entry and its refetched twin share a seq; the squashed
+        one sorts first, as it was pushed first."""
         return self.seq < other.seq or (self.seq == other.seq and self.squashed)
 
     def add_waiter(self, waiter: "InFlight", role: int = 0) -> None:

@@ -61,12 +61,20 @@ golden-equivalence suite enforce this):
   redirect, an invalidation tick, or the watchdog), replicating the
   stall-counter increments the skipped cycles would have made.
 
-Measured and rejected on CPython 3.11 (do not rebuild): per-kind
-``InFlight`` subclasses with class-level defaults (measured 0.90x
-and 0.92x: the attribute sites turn polymorphic and lose their per-site
-caches), and a per-ROB-slot column window (reading three per-slot columns
-costs about twice three slotted attributes, and resetting a slot saves
-little over allocating).
+Measured and rejected on CPython 3.11 (do not rebuild):
+
+- per-kind ``InFlight`` subclasses with class-level defaults (0.90x and
+  0.92x: the attribute sites turn polymorphic and lose their caches);
+- a per-ROB-slot column window (three per-slot column reads cost about
+  twice three slotted attributes; resetting a slot saves little);
+- parking loads the SQ CAM defers until a store writing the blocked
+  word is done (``figures`` cells 15.24 -> 15.10 s, median of 3 pairs),
+  alone or under per-issue-class ready heaps (15.33 -> 15.22 s; fuzz
+  matrix 1.60 -> 1.61 s).  Both were exact and both are below what
+  perfbench resolves: issue deferrals per committed instruction on
+  ``figures`` are 0.216 slot, 0.215 SQ-CAM, 0.123 bank and 0.006 FSQ,
+  each one cheap heap pop.
+
 ``svw-repro bench --stages`` splits ``Processor.run`` per stage to measure
 the next candidate against.
 """
@@ -153,7 +161,6 @@ class Processor:
         "store_words",
         "_warmup_cycle",
         "_ready",
-        "_tiebreak",
         "_completes",
         "_rex_port_busy_until",
         "_uncommitted_loads",
@@ -164,7 +171,6 @@ class Processor:
         "_skip_ahead",
         "_worked",
         "_stall_note",
-        "_event_heap",
         "_wake_cause",
         # per-run constants
         "_trace_len",
@@ -173,7 +179,6 @@ class Processor:
         "_rex_reexecute",
         "_rex_perfect",
         "_rex_svw_only",
-        "_ready_stale",
         # stage constants, bound once per run and unpacked per stage call
         "_dispatch_consts",
         "_issue_consts",
@@ -252,8 +257,13 @@ class Processor:
         self.lq_occ = 0
         self.sq_occ = 0
         self.reg_occ = 0
-        self._ready: list[tuple[int, int, InFlight]] = []
-        self._tiebreak = 0
+        #: Ready entries as ``(seq, entry)``.  A squashed entry stays heaped
+        #: until popped; its refetched twin has the same seq, and
+        #: ``InFlight.__lt__`` pops the squashed one first.
+        self._ready: list[tuple[int, InFlight]] = []
+        #: Completion buckets by cycle.  Every key lies in the future: the
+        #: cycle loop pops the current cycle's bucket and every latency is
+        #: at least one cycle.
         self._completes: dict[int, list[InFlight]] = {}
         self.rex_queue: deque[InFlight] = deque()
         #: The shared D$ read/write port is occupied for the full duration
@@ -283,9 +293,6 @@ class Processor:
         #: Which `_next_event_cycle` candidate ended the most recent
         #: quiescent stretch (feeds `SimStats.wakeup_causes`).
         self._wake_cause = "watchdog"
-        #: Min-heap of cycles with scheduled completion events (one entry
-        #: per distinct cycle), consumed lazily by the skip-ahead scan.
-        self._event_heap: list[int] = []
 
         # Per-run constants.  Enum members are read here, once: on CPython
         # 3.11 a member read costs several plain attribute reads.
@@ -330,12 +337,6 @@ class Processor:
             config.branch_issue,
             0,
         ]
-        #: Exact count of squashed-but-still-heaped ready entries.  While
-        #: it is zero and the cycle's issue bandwidth is spent, the select
-        #: loop can stop popping: every further pop in the naive loop
-        #: either drops a stale entry (none exist) or defers a live one
-        #: back unchanged, so stopping early is observationally identical.
-        self._ready_stale = 0
 
         # Stage constants: the containers, flat trace columns (plain lists,
         # built once per trace and shared by every configuration replaying
@@ -385,10 +386,8 @@ class Processor:
             self.ssn,
             config.load_latency - l1d.latency,
             self._completes,
-            self._event_heap,
             slot_template,
             config.fsq_ports,
-            sum(slot_template),
         )
         self._commit_consts = (
             self.rob,
@@ -417,7 +416,6 @@ class Processor:
         bucket = self._completes.get(when)
         if bucket is None:
             self._completes[when] = [entry]
-            heappush(self._event_heap, when)
         else:
             bucket.append(entry)
 
@@ -451,9 +449,7 @@ class Processor:
                     # Integrated loads "complete" as soon as their value does.
                     self._schedule_completion(waiter, self.cycle + 1)
                 else:
-                    tiebreak = self._tiebreak + 1
-                    self._tiebreak = tiebreak
-                    heappush(self._ready, (waiter.seq, tiebreak, waiter))
+                    heappush(self._ready, (waiter.seq, waiter))
 
     def _program_order_value(self, load: InFlight) -> int:
         """The architecturally-correct value at the load's position.
@@ -619,7 +615,7 @@ class Processor:
         quiescent), so every time-gated condition in the stage functions
         must contribute a candidate here, and does:
 
-        - scheduled completions (``_event_heap``);
+        - scheduled completions (the earliest ``_completes`` bucket);
         - the ROB head's commit-depth horizon;
         - release of the shared re-execution D$ port;
         - in-flight re-execution accesses finishing;
@@ -630,12 +626,14 @@ class Processor:
         cycle = self.cycle
         nxt = self._last_commit_cycle + watchdog + 1
         cause = "watchdog"
-        heap = self._event_heap
-        while heap and heap[0] <= cycle:
-            heappop(heap)
-        if heap and heap[0] < nxt:
-            nxt = heap[0]
-            cause = "completion"
+        completes = self._completes
+        if completes:
+            # Every bucket lies in the future (see ``__init__``), so the
+            # earliest one is the next completion event.
+            first = min(completes)
+            if first < nxt:
+                nxt = first
+                cause = "completion"
         rob = self.rob
         if rob:
             head = rob[0]
@@ -971,25 +969,19 @@ class Processor:
     def _do_issue(self) -> None:
         (ready, m_kind, m_iclass, m_latency, line_bytes, bank_mask,
          load_must_wait, execute_load, load_access, svw_upd, svw_weak, ssn,
-         load_base_latency, completes, event_heap, slot_template, fsq_budget,
-         total_issue) = self._issue_consts
+         load_base_latency, completes, slot_template, fsq_budget) = self._issue_consts
         cycle = self.cycle
         slots = slot_template.copy()
         banks_used = 0
         issued = 0
-        deferred: list[tuple[int, int, InFlight]] = []
+        deferred: list[tuple[int, InFlight]] = []
         while ready:
-            if issued >= total_issue and self._ready_stale <= 0:
-                # All issue bandwidth consumed and no stale entries left
-                # to drop: every further pop would just defer-and-repush.
-                break
             item = heappop(ready)
-            entry = item[2]
+            entry = item[1]
             if entry.squashed:
                 # An entry joins the heap once, when it is ready and not
                 # issued (deferral re-pushes it unchanged), so a squashed
                 # entry is the only kind to drop.
-                self._ready_stale -= 1
                 continue
             seq = entry.seq
             iclass = m_iclass[seq]
@@ -1036,7 +1028,6 @@ class Processor:
             bucket = completes.get(when)
             if bucket is None:
                 completes[when] = [entry]
-                heappush(event_heap, when)
             else:
                 bucket.append(entry)
         if issued:
@@ -1066,7 +1057,6 @@ class Processor:
          svw_present) = self._dispatch_consts
         # Written back once per call: nothing the loop calls reads them.
         fetch_seq = self.fetch_seq
-        tiebreak = self._tiebreak
         dispatched = 0
         taken_branch = False
         stall = None
@@ -1156,14 +1146,12 @@ class Processor:
             if dst_reg >= 0:
                 self.reg_occ += 1
             if entry.pending_srcs == 0 and not entry.issued:
-                tiebreak += 1
-                heappush(ready, (fetch_seq, tiebreak, entry))
+                heappush(ready, (fetch_seq, entry))
             dispatched += 1
             fetch_seq += 1
             if entry.mispredicted:
                 break
         self.fetch_seq = fetch_seq
-        self._tiebreak = tiebreak
         if stall is not None:
             self._note_stall(stall)
         if dispatched:
@@ -1313,11 +1301,6 @@ class Processor:
             kind = entry.kind
             if not entry.issued and not entry.eliminated:
                 self.iq_occ -= 1
-                if entry.pending_srcs == 0:
-                    # The entry sits in the ready heap; remember the stale
-                    # member so the issue loop knows it still has one to
-                    # drop (see _ready_stale).
-                    self._ready_stale += 1
             if entry.dst_reg >= 0:
                 self.reg_occ -= 1
             if kind == KIND_LOAD:

@@ -250,6 +250,20 @@ class TestFleet:
                         message="worker deregistration",
                     )
 
+    def test_drain_goes_out_without_waiting_for_a_heartbeat(self, tmp_path, wait_for):
+        """``drain()`` sends at once: an idle worker with a 30 s heartbeat
+        is drained well inside one heartbeat interval."""
+        with CampaignDaemon(
+            cache_dir=tmp_path / "central", heartbeat_timeout=120.0
+        ) as daemon:
+            with WorkerAgent(slots=1) as agent:
+                agent.register_with(daemon.address, heartbeat_interval=30.0)
+                with CampaignClient(daemon.address) as client:
+                    wait_for(
+                        lambda: client.stats()["workers"], message="worker registration"
+                    )
+                assert agent.drain(timeout=5.0)
+
     def test_heartbeat_timeout_deregisters_and_requeues(
         self, tmp_path, requests, wait_for
     ):

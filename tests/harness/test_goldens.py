@@ -23,7 +23,9 @@ from repro.workloads.phased import PHASED_CATALOG
 from repro.workloads.synthetic import TRACE_EPOCH
 
 TABLE = Path(__file__).resolve().parents[1] / "goldens.json"
-CELLS = goldens.golden_cells()
+#: Row keys only, for parametrization: the thunks (and the traces they
+#: build) live in the module-scoped ``cells`` fixture.
+KEYS = sorted(goldens.golden_cells())
 
 
 def load_table(path: Path) -> dict[str, str]:
@@ -37,8 +39,8 @@ def load_table(path: Path) -> dict[str, str]:
             f"goldens` and review the diff"
         )
     rows = table["rows"]
-    missing = sorted(set(CELLS) - set(rows))
-    extra = sorted(set(rows) - set(CELLS))
+    missing = sorted(set(KEYS) - set(rows))
+    extra = sorted(set(rows) - set(KEYS))
     if missing or extra:
         raise ValueError(
             f"{path} does not match golden_cells(): missing rows {missing}, "
@@ -53,13 +55,22 @@ def pinned() -> dict[str, str]:
 
 
 @pytest.fixture(scope="module")
-def fresh() -> dict:
-    """The whole table recomputed once, shared by every test below."""
-    return goldens.build_table()
+def cells() -> dict:
+    """One set of golden cells, so each trace is built once per module."""
+    return goldens.golden_cells()
+
+
+@pytest.fixture(scope="module")
+def fresh(cells) -> dict:
+    """The whole table recomputed once by ``build_table`` over ``cells``,
+    shared by every test below."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(goldens, "golden_cells", lambda: cells)
+        return goldens.build_table()
 
 
 def test_table_matches_epoch_and_cells(pinned):
-    assert sorted(pinned) == sorted(CELLS)
+    assert sorted(pinned) == KEYS
 
 
 def test_trace_epoch_is_v2():
@@ -131,7 +142,7 @@ def test_row_set_mismatch_fails(tmp_path, change):
         load_table(path)
 
 
-@pytest.mark.parametrize("key", sorted(CELLS))
+@pytest.mark.parametrize("key", KEYS)
 def test_golden_row(key, pinned, fresh):
     assert fresh["rows"][key] == pinned[key], (
         f"{key}: golden fingerprint moved -- if this is a deliberate "
@@ -140,9 +151,9 @@ def test_golden_row(key, pinned, fresh):
     )
 
 
-@pytest.mark.parametrize("key", sorted(k for k in CELLS if k.startswith("v2/")))
-def test_v2_row_without_skip_ahead(key, pinned):
-    assert CELLS[key](skip_ahead=False) == pinned[key], key
+@pytest.mark.parametrize("key", [k for k in KEYS if k.startswith("v2/")])
+def test_v2_row_without_skip_ahead(key, pinned, cells):
+    assert cells[key](skip_ahead=False) == pinned[key], key
 
 
 def test_cli_writes_the_checked_in_table(tmp_path, monkeypatch, fresh):
@@ -151,5 +162,5 @@ def test_cli_writes_the_checked_in_table(tmp_path, monkeypatch, fresh):
     monkeypatch.setattr(goldens, "build_table", lambda: fresh)
     path = tmp_path / "goldens.json"
     assert main(["goldens", "--out", str(path), "--quiet"]) == 0
-    assert load_table(path).keys() == set(CELLS)
+    assert load_table(path).keys() == set(KEYS)
     assert path.read_text() == TABLE.read_text()

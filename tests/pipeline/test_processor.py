@@ -1,9 +1,13 @@
 """Behavioural tests of the processor model across configurations."""
 
+from heapq import heappop, heappush
+
 import pytest
 
 from repro.core.svw import SVWConfig
+from repro.isa.inst import KIND_LOAD
 from repro.pipeline.config import LSUKind, RexMode, eight_wide, four_wide
+from repro.pipeline.inflight import InFlight
 from repro.pipeline.processor import Processor
 from repro.workloads.kernels import kernel_trace
 from repro.workloads.spec2000 import spec_profile
@@ -24,6 +28,25 @@ def _ssq(name="ssq", **kw):
     )
     params.update(kw)
     return eight_wide(name, **params)
+
+
+class TestReadyHeap:
+    def test_tied_seq_pops_squashed_twin_first(self):
+        """Ready items are ``(seq, entry)``: a squashed entry and its
+        refetched twin tie on seq, and ``InFlight.__lt__`` breaks the tie
+        (without it, comparing the two entries raises ``TypeError``)."""
+        older = InFlight(3, 0x100, KIND_LOAD, 1)
+        squashed = InFlight(7, 0x104, KIND_LOAD, 2)
+        squashed.squashed = True
+        refetched = InFlight(7, 0x104, KIND_LOAD, 2)
+        for order in ([refetched, squashed, older], [squashed, refetched, older],
+                      [older, refetched, squashed]):
+            ready: list[tuple[int, InFlight]] = []
+            for entry in order:
+                heappush(ready, (entry.seq, entry))
+            popped = [heappop(ready)[1] for _ in order]
+            assert [entry.seq for entry in popped] == [3, 7, 7]
+            assert popped == [older, squashed, refetched]
 
 
 class TestBaseline:
