@@ -34,13 +34,44 @@ per-figure experiment drivers, and :mod:`repro.experiments` for backends
 on-disk result cache.
 """
 
-from repro.core import SVWConfig, SVWEngine
-from repro.experiments import ExperimentSpec, matrix_spec, run_experiment
-from repro.isa import ColumnTrace, DynInst
-from repro.pipeline import MachineConfig, Processor, RexMode, SimStats, eight_wide, four_wide
-from repro.workloads import generate_trace, kernel_trace, spec_profile
+from typing import TYPE_CHECKING
 
-__version__ = "1.1.0"
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.svw import SVWConfig, SVWEngine
+    from repro.experiments.run import run_experiment
+    from repro.experiments.spec import ExperimentSpec, matrix_spec
+    from repro.isa.coltrace import ColumnTrace
+    from repro.isa.inst import DynInst
+    from repro.pipeline.config import MachineConfig, RexMode, eight_wide, four_wide
+    from repro.pipeline.processor import Processor
+    from repro.pipeline.stats import SimStats
+    from repro.workloads.kernels import kernel_trace
+    from repro.workloads.registry import generate_trace
+    from repro.workloads.spec2000 import spec_profile
+
+__version__ = "1.4.0"
+
+# Each name is imported from its defining module on first use, so
+# ``import repro`` (which every ``repro.*`` import runs first) loads no
+# subsystem.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.svw": ("SVWConfig", "SVWEngine"),
+        "repro.experiments.run": ("run_experiment",),
+        "repro.experiments.spec": ("ExperimentSpec", "matrix_spec"),
+        "repro.isa.coltrace": ("ColumnTrace",),
+        "repro.isa.inst": ("DynInst",),
+        "repro.pipeline.config": ("MachineConfig", "RexMode", "eight_wide", "four_wide"),
+        "repro.pipeline.processor": ("Processor",),
+        "repro.pipeline.stats": ("SimStats",),
+        "repro.workloads.kernels": ("kernel_trace",),
+        "repro.workloads.registry": ("generate_trace",),
+        "repro.workloads.spec2000": ("spec_profile",),
+    },
+)
 
 __all__ = [
     "ColumnTrace",

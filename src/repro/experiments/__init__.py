@@ -61,46 +61,101 @@ The pieces:
   ``run_experiment(matrix_spec(...))`` is the one-call serial form.
 """
 
-from repro.experiments.backends import (
-    CellExecutionError,
-    ExecutionBackend,
-    SerialBackend,
-    execute_request,
-    make_backend,
-)
-from repro.experiments.campaign import (
-    CampaignBackend,
-    CampaignClient,
-    CampaignDaemon,
-    CampaignError,
-    CampaignUnreachableError,
-    JournalScrubReport,
-    scrub_journals,
-)
-from repro.experiments.faults import FaultEvent, FaultPlan
-from repro.experiments.pool import BatchRunner, shutdown_session_pools
-from repro.experiments.remote import (
-    CorruptTraceError,
-    RemoteBackend,
-    WorkerAgent,
-    local_worker_fleet,
-)
-from repro.experiments.results import FigureResult
-from repro.experiments.scheduler import CostModel, session_cost_model
-from repro.experiments.traces import TraceProvider, workload_key
-from repro.experiments.run import run_experiment
-from repro.experiments.spec import (
-    DEFAULT_INSTS,
-    ExperimentSpec,
-    RunRequest,
-    WorkloadSpec,
-    matrix_spec,
-)
-from repro.experiments.store import (
-    FsckReport,
-    MergeReport,
-    ResultMergeError,
-    ResultStore,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments.backends import (
+        CellExecutionError,
+        ExecutionBackend,
+        SerialBackend,
+        execute_request,
+        make_backend,
+    )
+    from repro.experiments.campaign import (
+        CampaignBackend,
+        CampaignClient,
+        CampaignDaemon,
+        CampaignError,
+        CampaignUnreachableError,
+        JournalScrubReport,
+        scrub_journals,
+    )
+    from repro.experiments.faults import FaultEvent, FaultPlan
+    from repro.experiments.pool import BatchRunner, shutdown_session_pools
+    from repro.experiments.remote import (
+        CorruptTraceError,
+        RemoteBackend,
+        WorkerAgent,
+        local_worker_fleet,
+    )
+    from repro.experiments.results import FigureResult
+    from repro.experiments.scheduler import CostModel, session_cost_model
+    from repro.experiments.traces import TraceProvider, workload_key
+    from repro.experiments.run import run_experiment
+    from repro.experiments.spec import (
+        DEFAULT_INSTS,
+        ExperimentSpec,
+        RunRequest,
+        WorkloadSpec,
+        matrix_spec,
+    )
+    from repro.experiments.store import (
+        FsckReport,
+        MergeReport,
+        ResultMergeError,
+        ResultStore,
+    )
+
+# Each name is imported from its module on first use: a worker agent
+# that imports ``repro.experiments.remote`` loads neither the campaign
+# tier nor the fuzzer.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.backends": (
+            "CellExecutionError",
+            "ExecutionBackend",
+            "SerialBackend",
+            "execute_request",
+            "make_backend",
+        ),
+        "repro.experiments.campaign": (
+            "CampaignBackend",
+            "CampaignClient",
+            "CampaignDaemon",
+            "CampaignError",
+            "CampaignUnreachableError",
+            "JournalScrubReport",
+            "scrub_journals",
+        ),
+        "repro.experiments.faults": ("FaultEvent", "FaultPlan"),
+        "repro.experiments.pool": ("BatchRunner", "shutdown_session_pools"),
+        "repro.experiments.remote": (
+            "CorruptTraceError",
+            "RemoteBackend",
+            "WorkerAgent",
+            "local_worker_fleet",
+        ),
+        "repro.experiments.results": ("FigureResult",),
+        "repro.experiments.scheduler": ("CostModel", "session_cost_model"),
+        "repro.experiments.traces": ("TraceProvider", "workload_key"),
+        "repro.experiments.run": ("run_experiment",),
+        "repro.experiments.spec": (
+            "DEFAULT_INSTS",
+            "ExperimentSpec",
+            "RunRequest",
+            "WorkloadSpec",
+            "matrix_spec",
+        ),
+        "repro.experiments.store": (
+            "FsckReport",
+            "MergeReport",
+            "ResultMergeError",
+            "ResultStore",
+        ),
+    },
 )
 
 __all__ = [

@@ -27,9 +27,18 @@ from __future__ import annotations
 from repro.experiments.spec import RunRequest, WorkloadSpec
 from repro.isa.codec import TraceCodecError, decode_trace, encode_trace, verify_encoded
 from repro.isa.coltrace import ColumnTrace
+from repro.workloads.profile import WorkloadProfile
 from repro.workloads.registry import workload_key  # noqa: F401  (re-exported API)
-from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace_cache import TraceCache
+
+
+def generate_trace(profile: WorkloadProfile, n_insts: int) -> ColumnTrace:
+    """:func:`repro.workloads.synthetic.generate_trace`, imported on the
+    first call: a process that only ships or decodes traces (a worker
+    agent) never loads the generator or numpy."""
+    from repro.workloads.synthetic import generate_trace as generate
+
+    return generate(profile, n_insts)
 
 
 def request_key(request: RunRequest) -> str:

@@ -50,28 +50,22 @@ from repro.experiments.backends import (
     ExecutionBackend,
     make_backend,
 )
-from repro.experiments.campaign import (
-    CampaignBackend,
-    CampaignClient,
-    CampaignDaemon,
-    CampaignError,
-    scrub_journals,
-    spec_campaign_id,
-)
 from repro.experiments.faults import FaultPlan
 from repro.experiments.pool import shutdown_session_pools
 from repro.experiments.remote import RemoteBackend, WorkerAgent, resolve_worker_fleet
 from repro.experiments.results import FigureResult
 from repro.experiments.run import run_experiment
 from repro.experiments.scheduler import check_limits, session_cost_model
-from repro.experiments.fuzz import FUZZ_INSTS, FUZZ_WORKLOADS, run_fuzz
 from repro.experiments.spec import DEFAULT_INSTS, ExperimentSpec
 from repro.experiments.store import ResultStore
-from repro.harness import bench, bench_sweep, figures, goldens
-from repro.harness.report import render_claims, render_figure
-from repro.workloads.ingest import IngestError, IngestStore
+from repro.harness import figures
 from repro.workloads.registry import WorkloadSpec, resolve_workload
 from repro.workloads.trace_cache import TraceCache
+
+# A worker agent runs what is imported above (``figures`` loads the rest
+# anyway).  Every other subcommand imports its modules in its own branch
+# of ``main``, so the campaign tier, the fuzzer, the benchmarks and the
+# trace generators (with numpy) load only for the commands that use them.
 
 #: Subcommands that talk to a campaign daemon about one campaign.
 _CAMPAIGN_COMMANDS = ("submit", "status", "fetch", "cancel")
@@ -110,6 +104,8 @@ def _backend(
         )
     remote = _resolve_remote_workers(args.remote_workers, stack, args.trace_cache_dir)
     if args.campaign is not None:
+        from repro.experiments.campaign import CampaignBackend
+
         return CampaignBackend(args.campaign, fallback=args.fallback)
     if remote is not None:
         return RemoteBackend(remote, trace_cache=trace_cache)
@@ -121,7 +117,9 @@ def _write_json(args: argparse.Namespace, payload: object) -> None:
     if args.json == "-":
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
-        bench.write_bench(payload, args.json)
+        from repro.harness.bench import write_bench
+
+        write_bench(payload, args.json)
 
 
 def _experiment_workloads(args: argparse.Namespace) -> list[WorkloadSpec] | None:
@@ -130,7 +128,11 @@ def _experiment_workloads(args: argparse.Namespace) -> list[WorkloadSpec] | None
     given, so the experiment runs its default set."""
     if not args.benchmarks:
         return None
-    ingest = IngestStore(args.ingest_dir) if args.ingest_dir else None
+    ingest = None
+    if args.ingest_dir:
+        from repro.workloads.ingest import IngestStore
+
+        ingest = IngestStore(args.ingest_dir)
     try:
         return [resolve_workload(ref, store=ingest) for ref in args.benchmarks.split(",")]
     except ValueError as exc:
@@ -139,8 +141,10 @@ def _experiment_workloads(args: argparse.Namespace) -> list[WorkloadSpec] | None
 
 def _print_compare(table: str) -> int:
     """Print a ``--compare`` table; exit 1 if it reports diverged results."""
+    from repro.harness.bench import DIVERGED
+
     print(table)
-    return 1 if bench.DIVERGED in table else 0
+    return 1 if DIVERGED in table else 0
 
 
 def _parse_fault_plan(value: str | None) -> FaultPlan | None:
@@ -188,6 +192,9 @@ def _run_fsck(args) -> int:
         raise SystemExit(
             "fsck: --cache-dir, --trace-cache-dir, and/or --ingest-dir is required"
         )
+    from repro.experiments.campaign import scrub_journals
+    from repro.workloads.ingest import IngestStore
+
     failures: list[str] = []
 
     def check(label: str, scrub) -> None:
@@ -234,6 +241,8 @@ def _run_figure(
 ) -> FigureResult:
     """Run one experiment's spec and, unless ``--json -``, print its table
     and claim checks."""
+    from repro.harness.report import render_claims, render_figure
+
     started = time.time()
     result = run_experiment(
         spec,
@@ -263,6 +272,13 @@ def _run_campaign_command(args, benchmarks: list[WorkloadSpec] | None) -> int:
     experiment name (the campaign id is re-derived from the spec, which
     must be built with the same ``--insts``/``--benchmarks``) or a raw id.
     """
+    from repro.experiments.campaign import (
+        CampaignBackend,
+        CampaignClient,
+        CampaignError,
+        spec_campaign_id,
+    )
+
     command = args.experiment
     if args.campaign is None:
         raise SystemExit(f"{command}: --campaign HOST:PORT is required")
@@ -585,6 +601,8 @@ def main(argv: list[str] | None = None) -> int:
         return _run_fsck(args)
 
     if args.experiment == "ingest":
+        from repro.workloads.ingest import IngestError, IngestStore
+
         if args.target is None:
             raise SystemExit("ingest: a trace file path is required")
         if args.ingest_dir is None:
@@ -640,6 +658,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.experiment == "campaignd":
+        from repro.experiments.campaign import CampaignDaemon
+
         cache = TraceCache(args.trace_cache_dir) if args.trace_cache_dir else None
         daemon = CampaignDaemon(
             host=args.host,
@@ -677,6 +697,9 @@ def main(argv: list[str] | None = None) -> int:
         # Differential fuzzing over the machine matrix on any backend; the
         # plan, the verdicts, and the report fingerprint are a pure
         # function of (--seed, --rounds, --workloads, budget).
+        from repro.experiments.fuzz import FUZZ_INSTS, FUZZ_WORKLOADS, run_fuzz
+        from repro.workloads.ingest import IngestError, IngestStore
+
         ingest = IngestStore(args.ingest_dir) if args.ingest_dir else None
         fuzz_names = list(workloads) if workloads else list(FUZZ_WORKLOADS)
         n_insts = FUZZ_INSTS if args.insts == DEFAULT_INSTS else args.insts
@@ -715,11 +738,15 @@ def main(argv: list[str] | None = None) -> int:
         if out is None and args.json is None:
             out = default_out
         if out is not None:
-            bench.write_bench(payload, out)
+            from repro.harness.bench import write_bench
+
+            write_bench(payload, out)
             if not args.quiet:
                 print(f"wrote {out}", file=sys.stderr)
 
     if args.experiment == "bench":
+        from repro.harness import bench
+
         if args.compare is not None:
             old, new = (bench.load_bench(path) for path in args.compare)
             return _print_compare(bench.compare_bench(old, new))
@@ -735,9 +762,13 @@ def main(argv: list[str] | None = None) -> int:
         emit_benchmark(payload, bench.render_bench, "BENCH_core.json")
         return 0
     if args.experiment == "goldens":
+        from repro.harness import goldens
+
         emit_benchmark(goldens.build_table(), goldens.render_table, goldens.GOLDENS_PATH)
         return 0
     if args.experiment == "bench-sweep":
+        from repro.harness import bench, bench_sweep
+
         if args.compare is not None:
             old, new = (
                 bench.load_bench(path, bench_sweep.SWEEP_SCHEMA_VERSION)

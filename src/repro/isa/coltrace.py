@@ -148,6 +148,7 @@ class ColumnTrace:
         "src_flat",
         "_meta",
         "_hot",
+        "_golden_loads",
         "_insts",
     )
 
@@ -181,6 +182,7 @@ class ColumnTrace:
         self.wrong_path_addrs = {} if wrong_path_addrs is None else wrong_path_addrs
         self._meta: TraceMeta | None = None
         self._hot: HotColumns | None = None
+        self._golden_loads: dict[int, int] | None = None
         self._insts: list[DynInst] | None = None
 
     # -- construction --------------------------------------------------------
@@ -285,6 +287,17 @@ class ColumnTrace:
             ]
             self._hot = hot
         return self._hot
+
+    def golden_loads(self) -> dict[int, int]:
+        """Each load's architecturally-correct value, keyed by seq (the
+        ``load_values`` of :func:`~repro.isa.golden.golden_execute`),
+        computed once and shared by every validating configuration that
+        replays this trace."""
+        if self._golden_loads is None:
+            from repro.isa.golden import golden_execute
+
+            self._golden_loads = golden_execute(self).load_values
+        return self._golden_loads
 
     # -- DynInst view ---------------------------------------------------------
 

@@ -92,7 +92,6 @@ from repro.deps.storesets import StoreSets
 from repro.frontend.btb import BTB
 from repro.frontend.direction import HybridPredictor
 from repro.isa.coltrace import ColumnTrace
-from repro.isa.golden import golden_execute
 from repro.isa.inst import KIND_BRANCH, KIND_LOAD, KIND_STORE
 from repro.lsu.base import LoadStoreUnit, store_word_value
 from repro.lsu.conventional import ConventionalLSU
@@ -229,7 +228,7 @@ class Processor:
 
         # Functional state.
         self.committed_memory = MemoryImage(trace.initial_memory)
-        self._golden = golden_execute(trace) if validate else None
+        self._golden = trace.golden_loads() if validate else None
 
         # Substrates.
         self.hierarchy = MemoryHierarchy(config.hierarchy)
@@ -827,7 +826,7 @@ class Processor:
         if self._on_load_commit is not None:
             self._on_load_commit(head)
         if self._golden is not None:
-            expected = self._golden.load_values[head.seq]
+            expected = self._golden[head.seq]
             if head.exec_value != expected:
                 raise SimulationError(
                     f"load seq={head.seq} committed {head.exec_value:#x}, "

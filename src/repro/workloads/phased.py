@@ -37,7 +37,6 @@ from repro.isa.coltrace import INST_COLUMNS, ColumnTrace
 from repro.isa.inst import NO_PRODUCER
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.spec2000 import spec_profile
-from repro.workloads.synthetic import generate_trace
 
 #: The phase-structure taxonomy (capsa's WorkloadType, adapted):
 #: ``static`` -- one stationary hot set (the degenerate single-phase case,
@@ -175,6 +174,10 @@ def generate_phased_trace(
     ``base_seq``, ``store_data_seq``, wrong-path keys) shifted by the
     running row offset.  The result revalidates the full column invariants.
     """
+    # Imported here so that naming or keying a phased workload never
+    # loads the generator (and numpy).
+    from repro.workloads.synthetic import generate_trace
+
     phased.validate()
     if n_insts <= 0:
         raise ValueError("n_insts must be positive")

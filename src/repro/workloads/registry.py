@@ -39,15 +39,17 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.fingerprint import stable_digest
 from repro.isa.coltrace import ColumnTrace
-from repro.workloads.mutate import TraceMutation, apply_mutation
 from repro.workloads.phased import PHASED_CATALOG, PhasedWorkload, generate_phased_trace
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.spec2000 import SPEC2000_PROFILES, SPEC_SHORT_NAMES, spec_profile
-from repro.workloads.synthetic import generate_trace as _generate_profile_trace
 from repro.workloads.trace_cache import trace_key
 
+# The synthetic generator and the mutator are imported where a trace is
+# built or a mutation decoded: naming, keying and shipping a workload --
+# all a worker agent does with one -- never loads them or numpy.
 if TYPE_CHECKING:
     from repro.workloads.ingest import IngestStore
+    from repro.workloads.mutate import TraceMutation
 
 
 def _trace_digest(trace: ColumnTrace) -> str:
@@ -224,6 +226,12 @@ class WorkloadSpec:
         if not isinstance(profile, dict) and not isinstance(phased, dict):
             raise ValueError("workload payload has no profile or phased object")
         mutation = payload.get("mutation")
+        if isinstance(mutation, dict):
+            from repro.workloads.mutate import TraceMutation
+
+            mutation = TraceMutation.from_dict(dict(mutation))
+        else:
+            mutation = None
         return cls(
             name=str(payload["name"]),
             profile=WorkloadProfile.from_dict(profile)
@@ -232,9 +240,7 @@ class WorkloadSpec:
             phased=PhasedWorkload.from_dict(phased)
             if isinstance(phased, dict)
             else None,
-            mutation=TraceMutation.from_dict(dict(mutation))
-            if isinstance(mutation, dict)
-            else None,
+            mutation=mutation,
         )
 
     def materialize(
@@ -248,11 +254,15 @@ class WorkloadSpec:
                 raise ValueError(f"workload {self.name!r} is a fixed trace")
             return self.trace
         if self.profile is not None:
-            base = _generate_profile_trace(self.profile, n_insts, seed=seed)
+            from repro.workloads.synthetic import generate_trace as generate_profile_trace
+
+            base = generate_profile_trace(self.profile, n_insts, seed=seed)
         else:
             assert self.phased is not None
             base = generate_phased_trace(self.phased, n_insts, seed=seed)
         if self.mutation is not None:
+            from repro.workloads.mutate import apply_mutation
+
             return apply_mutation(base, self.mutation)
         return base
 

@@ -5,10 +5,11 @@ from heapq import heappop, heappush
 import pytest
 
 from repro.core.svw import SVWConfig
+from repro.isa import golden
 from repro.isa.inst import KIND_LOAD
 from repro.pipeline.config import LSUKind, RexMode, eight_wide, four_wide
 from repro.pipeline.inflight import InFlight
-from repro.pipeline.processor import Processor
+from repro.pipeline.processor import Processor, SimulationError
 from repro.workloads.kernels import kernel_trace
 from repro.workloads.spec2000 import spec_profile
 from repro.workloads.synthetic import generate_trace
@@ -47,6 +48,34 @@ class TestReadyHeap:
             popped = [heappop(ready)[1] for _ in order]
             assert [entry.seq for entry in popped] == [3, 7, 7]
             assert popped == [older, squashed, refetched]
+
+
+class TestGoldenValidation:
+    """``validate=True`` checks committed loads against golden values that
+    are computed once per trace, however many machines replay it."""
+
+    def test_golden_execution_runs_once_per_trace(self, monkeypatch):
+        calls = []
+        real = golden.golden_execute
+
+        def counting(trace):
+            calls.append(trace)
+            return real(trace)
+
+        monkeypatch.setattr(golden, "golden_execute", counting)
+        trace = kernel_trace("spill_fill", n_frames=20)
+        for config in (eight_wide(), _nlq(), _ssq()):
+            stats = Processor(config, trace, validate=True).run()
+            assert stats.committed == len(trace)
+        assert calls == [trace]
+
+    def test_planted_wrong_load_value_raises(self):
+        trace = kernel_trace("spill_fill", n_frames=20)
+        loads = trace.golden_loads()
+        seq = max(loads)
+        loads[seq] ^= 1
+        with pytest.raises(SimulationError, match=f"load seq={seq} "):
+            Processor(eight_wide(), trace, validate=True).run()
 
 
 class TestBaseline:

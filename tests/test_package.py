@@ -1,0 +1,93 @@
+"""The package surface: lazy re-exports, what a worker process imports,
+and the version string."""
+
+from __future__ import annotations
+
+import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+ROOT = Path(__file__).resolve().parents[1]
+LAZY_PACKAGES = ("repro", "repro.experiments", "repro.workloads")
+
+#: Modules a worker agent never executes: the trace generators (and numpy
+#: through them), the campaign tier (and asyncio) and the fuzzer.
+WORKER_NEVER_IMPORTS = (
+    "numpy",
+    "asyncio",
+    "repro.experiments.campaign",
+    "repro.experiments.fuzz",
+    "repro.workloads.synthetic",
+    "repro.workloads.mutate",
+)
+
+WORKER_IMPORTS = f"""
+import sys
+from repro.harness.cli import build_parser
+build_parser().parse_args(["worker"])
+from repro.experiments.remote import WorkerAgent
+print(" ".join(m for m in {WORKER_NEVER_IMPORTS!r} if m in sys.modules))
+"""
+
+
+def test_worker_imports_no_generator_or_campaign_tier():
+    """What ``svw-repro worker`` imports before it serves, measured in a
+    fresh interpreter."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", WORKER_IMPORTS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.split() == []
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_every_export_resolves_to_its_defining_object(package):
+    module = importlib.import_module(package)
+    listing = dir(module)
+    for name in module.__all__:
+        value = getattr(module, name)
+        assert name in listing
+        if name == "__version__":
+            continue
+        # The hook itself, even for a name already cached in the namespace.
+        assert module.__getattr__(name) is value
+        defining = getattr(value, "__module__", None)
+        if isinstance(defining, str) and defining.startswith("repro."):
+            assert getattr(sys.modules[defining], name) is value
+        else:  # a constant: bound under the same name in a submodule
+            assert any(
+                vars(sub).get(name) is value
+                for key, sub in list(sys.modules.items())
+                if key.startswith(package + ".")
+            )
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_unknown_export_raises_attribute_error(package):
+    module = importlib.import_module(package)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(module, "no_such_name")
+    with pytest.raises(ImportError):
+        exec(f"from {package} import no_such_name", {})
+
+
+def test_version_matches_pyproject():
+    # A regex, not tomllib: the CI matrix includes Python 3.10.
+    text = (ROOT / "pyproject.toml").read_text()
+    match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert match is not None
+    assert repro.__version__ == match.group(1)
