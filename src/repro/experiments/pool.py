@@ -88,7 +88,7 @@ class BatchRunner:
         self.trace_cache = trace_cache
         self.cost_model = cost_model if cost_model is not None else session_cost_model()
         #: Provider of the most recent run (its ``generations`` counter is
-        #: the amortization proof surfaced by ``svw-repro bench-sweep``).
+        #: the amortization proof the batch tests check).
         self.last_provider: TraceProvider | None = None
 
     def run(

@@ -67,8 +67,8 @@ core also under the campaign daemon: the transport-free
 costs a re-dispatch, never the sweep; a deterministic cell failure
 raises :class:`~repro.experiments.backends.CellExecutionError`; results
 are bit-identical to :class:`~repro.experiments.backends.SerialBackend`
-(``svw-repro bench-sweep --remote-workers`` and the
-``remote-equivalence`` CI job enforce this).
+(the ``backend-equivalence`` CI job byte-compares a figure's ``--json``
+output across backends to enforce this).
 """
 
 from __future__ import annotations
@@ -1435,8 +1435,8 @@ def local_worker_fleet(
     """``count`` loopback ``svw-repro worker`` subprocesses on ephemeral ports.
 
     Yields their ``host:port`` addresses and tears the agents down on
-    exit.  This is what ``svw-repro bench-sweep --remote-workers auto:N``
-    uses: real worker processes, real sockets.
+    exit.  This is what ``--remote-workers auto:N`` uses: real worker
+    processes, real sockets.
     """
     fleet = spawn_worker_agents(count, trace_cache_dir, slots, startup_timeout)
     try:

@@ -4,9 +4,10 @@ The :class:`TraceProvider` is the single authority a sweep's backends go
 through for workload traces.  It guarantees the sweep-level amortization
 contract every backend is built on:
 
-- ``generate_trace`` runs **at most once** per (workload, seed, budget)
-  per sweep, whatever the backend or worker count (``generations``
-  counts actual generator invocations so tests can prove it);
+- ``WorkloadSpec.materialize`` runs **at most once** per (workload,
+  seed, budget) per sweep, whatever the backend or worker count
+  (``generations`` counts the traces actually generated so tests can
+  prove it);
 - the encoded (:mod:`repro.isa.codec`) form is memoized in-process for
   the backends that ship it and, when a
   :class:`~repro.workloads.trace_cache.TraceCache` is attached, persisted
@@ -27,18 +28,8 @@ from __future__ import annotations
 from repro.experiments.spec import RunRequest, WorkloadSpec
 from repro.isa.codec import TraceCodecError, decode_trace, encode_trace, verify_encoded
 from repro.isa.coltrace import ColumnTrace
-from repro.workloads.profile import WorkloadProfile
 from repro.workloads.registry import workload_key  # noqa: F401  (re-exported API)
 from repro.workloads.trace_cache import TraceCache
-
-
-def generate_trace(profile: WorkloadProfile, n_insts: int) -> ColumnTrace:
-    """:func:`repro.workloads.synthetic.generate_trace`, imported on the
-    first call: a process that only ships or decodes traces (a worker
-    agent) never loads the generator or numpy."""
-    from repro.workloads.synthetic import generate_trace as generate
-
-    return generate(profile, n_insts)
 
 
 def request_key(request: RunRequest) -> str:
@@ -59,7 +50,7 @@ class TraceProvider:
         self.cache = cache
         self._encoded: dict[str, bytes] = {}
         self._decoded: dict[str, ColumnTrace] = {}
-        #: Actual ``generate_trace`` invocations (the amortization proof).
+        #: Traces actually generated (the amortization proof).
         self.generations = 0
         #: Encoded payloads served from the on-disk cache.
         self.disk_hits = 0
@@ -148,14 +139,8 @@ class TraceProvider:
         return data
 
     def _generate(self, workload: WorkloadSpec, n_insts: int) -> ColumnTrace:
-        if workload.trace is not None:
-            # Fixed traces are returned as-is: they are already columns,
-            # and simulators derive their metadata from the columns.
-            return workload.trace
-        self.generations += 1
-        if workload.profile is not None and workload.mutation is None:
-            # Plain profiles keep the historical module-level seam (the
-            # amortization tests patch it to count generator invocations).
-            return generate_trace(workload.profile, n_insts)
-        # Any other regenerable registry form (phased, mutated base).
+        # Fixed traces are returned as-is, and uncounted: they are already
+        # columns, and simulators derive their metadata from the columns.
+        if workload.trace is None:
+            self.generations += 1
         return workload.materialize(n_insts)

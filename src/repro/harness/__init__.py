@@ -12,33 +12,3 @@
 - :mod:`repro.harness.report` -- ASCII rendering and claim checking.
 - :mod:`repro.harness.cli` -- ``svw-repro`` command-line entry point.
 """
-
-from repro.experiments.results import FigureResult
-from repro.harness.configs import (
-    fig5_configs,
-    fig6_configs,
-    fig7_configs,
-    fig8_ssbf_variants,
-)
-from repro.harness.figures import (
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    spec_updates_experiment,
-    ssn_width_experiment,
-)
-
-__all__ = [
-    "FigureResult",
-    "fig5_configs",
-    "fig6_configs",
-    "fig7_configs",
-    "fig8_ssbf_variants",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "spec_updates_experiment",
-    "ssn_width_experiment",
-]

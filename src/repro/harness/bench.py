@@ -62,6 +62,8 @@ import platform
 import time
 from typing import Callable
 
+import numpy
+
 from repro.harness.configs import fig5_configs, fig6_configs
 from repro.ioutil import atomic_write_text
 from repro.pipeline.config import MachineConfig
@@ -86,23 +88,6 @@ BENCH_WORKLOADS = ["bzip2", "vortex", "twolf", "gcc", "mcf"]
 #: ``--quick`` slice for CI smoke runs.
 QUICK_WORKLOADS = ["gcc", "vortex"]
 QUICK_INSTS = 8_000
-
-
-def runtime_provenance() -> dict:
-    """Execution-environment keys recorded in every BENCH payload.
-
-    Additive to schema 1 (readers use ``.get`` and tolerate absence in
-    older snapshots): the numpy version explains a throughput delta
-    between two snapshots, and ``trace_epoch`` names the
-    workload-generator fingerprint epoch the run simulated under --
-    fingerprints from different epochs are expected to differ.
-    """
-    import numpy
-
-    return {
-        "numpy": numpy.__version__,
-        "trace_epoch": TRACE_EPOCH,
-    }
 
 
 def bench_configs() -> dict[str, tuple[str, MachineConfig]]:
@@ -255,7 +240,12 @@ def run_bench(
         "created_unix": time.time(),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        **runtime_provenance(),
+        # Additive to schema 1: the numpy version explains a throughput
+        # delta between two snapshots, and ``trace_epoch`` names the
+        # generator epoch the run simulated under (fingerprints from
+        # different epochs are expected to differ).
+        "numpy": numpy.__version__,
+        "trace_epoch": TRACE_EPOCH,
         "n_insts": n_insts,
         "repeats": repeats,
         "workloads": list(workloads),
@@ -334,19 +324,18 @@ def write_bench(payload: dict, path: str) -> None:
     atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
-def load_bench(path: str, schema_version: int = BENCH_SCHEMA_VERSION) -> dict:
-    """Read a benchmark snapshot, refusing any other schema version
-    (``BENCH_core.json`` by default; pass ``SWEEP_SCHEMA_VERSION`` for
-    ``BENCH_sweep.json``)."""
+def load_bench(path: str) -> dict:
+    """Read a ``BENCH_core.json`` snapshot, refusing any other schema
+    version."""
     with open(path) as handle:
         payload = json.load(handle)
     version = payload.get("schema_version")
-    if version != schema_version:
+    if version != BENCH_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported bench schema {version!r}")
     return payload
 
 
-#: First words of the line a ``compare_*`` table ends with when a cell's
+#: First words of the line a ``compare_bench`` table ends with when a cell's
 #: stats fingerprint differs between the two snapshots.
 DIVERGED = "WARNING: results diverged"
 

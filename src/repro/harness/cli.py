@@ -16,12 +16,10 @@ Examples::
     svw-repro bench --workloads gcc --lsus nlq   # one cell, for development
     svw-repro bench --quick --stages       # plus the per-stage wall split
     svw-repro bench --compare old.json new.json   # speedups + fingerprint check
-    svw-repro bench-sweep --jobs 4         # sweep-throughput benchmark
-    svw-repro bench-sweep --compare old.json new.json
     svw-repro goldens                      # regenerate tests/goldens.json
     svw-repro worker --port 7501           # start a remote worker agent
     svw-repro fig5 --remote-workers hostA:7501,hostB:7501
-    svw-repro bench-sweep --quick --remote-workers auto:2   # loopback fleet
+    svw-repro fig5 --remote-workers auto:2 # two loopback worker agents
     svw-repro campaignd --port 7500 --cache-dir ~/.cache/svw   # sweep service
     svw-repro worker --port 7501 --register hostD:7500     # join its fleet
     svw-repro submit fig5 --campaign hostD:7500            # enqueue + return
@@ -75,19 +73,24 @@ def _progress(message: str) -> None:
     print(f"  ... {message}", file=sys.stderr, flush=True)
 
 
-def _resolve_remote_workers(
-    value: str | None, stack: contextlib.ExitStack, trace_cache_dir: str | None
-) -> list[str] | None:
-    """``--remote-workers`` -> agent addresses (spawning ``auto:N`` fleets).
+def _int_in(low: int, high: int | None = None):
+    """An argparse ``type=`` for an int in ``[low, high]``: a bad value
+    exits 2 with an error naming the flag, not a traceback later."""
 
-    Spawned loopback agents live on ``stack`` so they are torn down when
-    the command that requested them finishes; malformed values exit with
-    the parse error instead of a traceback.
-    """
-    try:
-        return resolve_worker_fleet(value, stack, trace_cache_dir)
-    except ValueError as exc:
-        raise SystemExit(f"--remote-workers: {exc}") from exc
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bounds = f"at least {low}" if high is None else f"in {low}-{high}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_in(1)
 
 
 def _backend(
@@ -96,13 +99,20 @@ def _backend(
     trace_cache: TraceCache | None,
 ) -> ExecutionBackend:
     """The backend a sweep command runs on: ``--campaign``, else
-    ``--remote-workers``, else the ``--jobs`` backend."""
+    ``--remote-workers``, else the ``--jobs`` backend.
+
+    Agents spawned for ``--remote-workers auto:N`` live on ``stack``, so
+    they are torn down when the command finishes.
+    """
     if args.campaign is not None and args.remote_workers is not None:
         raise SystemExit(
             "--campaign and --remote-workers are mutually exclusive "
             "(the campaign daemon owns its own worker fleet)"
         )
-    remote = _resolve_remote_workers(args.remote_workers, stack, args.trace_cache_dir)
+    try:
+        remote = resolve_worker_fleet(args.remote_workers, stack, args.trace_cache_dir)
+    except ValueError as exc:
+        raise SystemExit(f"--remote-workers: {exc}") from exc
     if args.campaign is not None:
         from repro.experiments.campaign import CampaignBackend
 
@@ -137,14 +147,6 @@ def _experiment_workloads(args: argparse.Namespace) -> list[WorkloadSpec] | None
         return [resolve_workload(ref, store=ingest) for ref in args.benchmarks.split(",")]
     except ValueError as exc:
         raise SystemExit(f"{args.experiment}: {exc}") from exc
-
-
-def _print_compare(table: str) -> int:
-    """Print a ``--compare`` table; exit 1 if it reports diverged results."""
-    from repro.harness.bench import DIVERGED
-
-    print(table)
-    return 1 if DIVERGED in table else 0
 
 
 def _parse_fault_plan(value: str | None) -> FaultPlan | None:
@@ -354,11 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         choices=sorted(figures.EXPERIMENTS)
-        + ["all", "bench", "bench-sweep", "goldens", "worker", "campaignd", "fsck"]
+        + ["all", "bench", "goldens", "worker", "campaignd", "fsck"]
         + ["fuzz", "ingest", *_CAMPAIGN_COMMANDS],
         help="which table/figure to regenerate ('bench' runs the "
-        "core-simulator throughput benchmark, 'bench-sweep' the "
-        "sweep-throughput/backend-equivalence benchmark, 'goldens' "
+        "core-simulator throughput benchmark, 'goldens' "
         "regenerates the golden fingerprint table, 'worker' starts "
         "a remote execution agent serving sweeps over TCP, 'campaignd' a "
         "long-lived campaign daemon; 'submit'/'status'/'fetch'/'cancel' "
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--insts",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_INSTS,
         help=f"dynamic instructions per run (default {DEFAULT_INSTS})",
     )
@@ -391,10 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
-        help="worker processes per sweep (default: serial in-process; "
-        "bench-sweep defaults to 2)",
+        help="worker processes per sweep (default: serial in-process)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -414,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-cache-dir",
         type=str,
         default=None,
-        help="on-disk encoded-trace cache; sweeps (and bench-sweep) skip "
-        "trace generation for workloads cached here",
+        help="on-disk encoded-trace cache; sweeps skip trace generation "
+        "for workloads cached here",
     )
     parser.add_argument(
         "--remote-workers",
@@ -424,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help="run sweeps on remote worker agents: comma-separated host:port "
         "list (agents started with 'svw-repro worker'), or 'auto:N' to "
-        "spawn N loopback agents for the duration of the command; with "
-        "bench-sweep this adds a fingerprint-checked 'remote' mode",
+        "spawn N loopback agents for the duration of the command",
     )
     parser.add_argument(
         "--host",
@@ -435,13 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--port",
-        type=int,
+        type=_int_in(0, 65535),
         default=7501,
         help="worker/campaignd only: TCP port to listen on (0 picks a free port)",
     )
     parser.add_argument(
         "--slots",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker only: concurrent simulations this agent accepts",
     )
@@ -485,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-attempts",
-        type=int,
+        type=_positive_int,
         default=3,
         help="campaignd only: dispatch attempts per cell before its "
         "campaigns fail (default 3)",
@@ -513,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--rounds",
-        type=int,
+        type=_positive_int,
         default=3,
         help="fuzz only: mutated trials per run (default 3)",
     )
@@ -536,20 +535,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="bench/bench-sweep only: reduced budget (CI smoke)",
+        help="bench only: reduced budget (CI smoke)",
     )
     parser.add_argument(
         "--repeats",
-        type=int,
-        default=None,
-        help="bench/bench-sweep only: timing repetitions (best-of; "
-        "default 3 for bench, 2 for bench-sweep)",
+        type=_positive_int,
+        default=3,
+        help="bench only: timing repetitions (best-of; default 3)",
     )
     parser.add_argument(
         "--workloads",
         type=str,
         default=None,
-        help="bench/bench-sweep only: comma-separated workload subset "
+        help="bench only: comma-separated workload subset "
         "(for figures use --benchmarks)",
     )
     parser.add_argument(
@@ -570,8 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         metavar="PATH",
-        help="bench/bench-sweep/goldens only: where to write the JSON "
-        "(default BENCH_core.json / BENCH_sweep.json / tests/goldens.json "
+        help="bench/goldens only: where to write the JSON "
+        "(default BENCH_core.json / tests/goldens.json "
         "unless --json already directs it)",
     )
     parser.add_argument(
@@ -579,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs=2,
         default=None,
         metavar=("OLD", "NEW"),
-        help="bench/bench-sweep only: instead of running, print the speedup "
+        help="bench only: instead of running, print the speedup "
         "table between two saved snapshots and cross-check their per-cell "
         "fingerprints (a WARNING line names any cell that diverged, and "
         "the command exits 1)",
@@ -729,7 +727,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report.ok else 1
 
     def emit_benchmark(payload: dict, render, default_out: str) -> None:
-        """Shared --json/--out plumbing for bench, bench-sweep and goldens."""
+        """Shared --json/--out plumbing for bench and goldens."""
         if args.json != "-":
             print(render(payload))
         if args.json is not None:
@@ -749,11 +747,13 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.compare is not None:
             old, new = (bench.load_bench(path) for path in args.compare)
-            return _print_compare(bench.compare_bench(old, new))
+            table = bench.compare_bench(old, new)
+            print(table)
+            return 1 if bench.DIVERGED in table else 0
         payload = bench.run_bench(
             workloads=workloads,
             n_insts=args.insts,
-            repeats=3 if args.repeats is None else args.repeats,
+            repeats=args.repeats,
             quick=args.quick,
             progress=None if args.quiet else _progress,
             lsus=args.lsus.split(",") if args.lsus else None,
@@ -766,32 +766,6 @@ def main(argv: list[str] | None = None) -> int:
 
         emit_benchmark(goldens.build_table(), goldens.render_table, goldens.GOLDENS_PATH)
         return 0
-    if args.experiment == "bench-sweep":
-        from repro.harness import bench, bench_sweep
-
-        if args.compare is not None:
-            old, new = (
-                bench.load_bench(path, bench_sweep.SWEEP_SCHEMA_VERSION)
-                for path in args.compare
-            )
-            return _print_compare(bench_sweep.compare_sweep_bench(old, new))
-        with contextlib.ExitStack() as stack:
-            payload = bench_sweep.run_sweep_bench(
-                workloads=workloads,
-                n_insts=args.insts,
-                jobs=bench_sweep.SWEEP_JOBS if args.jobs is None else args.jobs,
-                repeats=2 if args.repeats is None else args.repeats,
-                quick=args.quick,
-                progress=None if args.quiet else _progress,
-                trace_cache_dir=args.trace_cache_dir,
-                remote_workers=_resolve_remote_workers(
-                    args.remote_workers, stack, args.trace_cache_dir
-                ),
-            )
-        emit_benchmark(payload, bench_sweep.render_sweep_bench, "BENCH_sweep.json")
-        # A sweep benchmark whose backends disagree is a failed run: the
-        # CI smoke job leans on this exit code.
-        return 0 if payload["equivalence"]["identical"] else 1
     benchmarks = _experiment_workloads(args)
     experiments = sorted(figures.EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     trace_cache = TraceCache(args.trace_cache_dir) if args.trace_cache_dir else None

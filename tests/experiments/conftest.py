@@ -1,8 +1,11 @@
-"""Fixtures shared by the service-tier tests (remote, campaign, faults).
+"""Sweeps shared by the experiments tests, each with its serial reference
+results built once per session; every backend under test must reproduce
+them.
 
-One small sweep -- fig5's first three configs over gcc and vortex at 1500
-instructions -- and its serial reference results are built once per
-session; every backend under test must reproduce those results.
+- The service-tier sweep (remote, campaign, faults): fig5's first three
+  configs over gcc and vortex at 1500 instructions.
+- The LSU-family sweep (batch runner, session fleet): the bench's one
+  config per LSU kind over gcc and bzip2 at 1200 instructions.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ import time
 import pytest
 
 from repro.experiments import SerialBackend, matrix_spec
+from repro.harness.bench import bench_configs
 from repro.harness.configs import fig5_configs
 
 INSTS = 1500
+FAMILY_INSTS = 1200
 
 
 def _small_spec(
@@ -67,3 +72,18 @@ def wait_for():
     """``wait_for(predicate, timeout=30.0, interval=0.05, message=...)``:
     poll until ``predicate()`` holds or fail the test."""
     return _wait_for
+
+
+@pytest.fixture(scope="session")
+def family_spec():
+    """One config per LSU kind (the bench set) over gcc and bzip2."""
+    configs = {kind: config for kind, (_, config) in bench_configs().items()}
+    return matrix_spec(
+        "families", configs, ["gcc", "bzip2"], FAMILY_INSTS, baseline="conventional"
+    )
+
+
+@pytest.fixture(scope="session")
+def family_serial(family_spec):
+    """``SerialBackend`` results of ``family_spec``; read-only."""
+    return SerialBackend().run(family_spec.cells())

@@ -43,19 +43,6 @@ def lsu_family_configs():
     return {kind: config for kind, (_, config) in bench_configs().items()}
 
 
-@pytest.fixture(scope="module")
-def family_spec():
-    return matrix_spec(
-        "families", lsu_family_configs(), ["gcc", "bzip2"], INSTS,
-        baseline="conventional",
-    )
-
-
-@pytest.fixture(scope="module")
-def family_serial(family_spec):
-    return SerialBackend().run(family_spec.cells())
-
-
 def cold_fleet(runner: BatchRunner) -> BatchRunner:
     """``runner`` with its session fleet stopped: its next run starts on
     new agents that hold no trace yet, and other fleets stay up."""
@@ -109,18 +96,16 @@ class TestGenerationAmortization:
         assert backend.last_provider.generations == 2  # one per workload
 
     def test_generate_trace_runs_once_per_workload_pooled(self, family_spec, monkeypatch):
-        """Count actual generator invocations across the whole sweep: once
+        """Count actual trace materializations across the whole sweep: once
         per workload on a fresh fleet, at most once on a warm one."""
-        import repro.experiments.traces as traces_mod
-
         calls: list[str] = []
-        real = traces_mod.generate_trace
+        real = WorkloadSpec.materialize
 
-        def counting(profile, n_insts):
-            calls.append(f"{profile.name}/{n_insts}")
-            return real(profile, n_insts)
+        def counting(workload, n_insts, seed=None):
+            calls.append(f"{workload.name}/{n_insts}")
+            return real(workload, n_insts, seed)
 
-        monkeypatch.setattr(traces_mod, "generate_trace", counting)
+        monkeypatch.setattr(WorkloadSpec, "materialize", counting)
         backend = cold_fleet(BatchRunner(jobs=2))
         backend.run(family_spec.cells())
         # 2 workloads x 3 configs = 6 cells, but generation ran exactly

@@ -10,15 +10,8 @@ import os
 import signal
 
 import repro.experiments.pool as pool_mod
-from repro.experiments import BatchRunner, SerialBackend, matrix_spec
+from repro.experiments import BatchRunner
 from repro.experiments.pool import session_fleet, shutdown_session_pools
-from repro.harness.bench import bench_configs
-
-INSTS = 1200
-
-
-def family_configs():
-    return {kind: config for kind, (_, config) in bench_configs().items()}
 
 
 def fleet_agents(workers):
@@ -26,29 +19,22 @@ def fleet_agents(workers):
 
 
 class TestSessionPool:
-    def test_session_pool_is_reused_across_runs(self):
-        spec = matrix_spec(
-            "scope", family_configs(), ["gcc"], INSTS, baseline="conventional"
-        )
-        serial = SerialBackend().run(spec.cells())
+    def test_session_pool_is_reused_across_runs(self, family_spec, family_serial):
         first_runner = BatchRunner(jobs=2)
-        first = first_runner.run(spec.cells())
+        first = first_runner.run(family_spec.cells())
         agents = fleet_agents(first_runner.workers)
-        second = BatchRunner(jobs=2).run(spec.cells())
+        second = BatchRunner(jobs=2).run(family_spec.cells())
         # The same long-lived agents served both sweeps...
         assert fleet_agents(first_runner.workers) == agents
         assert all(agent.poll() is None for agent in agents)
         # ...and results stay bit-identical to serial either way.
-        assert [s.fingerprint() for s in first] == [s.fingerprint() for s in serial]
-        assert [s.fingerprint() for s in second] == [s.fingerprint() for s in serial]
+        assert [s.fingerprint() for s in first] == [s.fingerprint() for s in family_serial]
+        assert [s.fingerprint() for s in second] == [s.fingerprint() for s in family_serial]
 
-    def test_shutdown_leaves_no_process_behind(self):
+    def test_shutdown_leaves_no_process_behind(self, family_spec):
         """Shutdown reaps every agent of every fleet."""
-        spec = matrix_spec(
-            "scope2", family_configs(), ["gcc"], INSTS, baseline="conventional"
-        )
         runner = BatchRunner(jobs=2)
-        runner.run(spec.cells())
+        runner.run(family_spec.cells())
         session_fleet(1)
         agents = fleet_agents(runner.workers) + fleet_agents(1)
         shutdown_session_pools()
@@ -72,14 +58,11 @@ class TestSessionPool:
         assert survivor.returncode is not None  # reaped with its fleet
         assert all(agent.poll() is None for agent in fleet_agents(2))
 
-    def test_agent_killed_mid_sweep_costs_a_redispatch(self):
+    def test_agent_killed_mid_sweep_costs_a_redispatch(self, family_spec, family_serial):
         """SIGKILL one agent after the first finished cell: its cells are
         re-dispatched to the survivor, the sweep matches serial, and the
         next run gets a fleet whose agents are all alive."""
-        spec = matrix_spec(
-            "kill", family_configs(), ["gcc", "bzip2"], INSTS, baseline="conventional"
-        )
-        requests = spec.cells()
+        requests = family_spec.cells()
         runner = BatchRunner(jobs=2)
         runner.workers = 2  # two agents even on a one-core host
         session_fleet(runner.workers)
@@ -91,11 +74,10 @@ class TestSessionPool:
 
         results = runner.run(requests, progress=kill_after_first_cell)
         assert victim.wait(timeout=10) == -signal.SIGKILL
-        serial = SerialBackend().run(requests)
-        assert [s.fingerprint() for s in results] == [s.fingerprint() for s in serial]
+        assert [s.fingerprint() for s in results] == [s.fingerprint() for s in family_serial]
 
         again = runner.run(requests)
         agents = fleet_agents(runner.workers)
         assert victim not in agents
         assert all(agent.poll() is None for agent in agents)
-        assert [s.fingerprint() for s in again] == [s.fingerprint() for s in serial]
+        assert [s.fingerprint() for s in again] == [s.fingerprint() for s in family_serial]

@@ -95,3 +95,46 @@ def test_stage_split_leaves_fingerprints_unchanged():
         assert sum(seconds.values()) == pytest.approx(r["stages_wall_seconds"])
     assert "stage split" in render_bench(split)
     assert "stage split" not in render_bench(plain)
+
+
+def test_load_rejects_other_schemas(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema_version": BENCH_SCHEMA_VERSION + 1}))
+    with pytest.raises(ValueError, match="schema"):
+        load_bench(str(path))
+
+
+class TestSkipObservability:
+    def test_bench_rows_carry_skip_counters(self):
+        from repro.harness.bench import render_bench
+
+        payload = run_bench(workloads=["gcc"], n_insts=1000, repeats=1, lsus=["nlq"])
+        row = payload["results"][0]
+        assert row["skip_jumps"] > 0
+        assert row["skipped_cycles"] >= row["skip_jumps"]
+        assert sum(row["wakeup_causes"].values()) == row["skip_jumps"]
+        rendered = render_bench(payload)
+        assert "skip%" in rendered
+        assert "skip-ahead:" in rendered
+
+    def test_render_tolerates_pre_skip_snapshots(self):
+        from repro.harness.bench import render_bench
+
+        payload = run_bench(workloads=["gcc"], n_insts=1000, repeats=1, lsus=["nlq"])
+        for row in payload["results"]:
+            for key in ("skip_jumps", "skipped_cycles", "wakeup_causes"):
+                del row[key]
+        rendered = render_bench(payload)
+        assert "skip-ahead:" not in rendered
+
+
+class TestBenchFilters:
+    def test_lsus_filter_narrows_matrix(self):
+        payload = run_bench(workloads=["gcc"], n_insts=1000, repeats=1, lsus=["nlq"])
+        assert {r["lsu"] for r in payload["results"]} == {"nlq"}
+        assert payload["workloads"] == ["gcc"]
+        assert set(payload["aggregate"]) == {"nlq", "all"}
+
+    def test_unknown_lsu_rejected(self):
+        with pytest.raises(ValueError, match="unknown LSU"):
+            run_bench(workloads=["gcc"], n_insts=1000, repeats=1, lsus=["vliw"])

@@ -8,7 +8,6 @@ import pytest
 from repro.experiments import CampaignDaemon, FigureResult, matrix_spec, run_experiment
 from repro.harness import cli
 from repro.harness.bench import compare_bench
-from repro.harness.bench_sweep import compare_sweep_bench
 from repro.harness.cli import build_parser, main
 from repro.harness.configs import (
     composition_configs,
@@ -110,6 +109,20 @@ class TestPaperData:
         assert any(c.value == 0.85 for c in overall)
 
 
+#: A command line per numeric flag whose value is out of range.
+BAD_NUMERIC_INPUT = {
+    "--insts": ["fig5", "--insts", "0"],
+    "--jobs": ["fig5", "--benchmarks", "gcc", "--insts", "500", "--jobs", "-2"],
+    "--slots": ["worker", "--slots", "0"],
+    "--port": ["worker", "--port", "70000"],
+    "--max-attempts": ["campaignd", "--max-attempts", "0"],
+    "--rounds": ["fuzz", "--rounds", "0"],
+    "--repeats": [
+        "bench", "--workloads", "gcc", "--lsus", "nlq", "--insts", "500", "--repeats", "0"
+    ],
+}
+
+
 class TestCLI:
     def test_cli_runs_fig5_subset(self, capsys):
         exit_code = main(
@@ -152,7 +165,7 @@ class TestCLI:
         """The experiment choices, the members of ``all`` and the campaign
         commands' targets are all ``figures.EXPERIMENTS``."""
         commands = {
-            "all", "bench", "bench-sweep", "goldens", "worker", "campaignd",
+            "all", "bench", "goldens", "worker", "campaignd",
             "fsck", "fuzz", "ingest", "submit", "status", "fetch", "cancel",
         }
         (action,) = [a for a in build_parser()._actions if a.dest == "experiment"]
@@ -177,7 +190,6 @@ class TestCLI:
         "command, snapshot, cells, compare",
         [
             ("bench", "BENCH_core.json", "results", compare_bench),
-            ("bench-sweep", "BENCH_sweep.json", "cells", compare_sweep_bench),
         ],
     )
     def test_compare_snapshots(self, command, snapshot, cells, compare, tmp_path, capsys):
@@ -199,6 +211,32 @@ class TestCLI:
 
         assert main([command, "--compare", str(same), str(doctored)]) == 1
         assert "WARNING" in capsys.readouterr().out
+
+    def test_backends_write_byte_identical_json(self, tmp_path):
+        """One sweep run serially, with ``--jobs 2`` and on two spawned
+        loopback agents writes the same ``--json`` bytes: the backend
+        equivalence proof (CI's ``backend-equivalence`` job does the same
+        with ``cmp``)."""
+        outputs = {}
+        for name, backend in (
+            ("serial", []),
+            ("jobs", ["--jobs", "2"]),
+            ("remote", ["--remote-workers", "auto:2"]),
+        ):
+            path = tmp_path / f"{name}.json"
+            argv = ["fig5", "--benchmarks", "gcc", "--insts", "1500", "--json", str(path)]
+            assert main([*argv, "--quiet", *backend]) == 0
+            outputs[name] = path.read_bytes()
+        assert outputs["jobs"] == outputs["serial"]
+        assert outputs["remote"] == outputs["serial"]
+
+    @pytest.mark.parametrize("flag", list(BAD_NUMERIC_INPUT))
+    def test_bad_numeric_input_exits_2_naming_the_flag(self, flag, tmp_path, capsys):
+        argv = [*BAD_NUMERIC_INPUT[flag], "--out", str(tmp_path / "out.json"), "--quiet"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
 
     def test_campaign_and_remote_workers_are_exclusive_everywhere(self):
         """Every sweep command chooses its backend the same way, so each
