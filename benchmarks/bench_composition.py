@@ -6,14 +6,15 @@ the expected direction: the composed machine without SVW drowns in
 re-executions; with SVW it recovers.
 """
 
-from repro.harness.figures import composition_experiment
+from repro.experiments.run import run_experiment
+from repro.harness.figures import composition_spec
 from repro.harness.report import render_figure
 
 from benchmarks.conftest import BENCH_INSTS
 
 
 def _run():
-    return composition_experiment(benchmarks=["bzip2", "gcc"], n_insts=BENCH_INSTS)
+    return run_experiment(composition_spec(["bzip2", "gcc"], BENCH_INSTS))
 
 
 def test_composition(benchmark):

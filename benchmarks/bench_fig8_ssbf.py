@@ -8,14 +8,15 @@ matters -- 0.3% average re-execution-rate difference between the default
 512-entry table and an infinite one.
 """
 
-from repro.harness.figures import FIG8_BENCHMARKS, figure8
+from repro.experiments.run import run_experiment
+from repro.harness.figures import FIG8_BENCHMARKS, figure8_spec
 from repro.harness.report import render_figure
 
 from benchmarks.conftest import BENCH_INSTS
 
 
 def _run():
-    return figure8(benchmarks=FIG8_BENCHMARKS[:3], n_insts=BENCH_INSTS)
+    return run_experiment(figure8_spec(FIG8_BENCHMARKS[:3], BENCH_INSTS))
 
 
 def test_figure8(benchmark):

@@ -6,14 +6,15 @@ small relative increase in re-executions, the benefit is avoiding the
 elongated load-to-younger-store serialization that atomic updates force.
 """
 
-from repro.harness.figures import spec_updates_experiment
+from repro.experiments.run import run_experiment
+from repro.harness.figures import spec_updates_spec
 from repro.harness.report import render_figure
 
 from benchmarks.conftest import BENCH_INSTS
 
 
 def _run():
-    return spec_updates_experiment(benchmarks=["vortex", "twolf"], n_insts=BENCH_INSTS)
+    return run_experiment(spec_updates_spec(["vortex", "twolf"], BENCH_INSTS))
 
 
 def test_speculative_updates(benchmark):

@@ -6,15 +6,16 @@ stores) the cost is ~0.2% versus infinite SSNs; very narrow SSNs drain
 often enough to hurt.
 """
 
-from repro.harness.figures import ssn_width_experiment
+from repro.experiments.run import run_experiment
+from repro.harness.figures import ssn_width_spec
 from repro.harness.report import render_figure
 
 from benchmarks.conftest import BENCH_INSTS
 
 
 def _run():
-    return ssn_width_experiment(
-        benchmarks=["bzip2", "twolf"], n_insts=BENCH_INSTS, widths=(8, 10, 16)
+    return run_experiment(
+        ssn_width_spec(["bzip2", "twolf"], BENCH_INSTS, widths=(8, 10, 16))
     )
 
 

@@ -6,14 +6,15 @@ predictors."  The trade: no re-execution traffic at all, but every filter
 false positive is now a full flush.
 """
 
-from repro.harness.figures import svw_replacement_experiment
+from repro.experiments.run import run_experiment
+from repro.harness.figures import svw_replacement_spec
 from repro.harness.report import render_figure
 
 from benchmarks.conftest import BENCH_INSTS
 
 
 def _run():
-    return svw_replacement_experiment(benchmarks=["bzip2", "gcc"], n_insts=BENCH_INSTS)
+    return run_experiment(svw_replacement_spec(["bzip2", "gcc"], BENCH_INSTS))
 
 
 def test_svw_replacement(benchmark):

@@ -18,17 +18,19 @@ injects every failure mode the tier claims to survive:
   re-request (or declare the connection lost), never compute on them;
 - **daemon SIGKILL + restart** mid-campaign (after the first deadline
   strike, before the last cell is stored) on the same port and cache
-  directory, with a **torn journal append** written behind its back so
-  replay must skip the damaged final record;
-- **torn journal appends** also fire from the daemon's own plan
-  (``torn_append_rate``) while it runs.
+  directory, with a **stale snapshot tmp** planted beside the journal --
+  what a kill -9 mid-snapshot leaves -- so replay must resume the
+  campaign beside it and ``svw-repro fsck`` must flag and clean it.
 
 Gates: the client's per-cell stats fingerprints are bit-identical to
 :class:`~repro.experiments.backends.SerialBackend`; the central store
 holds exactly the union of cells (each computed once per store) and every
 stored result matches serial; worker memo stores merge conflict-free;
 every planned fault kind demonstrably fired (stderr ``svw-fault:`` lines,
-the crash exit code, the straggler counter); and the same plan spec
+the crash exit code, the straggler counter); the restarted daemon
+resumed the journaled campaign beside the planted tmp, and a final
+``svw-repro fsck --cache-dir`` exits 1 on that tmp and 0 after
+``--fix``; and the same plan spec
 replayed through the same decision sequence fires the identical event
 list (fault *reproducibility*).
 
@@ -67,12 +69,11 @@ INSTS = 4000
 
 # Seeds chosen so the planned faults demonstrably fire early: worker 1
 # crashes on its 4th job; worker 2's first three jobs stall 8s against the
-# daemon's 4s deadline; the daemon's first trace transfers are damaged and
-# its first journal appends torn.  The plans are deterministic, so these
-# properties hold on every run.
+# daemon's 4s deadline; the daemon's first trace transfers are damaged.
+# The plans are deterministic, so these properties hold on every run.
 WORKER1_PLAN = "seed=7,crash_after=3"
 WORKER2_PLAN = "seed=2,delay_rate=0.3,delay_seconds=8,max_faults=3"
-DAEMON_PLAN = "seed=11,corrupt_rate=0.5,truncate_rate=0.2,torn_append_rate=0.4,max_faults=5"
+DAEMON_PLAN = "seed=11,corrupt_rate=0.5,truncate_rate=0.2,max_faults=5"
 JOB_DEADLINE = "4"
 
 
@@ -87,15 +88,30 @@ def free_port() -> int:
         return sock.getsockname()[1]
 
 
-def spawn(args: list[str], stderr_path: Path) -> subprocess.Popen:
+def cli_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def spawn(args: list[str], stderr_path: Path) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "repro.harness.cli", *args],
-        env=env,
+        env=cli_env(),
         stdout=subprocess.DEVNULL,
         stderr=open(stderr_path, "ab"),
     )
+
+
+def fsck_exit(central: Path, *extra: str) -> int:
+    """``svw-repro fsck --cache-dir central [extra]``'s exit status."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.harness.cli", "fsck", "--cache-dir", str(central), *extra],
+        env=cli_env(),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        timeout=120,
+    ).returncode
 
 
 def wait_port(port: int, timeout: float = 60.0) -> None:
@@ -118,7 +134,6 @@ def assert_plan_reproducibility() -> None:
             for i in range(30):
                 plan.job_fault("worker.job", jobs_done=i)
                 plan.mutate_trace("daemon.trace", b"q" * 128)
-                plan.torn_append("daemon.journal", 96)
         assert a.events == b.events, f"plan {spec!r} is not reproducible"
     print("fault plans replay byte-identically: OK")
 
@@ -140,10 +155,12 @@ def main() -> int:
         port = free_port()
         address = f"127.0.0.1:{port}"
 
+        # Not --quiet: the restarted daemon's "resumed campaign" line is
+        # the proof that replay, not a client resubmit, revived it.
         def spawn_daemon() -> subprocess.Popen:
             return spawn(
                 ["campaignd", "--host", "127.0.0.1", "--port", str(port),
-                 "--cache-dir", str(central), "--quiet",
+                 "--cache-dir", str(central),
                  "--fault-plan", DAEMON_PLAN,
                  "--job-deadline", JOB_DEADLINE, "--max-attempts", "5"],
                 daemon_log,
@@ -230,19 +247,20 @@ def main() -> int:
                 f"({stored_at_kill}/{len(union)} cells stored)"
             )
 
-            # Tear the journal behind the daemon's back -- the torn final
-            # record a kill -9 mid-append leaves -- so the restart MUST
-            # exercise tolerant replay no matter what its own plan tore.
+            # Plant what a kill -9 mid-snapshot leaves: a partial tmp
+            # beside the journal.  Replay must resume the campaign from
+            # the journal regardless, and fsck must flag the tmp below.
             journals = sorted((central / "campaigns").glob("*.jsonl"))
             assert journals, "the daemon never journaled the campaign"
-            with open(journals[0], "ab") as handle:
-                handle.write(b'{"record": "cell", "fingerpr')
-            print("journal tail torn by hand")
+            campaign_id = journals[0].stem
+            stale_tmp = journals[0].with_name(f".{journals[0].name}.k9x2ab.tmp")
+            stale_tmp.write_text('{"record": "campaign", "sche')
+            print("stale snapshot tmp planted beside the journal")
 
             daemon = spawn_daemon()
             wait_port(port)
             daemon_restarted.set()
-            print("daemon restarted on the torn journal")
+            print("daemon restarted beside the stale tmp")
 
             client_thread.join(900)
             if errors:
@@ -303,8 +321,16 @@ def main() -> int:
             for kind in ("corrupt", "truncate")
         ):
             failures.append("daemon logged no trace corruption/truncation fault")
-        if "svw-fault: torn_append @daemon.journal" not in daemon_text:
-            failures.append("daemon logged no torn journal append")
+        if f"resumed campaign {campaign_id[:12]}" not in daemon_text:
+            failures.append("the restarted daemon did not resume the journaled campaign")
+        fsck_before = fsck_exit(central)
+        fsck_fixed = fsck_exit(central, "--fix")
+        if fsck_before != 1 or stale_tmp.exists() or fsck_fixed != 0:
+            failures.append(
+                f"fsck exited {fsck_before} on the stale tmp (expected 1) and "
+                f"{fsck_fixed} after --fix (expected 0, tmp "
+                f"{'still there' if stale_tmp.exists() else 'gone'})"
+            )
         total_stragglers = pre_kill_stragglers + stats2.get("stragglers", 0)
         if total_stragglers < 1:
             failures.append("no job ever struck the deadline (straggler path untested)")

@@ -47,9 +47,9 @@ The pieces:
   without recomputing finished cells.
 - :class:`FaultPlan` -- deterministic fault injection for the remote and
   campaign tiers (``--fault-plan`` on workers and the daemon): a seeded,
-  bounded schedule of drops, crashes, delays, corrupted/truncated trace
-  frames, and torn journal appends, used by the chaos-equivalence
-  harness to prove results stay bit-identical under failure.
+  bounded schedule of drops, crashes, delays and corrupted/truncated
+  trace frames, used by the chaos-equivalence harness to prove results
+  stay bit-identical under failure.
 - :class:`TraceProvider` -- per-sweep trace materialization: generation
   runs at most once per (workload, seed, budget), optionally backed by an
   on-disk :class:`~repro.workloads.trace_cache.TraceCache`.

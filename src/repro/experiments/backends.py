@@ -26,7 +26,6 @@ from typing import Callable, Protocol, Sequence
 from repro.experiments.spec import RunRequest
 from repro.experiments.traces import TraceProvider
 from repro.isa.coltrace import ColumnTrace
-from repro.pipeline.processor import Processor
 from repro.pipeline.stats import SimStats
 from repro.workloads.trace_cache import TraceCache
 
@@ -41,6 +40,8 @@ def execute_request(
     request: RunRequest, trace: ColumnTrace | None = None
 ) -> SimStats:
     """Simulate one cell, materializing its trace when none is given."""
+    from repro.pipeline.processor import Processor
+
     if trace is None:
         trace = request.workload.materialize(request.n_insts)
     return Processor(

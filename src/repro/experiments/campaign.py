@@ -49,13 +49,14 @@ Durability: with ``--cache-dir`` the daemon anchors a central
 :class:`~repro.experiments.store.ResultStore` (completed cells are
 persisted there the moment they arrive, and satisfied from there at
 submit time), journals each campaign under ``<cache-dir>/campaigns/``,
-and persists the cost model.  Journals are JSONL (schema 2): one
-atomically-written header record naming the submission, then one
-appended record per state transition and completed cell.  Replay is
-tolerant by construction -- a record torn by kill -9 mid-append is
-skipped with a warning and the store recheck recovers the cell.  A
-restarted daemon replays the journal: finished cells hit the store,
-unfinished ones re-enter the queue, and reconnecting clients
+and persists the cost model.  A journal is one JSON object (schema 3)
+naming the submission and its state, written like every other file in
+the tree -- whole, through :func:`~repro.ioutil.atomic_write_text` --
+at submit and again at its terminal state.  A reader sees a snapshot
+entirely or not at all; a kill -9 mid-write leaves at most a stale
+``.*.tmp`` beside it, which ``svw-repro fsck`` reports and ``--fix``
+deletes.  A restarted daemon replays the journals: finished cells hit
+the store, unfinished ones re-enter the queue, and reconnecting clients
 (or idempotent re-submissions -- campaign ids are content addresses of
 the submission) resume without recomputing anything.
 
@@ -106,9 +107,9 @@ from repro.experiments.traces import TraceProvider
 from repro.pipeline.stats import SimStats
 from repro.workloads.trace_cache import TraceCache
 
-#: Journal payload layout version.  Schema 2 is JSONL: an atomic header
-#: record plus appended transition records.
-JOURNAL_SCHEMA = 2
+#: Journal payload layout version.  Schema 3 is one JSON object per
+#: campaign, rewritten whole at each state change.
+JOURNAL_SCHEMA = 3
 
 #: Campaign states a client can observe.
 TERMINAL_STATES = ("done", "failed", "cancelled")
@@ -135,46 +136,21 @@ def spec_campaign_id(spec: "ExperimentSpec") -> str:
 # ------------------------------------------------------------- journal reading
 
 
-def _read_journal(path: Path) -> tuple[dict | None, int]:
-    """Parse one journal file tolerantly.
-
-    Returns ``(payload, torn_records)`` where ``payload`` has the header
-    fields (``name``/``status``/``error``/``cells``) with the status
-    updated by the last intact ``status`` record, or ``None`` when the
-    file is unreadable or its header is damaged.  ``torn_records`` counts
-    skipped unparseable lines -- the scar tissue of interrupted appends.
-    """
+def _read_journal(path: Path) -> dict | None:
+    """One journal's payload (``name``/``status``/``error``/``cells``), or
+    ``None`` when the file is unreadable or not a schema-3 campaign
+    record -- replay skips such journals, stale schemas included."""
     try:
-        text = path.read_text()
-    except OSError:
-        return None, 0
-    header: dict | None = None
-    torn = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("journal record is not an object")
-        except ValueError:
-            torn += 1
-            continue
-        if header is None:
-            if (
-                record.get("record") != "campaign"
-                or record.get("schema") != JOURNAL_SCHEMA
-            ):
-                torn += 1
-                continue
-            header = record
-        elif record.get("record") == "status":
-            header["status"] = str(record.get("status", header.get("status")))
-            header["error"] = record.get("error")
-        # "cell" records are breadcrumbs only; the store recheck is
-        # authoritative for per-cell completion.
-    return header, torn
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    if (
+        not isinstance(payload, dict)
+        or payload.get("record") != "campaign"
+        or payload.get("schema") != JOURNAL_SCHEMA
+    ):
+        return None
+    return payload
 
 
 @dataclass
@@ -183,63 +159,55 @@ class JournalScrubReport:
 
     scanned: int = 0
     campaigns: int = 0
-    torn_records: int = 0
     unreadable: list[str] = field(default_factory=list)
+    #: Stale ``.*.tmp`` files from a daemon killed mid-snapshot.
+    stale_tmp: list[str] = field(default_factory=list)
     repaired: int = 0
 
     @property
     def ok(self) -> bool:
-        return not self.torn_records and not self.unreadable
+        return not self.unreadable and not self.stale_tmp
 
     def describe(self) -> str:
         parts = [f"{self.scanned} journal(s), {self.campaigns} readable campaign(s)"]
-        if self.torn_records:
-            parts.append(f"{self.torn_records} torn record(s)")
         if self.unreadable:
             parts.append(f"{len(self.unreadable)} unreadable file(s)")
+        if self.stale_tmp:
+            parts.append(f"{len(self.stale_tmp)} stale tmp")
         if self.repaired:
             parts.append(f"{self.repaired} repaired")
         return ", ".join(parts)
 
 
 def scrub_journals(journal_dir: str | Path, fix: bool = False) -> JournalScrubReport:
-    """Scan (and with ``fix``, compact) every campaign journal.
+    """Scan (and with ``fix``, clean) the campaign journal directory.
 
-    A torn record never blocks replay -- the daemon skips it -- so this
-    is hygiene, not rescue: ``fix`` rewrites each damaged JSONL journal
-    atomically with only its intact records, and removes files whose
-    header is beyond recovery (a journal that cannot name its campaign
-    resumes nothing anyway).
+    Flags every ``*.jsonl`` journal that cannot name its campaign
+    (unreadable, or of another schema: replay skips it, so it resumes
+    nothing) and every stale ``.*.tmp`` -- the one leftover an atomic
+    snapshot can leave, found by the rule
+    :meth:`~repro.experiments.store.ResultStore.fsck` applies to cells.
+    ``fix`` deletes both; any other file is left alone.
     """
     journal_dir = Path(journal_dir)
     report = JournalScrubReport()
     if not journal_dir.is_dir():
         return report
-    from repro.ioutil import atomic_write_text
-
-    for path in sorted(journal_dir.glob("*.jsonl")):
-        report.scanned += 1
-        payload, torn = _read_journal(path)
-        report.torn_records += torn
-        if payload is None:
-            report.unreadable.append(path.name)
-            if fix:
-                path.unlink(missing_ok=True)
-                report.repaired += 1
+    for path in sorted(journal_dir.iterdir()):
+        name = path.name
+        if not path.is_file():
             continue
-        report.campaigns += 1
-        if torn and fix:
-            lines = []
-            for line in path.read_text().splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    if isinstance(json.loads(line), dict):
-                        lines.append(line)
-                except ValueError:
-                    continue
-            atomic_write_text(path, "\n".join(lines) + "\n")
+        if name.startswith(".") and name.endswith(".tmp"):
+            report.stale_tmp.append(name)
+        elif path.suffix == ".jsonl":
+            report.scanned += 1
+            if _read_journal(path) is None:
+                report.unreadable.append(name)
+            else:
+                report.campaigns += 1
+    if fix:
+        for name in report.unreadable + report.stale_tmp:
+            (journal_dir / name).unlink(missing_ok=True)
             report.repaired += 1
     return report
 
@@ -298,7 +266,6 @@ class CampaignDaemon:
             self.journal_dir.mkdir(parents=True, exist_ok=True)
         self.heartbeat_timeout = heartbeat_timeout
         self.progress = progress
-        self.faults = faults
         self._dispatcher = JobDispatcher(
             self._scheduler,
             TraceProvider(cache=trace_cache),
@@ -315,8 +282,6 @@ class CampaignDaemon:
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
-        #: Journal records skipped as torn during replay.
-        self.journal_torn_records = 0
 
     @property
     def address(self) -> str:
@@ -566,11 +531,10 @@ class CampaignDaemon:
 
     # -- cell outcomes -------------------------------------------------------
 
-    def _settled(
-        self, cell: Cell, affected: list[Submission], ended: list[Submission]
-    ) -> None:
+    def _settled(self, cell: Cell, ended: list[Submission]) -> None:
         """Persist what the dispatcher just settled: a finished cell's
-        stats to the central store, then the journal records."""
+        stats to the central store, then the journal of every campaign
+        it ended."""
         if cell.status == "done" and self.store is not None:
             try:
                 self.store.save(cell.request, cell.stats)
@@ -579,12 +543,8 @@ class CampaignDaemon:
                 # restart, never this campaign -- the result still ships
                 # from memory.
                 self._note(f"store write failed for {cell.request.describe()} ({exc})")
-        for campaign in affected:
-            self._journal_event(
-                campaign, {"record": "cell", "fingerprint": cell.fingerprint}
-            )
         for campaign in ended:
-            self._journal_status(campaign)
+            self._write_journal(campaign)
 
     # -- client API ----------------------------------------------------------
 
@@ -714,7 +674,7 @@ class CampaignDaemon:
         async with self._dispatcher.work:
             self._scheduler.cancel(campaign)
             self._dispatcher.work.notify_all()
-        self._journal_status(campaign)
+        self._write_journal(campaign)
         return {"type": "cancelled", "campaign": campaign.id, "state": campaign.status}
 
     def _handle_stats(self) -> dict:
@@ -762,29 +722,20 @@ class CampaignDaemon:
 
     # -- journal -------------------------------------------------------------
     #
-    # Schema 2 is JSONL.  The header record (written atomically, whole
-    # file) names the submission; every later state change is an O(1)
-    # *append*: a ``status`` record on done/failed/cancelled, a ``cell``
-    # breadcrumb per completed cell.  Appends are the one non-atomic write
-    # in the tree -- a kill -9 mid-append leaves a torn final line -- so
-    # replay skips any unparseable line with a warning and lets the store
-    # recheck recover what the breadcrumb would have said.  The ``cell``
-    # records are exactly that: breadcrumbs for humans and fsck, never
-    # load-bearing (the store is the single source of truth for
-    # completion).
-
-    def _journal_path(self, campaign: Submission) -> Path:
-        assert self.journal_dir is not None
-        return self.journal_dir / f"{campaign.id}.jsonl"
+    # Schema 3: one JSON object per campaign -- the submission (name and
+    # cells) plus its status and error -- rewritten whole and atomically
+    # at submit and at each terminal state, so a reader never sees part
+    # of one.  Per-cell completion is never journaled: the store recheck
+    # at replay is its single source of truth.
 
     def _write_journal(self, campaign: Submission) -> None:
-        """Write a campaign's full journal snapshot (header + current
-        status), atomically, at submission time."""
+        """Snapshot a campaign's journal (best-effort: journal loss
+        degrades resume, never correctness)."""
         if self.journal_dir is None:
             return
         from repro.ioutil import atomic_write_text
 
-        header = {
+        payload = {
             "record": "campaign",
             "schema": JOURNAL_SCHEMA,
             "campaign": campaign.id,
@@ -793,56 +744,24 @@ class CampaignDaemon:
             "error": campaign.error,
             "cells": [request.to_payload() for request in campaign.requests],
         }
-        atomic_write_text(
-            self._journal_path(campaign), json.dumps(header, sort_keys=True) + "\n"
-        )
-
-    def _journal_event(self, campaign: Submission, record: dict) -> None:
-        """Append one record to a campaign's journal (best-effort; the
-        configured fault plan may tear the write, as kill -9 would)."""
-        if self.journal_dir is None:
-            return
-        from repro.ioutil import append_bytes
-
-        path = self._journal_path(campaign)
-        if not path.exists():
-            return  # never journaled (no header): nothing to append to
-        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        if self.faults is not None:
-            keep = self.faults.torn_append("daemon.journal", len(data))
-            if keep is not None:
-                data = data[:keep]
         try:
-            append_bytes(path, data)
-        except OSError:
-            pass  # journal loss degrades resume, never correctness
-
-    def _journal_status(self, campaign: Submission) -> None:
-        self._journal_event(
-            campaign,
-            {"record": "status", "status": campaign.status, "error": campaign.error},
-        )
+            atomic_write_text(
+                self.journal_dir / f"{campaign.id}.jsonl",
+                json.dumps(payload, sort_keys=True) + "\n",
+            )
+        except OSError as exc:
+            self._note(f"journal write failed for campaign {campaign.id[:12]} ({exc})")
 
     async def _load_journals(self) -> None:
         """Replay persisted campaigns (daemon restart): finished cells are
         satisfied from the store, unfinished ones re-enter the queue.
 
-        Only ``*.jsonl`` files are journals.  Torn records -- the final
-        line a kill -9 interrupted, or the line that merged with the
-        append after it -- are skipped with a warning; the store recheck
-        in :meth:`_register_campaign` recovers anything a lost breadcrumb
-        would have recorded.
+        Only ``*.jsonl`` files are journals, so a snapshot's stale
+        ``.*.tmp`` is never read.
         """
         assert self.journal_dir is not None
         for path in sorted(self.journal_dir.glob("*.jsonl")):
-            payload, torn = _read_journal(path)
-            if torn:
-                self.journal_torn_records += torn
-                self._note(
-                    f"journal {path.name}: skipped {torn} torn record(s) "
-                    "(interrupted append?); the store recheck recovers any "
-                    "lost completions"
-                )
+            payload = _read_journal(path)
             if payload is None:
                 continue  # unreadable/stale journals are skipped, not fatal
             try:

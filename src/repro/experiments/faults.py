@@ -4,8 +4,8 @@ PRs 5-6 made sweep execution a distributed system; this module makes its
 failure modes a *reproducible input* instead of an act of the network.  A
 :class:`FaultPlan` is a seeded schedule of fault decisions -- connection
 drops, worker crashes, injected latency, trace-frame corruption and
-truncation, torn journal appends -- that the transport and service layers
-consult at well-known **sites**:
+truncation -- that the transport and service layers consult at
+well-known **sites**:
 
 ========================  ====================================================
 site                      consulted by
@@ -18,8 +18,6 @@ site                      consulted by
                           (corrupt / truncate)
 ``daemon.trace``          the same dispatcher under a :class:`~repro.
                           experiments.campaign.CampaignDaemon`
-``daemon.journal``        the campaign journal appender (torn final record,
-                          as a kill -9 mid-``write`` would leave it)
 ========================  ====================================================
 
 Determinism is the whole point: every site draws from its own
@@ -41,18 +39,18 @@ optional ``log`` callback (the CLI wires this to stderr as
 Plans parse from compact CLI specs::
 
     svw-repro worker ... --fault-plan "seed=7,crash_after=3"
-    svw-repro campaignd ... --fault-plan "seed=11,corrupt_rate=0.5,torn_append_rate=0.4,max_faults=5"
+    svw-repro campaignd ... --fault-plan "seed=11,corrupt_rate=0.5,truncate_rate=0.2,max_faults=5"
 
 The plan only ever *decides and mutates bytes*; the enclosing layer owns
-the mechanics (closing sockets, exiting the process, shortening the
-write), so a plan can never fire where no fault path exists.
+the mechanics (closing sockets, exiting the process), so a plan can
+never fire where no fault path exists.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 #: Exit code a worker subprocess dies with when a planned ``crash`` fires
@@ -60,7 +58,7 @@ from typing import Callable
 CRASH_EXIT_CODE = 86
 
 #: Fault kinds a plan can fire, and the spec fields that drive each.
-FAULT_KINDS = ("drop", "crash", "delay", "corrupt", "truncate", "torn_append")
+FAULT_KINDS = ("drop", "crash", "delay", "corrupt", "truncate")
 
 _INT_FIELDS = ("seed", "drop_after", "crash_after", "kill_after", "max_faults")
 _FLOAT_FIELDS = (
@@ -70,7 +68,6 @@ _FLOAT_FIELDS = (
     "delay_seconds",
     "corrupt_rate",
     "truncate_rate",
-    "torn_append_rate",
 )
 
 
@@ -120,7 +117,6 @@ class FaultPlan:
         delay_seconds: float = 0.0,
         corrupt_rate: float = 0.0,
         truncate_rate: float = 0.0,
-        torn_append_rate: float = 0.0,
         kill_after: int | None = None,
         max_faults: int | None = None,
         log: Callable[[FaultEvent], None] | None = None,
@@ -131,7 +127,6 @@ class FaultPlan:
             "delay_rate": delay_rate,
             "corrupt_rate": corrupt_rate,
             "truncate_rate": truncate_rate,
-            "torn_append_rate": torn_append_rate,
         }
         for name, rate in rates.items():
             if not 0.0 <= rate <= 1.0:
@@ -151,7 +146,6 @@ class FaultPlan:
         self.delay_seconds = delay_seconds
         self.corrupt_rate = corrupt_rate
         self.truncate_rate = truncate_rate
-        self.torn_append_rate = torn_append_rate
         self.kill_after = kill_after
         self.max_faults = max_faults
         self.log = log
@@ -303,18 +297,3 @@ class FaultPlan:
                     return None
                 return data[:keep]
             return None
-
-    def torn_append(self, site: str, length: int) -> int | None:
-        """How many bytes of a ``length``-byte append to actually write
-        (a kill -9 mid-append), or None to write it whole."""
-        if length <= 0 or not self.torn_append_rate:
-            return None
-        with self._lock:
-            draw, stream, seq = self._draw(site)
-            if draw >= self.torn_append_rate:
-                return None
-            keep = stream.randrange(length)
-            if self._fire("torn_append", site, seq,
-                          detail=f"{keep}/{length} bytes") is None:
-                return None
-            return keep

@@ -106,7 +106,6 @@ from repro.experiments.traces import TraceProvider, request_key
 from repro.isa.codec import TraceCodecError, decode_trace
 from repro.isa.coltrace import ColumnTrace
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.processor import Processor
 from repro.pipeline.stats import SimStats
 from repro.workloads.trace_cache import TraceCache
 
@@ -706,6 +705,8 @@ class WorkerAgent:
 
     def _simulate(self, job: dict, conn: socket.socket) -> tuple[SimStats, float]:
         """Run one job's cell: its stats and simulation seconds."""
+        from repro.pipeline.processor import Processor
+
         config = MachineConfig.from_dict(job["config"])
         trace = self._trace_for(str(job["trace_key"]), job.get("trace_sha256"), conn)
         with self._sim_gate:
@@ -912,9 +913,8 @@ class JobDispatcher:
     answered from ``provider`` with one ``Z`` frame built off the event
     loop (counted in ``traces_shipped``); no frame is built before a
     worker asks for it.  ``faults`` may mutate outgoing trace bytes at
-    ``trace_site``; ``settled(cell, affected, ended)`` runs after every
-    outcome with the submissions that got a result and those it ended;
-    ``note`` gets progress lines.
+    ``trace_site``; ``settled(cell, ended)`` runs after every outcome with
+    the submissions it ended; ``note`` gets progress lines.
     """
 
     def __init__(
@@ -925,9 +925,7 @@ class JobDispatcher:
         faults: FaultPlan | None = None,
         trace_site: str = "client.trace",
         note: Callable[[str], None] | None = None,
-        settled: Callable[[Cell, list[Submission], list[Submission]], None] = (
-            lambda cell, affected, ended: None
-        ),
+        settled: Callable[[Cell, list[Submission]], None] = lambda cell, ended: None,
     ) -> None:
         import asyncio
         from concurrent.futures import ThreadPoolExecutor
@@ -1151,17 +1149,17 @@ class JobDispatcher:
             worker.in_flight -= 1
             worker.jobs_done += 1
             self.cells_simulated += 1
-            affected, finished = self.scheduler.complete(cell, stats, worker.id)
+            _, finished = self.scheduler.complete(cell, stats, worker.id)
             self.work.notify_all()
         self.note(f"{cell.request.describe()} [done @{worker.id}]")
-        self.settled(cell, affected, finished)
+        self.settled(cell, finished)
 
     async def _failed(self, worker: WorkerLink, cell: Cell, message: str) -> None:
         async with self.work:
             worker.in_flight -= 1
             failed = self.scheduler.fail(cell, message)
             self.work.notify_all()
-        self.settled(cell, [], failed)
+        self.settled(cell, failed)
 
     async def _lost(self, worker: WorkerLink, cell: Cell, exc: Exception) -> None:
         async with self.work:
@@ -1172,7 +1170,7 @@ class JobDispatcher:
             self.work.notify_all()
         self.note(f"worker {worker.id} lost ({exc})")
         self._quarantined(worker, pause, exc)
-        self.settled(cell, [], failed)
+        self.settled(cell, failed)
 
     def _quarantined(self, worker: WorkerLink, pause: float | None, reason: object) -> None:
         if pause is not None:

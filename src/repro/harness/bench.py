@@ -40,7 +40,6 @@ pinned, with every other golden fingerprint, in the golden table of
       "numpy": "2.4.6", "trace_epoch": 2,
       "n_insts": 30000, "repeats": 3,
       "workloads": ["bzip2", ...],
-      "workload_taxonomy": {"bzip2": "profile", ...},
       "results": [
         {"lsu": "nlq", "config": "+SVW+UPD", "workload": "gcc",
          "committed": 30000, "cycles": 46652, "wall_seconds": 0.25,
@@ -65,10 +64,8 @@ from typing import Callable
 import numpy
 
 from repro.harness.configs import fig5_configs, fig6_configs
-from repro.ioutil import atomic_write_text
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import Processor
-from repro.workloads.registry import workload_taxonomy
 from repro.workloads.spec2000 import spec_profile
 from repro.workloads.synthetic import TRACE_EPOCH, generate_trace
 
@@ -249,10 +246,6 @@ def run_bench(
         "n_insts": n_insts,
         "repeats": repeats,
         "workloads": list(workloads),
-        # Additive provenance (schema 1 tolerant): which registry-taxonomy
-        # class each workload resolved to, so a snapshot against phased or
-        # ingested workloads is never mistaken for a plain-profile run.
-        "workload_taxonomy": workload_taxonomy(workloads),
         "results": results,
         "aggregate": aggregate,
     }
@@ -317,11 +310,6 @@ def render_bench(payload: dict) -> str:
             f"skip-ahead: {jumps} jumps across all cells (wake-ups: {breakdown})"
         )
     return "\n".join(lines)
-
-
-def write_bench(payload: dict, path: str) -> None:
-    """Write a JSON payload atomically (every ``svw-repro`` JSON file)."""
-    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def load_bench(path: str) -> dict:

@@ -42,17 +42,10 @@ import contextlib
 import json
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from repro.experiments.backends import (
-    CellExecutionError,
-    ExecutionBackend,
-    make_backend,
-)
 from repro.experiments.faults import FaultPlan
-from repro.experiments.pool import shutdown_session_pools
-from repro.experiments.remote import RemoteBackend, WorkerAgent, resolve_worker_fleet
 from repro.experiments.results import FigureResult
-from repro.experiments.run import run_experiment
 from repro.experiments.scheduler import check_limits, session_cost_model
 from repro.experiments.spec import DEFAULT_INSTS, ExperimentSpec
 from repro.experiments.store import ResultStore
@@ -60,10 +53,14 @@ from repro.harness import figures
 from repro.workloads.registry import WorkloadSpec, resolve_workload
 from repro.workloads.trace_cache import TraceCache
 
-# A worker agent runs what is imported above (``figures`` loads the rest
-# anyway).  Every other subcommand imports its modules in its own branch
-# of ``main``, so the campaign tier, the fuzzer, the benchmarks and the
-# trace generators (with numpy) load only for the commands that use them.
+if TYPE_CHECKING:
+    from repro.experiments.backends import ExecutionBackend
+
+# Every command loads what is imported above (the parser needs
+# ``figures.EXPERIMENTS``).  The rest is imported where it is used, so the
+# simulator core, the remote tier, the campaign tier, the fuzzer, the
+# benchmarks and the trace generators (with numpy) load only for the
+# commands that run them.
 
 #: Subcommands that talk to a campaign daemon about one campaign.
 _CAMPAIGN_COMMANDS = ("submit", "status", "fetch", "cancel")
@@ -104,6 +101,9 @@ def _backend(
     Agents spawned for ``--remote-workers auto:N`` live on ``stack``, so
     they are torn down when the command finishes.
     """
+    from repro.experiments.backends import make_backend
+    from repro.experiments.remote import RemoteBackend, resolve_worker_fleet
+
     if args.campaign is not None and args.remote_workers is not None:
         raise SystemExit(
             "--campaign and --remote-workers are mutually exclusive "
@@ -127,9 +127,9 @@ def _write_json(args: argparse.Namespace, payload: object) -> None:
     if args.json == "-":
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
-        from repro.harness.bench import write_bench
+        from repro.ioutil import write_json
 
-        write_bench(payload, args.json)
+        write_json(args.json, payload)
 
 
 def _experiment_workloads(args: argparse.Namespace) -> list[WorkloadSpec] | None:
@@ -243,6 +243,7 @@ def _run_figure(
 ) -> FigureResult:
     """Run one experiment's spec and, unless ``--json -``, print its table
     and claim checks."""
+    from repro.experiments.run import run_experiment
     from repro.harness.report import render_claims, render_figure
 
     started = time.time()
@@ -274,6 +275,7 @@ def _run_campaign_command(args, benchmarks: list[WorkloadSpec] | None) -> int:
     experiment name (the campaign id is re-derived from the spec, which
     must be built with the same ``--insts``/``--benchmarks``) or a raw id.
     """
+    from repro.experiments.backends import CellExecutionError
     from repro.experiments.campaign import (
         CampaignBackend,
         CampaignClient,
@@ -628,6 +630,8 @@ def main(argv: list[str] | None = None) -> int:
         # host a persistent encoded-trace cache shared by all its agents,
         # --cache-dir a local result store memoizing repeat cells by
         # fingerprint (mergeable into a central store by content address).
+        from repro.experiments.remote import WorkerAgent
+
         cache = TraceCache(args.trace_cache_dir) if args.trace_cache_dir else None
         agent = WorkerAgent(
             host=args.host,
@@ -736,9 +740,9 @@ def main(argv: list[str] | None = None) -> int:
         if out is None and args.json is None:
             out = default_out
         if out is not None:
-            from repro.harness.bench import write_bench
+            from repro.ioutil import write_json
 
-            write_bench(payload, out)
+            write_json(out, payload)
             if not args.quiet:
                 print(f"wrote {out}", file=sys.stderr)
 
@@ -766,6 +770,8 @@ def main(argv: list[str] | None = None) -> int:
 
         emit_benchmark(goldens.build_table(), goldens.render_table, goldens.GOLDENS_PATH)
         return 0
+    from repro.experiments.pool import shutdown_session_pools
+
     benchmarks = _experiment_workloads(args)
     experiments = sorted(figures.EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     trace_cache = TraceCache(args.trace_cache_dir) if args.trace_cache_dir else None

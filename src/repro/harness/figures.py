@@ -1,13 +1,11 @@
 """One driver per table/figure in the paper's evaluation (section 4).
 
-Each figure has two faces:
-
 - ``<figure>_spec(...)`` builds the declarative
   :class:`~repro.experiments.spec.ExperimentSpec` for the sweep (every one
   a :func:`~repro.experiments.spec.matrix_spec`) -- hand it to
   :func:`~repro.experiments.run.run_experiment` with any backend/store;
   :data:`EXPERIMENTS` names them all for the CLI;
-- ``<figure>(...)`` runs the spec immediately and returns the
+- ``figure5/6/7(...)`` run their spec immediately and return the
   :class:`~repro.experiments.results.FigureResult`.
 
 Rendering lives in :mod:`repro.harness.report`.
@@ -148,19 +146,6 @@ EXPERIMENTS: dict[str, Callable[[Benchmarks, int], ExperimentSpec]] = {
 }
 
 
-def _run(
-    spec_fn,
-    benchmarks: Benchmarks,
-    n_insts: int,
-    progress: ProgressFn | None,
-    backend: ExecutionBackend | None,
-    store: ResultStore | None,
-    **spec_kwargs,
-) -> FigureResult:
-    spec = spec_fn(benchmarks, n_insts, **spec_kwargs)
-    return run_experiment(spec, backend=backend, store=store, progress=progress)
-
-
 def figure5(
     benchmarks: Benchmarks = None,
     n_insts: int = DEFAULT_INSTS,
@@ -169,7 +154,8 @@ def figure5(
     store: ResultStore | None = None,
 ) -> FigureResult:
     """Run :func:`figure5_spec` (see its doc for the sweep)."""
-    return _run(figure5_spec, benchmarks, n_insts, progress, backend, store)
+    spec = figure5_spec(benchmarks, n_insts)
+    return run_experiment(spec, backend=backend, store=store, progress=progress)
 
 
 def figure6(
@@ -180,7 +166,8 @@ def figure6(
     store: ResultStore | None = None,
 ) -> FigureResult:
     """Run :func:`figure6_spec` (see its doc for the sweep)."""
-    return _run(figure6_spec, benchmarks, n_insts, progress, backend, store)
+    spec = figure6_spec(benchmarks, n_insts)
+    return run_experiment(spec, backend=backend, store=store, progress=progress)
 
 
 def figure7(
@@ -191,60 +178,5 @@ def figure7(
     store: ResultStore | None = None,
 ) -> FigureResult:
     """Run :func:`figure7_spec` (see its doc for the sweep)."""
-    return _run(figure7_spec, benchmarks, n_insts, progress, backend, store)
-
-
-def figure8(
-    benchmarks: Benchmarks = None,
-    n_insts: int = DEFAULT_INSTS,
-    progress: ProgressFn | None = None,
-    backend: ExecutionBackend | None = None,
-    store: ResultStore | None = None,
-) -> FigureResult:
-    """Run :func:`figure8_spec` (see its doc for the sweep)."""
-    return _run(figure8_spec, benchmarks, n_insts, progress, backend, store)
-
-
-def ssn_width_experiment(
-    benchmarks: Benchmarks = None,
-    n_insts: int = DEFAULT_INSTS,
-    widths: Iterable[int | None] = (8, 10, 12, 16, None),
-    progress: ProgressFn | None = None,
-    backend: ExecutionBackend | None = None,
-    store: ResultStore | None = None,
-) -> FigureResult:
-    """Run :func:`ssn_width_spec` (see its doc for the sweep)."""
-    return _run(ssn_width_spec, benchmarks, n_insts, progress, backend, store, widths=widths)
-
-
-def spec_updates_experiment(
-    benchmarks: Benchmarks = None,
-    n_insts: int = DEFAULT_INSTS,
-    progress: ProgressFn | None = None,
-    backend: ExecutionBackend | None = None,
-    store: ResultStore | None = None,
-) -> FigureResult:
-    """Run :func:`spec_updates_spec` (see its doc for the sweep)."""
-    return _run(spec_updates_spec, benchmarks, n_insts, progress, backend, store)
-
-
-def composition_experiment(
-    benchmarks: Benchmarks = None,
-    n_insts: int = DEFAULT_INSTS,
-    progress: ProgressFn | None = None,
-    backend: ExecutionBackend | None = None,
-    store: ResultStore | None = None,
-) -> FigureResult:
-    """Run :func:`composition_spec` (see its doc for the sweep)."""
-    return _run(composition_spec, benchmarks, n_insts, progress, backend, store)
-
-
-def svw_replacement_experiment(
-    benchmarks: Benchmarks = None,
-    n_insts: int = DEFAULT_INSTS,
-    progress: ProgressFn | None = None,
-    backend: ExecutionBackend | None = None,
-    store: ResultStore | None = None,
-) -> FigureResult:
-    """Run :func:`svw_replacement_spec` (see its doc for the sweep)."""
-    return _run(svw_replacement_spec, benchmarks, n_insts, progress, backend, store)
+    spec = figure7_spec(benchmarks, n_insts)
+    return run_experiment(spec, backend=backend, store=store, progress=progress)

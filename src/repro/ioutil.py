@@ -1,16 +1,19 @@
 """Atomic file-write helpers shared by every on-disk cache and snapshot.
 
-Sweep workers routinely share a ``--cache-dir`` (and now a trace cache), so
-every writer in the tree goes through :func:`atomic_write_bytes`: the
-payload lands in a uniquely-named temporary file in the *target directory*
-(same filesystem, so the final ``os.replace`` is atomic) and is renamed
-into place.  A concurrent reader sees either the old file, the new file,
-or a miss -- never a torn payload; racing writers last-write-win whole
-files.
+Sweep workers share a ``--cache-dir`` and a trace cache, so every writer
+in the tree goes through :func:`atomic_write_bytes`: the payload lands in
+a uniquely-named ``.<name>.*.tmp`` file in the *target directory* (same
+filesystem, so the final ``os.replace`` is atomic) and is renamed into
+place.  A concurrent reader sees either the old file, the new file, or a
+miss -- never a torn payload; racing writers last-write-win whole files.
+A writer killed mid-write leaves at most that stale tmp file, which the
+``svw-repro fsck`` scrubbers report and ``--fix`` deletes.  Nothing in
+the tree appends to a file.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -47,14 +50,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def append_bytes(path: str | Path, data: bytes) -> None:
-    """Append ``data`` to ``path``, creating it if missing.
-
-    Appends are NOT atomic the way :func:`atomic_write_bytes` is -- a
-    crash mid-``write`` can leave a torn tail.  Callers own that risk:
-    the campaign journal (the one appender in the tree) writes one JSON
-    record per line and replays tolerantly, skipping any line a torn
-    append damaged (see ``campaign._read_journal``).
-    """
-    with open(path, "ab") as handle:
-        handle.write(data)
+def write_json(path: str | Path, payload: object) -> None:
+    """Write ``payload`` atomically as indented, key-sorted JSON (every
+    ``svw-repro`` JSON output file: ``--json``, ``--out``, the goldens)."""
+    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")

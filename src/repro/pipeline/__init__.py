@@ -16,16 +16,3 @@ Entry points:
   and a trace, call :meth:`run`, receive
   :class:`~repro.pipeline.stats.SimStats`.
 """
-
-from repro.pipeline.config import MachineConfig, RexMode, eight_wide, four_wide
-from repro.pipeline.processor import Processor
-from repro.pipeline.stats import SimStats
-
-__all__ = [
-    "MachineConfig",
-    "Processor",
-    "RexMode",
-    "SimStats",
-    "eight_wide",
-    "four_wide",
-]

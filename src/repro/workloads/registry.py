@@ -164,21 +164,6 @@ class WorkloadSpec:
         regenerate anywhere and to persist in content-addressed caches."""
         return self.trace is None
 
-    @property
-    def taxonomy(self) -> str:
-        """The registry-taxonomy class of this workload (provenance key
-        recorded in BENCH payloads): ``profile``, ``phased``, ``ingested``
-        or ``fixed``, with ``+mut`` appended for mutated forms."""
-        if self.profile is not None:
-            base = "profile"
-        elif self.phased is not None:
-            base = "phased"
-        elif self.source is not None:
-            base = "ingested"
-        else:
-            base = "fixed"
-        return f"{base}+mut" if self.mutation is not None else base
-
     def fingerprint(self) -> str:
         """Stable digest of the workload's dynamic instruction stream."""
         if self.mutation is not None:
@@ -333,23 +318,6 @@ def resolve_workload(
         f"unknown workload {ref!r}; known names: {', '.join(known)} "
         "(or ingest:<digest> / a path to an encoded .svwt trace)"
     )
-
-
-def workload_taxonomy(
-    refs, *, store: "IngestStore | None" = None
-) -> dict[str, str]:
-    """Map each workload reference to its registry-taxonomy class.
-
-    Provenance helper for benchmark payloads: records *what kind* of
-    workload each name resolved to (so a snapshot taken against a phased
-    or ingested workload is never mistaken for a plain-profile run)
-    without touching any trace content.
-    """
-    out: dict[str, str] = {}
-    for ref in refs:
-        spec = resolve_workload(ref, store=store)
-        out[spec.name] = spec.taxonomy
-    return out
 
 
 def generate_trace(

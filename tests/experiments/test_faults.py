@@ -2,7 +2,7 @@
 seeded :class:`~repro.experiments.faults.FaultPlan` schedules, corrupted
 and truncated trace frames surfacing as re-requests (never hangs, never
 wrong results), straggler deadlines, registry backoff and quarantine,
-campaign fallback, torn-journal replay, and the fsck scrubbers."""
+campaign fallback, journal snapshots, and the fsck scrubbers."""
 
 from __future__ import annotations
 
@@ -52,12 +52,11 @@ def drive(plan: FaultPlan, payload: bytes = b"x" * 64, rounds: int = 40):
     for i in range(rounds):
         decisions.append(plan.job_fault("worker.job", jobs_done=i))
         decisions.append(plan.mutate_trace("client.trace", payload))
-        decisions.append(plan.torn_append("daemon.journal", len(payload)))
     return decisions
 
 
 class TestFaultPlan:
-    SPEC = "seed=7,crash_rate=0.1,drop_rate=0.1,delay_rate=0.2,delay_seconds=3.5,corrupt_rate=0.3,truncate_rate=0.2,torn_append_rate=0.5"
+    SPEC = "seed=7,crash_rate=0.1,drop_rate=0.1,delay_rate=0.2,delay_seconds=3.5,corrupt_rate=0.3,truncate_rate=0.2"
 
     def test_same_spec_fires_identical_events(self):
         a, b = FaultPlan.from_spec(self.SPEC), FaultPlan.from_spec(self.SPEC)
@@ -134,12 +133,6 @@ class TestFaultPlan:
         assert truncated is not None and len(truncated) < len(data)
         assert data.startswith(truncated)
         assert FaultPlan().mutate_trace("s", data) is None
-
-    def test_torn_append_keeps_a_strict_prefix(self):
-        plan = FaultPlan(torn_append_rate=1.0)
-        keep = plan.torn_append("daemon.journal", 100)
-        assert keep is not None and 0 <= keep < 100
-        assert FaultPlan().torn_append("daemon.journal", 100) is None
 
     def test_events_log_through_callback(self):
         seen: list[str] = []
@@ -385,47 +378,49 @@ class TestCampaignFallback:
             CampaignBackend("127.0.0.1:1", fallback="cloud")
 
 
-class TestTornJournalReplay:
-    def test_read_journal_skips_torn_tail(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        header = {
-            "record": "campaign",
-            "schema": JOURNAL_SCHEMA,
-            "campaign": "c",
-            "name": "n",
-            "status": "running",
-            "error": None,
-            "cells": [],
-        }
-        path.write_text(
-            json.dumps(header)
-            + "\n"
-            + json.dumps({"record": "status", "status": "done", "error": None})
-            + "\n"
-            + '{"record": "cell", "fingerp'  # the kill -9 scar
-        )
-        payload, torn = _read_journal(path)
-        assert payload is not None
-        assert payload["status"] == "done"  # intact records still apply
-        assert torn == 1
+def _journal(central, campaign_id) -> dict:
+    """A campaign's journal, read the only way it can be: one JSON value."""
+    return json.loads((central / "campaigns" / f"{campaign_id}.jsonl").read_text())
 
-    def test_daemon_resumes_through_a_torn_final_record(self, tmp_path, spec):
+
+class TestJournalSnapshots:
+    def test_journal_is_one_snapshot_per_state(self, tmp_path, small_spec):
         central = tmp_path / "central"
+        one_cell = small_spec(workloads=("gcc",), n_configs=1)
+        with CampaignDaemon(cache_dir=central) as daemon:
+            with CampaignClient(daemon.address) as client:
+                # No workers yet: the submit snapshot says running.
+                campaign_id = client.submit(spec=one_cell)["campaign"]
+                submitted = _journal(central, campaign_id)
+                assert submitted["status"] == "running"
+                assert submitted["schema"] == JOURNAL_SCHEMA
+                assert len(submitted["cells"]) == 1
+                with WorkerAgent() as agent:
+                    agent.register_with(daemon.address)
+                    assert client.wait(campaign_id, timeout=120)["state"] == "done"
+        assert _journal(central, campaign_id)["status"] == "done"
+
+    def test_daemon_resumes_beside_a_stale_snapshot_tmp(self, tmp_path, small_spec):
+        central = tmp_path / "central"
+        one_cell = small_spec(workloads=("gcc",), n_configs=1)
         daemon1 = CampaignDaemon(cache_dir=central).start()
         with CampaignClient(daemon1.address) as client:
-            campaign_id = client.submit(spec=spec)["campaign"]
+            campaign_id = client.submit(spec=one_cell)["campaign"]
         daemon1.close()
-        journal = central / "campaigns" / f"{campaign_id}.jsonl"
-        with open(journal, "ab") as handle:
-            handle.write(b'{"record": "cell", "fing')  # torn append
-        notes: list[str] = []
-        with CampaignDaemon(cache_dir=central, progress=notes.append) as daemon2:
-            assert daemon2.journal_torn_records == 1
-            assert any("torn record" in n for n in notes)
+        # What kill -9 leaves mid-snapshot: a partial tmp beside the journal.
+        stale = central / "campaigns" / f".{campaign_id}.jsonl.k9x2ab.tmp"
+        stale.write_text('{"record": "campaign", "sche')
+        with CampaignDaemon(cache_dir=central) as daemon2:
             with CampaignClient(daemon2.address) as client:
+                # Replayed from the journal, not resubmitted.
                 assert client.status(campaign_id)["state"] == "running"
+                with WorkerAgent() as agent:
+                    agent.register_with(daemon2.address)
+                    assert client.wait(campaign_id, timeout=120)["state"] == "done"
+        assert _journal(central, campaign_id)["status"] == "done"
+        assert stale.exists()  # fsck's to report, not the daemon's
 
-    def test_scrub_journals_compacts_and_removes(self, tmp_path):
+    def test_scrub_journals_flags_and_fixes(self, tmp_path):
         good = {
             "record": "campaign",
             "schema": JOURNAL_SCHEMA,
@@ -436,18 +431,27 @@ class TestTornJournalReplay:
             "cells": [],
         }
         (tmp_path / "ok.jsonl").write_text(json.dumps(good) + "\n")
-        (tmp_path / "torn.jsonl").write_text(json.dumps(good) + "\n" + '{"half')
         (tmp_path / "hopeless.jsonl").write_text("not json at all\n")
+        # A schema-2 journal (header plus an appended record) is stale.
+        old = {**good, "schema": 2}
+        (tmp_path / "old.jsonl").write_text(
+            json.dumps(old) + "\n" + json.dumps({"record": "status", "status": "done"}) + "\n"
+        )
+        (tmp_path / ".ok.jsonl.k9x2ab.tmp").write_text('{"record": "camp')
         # Not a journal: a stray .json file is neither scanned nor removed.
         (tmp_path / "notes.json").write_text("not json at all\n")
+        assert _read_journal(tmp_path / "ok.jsonl") == good
+        assert _read_journal(tmp_path / "old.jsonl") is None
         report = scrub_journals(tmp_path)
-        assert report.scanned == 3 and report.campaigns == 2
-        assert report.torn_records >= 1 and report.unreadable == ["hopeless.jsonl"]
+        assert report.scanned == 3 and report.campaigns == 1
+        assert report.unreadable == ["hopeless.jsonl", "old.jsonl"]
+        assert report.stale_tmp == [".ok.jsonl.k9x2ab.tmp"]
+        assert not report.ok
         fixed = scrub_journals(tmp_path, fix=True)
-        assert fixed.repaired >= 2
+        assert fixed.repaired == 3
         after = scrub_journals(tmp_path)
-        assert after.ok and after.campaigns == 2
-        assert (tmp_path / "notes.json").exists()
+        assert after.ok and after.scanned == 1 and after.campaigns == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.json", "ok.jsonl"]
 
 
 class TestFsck:

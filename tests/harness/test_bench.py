@@ -14,8 +14,8 @@ from repro.harness.bench import (
     load_bench,
     render_bench,
     run_bench,
-    write_bench,
 )
+from repro.ioutil import write_json
 from repro.pipeline.config import LSUKind
 from repro.workloads.synthetic import TRACE_EPOCH
 
@@ -48,7 +48,7 @@ def test_bench_schema_and_coverage():
 def test_bench_round_trip_and_compare(tmp_path):
     payload = _tiny_payload()
     path = tmp_path / "BENCH_core.json"
-    write_bench(payload, str(path))
+    write_json(path, payload)
     loaded = load_bench(str(path))
     assert loaded == json.loads(path.read_text())
     report = compare_bench(loaded, payload)

@@ -1,5 +1,5 @@
-"""The package surface: lazy re-exports, what a worker process imports,
-and the version string."""
+"""The package surface: lazy re-exports, what a worker process and the
+commands that never simulate import, and the version string."""
 
 from __future__ import annotations
 
@@ -37,21 +37,60 @@ print(" ".join(m for m in {WORKER_NEVER_IMPORTS!r} if m in sys.modules))
 """
 
 
-def test_worker_imports_no_generator_or_campaign_tier():
-    """What ``svw-repro worker`` imports before it serves, measured in a
-    fresh interpreter."""
+def _fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     result = subprocess.run(
-        [sys.executable, "-c", WORKER_IMPORTS],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    assert result.stdout.split() == []
+    return result.stdout
+
+
+def test_worker_imports_no_generator_or_campaign_tier():
+    """What ``svw-repro worker`` imports before it serves, measured in a
+    fresh interpreter."""
+    assert _fresh_interpreter(WORKER_IMPORTS).split() == []
+
+
+#: Modules a command that never simulates must not load.
+NO_SIMULATION_NEVER_IMPORTS = ("numpy", "repro.pipeline.processor")
+
+
+def test_commands_that_never_simulate_load_no_core_or_numpy(tmp_path):
+    """``submit``, ``status``, ``cancel``, ``ingest`` and ``fsck``, parsed
+    and dispatched in one fresh interpreter against a live daemon."""
+    from repro.experiments import CampaignDaemon
+    from repro.isa.codec import encode_trace
+    from repro.workloads.spec2000 import spec_profile
+    from repro.workloads.synthetic import generate_trace
+
+    trace_file = tmp_path / "cap.svwt"
+    trace_file.write_bytes(encode_trace(generate_trace(spec_profile("gcc"), 500)))
+    ingest = str(tmp_path / "ingest")
+    with CampaignDaemon() as daemon:
+        target = ["fig5", "--campaign", daemon.address, "--insts", "1000", "--benchmarks", "gcc"]
+        commands = [
+            ["submit", *target],
+            ["status", *target],
+            ["cancel", *target],
+            ["ingest", str(trace_file), "--ingest-dir", ingest],
+            ["fsck", "--cache-dir", str(tmp_path / "store"), "--ingest-dir", ingest],
+        ]
+        code = f"""
+import contextlib, io, sys
+from repro.harness.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in {commands!r}]
+print(codes, [m for m in {NO_SIMULATION_NEVER_IMPORTS!r} if m in sys.modules])
+"""
+        assert _fresh_interpreter(code).strip() == "[0, 0, 0, 0, 0] []"
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

@@ -25,7 +25,6 @@ from repro.workloads.registry import (
     generate_trace,
     resolve_workload,
     workload_key,
-    workload_taxonomy,
 )
 from repro.workloads.spec2000 import spec_profile
 from repro.workloads.trace_cache import trace_key
@@ -73,7 +72,6 @@ class TestResolution:
         record = store.ingest_trace(generate_trace("mcf", 1000), name="cap")
         spec = resolve_workload(f"ingest:{record.digest[:10]}", store=store)
         assert spec.source == record.digest
-        assert spec.taxonomy == "ingested"
 
     def test_ingest_reference_needs_store(self):
         with pytest.raises(ValueError, match="ingest store"):
@@ -188,22 +186,6 @@ class TestMaterialize:
         spec = WorkloadSpec.from_trace("k", kernel_trace("spill_fill", n_frames=5))
         with pytest.raises(ValueError, match="fixed trace"):
             spec.materialize(100, seed=3)
-
-
-class TestTaxonomy:
-    def test_classes(self, tmp_path):
-        store = IngestStore(tmp_path)
-        record = store.ingest_trace(generate_trace("gcc", 800), name="cap")
-        assert workload_taxonomy(
-            ["gcc", "hot-static", f"ingest:{record.digest[:8]}"], store=store
-        ) == {"gcc": "profile", "hot-static": "phased", "cap": "ingested"}
-
-    def test_mutated_suffix(self):
-        assert resolve_workload("gcc").mutated(MUTATION).taxonomy == "profile+mut"
-
-    def test_fixed(self):
-        spec = WorkloadSpec.from_trace("k", kernel_trace("spill_fill", n_frames=5))
-        assert spec.taxonomy == "fixed"
 
 
 class TestSpecInvariants:
