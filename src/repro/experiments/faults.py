@@ -57,9 +57,6 @@ from typing import Callable
 #: (distinguishable from real failures by harnesses that respawn it).
 CRASH_EXIT_CODE = 86
 
-#: Fault kinds a plan can fire, and the spec fields that drive each.
-FAULT_KINDS = ("drop", "crash", "delay", "corrupt", "truncate")
-
 _INT_FIELDS = ("seed", "drop_after", "crash_after", "kill_after", "max_faults")
 _FLOAT_FIELDS = (
     "drop_rate",

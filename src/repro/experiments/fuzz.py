@@ -38,23 +38,14 @@ from typing import Callable, Sequence
 
 from repro.core.svw import SVWConfig
 from repro.experiments.backends import CellExecutionError, SerialBackend
-from repro.experiments.spec import RunRequest
+from repro.experiments.spec import FUZZ_INSTS, RunRequest
 from repro.fingerprint import stable_digest
 from repro.pipeline.config import LSUKind, MachineConfig, RexMode, eight_wide
 from repro.pipeline.stats import SimStats
-from repro.workloads.mutate import (
-    MUTATION_KINDS,
-    MutationOp,
-    TraceMutation,
-    apply_mutation,
-)
+from repro.workloads.mutate import MUTATION_KINDS, MutationOp, TraceMutation
 from repro.workloads.registry import WorkloadSpec, resolve_workload, workload_key
 
 ProgressFn = Callable[[str], None]
-
-#: Default instruction budget per fuzz trial: large enough for wrap drains
-#: and dense pool conflicts, small enough for tens of cells per round.
-FUZZ_INSTS = 6000
 
 #: Default base workloads: forward-heavy profiles (where ``+UPD`` and
 #: store-set machinery are busiest) plus a phased workload so the
@@ -281,24 +272,6 @@ def _reproducer(
     }
 
 
-def _mutated_spec(base_spec: WorkloadSpec, mutation: TraceMutation) -> WorkloadSpec:
-    """The mutated form of any fuzzable base.
-
-    Regenerable bases (profiles, phased workloads) carry the mutation in
-    the spec itself -- pure JSON, runs on every backend.  Fixed bases
-    (ingested trace files, kernel traces) can't regenerate, so the
-    mutation is applied to the columns directly and the result travels as
-    another fixed trace; those trials are restricted to in-process
-    backends.
-    """
-    if base_spec.persistable:
-        return base_spec.mutated(mutation)
-    return WorkloadSpec.from_trace(
-        f"{base_spec.name}+mut{mutation.fingerprint()[:8]}",
-        apply_mutation(base_spec.trace, mutation),
-    )
-
-
 def _minimize(
     base_spec: WorkloadSpec,
     mutation: TraceMutation,
@@ -320,7 +293,7 @@ def _minimize(
         for i in range(len(ops)):
             candidate = TraceMutation(tuple(ops[:i] + ops[i + 1 :]))
             request = _requests(
-                _mutated_spec(base_spec, candidate), {cell: config}, n_insts
+                base_spec.mutated(candidate), {cell: config}, n_insts
             )[0]
             try:
                 backend.run([request])
@@ -338,16 +311,16 @@ def run_fuzz(
     n_insts: int = FUZZ_INSTS,
     backend=None,
     progress: ProgressFn | None = None,
-    store=None,
 ) -> FuzzReport:
     """Run a seeded differential-fuzz campaign; returns the full report.
 
     ``backend`` is any :mod:`~repro.experiments.backends` backend
     (serial, local worker fleet, remote fleet, campaign); cells run one request
     at a time so a failing cell is attributed precisely instead of
-    aborting the batch.  ``store`` is an optional
-    :class:`~repro.workloads.ingest.IngestStore` so ``ingest:<digest>``
-    workload references resolve (fixed bases run in-process only).
+    aborting the batch.  ``workloads`` are names :func:`resolve_workload`
+    resolves (SPEC2000 or phased-catalog); each trial's base is
+    regenerable, so every mutated cell is pure JSON and runs on any
+    backend.
     """
     if backend is None:
         backend = SerialBackend()
@@ -362,8 +335,8 @@ def run_fuzz(
     )
     report.trials = plan_trials(seed, rounds, names)
     for trial in report.trials:
-        base_spec = resolve_workload(trial.base, store=store)
-        mutated = _mutated_spec(base_spec, trial.mutation)
+        base_spec = resolve_workload(trial.base)
+        mutated = base_spec.mutated(trial.mutation)
         verdicts: dict[str, str] = {}
         summaries: dict[str, tuple[int, int, int, int]] = {}
         for request in _requests(mutated, cells, n_insts):

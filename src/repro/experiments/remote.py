@@ -1149,7 +1149,7 @@ class JobDispatcher:
             worker.in_flight -= 1
             worker.jobs_done += 1
             self.cells_simulated += 1
-            _, finished = self.scheduler.complete(cell, stats, worker.id)
+            finished = self.scheduler.complete(cell, stats, worker.id)
             self.work.notify_all()
         self.note(f"{cell.request.describe()} [done @{worker.id}]")
         self.settled(cell, finished)

@@ -394,27 +394,22 @@ class Scheduler:
         cell.attempts += 1
         return cell
 
-    def complete(
-        self, cell: Cell, stats: SimStats, worker_id: str
-    ) -> tuple[list[Submission], list[Submission]]:
+    def complete(self, cell: Cell, stats: SimStats, worker_id: str) -> list[Submission]:
         """Record a cell's result; a completed cell clears the worker's
-        strikes.  Returns the submissions that received the result and
-        the subset that it finished."""
+        strikes.  Returns the submissions that it finished."""
         health = self.health.get(worker_id)
         if health is not None:
             health.strikes = 0
         cell.status = "done"
         cell.stats = stats
-        affected: list[Submission] = []
         finished: list[Submission] = []
         for submission_id in cell.submissions:
             submission = self.submissions[submission_id]
             submission.remaining.discard(cell.fingerprint)
-            affected.append(submission)
             if not submission.remaining and submission.status == "running":
                 submission.status = "done"
                 finished.append(submission)
-        return affected, finished
+        return finished
 
     def fail(self, cell: Cell, message: str) -> list[Submission]:
         """Mark a cell failed, fail every running submission waiting on it,

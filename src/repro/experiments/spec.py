@@ -29,6 +29,11 @@ from repro.workloads.spec2000 import SPEC_ORDER
 #: earlier.
 DEFAULT_INSTS = 30_000
 
+#: Default instruction budget per differential-fuzz trial
+#: (:mod:`repro.experiments.fuzz`): large enough for wrap drains and dense
+#: pool conflicts, small enough for tens of cells per round.
+FUZZ_INSTS = 6000
+
 #: Bump when the meaning of a run-request fingerprint changes (e.g. a new
 #: field starts affecting simulation results): stale cache entries must
 #: stop matching.
@@ -230,11 +235,11 @@ def matrix_spec(
     """The one constructor of an :class:`ExperimentSpec`: ``configs`` (in
     order, keyed by label) crossed with ``benchmarks``.
 
-    ``benchmarks`` takes anything :func:`resolve_workload` resolves without
-    an ingest store -- full or short SPEC2000 names, phased-catalog names,
-    ``.svwt`` paths, profiles, phased workloads and :class:`WorkloadSpec`
-    objects (a fixed trace is ``WorkloadSpec.from_trace(name, trace)``);
-    ``None`` is the full SPEC2000int suite.
+    ``benchmarks`` takes anything :func:`resolve_workload` resolves --
+    full or short SPEC2000 names, phased-catalog names, profiles, phased
+    workloads and :class:`WorkloadSpec` objects (a fixed trace is
+    ``WorkloadSpec.from_trace(name, trace)``); ``None`` is the full
+    SPEC2000int suite.
     """
     return ExperimentSpec(
         name=name,

@@ -33,8 +33,7 @@ from repro.harness.configs import (
 from repro.workloads.registry import WorkloadSpec
 
 #: What an experiment runs on: benchmark names, or workloads already
-#: resolved (the CLI resolves ``ingest:`` references against
-#: ``--ingest-dir``); ``None`` is the experiment's default set.
+#: resolved; ``None`` is the experiment's default set.
 Benchmarks = Iterable[str | WorkloadSpec] | None
 
 #: The benchmark subset Figure 8 uses.

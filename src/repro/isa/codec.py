@@ -23,9 +23,9 @@ column payload, and the ordered ``(column, typecode, item_count)`` table
 the decoder slices the payload with.  Columns are :mod:`array` typecodes;
 variable-length per-instruction data (register sources, wrong-path address
 sets) is stored as a flattened value column plus an offsets column, the
-standard CSR trick.  The ``meta_*`` columns are retained for wire-format
-compatibility (decoders of version 1 may consume them); this decoder
-re-derives them from the op column, which is the same computation.
+standard CSR trick.  Derived per-instruction metadata (kind, latency,
+issue class) is not on the wire: the decoded trace re-derives it from the
+op column.
 """
 
 from __future__ import annotations
@@ -35,14 +35,7 @@ import struct
 import zlib
 from array import array
 
-from repro.isa.coltrace import (
-    INST_COLUMNS,
-    ISSUE_TABLE,
-    KIND_TABLE,
-    LATENCY_TABLE,
-    ColumnTrace,
-    narrowest_array,
-)
+from repro.isa.coltrace import INST_COLUMNS, ColumnTrace, narrowest_array
 from repro.isa.inst import memory_signature
 
 MAGIC = b"SVWT"
@@ -53,16 +46,12 @@ MAGIC = b"SVWT"
 #: the byte layout is unchanged from version 1, but v1-era cache entries
 #: hold traces the numpy generator no longer reproduces, and their keys
 #: (profile fingerprint + budget) would collide across the break.
-CODEC_VERSION = 2
-
-#: Versions :func:`decode_trace` accepts.  v1 and v2 share one layout, so
-#: external ``.svwt`` files written by v1-era tools still ingest even
-#: though the trace cache no longer serves v1 entries.
-SUPPORTED_VERSIONS = frozenset({1, 2})
+#: Version 3 stops writing the derived ``meta_*`` columns.  The decoder
+#: reads only this version.
+CODEC_VERSION = 3
 
 _HEADER_FMT = "<4sII"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
-
 
 
 class TraceCodecError(ValueError):
@@ -70,20 +59,13 @@ class TraceCodecError(ValueError):
 
 
 def encode_trace(trace: ColumnTrace) -> bytes:
-    """Serialize ``trace`` (columns plus derived metadata) to bytes; the
-    instruction columns are written as-is."""
+    """Serialize ``trace`` to bytes; the instruction columns are written
+    as-is."""
     columns: dict[str, array] = {
         name: getattr(trace, name) for name, _, _ in INST_COLUMNS
     }
     columns["src_offsets"] = trace.src_offsets
     columns["src_flat"] = trace.src_flat
-
-    # Derived per-instruction metadata, translated from the op bytes in one
-    # C-level pass each (identical values to TraceMeta's tables).
-    op_bytes = trace.op.tobytes()
-    columns["meta_kind"] = array("B", op_bytes.translate(KIND_TABLE))
-    columns["meta_latency"] = array("B", op_bytes.translate(LATENCY_TABLE))
-    columns["meta_issue_class"] = array("B", op_bytes.translate(ISSUE_TABLE))
 
     # Initial memory image and wrong-path address sets.  Iteration order of
     # both dicts is preserved bit-for-bit: nothing downstream should depend
@@ -126,7 +108,7 @@ def _read_header(buf) -> tuple[dict, memoryview]:
     magic, version, header_len = struct.unpack_from(_HEADER_FMT, view)
     if magic != MAGIC:
         raise TraceCodecError(f"bad magic {magic!r}")
-    if version not in SUPPORTED_VERSIONS:
+    if version != CODEC_VERSION:
         raise TraceCodecError(f"unsupported trace codec version {version}")
     if len(view) < _HEADER_SIZE + header_len:
         raise TraceCodecError("buffer truncated inside header")
@@ -173,18 +155,6 @@ def _checked_payload(header: dict, payload: memoryview) -> memoryview:
     if zlib.crc32(payload) != header["crc32"]:
         raise TraceCodecError("trace payload checksum mismatch")
     return payload
-
-
-def peek_encoded(buf) -> dict:
-    """The validated header of an encoded trace (name, instruction count)
-    without touching the column payload.
-
-    Ingestion manifests and scrubbers need the self-described identity of
-    a trace file at header cost; use :func:`verify_encoded` when the
-    payload checksum must be proven too.
-    """
-    header, _ = _read_header(buf)
-    return {"name": header["name"], "n_insts": header["n_insts"]}
 
 
 def verify_encoded(buf) -> None:
@@ -246,8 +216,6 @@ def _build_column_trace(header: dict, columns: dict[str, array]) -> ColumnTrace:
             raise TraceCodecError("instruction column length mismatch")
     if "src_offsets" not in columns or "src_flat" not in columns:
         raise TraceCodecError("missing register-source columns")
-    if len(columns.get("meta_kind", ())) != n:
-        raise TraceCodecError("meta column length mismatch")
 
     initial_memory = dict(zip(columns["mem_addr"], columns["mem_value"]))
     wp_offsets = columns["wp_offsets"]

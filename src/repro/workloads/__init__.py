@@ -19,8 +19,6 @@ README's *Workloads* section lists every workload class):
   as the historical signature did).
 - :mod:`repro.workloads.mutate` -- deterministic trace mutations for the
   differential fuzzer.
-- :mod:`repro.workloads.ingest` -- validated, content-addressed ingestion
-  of external trace files.
 - :mod:`repro.workloads.kernels` -- real algorithmic kernels written for the
   toy ISA, used by examples and end-to-end correctness tests.
 """
@@ -30,7 +28,6 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.workloads.ingest import IngestStore
     from repro.workloads.kernels import KERNELS, kernel_trace
     from repro.workloads.mutate import MutationOp, TraceMutation, apply_mutation
     from repro.workloads.phased import (
@@ -52,7 +49,6 @@ if TYPE_CHECKING:
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.workloads.ingest": ("IngestStore",),
         "repro.workloads.kernels": ("KERNELS", "kernel_trace"),
         "repro.workloads.mutate": ("MutationOp", "TraceMutation", "apply_mutation"),
         "repro.workloads.phased": (
@@ -76,7 +72,6 @@ __all__ = [
     "MutationOp",
     "PHASED_CATALOG",
     "PhasedWorkload",
-    "IngestStore",
     "SPEC2000_PROFILES",
     "TraceMutation",
     "WorkloadProfile",

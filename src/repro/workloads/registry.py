@@ -2,7 +2,7 @@
 
 Every subsystem that consumes workloads -- :class:`ExperimentSpec`
 builders, the :class:`~repro.experiments.traces.TraceProvider`, the CLI's
-``--workloads`` flags, the differential fuzzer -- resolves what it was
+``--benchmarks`` and ``--workloads`` flags, the differential fuzzer -- resolves what it was
 given through :func:`resolve_workload` into a single
 :class:`WorkloadSpec` union covering every registered workload form:
 
@@ -14,16 +14,14 @@ phased      a :class:`~repro.workloads.phased.PhasedWorkload` composing
 mutated     a profile or phased base plus a
             :class:`~repro.workloads.mutate.TraceMutation` (the fuzzer's
             form: fully content-addressed, regenerable on any worker)
-ingested    an external trace file checked into an
-            :class:`~repro.workloads.ingest.IngestStore` (validated data,
-            carried by content digest)
-fixed       an in-memory trace object (kernels, hand-built streams)
+fixed       an in-memory trace object (kernels, hand-built streams),
+            built in process with :meth:`WorkloadSpec.from_trace`
 ========== =================================================================
 
 The first three are *persistable*: pure functions of their spec, safe to
 regenerate anywhere and to cache on disk under :func:`workload_key`.
-Ingested and fixed traces carry their instruction stream (or its store
-digest) and never ship over the campaign wire.
+A fixed trace carries its instruction stream and never ships over the
+campaign wire.
 
 Content addressing is stable by construction: a plain profile workload
 keys and fingerprints exactly as it did before this module existed, so
@@ -34,7 +32,6 @@ by the old scheme stays bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from repro.fingerprint import stable_digest
@@ -48,7 +45,6 @@ from repro.workloads.trace_cache import trace_key
 # built or a mutation decoded: naming, keying and shipping a workload --
 # all a worker agent does with one -- never loads them or numpy.
 if TYPE_CHECKING:
-    from repro.workloads.ingest import IngestStore
     from repro.workloads.mutate import TraceMutation
 
 
@@ -87,8 +83,7 @@ class WorkloadSpec:
 
     Exactly one *base* is set -- ``profile``, ``phased``, or ``trace``.
     ``mutation`` layers a deterministic trace mutation over a regenerable
-    base (profile or phased); ``source`` records the ingest-store digest a
-    fixed trace was loaded from (provenance, and its stable key).
+    base (profile or phased).
 
     Regenerable workloads rebuild their trace deterministically from the
     spec wherever they run, which is what makes cells picklable and
@@ -104,7 +99,6 @@ class WorkloadSpec:
     trace_digest: str | None = None
     phased: PhasedWorkload | None = None
     mutation: TraceMutation | None = None
-    source: str | None = None
 
     def __post_init__(self) -> None:
         bases = sum(
@@ -122,11 +116,6 @@ class WorkloadSpec:
                     "bases (profile or phased), not fixed traces"
                 )
             self.mutation.validate()
-        if self.source is not None and self.trace is None:
-            raise ValueError(
-                f"workload {self.name!r}: source records the ingest digest "
-                "of a fixed trace"
-            )
         if self.trace is not None and self.trace_digest is None:
             object.__setattr__(self, "trace_digest", _trace_digest(self.trace))
 
@@ -183,9 +172,9 @@ class WorkloadSpec:
     def to_payload(self) -> dict[str, object]:
         """JSON-safe wire form (campaign submissions); regenerable only.
 
-        Fixed and ingested workloads would need their instruction stream
-        shipped alongside the JSON; until a campaign trace-upload path
-        exists they are rejected loudly rather than silently dropped.
+        A fixed workload would need its instruction stream shipped
+        alongside the JSON; until a campaign trace-upload path
+        exists it is rejected loudly rather than silently dropped.
         Plain profile workloads keep the exact historical payload shape
         (campaign fingerprints are derived from it).
         """
@@ -266,26 +255,19 @@ def workload_key(workload: WorkloadSpec, n_insts: int) -> str:
         return trace_key(workload.profile, n_insts)
     if workload.phased is not None:
         return f"{workload.fingerprint()}-s{workload.phased.seed}-n{n_insts}"
-    if workload.source is not None:
-        return f"{workload.source}-src"
     return f"{workload.fingerprint()}-fixed"
 
 
 def resolve_workload(
     ref: "str | WorkloadSpec | WorkloadProfile | PhasedWorkload",
-    *,
-    store: "IngestStore | None" = None,
 ) -> WorkloadSpec:
     """The registry's single entrypoint: anything workload-shaped in,
     one :class:`WorkloadSpec` out.
 
-    String references resolve in order: ``ingest:<digest-prefix>``
-    (requires ``store``), a path to an encoded ``.svwt`` trace file
-    (validated and loaded as a fixed trace), a
-    :data:`~repro.workloads.phased.PHASED_CATALOG` name, then a SPEC2000
-    benchmark name (full or short).  Resolution is a pure function of the
-    reference (plus store/file contents), so any process resolving the
-    same reference gets a spec with the same fingerprint and key.
+    A string is a :data:`~repro.workloads.phased.PHASED_CATALOG` name or a
+    SPEC2000 benchmark name (full or short).  Resolution is a pure
+    function of the reference, so any process resolving the same
+    reference gets a spec with the same fingerprint and key.
     """
     if isinstance(ref, WorkloadSpec):
         return ref
@@ -295,29 +277,12 @@ def resolve_workload(
         return WorkloadSpec.from_phased(ref)
     if not isinstance(ref, str):
         raise TypeError(f"cannot resolve workload reference {ref!r}")
-    if ref.startswith("ingest:"):
-        if store is None:
-            raise ValueError(f"{ref!r} needs an ingest store to resolve")
-        record = store.find(ref[len("ingest:") :])
-        return WorkloadSpec(
-            name=record.name,
-            trace=store.load(record.digest),
-            source=record.digest,
-        )
-    if ref.endswith(".svwt") or "/" in ref:
-        from repro.workloads.ingest import load_trace_file
-
-        digest, trace = load_trace_file(Path(ref))
-        return WorkloadSpec(name=trace.name, trace=trace, source=digest)
     if ref in PHASED_CATALOG:
         return WorkloadSpec.from_phased(PHASED_CATALOG[ref])
     if ref in SPEC2000_PROFILES or ref in set(SPEC_SHORT_NAMES.values()):
         return WorkloadSpec.from_name(ref)
     known = sorted(SPEC2000_PROFILES) + sorted(PHASED_CATALOG)
-    raise ValueError(
-        f"unknown workload {ref!r}; known names: {', '.join(known)} "
-        "(or ingest:<digest> / a path to an encoded .svwt trace)"
-    )
+    raise ValueError(f"unknown workload {ref!r}; known names: {', '.join(known)}")
 
 
 def generate_trace(

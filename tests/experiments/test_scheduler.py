@@ -276,12 +276,12 @@ class TestSubmissions:
         shared = scheduler.cells[a[1].fingerprint()]
         assert shared.submissions == {sub_a.id, sub_b.id}
         stats = SimStats()
-        affected, finished = scheduler.complete(shared, stats, "w:1")
-        assert {s.id for s in affected} == {sub_a.id, sub_b.id}
-        assert finished == []
+        assert scheduler.complete(shared, stats, "w:1") == []
+        # The shared result reached both submissions.
+        assert shared.fingerprint not in sub_a.remaining | sub_b.remaining
+        assert scheduler.counts(sub_a) == scheduler.counts(sub_b) == (2, 1)
         only_a = scheduler.cells[a[0].fingerprint()]
-        affected, finished = scheduler.complete(only_a, stats, "w:1")
-        assert finished == [sub_a]
+        assert scheduler.complete(only_a, stats, "w:1") == [sub_a]
         assert sub_a.status == "done" and sub_b.status == "running"
         assert scheduler.counts(sub_b) == (2, 1)
 

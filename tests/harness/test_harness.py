@@ -1,11 +1,12 @@
 """Tests for the experiment harness: configs, matrix sweeps, report, CLI."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import CampaignDaemon, FigureResult, matrix_spec, run_experiment
+from repro.experiments import FigureResult, matrix_spec, run_experiment
 from repro.harness import cli
 from repro.harness.bench import compare_bench
 from repro.harness.cli import build_parser, main
@@ -21,7 +22,6 @@ from repro.harness.configs import (
 from repro.harness.figures import EXPERIMENTS
 from repro.harness.paper_data import PAPER_CLAIMS, claims_for
 from repro.harness.report import check_claims, render_claims, render_figure
-from repro.isa.codec import encode_trace
 from repro.pipeline.config import RexMode
 
 
@@ -132,49 +132,38 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "% loads re-executed" in output
 
-    def test_figures_resolve_benchmarks_in_the_ingest_store(
-        self, tmp_path, capsys, spill_fill_trace
-    ):
-        """``--benchmarks ingest:<digest>`` resolves in ``--ingest-dir`` for
-        figure commands and campaign commands alike."""
-        trace_file = tmp_path / "spill_fill.svwt"
-        trace_file.write_bytes(encode_trace(spill_fill_trace))
-        ingest = ["--ingest-dir", str(tmp_path / "ingest")]
-        assert main(["ingest", str(trace_file), *ingest]) == 0
-        ref = capsys.readouterr().out.split("workload reference: ")[1].strip()
-        workload = ["--benchmarks", ref, *ingest, "--insts", "3000"]
-
-        assert main(["fig5", *workload, "--json", "-", "--quiet"]) == 0
-        fig5 = json.loads(capsys.readouterr().out)["fig5"]
-        assert fig5["benchmarks"] == ["spill_fill"]
-        assert set(fig5["stats"]["spill_fill"]) == set(fig5_configs())
-
-        with CampaignDaemon() as daemon:
-            # The id is derived from the resolved spec; a fixed trace cannot
-            # ride a campaign submission, and both say so cleanly.
-            assert main(["status", "fig5", *workload, "--campaign", daemon.address]) == 1
-            assert "unknown campaign" in capsys.readouterr().err
-            assert main(["submit", "fig5", *workload, "--campaign", daemon.address]) == 1
-            assert "fixed trace" in capsys.readouterr().err
+    def test_unknown_benchmark_exits_1_listing_the_known_names(self):
+        """Figure and campaign commands resolve ``--benchmarks`` by name,
+        before any backend or daemon connection is set up."""
+        for argv in (
+            ["fig5", "--benchmarks", "gcc,nope", "--quiet"],
+            ["status", "fig5", "--benchmarks", "nope", "--campaign", "127.0.0.1:1"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            message = str(excinfo.value.code)
+            assert message.startswith(f"{argv[0]}: unknown workload 'nope'")
+            assert "known names: " in message and "gcc" in message
 
     def test_cli_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
 
     def test_one_experiment_table(self, monkeypatch):
-        """The experiment choices, the members of ``all`` and the campaign
-        commands' targets are all ``figures.EXPERIMENTS``."""
-        commands = {
+        """The experiment subcommands, the members of ``all`` and the
+        campaign commands' targets are all ``figures.EXPERIMENTS``."""
+        others = {
             "all", "bench", "goldens", "worker", "campaignd",
-            "fsck", "fuzz", "ingest", "submit", "status", "fetch", "cancel",
+            "fsck", "fuzz", "submit", "status", "fetch", "cancel",
         }
-        (action,) = [a for a in build_parser()._actions if a.dest == "experiment"]
-        assert set(action.choices) - commands == set(EXPERIMENTS)
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["submit", "fig99", "--campaign", "127.0.0.1:1"])
-        listed = str(excinfo.value.code).split("expected one of ")[1].rstrip(")")
-        assert set(listed.split(", ")) == set(EXPERIMENTS)
+        (commands,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(commands.choices) - others == set(EXPERIMENTS)
+        assert others <= set(commands.choices)
+        for name in ("submit", "fetch"):
+            (target,) = [a for a in commands.choices[name]._actions if a.dest == "target"]
+            assert set(target.choices) == set(EXPERIMENTS)
 
         ran = []
 
@@ -231,10 +220,9 @@ class TestCLI:
         assert outputs["remote"] == outputs["serial"]
 
     @pytest.mark.parametrize("flag", list(BAD_NUMERIC_INPUT))
-    def test_bad_numeric_input_exits_2_naming_the_flag(self, flag, tmp_path, capsys):
-        argv = [*BAD_NUMERIC_INPUT[flag], "--out", str(tmp_path / "out.json"), "--quiet"]
+    def test_bad_numeric_input_exits_2_naming_the_flag(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(argv)
+            main(BAD_NUMERIC_INPUT[flag])
         assert excinfo.value.code == 2
         assert f"argument {flag}: must be" in capsys.readouterr().err
 

@@ -200,32 +200,42 @@ class TestCorruption:
         assert roundtrip_equal(all_opclass_trace(), clone)
 
 
-class TestDualVersionDecode:
-    """v1 and v2 share one byte layout; both epochs must stay decodable
-    (external ``.svwt`` files and archived v1-era cache entries)."""
+class TestOneVersion:
+    """The decoder reads exactly ``CODEC_VERSION``; an older frame is a
+    codec error, which the trace cache treats as a miss."""
 
-    def test_decodes_every_supported_version(self):
-        from repro.isa.codec import SUPPORTED_VERSIONS
+    def test_v2_frame_is_rejected(self):
+        data = bytearray(encode_trace(all_opclass_trace()))
+        assert data[4] == CODEC_VERSION == 3
+        data[4] = 2
+        with pytest.raises(TraceCodecError, match="version 2"):
+            decode_trace(bytes(data))
 
-        trace = all_opclass_trace()
-        data = bytearray(encode_trace(trace))
-        assert data[4] == CODEC_VERSION == 2
-        assert SUPPORTED_VERSIONS == {1, 2}
-        for version in sorted(SUPPORTED_VERSIONS):
-            data[4] = version
-            clone = decode_trace(bytes(data))
-            assert roundtrip_equal(trace, clone), version
+    def test_v2_frame_in_the_trace_cache_is_regenerated(self, tmp_path):
+        from repro.experiments.traces import TraceProvider
+        from repro.workloads.registry import WorkloadSpec, workload_key
+        from repro.workloads.trace_cache import TraceCache
 
-    def test_v1_era_cache_entry_decodes(self):
-        # A v1 frame is the current layout with version byte 1, which is
-        # what a v1-era on-disk cache entry or external ``.svwt`` file
-        # holds; re-encoding the decode must give the current-version
-        # frame of the same columns.
+        workload = WorkloadSpec.from_name("gcc")
         trace = generate_trace(spec_profile("gcc"), 800)
-        current_frame = encode_trace(trace)
-        v1_frame = bytearray(current_frame)
-        v1_frame[4] = 1
-        assert encode_trace(decode_trace(bytes(v1_frame))) == current_frame
+        v2_frame = bytearray(encode_trace(trace))
+        v2_frame[4] = 2
+        cache = TraceCache(tmp_path)
+        cache.save(workload_key(workload, 800), bytes(v2_frame))
+        provider = TraceProvider(cache)
+        assert roundtrip_equal(provider.trace(workload, 800), trace)
+        assert provider.generations == 1 and provider.disk_hits == 0
+
+    def test_meta_columns_are_not_on_the_wire(self):
+        import json as json_mod
+        import struct as struct_mod
+
+        from repro.isa.codec import _HEADER_FMT, _HEADER_SIZE
+
+        data = encode_trace(all_opclass_trace())
+        _, _, header_len = struct_mod.unpack_from(_HEADER_FMT, data)
+        header = json_mod.loads(data[_HEADER_SIZE : _HEADER_SIZE + header_len])
+        assert not [name for name, _, _ in header["columns"] if name.startswith("meta_")]
 
 
 class TestMetaHooks:

@@ -64,24 +64,17 @@ NO_SIMULATION_NEVER_IMPORTS = ("numpy", "repro.pipeline.processor")
 
 
 def test_commands_that_never_simulate_load_no_core_or_numpy(tmp_path):
-    """``submit``, ``status``, ``cancel``, ``ingest`` and ``fsck``, parsed
-    and dispatched in one fresh interpreter against a live daemon."""
+    """``submit``, ``status``, ``cancel`` and ``fsck``, parsed and
+    dispatched in one fresh interpreter against a live daemon."""
     from repro.experiments import CampaignDaemon
-    from repro.isa.codec import encode_trace
-    from repro.workloads.spec2000 import spec_profile
-    from repro.workloads.synthetic import generate_trace
 
-    trace_file = tmp_path / "cap.svwt"
-    trace_file.write_bytes(encode_trace(generate_trace(spec_profile("gcc"), 500)))
-    ingest = str(tmp_path / "ingest")
     with CampaignDaemon() as daemon:
         target = ["fig5", "--campaign", daemon.address, "--insts", "1000", "--benchmarks", "gcc"]
         commands = [
             ["submit", *target],
             ["status", *target],
             ["cancel", *target],
-            ["ingest", str(trace_file), "--ingest-dir", ingest],
-            ["fsck", "--cache-dir", str(tmp_path / "store"), "--ingest-dir", ingest],
+            ["fsck", "--cache-dir", str(tmp_path / "store")],
         ]
         code = f"""
 import contextlib, io, sys
@@ -90,7 +83,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in {commands!r}]
 print(codes, [m for m in {NO_SIMULATION_NEVER_IMPORTS!r} if m in sys.modules])
 """
-        assert _fresh_interpreter(code).strip() == "[0, 0, 0, 0, 0] []"
+        assert _fresh_interpreter(code).strip() == "[0, 0, 0, 0] []"
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

@@ -15,8 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.isa.codec import encode_trace
-from repro.workloads.ingest import IngestStore
 from repro.workloads.kernels import kernel_trace
 from repro.workloads.mutate import MutationOp, TraceMutation
 from repro.workloads.phased import PHASED_CATALOG
@@ -59,23 +57,11 @@ class TestResolution:
         with pytest.raises(ValueError, match="known names"):
             resolve_workload("not-a-workload")
 
-    def test_trace_file_resolves(self, tmp_path):
-        trace = generate_trace("gcc", 1200)
-        path = tmp_path / "cap.svwt"
-        path.write_bytes(encode_trace(trace))
-        spec = resolve_workload(str(path))
-        assert spec.trace is not None and spec.source is not None
-        assert not spec.persistable
-
-    def test_ingest_reference_resolves(self, tmp_path):
-        store = IngestStore(tmp_path)
-        record = store.ingest_trace(generate_trace("mcf", 1000), name="cap")
-        spec = resolve_workload(f"ingest:{record.digest[:10]}", store=store)
-        assert spec.source == record.digest
-
-    def test_ingest_reference_needs_store(self):
-        with pytest.raises(ValueError, match="ingest store"):
-            resolve_workload("ingest:abcd")
+    def test_names_are_the_only_string_references(self):
+        """A string resolves as a catalog or SPEC2000 name, nothing else:
+        a trace file path is an unknown workload."""
+        with pytest.raises(ValueError, match="unknown workload"):
+            resolve_workload("runs/cap.svwt")
 
 
 class TestKeys:
@@ -196,7 +182,3 @@ class TestSpecInvariants:
                 trace=kernel_trace("spill_fill", n_frames=5),
                 mutation=MUTATION,
             )
-
-    def test_source_requires_trace(self):
-        with pytest.raises(ValueError, match="ingest digest"):
-            WorkloadSpec(name="bad", profile=spec_profile("gcc"), source="abc")
