@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
+from repro import fingerprint
 from repro.fingerprint import stable_digest
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.stats import SimStats
@@ -33,11 +34,6 @@ DEFAULT_INSTS = 30_000
 #: (:mod:`repro.experiments.fuzz`): large enough for wrap drains and dense
 #: pool conflicts, small enough for tens of cells per round.
 FUZZ_INSTS = 6000
-
-#: Bump when the meaning of a run-request fingerprint changes (e.g. a new
-#: field starts affecting simulation results): stale cache entries must
-#: stop matching.
-FINGERPRINT_VERSION = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,11 +56,14 @@ class RunRequest:
 
         Excludes ``experiment`` and ``config_label`` (display metadata):
         overlapping sweeps that simulate the same machine on the same
-        workload share the cached result.
+        workload share the cached result.  Includes both code epochs of
+        :mod:`repro.fingerprint`, so a bump of either misses every cache
+        filled before it.
         """
         return stable_digest(
             {
-                "version": FINGERPRINT_VERSION,
+                "model_epoch": fingerprint.MODEL_EPOCH,
+                "trace_epoch": fingerprint.TRACE_EPOCH,
                 "config": self.config.fingerprint(),
                 "workload": self.workload.fingerprint(),
                 "n_insts": self.n_insts,

@@ -31,13 +31,20 @@ provenance for :func:`compare_bench`, not a gate.  The same cells are
 pinned, with every other golden fingerprint, in the golden table of
 :mod:`repro.harness.goldens`.
 
+``model_epoch`` and ``trace_epoch`` name the code epochs of
+:mod:`repro.fingerprint` the snapshot simulated under.  After a change
+to the timing model (bump ``MODEL_EPOCH``) or to a trace generator (bump
+``TRACE_EPOCH``), run ``svw-repro goldens``, review the table diff, and
+regenerate the snapshot with ``svw-repro bench``: fingerprints of two
+snapshots from different epochs are expected to differ.
+
 ``BENCH_core.json`` schema (``schema_version`` 1)::
 
     {
       "schema_version": 1,
       "created_unix": <float, seconds since epoch>,
       "python": "3.11.7", "platform": "Linux-...",
-      "numpy": "2.4.6", "trace_epoch": 2,
+      "numpy": "2.4.6", "model_epoch": 1, "trace_epoch": 2,
       "n_insts": 30000, "repeats": 3,
       "workloads": ["bzip2", ...],
       "results": [
@@ -63,11 +70,12 @@ from typing import Callable
 
 import numpy
 
+from repro.fingerprint import MODEL_EPOCH, TRACE_EPOCH
 from repro.harness.configs import fig5_configs, fig6_configs
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import Processor
 from repro.workloads.spec2000 import spec_profile
-from repro.workloads.synthetic import TRACE_EPOCH, generate_trace
+from repro.workloads.synthetic import generate_trace
 
 BENCH_SCHEMA_VERSION = 1
 
@@ -238,10 +246,11 @@ def run_bench(
         "python": platform.python_version(),
         "platform": platform.platform(),
         # Additive to schema 1: the numpy version explains a throughput
-        # delta between two snapshots, and ``trace_epoch`` names the
-        # generator epoch the run simulated under (fingerprints from
-        # different epochs are expected to differ).
+        # delta between two snapshots, and the two epochs name the code
+        # the run simulated under (fingerprints from different epochs
+        # are expected to differ).
         "numpy": numpy.__version__,
+        "model_epoch": MODEL_EPOCH,
         "trace_epoch": TRACE_EPOCH,
         "n_insts": n_insts,
         "repeats": repeats,

@@ -513,6 +513,19 @@ def _option(flag: str, **kwargs) -> argparse.ArgumentParser:
     return group
 
 
+class _Command(argparse.ArgumentParser):
+    """One command's parser.  It reports its own usage errors, so the
+    message carries this command's usage line rather than the root's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        if getattr(namespace, "fallback", None) is not None and namespace.campaign is None:
+            self.error("--fallback requires --campaign")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``svw-repro`` argument parser: one subparser per command."""
     parser = argparse.ArgumentParser(
@@ -520,7 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce the experiments of Roth, 'Store Vulnerability "
         "Window (SVW)', ISCA 2005.",
     )
-    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    commands = parser.add_subparsers(
+        dest="command", required=True, metavar="COMMAND", parser_class=_Command
+    )
 
     # -- option groups shared within a family -------------------------------
     quiet = _option("--quiet", action="store_true", help="suppress progress output")
@@ -781,10 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if vars(args).get("fallback") is not None and args.campaign is None:
-        parser.error("--fallback requires --campaign")
+    args = build_parser().parse_args(argv)
     return args.run(args)
 
 

@@ -1,13 +1,18 @@
 """The golden table (``svw-repro goldens``): every pinned fingerprint.
 
 ``tests/goldens.json`` maps each cell of :func:`golden_cells` to its
-fingerprint and is stamped with the ``TRACE_EPOCH`` it was computed
-under.  The cells reuse the configurations the system already runs
+fingerprint and is stamped with the ``MODEL_EPOCH`` and ``TRACE_EPOCH``
+(:mod:`repro.fingerprint`) it was computed under.  The cells reuse the
+configurations the system already runs
 (:func:`~repro.experiments.fuzz.fuzz_matrix`,
 :func:`~repro.harness.bench.bench_configs` and the fig5-7 configurations
 of :mod:`repro.harness.configs`), so there is no second config matrix.
-A fingerprint moves only through a deliberate epoch bump: bump
-``TRACE_EPOCH``, run ``svw-repro goldens``, review the table diff.
+
+A fingerprint moves only through a deliberate epoch bump.  A change to
+the timing model (simulator core, LSUs, memory hierarchy) bumps
+``MODEL_EPOCH``; a change to a trace generator bumps ``TRACE_EPOCH``.
+Then run ``svw-repro goldens`` and review the table diff: every moved
+row must be explained.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import functools
 from typing import Callable
 
 from repro.experiments.fuzz import fuzz_matrix
+from repro.fingerprint import MODEL_EPOCH, TRACE_EPOCH
 from repro.harness.bench import BENCH_INSTS, BENCH_WORKLOADS, bench_configs
 from repro.harness.configs import fig5_configs, fig6_configs, fig7_configs
 from repro.pipeline.processor import Processor
@@ -23,7 +29,7 @@ from repro.workloads.kernels import kernel_trace
 from repro.workloads.phased import PHASED_CATALOG, generate_phased_trace
 from repro.workloads.registry import WorkloadSpec
 from repro.workloads.spec2000 import spec_profile
-from repro.workloads.synthetic import TRACE_EPOCH, generate_trace
+from repro.workloads.synthetic import generate_trace
 
 #: Default output of ``svw-repro goldens`` (relative to the repo root).
 GOLDENS_PATH = "tests/goldens.json"
@@ -96,10 +102,14 @@ def build_table() -> dict:
     """The golden table as this code computes it."""
     cells = golden_cells()
     return {
+        "model_epoch": MODEL_EPOCH,
         "trace_epoch": TRACE_EPOCH,
         "rows": {key: cells[key]() for key in sorted(cells)},
     }
 
 
 def render_table(table: dict) -> str:
-    return f"golden table: {len(table['rows'])} rows at trace_epoch {table['trace_epoch']}"
+    return (
+        f"golden table: {len(table['rows'])} rows at model_epoch "
+        f"{table['model_epoch']}, trace_epoch {table['trace_epoch']}"
+    )

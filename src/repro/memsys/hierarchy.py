@@ -4,7 +4,8 @@ Section 4: "The instruction and data caches are 32KB, 2-way set-associative,
 2-cycle access.  The L2 is 2MB, 8-way set-associative, 15 cycle access.
 Memory latency is 150 cycles."  The L1D is 2-way bank-interleaved to supply
 two load ports (Figure 2); a separate read/write port serves store retirement
-and load re-execution.
+and load re-execution.  Only the data side is modelled: no instruction cache
+is built, so none is configured.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ from repro.memsys.cache import Cache, CacheConfig
 
 @dataclass(frozen=True, slots=True)
 class HierarchyConfig:
-    l1i: CacheConfig = field(
-        default_factory=lambda: CacheConfig("L1I", 32 * 1024, 2, latency=2)
-    )
     l1d: CacheConfig = field(
         default_factory=lambda: CacheConfig("L1D", 32 * 1024, 2, latency=2, banks=2)
     )
@@ -30,7 +28,6 @@ class HierarchyConfig:
     def to_dict(self) -> dict[str, object]:
         """JSON-friendly form (see :mod:`repro.fingerprint`)."""
         return {
-            "l1i": self.l1i.to_dict(),
             "l1d": self.l1d.to_dict(),
             "l2": self.l2.to_dict(),
             "memory_latency": self.memory_latency,
@@ -39,7 +36,6 @@ class HierarchyConfig:
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "HierarchyConfig":
         return cls(
-            l1i=CacheConfig.from_dict(payload["l1i"]),  # type: ignore[arg-type]
             l1d=CacheConfig.from_dict(payload["l1d"]),  # type: ignore[arg-type]
             l2=CacheConfig.from_dict(payload["l2"]),  # type: ignore[arg-type]
             memory_latency=payload["memory_latency"],  # type: ignore[arg-type]

@@ -23,10 +23,9 @@ regenerate anywhere and to cache on disk under :func:`workload_key`.
 A fixed trace carries its instruction stream and never ships over the
 campaign wire.
 
-Content addressing is stable by construction: a plain profile workload
-keys and fingerprints exactly as it did before this module existed, so
-every cached trace, cached result, and committed BENCH fingerprint keyed
-by the old scheme stays bit-identical.
+Content addressing is stable by construction: a key is a pure function
+of the spec, the budget and :data:`~repro.fingerprint.TRACE_EPOCH`, so a
+generator change that bumps the epoch rolls every key over at once.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
+from repro import fingerprint
 from repro.fingerprint import stable_digest
 from repro.isa.coltrace import ColumnTrace
 from repro.workloads.phased import PHASED_CATALOG, PhasedWorkload, generate_phased_trace
@@ -244,18 +244,20 @@ class WorkloadSpec:
 def workload_key(workload: WorkloadSpec, n_insts: int) -> str:
     """Content identity of a workload's materialized trace within a sweep.
 
-    Plain profile workloads keep the historical
-    ``{fingerprint}-s{seed}-n{n}`` key (on-disk trace caches roll over for
-    free); every other form derives an equally self-describing key from
-    its spec fingerprint.
+    Plain profile workloads key as :func:`trace_key` does
+    (``{fingerprint}-s{seed}-n{n}``); every other form derives an equally
+    self-describing key from its spec fingerprint.  Every key ends in
+    ``-e{TRACE_EPOCH}``.
     """
-    if workload.mutation is not None:
-        return f"{workload.fingerprint()}-n{n_insts}"
-    if workload.profile is not None:
+    if workload.profile is not None and workload.mutation is None:
         return trace_key(workload.profile, n_insts)
-    if workload.phased is not None:
-        return f"{workload.fingerprint()}-s{workload.phased.seed}-n{n_insts}"
-    return f"{workload.fingerprint()}-fixed"
+    if workload.mutation is not None:
+        key = f"{workload.fingerprint()}-n{n_insts}"
+    elif workload.phased is not None:
+        key = f"{workload.fingerprint()}-s{workload.phased.seed}-n{n_insts}"
+    else:
+        key = f"{workload.fingerprint()}-fixed"
+    return f"{key}-e{fingerprint.TRACE_EPOCH}"
 
 
 def resolve_workload(

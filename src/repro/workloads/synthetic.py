@@ -56,13 +56,6 @@ from repro.isa.ops import OpClass
 from repro.memsys.memimg import MemoryImage
 from repro.workloads.profile import WorkloadProfile
 
-#: Trace-identity epoch.  Bumped exactly once per deliberate fingerprint
-#: break; recorded in benchmark payloads and the golden table (regenerated
-#: by ``svw-repro goldens``, whose test refuses a table from another
-#: epoch).  Encoded traces do not carry it: the codec header records only
-#: ``CODEC_VERSION``.
-TRACE_EPOCH = 2
-
 #: Instruction slots sampled per block (each slot expands to one or two
 #: rows; a short pointer preamble precedes every block).
 BLOCK_SLOTS = 4096

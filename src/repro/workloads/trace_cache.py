@@ -2,11 +2,12 @@
 
 Trace generation is the single most expensive non-simulation step of a
 sweep (~as costly as simulating the trace once), and its output depends
-only on ``(profile, n_insts)``.  This cache stores the
-:mod:`repro.isa.codec` encoding of each generated trace under a key
-derived from the profile fingerprint, the generator seed, and the
-instruction budget, so repeated sweeps -- and every backend of one sweep
--- skip generation entirely and pay only the (much cheaper) decode.
+only on ``(profile, n_insts)`` and the generator's code.  This cache
+stores the :mod:`repro.isa.codec` encoding of each generated trace under
+a key derived from the profile fingerprint, the generator seed, the
+instruction budget and :data:`~repro.fingerprint.TRACE_EPOCH`, so
+repeated sweeps -- and every backend of one sweep -- skip generation
+entirely and pay only the (much cheaper) decode.
 
 The cache stores *encoded bytes*, not traces: callers that ship traces to
 workers (the worker-fleet trace wire) can forward the bytes without
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import fingerprint
 from repro.ioutil import atomic_write_bytes
 from repro.isa.codec import CODEC_VERSION, TraceCodecError, verify_encoded
 from repro.workloads.profile import WorkloadProfile
@@ -34,17 +36,18 @@ def trace_key(profile: WorkloadProfile, n_insts: int) -> str:
     """Cache identity of ``generate_trace(profile, n_insts)``.
 
     The profile fingerprint already covers the seed; the seed and budget
-    stay in the key anyway so cache filenames are self-describing and the
-    key matches the issue-level contract ``(fingerprint, n_insts, seed)``.
+    stay in the key anyway so cache filenames are self-describing.  Like
+    every workload key it ends in the generator's ``-e{TRACE_EPOCH}``.
     """
-    return f"{profile.fingerprint()}-s{profile.seed}-n{n_insts}"
+    return f"{profile.fingerprint()}-s{profile.seed}-n{n_insts}-e{fingerprint.TRACE_EPOCH}"
 
 
 class TraceCache:
-    """Encoded-trace files rooted at ``root``, one per :func:`trace_key`.
+    """Encoded-trace files rooted at ``root``, one per workload key.
 
-    The codec version is part of the filename: bumping the wire format
-    orphans old entries instead of making decoders reject them one by one.
+    The trace epoch (ending the key) and the codec version are part of the
+    filename: bumping either orphans old entries instead of making
+    decoders reject them one by one.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -78,14 +81,15 @@ class TraceCache:
         """Checksum every cached trace without materializing any of them.
 
         Runs :func:`~repro.isa.codec.verify_encoded` over each entry of
-        the *current* codec version; older-version files are counted as
-        orphans (decoders never open them, so they are dead weight, not a
-        risk).  With ``fix=True``, corrupt entries and orphans are
-        deleted -- like the result store, the cache is recomputable, so
-        deletion costs one regeneration, never data.
+        the *current* trace epoch and codec version; a file from another
+        epoch or version is counted as an orphan (no key names it, so it
+        is dead weight, not a risk; the report is not ``ok`` while one
+        remains).  With ``fix=True``, corrupt entries
+        and orphans are deleted -- like the result store, the cache is
+        recomputable, so deletion costs one regeneration, never data.
         """
         report = TraceScrubReport()
-        current = f".v{CODEC_VERSION}.svwt"
+        current = f"-e{fingerprint.TRACE_EPOCH}.v{CODEC_VERSION}.svwt"
         for path in sorted(self.root.glob("*.svwt")):
             if not path.name.endswith(current):
                 report.orphaned.append(path.name)
@@ -114,21 +118,23 @@ class TraceCache:
 class TraceScrubReport:
     """What :meth:`TraceCache.scrub` found (and with ``fix``, removed)."""
 
-    #: Current-version entries checksummed.
+    #: Current-epoch, current-version entries checksummed.
     scanned: int = 0
     #: Entries whose payload verified clean.
     clean: int = 0
     #: Entries failing header/CRC verification.  Removed when ``fix``.
     corrupt: list[str] = field(default_factory=list)
-    #: Entries from older codec versions (never read).  Removed when ``fix``.
+    #: Entries from another trace epoch or codec version (never read).
+    #: Removed when ``fix``.
     orphaned: list[str] = field(default_factory=list)
     #: Files actually deleted (``fix=True`` runs only).
     repaired: int = 0
 
     @property
     def ok(self) -> bool:
-        """True when no entry is corrupt (orphans are clutter, not damage)."""
-        return not self.corrupt
+        """True when every file is current and sound: an orphan is no risk,
+        but its name says a writer keyed it under a stale epoch."""
+        return not self.corrupt and not self.orphaned
 
     def describe(self) -> str:
         parts = [f"{self.scanned} traces scanned, {self.clean} clean"]

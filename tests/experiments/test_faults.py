@@ -40,6 +40,7 @@ from repro.experiments.remote import (
 )
 from repro.experiments.scheduler import derive_deadline
 from repro.experiments.traces import workload_key
+from repro.fingerprint import TRACE_EPOCH
 from repro.isa.codec import encode_trace
 from repro.workloads.spec2000 import spec_profile
 from repro.workloads.synthetic import generate_trace
@@ -485,18 +486,24 @@ class TestFsck:
     def test_trace_cache_scrub(self, tmp_path):
         cache = TraceCache(tmp_path / "traces")
         data = encode_trace(generate_trace(spec_profile("gcc"), 1500))
-        cache.save("good-key", data)
+        cache.save(f"good-key-e{TRACE_EPOCH}", data)
         flipped = bytearray(data)
         flipped[-1] ^= 0xFF
-        cache.save("bad-key", bytes(flipped))
+        cache.save(f"bad-key-e{TRACE_EPOCH}", bytes(flipped))
         (cache.root / "old-key.v0.svwt").write_bytes(b"ancient format")
+        # Sound bytes under another trace epoch: no key names the file.
+        other_epoch = f"other-key-e{TRACE_EPOCH - 1}"
+        cache.save(other_epoch, data)
         report = cache.scrub()
         assert report.scanned == 2 and report.clean == 1
         assert len(report.corrupt) == 1 and not report.ok
-        assert report.orphaned == ["old-key.v0.svwt"]
+        assert report.orphaned == ["old-key.v0.svwt", cache.path_for(other_epoch).name]
         cache.scrub(fix=True)
         after = cache.scrub()
         assert after.ok and after.scanned == 1 and not after.orphaned
+        assert [p.name for p in cache.root.iterdir()] == [
+            cache.path_for(f"good-key-e{TRACE_EPOCH}").name
+        ]
 
     def test_figure_result_from_dict_rejects_malformed(self):
         from repro.experiments import FigureResult

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.fingerprint import MODEL_EPOCH, TRACE_EPOCH
 from repro.harness.bench import (
     BENCH_SCHEMA_VERSION,
     STAGES,
@@ -17,7 +18,6 @@ from repro.harness.bench import (
 )
 from repro.ioutil import write_json
 from repro.pipeline.config import LSUKind
-from repro.workloads.synthetic import TRACE_EPOCH
 
 
 def _tiny_payload():
@@ -75,6 +75,7 @@ def test_payload_records_runtime_provenance():
     payload = _tiny_payload()
     assert payload["numpy"] == numpy.__version__
     assert payload["trace_epoch"] == TRACE_EPOCH == 2
+    assert payload["model_epoch"] == MODEL_EPOCH == 1
 
 
 def test_stage_split_leaves_fingerprints_unchanged():

@@ -39,6 +39,7 @@ DRIVER_COMMANDS = [
     " --job-deadline 4 --max-attempts 5",
     "worker --host 127.0.0.1 --port 0 --register 127.0.0.1:7500 --slots 1"
     " --cache-dir worker-1 --quiet --fault-plan seed=7,crash_after=3",
+    "fsck --trace-cache-dir /tmp/svw-worker-cache",
     "fsck --cache-dir central",
     "fsck --cache-dir central --fix",
 ]
@@ -115,12 +116,15 @@ FOREIGN_FLAGS = {
 
 @pytest.mark.parametrize("family", list(FOREIGN_FLAGS))
 def test_a_flag_that_does_not_apply_exits_2(family, capsys):
+    """The error is the command's own: its usage line, its name."""
     valid, foreign = FOREIGN_FLAGS[family]
     assert callable(build_parser().parse_args(shlex.split(valid)).run)
     with pytest.raises(SystemExit) as excinfo:
         main(shlex.split(f"{valid} {foreign}"))
     assert excinfo.value.code == 2
-    assert f"error: unrecognized arguments: {foreign}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: svw-repro {family} [-h]")
+    assert f"svw-repro {family}: error: unrecognized arguments: {foreign}" in err
 
 
 @pytest.mark.parametrize(
@@ -137,7 +141,9 @@ def test_campaign_usage_errors_exit_2(argv, message, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: svw-repro {argv[0]} [-h]")
+    assert message in err
 
 
 def test_status_takes_a_raw_campaign_id():

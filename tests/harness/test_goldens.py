@@ -1,11 +1,13 @@
 """The golden table, ``tests/goldens.json``, and its one reader.
 
-The table must carry the current ``TRACE_EPOCH`` and exactly the cells of
+The table must carry the current ``MODEL_EPOCH`` and ``TRACE_EPOCH``
+(:mod:`repro.fingerprint`) and exactly the cells of
 :func:`repro.harness.goldens.golden_cells`, and every row must recompute
 to its pinned fingerprint (the v2 rows with skip-ahead on and off).  A
-deliberate move is an epoch bump: bump ``TRACE_EPOCH``, run ``svw-repro
-goldens``, review the table diff.  The ``v2-goldens`` CI gate runs this
-file.
+deliberate move is an epoch bump: a timing-model change bumps
+``MODEL_EPOCH``, a trace-generator change bumps ``TRACE_EPOCH``; then run
+``svw-repro goldens`` and review the table diff.  The ``v2-goldens`` CI
+gate runs this file.
 """
 
 from __future__ import annotations
@@ -16,28 +18,31 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.fuzz import fuzz_matrix
+from repro.fingerprint import MODEL_EPOCH, TRACE_EPOCH
 from repro.harness import goldens
 from repro.harness.bench import BENCH_WORKLOADS, bench_configs
 from repro.harness.cli import main
 from repro.workloads.phased import PHASED_CATALOG
-from repro.workloads.synthetic import TRACE_EPOCH
 
 TABLE = Path(__file__).resolve().parents[1] / "goldens.json"
 #: Row keys only, for parametrization: the thunks (and the traces they
 #: build) live in the module-scoped ``cells`` fixture.
 KEYS = sorted(goldens.golden_cells())
+#: The code epochs a table must be stamped with.
+EPOCHS = {"model_epoch": MODEL_EPOCH, "trace_epoch": TRACE_EPOCH}
 
 
 def load_table(path: Path) -> dict[str, str]:
     """The pinned rows at ``path``, refusing a stale or mismatched table."""
     table = json.loads(path.read_text())
-    epoch = table.get("trace_epoch")
-    if epoch != TRACE_EPOCH:
-        raise ValueError(
-            f"{path} is stamped trace_epoch {epoch} but the generator is at "
-            f"trace_epoch {TRACE_EPOCH}: regenerate it with `svw-repro "
-            f"goldens` and review the diff"
-        )
+    for name, current in EPOCHS.items():
+        stamped = table.get(name)
+        if stamped != current:
+            raise ValueError(
+                f"{path} is stamped {name} {stamped} but the code is at "
+                f"{name} {current}: regenerate it with `svw-repro goldens` "
+                f"and review the diff"
+            )
     rows = table["rows"]
     missing = sorted(set(KEYS) - set(rows))
     extra = sorted(set(rows) - set(KEYS))
@@ -112,19 +117,24 @@ def test_kernel_and_core_rows_cover_bench_configs(pinned):
         assert rows == lsus, prefix
 
 
-@pytest.mark.parametrize("stale", [1, None], ids=["1", "unstamped"])
-def test_stale_epoch_fails_loudly(tmp_path, stale):
-    """A table from another epoch, or one predating the ``trace_epoch``
-    stamp, names both epochs instead of reporting every row."""
+@pytest.mark.parametrize(
+    "epoch, stale",
+    [("trace_epoch", 1), ("trace_epoch", None), ("model_epoch", 0), ("model_epoch", None)],
+    ids=["1", "unstamped", "model-0", "model-unstamped"],
+)
+def test_stale_epoch_fails_loudly(tmp_path, epoch, stale):
+    """A table from another epoch of either kind, or one predating its
+    stamp, names the epoch and both values instead of reporting every
+    row."""
     table = json.loads(TABLE.read_text())
     if stale is None:
-        del table["trace_epoch"]
+        del table[epoch]
     else:
-        table["trace_epoch"] = stale
+        table[epoch] = stale
     path = tmp_path / "goldens.json"
     path.write_text(json.dumps(table))
     with pytest.raises(
-        ValueError, match=rf"trace_epoch {stale} .* trace_epoch {TRACE_EPOCH}:"
+        ValueError, match=rf"{epoch} {stale} .* {epoch} {EPOCHS[epoch]}:"
     ):
         load_table(path)
 
@@ -145,9 +155,10 @@ def test_row_set_mismatch_fails(tmp_path, change):
 @pytest.mark.parametrize("key", KEYS)
 def test_golden_row(key, pinned, fresh):
     assert fresh["rows"][key] == pinned[key], (
-        f"{key}: golden fingerprint moved -- if this is a deliberate "
-        f"trace-identity or model change, bump TRACE_EPOCH and run "
-        f"`svw-repro goldens`"
+        f"{key}: golden fingerprint moved -- if this is deliberate, bump "
+        f"MODEL_EPOCH (a timing-model change) or TRACE_EPOCH (a trace-"
+        f"generator change) in repro.fingerprint, run `svw-repro goldens` "
+        f"and review the table diff"
     )
 
 

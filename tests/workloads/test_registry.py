@@ -1,9 +1,8 @@
 """The unified workload registry: resolution, keys, payload round-trips.
 
-The compatibility property everything downstream leans on: a plain
-profile workload keys and fingerprints exactly as it did before the
-registry existed (``trace_key``), so on-disk trace caches, result stores
-and committed BENCH fingerprints roll over untouched.
+A plain profile workload keys exactly as the trace cache's own
+``trace_key`` does, and every key is a pure function of the spec, the
+budget and the trace epoch, in any process.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.fingerprint import TRACE_EPOCH
 from repro.workloads.kernels import kernel_trace
 from repro.workloads.mutate import MutationOp, TraceMutation
 from repro.workloads.phased import PHASED_CATALOG
@@ -66,18 +66,21 @@ class TestResolution:
 
 class TestKeys:
     def test_profile_key_is_bit_compatible_with_legacy(self):
-        """The historical trace-cache key scheme, unchanged."""
+        """A profile workload keys as the trace cache's ``trace_key``."""
         profile = spec_profile("vortex")
         spec = WorkloadSpec.from_profile(profile)
         assert workload_key(spec, 30_000) == trace_key(profile, 30_000)
 
     def test_forms_key_distinctly(self):
+        """Each form keys apart, and every key ends in the trace epoch."""
         n = 5000
         profile = resolve_workload("gcc")
         phased = resolve_workload("hot-static")
         mutated = profile.mutated(MUTATION)
-        keys = {workload_key(w, n) for w in (profile, phased, mutated)}
-        assert len(keys) == 3
+        fixed = WorkloadSpec.from_trace("k", kernel_trace("spill_fill", n_frames=5))
+        keys = {workload_key(w, n) for w in (profile, phased, mutated, fixed)}
+        assert len(keys) == 4
+        assert all(key.endswith(f"-e{TRACE_EPOCH}") for key in keys)
 
     def test_key_stable_across_processes(self):
         """Same references, fresh interpreter, identical keys."""
