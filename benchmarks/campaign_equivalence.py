@@ -12,8 +12,8 @@ and cache directory, and requires:
   the union, and the two daemons' dispatch counts sum to it);
 - the restarted daemon re-dispatches **zero** cells that were already in
   the central store at the moment of the kill (journal + store resume);
-- the workers' memo stores fold into the central store by content
-  address with no conflicts (``ResultStore.merge``).
+- ``svw-repro fsck --cache-dir <central>`` exits 0 after the run: every
+  central cell is sound and stamped with the code's current epochs.
 
 Run directly (``PYTHONPATH=src python benchmarks/campaign_equivalence.py``)
 or via the ``campaign-equivalence`` CI job.  Exit code 0 iff every gate
@@ -60,12 +60,16 @@ def free_port() -> int:
         return sock.getsockname()[1]
 
 
-def spawn(args: list[str]) -> subprocess.Popen:
+def cli_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def spawn(args: list[str]) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "repro.harness.cli", *args],
-        env=env,
+        env=cli_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
@@ -114,8 +118,7 @@ def main() -> int:
                 workers.append(
                     spawn(
                         ["worker", "--host", "127.0.0.1", "--port", "0",
-                         "--register", address, "--slots", "1",
-                         "--cache-dir", str(Path(tmp) / f"worker-{i}"), "--quiet"]
+                         "--register", address, "--slots", "1", "--quiet"]
                     )
                 )
             with CampaignClient(address) as probe:
@@ -201,15 +204,22 @@ def main() -> int:
                 f"but only {len(union) - stored_at_kill} were missing at the "
                 f"kill: {recomputed} finished cells were recomputed"
             )
-        merged = 0
-        for i in (1, 2):
-            report = store.merge(Path(tmp) / f"worker-{i}")  # raises on conflict
-            merged += report.merged + report.identical
+        fsck = subprocess.run(
+            [sys.executable, "-m", "repro.harness.cli", "fsck", "--cache-dir", str(central)],
+            env=cli_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        if fsck.returncode != 0:
+            failures.append(
+                f"fsck of the central store exited {fsck.returncode}: "
+                f"{(fsck.stdout + fsck.stderr).strip()}"
+            )
         print(
             f"store {len(store)}/{len(union)} cells; restart re-dispatched "
             f"{stats2['cells_simulated']} (missing at kill: "
-            f"{len(union) - stored_at_kill}); worker memo stores folded "
-            f"cleanly ({merged} cells checked)"
+            f"{len(union) - stored_at_kill}); fsck exit {fsck.returncode}"
         )
         if failures:
             for failure in failures:

@@ -24,15 +24,14 @@ injects every failure mode the tier claims to survive:
 
 Gates: the client's per-cell stats fingerprints are bit-identical to
 :class:`~repro.experiments.backends.SerialBackend`; the central store
-holds exactly the union of cells (each computed once per store) and every
-stored result matches serial; worker memo stores merge conflict-free;
-every planned fault kind demonstrably fired (stderr ``svw-fault:`` lines,
-the crash exit code, the straggler counter); the restarted daemon
-resumed the journaled campaign beside the planted tmp, and a final
-``svw-repro fsck --cache-dir`` exits 1 on that tmp and 0 after
-``--fix``; and the same plan spec
-replayed through the same decision sequence fires the identical event
-list (fault *reproducibility*).
+holds exactly the union of cells and every stored result matches
+serial; every planned fault kind demonstrably fired (stderr
+``svw-fault:`` lines, the crash exit code, the straggler counter); the
+restarted daemon resumed the journaled campaign beside the planted tmp,
+and a final ``svw-repro fsck --cache-dir`` exits 1 on that tmp and 0
+after ``--fix``; and the same plan spec replayed through the same
+decision sequence fires the identical event list (fault
+*reproducibility*).
 
 Run directly (``PYTHONPATH=src python benchmarks/chaos_equivalence.py``)
 or via the ``chaos-equivalence`` CI job.  Exit code 0 iff every gate
@@ -168,8 +167,7 @@ def main() -> int:
 
         def spawn_worker(index: int, plan: str | None) -> subprocess.Popen:
             args = ["worker", "--host", "127.0.0.1", "--port", "0",
-                    "--register", address, "--slots", "1",
-                    "--cache-dir", str(tmp_path / f"worker-{index}"), "--quiet"]
+                    "--register", address, "--slots", "1", "--quiet"]
             if plan is not None:
                 args += ["--fault-plan", plan]
             return spawn(args, tmp_path / f"worker-{index}.log")
@@ -294,12 +292,6 @@ def main() -> int:
             if stored is None or stored.fingerprint() != stats.fingerprint():
                 failures.append(f"stored cell {fingerprint[:12]} diverges from serial")
                 break
-        merged = 0
-        for index in (1, 2, 3):
-            memo = tmp_path / f"worker-{index}"
-            if memo.is_dir():
-                report = store.merge(memo)  # raises on conflict
-                merged += report.merged + report.identical
 
         # Fault coverage: every planned kind demonstrably fired.
         daemon_text = daemon_log.read_text(errors="replace")
@@ -336,8 +328,8 @@ def main() -> int:
             failures.append("no job ever struck the deadline (straggler path untested)")
 
         print(
-            f"store {len(store)}/{len(union)} cells; worker memos folded "
-            f"cleanly ({merged} checked); crash exit {crash_exit or 'n/a'}; "
+            f"store {len(store)}/{len(union)} cells; "
+            f"crash exit {crash_exit or 'n/a'}; "
             f"{total_stragglers} straggler strike(s); faults logged: "
             f"{sum(line.count('svw-fault:') for line in (daemon_text, worker1_text, worker2_text))}"
         )

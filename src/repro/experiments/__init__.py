@@ -29,7 +29,7 @@ The pieces:
 - :class:`RemoteBackend` / :class:`WorkerAgent` -- the same sweep fanned
   out to other hosts over the trace wire format (codec bytes + config
   ``to_dict`` JSON, nothing pickled), with host-level trace caching,
-  zlib-compressed trace frames, worker-side result memoization,
+  zlib-compressed trace frames,
   cost-weighted longest-job-first dispatch over every slot an agent
   advertises (each agent first draining the cells of the trace it
   holds), and re-dispatch on worker loss.  Start an agent with
@@ -41,8 +41,9 @@ The pieces:
 - :class:`CampaignDaemon` / :class:`CampaignClient` /
   :class:`CampaignBackend` -- sweeps as a service: a long-lived daemon
   (``svw-repro campaignd``) takes concurrent submissions from many
-  clients, schedules their union across registered workers (heartbeats,
-  graceful drain), dedups overlapping cells by content address, and
+  clients, schedules their union across registered workers (a worker
+  that stops heartbeating is deregistered and its cells re-queued),
+  dedups overlapping cells by content address, and
   journals campaigns so client reconnects and daemon restarts resume
   without recomputing finished cells.
 - :class:`FaultPlan` -- deterministic fault injection for the remote and
@@ -54,9 +55,9 @@ The pieces:
   runs at most once per (workload, seed, budget), optionally backed by an
   on-disk :class:`~repro.workloads.trace_cache.TraceCache`.
 - :class:`ResultStore` -- a content-addressed JSON cache; each cell is
-  keyed by a stable fingerprint of (machine config, workload, budget);
-  stores merge across hosts by content address
-  (:meth:`ResultStore.merge`).
+  keyed by a stable fingerprint of (machine config, workload, budget).
+  A sweep has one: the client's ``--cache-dir`` or the campaign daemon's
+  central store.
 - :func:`run_experiment` -- spec + backend + store -> :class:`FigureResult`;
   ``run_experiment(matrix_spec(...))`` is the one-call serial form.
 """
@@ -101,12 +102,7 @@ if TYPE_CHECKING:
         WorkloadSpec,
         matrix_spec,
     )
-    from repro.experiments.store import (
-        FsckReport,
-        MergeReport,
-        ResultMergeError,
-        ResultStore,
-    )
+    from repro.experiments.store import FsckReport, ResultStore
 
 # Each name is imported from its module on first use: a worker agent
 # that imports ``repro.experiments.remote`` loads neither the campaign
@@ -149,12 +145,7 @@ __getattr__, __dir__ = lazy_exports(
             "WorkloadSpec",
             "matrix_spec",
         ),
-        "repro.experiments.store": (
-            "FsckReport",
-            "MergeReport",
-            "ResultMergeError",
-            "ResultStore",
-        ),
+        "repro.experiments.store": ("FsckReport", "ResultStore"),
     },
 )
 
@@ -176,9 +167,7 @@ __all__ = [
     "FigureResult",
     "FsckReport",
     "JournalScrubReport",
-    "MergeReport",
     "RemoteBackend",
-    "ResultMergeError",
     "ResultStore",
     "RunRequest",
     "SerialBackend",

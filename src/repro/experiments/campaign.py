@@ -30,10 +30,9 @@ socket):
 - **Workers** are ordinary ``svw-repro worker`` agents that additionally
   ``register``: they dial the daemon, advertise their port and slots,
   then heartbeat; the daemon dials *back* with the ordinary job
-  protocol, one connection per slot.  A missed heartbeat deregisters the
-  worker and re-queues its in-flight cells; a ``drain`` request stops
-  new assignments and answers ``drained`` once in-flight cells finish.  Workers reconnect through
-  daemon restarts on their own.
+  protocol, one connection per slot.  A closed registry link or a missed
+  heartbeat deregisters the worker and re-queues its in-flight cells.
+  Workers reconnect through daemon restarts on their own.
 
 Scheduling is **cell-granular across campaigns**: every submission's
 cells land in the scheduler's one table keyed by the
@@ -46,13 +45,14 @@ worker first drains the pending cells of the trace it was last handed,
 so it fetches each trace about once rather than once per config.
 
 Durability: with ``--cache-dir`` the daemon anchors a central
-:class:`~repro.experiments.store.ResultStore` (completed cells are
-persisted there the moment they arrive, and satisfied from there at
-submit time), journals each campaign under ``<cache-dir>/campaigns/``,
-and persists the cost model.  A journal is one JSON object (schema 3)
-naming the submission and its state, written like every other file in
-the tree -- whole, through :func:`~repro.ioutil.atomic_write_text` --
-at submit and again at its terminal state.  A reader sees a snapshot
+:class:`~repro.experiments.store.ResultStore`, the campaigns' one result
+store (workers keep none; completed cells are persisted there the moment
+they arrive, and satisfied from there at submit time), journals each
+campaign under ``<cache-dir>/campaigns/``, and persists the cost model.
+A journal is one JSON object (schema 3) naming the submission and its
+state, written like every other file in the tree -- whole, through
+:func:`~repro.ioutil.atomic_write_text` -- at submit and again at its
+terminal state.  A reader sees a snapshot
 entirely or not at all; a kill -9 mid-write leaves at most a stale
 ``.*.tmp`` beside it, which ``svw-repro fsck`` reports and ``--fix``
 deletes.  A restarted daemon replays the journals: finished cells hit
@@ -502,17 +502,8 @@ class CampaignDaemon:
                 except asyncio.TimeoutError:
                     break  # heartbeats stopped: the worker is gone
                 kind = message.get("type")
-                if kind == "heartbeat":
-                    continue
-                if kind == "drain":
-                    async with work:
-                        worker.draining = True
-                        work.notify_all()
-                    await asyncio.gather(*worker.tasks, return_exceptions=True)
-                    await send_json_async(writer, {"type": "drained"})
-                    self._note(f"worker {worker.id} drained")
-                    break
-                raise RemoteProtocolError(f"unexpected registry frame {kind!r}")
+                if kind != "heartbeat":
+                    raise RemoteProtocolError(f"unexpected registry frame {kind!r}")
         except (ConnectionError, OSError, RemoteProtocolError):
             pass
         finally:
@@ -686,7 +677,6 @@ class CampaignDaemon:
                 "slots": worker.slots,
                 "in_flight": worker.in_flight,
                 "jobs_done": worker.jobs_done,
-                "draining": worker.draining,
                 "strikes": (
                     scheduler.health[worker.id].strikes
                     if worker.id in scheduler.health

@@ -34,10 +34,9 @@ Per connection::
     ------                                ------
     J {type: hello, protocol: 2}    ->
                                     <-    J {type: hello, protocol: 2, slots}
-    J {type: job, job_id, fingerprint,
-       config, n_insts, warmup,
-       validate, trace_key,
-       trace_sha256?, ...}          ->
+    J {type: job, job_id, describe,
+       config, warmup, validate,
+       trace_key, trace_sha256?}    ->
                                     <-    J {type: need_trace, key}   (miss only)
     Z <zlib(codec bytes)>           ->
                                     <-    J {type: result, job_id,
@@ -101,7 +100,6 @@ from repro.experiments.scheduler import (
     session_cost_model,
 )
 from repro.experiments.spec import RunRequest
-from repro.experiments.store import ResultStore
 from repro.experiments.traces import TraceProvider, request_key
 from repro.isa.codec import TraceCodecError, decode_trace
 from repro.isa.coltrace import ColumnTrace
@@ -344,12 +342,10 @@ class WorkerAgent:
     every agent on the host), and decoded into a small least-recently-used
     memo of column-native traces shared by all connections.
 
-    ``result_store`` turns on **worker-side result memoization**: jobs
-    already carry the cell's :meth:`~repro.experiments.spec.RunRequest.
-    fingerprint` (the content address the client's own cache uses), so a
-    repeat cell is answered with the memoized result frame instead of
-    re-simulating -- the client still re-derives and verifies the stats
-    fingerprint, exactly as for a fresh result.
+    An agent keeps no results: every job it is sent is simulated.  A
+    sweep's results are cached in one place, the client's
+    ``--cache-dir`` or the campaign daemon's central store, both of
+    which answer repeat cells before they are dispatched.
 
     ``faults`` injects a deterministic :class:`~repro.experiments.faults.
     FaultPlan` for chaos testing: the agent consults it at the top of
@@ -361,8 +357,9 @@ class WorkerAgent:
     :meth:`register_with` joins a campaign daemon's worker registry (see
     :mod:`repro.experiments.campaign`): the agent dials the daemon,
     advertises its port and slots, heartbeats, and reconnects through
-    daemon restarts; :meth:`drain` asks the daemon to stop assigning
-    work and returns once in-flight cells have finished.
+    daemon restarts.  An agent leaves the registry by closing: the
+    daemon sees the link drop (or the heartbeats stop) and re-queues its
+    in-flight cells.
     """
 
     _DECODED_SLOTS = 2
@@ -374,7 +371,6 @@ class WorkerAgent:
         slots: int = 1,
         trace_cache: TraceCache | None = None,
         progress: Callable[[str], None] | None = None,
-        result_store: "ResultStore | None" = None,
         advertise_host: str | None = None,
         faults: FaultPlan | None = None,
     ) -> None:
@@ -384,7 +380,6 @@ class WorkerAgent:
         self.slots = slots
         self.trace_cache = trace_cache
         self.progress = progress
-        self.result_store = result_store
         self.advertise_host = advertise_host
         self._server = socket.create_server((host, port))
         self.host, self.port = self._server.getsockname()[:2]
@@ -396,19 +391,12 @@ class WorkerAgent:
         self._connections: set[socket.socket] = set()
         self._accept_thread: threading.Thread | None = None
         self._registry_thread: threading.Thread | None = None
-        #: The live registry link, once registered; guarded by ``_lock``,
-        #: which also serialises every frame sent on it.
-        self._registry_conn: socket.socket | None = None
-        self._draining = threading.Event()
-        self._drained = threading.Event()
         #: Completed simulations (all connections).
         self.jobs_done = 0
         #: Traces fetched over the wire (host-cache misses).
         self.trace_misses = 0
         #: Connections accepted over the agent's lifetime.
         self.connections_served = 0
-        #: Jobs answered from the local result store without simulating.
-        self.memo_hits = 0
         #: Wire trace transfers rejected as damaged (CRC/digest/zlib) and
         #: re-requested.
         self.trace_rejections = 0
@@ -448,7 +436,6 @@ class WorkerAgent:
         """Stop accepting, sever every live connection (the registry link
         too), and wait for the accept and registry threads (idempotent)."""
         self._closed.set()
-        self._drained.set()  # unblock any drain() waiter
         with self._lock:
             connections, self._connections = self._connections, set()
         # close() alone does not wake a thread blocked in accept() or
@@ -499,28 +486,6 @@ class WorkerAgent:
         )
         self._registry_thread.start()
         return self
-
-    def drain(self, timeout: float | None = None) -> bool:
-        """Ask the daemon to stop assigning work; wait for the all-clear.
-
-        Returns True once the daemon confirmed every in-flight cell
-        finished (or immediately when the agent was never registered).
-        The agent keeps serving direct clients -- drain is a registry
-        state, not a shutdown.
-        """
-        if self._registry_thread is None:
-            return True
-        with self._lock:
-            # Whichever of this and the registry loop's registration runs
-            # second sends the one ``drain`` frame.
-            if not self._draining.is_set():
-                self._draining.set()
-                if self._registry_conn is not None:
-                    try:
-                        send_json(self._registry_conn, {"type": "drain"})
-                    except OSError:
-                        pass  # the loop re-registers and sends it then
-        return self._drained.wait(timeout)
 
     def _registry_loop(
         self,
@@ -593,27 +558,19 @@ class WorkerAgent:
                 down_announced = False
                 announce(f"registered with {host}:{port}")
                 conn.settimeout(heartbeat_interval)
-                with self._lock:
-                    self._registry_conn = conn
-                    if self._draining.is_set():
-                        send_json(conn, {"type": "drain"})
+                # The daemon sends nothing after ``registered``: the recv
+                # only notices a lost link, its timeout paces heartbeats.
                 while not self._closed.is_set():
                     try:
-                        message = recv_json(conn)
+                        recv_json(conn)
                     except socket.timeout:
-                        with self._lock:
-                            send_json(conn, {"type": "heartbeat"})
-                        continue
-                    if message.get("type") == "drained":
-                        self._drained.set()
-                        return
+                        send_json(conn, {"type": "heartbeat"})
             except (ConnectionError, OSError, RemoteProtocolError) as exc:
                 if not self._closed.is_set():
                     announce(f"lost daemon {host}:{port} ({exc}); reconnecting")
                     down_announced = True
             finally:
                 with self._lock:
-                    self._registry_conn = None
                     self._connections.discard(conn)
                 conn.close()
             back_off()
@@ -669,29 +626,22 @@ class WorkerAgent:
         describe = job.get("describe", f"job {job_id}")
         if self.progress is not None:
             self.progress(f"worker {self.address}: {describe}")
-        stats = self._memoized_stats(job)
-        seconds = 0.0  # <= 0 keeps memo hits out of cost models
-        if stats is not None:
-            with self._lock:
-                self.memo_hits += 1
-        else:
-            try:
-                stats, seconds = self._simulate(job, conn)
-            except (ConnectionError, OSError, RemoteProtocolError):
-                raise  # transport trouble is connection-fatal, not a cell error
-            except Exception as exc:  # deterministic cell failure -> error frame
-                send_json(
-                    conn,
-                    {
-                        "type": "error",
-                        "job_id": job_id,
-                        "message": f"{type(exc).__name__}: {exc}",
-                    },
-                )
-                return
-            with self._lock:
-                self.jobs_done += 1
-            self._memoize_stats(job, stats)
+        try:
+            stats, seconds = self._simulate(job, conn)
+        except (ConnectionError, OSError, RemoteProtocolError):
+            raise  # transport trouble is connection-fatal, not a cell error
+        except Exception as exc:  # deterministic cell failure -> error frame
+            send_json(
+                conn,
+                {
+                    "type": "error",
+                    "job_id": job_id,
+                    "message": f"{type(exc).__name__}: {exc}",
+                },
+            )
+            return
+        with self._lock:
+            self.jobs_done += 1
         send_json(
             conn,
             {
@@ -718,40 +668,6 @@ class WorkerAgent:
                 warmup=int(job["warmup"]),
             ).run()
             return stats, time.perf_counter() - started
-
-    def _memoized_stats(self, job: dict) -> SimStats | None:
-        """The locally cached result for a job's cell fingerprint, if any.
-
-        The fingerprint the client sends IS the content address its own
-        result cache uses, so the worker-side store speaks the same
-        universe; a malformed fingerprint (wrong length, non-hex) is simply
-        not memoizable -- it can never name a path outside the store.
-        """
-        if self.result_store is None:
-            return None
-        fingerprint = job.get("fingerprint")
-        if not isinstance(fingerprint, str):
-            return None
-        try:
-            return self.result_store.load_stats(fingerprint)
-        except ValueError:
-            return None
-
-    def _memoize_stats(self, job: dict, stats: SimStats) -> None:
-        if self.result_store is None:
-            return
-        fingerprint = job.get("fingerprint")
-        if not isinstance(fingerprint, str):
-            return
-        provenance = {
-            key: job[key]
-            for key in ("experiment", "workload", "config_label", "n_insts", "warmup", "validate")
-            if key in job
-        }
-        try:
-            self.result_store.save_stats(fingerprint, stats, provenance=provenance)
-        except (ValueError, OSError):
-            pass  # memoization is best-effort; the result frame still ships
 
     def _trace_for(
         self, key: str, want_digest: str | None, conn: socket.socket
@@ -844,13 +760,8 @@ def build_job_message(
     job = {
         "type": "job",
         "job_id": job_id,
-        "fingerprint": request.fingerprint(),
         "describe": request.describe(),
-        "experiment": request.experiment,
-        "workload": request.workload.name,
-        "config_label": request.config_label,
         "config": request.config.to_dict(),
-        "n_insts": request.n_insts,
         "warmup": request.warmup,
         "validate": request.validate,
         "trace_key": key,
@@ -869,8 +780,8 @@ class WorkerLink:
 
     The dispatcher dials ``slots`` job connections to ``host:port``;
     ``slots=0`` (a static-fleet member) sizes the link to the slots the
-    agent advertises in its hello.  ``dead`` and ``draining`` stop its
-    slots taking new cells; ``error`` says why it died.  ``trace_key`` is
+    agent advertises in its hello.  ``dead`` stops its slots taking new
+    cells; ``error`` says why it died.  ``trace_key`` is
     the trace of the last cell handed to the agent, the one its decoded
     memo holds warm.
     """
@@ -879,7 +790,6 @@ class WorkerLink:
     host: str
     port: int
     slots: int = 1
-    draining: bool = False
     dead: bool = False
     in_flight: int = 0
     jobs_done: int = 0
@@ -1053,7 +963,7 @@ class JobDispatcher:
 
     async def _next_cell(self, worker: WorkerLink) -> Cell | None:
         async with self.work:
-            while not (self.closing or worker.dead or worker.draining):
+            while not (self.closing or worker.dead):
                 cell = self.scheduler.next_cell(warm=worker.trace_key)
                 if cell is not None:
                     worker.in_flight += 1

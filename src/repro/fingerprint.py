@@ -15,8 +15,7 @@ makes every older entry a miss:
 - :data:`MODEL_EPOCH` covers the timing model (the simulator core, the
   LSUs, the memory hierarchy): a change that moves a simulated statistic
   without moving a trace bumps it.  It is hashed into every run-request
-  fingerprint, so result stores, worker result memos and campaign ids
-  roll over.
+  fingerprint, so result stores and campaign ids roll over.
 - :data:`TRACE_EPOCH` covers the trace generators (synthetic, phased,
   mutated): a change that moves a generated instruction stream bumps it.
   It ends every workload key, so trace-cache files, decoded-trace memos

@@ -44,6 +44,7 @@ import contextlib
 import json
 import sys
 import time
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.experiments.faults import FaultPlan
@@ -333,9 +334,8 @@ def _run_worker(args: argparse.Namespace) -> int:
 
     A worker agent executes codec trace bytes and JSON configs only
     (nothing pickled crosses the wire); --trace-cache-dir gives the host a
-    persistent encoded-trace cache shared by all its agents, --cache-dir
-    a local result store memoizing repeat cells by fingerprint (mergeable
-    into a central store by content address).
+    persistent encoded-trace cache shared by all its agents.  An agent
+    keeps no results: the sweep's client or campaign daemon caches them.
     """
     from repro.experiments.remote import WorkerAgent
 
@@ -344,7 +344,6 @@ def _run_worker(args: argparse.Namespace) -> int:
         port=args.port,
         slots=args.slots,
         trace_cache=_trace_cache(args),
-        result_store=_result_store(args),
         progress=_progress_fn(args),
         faults=_parse_fault_plan(args.fault_plan),
     )
@@ -469,10 +468,20 @@ def _run_fsck(args: argparse.Namespace) -> int:
     Everything these caches hold is recomputable, so ``--fix`` deletes
     damaged entries outright; a repair costs regeneration time, never
     data.  Exits non-zero while problems remain (after a ``--fix`` run,
-    each scrubbed area is re-scanned to confirm the repairs took).
+    each scrubbed area is re-scanned to confirm the repairs took), and
+    on a directory that does not exist, which it names and never creates.
     """
     if args.cache_dir is None and args.trace_cache_dir is None:
         raise SystemExit("fsck: --cache-dir and/or --trace-cache-dir is required")
+    missing = [
+        directory
+        for directory in (args.cache_dir, args.trace_cache_dir)
+        if directory is not None and not Path(directory).expanduser().is_dir()
+    ]
+    for directory in missing:
+        print(f"fsck: no such directory: {directory}", file=sys.stderr)
+    if missing:
+        return 1
     from repro.experiments.campaign import scrub_journals
 
     failures: list[str] = []
@@ -716,9 +725,10 @@ def build_parser() -> argparse.ArgumentParser:
     goldens.set_defaults(run=_run_goldens)
 
     # -- the service tier ---------------------------------------------------
-    served = [serve, cache_dir, trace_cache_dir, quiet]
     worker = commands.add_parser(
-        "worker", parents=served, help="a remote execution agent serving sweeps over TCP"
+        "worker",
+        parents=[serve, trace_cache_dir, quiet],
+        help="a remote execution agent serving sweeps over TCP",
     )
     worker.add_argument(
         "--slots",
@@ -735,7 +745,9 @@ def build_parser() -> argparse.ArgumentParser:
     worker.set_defaults(run=_run_worker)
 
     campaignd = commands.add_parser(
-        "campaignd", parents=served, help="a long-lived campaign daemon"
+        "campaignd",
+        parents=[serve, cache_dir, trace_cache_dir, quiet],
+        help="a long-lived campaign daemon",
     )
     campaignd.add_argument(
         "--job-deadline",

@@ -1,6 +1,6 @@
 """Atomic file-write helpers shared by every on-disk cache and snapshot.
 
-Sweep workers share a ``--cache-dir`` and a trace cache, so every writer
+Concurrent sweeps share a ``--cache-dir`` and a trace cache, so every writer
 in the tree goes through :func:`atomic_write_bytes`: the payload lands in
 a uniquely-named ``.<name>.*.tmp`` file in the *target directory* (same
 filesystem, so the final ``os.replace`` is atomic) and is renamed into

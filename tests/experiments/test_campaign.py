@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import errno
 import re
+import socket
 import threading
 
 import pytest
@@ -22,6 +23,7 @@ from repro.experiments import (
     WorkerAgent,
 )
 from repro.experiments.campaign import campaign_id_for, spec_campaign_id
+from repro.experiments.remote import PROTOCOL_VERSION, parse_worker, recv_json, send_json
 from repro.experiments.spec import ExperimentSpec, RunRequest
 from repro.harness.configs import fig5_configs
 from repro.pipeline.stats import SimStats
@@ -237,33 +239,6 @@ class TestRestartResume:
 
 
 class TestFleet:
-    def test_graceful_drain(self, tmp_path, requests, wait_for):
-        with CampaignDaemon(cache_dir=tmp_path / "central") as daemon:
-            with WorkerAgent(slots=1) as agent:
-                agent.register_with(daemon.address)
-                CampaignBackend(daemon.address).run(requests)
-                assert agent.drain(timeout=30)
-                # Drained workers leave the registry; new submissions wait.
-                with CampaignClient(daemon.address) as client:
-                    wait_for(
-                        lambda: not client.stats()["workers"],
-                        message="worker deregistration",
-                    )
-
-    def test_drain_goes_out_without_waiting_for_a_heartbeat(self, tmp_path, wait_for):
-        """``drain()`` sends at once: an idle worker with a 30 s heartbeat
-        is drained well inside one heartbeat interval."""
-        with CampaignDaemon(
-            cache_dir=tmp_path / "central", heartbeat_timeout=120.0
-        ) as daemon:
-            with WorkerAgent(slots=1) as agent:
-                agent.register_with(daemon.address, heartbeat_interval=30.0)
-                with CampaignClient(daemon.address) as client:
-                    wait_for(
-                        lambda: client.stats()["workers"], message="worker registration"
-                    )
-                assert agent.drain(timeout=5.0)
-
     def test_heartbeat_timeout_deregisters_and_requeues(
         self, tmp_path, requests, wait_for
     ):
@@ -277,8 +252,8 @@ class TestFleet:
                 wait_for(
                     lambda: client.stats()["workers"], message="worker registration"
                 )
-                # Kill the worker without drain: heartbeats stop, the daemon
-                # deregisters it and the fleet is empty again.
+                # Kill the worker: heartbeats stop, the daemon deregisters
+                # it and the fleet is empty again.
                 agent.close()
                 wait_for(
                     lambda: not client.stats()["workers"],
@@ -294,6 +269,42 @@ class TestFleet:
                     replacement.register_with(daemon.address, heartbeat_interval=0.2)
                     status = client.wait(campaign_id, timeout=120)
                     assert status["state"] == "done"
+
+    @pytest.mark.parametrize("leave", ["close", "unknown_frame"])
+    def test_worker_leaving_its_registry_link_is_deregistered_at_once(
+        self, wait_for, leave
+    ):
+        """A closed registry link, or a frame the registry does not speak
+        (such as an older agent's ``drain``), deregisters the worker
+        without waiting out the heartbeat timeout."""
+        with CampaignDaemon(heartbeat_timeout=120.0) as daemon, WorkerAgent() as agent:
+            with CampaignClient(daemon.address) as client:
+                registry = socket.create_connection(parse_worker(daemon.address))
+                with registry:
+                    send_json(
+                        registry,
+                        {
+                            "type": "register",
+                            "protocol": PROTOCOL_VERSION,
+                            "port": agent.port,
+                            "slots": 1,
+                        },
+                    )
+                    assert recv_json(registry)["type"] == "registered"
+                    wait_for(
+                        lambda: client.stats()["workers"], message="worker registration"
+                    )
+                    if leave == "unknown_frame":
+                        send_json(registry, {"type": "drain"})
+                        wait_for(
+                            lambda: not client.stats()["workers"],
+                            message="deregistration on an unknown frame",
+                        )
+                # Closed here, in both cases.
+                wait_for(
+                    lambda: not client.stats()["workers"],
+                    message="deregistration on a closed link",
+                )
 
     def test_worker_reconnects_through_daemon_restart(self, tmp_path, requests, wait_for):
         central = tmp_path / "central"
@@ -350,7 +361,7 @@ class TestFailure:
             def disk_full(*args, **kwargs):
                 raise OSError(errno.ENOSPC, "No space left on device")
 
-            monkeypatch.setattr(daemon.store, "save_stats", disk_full)
+            monkeypatch.setattr(daemon.store, "save", disk_full)
             with WorkerAgent(slots=2) as agent:
                 agent.register_with(daemon.address)
                 stats = CampaignBackend(daemon.address, timeout=60).run(requests)

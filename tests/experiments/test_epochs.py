@@ -46,8 +46,16 @@ def test_result_store_misses_after_a_bump(tmp_path, monkeypatch, cells, epoch):
     (stats,) = SerialBackend().run([request])
     store.save(request, stats)
     assert store.load(request).fingerprint() == stats.fingerprint()
+    assert store.fsck().ok
     bump(monkeypatch, epoch)
     assert store.load(request) is None
+    # The stranded cell is no longer clean: fsck reports it, --fix removes it.
+    report = store.fsck()
+    assert (report.scanned, report.clean, len(report.orphaned)) == (1, 0, 1)
+    assert not report.ok
+    assert store.fsck(fix=True).repaired == 1
+    rescan = store.fsck()
+    assert rescan.ok and rescan.scanned == 0 and len(store) == 0
 
 
 @pytest.mark.parametrize("epoch, hits", [("MODEL_EPOCH", 1), ("TRACE_EPOCH", 0)])

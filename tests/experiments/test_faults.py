@@ -483,6 +483,59 @@ class TestFsck:
         # The surviving cell still loads bit-identically.
         assert store.load(requests[1]).fingerprint() == serial[1].fingerprint()
 
+    def test_store_fsck_orphans_unstamped_cells(self, tmp_path, requests, serial_stats):
+        """A sound cell without epoch stamps was saved before cells
+        carried them: no current fingerprint can be trusted to name it."""
+        store = ResultStore(tmp_path / "store")
+        store.save(requests[0], serial_stats[0])
+        path = store.path_for(requests[0])
+        payload = json.loads(path.read_text())
+        del payload["model_epoch"], payload["trace_epoch"]
+        path.write_text(json.dumps(payload))
+        report = store.fsck()
+        assert report.orphaned == [path.name] and not report.ok
+        assert "1 orphaned" in report.describe()
+
+    def test_fsck_names_a_missing_directory_and_creates_none(self, tmp_path, capsys):
+        from repro.harness.cli import main
+
+        typo, typo2 = tmp_path / "typo", tmp_path / "typo2"
+        argv = ["fsck", "--cache-dir", str(typo), "--trace-cache-dir", str(typo2)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"no such directory: {typo}" in err
+        assert f"no such directory: {typo2}" in err
+        assert not typo.exists() and not typo2.exists()
+
+    def test_fsck_names_only_the_missing_directory(self, tmp_path, capsys):
+        from repro.harness.cli import main
+
+        store, typo = tmp_path / "store", tmp_path / "typo"
+        store.mkdir()
+        argv = ["fsck", "--cache-dir", str(store), "--trace-cache-dir", str(typo)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.strip() == f"fsck: no such directory: {typo}"
+        assert out == ""  # nothing is scanned while a directory is missing
+        assert not typo.exists()
+
+    def test_fsck_cli_fails_on_orphans_until_fixed(
+        self, tmp_path, requests, serial_stats, capsys
+    ):
+        from repro.harness.cli import main
+
+        store = ResultStore(tmp_path / "store")
+        store.save(requests[0], serial_stats[0])
+        path = store.path_for(requests[0])
+        payload = json.loads(path.read_text())
+        payload["trace_epoch"] -= 1
+        path.write_text(json.dumps(payload))
+        argv = ["fsck", "--cache-dir", str(store.root)]
+        assert main(argv) == 1
+        assert "1 orphaned" in capsys.readouterr().out
+        assert main([*argv, "--fix"]) == 0
+        assert main(argv) == 0 and not path.exists()
+
     def test_trace_cache_scrub(self, tmp_path):
         cache = TraceCache(tmp_path / "traces")
         data = encode_trace(generate_trace(spec_profile("gcc"), 1500))

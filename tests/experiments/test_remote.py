@@ -24,6 +24,7 @@ from repro.experiments.remote import (
     FRAME_ZTRACE,
     PROTOCOL_VERSION,
     RemoteProtocolError,
+    build_job_message,
     parse_worker,
     recv_frame,
     recv_json,
@@ -67,6 +68,17 @@ class TestFraming:
             send_frame(left, FRAME_ZTRACE, b"bytes")
             with pytest.raises(RemoteProtocolError, match="JSON"):
                 recv_json(right)
+
+    def test_job_frame_carries_only_what_the_agent_reads(self, requests):
+        """A job names the cell by its config and trace; the result cache
+        lives with the client or the campaign daemon, so no cache key,
+        workload name or instruction count rides along."""
+        job = build_job_message(requests[0], 7, "trace-key", "ab" * 32)
+        assert set(job) == {
+            "type", "job_id", "describe", "config", "warmup", "validate",
+            "trace_key", "trace_sha256",
+        }
+        assert "trace_sha256" not in build_job_message(requests[0], 7, "k", None)
 
     def test_parse_worker(self):
         assert parse_worker("10.0.0.1:7501") == ("10.0.0.1", 7501)
@@ -397,38 +409,6 @@ class TestCompression:
             decode_trace_frame(FRAME_ZTRACE, b"not zlib", "ctx")
         with pytest.raises(RemoteProtocolError, match="expected trace"):
             decode_trace_frame(FRAME_JSON, b"{}", "ctx")
-
-
-class TestWorkerMemoization:
-    def test_repeat_cells_answered_from_memo(
-        self, tmp_path, requests, serial_fingerprints
-    ):
-        from repro.experiments import ResultStore
-
-        store = ResultStore(tmp_path / "worker-memo")
-        with WorkerAgent(result_store=store) as agent:
-            first = RemoteBackend([agent.address]).run(requests)
-            assert [s.fingerprint() for s in first] == serial_fingerprints
-            assert agent.memo_hits == 0
-            # The same sweep again: every cell comes from the worker-local
-            # store, nothing is re-simulated, results stay bit-identical.
-            second = RemoteBackend([agent.address]).run(requests)
-            assert [s.fingerprint() for s in second] == serial_fingerprints
-            assert agent.memo_hits == len(requests)
-            assert len(store) == len(requests)
-
-    def test_memo_store_is_mergeable(self, tmp_path, requests):
-        # The worker-local store is an ordinary ResultStore: it folds into
-        # a central one by content address with no conflicts.
-        from repro.experiments import ResultStore
-
-        worker_store = ResultStore(tmp_path / "worker-memo")
-        with WorkerAgent(result_store=worker_store) as agent:
-            RemoteBackend([agent.address]).run(requests)
-        central = ResultStore(tmp_path / "central")
-        report = central.merge(worker_store)
-        assert report.merged == len(requests)
-        assert len(central) == len(requests)
 
 
 class TestAddressHardening:

@@ -32,13 +32,12 @@ DRIVER_COMMANDS = [
     "fig5 --benchmarks gcc,vortex --insts 6000 --quiet"
     " --remote-workers 127.0.0.1:7501,127.0.0.1:7502 --json remote.json",
     "campaignd --host 127.0.0.1 --port 7500 --cache-dir central --quiet",
-    "worker --host 127.0.0.1 --port 0 --register 127.0.0.1:7500 --slots 1"
-    " --cache-dir worker-0 --quiet",
+    "worker --host 127.0.0.1 --port 0 --register 127.0.0.1:7500 --slots 1 --quiet",
     "campaignd --host 127.0.0.1 --port 7500 --cache-dir central"
     " --fault-plan seed=11,corrupt_rate=0.5,truncate_rate=0.2,max_faults=5"
     " --job-deadline 4 --max-attempts 5",
     "worker --host 127.0.0.1 --port 0 --register 127.0.0.1:7500 --slots 1"
-    " --cache-dir worker-1 --quiet --fault-plan seed=7,crash_after=3",
+    " --quiet --fault-plan seed=7,crash_after=3",
     "fsck --trace-cache-dir /tmp/svw-worker-cache",
     "fsck --cache-dir central",
     "fsck --cache-dir central --fix",
@@ -94,7 +93,7 @@ def test_spawned_worker_agents_command_line_parses(monkeypatch):
 
 
 #: Per command family: a valid command line, and one flag the family
-#: does not take (five for ``fig5``).
+#: does not take (five for ``fig5``, two for ``worker``).
 FOREIGN_FLAGS = {
     "fig5": (
         "fig5 --benchmarks gcc --insts 2000",
@@ -104,7 +103,7 @@ FOREIGN_FLAGS = {
     "fuzz": ("fuzz", "--benchmarks gcc"),
     "bench": ("bench", "--jobs 2"),
     "goldens": ("goldens", "--insts 1000"),
-    "worker": ("worker", "--job-deadline 5"),
+    "worker": ("worker", "--job-deadline 5 --cache-dir X"),
     "campaignd": ("campaignd", "--slots 2"),
     "submit": ("submit fig5 --campaign 127.0.0.1:1", "--quiet"),
     "status": ("status fig5 --campaign 127.0.0.1:1", "--json -"),

@@ -68,6 +68,7 @@ def test_commands_that_never_simulate_load_no_core_or_numpy(tmp_path):
     dispatched in one fresh interpreter against a live daemon."""
     from repro.experiments import CampaignDaemon
 
+    (tmp_path / "store").mkdir()  # fsck checks a store, never creates one
     with CampaignDaemon() as daemon:
         target = ["fig5", "--campaign", daemon.address, "--insts", "1000", "--benchmarks", "gcc"]
         commands = [
