@@ -118,7 +118,7 @@ def main() -> int:
                 workers.append(
                     spawn(
                         ["worker", "--host", "127.0.0.1", "--port", "0",
-                         "--register", address, "--slots", "1", "--quiet"]
+                         "--register", address, "--quiet"]
                     )
                 )
             with CampaignClient(address) as probe:

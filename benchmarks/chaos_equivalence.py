@@ -167,7 +167,7 @@ def main() -> int:
 
         def spawn_worker(index: int, plan: str | None) -> subprocess.Popen:
             args = ["worker", "--host", "127.0.0.1", "--port", "0",
-                    "--register", address, "--slots", "1", "--quiet"]
+                    "--register", address, "--quiet"]
             if plan is not None:
                 args += ["--fault-plan", plan]
             return spawn(args, tmp_path / f"worker-{index}.log")

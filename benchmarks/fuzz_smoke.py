@@ -1,7 +1,7 @@
 """CI gate for the differential re-execution fuzzer.
 
-Two phases, both over a real two-worker loopback fleet (the same
-``auto:N`` spawner the CLI uses), both with the same seeded plan:
+Two phases, both over a real two-worker loopback fleet
+(``local_worker_fleet(2)``), both with the same seeded plan:
 
 1. **Clean core** -- ``run_fuzz`` on the unmodified simulator must report
    **zero divergences** across every LSUKind x RexMode cell (including
@@ -26,7 +26,6 @@ the ``fuzz-smoke`` CI job.  Exit code 0 iff every gate holds.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import sys
 from pathlib import Path
@@ -35,7 +34,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.experiments.fuzz import run_fuzz  # noqa: E402
-from repro.experiments.remote import RemoteBackend, resolve_worker_fleet  # noqa: E402
+from repro.experiments.remote import RemoteBackend, local_worker_fleet  # noqa: E402
 
 SEED = 42
 ROUNDS = 2
@@ -44,19 +43,13 @@ ROUNDS = 2
 MUTANT_ENV = "SVW_FUZZ_WEAK_UPD"
 
 
-def fleet_backend(stack: contextlib.ExitStack) -> RemoteBackend:
-    """Two loopback worker agents, spawned with the current environment."""
-    addresses = resolve_worker_fleet("auto:2", stack, None)
-    assert addresses is not None
-    return RemoteBackend(addresses)
-
-
 def phase_clean() -> str:
     """The fuzzer must be silent on the unmodified core; returns the
     report fingerprint so determinism can be asserted against serial."""
     os.environ.pop(MUTANT_ENV, None)
-    with contextlib.ExitStack() as stack:
-        report = run_fuzz(SEED, rounds=ROUNDS, backend=fleet_backend(stack))
+    # The agents are spawned with the current environment.
+    with local_worker_fleet(2) as fleet:
+        report = run_fuzz(SEED, rounds=ROUNDS, backend=RemoteBackend(fleet))
     print(f"  {report.describe()}")
     if not report.ok:
         for div in report.divergences:
@@ -69,8 +62,8 @@ def phase_mutant() -> None:
     """The same plan must flag the planted +UPD weakening."""
     os.environ[MUTANT_ENV] = "1"
     try:
-        with contextlib.ExitStack() as stack:
-            report = run_fuzz(SEED, rounds=ROUNDS, backend=fleet_backend(stack))
+        with local_worker_fleet(2) as fleet:
+            report = run_fuzz(SEED, rounds=ROUNDS, backend=RemoteBackend(fleet))
     finally:
         del os.environ[MUTANT_ENV]
     print(f"  {report.describe()}")

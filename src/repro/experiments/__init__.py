@@ -30,9 +30,9 @@ The pieces:
   out to other hosts over the trace wire format (codec bytes + config
   ``to_dict`` JSON, nothing pickled), with host-level trace caching,
   zlib-compressed trace frames,
-  cost-weighted longest-job-first dispatch over every slot an agent
-  advertises (each agent first draining the cells of the trace it
-  holds), and re-dispatch on worker loss.  Start an agent with
+  cost-weighted longest-job-first dispatch over the agents (each
+  first draining the cells of the trace it holds), and re-dispatch on
+  worker loss.  Start an agent with
   ``svw-repro worker``.
 - :class:`~repro.experiments.scheduler.Scheduler` -- the one
   transport-free cell scheduler under the batch runner, the remote

@@ -36,6 +36,11 @@ class CellExecutionError(RuntimeError):
     """A sweep cell failed; the message names the cell, the cause chains."""
 
 
+class FleetLostError(CellExecutionError):
+    """Every worker was lost with cells unfinished: the fleet failed, so
+    the error says nothing about the cells themselves."""
+
+
 def execute_request(
     request: RunRequest, trace: ColumnTrace | None = None
 ) -> SimStats:

@@ -28,9 +28,9 @@ socket):
   runs the same codec bytes through the same worker agents and the client
   re-verifies every stats fingerprint.
 - **Workers** are ordinary ``svw-repro worker`` agents that additionally
-  ``register``: they dial the daemon, advertise their port and slots,
-  then heartbeat; the daemon dials *back* with the ordinary job
-  protocol, one connection per slot.  A closed registry link or a missed
+  ``register``: they dial the daemon, advertise their port, then
+  heartbeat; the daemon dials *back* with the ordinary job protocol,
+  one job connection per worker.  A closed registry link or a missed
   heartbeat deregisters the worker and re-queues its in-flight cells.
   Workers reconnect through daemon restarts on their own.
 
@@ -82,7 +82,6 @@ from typing import Callable, Sequence
 from repro.experiments.backends import CellExecutionError, ProgressFn, SerialBackend
 from repro.experiments.faults import FaultPlan
 from repro.experiments.remote import (
-    MAX_SLOTS,
     PROTOCOL_VERSION,
     JobDispatcher,
     RemoteProtocolError,
@@ -443,15 +442,14 @@ class CampaignDaemon:
         peer = writer.get_extra_info("peername")
         try:
             port = int(register["port"])
-            slots = int(register.get("slots", 1))
         except (KeyError, TypeError, ValueError):
             await send_json_async(
                 writer, {"type": "error", "message": "register needs a numeric port"}
             )
             return
-        if not 0 < port < 65536 or slots < 1:
+        if not 0 < port < 65536:
             await send_json_async(
-                writer, {"type": "error", "message": "register port/slots out of range"}
+                writer, {"type": "error", "message": "register port out of range"}
             )
             return
         host = str(register.get("host") or (peer[0] if peer else "127.0.0.1"))
@@ -471,9 +469,7 @@ class CampaignDaemon:
                 },
             )
             return
-        worker = WorkerLink(
-            id=f"{host}:{port}", host=host, port=port, slots=min(slots, MAX_SLOTS)
-        )
+        worker = WorkerLink(id=f"{host}:{port}", host=host, port=port)
         work = self._dispatcher.work
         async with work:
             old = self._workers.get(worker.id)
@@ -486,13 +482,12 @@ class CampaignDaemon:
             self._workers[worker.id] = worker
         if old is not None:
             old.abort()
-        for _ in range(worker.slots):
-            self._dispatcher.spawn(worker)
+        self._dispatcher.spawn(worker)
         await send_json_async(
             writer,
             {"type": "registered", "worker": worker.id, "protocol": PROTOCOL_VERSION},
         )
-        self._note(f"worker {worker.id} registered ({worker.slots} slot(s))")
+        self._note(f"worker {worker.id} registered")
         try:
             while not worker.dead:
                 try:
@@ -518,7 +513,8 @@ class CampaignDaemon:
                 del self._workers[worker.id]
             self._dispatcher.work.notify_all()
         worker.abort()
-        await asyncio.gather(*worker.tasks, return_exceptions=True)
+        if worker.task is not None:
+            await asyncio.gather(worker.task, return_exceptions=True)
 
     # -- cell outcomes -------------------------------------------------------
 
@@ -674,7 +670,6 @@ class CampaignDaemon:
         workers = [
             {
                 "id": worker.id,
-                "slots": worker.slots,
                 "in_flight": worker.in_flight,
                 "jobs_done": worker.jobs_done,
                 "strikes": (

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.svw import SVWConfig
-from repro.experiments.backends import CellExecutionError, SerialBackend
+from repro.experiments.backends import CellExecutionError, FleetLostError, SerialBackend
 from repro.experiments.spec import FUZZ_INSTS, RunRequest
 from repro.fingerprint import stable_digest
 from repro.pipeline.config import LSUKind, MachineConfig, RexMode, eight_wide
@@ -297,6 +297,8 @@ def _minimize(
             )[0]
             try:
                 backend.run([request])
+            except FleetLostError:
+                raise
             except CellExecutionError:
                 ops = list(candidate.ops)  # still fails without op i
                 changed = True
@@ -317,7 +319,9 @@ def run_fuzz(
     ``backend`` is any :mod:`~repro.experiments.backends` backend
     (serial, local worker fleet, remote fleet, campaign); cells run one request
     at a time so a failing cell is attributed precisely instead of
-    aborting the batch.  ``workloads`` are names :func:`resolve_workload`
+    aborting the batch; a lost worker fleet
+    (:class:`~repro.experiments.backends.FleetLostError`) fails no cell
+    and ends the run.  ``workloads`` are names :func:`resolve_workload`
     resolves (SPEC2000 or phased-catalog); each trial's base is
     regenerable, so every mutated cell is pure JSON and runs on any
     backend.
@@ -345,6 +349,8 @@ def run_fuzz(
                 progress(f"trial {trial.index}: {mutated.name} / {cell}")
             try:
                 stats = backend.run([request])[0]
+            except FleetLostError:
+                raise
             except CellExecutionError as exc:
                 verdicts[cell] = "DIVERGE"
                 kind = (

@@ -33,7 +33,7 @@ Per connection::
     client                                worker
     ------                                ------
     J {type: hello, protocol: 2}    ->
-                                    <-    J {type: hello, protocol: 2, slots}
+                                    <-    J {type: hello, protocol: 2}
     J {type: job, job_id, describe,
        config, warmup, validate,
        trace_key, trace_sha256?}    ->
@@ -85,11 +85,11 @@ import threading
 import time
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from repro.experiments.backends import CellExecutionError, ProgressFn
+from repro.experiments.backends import CellExecutionError, FleetLostError, ProgressFn
 from repro.experiments.faults import CRASH_EXIT_CODE, FaultPlan
 from repro.experiments.scheduler import (
     Cell,
@@ -107,6 +107,9 @@ from repro.pipeline.config import MachineConfig
 from repro.pipeline.stats import SimStats
 from repro.workloads.trace_cache import TraceCache
 
+if TYPE_CHECKING:
+    import asyncio
+
 #: Version 2 ships every trace as a ``Z`` frame; version-1 peers could
 #: also send raw ``T`` frames, so the hello exchange refuses them.
 PROTOCOL_VERSION = 2
@@ -120,9 +123,6 @@ FRAME_ZTRACE = b"Z"
 MAX_FRAME_BYTES = 1 << 30
 
 _HEADER = struct.Struct(">cI")
-
-#: Most job connections the dispatcher opens to one agent.
-MAX_SLOTS = 64
 
 #: How many times a worker re-requests a trace whose bytes arrive damaged
 #: (CRC/digest/zlib failure) before giving up on the connection.
@@ -295,30 +295,28 @@ def parse_worker(address: str) -> tuple[str, int]:
     """
     cleaned = address.strip()
     if not cleaned:
-        raise ValueError(
-            "worker address is empty (expected host:port, e.g. node1:7501)"
-        )
+        raise ValueError("address is empty (expected host:port, e.g. node1:7501)")
     host, sep, port = cleaned.rpartition(":")
     if not sep or not host.strip():
         raise ValueError(
-            f"worker address {address.strip()!r} is missing a "
+            f"address {address.strip()!r} is missing a "
             f"{'host' if sep else 'port'} (expected host:port, e.g. node1:7501)"
         )
     host, port = host.strip(), port.strip()
     if not port:
         raise ValueError(
-            f"worker address {address.strip()!r} is missing a port "
+            f"address {address.strip()!r} is missing a port "
             "(expected host:port, e.g. node1:7501)"
         )
     if not port.isdigit():
         raise ValueError(
-            f"worker address {address.strip()!r} has a non-numeric port "
+            f"address {address.strip()!r} has a non-numeric port "
             f"{port!r} (expected host:port, e.g. node1:7501)"
         )
     value = int(port)
     if not 0 < value < 65536:
         raise ValueError(
-            f"worker address {address.strip()!r} has an out-of-range port "
+            f"address {address.strip()!r} has an out-of-range port "
             f"{value} (valid TCP ports are 1-65535)"
         )
     return host, value
@@ -331,10 +329,9 @@ class WorkerAgent:
     """One host's sweep-execution agent (``svw-repro worker``).
 
     A small threaded TCP server: each client connection is served by its
-    own thread, while ``slots`` bounds how many simulations run
-    concurrently (default 1 -- simulation is pure Python, so extra slots
-    only help when a host runs multiple agents or oversubscription is
-    wanted for latency hiding).
+    own thread, and the agent runs one simulation at a time however many
+    clients share it.  Simulation is pure Python under one interpreter
+    lock, so a host runs one agent per core to go faster.
 
     Trace handling is host-level and pickle-free: jobs name traces by
     content key only; misses are fetched over the wire as codec bytes,
@@ -356,7 +353,7 @@ class WorkerAgent:
 
     :meth:`register_with` joins a campaign daemon's worker registry (see
     :mod:`repro.experiments.campaign`): the agent dials the daemon,
-    advertises its port and slots, heartbeats, and reconnects through
+    advertises its port, heartbeats, and reconnects through
     daemon restarts.  An agent leaves the registry by closing: the
     daemon sees the link drop (or the heartbeats stop) and re-queues its
     in-flight cells.
@@ -368,23 +365,20 @@ class WorkerAgent:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        slots: int = 1,
         trace_cache: TraceCache | None = None,
         progress: Callable[[str], None] | None = None,
         advertise_host: str | None = None,
         faults: FaultPlan | None = None,
     ) -> None:
-        if slots < 1:
-            raise ValueError("slots must be >= 1")
         self.faults = faults
-        self.slots = slots
         self.trace_cache = trace_cache
         self.progress = progress
         self.advertise_host = advertise_host
         self._server = socket.create_server((host, port))
         self.host, self.port = self._server.getsockname()[:2]
         self._lock = threading.Lock()
-        self._sim_gate = threading.Semaphore(slots)
+        #: Held for each simulation: the agent runs one at a time.
+        self._sim_gate = threading.Lock()
         self._closed = threading.Event()
         #: key -> (decoded trace, SHA-256 of its encoded bytes when known).
         self._decoded: dict[str, tuple[ColumnTrace, str | None]] = {}
@@ -463,10 +457,10 @@ class WorkerAgent:
 
         The agent keeps serving direct :class:`RemoteBackend` clients on
         its own port; registration *additionally* advertises that port
-        and its slots to the daemon, which dials back with the ordinary
-        job protocol.  The registry connection carries only
-        tiny JSON frames: ``register`` -> ``registered``, then a
-        ``heartbeat`` every ``heartbeat_interval`` seconds.
+        to the daemon, which dials back with the ordinary job protocol.
+        The registry connection carries only tiny JSON frames:
+        ``register`` -> ``registered``, then a ``heartbeat`` every
+        ``heartbeat_interval`` seconds.
 
         A lost or refusing daemon is retried forever with **jittered
         exponential backoff**: the first retry waits ``retry_interval``
@@ -499,7 +493,6 @@ class WorkerAgent:
             "type": "register",
             "protocol": PROTOCOL_VERSION,
             "port": self.port,
-            "slots": self.slots,
         }
         if self.advertise_host is not None:
             register["host"] = self.advertise_host
@@ -585,10 +578,7 @@ class WorkerAgent:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
-            _handshake(
-                conn,
-                reply={"type": "hello", "protocol": PROTOCOL_VERSION, "slots": self.slots},
-            )
+            _handshake(conn, reply={"type": "hello", "protocol": PROTOCOL_VERSION})
             while not self._closed.is_set():
                 message = recv_json(conn)
                 if message.get("type") != "job":
@@ -778,38 +768,36 @@ def build_job_message(
 class WorkerLink:
     """One worker agent as the dispatcher drives it.
 
-    The dispatcher dials ``slots`` job connections to ``host:port``;
-    ``slots=0`` (a static-fleet member) sizes the link to the slots the
-    agent advertises in its hello.  ``dead`` stops its slots taking new
-    cells; ``error`` says why it died.  ``trace_key`` is
-    the trace of the last cell handed to the agent, the one its decoded
-    memo holds warm.
+    The dispatcher dials one job connection to ``host:port``.  ``dead``
+    stops it taking new cells; ``error`` says why it died.  ``trace_key``
+    is the trace of the last cell handed to the agent, the one its
+    decoded memo holds warm.
     """
 
     id: str
     host: str
     port: int
-    slots: int = 1
     dead: bool = False
     in_flight: int = 0
     jobs_done: int = 0
     error: str | None = None
     trace_key: str | None = None
-    tasks: list = field(default_factory=list)
-    writers: list = field(default_factory=list)
+    #: The task driving the agent, and its job connection.
+    task: asyncio.Task | None = None
+    writer: asyncio.StreamWriter | None = None
 
     def abort(self) -> None:
-        """Sever every job connection (busy slots unwind as worker loss)."""
-        for writer in self.writers:
-            writer.transport.abort()
+        """Sever the job connection (a busy one unwinds as worker loss)."""
+        if self.writer is not None:
+            self.writer.transport.abort()
 
 
 class JobDispatcher:
     """Runs a :class:`~repro.experiments.scheduler.Scheduler`'s cells on
-    worker agents, one asyncio task per job connection ("slot"), for
+    worker agents, one asyncio task and one job connection per agent, for
     both :class:`RemoteBackend` and the campaign daemon.
 
-    A slot dials its agent, says hello, then loops: take the next cell,
+    A task dials its agent, says hello, then loops: take the next cell,
     run the job exchange, settle the outcome.  The next cell is the
     scheduler's first pending cell of the trace the agent was last handed
     (:attr:`WorkerLink.trace_key`), else its first pending cell, so an
@@ -847,7 +835,7 @@ class JobDispatcher:
         self.trace_site = trace_site
         self.note = note or (lambda message: None)
         self.settled = settled
-        #: Guards the scheduler and every worker's slot state.
+        #: Guards the scheduler and every worker's state.
         self.work = asyncio.Condition()
         self.closing = False
         #: Trace generation, hashing and framing run off the event loop on
@@ -858,7 +846,7 @@ class JobDispatcher:
         self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="svw-trace")
         #: trace key -> SHA-256 of its encoded bytes, once known.
         self._digests: dict[str, str] = {}
-        #: Live slot tasks.
+        #: Live worker tasks.
         self._tasks: set = set()
         #: Results received from workers.
         self.cells_simulated = 0
@@ -868,17 +856,17 @@ class JobDispatcher:
         self.traces_shipped = 0
 
     def spawn(self, worker: WorkerLink) -> None:
-        """Start one more slot on ``worker``."""
+        """Start the task that drives ``worker``."""
         import asyncio
 
-        task = asyncio.create_task(self._slot(worker))
+        task = asyncio.create_task(self._drive(worker))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
-        worker.tasks.append(task)
+        worker.task = task
 
     async def close(self) -> None:
-        """Stop handing out cells and wait for every slot: idle slots exit
-        at once, busy ones after their current cell."""
+        """Stop handing out cells and wait for every worker task: idle
+        ones exit at once, busy ones after their current cell."""
         import asyncio
 
         async with self.work:
@@ -891,9 +879,9 @@ class JobDispatcher:
     def _has_encoded(self, request: RunRequest) -> bool:
         return self.provider.has_encoded(request.workload, request.n_insts)
 
-    # -- slots ---------------------------------------------------------------
+    # -- worker tasks --------------------------------------------------------
 
-    async def _slot(self, worker: WorkerLink) -> None:
+    async def _drive(self, worker: WorkerLink) -> None:
         import asyncio
 
         writer = None
@@ -904,7 +892,7 @@ class JobDispatcher:
                     asyncio.open_connection(worker.host, worker.port),
                     self.connect_timeout,
                 )
-                worker.writers.append(writer)
+                worker.writer = writer
                 await send_json_async(
                     writer, {"type": "hello", "protocol": PROTOCOL_VERSION}
                 )
@@ -923,16 +911,6 @@ class JobDispatcher:
                     self.work.notify_all()
                 self._quarantined(worker, pause, "dial-back failed")
                 return
-            if worker.slots == 0 and not self.closing:
-                # Static fleet: one slot per connection the agent advertises.
-                advertised = peer.get("slots")
-                worker.slots = (
-                    min(advertised, MAX_SLOTS)
-                    if isinstance(advertised, int) and advertised > 0
-                    else 1
-                )
-                for _ in range(worker.slots - 1):
-                    self.spawn(worker)
             while True:
                 cell = await self._next_cell(worker)
                 if cell is None:
@@ -1017,7 +995,7 @@ class JobDispatcher:
                     mutated = self.faults.mutate_trace(self.trace_site, data)
                     if mutated is not None:
                         data = mutated
-                # Framing (zlib) runs off the loop so other slots' results
+                # Framing (zlib) runs off the loop so other workers' results
                 # are not held up behind it.
                 writer.write(
                     await loop.run_in_executor(self._executor, _trace_frame, data)
@@ -1099,13 +1077,13 @@ class RemoteBackend:
     ``workers`` is a sequence of ``"host:port"`` addresses.  Each
     :meth:`run` is one submission to a fresh
     :class:`~repro.experiments.scheduler.Scheduler`, driven by a
-    :class:`JobDispatcher` with one slot per connection each agent
-    advertises.  Results are positionally aligned with the request list
-    and bit-identical to :class:`~repro.experiments.backends.
-    SerialBackend`.  The first failed cell raises
-    :class:`~repro.experiments.backends.CellExecutionError`, as does
-    losing every slot with cells unfinished; ``max_attempts`` bounds how
-    often one cell is dispatched.
+    :class:`JobDispatcher` with one job connection per agent.  Results
+    are positionally aligned with the request list and bit-identical to
+    :class:`~repro.experiments.backends.SerialBackend`.  The first failed
+    cell raises :class:`~repro.experiments.backends.CellExecutionError`;
+    losing every worker with cells unfinished raises its subclass
+    :class:`~repro.experiments.backends.FleetLostError`.  ``max_attempts``
+    bounds how often one cell is dispatched.
 
     ``job_deadline`` bounds one job exchange: a number of seconds,
     ``None`` for no deadline, or ``"auto"`` (see
@@ -1158,7 +1136,7 @@ class RemoteBackend:
         scheduler = Scheduler(self.cost_model, self.max_attempts, self.job_deadline)
         submission, _ = scheduler.submit(requests[0].experiment, requests)
         workers = [
-            WorkerLink(address, *parse_worker(address), slots=0)
+            WorkerLink(address, *parse_worker(address))
             for address in self.addresses
         ]
         dispatcher = asyncio.run(self._sweep(scheduler, submission, workers, progress))
@@ -1177,7 +1155,7 @@ class RemoteBackend:
                 for worker in sorted(workers, key=lambda worker: worker.id)
                 if worker.error
             )
-            raise CellExecutionError(
+            raise FleetLostError(
                 f"{len(unfinished)} cell(s) unfinished after losing all workers "
                 f"({detail or 'no worker reachable'}): {unfinished[:3]}"
             )
@@ -1216,43 +1194,9 @@ class RemoteBackend:
 # ---------------------------------------------------------------- loopback fleet
 
 
-def resolve_worker_fleet(
-    spec: str | None, stack, trace_cache_dir: str | None = None
-) -> list[str] | None:
-    """A ``--remote-workers`` value -> agent addresses (one parser for every
-    CLI entry point).
-
-    ``auto:N`` spawns a loopback fleet whose lifetime is tied to ``stack``
-    (a :class:`contextlib.ExitStack`); anything else is a comma-separated
-    ``host:port`` list, validated up front so typos fail before the sweep.
-    """
-    if spec is None:
-        return None
-    if spec.startswith("auto:"):
-        count = spec.split(":", 1)[1].strip()
-        if not count.isdigit() or int(count) < 1:
-            raise ValueError(
-                f"auto fleet size must be a positive integer, got {count!r} "
-                "(expected e.g. auto:2)"
-            )
-        return stack.enter_context(
-            local_worker_fleet(int(count), trace_cache_dir=trace_cache_dir)
-        )
-    addresses = [address.strip() for address in spec.split(",") if address.strip()]
-    if not addresses:
-        raise ValueError(
-            f"no worker addresses in {spec!r} (expected a comma-separated "
-            "host:port list, or auto:N for a loopback fleet)"
-        )
-    for address in addresses:
-        parse_worker(address)
-    return addresses
-
-
 def spawn_worker_agents(
     count: int,
     trace_cache_dir: str | None = None,
-    slots: int = 1,
     startup_timeout: float = 30.0,
 ) -> list[tuple[subprocess.Popen, str]]:
     """Start ``count`` loopback ``svw-repro worker`` subprocesses on
@@ -1279,8 +1223,6 @@ def spawn_worker_agents(
     ]
     if trace_cache_dir is not None:
         command += ["--trace-cache-dir", trace_cache_dir]
-    if slots != 1:
-        command += ["--slots", str(slots)]
     agents: list[subprocess.Popen] = []
     try:
         for _ in range(count):
@@ -1337,16 +1279,16 @@ def stop_worker_agents(agents: Sequence[subprocess.Popen], wait: bool = True) ->
 def local_worker_fleet(
     count: int,
     trace_cache_dir: str | None = None,
-    slots: int = 1,
     startup_timeout: float = 30.0,
 ) -> Iterator[list[str]]:
     """``count`` loopback ``svw-repro worker`` subprocesses on ephemeral ports.
 
-    Yields their ``host:port`` addresses and tears the agents down on
-    exit.  This is what ``--remote-workers auto:N`` uses: real worker
-    processes, real sockets.
+    Yields their ``host:port`` addresses, for a :class:`RemoteBackend`
+    or a ``--remote-workers`` list, and tears the agents down on exit:
+    real worker processes, real sockets.  ``--jobs N`` keeps its own
+    session fleet of the same agents (:mod:`repro.experiments.pool`).
     """
-    fleet = spawn_worker_agents(count, trace_cache_dir, slots, startup_timeout)
+    fleet = spawn_worker_agents(count, trace_cache_dir, startup_timeout)
     try:
         yield [address for _, address in fleet]
     finally:

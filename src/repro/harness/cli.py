@@ -23,24 +23,21 @@ Examples::
     svw-repro goldens                      # regenerate tests/goldens.json
     svw-repro worker --port 7501           # start a remote worker agent
     svw-repro fig5 --remote-workers hostA:7501,hostB:7501
-    svw-repro fig5 --remote-workers auto:2 # two loopback worker agents
     svw-repro campaignd --port 7500 --cache-dir ~/.cache/svw   # sweep service
     svw-repro worker --port 7501 --register hostD:7500     # join its fleet
     svw-repro submit fig5 --campaign hostD:7500            # enqueue + return
     svw-repro status fig5 --campaign hostD:7500
-    svw-repro fetch fig5 --campaign hostD:7500             # wait + render
-    svw-repro fig5 --campaign hostD:7500   # figure sweep as a campaign
+    svw-repro fig5 --campaign hostD:7500   # wait for the campaign, render it
     svw-repro fig5 --campaign hostD:7500 --fallback local  # degrade, don't die
     svw-repro fsck --cache-dir ~/.cache/svw --fix          # scrub caches
     svw-repro worker --port 7501 --fault-plan seed=7,crash_after=3  # chaos
     svw-repro fuzz --seed 42 --rounds 3    # differential re-execution fuzzing
-    svw-repro fuzz --seed 42 --remote-workers auto:2 --json -
+    svw-repro fuzz --seed 42 --jobs 2 --json -
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 import time
@@ -102,6 +99,29 @@ def _campaign_target(text: str) -> str:
     )
 
 
+def _address(text: str) -> str:
+    """An argparse ``type=`` for one ``host:port`` address, checked by
+    ``parse_worker``: a malformed one exits 2 naming the flag."""
+    from repro.experiments.remote import parse_worker
+
+    try:
+        parse_worker(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text.strip()
+
+
+def _address_list(text: str) -> list[str]:
+    """An argparse ``type=`` for ``--remote-workers``: a comma-separated
+    list of ``host:port`` addresses."""
+    addresses = [_address(address) for address in text.split(",") if address.strip()]
+    if not addresses:
+        raise argparse.ArgumentTypeError(
+            f"no worker addresses in {text!r} (expected a comma-separated host:port list)"
+        )
+    return addresses
+
+
 def _names(text: str | None) -> list[str] | None:
     """A comma-separated name list flag; ``None`` when not given."""
     return text.split(",") if text else None
@@ -119,36 +139,36 @@ def _result_store(args: argparse.Namespace) -> ResultStore | None:
     return ResultStore(args.cache_dir) if args.cache_dir else None
 
 
-def _backend(
-    args: argparse.Namespace,
-    stack: contextlib.ExitStack,
-    trace_cache: TraceCache | None,
-) -> ExecutionBackend:
-    """The backend a sweep command runs on: ``--campaign``, else
-    ``--remote-workers``, else the ``--jobs`` backend.
-
-    Agents spawned for ``--remote-workers auto:N`` live on ``stack``, so
-    they are torn down when the command finishes.
-    """
-    from repro.experiments.backends import make_backend
-    from repro.experiments.remote import RemoteBackend, resolve_worker_fleet
-
-    if args.campaign is not None and args.remote_workers is not None:
-        raise SystemExit(
-            "--campaign and --remote-workers are mutually exclusive "
-            "(the campaign daemon owns its own worker fleet)"
-        )
-    try:
-        remote = resolve_worker_fleet(args.remote_workers, stack, args.trace_cache_dir)
-    except ValueError as exc:
-        raise SystemExit(f"--remote-workers: {exc}") from exc
+def _backend(args: argparse.Namespace, trace_cache: TraceCache | None) -> ExecutionBackend:
+    """The backend a sweep command runs on: ``--campaign``,
+    ``--remote-workers`` or ``--jobs`` (the parser admits at most one)."""
     if args.campaign is not None:
         from repro.experiments.campaign import CampaignBackend
 
         return CampaignBackend(args.campaign, fallback=args.fallback)
-    if remote is not None:
-        return RemoteBackend(remote, trace_cache=trace_cache)
+    if args.remote_workers is not None:
+        from repro.experiments.remote import RemoteBackend
+
+        return RemoteBackend(args.remote_workers, trace_cache=trace_cache)
+    from repro.experiments.backends import make_backend
+
     return make_backend(args.jobs, trace_cache=trace_cache)
+
+
+def _sweep_failures() -> tuple[type[Exception], ...]:
+    """What a backend raises when a sweep cannot finish: a failed cell, a
+    lost fleet, a campaign error.  Called only once an exception is being
+    matched, so a sweep that succeeds never loads the campaign tier."""
+    from repro.experiments.backends import CellExecutionError
+    from repro.experiments.campaign import CampaignError
+
+    return (CellExecutionError, CampaignError)
+
+
+def _failed(args: argparse.Namespace, exc: Exception) -> int:
+    """Report a command's failure in one stderr line; exit status 1."""
+    print(f"svw-repro {args.command}: {exc}", file=sys.stderr)
+    return 1
 
 
 def _write_json(args: argparse.Namespace, payload: object) -> None:
@@ -237,10 +257,11 @@ def _run_figures(args: argparse.Namespace) -> int:
         session_cost_model().load_from(store.cost_model_path)
     results: dict[str, FigureResult] = {}
     try:
-        with contextlib.ExitStack() as stack:
-            backend = _backend(args, stack, trace_cache)
-            for name, spec in specs.items():
-                results[name] = _run_figure(args, name, spec, backend, store)
+        backend = _backend(args, trace_cache)
+        for name, spec in specs.items():
+            results[name] = _run_figure(args, name, spec, backend, store)
+    except _sweep_failures() as exc:
+        return _failed(args, exc)
     finally:
         shutdown_session_pools()
         if store is not None:
@@ -256,19 +277,19 @@ def _run_fuzz(args: argparse.Namespace) -> int:
     pure function of (--seed, --rounds, --workloads, --insts)."""
     from repro.experiments.fuzz import run_fuzz
 
-    with contextlib.ExitStack() as stack:
-        backend = _backend(args, stack, _trace_cache(args))
-        try:
-            report = run_fuzz(
-                args.seed,
-                rounds=args.rounds,
-                workloads=_names(args.workloads),
-                n_insts=args.insts,
-                backend=backend,
-                progress=_progress_fn(args),
-            )
-        except ValueError as exc:
-            raise SystemExit(f"fuzz: {exc}") from exc
+    try:
+        report = run_fuzz(
+            args.seed,
+            rounds=args.rounds,
+            workloads=_names(args.workloads),
+            n_insts=args.insts,
+            backend=_backend(args, _trace_cache(args)),
+            progress=_progress_fn(args),
+        )
+    except ValueError as exc:
+        raise SystemExit(f"fuzz: {exc}") from exc
+    except _sweep_failures() as exc:
+        return _failed(args, exc)
     if args.json is not None:
         _write_json(args, report.to_dict())
     if args.json != "-":
@@ -342,7 +363,6 @@ def _run_worker(args: argparse.Namespace) -> int:
     agent = WorkerAgent(
         host=args.host,
         port=args.port,
-        slots=args.slots,
         trace_cache=_trace_cache(args),
         progress=_progress_fn(args),
         faults=_parse_fault_plan(args.fault_plan),
@@ -397,22 +417,14 @@ def _run_campaignd(args: argparse.Namespace) -> int:
 
 
 def _run_campaign_command(args: argparse.Namespace) -> int:
-    """``svw-repro submit/status/fetch/cancel`` against a campaign daemon.
+    """``svw-repro submit/status/cancel`` against a campaign daemon.
 
-    ``submit`` enqueues and returns immediately; ``fetch`` waits for
-    completion and renders the figure (through the ordinary
-    :class:`~repro.experiments.campaign.CampaignBackend` path, so results
-    are fingerprint-verified); ``status``/``cancel`` accept either an
+    ``submit`` enqueues and returns immediately (``svw-repro <experiment>
+    --campaign`` submits and waits); ``status``/``cancel`` accept either an
     experiment name (the campaign id is re-derived from the spec, which
     must be built with the same ``--insts``/``--benchmarks``) or a raw id.
     """
-    from repro.experiments.backends import CellExecutionError
-    from repro.experiments.campaign import (
-        CampaignBackend,
-        CampaignClient,
-        CampaignError,
-        spec_campaign_id,
-    )
+    from repro.experiments.campaign import CampaignClient, CampaignError, spec_campaign_id
 
     command = args.command
     spec = None
@@ -421,17 +433,6 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
         spec = _spec(args, args.target)
         campaign_id = spec_campaign_id(spec)
     try:
-        if command == "fetch":
-            result = _run_figure(
-                args,
-                args.target,
-                spec,
-                CampaignBackend(args.campaign, fallback=args.fallback),
-                _result_store(args),
-            )
-            if args.json is not None:
-                _write_json(args, {args.target: result.to_dict()})
-            return 0
         with CampaignClient(args.campaign) as client:
             if command == "submit":
                 reply = client.submit(spec=spec)
@@ -455,10 +456,8 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
             reply = client.cancel(campaign_id)
             print(f"campaign {reply['campaign']}: {reply.get('state')}")
             return 0
-    except (CampaignError, CellExecutionError, ValueError) as exc:
-        # ValueError: a malformed --campaign address.
-        print(f"svw-repro {command}: {exc}", file=sys.stderr)
-        return 1
+    except CampaignError as exc:
+        return _failed(args, exc)
 
 
 def _run_fsck(args: argparse.Namespace) -> int:
@@ -584,21 +583,24 @@ def build_parser() -> argparse.ArgumentParser:
         "retry window, run the cells locally (bit-identical, just slower) "
         "instead of failing the sweep",
     )
-    backend = _option(
+    backend = argparse.ArgumentParser(add_help=False)
+    one_backend = backend.add_mutually_exclusive_group()
+    one_backend.add_argument(
         "--jobs",
         type=_positive_int,
         help="worker processes per sweep (default: serial in-process)",
     )
-    backend.add_argument(
+    one_backend.add_argument(
         "--remote-workers",
         metavar="LIST",
+        type=_address_list,
         help="run sweeps on remote worker agents: comma-separated host:port "
-        "list (agents started with 'svw-repro worker'), or 'auto:N' to "
-        "spawn N loopback agents for the duration of the command",
+        "list (agents started with 'svw-repro worker')",
     )
-    backend.add_argument(
+    one_backend.add_argument(
         "--campaign",
         metavar="HOST:PORT",
+        type=_address,
         help="campaign daemon address: sweeps become campaign submissions "
         "executed by the daemon's registered worker fleet",
     )
@@ -731,12 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="a remote execution agent serving sweeps over TCP",
     )
     worker.add_argument(
-        "--slots",
-        type=_positive_int,
-        default=1,
-        help="concurrent simulations this agent accepts",
-    )
-    worker.add_argument(
         "--register",
         metavar="HOST:PORT",
         help="register with a campaign daemon (heartbeats + dial-back job "
@@ -768,19 +764,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     client = [
         _option(
-            "--campaign", required=True, metavar="HOST:PORT", help="the campaign daemon's address"
+            "--campaign",
+            required=True,
+            metavar="HOST:PORT",
+            type=_address,
+            help="the campaign daemon's address",
         ),
         insts(DEFAULT_INSTS),
         benchmarks,
     ]
-    for name, extra, text in (
-        ("submit", [], "enqueue an experiment as a campaign and return"),
-        ("status", [], "a campaign's progress"),
-        ("fetch", [fallback, cache_dir, json_out, quiet], "wait for a campaign, render it"),
-        ("cancel", [], "cancel a campaign"),
+    for name, text in (
+        ("submit", "enqueue an experiment as a campaign and return"),
+        ("status", "a campaign's progress"),
+        ("cancel", "cancel a campaign"),
     ):
-        talk = commands.add_parser(name, parents=client + extra, help=text)
-        if name in ("submit", "fetch"):
+        talk = commands.add_parser(name, parents=client, help=text)
+        if name == "submit":
             talk.add_argument(
                 "target",
                 choices=sorted(figures.EXPERIMENTS),

@@ -59,7 +59,7 @@ class TestEquivalence:
         self, tmp_path, requests, serial_fingerprints
     ):
         with CampaignDaemon(cache_dir=tmp_path / "central") as daemon:
-            with WorkerAgent(slots=2) as a, WorkerAgent(slots=2) as b:
+            with WorkerAgent() as a, WorkerAgent() as b:
                 a.register_with(daemon.address)
                 b.register_with(daemon.address)
                 stats = CampaignBackend(daemon.address).run(requests)
@@ -114,7 +114,7 @@ class TestDedup:
             r.fingerprint() for r in spec_b.cells()
         }
         with CampaignDaemon(cache_dir=tmp_path / "central") as daemon:
-            with WorkerAgent(slots=2) as agent:
+            with WorkerAgent() as agent:
                 agent.register_with(daemon.address)
                 results: dict[str, list] = {}
                 errors: list[Exception] = []
@@ -141,7 +141,7 @@ class TestDedup:
 
     def test_attach_counts_shared_cells(self, tmp_path, requests):
         with CampaignDaemon(cache_dir=tmp_path / "central") as daemon:
-            with WorkerAgent(slots=2) as agent:
+            with WorkerAgent() as agent:
                 agent.register_with(daemon.address)
                 CampaignBackend(daemon.address).run(requests)
                 before = daemon.cells_simulated
@@ -185,7 +185,7 @@ class TestRestartResume:
         # Restart on the same port + cache dir: the journal resurrects the
         # campaign; a freshly registered worker finishes it.
         with CampaignDaemon(port=port, cache_dir=central) as daemon2:
-            with WorkerAgent(slots=2) as agent:
+            with WorkerAgent() as agent:
                 agent.register_with(daemon2.address)
                 with CampaignClient(daemon2.address) as client:
                     status = client.wait(campaign_id, timeout=120)
@@ -207,7 +207,7 @@ class TestRestartResume:
         for request, stats in zip(requests[:completed], serial_stats):
             store.save(request, stats)
         with CampaignDaemon(cache_dir=central) as daemon:
-            with WorkerAgent(slots=2) as agent:
+            with WorkerAgent() as agent:
                 agent.register_with(daemon.address)
                 stats = CampaignBackend(daemon.address).run(requests)
                 assert [s.fingerprint() for s in stats] == serial_fingerprints
@@ -225,7 +225,7 @@ class TestRestartResume:
             campaign_id = client.submit(cells=requests, name="lost")["campaign"]
         daemon1.close()
         with CampaignDaemon(port=port) as daemon2:
-            with WorkerAgent(slots=2) as agent:
+            with WorkerAgent() as agent:
                 agent.register_with(daemon2.address)
                 with CampaignClient(daemon2.address) as client:
                     with pytest.raises(CampaignError, match="unknown campaign"):
@@ -246,7 +246,7 @@ class TestFleet:
             cache_dir=tmp_path / "central", heartbeat_timeout=1.0
         ) as daemon:
             with CampaignClient(daemon.address) as client:
-                agent = WorkerAgent(slots=1)
+                agent = WorkerAgent()
                 agent.start()
                 agent.register_with(daemon.address, heartbeat_interval=0.2)
                 wait_for(
@@ -265,7 +265,7 @@ class TestFleet:
                 campaign_id = client.submit(cells=requests[:2], name="requeue")[
                     "campaign"
                 ]
-                with WorkerAgent(slots=1) as replacement:
+                with WorkerAgent() as replacement:
                     replacement.register_with(daemon.address, heartbeat_interval=0.2)
                     status = client.wait(campaign_id, timeout=120)
                     assert status["state"] == "done"
@@ -287,7 +287,6 @@ class TestFleet:
                             "type": "register",
                             "protocol": PROTOCOL_VERSION,
                             "port": agent.port,
-                            "slots": 1,
                         },
                     )
                     assert recv_json(registry)["type"] == "registered"
@@ -310,7 +309,7 @@ class TestFleet:
         central = tmp_path / "central"
         daemon1 = CampaignDaemon(cache_dir=central, heartbeat_timeout=2.0).start()
         port = daemon1.port
-        with WorkerAgent(slots=2) as agent:
+        with WorkerAgent() as agent:
             agent.register_with(
                 daemon1.address, heartbeat_interval=0.2, retry_interval=0.2
             )
@@ -362,7 +361,7 @@ class TestFailure:
                 raise OSError(errno.ENOSPC, "No space left on device")
 
             monkeypatch.setattr(daemon.store, "save", disk_full)
-            with WorkerAgent(slots=2) as agent:
+            with WorkerAgent() as agent:
                 agent.register_with(daemon.address)
                 stats = CampaignBackend(daemon.address, timeout=60).run(requests)
             assert [s.fingerprint() for s in stats] == serial_fingerprints

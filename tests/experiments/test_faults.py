@@ -329,7 +329,6 @@ class TestQuarantine:
                         "type": "register",
                         "protocol": PROTOCOL_VERSION,
                         "port": dead_port,
-                        "slots": 1,
                     },
                 )
                 assert recv_json(registry)["type"] == "registered"
@@ -351,7 +350,6 @@ class TestQuarantine:
                         "type": "register",
                         "protocol": PROTOCOL_VERSION,
                         "port": dead_port,
-                        "slots": 1,
                     },
                 )
                 refusal = recv_json(again)

@@ -86,18 +86,6 @@ class TestFraming:
             with pytest.raises(ValueError):
                 parse_worker(bad)
 
-    def test_resolve_worker_fleet_validates_up_front(self):
-        import contextlib
-
-        from repro.experiments.remote import resolve_worker_fleet
-
-        with contextlib.ExitStack() as stack:
-            assert resolve_worker_fleet(None, stack) is None
-            assert resolve_worker_fleet("a:1, b:2", stack) == ["a:1", "b:2"]
-            for bad in (",", "", "host-no-port", "a:1,malformed"):
-                with pytest.raises(ValueError):
-                    resolve_worker_fleet(bad, stack)
-
 
 class TestEquivalence:
     def test_two_workers_bit_identical_to_serial(self, requests, serial_fingerprints):
@@ -250,17 +238,16 @@ class TestFaultTolerance:
             assert healthy.jobs_done == len(cells)
             assert doomed.jobs_done == 0
 
-    def test_many_slots_with_a_dropping_agent(self, requests, serial_fingerprints):
-        # More slots than cores, one agent dying mid-sweep: the dead
-        # agent's cells are re-dispatched and the results stay
-        # bit-identical to serial.  (The dying agent's other slot may
-        # finish a simulation whose result never ships, so only a lower
-        # bound on the simulations holds.)
-        with WorkerAgent(slots=2, faults=FaultPlan(drop_after=1)) as chaotic, \
-                WorkerAgent(slots=2) as a, WorkerAgent(slots=2) as b:
+    def test_three_agents_with_a_dropping_agent(self, requests, serial_fingerprints):
+        # One agent of three dying mid-sweep: its cells are re-dispatched
+        # and the results stay bit-identical to serial.  (A straggler may
+        # be re-dispatched too, so only a lower bound on the simulations
+        # holds.)
+        with WorkerAgent(faults=FaultPlan(drop_after=1)) as chaotic, \
+                WorkerAgent() as a, WorkerAgent() as b:
             stats = RemoteBackend([chaotic.address, a.address, b.address]).run(requests)
             assert [s.fingerprint() for s in stats] == serial_fingerprints
-            assert chaotic.connections_served == 2
+            assert chaotic.connections_served == 1
             assert a.jobs_done + b.jobs_done >= len(requests) - chaotic.jobs_done
 
     def test_all_workers_lost_raises(self, requests):
@@ -360,19 +347,6 @@ class TestScheduling:
             abs(model.weight(requests[0].config) - 1.0) < 0.5
         )
 
-    def test_advertised_slots_are_honoured(self, requests, serial_fingerprints):
-        # One agent advertising two slots gets two job connections, and
-        # the results stay bit-identical to serial.
-        with WorkerAgent(slots=2) as agent:
-            stats = RemoteBackend([agent.address]).run(requests)
-            assert [s.fingerprint() for s in stats] == serial_fingerprints
-            assert agent.connections_served == 2
-            assert agent.jobs_done == len(requests)
-
-    def test_agent_requires_positive_slots(self):
-        with pytest.raises(ValueError):
-            WorkerAgent(slots=0)
-
 
 class TestConcurrentClients:
     def test_two_backends_share_one_agent(self, requests, serial_fingerprints):
@@ -428,17 +402,3 @@ class TestAddressHardening:
         # Whitespace around list entries is tolerated, not fatal.
         assert parse_worker("  node1:7501 ") == ("node1", 7501)
 
-    def test_resolve_worker_fleet_message_quality(self):
-        import contextlib
-
-        from repro.experiments.remote import resolve_worker_fleet
-
-        with contextlib.ExitStack() as stack:
-            with pytest.raises(ValueError, match="positive integer"):
-                resolve_worker_fleet("auto:0", stack)
-            with pytest.raises(ValueError, match="positive integer"):
-                resolve_worker_fleet("auto:two", stack)
-            with pytest.raises(ValueError, match="no worker addresses"):
-                resolve_worker_fleet(",,,", stack)
-            with pytest.raises(ValueError, match="non-numeric port"):
-                resolve_worker_fleet("a:1,malformed:x", stack)

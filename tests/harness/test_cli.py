@@ -24,20 +24,19 @@ DRIVER_COMMANDS = [
     "fig5 --benchmarks gcc --insts 2000 --jobs 2 --json - --quiet",
     "bench --quick --stages --out BENCH_core.json",
     "worker --host 127.0.0.1 --port 7501 --trace-cache-dir /tmp/svw-worker-cache --quiet",
-    "worker --host 127.0.0.1 --port 7502 --slots 2 --trace-cache-dir /tmp/svw-worker-cache"
-    " --quiet",
+    "worker --host 127.0.0.1 --port 7502 --trace-cache-dir /tmp/svw-worker-cache --quiet",
     "fig5 --benchmarks gcc,vortex --insts 6000 --quiet --json serial.json",
     "fig5 --benchmarks gcc,vortex --insts 6000 --quiet --jobs 2 --json jobs2.json",
     "fig5 --benchmarks gcc,vortex --insts 6000 --quiet --jobs 3 --json jobs3.json",
     "fig5 --benchmarks gcc,vortex --insts 6000 --quiet"
     " --remote-workers 127.0.0.1:7501,127.0.0.1:7502 --json remote.json",
     "campaignd --host 127.0.0.1 --port 7500 --cache-dir central --quiet",
-    "worker --host 127.0.0.1 --port 0 --register 127.0.0.1:7500 --slots 1 --quiet",
+    "worker --host 127.0.0.1 --port 0 --register 127.0.0.1:7500 --quiet",
     "campaignd --host 127.0.0.1 --port 7500 --cache-dir central"
     " --fault-plan seed=11,corrupt_rate=0.5,truncate_rate=0.2,max_faults=5"
     " --job-deadline 4 --max-attempts 5",
-    "worker --host 127.0.0.1 --port 0 --register 127.0.0.1:7500 --slots 1"
-    " --quiet --fault-plan seed=7,crash_after=3",
+    "worker --host 127.0.0.1 --port 0 --register 127.0.0.1:7500 --quiet"
+    " --fault-plan seed=7,crash_after=3",
     "fsck --trace-cache-dir /tmp/svw-worker-cache",
     "fsck --cache-dir central",
     "fsck --cache-dir central --fix",
@@ -84,16 +83,18 @@ def test_spawned_worker_agents_command_line_parses(monkeypatch):
 
     monkeypatch.setattr(subprocess, "Popen", popen)
     with pytest.raises(OSError):
-        remote.spawn_worker_agents(1, trace_cache_dir="traces", slots=2)
+        remote.spawn_worker_agents(1, trace_cache_dir="traces")
     (command,) = spawned
     argv = command[command.index("repro.harness.cli") + 1 :]
     assert argv[0] == "worker"
     args = build_parser().parse_args(argv)
-    assert (args.port, args.slots, args.trace_cache_dir, args.quiet) == (0, 2, "traces", True)
+    assert (args.host, args.port, args.trace_cache_dir, args.quiet) == (
+        "127.0.0.1", 0, "traces", True
+    )
 
 
 #: Per command family: a valid command line, and one flag the family
-#: does not take (five for ``fig5``, two for ``worker``).
+#: does not take (five for ``fig5``, three for ``worker``).
 FOREIGN_FLAGS = {
     "fig5": (
         "fig5 --benchmarks gcc --insts 2000",
@@ -103,11 +104,10 @@ FOREIGN_FLAGS = {
     "fuzz": ("fuzz", "--benchmarks gcc"),
     "bench": ("bench", "--jobs 2"),
     "goldens": ("goldens", "--insts 1000"),
-    "worker": ("worker", "--job-deadline 5 --cache-dir X"),
+    "worker": ("worker", "--job-deadline 5 --cache-dir X --slots 2"),
     "campaignd": ("campaignd", "--slots 2"),
     "submit": ("submit fig5 --campaign 127.0.0.1:1", "--quiet"),
     "status": ("status fig5 --campaign 127.0.0.1:1", "--json -"),
-    "fetch": ("fetch fig5 --campaign 127.0.0.1:1", "--jobs 2"),
     "cancel": ("cancel fig5 --campaign 127.0.0.1:1", "--fallback local"),
     "fsck": ("fsck --cache-dir central", "--insts 1000"),
 }
@@ -131,7 +131,7 @@ def test_a_flag_that_does_not_apply_exits_2(family, capsys):
     [
         (["submit", "--campaign", "127.0.0.1:1"], "required: target"),
         (["status", "fig5"], "required: --campaign"),
-        (["fetch", "fig99", "--campaign", "127.0.0.1:1"], "invalid choice: 'fig99'"),
+        (["submit", "fig99", "--campaign", "127.0.0.1:1"], "invalid choice: 'fig99'"),
         (["cancel", "fig99", "--campaign", "127.0.0.1:1"], "unknown target 'fig99'"),
         (["fig5", "--fallback", "local"], "--fallback requires --campaign"),
     ],
@@ -143,6 +143,63 @@ def test_campaign_usage_errors_exit_2(argv, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: svw-repro {argv[0]} [-h]")
     assert message in err
+
+
+def test_fetch_is_not_a_command(capsys):
+    """``svw-repro <experiment> --campaign`` is the one way to wait for a
+    campaign and render it."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fetch", "fig5", "--campaign", "127.0.0.1:1"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'fetch'" in capsys.readouterr().err
+
+
+def test_remote_workers_is_a_host_port_list():
+    parse = build_parser().parse_args
+    assert parse(["fig5", "--remote-workers", "a:1, b:2"]).remote_workers == ["a:1", "b:2"]
+    assert parse(["fig5"]).remote_workers is None
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (",,,", "no worker addresses"),
+        ("", "no worker addresses"),
+        ("host-no-port", "missing a port"),
+        ("a:1,malformed:x", "non-numeric port"),
+        ("auto:two", "non-numeric port"),
+        ("auto:0", "out-of-range port"),
+    ],
+)
+def test_malformed_remote_workers_exit_2_naming_the_flag(value, message, capsys):
+    """Each address goes through ``parse_worker`` while the command line
+    is parsed, before any backend starts."""
+    for command in ("fig5", "fuzz"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--remote-workers", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: svw-repro {command} [-h]")
+        assert "argument --remote-workers: " in err and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig5"],
+        ["fuzz"],
+        ["submit", "fig5"],
+        ["status", "fig5"],
+        ["cancel", "fig5"],
+    ],
+)
+def test_malformed_campaign_address_exits_2_naming_the_flag(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--campaign", "daemon:x"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: svw-repro {argv[0]} [-h]")
+    assert "argument --campaign: address 'daemon:x' has a non-numeric port" in err
 
 
 def test_status_takes_a_raw_campaign_id():

@@ -1,12 +1,13 @@
 """Tests for the experiment harness: configs, matrix sweeps, report, CLI."""
 
 import argparse
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import FigureResult, matrix_spec, run_experiment
+from repro.experiments import FigureResult, local_worker_fleet, matrix_spec, run_experiment
 from repro.harness import cli
 from repro.harness.bench import compare_bench
 from repro.harness.cli import build_parser, main
@@ -113,7 +114,6 @@ class TestPaperData:
 BAD_NUMERIC_INPUT = {
     "--insts": ["fig5", "--insts", "0"],
     "--jobs": ["fig5", "--benchmarks", "gcc", "--insts", "500", "--jobs", "-2"],
-    "--slots": ["worker", "--slots", "0"],
     "--port": ["worker", "--port", "70000"],
     "--max-attempts": ["campaignd", "--max-attempts", "0"],
     "--rounds": ["fuzz", "--rounds", "0"],
@@ -154,16 +154,15 @@ class TestCLI:
         campaign commands' targets are all ``figures.EXPERIMENTS``."""
         others = {
             "all", "bench", "goldens", "worker", "campaignd",
-            "fsck", "fuzz", "submit", "status", "fetch", "cancel",
+            "fsck", "fuzz", "submit", "status", "cancel",
         }
         (commands,) = [
             a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
         ]
         assert set(commands.choices) - others == set(EXPERIMENTS)
         assert others <= set(commands.choices)
-        for name in ("submit", "fetch"):
-            (target,) = [a for a in commands.choices[name]._actions if a.dest == "target"]
-            assert set(target.choices) == set(EXPERIMENTS)
+        (target,) = [a for a in commands.choices["submit"]._actions if a.dest == "target"]
+        assert set(target.choices) == set(EXPERIMENTS)
 
         ran = []
 
@@ -202,20 +201,21 @@ class TestCLI:
         assert "WARNING" in capsys.readouterr().out
 
     def test_backends_write_byte_identical_json(self, tmp_path):
-        """One sweep run serially, with ``--jobs 2`` and on two spawned
-        loopback agents writes the same ``--json`` bytes: the backend
-        equivalence proof (CI's ``backend-equivalence`` job does the same
-        with ``cmp``)."""
+        """One sweep run serially, with ``--jobs 2`` and on a
+        ``--remote-workers`` list of two loopback agents writes the same
+        ``--json`` bytes: the backend equivalence proof (CI's
+        ``backend-equivalence`` job does the same with ``cmp``)."""
         outputs = {}
-        for name, backend in (
-            ("serial", []),
-            ("jobs", ["--jobs", "2"]),
-            ("remote", ["--remote-workers", "auto:2"]),
-        ):
-            path = tmp_path / f"{name}.json"
-            argv = ["fig5", "--benchmarks", "gcc", "--insts", "1500", "--json", str(path)]
-            assert main([*argv, "--quiet", *backend]) == 0
-            outputs[name] = path.read_bytes()
+        with local_worker_fleet(2) as fleet:
+            for name, backend in (
+                ("serial", []),
+                ("jobs", ["--jobs", "2"]),
+                ("remote", ["--remote-workers", ",".join(fleet)]),
+            ):
+                path = tmp_path / f"{name}.json"
+                argv = ["fig5", "--benchmarks", "gcc", "--insts", "1500", "--json", str(path)]
+                assert main([*argv, "--quiet", *backend]) == 0
+                outputs[name] = path.read_bytes()
         assert outputs["jobs"] == outputs["serial"]
         assert outputs["remote"] == outputs["serial"]
 
@@ -226,16 +226,47 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert f"argument {flag}: must be" in capsys.readouterr().err
 
-    def test_campaign_and_remote_workers_are_exclusive_everywhere(self):
-        """Every sweep command chooses its backend the same way, so each
-        rejects ``--campaign`` with ``--remote-workers`` identically."""
-        messages = []
+    def test_campaign_and_remote_workers_are_exclusive_everywhere(self, capsys):
+        """Every sweep command chooses its backend the same way: any two of
+        ``--jobs``, ``--remote-workers`` and ``--campaign`` are a usage
+        error under the command's own usage line."""
+        flags = {
+            "--jobs": "2",
+            "--remote-workers": "127.0.0.1:2",
+            "--campaign": "127.0.0.1:1",
+        }
         for command in ("fig5", "fuzz"):
-            with pytest.raises(SystemExit) as excinfo:
-                main(
-                    [command, "--campaign", "127.0.0.1:1",
-                     "--remote-workers", "127.0.0.1:2", "--quiet"]
-                )
-            messages.append(str(excinfo.value.code))
-        assert messages[0] == messages[1]
-        assert messages[0].startswith("--campaign and --remote-workers are mutually exclusive")
+            for first, second in itertools.combinations(flags, 2):
+                with pytest.raises(SystemExit) as excinfo:
+                    main([command, first, flags[first], second, flags[second], "--quiet"])
+                assert excinfo.value.code == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"usage: svw-repro {command} [-h]")
+                assert f"argument {second}: not allowed with argument {first}" in err
+
+    @pytest.mark.parametrize("command", ["fig5", "fuzz"])
+    def test_an_unreachable_backend_is_one_line_and_exit_1(self, command, capsys):
+        """A sweep whose backend cannot finish it reports why in one stderr
+        line, not a traceback: here every worker refuses the connection."""
+        argv = [command, "--insts", "1000", "--remote-workers", "127.0.0.1:1", "--quiet"]
+        if command == "fig5":
+            argv += ["--benchmarks", "gcc"]
+        else:
+            argv += ["--workloads", "gcc", "--rounds", "1"]
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"svw-repro {command}: ")
+        assert "unfinished after losing all workers" in line
+
+    def test_an_unreachable_campaign_daemon_is_one_line_and_exit_1(self, monkeypatch, capsys):
+        from repro.experiments.campaign import CampaignBackend, CampaignUnreachableError
+
+        def unreachable(self, requests, progress=None):
+            raise CampaignUnreachableError(f"campaign daemon at {self.address} unreachable")
+
+        monkeypatch.setattr(CampaignBackend, "run", unreachable)
+        argv = ["fig5", "--benchmarks", "gcc", "--insts", "1000", "--quiet"]
+        assert main([*argv, "--campaign", "127.0.0.1:1"]) == 1
+        assert capsys.readouterr().err == (
+            "svw-repro fig5: campaign daemon at 127.0.0.1:1 unreachable\n"
+        )
