@@ -12,6 +12,9 @@ and cache directory, and requires:
   the union, and the two daemons' dispatch counts sum to it);
 - the restarted daemon re-dispatches **zero** cells that were already in
   the central store at the moment of the kill (journal + store resume);
+- once both campaigns have ended, the restarted daemon holds no encoded
+  trace (``traces_held`` is 0 in its ``stats`` reply): a trace's bytes
+  live only while one of its cells is pending or in flight;
 - ``svw-repro fsck --cache-dir <central>`` exits 0 after the run: every
   central cell is sound and stamped with the code's current epochs.
 
@@ -204,6 +207,11 @@ def main() -> int:
                 f"but only {len(union) - stored_at_kill} were missing at the "
                 f"kill: {recomputed} finished cells were recomputed"
             )
+        if stats2["traces_held"] != 0:
+            failures.append(
+                f"restarted daemon still holds {stats2['traces_held']} encoded "
+                "trace(s) after every campaign ended"
+            )
         fsck = subprocess.run(
             [sys.executable, "-m", "repro.harness.cli", "fsck", "--cache-dir", str(central)],
             env=cli_env(),
@@ -219,7 +227,8 @@ def main() -> int:
         print(
             f"store {len(store)}/{len(union)} cells; restart re-dispatched "
             f"{stats2['cells_simulated']} (missing at kill: "
-            f"{len(union) - stored_at_kill}); fsck exit {fsck.returncode}"
+            f"{len(union) - stored_at_kill}); traces held {stats2['traces_held']}; "
+            f"fsck exit {fsck.returncode}"
         )
         if failures:
             for failure in failures:

@@ -440,19 +440,12 @@ class CampaignDaemon:
             )
             return
         peer = writer.get_extra_info("peername")
-        try:
-            port = int(register["port"])
-        except (KeyError, TypeError, ValueError):
-            await send_json_async(
-                writer, {"type": "error", "message": "register needs a numeric port"}
-            )
-            return
-        if not 0 < port < 65536:
-            await send_json_async(
-                writer, {"type": "error", "message": "register port out of range"}
-            )
-            return
         host = str(register.get("host") or (peer[0] if peer else "127.0.0.1"))
+        try:
+            host, port = parse_worker(f"{host}:{register['port']}")
+        except (KeyError, ValueError) as exc:
+            await send_json_async(writer, {"type": "error", "message": f"bad register: {exc}"})
+            return
         remaining = self._scheduler.quarantined_for(f"{host}:{port}")
         if remaining > 0:
             # Refuse, don't drop: the worker's registry loop hears the
@@ -703,6 +696,7 @@ class CampaignDaemon:
             "cells_deduped": scheduler.cells_deduped,
             "stragglers": self._dispatcher.stragglers,
             "traces_shipped": self._dispatcher.traces_shipped,
+            "traces_held": self._dispatcher.provider.held,
         }
 
     # -- journal -------------------------------------------------------------

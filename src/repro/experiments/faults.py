@@ -164,6 +164,7 @@ class FaultPlan:
         Unknown or malformed fields raise :class:`ValueError` naming the
         valid vocabulary -- these surface verbatim through ``--fault-plan``.
         """
+        valid = f"(valid names: {', '.join(_INT_FIELDS + _FLOAT_FIELDS)})"
         kwargs: dict = {}
         for item in spec.split(","):
             item = item.strip()
@@ -172,26 +173,15 @@ class FaultPlan:
             name, sep, raw = item.partition("=")
             name, raw = name.strip(), raw.strip()
             if not sep or not raw:
-                raise ValueError(
-                    f"fault-plan field {item!r} is not name=value "
-                    f"(valid names: {', '.join(_INT_FIELDS + _FLOAT_FIELDS)})"
-                )
+                raise ValueError(f"fault-plan field {item!r} is not name=value {valid}")
+            if name not in _INT_FIELDS + _FLOAT_FIELDS:
+                raise ValueError(f"unknown fault-plan field {name!r} {valid}")
             try:
-                if name in _INT_FIELDS:
-                    kwargs[name] = int(raw)
-                elif name in _FLOAT_FIELDS:
-                    kwargs[name] = float(raw)
-                else:
-                    raise ValueError(
-                        f"unknown fault-plan field {name!r} "
-                        f"(valid names: {', '.join(_INT_FIELDS + _FLOAT_FIELDS)})"
-                    )
-            except ValueError as exc:
-                if "unknown fault-plan" in str(exc):
-                    raise
+                kwargs[name] = (int if name in _INT_FIELDS else float)(raw)
+            except ValueError:
                 raise ValueError(
                     f"fault-plan field {name!r} has a non-numeric value {raw!r}"
-                ) from exc
+                ) from None
         seed = kwargs.pop("seed", 0)
         return cls(seed, log=log, **kwargs)
 

@@ -87,15 +87,13 @@ class BatchRunner:
         self.workers = max(1, min(self.jobs, os.cpu_count() or self.jobs))
         self.trace_cache = trace_cache
         self.cost_model = cost_model if cost_model is not None else session_cost_model()
-        #: Provider of the most recent run (its ``generations`` counter is
-        #: the amortization proof the batch tests check).
+        #: Provider of the most recent run, kept for its counters
+        #: (``generations``, ``disk_hits``); it holds no bytes after a run.
         self.last_provider: TraceProvider | None = None
 
     def run(
         self, requests: Sequence[RunRequest], progress: ProgressFn | None = None
     ) -> list[SimStats]:
-        # Free the previous sweep's traces before this one generates its own.
-        self.last_provider = None
         backend = RemoteBackend(
             session_fleet(self.workers),
             trace_cache=self.trace_cache,

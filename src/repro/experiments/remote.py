@@ -810,7 +810,10 @@ class JobDispatcher:
     retired and struck, and the cell re-queued.  ``need_trace`` is
     answered from ``provider`` with one ``Z`` frame built off the event
     loop (counted in ``traces_shipped``); no frame is built before a
-    worker asks for it.  ``faults`` may mutate outgoing trace bytes at
+    worker asks for it.  A trace's bytes are released from ``provider``
+    once the scheduler has no pending or in-flight cell of it left; its
+    SHA-256 is kept, so later jobs on it still pin ``trace_sha256``.
+    ``faults`` may mutate outgoing trace bytes at
     ``trace_site``; ``settled(cell, ended)`` runs after every outcome with
     the submissions it ended; ``note`` gets progress lines.
     """
@@ -830,6 +833,8 @@ class JobDispatcher:
 
         self.scheduler = scheduler
         self.provider = provider
+        # Called on the loop: an idle key has no cell in flight, so no encode of it runs.
+        scheduler.trace_idle = provider.release
         self.connect_timeout = connect_timeout
         self.faults = faults
         self.trace_site = trace_site
@@ -875,9 +880,6 @@ class JobDispatcher:
         while self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         self._executor.shutdown(wait=False)
-
-    def _has_encoded(self, request: RunRequest) -> bool:
-        return self.provider.has_encoded(request.workload, request.n_insts)
 
     # -- worker tasks --------------------------------------------------------
 
@@ -960,7 +962,9 @@ class JobDispatcher:
         # entry disagrees then refetches instead of simulating the wrong
         # trace.  Never *generate* just to name a digest -- that would
         # forfeit the warm-worker path where the client ships nothing.
-        if key not in self._digests and self._has_encoded(request):
+        if key not in self._digests and self.provider.has_encoded(
+            request.workload, request.n_insts
+        ):
             await self._encoded(request)
         # The execution deadline covers the whole exchange, trace transfer
         # included: a worker quiet past it is a straggler, and the
@@ -1020,7 +1024,7 @@ class JobDispatcher:
 
     async def _encoded(self, request: RunRequest) -> bytes:
         """Encoded trace bytes for a cell, generated and hashed at most
-        once per key."""
+        once per live key."""
         import asyncio
 
         return await asyncio.get_running_loop().run_in_executor(
@@ -1089,9 +1093,10 @@ class RemoteBackend:
     ``None`` for no deadline, or ``"auto"`` (see
     :func:`~repro.experiments.scheduler.derive_deadline`).  ``faults``
     corrupts or truncates outgoing trace bytes at site ``client.trace``.
-    After each run ``last_provider`` is the sweep's trace provider;
-    ``stragglers`` and ``traces_shipped`` accumulate the dispatcher's
-    deadline strikes and trace transfers over every run.
+    After each run ``last_provider`` is the sweep's trace provider, kept
+    for its counters (``generations``, ``disk_hits``): it holds no bytes
+    after :meth:`run`.  ``stragglers`` and ``traces_shipped`` accumulate
+    the dispatcher's deadline strikes and trace transfers over every run.
     """
 
     def __init__(
@@ -1104,10 +1109,7 @@ class RemoteBackend:
         job_deadline: float | str | None = "auto",
         faults: FaultPlan | None = None,
     ) -> None:
-        self.addresses = [
-            address if isinstance(address, str) else f"{address[0]}:{address[1]}"
-            for address in workers
-        ]
+        self.addresses = list(workers)
         if not self.addresses:
             raise ValueError("RemoteBackend needs at least one worker address")
         for address in self.addresses:

@@ -278,6 +278,10 @@ class Scheduler:
         self.clock = clock
         self.cells: dict[str, Cell] = {}
         self.pending: set[str] = set()
+        #: trace key -> its live cells (pending or in flight).
+        self.live: dict[str, int] = {}
+        #: Called with a trace key once its last live cell settles.
+        self.trace_idle: Callable[[str], None] = lambda key: None
         self.submissions: dict[str, Submission] = {}
         #: worker id -> strike/quarantine history.
         self.health: dict[str, WorkerHealth] = {}
@@ -323,6 +327,7 @@ class Scheduler:
                     self.cells_from_store += 1
                 else:
                     self.pending.add(fingerprint)
+                    self.live[cell.trace_key] = self.live.get(cell.trace_key, 0) + 1
                 self.cells[fingerprint] = cell
             else:
                 self.cells_deduped += 1
@@ -354,7 +359,16 @@ class Scheduler:
             if not cell.submissions and cell.status == "pending":
                 self.pending.discard(fingerprint)
                 del self.cells[fingerprint]
+                self._settle(cell)
         submission.remaining.clear()
+
+    def _settle(self, cell: Cell) -> None:
+        """A live cell left the queue for good (done, failed or dropped)."""
+        count = self.live.pop(cell.trace_key) - 1
+        if count:
+            self.live[cell.trace_key] = count
+        else:
+            self.trace_idle(cell.trace_key)
 
     def counts(self, submission: Submission) -> tuple[int, int]:
         """``(total, done)`` cells of a submission."""
@@ -402,6 +416,7 @@ class Scheduler:
             health.strikes = 0
         cell.status = "done"
         cell.stats = stats
+        self._settle(cell)
         finished: list[Submission] = []
         for submission_id in cell.submissions:
             submission = self.submissions[submission_id]
@@ -414,6 +429,7 @@ class Scheduler:
     def fail(self, cell: Cell, message: str) -> list[Submission]:
         """Mark a cell failed, fail every running submission waiting on it,
         and release those submissions' claims on their other cells."""
+        self._settle(cell)
         cell.status = "failed"
         cell.error = message
         self.pending.discard(cell.fingerprint)

@@ -9,9 +9,10 @@ contract every backend is built on:
   (``generations`` counts the traces actually generated so tests can
   prove it);
 - the encoded (:mod:`repro.isa.codec`) form is memoized in-process for
-  the backends that ship it and, when a
-  :class:`~repro.workloads.trace_cache.TraceCache` is attached, persisted
-  across sweeps and processes;
+  the backends that ship it until the trace has no pending or in-flight
+  cell left (their dispatcher then calls :meth:`TraceProvider.release`) and,
+  when a :class:`~repro.workloads.trace_cache.TraceCache` is attached,
+  persisted across sweeps and processes;
 - traces flow column-native end to end: the generator emits a
   :class:`~repro.isa.coltrace.ColumnTrace`, the codec ships its columns
   verbatim, and decode rebuilds columns (never a ``DynInst`` graph) that
@@ -41,9 +42,10 @@ class TraceProvider:
 
     :meth:`trace` keeps the one trace it served last (serial sweeps visit
     cells workload-major, so one slot gets every reuse) and no bytes.
-    :meth:`encoded` keeps the ~4x smaller bytes for the provider's
-    lifetime, so every worker that asks for a trace gets the same buffer,
-    and keeps no decoded trace.
+    :meth:`encoded` keeps the ~4x smaller bytes until :meth:`release`, so
+    every worker that asks for a trace while its cells run gets the same
+    buffer, and keeps no decoded trace.  ``generations`` and
+    ``disk_hits`` count over the provider's whole life.
     """
 
     def __init__(self, cache: TraceCache | None = None) -> None:
@@ -74,6 +76,16 @@ class TraceProvider:
                 self.cache.save(key, data)
         self._encoded[key] = data
         return data
+
+    def release(self, key: str) -> None:
+        """Drop the encoded bytes of trace ``key``; a later
+        :meth:`encoded` reads the disk cache or generates again."""
+        self._encoded.pop(key, None)
+
+    @property
+    def held(self) -> int:
+        """Encoded payloads memoized now."""
+        return len(self._encoded)
 
     # -- decoded form --------------------------------------------------------
 

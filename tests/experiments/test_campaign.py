@@ -305,6 +305,21 @@ class TestFleet:
                     message="deregistration on a closed link",
                 )
 
+    @pytest.mark.parametrize(
+        "port, reason", [("x", "non-numeric port"), (70000, "out-of-range port"), (None, "")]
+    )
+    def test_malformed_register_is_refused(self, port, reason):
+        with CampaignDaemon() as daemon, CampaignClient(daemon.address) as client:
+            with socket.create_connection(parse_worker(daemon.address)) as registry:
+                register = {"type": "register", "protocol": PROTOCOL_VERSION}
+                if port is not None:
+                    register["port"] = port
+                send_json(registry, register)
+                reply = recv_json(registry)
+            assert reply["type"] == "error" and "bad register" in reply["message"]
+            assert reason in reply["message"]
+            assert client.stats()["workers"] == []
+
     def test_worker_reconnects_through_daemon_restart(self, tmp_path, requests, wait_for):
         central = tmp_path / "central"
         daemon1 = CampaignDaemon(cache_dir=central, heartbeat_timeout=2.0).start()
@@ -328,6 +343,52 @@ class TestFleet:
                 # ...and the fleet is immediately usable.
                 stats = CampaignBackend(daemon2.address).run(requests[:2])
                 assert len(stats) == 2
+
+
+class TestTraceLifetime:
+    """The daemon's one provider holds a trace's bytes only while a cell
+    of it is pending or in flight; the digest outlives them."""
+
+    def test_no_bytes_held_between_campaigns(self, small_spec):
+        later = dict(list(fig5_configs().items())[3:5])
+        with CampaignDaemon() as daemon, WorkerAgent() as agent:
+            agent.register_with(daemon.address)
+            with CampaignClient(daemon.address) as client:
+                for workload in ("gcc", "vortex"):
+                    cells = small_spec(workload, workloads=(workload,)).cells()
+                    assert len(CampaignBackend(daemon.address).run(cells)) == len(cells)
+                    assert client.stats()["traces_held"] == 0
+                shipped = client.stats()["traces_shipped"]
+                jobs: list[dict] = []
+                serve = agent._serve_job
+                agent._serve_job = lambda conn, job: (jobs.append(job), serve(conn, job))
+                # gcc again, on other configs: the released trace's digest
+                # still pins every job, and the agent's memo answers it.
+                again = small_spec(
+                    "again", workloads=("gcc",), configs=later, baseline=next(iter(later))
+                ).cells()
+                CampaignBackend(daemon.address).run(again)
+                stats = client.stats()
+        assert len(jobs) == len(again)
+        assert all(len(job.get("trace_sha256", "")) == 64 for job in jobs)
+        assert stats["traces_shipped"] == shipped
+        assert stats["traces_held"] == 0
+
+    def test_cancel_releases_traces_without_live_cells(self, small_spec):
+        a = small_spec("a", workloads=("gcc", "vortex")).cells()
+        b = small_spec("b", workloads=("vortex",), n_configs=1).cells()
+        with CampaignDaemon() as daemon, CampaignClient(daemon.address) as client:
+            # No workers: every cell stays pending.  Hold both traces'
+            # bytes, as answering a worker's need_trace would.
+            a_id = client.submit(cells=a, name="a")["campaign"]
+            client.submit(cells=b, name="b")
+            for request in a:
+                daemon._dispatcher._encode(request)
+            assert client.stats()["traces_held"] == 2
+            client.cancel(a_id)
+            # gcc has no live cell left; vortex still has b's.
+            assert client.stats()["traces_held"] == 1
+            assert client.stats()["cells_pending"] == 1
 
 
 class TestFailure:

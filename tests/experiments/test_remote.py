@@ -5,6 +5,7 @@ tolerance, and -- above all -- bit-identical equivalence to
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 
 import pytest
@@ -210,6 +211,32 @@ class TestHostTraceCache:
             backend.run(requests)
             assert backend.last_provider is not None
             assert backend.last_provider.generations == 2
+            # Every trace's cells settled: the provider keeps its counters
+            # and no bytes.
+            assert backend.last_provider.held == 0
+
+    def test_more_agents_than_cores_generate_and_release_each_trace_once(
+        self, small_spec
+    ):
+        # Encodes (executor thread) and releases (event loop) share the
+        # provider; a fine switch interval interleaves them hard.
+        cells = small_spec(workloads=("gcc", "vortex", "mcf", "bzip2"), n_configs=2).cells()
+        serial = [s.fingerprint() for s in SerialBackend().run(cells)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            agents = [WorkerAgent().start() for _ in range(4)]
+            try:
+                backend = RemoteBackend([agent.address for agent in agents])
+                stats = backend.run(cells)
+            finally:
+                for agent in agents:
+                    agent.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [s.fingerprint() for s in stats] == serial
+        assert backend.last_provider.generations == 4
+        assert backend.last_provider.held == 0
 
 
 class TestFaultTolerance:
@@ -223,6 +250,19 @@ class TestFaultTolerance:
             assert [s.fingerprint() for s in stats] == serial_fingerprints
             assert chaotic.jobs_done == 2
             assert healthy.jobs_done == len(requests) - 2
+
+    def test_requeued_cell_does_not_regenerate_its_trace(
+        self, requests, serial_fingerprints
+    ):
+        # A lost cell goes back to pending, so its trace stays live and
+        # its bytes are reused, not generated again.
+        with WorkerAgent(faults=FaultPlan(drop_after=1)) as chaotic, WorkerAgent() as healthy:
+            backend = RemoteBackend([chaotic.address, healthy.address])
+            stats = backend.run(requests)
+            assert [s.fingerprint() for s in stats] == serial_fingerprints
+            assert chaotic.jobs_done == 1
+            assert backend.last_provider.generations == 2
+            assert backend.last_provider.held == 0
 
     def test_kill_with_drained_queue_still_redispatches(self, small_spec):
         """Regression: with as many cells as workers the queue drains

@@ -351,6 +351,129 @@ class TestSubmissions:
         assert late.status == "failed" and "boom" in late.error
 
 
+class TestLiveTraces:
+    """``Scheduler.live`` counts each trace's pending and in-flight cells;
+    ``trace_idle`` hears a key exactly once, when its last cell settles."""
+
+    @staticmethod
+    def watched(cost=None, **kwargs):
+        scheduler = Scheduler(cost or FakeCost(), **kwargs)
+        idled: list[str] = []
+        scheduler.trace_idle = idled.append
+        return scheduler, idled
+
+    @staticmethod
+    def by_scan(scheduler):
+        """The live counts a full scan of the cell table finds."""
+        counts: dict[str, int] = {}
+        for cell in scheduler.cells.values():
+            if cell.status in ("pending", "in_flight"):
+                counts[cell.trace_key] = counts.get(cell.trace_key, 0) + 1
+        return counts
+
+    @staticmethod
+    def keys(scheduler, requests):
+        return {r.workload.name: scheduler.cells[r.fingerprint()].trace_key for r in requests}
+
+    def test_submit_counts_queued_cells_only(self):
+        from repro.pipeline.stats import SimStats
+
+        requests = cells()
+        scheduler, idled = self.watched()
+        stored = {requests[0].fingerprint(): SimStats()}  # one gcc cell
+        scheduler.submit("s", requests, stored=stored.get)
+        key = self.keys(scheduler, requests)
+        assert scheduler.live == {key["gcc"]: 2, key["vortex"]: 3}
+        # An overlapping submission shares cells and adds none.
+        scheduler.submit("t", requests[:2])
+        assert scheduler.live == self.by_scan(scheduler) == {key["gcc"]: 2, key["vortex"]: 3}
+        assert idled == []
+
+    def test_all_stored_submission_is_never_live(self):
+        from repro.pipeline.stats import SimStats
+
+        requests = cells(workloads=("gcc",))
+        scheduler, idled = self.watched()
+        scheduler.submit("s", requests, stored=lambda fingerprint: SimStats())
+        assert scheduler.live == {} and idled == []
+
+    def test_dispatch_and_requeue_keep_the_count(self):
+        requests = cells(workloads=("gcc",))
+        scheduler, idled = self.watched()
+        scheduler.submit("s", requests)
+        key = self.keys(scheduler, requests)["gcc"]
+        cell = scheduler.next_cell()
+        assert scheduler.live == {key: 3}
+        failed, _ = scheduler.lost(cell, "w:1", "connection reset")
+        assert failed == [] and cell.status == "pending"
+        assert scheduler.live == self.by_scan(scheduler) == {key: 3}
+        assert idled == []
+
+    def test_complete_idles_a_trace_at_its_last_cell(self):
+        requests = cells()
+        scheduler, idled = self.watched()
+        scheduler.submit("s", requests)
+        key = self.keys(scheduler, requests)
+        done = 0
+        while (cell := scheduler.next_cell(warm=key["gcc"])) is not None:
+            scheduler.complete(cell, object(), "w:1")
+            done += 1
+            assert scheduler.live == self.by_scan(scheduler)
+            if done == 3:  # gcc drains first: warm
+                assert idled == [key["gcc"]]
+        assert idled == [key["gcc"], key["vortex"]]
+        assert scheduler.live == {}
+
+    def test_fail_settles_the_cell_and_every_released_cell(self):
+        a = cells(name="a", workloads=("gcc", "vortex"), labels=("baseline", "NLQ"))
+        b = cells(name="b", workloads=("vortex",), labels=("NLQ",))
+        scheduler, idled = self.watched(FakeCost({("vortex", "NLQ"): 9.0}))
+        sub_a, _ = scheduler.submit("a", a)
+        scheduler.submit("b", b)
+        key = self.keys(scheduler, a)
+        shared = scheduler.next_cell()  # vortex / NLQ, a's and b's
+        assert shared.fingerprint == b[0].fingerprint()
+        gcc = scheduler.next_cell(warm=key["gcc"])
+        scheduler.fail(gcc, "SimulationError: boom")
+        # a failed: its other pending cells (the other gcc cell, vortex /
+        # baseline) are dropped; the shared vortex cell stays in flight for b.
+        assert sub_a.status == "failed"
+        assert idled == [key["gcc"]]
+        assert scheduler.live == self.by_scan(scheduler) == {key["vortex"]: 1}
+        scheduler.complete(shared, object(), "w:1")
+        assert idled == [key["gcc"], key["vortex"]]
+
+    def test_lost_past_max_attempts_settles_once(self):
+        requests = cells(workloads=("gcc",), labels=("baseline",))
+        scheduler, idled = self.watched(max_attempts=2)
+        scheduler.submit("s", requests)
+        cell = scheduler.next_cell()
+        scheduler.lost(cell, "w:1", "reset")
+        assert idled == []
+        scheduler.lost(scheduler.next_cell(), "w:1", "reset")
+        assert cell.status == "failed"
+        assert idled == [cell.trace_key] and scheduler.live == {}
+
+    def test_cancel_idles_traces_nobody_else_waits_on(self):
+        a = cells(name="a", workloads=("gcc", "vortex", "mcf"), labels=("baseline", "NLQ"))
+        b = cells(name="b", workloads=("vortex",), labels=("baseline",))
+        scheduler, idled = self.watched(FakeCost({("mcf", "NLQ"): 9.0}))
+        sub_a, _ = scheduler.submit("a", a)
+        scheduler.submit("b", b)
+        key = self.keys(scheduler, a)
+        in_flight = scheduler.next_cell()  # mcf / NLQ
+        assert in_flight.trace_key == key["mcf"]
+        scheduler.cancel(sub_a)
+        # gcc: every cell was a-only and pending -> idle.  vortex: b still
+        # waits on one cell.  mcf: one cell still in flight.
+        assert idled == [key["gcc"]]
+        assert scheduler.live == self.by_scan(scheduler) == {key["vortex"]: 1, key["mcf"]: 1}
+        scheduler.complete(in_flight, object(), "w:1")
+        scheduler.complete(scheduler.next_cell(), object(), "w:1")
+        assert sorted(idled) == sorted(key.values()) and len(idled) == 3
+        assert scheduler.live == {}
+
+
 class TestCostModel:
     INSTS = 1200
 
