@@ -80,7 +80,6 @@ if TYPE_CHECKING:
         CampaignDaemon,
         CampaignError,
         CampaignUnreachableError,
-        JournalScrubReport,
         scrub_journals,
     )
     from repro.experiments.faults import FaultEvent, FaultPlan
@@ -102,7 +101,8 @@ if TYPE_CHECKING:
         WorkloadSpec,
         matrix_spec,
     )
-    from repro.experiments.store import FsckReport, ResultStore
+    from repro.experiments.store import ResultStore
+    from repro.ioutil import ScrubReport
 
 # Each name is imported from its module on first use: a worker agent
 # that imports ``repro.experiments.remote`` loads neither the campaign
@@ -123,7 +123,6 @@ __getattr__, __dir__ = lazy_exports(
             "CampaignDaemon",
             "CampaignError",
             "CampaignUnreachableError",
-            "JournalScrubReport",
             "scrub_journals",
         ),
         "repro.experiments.faults": ("FaultEvent", "FaultPlan"),
@@ -145,7 +144,8 @@ __getattr__, __dir__ = lazy_exports(
             "WorkloadSpec",
             "matrix_spec",
         ),
-        "repro.experiments.store": ("FsckReport", "ResultStore"),
+        "repro.experiments.store": ("ResultStore",),
+        "repro.ioutil": ("ScrubReport",),
     },
 )
 
@@ -165,11 +165,10 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FigureResult",
-    "FsckReport",
-    "JournalScrubReport",
     "RemoteBackend",
     "ResultStore",
     "RunRequest",
+    "ScrubReport",
     "SerialBackend",
     "TraceProvider",
     "WorkerAgent",

@@ -19,9 +19,8 @@ Everything speaks the remote wire format (length-prefixed ``J`` JSON and
 socket):
 
 - **Clients** connect with a ``hello`` and issue JSON requests:
-  ``submit`` (an :class:`~repro.experiments.spec.ExperimentSpec` payload,
-  or an explicit cell list), ``status``, ``results``, ``cancel``, and
-  ``stats`` (fleet/scheduler introspection).  The sync
+  ``submit`` (a named list of cell payloads), ``status``, ``results``,
+  ``cancel``, and ``stats`` (fleet/scheduler introspection).  The sync
   :class:`CampaignClient` wraps this, and :class:`CampaignBackend` makes
   the daemon the fourth execution backend -- bit-identical to
   :class:`~repro.experiments.backends.SerialBackend` because the daemon
@@ -75,7 +74,6 @@ import json
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -103,6 +101,7 @@ from repro.experiments.scheduler import (
 from repro.experiments.spec import ExperimentSpec, RunRequest
 from repro.experiments.store import ResultStore
 from repro.experiments.traces import TraceProvider
+from repro.ioutil import ScrubReport, Verdict, atomic_write_text, scrub
 from repro.pipeline.stats import SimStats
 from repro.workloads.trace_cache import TraceCache
 
@@ -124,7 +123,7 @@ class CampaignUnreachableError(CampaignError):
     (``CampaignBackend(fallback="local")`` runs the cells serially)."""
 
 
-def spec_campaign_id(spec: "ExperimentSpec") -> str:
+def spec_campaign_id(spec: ExperimentSpec) -> str:
     """The campaign id a daemon will assign this spec's submission --
     computable offline, so ``svw-repro status/cancel`` can address a
     campaign by re-deriving the id from the same spec arguments."""
@@ -152,63 +151,18 @@ def _read_journal(path: Path) -> dict | None:
     return payload
 
 
-@dataclass
-class JournalScrubReport:
-    """What ``svw-repro fsck`` found (and fixed) in the journal dir."""
-
-    scanned: int = 0
-    campaigns: int = 0
-    unreadable: list[str] = field(default_factory=list)
-    #: Stale ``.*.tmp`` files from a daemon killed mid-snapshot.
-    stale_tmp: list[str] = field(default_factory=list)
-    repaired: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.unreadable and not self.stale_tmp
-
-    def describe(self) -> str:
-        parts = [f"{self.scanned} journal(s), {self.campaigns} readable campaign(s)"]
-        if self.unreadable:
-            parts.append(f"{len(self.unreadable)} unreadable file(s)")
-        if self.stale_tmp:
-            parts.append(f"{len(self.stale_tmp)} stale tmp")
-        if self.repaired:
-            parts.append(f"{self.repaired} repaired")
-        return ", ".join(parts)
+def scrub_journals(journal_dir: str | Path, fix: bool = False) -> ScrubReport:
+    """Scrub the campaign journal directory by the one rule of
+    :func:`~repro.ioutil.scrub`: a ``*.jsonl`` journal that cannot name
+    its campaign (unreadable, or of another schema: replay skips it, so
+    it resumes nothing) is corrupt."""
+    return scrub(journal_dir, _judge_journal, fix)
 
 
-def scrub_journals(journal_dir: str | Path, fix: bool = False) -> JournalScrubReport:
-    """Scan (and with ``fix``, clean) the campaign journal directory.
-
-    Flags every ``*.jsonl`` journal that cannot name its campaign
-    (unreadable, or of another schema: replay skips it, so it resumes
-    nothing) and every stale ``.*.tmp`` -- the one leftover an atomic
-    snapshot can leave, found by the rule
-    :meth:`~repro.experiments.store.ResultStore.fsck` applies to cells.
-    ``fix`` deletes both; any other file is left alone.
-    """
-    journal_dir = Path(journal_dir)
-    report = JournalScrubReport()
-    if not journal_dir.is_dir():
-        return report
-    for path in sorted(journal_dir.iterdir()):
-        name = path.name
-        if not path.is_file():
-            continue
-        if name.startswith(".") and name.endswith(".tmp"):
-            report.stale_tmp.append(name)
-        elif path.suffix == ".jsonl":
-            report.scanned += 1
-            if _read_journal(path) is None:
-                report.unreadable.append(name)
-            else:
-                report.campaigns += 1
-    if fix:
-        for name in report.unreadable + report.stale_tmp:
-            (journal_dir / name).unlink(missing_ok=True)
-            report.repaired += 1
-    return report
+def _judge_journal(path: Path) -> Verdict:
+    if path.suffix != ".jsonl":
+        return None
+    return "clean" if _read_journal(path) is not None else "corrupt"
 
 
 # ------------------------------------------------------------------ the daemon
@@ -560,27 +514,16 @@ class CampaignDaemon:
     async def _handle_submit(self, message: dict) -> dict:
         if self._dispatcher.closing:
             raise CampaignError("daemon is shutting down")
-        spec_payload = message.get("spec")
         cells_payload = message.get("cells")
-        if spec_payload is not None:
-            try:
-                spec = ExperimentSpec.from_payload(spec_payload)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CampaignError(f"bad experiment payload: {exc}") from exc
-            requests = spec.cells()
-            name = spec.name
-        elif cells_payload is not None:
-            if not isinstance(cells_payload, list):
-                raise CampaignError("cells must be a list of run-request payloads")
-            try:
-                requests = [RunRequest.from_payload(p) for p in cells_payload]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CampaignError(f"bad cell payload: {exc}") from exc
-            name = str(message.get("name") or (requests[0].experiment if requests else ""))
-        else:
-            raise CampaignError("submit needs a spec or a cells list")
+        if not isinstance(cells_payload, list):
+            raise CampaignError("submit needs a cells list of run-request payloads")
+        try:
+            requests = [RunRequest.from_payload(p) for p in cells_payload]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CampaignError(f"bad cell payload: {exc}") from exc
         if not requests:
             raise CampaignError("submission has no cells")
+        name = str(message.get("name") or requests[0].experiment)
         campaign, attached = await self._register_campaign(name, requests)
         if not attached:
             self._write_journal(campaign)
@@ -712,8 +655,6 @@ class CampaignDaemon:
         degrades resume, never correctness)."""
         if self.journal_dir is None:
             return
-        from repro.ioutil import atomic_write_text
-
         payload = {
             "record": "campaign",
             "schema": JOURNAL_SCHEMA,
@@ -864,21 +805,14 @@ class CampaignClient:
 
     # -- requests ------------------------------------------------------------
 
-    def submit(
-        self,
-        spec: ExperimentSpec | None = None,
-        cells: Sequence[RunRequest] | None = None,
-        name: str | None = None,
-    ) -> dict:
-        """Submit a sweep; returns the daemon's ``submitted`` reply
+    def submit(self, cells: Sequence[RunRequest], name: str | None = None) -> dict:
+        """Submit a sweep's cells as campaign ``name`` (default: the first
+        cell's experiment); returns the daemon's ``submitted`` reply
         (``campaign`` id, ``total``/``done`` counts, ``attached`` flag)."""
-        message: dict = {"type": "submit"}
-        if spec is not None:
-            message["spec"] = spec.to_payload()
-        elif cells is not None:
-            message["cells"] = [request.to_payload() for request in cells]
-        else:
-            raise ValueError("submit needs a spec or cells")
+        message: dict = {
+            "type": "submit",
+            "cells": [request.to_payload() for request in cells],
+        }
         if name is not None:
             message["name"] = name
         return self._rpc(message)

@@ -450,12 +450,16 @@ class Scheduler:
     ) -> tuple[list[Submission], float | None]:
         """A worker died with ``cell`` in flight: strike the worker, then
         re-queue the cell, or fail it once it has used ``max_attempts``.
+        A cell no submission waits on any more is dropped instead.
         Returns the failed submissions and the quarantine pause (if this
         strike tripped one)."""
         pause = self.strike(worker_id)
         failed: list[Submission] = []
         if cell.status == "in_flight":
-            if cell.attempts >= self.max_attempts:
+            if not cell.submissions:
+                del self.cells[cell.fingerprint]
+                self._settle(cell)
+            elif cell.attempts >= self.max_attempts:
                 failed = self.fail(
                     cell,
                     f"worker lost {cell.attempts} times (last: {worker_id}: {reason})",

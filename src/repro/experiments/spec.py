@@ -186,40 +186,6 @@ class ExperimentSpec:
         """Stable digest of the whole sweep (the cells plus their order)."""
         return stable_digest([request.fingerprint() for request in self.cells()])
 
-    def to_payload(self) -> dict[str, object]:
-        """JSON-safe wire form of the whole sweep (``svw-repro submit``)."""
-        return {
-            "name": self.name,
-            "configs": [
-                [label, config.to_dict()] for label, config in self.configs
-            ],
-            "workloads": [workload.to_payload() for workload in self.workloads],
-            "n_insts": self.n_insts,
-            "warmup": self.warmup,
-            "baseline": self.baseline,
-            "validate": self.validate,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "ExperimentSpec":
-        configs = payload.get("configs")
-        workloads = payload.get("workloads")
-        if not isinstance(configs, list) or not isinstance(workloads, list):
-            raise ValueError("experiment payload needs configs and workloads lists")
-        warmup = payload.get("warmup")
-        return cls(
-            name=str(payload["name"]),
-            configs=tuple(
-                (str(label), MachineConfig.from_dict(config))
-                for label, config in configs
-            ),
-            workloads=tuple(WorkloadSpec.from_payload(w) for w in workloads),
-            n_insts=int(payload["n_insts"]),  # type: ignore[call-overload]
-            warmup=None if warmup is None else int(warmup),  # type: ignore[call-overload]
-            baseline=str(payload.get("baseline", "baseline")),
-            validate=bool(payload.get("validate", False)),
-        )
-
 
 def matrix_spec(
     name: str,

@@ -23,13 +23,12 @@ fingerprint names, so auxiliary files never alias a cell.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
 from repro import fingerprint as epochs
 from repro.experiments.spec import RunRequest
-from repro.ioutil import atomic_write_text
+from repro.ioutil import ScrubReport, Verdict, atomic_write_text, scrub
 from repro.pipeline.stats import SimStats
 
 #: Bump when the on-disk payload layout changes.
@@ -37,62 +36,24 @@ SCHEMA_VERSION = 1
 
 _HEX_DIGITS = set("0123456789abcdef")
 
+#: What reading a missing or corrupt cell file raises.
+_CELL_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
-@dataclass(slots=True)
-class FsckReport:
-    """What :meth:`ResultStore.fsck` found (and, with ``fix``, removed).
 
-    A store is content-addressed, so every problem fsck can find is
-    *safe to delete*: removing a corrupt cell turns a wrong-answer risk
-    into one cache miss, and the next sweep recomputes it.  Nothing in a
-    store is authoritative state that deletion could lose.
-    """
+def _is_cell(path: Path) -> bool:
+    """Cell files are exactly ``<64-hex fingerprint>.json``."""
+    stem = path.stem
+    return path.suffix == ".json" and len(stem) == 64 and set(stem) <= _HEX_DIGITS
 
-    #: Cell files scanned (64-hex names only).
-    scanned: int = 0
-    #: Cells that parsed and verified clean.
-    clean: int = 0
-    #: Cells that failed to parse/verify (unreadable JSON, wrong schema,
-    #: stats that do not round-trip).  Removed when ``fix`` is set.
-    corrupt: list[str] = field(default_factory=list)
-    #: Sound cells saved under another model or trace epoch, or carrying
-    #: no epoch stamps: no request fingerprint names them any more.
-    #: Removed when ``fix`` is set.
-    orphaned: list[str] = field(default_factory=list)
-    #: Stale ``.*.tmp`` droppings from writers killed mid-atomic-write.
-    #: Harmless (never read) but removed when ``fix`` is set.
-    stale_tmp: list[str] = field(default_factory=list)
-    #: Files that are neither cells, tmp files, nor known auxiliaries.
-    #: Reported only -- fsck never deletes what it cannot identify.
-    foreign: list[str] = field(default_factory=list)
-    #: True when ``cost_model.json`` exists but is unreadable.
-    cost_model_corrupt: bool = False
-    #: Problem files actually deleted (``fix=True`` runs only).
-    repaired: int = 0
 
-    @property
-    def ok(self) -> bool:
-        """True when nothing needed (or still needs) repair.  Foreign
-        files do not fail a check -- they are not the store's to judge."""
-        return not (
-            self.corrupt or self.orphaned or self.stale_tmp or self.cost_model_corrupt
-        )
-
-    def describe(self) -> str:
-        parts = [f"{self.scanned} cells scanned, {self.clean} clean"]
-        if self.corrupt:
-            parts.append(f"{len(self.corrupt)} corrupt")
-        if self.orphaned:
-            parts.append(f"{len(self.orphaned)} orphaned")
-        if self.stale_tmp:
-            parts.append(f"{len(self.stale_tmp)} stale tmp")
-        if self.foreign:
-            parts.append(f"{len(self.foreign)} foreign (left alone)")
-        if self.cost_model_corrupt:
-            parts.append("cost model corrupt")
-        if self.repaired:
-            parts.append(f"{self.repaired} repaired")
-        return ", ".join(parts)
+def _read_cell(path: Path) -> tuple[dict, SimStats]:
+    """A cell file's payload and statistics; raises one of
+    :data:`_CELL_ERRORS` when the file is missing, unreadable, of another
+    schema, or holds stats that do not round-trip."""
+    payload = json.loads(path.read_text())
+    if payload["schema"] != SCHEMA_VERSION:
+        raise ValueError(f"schema {payload['schema']}")
+    return payload, SimStats.from_dict(payload["stats"])
 
 
 class ResultStore:
@@ -125,8 +86,7 @@ class ResultStore:
         auxiliary files (``cost_model.json``, editor droppings) are never
         counted or mistaken for results."""
         for path in sorted(self.root.glob("*.json")):
-            stem = path.stem
-            if len(stem) == 64 and set(stem) <= _HEX_DIGITS:
+            if _is_cell(path):
                 yield path
 
     def load(self, request: RunRequest) -> SimStats | None:
@@ -147,11 +107,8 @@ class ResultStore:
         request object itself.
         """
         try:
-            payload = json.loads(self.fingerprint_path(fingerprint).read_text())
-            if payload["schema"] != SCHEMA_VERSION:
-                raise ValueError(f"schema {payload['schema']}")
-            stats = SimStats.from_dict(payload["stats"])
-        except (OSError, ValueError, KeyError, TypeError):
+            _, stats = _read_cell(self.fingerprint_path(fingerprint))
+        except _CELL_ERRORS:
             # Missing, corrupt, or stale-schema entries are plain misses.
             self.misses += 1
             return None
@@ -185,59 +142,34 @@ class ResultStore:
             self.path_for(request), json.dumps(payload, sort_keys=True, indent=1)
         )
 
-    def fsck(self, fix: bool = False) -> FsckReport:
+    def fsck(self, fix: bool = False) -> ScrubReport:
         """Scrub the store for damage a crash or bit-rot could leave.
 
-        Checks every cell file the way :meth:`load_stats` would (parse,
-        schema, stats round-trip) and its epoch stamps against the code's
-        (a cell from another epoch, or with no stamps, is an orphan), finds
-        stale atomic-write tmp files and an unreadable cost model, and
-        inventories foreign files without touching them.  With
-        ``fix=True``, corrupt and orphaned cells, stale tmps, and a corrupt
-        cost model are deleted -- always safe, because every store entry
-        is a recomputable cache, never source data.
+        Each cell file is checked the way :meth:`load_stats` reads it
+        (parse, schema, stats round-trip) and then by its epoch stamps: a
+        cell from another epoch, or with no stamps, is orphaned.
+        ``cost_model.json`` must parse.  Everything else follows the one
+        rule of :func:`~repro.ioutil.scrub`.
         """
-        report = FsckReport()
-        for path in sorted(self.root.iterdir()):
-            name = path.name
-            if not path.is_file():
-                continue
-            stem = path.stem
-            if path.suffix == ".json" and len(stem) == 64 and set(stem) <= _HEX_DIGITS:
-                report.scanned += 1
-                try:
-                    payload = json.loads(path.read_text())
-                    if payload["schema"] != SCHEMA_VERSION:
-                        raise ValueError(f"schema {payload['schema']}")
-                    SimStats.from_dict(payload["stats"])
-                except (OSError, ValueError, KeyError, TypeError):
-                    report.corrupt.append(name)
-                    continue
-                stamps = (payload.get("model_epoch"), payload.get("trace_epoch"))
-                if stamps != (epochs.MODEL_EPOCH, epochs.TRACE_EPOCH):
-                    report.orphaned.append(name)
-                else:
-                    report.clean += 1
-            elif name.startswith(".") and name.endswith(".tmp"):
-                report.stale_tmp.append(name)
-            elif name == self.cost_model_path.name:
-                try:
-                    json.loads(path.read_text())
-                except (OSError, ValueError):
-                    report.cost_model_corrupt = True
-            else:
-                report.foreign.append(name)
-        if fix:
-            doomed = report.corrupt + report.orphaned + report.stale_tmp
-            if report.cost_model_corrupt:
-                doomed.append(self.cost_model_path.name)
-            for name in doomed:
-                try:
-                    (self.root / name).unlink()
-                    report.repaired += 1
-                except OSError:
-                    pass
-        return report
+        return scrub(self.root, self._judge, fix)
+
+    def _judge(self, path: Path) -> Verdict:
+        if path.name == self.cost_model_path.name:
+            try:
+                json.loads(path.read_text())
+            except (OSError, ValueError):
+                return "corrupt"
+            return "clean"
+        if not _is_cell(path):
+            return None
+        try:
+            payload, _ = _read_cell(path)
+        except _CELL_ERRORS:
+            return "corrupt"
+        stamps = (payload.get("model_epoch"), payload.get("trace_epoch"))
+        if stamps != (epochs.MODEL_EPOCH, epochs.TRACE_EPOCH):
+            return "orphaned"
+        return "clean"
 
     def __len__(self) -> int:
         return sum(1 for _ in self.cell_paths())

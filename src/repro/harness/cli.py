@@ -16,7 +16,7 @@ Examples::
     svw-repro fig5 --json results.json     # machine-readable results
     svw-repro fig5 --jobs 8 --trace-cache-dir ~/.cache/svw-traces
     svw-repro bench                        # core-throughput benchmark
-    svw-repro bench --quick --out BENCH_core.json
+    svw-repro bench --quick --json BENCH_core.json
     svw-repro bench --workloads gcc --lsus nlq   # one cell, for development
     svw-repro bench --quick --stages       # plus the per-stage wall split
     svw-repro bench --compare old.json new.json   # speedups + fingerprint check
@@ -171,14 +171,14 @@ def _failed(args: argparse.Namespace, exc: Exception) -> int:
     return 1
 
 
-def _write_json(args: argparse.Namespace, payload: object) -> None:
-    """Write ``--json`` output to stdout (``-``) or, atomically, the named file."""
-    if args.json == "-":
+def _write_json(target: str, payload: object) -> None:
+    """Write JSON output to stdout (``-``) or, atomically, the named file."""
+    if target == "-":
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
         from repro.ioutil import write_json
 
-        write_json(args.json, payload)
+        write_json(target, payload)
 
 
 def _spec(args: argparse.Namespace, name: str) -> ExperimentSpec:
@@ -267,7 +267,7 @@ def _run_figures(args: argparse.Namespace) -> int:
         if store is not None:
             session_cost_model().save(store.cost_model_path)
     if args.json is not None:
-        _write_json(args, {name: result.to_dict() for name, result in results.items()})
+        _write_json(args.json, {name: result.to_dict() for name, result in results.items()})
     return 0
 
 
@@ -291,7 +291,7 @@ def _run_fuzz(args: argparse.Namespace) -> int:
     except _sweep_failures() as exc:
         return _failed(args, exc)
     if args.json is not None:
-        _write_json(args, report.to_dict())
+        _write_json(args.json, report.to_dict())
     if args.json != "-":
         print(report.describe())
         print(f"  fingerprint: {report.fingerprint()}")
@@ -304,20 +304,13 @@ def _run_fuzz(args: argparse.Namespace) -> int:
 def _emit_benchmark(
     args: argparse.Namespace, payload: dict, render, default_out: str
 ) -> None:
-    """Shared --json/--out plumbing for bench and goldens."""
+    """Render bench or goldens output and write its JSON to ``--json``, or
+    to ``default_out`` when no ``--json`` is given."""
     if args.json != "-":
         print(render(payload))
-    if args.json is not None:
-        _write_json(args, payload)
-    out = args.out
-    if out is None and args.json is None:
-        out = default_out
-    if out is not None:
-        from repro.ioutil import write_json
-
-        write_json(out, payload)
-        if not args.quiet:
-            print(f"wrote {out}", file=sys.stderr)
+    _write_json(default_out if args.json is None else args.json, payload)
+    if args.json is None and not args.quiet:
+        print(f"wrote {default_out}", file=sys.stderr)
 
 
 def _run_bench(args: argparse.Namespace) -> int:
@@ -435,7 +428,7 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
     try:
         with CampaignClient(args.campaign) as client:
             if command == "submit":
-                reply = client.submit(spec=spec)
+                reply = client.submit(spec.cells(), name=spec.name)
                 attached = " (attached to existing campaign)" if reply.get("attached") else ""
                 print(f"campaign {reply['campaign']}")
                 print(
@@ -700,12 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
         "issue, dispatch, loop) from one extra instrumented run",
     )
     bench.add_argument(
-        "--out",
-        metavar="PATH",
-        help="where to write the JSON (default BENCH_core.json unless "
-        "--json already directs it)",
-    )
-    bench.add_argument(
         "--compare",
         nargs=2,
         metavar=("OLD", "NEW"),
@@ -715,16 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.set_defaults(run=_run_bench)
 
-    goldens = commands.add_parser(
+    commands.add_parser(
         "goldens", parents=[json_out, quiet], help="regenerate the golden fingerprint table"
-    )
-    goldens.add_argument(
-        "--out",
-        metavar="PATH",
-        help="where to write the JSON (default tests/goldens.json unless "
-        "--json already directs it)",
-    )
-    goldens.set_defaults(run=_run_goldens)
+    ).set_defaults(run=_run_goldens)
 
     # -- the service tier ---------------------------------------------------
     worker = commands.add_parser(

@@ -23,11 +23,10 @@ never a wrong result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import fingerprint
-from repro.ioutil import atomic_write_bytes
+from repro.ioutil import ScrubReport, Verdict, atomic_write_bytes, scrub
 from repro.isa.codec import CODEC_VERSION, TraceCodecError, verify_encoded
 from repro.workloads.profile import WorkloadProfile
 
@@ -77,71 +76,29 @@ class TraceCache:
     def save(self, key: str, data: bytes) -> None:
         atomic_write_bytes(self.path_for(key), data)
 
-    def scrub(self, fix: bool = False) -> "TraceScrubReport":
+    def scrub(self, fix: bool = False) -> ScrubReport:
         """Checksum every cached trace without materializing any of them.
 
-        Runs :func:`~repro.isa.codec.verify_encoded` over each entry of
-        the *current* trace epoch and codec version; a file from another
-        epoch or version is counted as an orphan (no key names it, so it
-        is dead weight, not a risk; the report is not ``ok`` while one
-        remains).  With ``fix=True``, corrupt entries
-        and orphans are deleted -- like the result store, the cache is
-        recomputable, so deletion costs one regeneration, never data.
+        A ``*.svwt`` file from another trace epoch or codec version is an
+        orphan (no key names it, so it is dead weight, not a risk); each
+        current one must pass :func:`~repro.isa.codec.verify_encoded`.
+        Everything else follows the one rule of
+        :func:`~repro.ioutil.scrub` -- like the result store, the cache
+        is recomputable, so a repair costs one regeneration, never data.
         """
-        report = TraceScrubReport()
-        current = f"-e{fingerprint.TRACE_EPOCH}.v{CODEC_VERSION}.svwt"
-        for path in sorted(self.root.glob("*.svwt")):
-            if not path.name.endswith(current):
-                report.orphaned.append(path.name)
-                continue
-            report.scanned += 1
-            try:
-                verify_encoded(path.read_bytes())
-            except (OSError, TraceCodecError):
-                report.corrupt.append(path.name)
-            else:
-                report.clean += 1
-        if fix:
-            for name in report.corrupt + report.orphaned:
-                try:
-                    (self.root / name).unlink()
-                    report.repaired += 1
-                except OSError:
-                    pass
-        return report
+        return scrub(self.root, _judge, fix)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.svwt"))
 
 
-@dataclass(slots=True)
-class TraceScrubReport:
-    """What :meth:`TraceCache.scrub` found (and with ``fix``, removed)."""
-
-    #: Current-epoch, current-version entries checksummed.
-    scanned: int = 0
-    #: Entries whose payload verified clean.
-    clean: int = 0
-    #: Entries failing header/CRC verification.  Removed when ``fix``.
-    corrupt: list[str] = field(default_factory=list)
-    #: Entries from another trace epoch or codec version (never read).
-    #: Removed when ``fix``.
-    orphaned: list[str] = field(default_factory=list)
-    #: Files actually deleted (``fix=True`` runs only).
-    repaired: int = 0
-
-    @property
-    def ok(self) -> bool:
-        """True when every file is current and sound: an orphan is no risk,
-        but its name says a writer keyed it under a stale epoch."""
-        return not self.corrupt and not self.orphaned
-
-    def describe(self) -> str:
-        parts = [f"{self.scanned} traces scanned, {self.clean} clean"]
-        if self.corrupt:
-            parts.append(f"{len(self.corrupt)} corrupt")
-        if self.orphaned:
-            parts.append(f"{len(self.orphaned)} orphaned")
-        if self.repaired:
-            parts.append(f"{self.repaired} repaired")
-        return ", ".join(parts)
+def _judge(path: Path) -> Verdict:
+    if path.suffix != ".svwt":
+        return None
+    if not path.name.endswith(f"-e{fingerprint.TRACE_EPOCH}.v{CODEC_VERSION}.svwt"):
+        return "orphaned"
+    try:
+        verify_encoded(path.read_bytes())
+    except (OSError, TraceCodecError):
+        return "corrupt"
+    return "clean"

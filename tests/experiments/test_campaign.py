@@ -24,28 +24,20 @@ from repro.experiments import (
 )
 from repro.experiments.campaign import campaign_id_for, spec_campaign_id
 from repro.experiments.remote import PROTOCOL_VERSION, parse_worker, recv_json, send_json
-from repro.experiments.spec import ExperimentSpec, RunRequest
+from repro.experiments.spec import RunRequest
 from repro.harness.configs import fig5_configs
 from repro.pipeline.stats import SimStats
 
 class TestPayloads:
-    """to_payload/from_payload round trips are the protocol's correctness
-    anchor: identical fingerprints mean identical content addresses on
-    both sides of the wire."""
+    """RunRequest to_payload/from_payload round trips are the protocol's
+    correctness anchor: identical fingerprints mean identical content
+    addresses on both sides of the wire."""
 
     def test_run_request_round_trip(self, requests):
         for request in requests:
             clone = RunRequest.from_payload(request.to_payload())
             assert clone.fingerprint() == request.fingerprint()
             assert clone.describe() == request.describe()
-
-    def test_spec_round_trip(self, spec, requests):
-        clone = ExperimentSpec.from_payload(spec.to_payload())
-        assert [r.fingerprint() for r in clone.cells()] == [
-            r.fingerprint() for r in requests
-        ]
-        assert clone.name == spec.name
-        assert clone.baseline == spec.baseline
 
     def test_campaign_id_is_content_addressed(self, spec, small_spec):
         assert spec_campaign_id(spec) == spec_campaign_id(small_spec())
@@ -153,6 +145,27 @@ class TestDedup:
                     assert reply["done"] == reply["total"] == len(requests)
                 assert daemon.cells_simulated == before
 
+    def test_submit_command_and_backend_share_one_campaign(self, tmp_path, capsys):
+        """``svw-repro submit fig5`` sends the spec's cells under its name,
+        so it prints the id ``spec_campaign_id`` derives, and a later
+        backend run of the same spec attaches to that campaign."""
+        from repro.harness.cli import main
+        from repro.harness.figures import EXPERIMENTS
+
+        spec = EXPERIMENTS["fig5"](["gcc"], 1000)
+        campaign_id = spec_campaign_id(spec)
+        with CampaignDaemon(cache_dir=tmp_path / "central") as daemon:
+            argv = ["submit", "fig5", "--campaign", daemon.address,
+                    "--benchmarks", "gcc", "--insts", "1000"]
+            assert main(argv) == 0
+            assert capsys.readouterr().out.splitlines()[0] == f"campaign {campaign_id}"
+            notes: list[str] = []
+            with WorkerAgent() as agent:
+                agent.register_with(daemon.address)
+                CampaignBackend(daemon.address).run(spec.cells(), progress=notes.append)
+            assert f"fig5: attached to campaign {campaign_id[:12]}" in notes[0]
+            assert daemon.cells_simulated == len(spec.cells())
+
     def test_warm_store_submission_is_pure_read(
         self, tmp_path, requests, serial_stats, serial_fingerprints
     ):
@@ -177,7 +190,7 @@ class TestRestartResume:
         # can run.  Kill the daemon mid-campaign.
         daemon1 = CampaignDaemon(cache_dir=central).start()
         with CampaignClient(daemon1.address) as client:
-            reply = client.submit(spec=spec)
+            reply = client.submit(cells=spec.cells(), name=spec.name)
             campaign_id = reply["campaign"]
             assert reply["state"] == "running"
         port = daemon1.port
@@ -487,7 +500,7 @@ class TestFailure:
     def test_submit_rejects_garbage(self, tmp_path):
         with CampaignDaemon() as daemon:
             with CampaignClient(daemon.address) as client:
-                with pytest.raises(CampaignError, match="spec or"):
+                with pytest.raises(CampaignError, match="cells list"):
                     client._rpc({"type": "submit"})
                 with pytest.raises(CampaignError, match="no cells"):
                     client._rpc({"type": "submit", "cells": []})

@@ -389,7 +389,7 @@ class TestJournalSnapshots:
         with CampaignDaemon(cache_dir=central) as daemon:
             with CampaignClient(daemon.address) as client:
                 # No workers yet: the submit snapshot says running.
-                campaign_id = client.submit(spec=one_cell)["campaign"]
+                campaign_id = client.submit(cells=one_cell.cells())["campaign"]
                 submitted = _journal(central, campaign_id)
                 assert submitted["status"] == "running"
                 assert submitted["schema"] == JOURNAL_SCHEMA
@@ -404,7 +404,7 @@ class TestJournalSnapshots:
         one_cell = small_spec(workloads=("gcc",), n_configs=1)
         daemon1 = CampaignDaemon(cache_dir=central).start()
         with CampaignClient(daemon1.address) as client:
-            campaign_id = client.submit(spec=one_cell)["campaign"]
+            campaign_id = client.submit(cells=one_cell.cells())["campaign"]
         daemon1.close()
         # What kill -9 leaves mid-snapshot: a partial tmp beside the journal.
         stale = central / "campaigns" / f".{campaign_id}.jsonl.k9x2ab.tmp"
@@ -437,19 +437,20 @@ class TestJournalSnapshots:
             json.dumps(old) + "\n" + json.dumps({"record": "status", "status": "done"}) + "\n"
         )
         (tmp_path / ".ok.jsonl.k9x2ab.tmp").write_text('{"record": "camp')
-        # Not a journal: a stray .json file is neither scanned nor removed.
+        # Not a journal: a stray .json file is foreign, reported but kept.
         (tmp_path / "notes.json").write_text("not json at all\n")
         assert _read_journal(tmp_path / "ok.jsonl") == good
         assert _read_journal(tmp_path / "old.jsonl") is None
         report = scrub_journals(tmp_path)
-        assert report.scanned == 3 and report.campaigns == 1
-        assert report.unreadable == ["hopeless.jsonl", "old.jsonl"]
+        assert report.scanned == 3 and report.clean == 1
+        assert report.corrupt == ["hopeless.jsonl", "old.jsonl"]
         assert report.stale_tmp == [".ok.jsonl.k9x2ab.tmp"]
+        assert report.foreign == ["notes.json"]
         assert not report.ok
         fixed = scrub_journals(tmp_path, fix=True)
         assert fixed.repaired == 3
         after = scrub_journals(tmp_path)
-        assert after.ok and after.scanned == 1 and after.campaigns == 1
+        assert after.ok and after.scanned == 1 and after.clean == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.json", "ok.jsonl"]
 
 
@@ -469,10 +470,10 @@ class TestFsck:
         store.cost_model_path.write_text("also broken")
         report = store.fsck()
         assert not report.ok
-        assert report.corrupt == [victim.name]
+        assert report.scanned == 3 and report.clean == 1
+        assert report.corrupt == sorted([victim.name, store.cost_model_path.name])
         assert report.stale_tmp == [".cell.123.tmp"]
         assert report.foreign == ["NOTES.txt"]
-        assert report.cost_model_corrupt
         fixed = store.fsck(fix=True)
         assert fixed.repaired == 3  # corrupt cell + tmp + cost model
         after = store.fsck()
@@ -546,7 +547,7 @@ class TestFsck:
         other_epoch = f"other-key-e{TRACE_EPOCH - 1}"
         cache.save(other_epoch, data)
         report = cache.scrub()
-        assert report.scanned == 2 and report.clean == 1
+        assert report.scanned == 4 and report.clean == 1
         assert len(report.corrupt) == 1 and not report.ok
         assert report.orphaned == ["old-key.v0.svwt", cache.path_for(other_epoch).name]
         cache.scrub(fix=True)
@@ -555,6 +556,25 @@ class TestFsck:
         assert [p.name for p in cache.root.iterdir()] == [
             cache.path_for(f"good-key-e{TRACE_EPOCH}").name
         ]
+
+    def test_fsck_cli_scrubs_a_trace_cache_by_the_one_rule(self, tmp_path, capsys):
+        """A stale tmp fails a trace cache's check and ``--fix`` deletes
+        it; a foreign file is reported and kept."""
+        from repro.harness.cli import main
+
+        cache = TraceCache(tmp_path / "traces")
+        key = f"gcc-key-e{TRACE_EPOCH}"
+        tmp = cache.root / f".{cache.path_for(key).name}.k9x2ab.tmp"
+        tmp.write_bytes(b"half a trace")
+        notes = cache.root / "notes.txt"
+        notes.write_text("a human was here")
+        argv = ["fsck", "--trace-cache-dir", str(cache.root)]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "1 stale tmp" in out and "1 foreign (left alone)" in out
+        assert main([*argv, "--fix"]) == 0
+        assert not tmp.exists() and notes.exists()
+        assert main(argv) == 0
 
     def test_figure_result_from_dict_rejects_malformed(self):
         from repro.experiments import FigureResult

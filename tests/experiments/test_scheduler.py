@@ -454,6 +454,20 @@ class TestLiveTraces:
         assert cell.status == "failed"
         assert idled == [cell.trace_key] and scheduler.live == {}
 
+    def test_lost_cell_nobody_waits_on_is_dropped(self):
+        """A cancelled campaign's in-flight cell, lost with its worker, is
+        not simulated again for nobody: it settles and idles its trace."""
+        requests = cells(workloads=("gcc",), labels=("baseline",))
+        scheduler, idled = self.watched()
+        submission, _ = scheduler.submit("s", requests)
+        cell = scheduler.next_cell()
+        scheduler.cancel(submission)
+        assert scheduler.live == {cell.trace_key: 1} and idled == []
+        failed, _ = scheduler.lost(cell, "w:1", "reset")
+        assert failed == []
+        assert cell.fingerprint not in scheduler.cells and not scheduler.pending
+        assert scheduler.live == {} and idled == [cell.trace_key]
+
     def test_cancel_idles_traces_nobody_else_waits_on(self):
         a = cells(name="a", workloads=("gcc", "vortex", "mcf"), labels=("baseline", "NLQ"))
         b = cells(name="b", workloads=("vortex",), labels=("baseline",))

@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[2]
 #: ``benchmarks/chaos_equivalence.py``.
 DRIVER_COMMANDS = [
     "fig5 --benchmarks gcc --insts 2000 --jobs 2 --json - --quiet",
-    "bench --quick --stages --out BENCH_core.json",
+    "bench --quick --stages --json BENCH_core.json",
     "worker --host 127.0.0.1 --port 7501 --trace-cache-dir /tmp/svw-worker-cache --quiet",
     "worker --host 127.0.0.1 --port 7502 --trace-cache-dir /tmp/svw-worker-cache --quiet",
     "fig5 --benchmarks gcc,vortex --insts 6000 --quiet --json serial.json",

@@ -168,10 +168,20 @@ def test_v2_row_without_skip_ahead(key, pinned, cells):
 
 
 def test_cli_writes_the_checked_in_table(tmp_path, monkeypatch, fresh):
-    """``svw-repro goldens --out PATH`` writes the table byte for byte
+    """``svw-repro goldens --json PATH`` writes the table byte for byte
     (the rows come from ``fresh``, so nothing is recomputed)."""
     monkeypatch.setattr(goldens, "build_table", lambda: fresh)
     path = tmp_path / "goldens.json"
-    assert main(["goldens", "--out", str(path), "--quiet"]) == 0
+    assert main(["goldens", "--json", str(path), "--quiet"]) == 0
     assert load_table(path).keys() == set(KEYS)
     assert path.read_text() == TABLE.read_text()
+
+
+def test_cli_writes_the_table_in_place_without_json(tmp_path, monkeypatch, fresh):
+    """With no ``--json``, ``svw-repro goldens`` rewrites
+    ``tests/goldens.json`` under the working directory."""
+    monkeypatch.setattr(goldens, "build_table", lambda: fresh)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tests").mkdir()
+    assert main(["goldens", "--quiet"]) == 0
+    assert (tmp_path / goldens.GOLDENS_PATH).read_text() == TABLE.read_text()
