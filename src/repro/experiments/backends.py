@@ -72,7 +72,10 @@ class SerialBackend:
     Traces are materialized once per (workload, n_insts) and replayed
     across consecutive cells, also across :meth:`run` calls (the fuzzer
     submits one cell at a time); with a ``trace_cache`` attached, repeated
-    sweeps skip generation entirely and pay only the codec decode.
+    sweeps skip generation entirely and pay only the codec decode.  One
+    trace is resident at a time: the provider drops the previous trace
+    before it builds the next, so a sweep's trace memory is bounded by
+    its largest trace.
     """
 
     def __init__(self, trace_cache: TraceCache | None = None) -> None:

@@ -13,6 +13,9 @@ contract every backend is built on:
   cell left (their dispatcher then calls :meth:`TraceProvider.release`) and,
   when a :class:`~repro.workloads.trace_cache.TraceCache` is attached,
   persisted across sweeps and processes;
+- the decoded form is held for **one trace at a time**: the provider
+  drops the trace it served last before it decodes or generates the
+  next, so a serial sweep's trace memory is one trace, never two;
 - traces flow column-native end to end: the generator emits a
   :class:`~repro.isa.coltrace.ColumnTrace`, the codec ships its columns
   verbatim, and decode rebuilds columns (never a ``DynInst`` graph) that
@@ -41,7 +44,9 @@ class TraceProvider:
     """Memoizing generate/encode/decode pipeline for one sweep.
 
     :meth:`trace` keeps the one trace it served last (serial sweeps visit
-    cells workload-major, so one slot gets every reuse) and no bytes.
+    cells workload-major, so one slot gets every reuse) and no bytes; it
+    empties that slot *before* building another trace, so the last and
+    the next trace are never resident together.
     :meth:`encoded` keeps the ~4x smaller bytes until :meth:`release`, so
     every worker that asks for a trace while its cells run gets the same
     buffer, and keeps no decoded trace.  ``generations`` and
@@ -54,7 +59,8 @@ class TraceProvider:
         self._decoded: dict[str, ColumnTrace] = {}
         #: Traces actually generated (the amortization proof).
         self.generations = 0
-        #: Encoded payloads served from the on-disk cache.
+        #: On-disk cache entries actually served: shipped as bytes, or
+        #: decoded in full (an entry that fails decode is no hit).
         self.disk_hits = 0
 
     # -- encoded form --------------------------------------------------------
@@ -66,7 +72,9 @@ class TraceProvider:
         if data is not None:
             return data
         data = self._cached(workload, key)
-        if data is None:
+        if data is not None:
+            self.disk_hits += 1
+        else:
             # Reuse a decoded trace trace() may already have built.
             trace = self._decoded.get(key)
             if trace is None:
@@ -91,12 +99,19 @@ class TraceProvider:
 
     def trace(self, workload: WorkloadSpec, n_insts: int) -> ColumnTrace:
         """The decoded trace, reusing any memoized form; only the decoded
-        memo is filled, so a serial provider holds no encoded payloads."""
+        memo is filled, so a serial provider holds no encoded payloads.
+
+        The memo is emptied before another trace is decoded or
+        generated, so the provider never keeps two traces resident."""
         key = workload_key(workload, n_insts)
         trace = self._decoded.get(key)
         if trace is not None:
             return trace
-        data = self._encoded.get(key) or self._cached(workload, key)
+        self._decoded.clear()
+        data = self._encoded.get(key)
+        from_disk = data is None
+        if from_disk:
+            data = self._cached(workload, key)
         trace = None
         if data is not None:
             try:
@@ -106,11 +121,14 @@ class TraceProvider:
                 # fail full decode (e.g. a same-version build with other
                 # columns): it costs one regeneration, never a crashed sweep.
                 self._encoded.pop(key, None)
+            else:
+                if from_disk:
+                    self.disk_hits += 1
         if trace is None:
             trace = self._generate(workload, n_insts)
             if self.cache is not None and workload.persistable:
                 self.cache.save(key, encode_trace(trace))
-        self._decoded = {key: trace}
+        self._decoded[key] = trace
         return trace
 
     def trace_for(self, request: RunRequest) -> ColumnTrace:
@@ -147,7 +165,6 @@ class TraceProvider:
             verify_encoded(data)
         except TraceCodecError:
             return None
-        self.disk_hits += 1
         return data
 
     def _generate(self, workload: WorkloadSpec, n_insts: int) -> ColumnTrace:

@@ -23,6 +23,7 @@ code, tests), and :meth:`ColumnTrace.from_insts` builds the columns from a
 from __future__ import annotations
 
 from array import array
+from functools import partial
 from typing import Iterator, Mapping, Sequence
 
 from repro.isa.inst import (
@@ -32,6 +33,7 @@ from repro.isa.inst import (
     KIND_STORE,
     NO_PRODUCER,
     DynInst,
+    Signature,
     TraceMeta,
 )
 from repro.isa.ops import ISSUE_CLASS_BY_OP, LATENCY_BY_OP, OpClass
@@ -79,6 +81,17 @@ ISSUE_TABLE = bytes(
 )
 
 
+def _signatures(
+    kind: list[int], base_seq: list[int], offset: array, size: list[int]
+) -> list[Signature | None]:
+    """The register-integration signature per seq (``TraceMeta.signature``)."""
+    mem = _MEM_KINDS
+    return [
+        (b, o, s) if k in mem and b != NO_PRODUCER else None
+        for k, b, o, s in zip(kind, base_seq, offset.tolist(), size)
+    ]
+
+
 def narrowest_array(values, narrow: str, wide: str) -> array:
     """An :mod:`array` of ``values`` in ``narrow`` form, widened on overflow."""
     if narrow != wide:
@@ -94,10 +107,12 @@ class HotColumns:
 
     Typed arrays box a fresh int object on every subscript; the processor's
     dispatch loop indexes these columns once per dispatched instruction
-    (re-dispatches included), so a one-time ``list()`` conversion -- shared
-    by every machine configuration replaying the trace -- keeps the sim
-    core at object-path speed.  ``srcs`` holds the CSR slices as tuples and
-    ``taken`` is pre-converted to ``bool``.
+    (re-dispatches included), so a one-time ``tolist()`` conversion --
+    shared by every machine configuration replaying the trace -- keeps the
+    sim core at object-path speed.  ``srcs`` holds the CSR slices as tuples
+    and ``taken`` is pre-converted to ``bool``.  ``srcs``, ``base_seq`` and
+    ``store_data_seq`` share one int object per producer seq, so a seq
+    named by several consumers is boxed once, not once per mention.
     """
 
     __slots__ = (
@@ -242,49 +257,56 @@ class ColumnTrace:
         """Per-instruction metadata derived from the columns, built once.
 
         ``kind``/``latency``/``issue_class`` are pure functions of the op
-        column; ``words`` and ``signature`` come straight from the address
-        columns -- no ``DynInst`` is materialized.
+        column; ``words`` and ``signature`` are built from :meth:`hot`'s
+        lists, so their tuples share those lists' int objects -- no
+        ``DynInst`` is materialized.  ``signature`` is built on first read
+        (only register integration reads it).
         """
         if self._meta is None:
+            hot = self.hot()
             op_bytes = self.op.tobytes()
             kind = list(op_bytes.translate(KIND_TABLE))
-            latency = list(op_bytes.translate(LATENCY_TABLE))
-            issue_class = list(op_bytes.translate(ISSUE_TABLE))
             mem = _MEM_KINDS
             words: list[tuple[int, ...]] = [
                 ((a,) if s <= 4 else (a, a + 4)) if k in mem else ()
-                for k, a, s in zip(kind, self.addr, self.size)
-            ]
-            signature = [
-                (b, o, s) if k in mem and b != NO_PRODUCER else None
-                for k, b, o, s in zip(kind, self.base_seq, self.offset, self.size)
+                for k, a, s in zip(kind, hot.addr, hot.size)
             ]
             self._meta = TraceMeta(
                 kind=kind,
-                latency=latency,
-                issue_class=issue_class,
+                latency=list(op_bytes.translate(LATENCY_TABLE)),
+                issue_class=list(op_bytes.translate(ISSUE_TABLE)),
                 words=words,
-                signature=signature,
+                # A partial over the columns, not a closure over ``self``:
+                # a reference cycle would keep a dropped trace alive until
+                # the next full garbage collection.
+                signature=partial(_signatures, kind, hot.base_seq, self.offset, hot.size),
             )
         return self._meta
 
     def hot(self) -> HotColumns:
         """List views of the dispatch-time columns (cached, shared by all
-        configurations replaying this trace)."""
+        configurations replaying this trace).
+
+        Producer seqs are :data:`NO_PRODUCER` or an earlier seq, as
+        :meth:`validate` requires; each is looked up in one shared list
+        of seq ints (whose last item, index ``NO_PRODUCER``, is
+        ``NO_PRODUCER`` itself)."""
         if self._hot is None:
+            seqs = list(range(len(self.pc)))
+            seqs.append(NO_PRODUCER)
+            share = seqs.__getitem__
             hot = HotColumns()
-            hot.pc = list(self.pc)
-            hot.dst_reg = list(self.dst_reg)
-            hot.addr = list(self.addr)
-            hot.size = list(self.size)
-            hot.store_value = list(self.store_value)
-            hot.store_data_seq = list(self.store_data_seq)
-            hot.base_seq = list(self.base_seq)
-            hot.taken = [t != 0 for t in self.taken]
-            flat, offsets = self.src_flat, self.src_offsets
-            hot.srcs = [
-                tuple(flat[offsets[i] : offsets[i + 1]]) for i in range(len(self.pc))
-            ]
+            hot.pc = self.pc.tolist()
+            hot.dst_reg = self.dst_reg.tolist()
+            hot.addr = self.addr.tolist()
+            hot.size = self.size.tolist()
+            hot.store_value = self.store_value.tolist()
+            hot.store_data_seq = list(map(share, self.store_data_seq.tolist()))
+            hot.base_seq = list(map(share, self.base_seq.tolist()))
+            hot.taken = list(map(bool, self.taken.tolist()))
+            flat = list(map(share, self.src_flat.tolist()))
+            offsets = self.src_offsets.tolist()
+            hot.srcs = [tuple(flat[a:b]) for a, b in zip(offsets, offsets[1:])]
             self._hot = hot
         return self._hot
 

@@ -18,6 +18,7 @@ and lets the scheduler model wakeup without simulating a register file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.isa.ops import OpClass
 
@@ -124,7 +125,7 @@ class TraceMeta:
     :meth:`~repro.isa.coltrace.ColumnTrace.meta`).
     """
 
-    __slots__ = ("kind", "latency", "issue_class", "words", "signature")
+    __slots__ = ("kind", "latency", "issue_class", "words", "_signature", "_build_signature")
 
     def __init__(
         self,
@@ -132,9 +133,9 @@ class TraceMeta:
         latency: list[int],
         issue_class: list[int],
         words: list[tuple[int, ...]],
-        signature: list[Signature | None],
+        signature: list[Signature | None] | Callable[[], list[Signature | None]],
     ) -> None:
-        if not (len(kind) == len(latency) == len(issue_class) == len(words) == len(signature)):
+        if not (len(kind) == len(latency) == len(issue_class) == len(words)):
             raise ValueError("TraceMeta columns must have equal lengths")
         #: KIND_* code per seq.
         self.kind = kind
@@ -144,5 +145,27 @@ class TraceMeta:
         self.issue_class = issue_class
         #: Touched 4-byte-aligned words per seq (empty for non-memory ops).
         self.words = words
-        #: Register-integration signature per seq (None if untrackable).
-        self.signature = signature
+        if callable(signature):
+            self._signature = None
+            self._build_signature = signature
+        else:
+            self._signature = self._checked(signature)
+            self._build_signature = None
+
+    @property
+    def signature(self) -> list[Signature | None]:
+        """Register-integration signature per seq (None if untrackable).
+
+        A callable passed as ``signature`` is called on the first read.
+        This is a property, not a ``__getattr__`` hook: a class with that
+        hook loses CPython's specialized slot reads on every attribute."""
+        signature = self._signature
+        if signature is None:
+            signature = self._signature = self._checked(self._build_signature())
+            self._build_signature = None
+        return signature
+
+    def _checked(self, signature: list[Signature | None]) -> list[Signature | None]:
+        if len(signature) != len(self.kind):
+            raise ValueError("TraceMeta columns must have equal lengths")
+        return signature

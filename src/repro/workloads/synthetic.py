@@ -50,7 +50,7 @@ from array import array
 
 import numpy as np
 
-from repro.isa.coltrace import ColumnTrace
+from repro.isa.coltrace import INST_COLUMNS, ColumnTrace
 from repro.isa.inst import NO_PRODUCER
 from repro.isa.ops import OpClass
 from repro.memsys.memimg import MemoryImage
@@ -114,7 +114,7 @@ _TC_BOUNDS = {
 
 
 def _np_column(col: np.ndarray, narrow: str, wide: str) -> array:
-    """Convert an int64 numpy column to the narrowest fitting typecode."""
+    """Convert an integer numpy column to the narrowest fitting typecode."""
     tc = narrow
     if narrow != wide and len(col):
         lo, hi = _TC_BOUNDS[narrow]
@@ -122,8 +122,14 @@ def _np_column(col: np.ndarray, narrow: str, wide: str) -> array:
         if mn < lo or mx > hi:
             tc = wide
     out = array(tc)
-    out.frombytes(np.ascontiguousarray(col.astype(_TC_DTYPE[tc])).tobytes())
+    # The narrowed copy is read in place, with no intermediate bytes object.
+    out.frombytes(col.astype(_TC_DTYPE[tc]).view(np.uint8))
     return out
+
+
+def _np_view(col: array) -> np.ndarray:
+    """A zero-copy numpy view of a finished :mod:`array` column."""
+    return np.frombuffer(col, dtype=_TC_DTYPE[col.typecode])
 
 
 class _GrowBuf:
@@ -246,7 +252,7 @@ class _BlockGenerator:
         self.memory = MemoryImage()
         self.pending_collisions: list[tuple[int, int, int, int, int]] = []
         self.wrong_path: dict[int, tuple[int, ...]] = {}
-        # Accumulated per-block column chunks (int64), concatenated once.
+        # Accumulated per-block column chunks, finalized by run().
         self.chunks: dict[str, list[np.ndarray]] = {
             name: []
             for name in (
@@ -696,15 +702,18 @@ class _BlockGenerator:
         flat[starts[m1]] = c_srca[m1]
         flat[starts[m2] + 1] = c_srcb[m2]
 
+        # Byte columns are kept in their final uint8 form from the start
+        # (the values run() would narrow them to); the rest stay int64
+        # until run() knows each column's range.
         chunks = self.chunks
         chunks["pc"].append(c_pc)
-        chunks["op"].append(c_op)
+        chunks["op"].append(c_op.astype(np.uint8))
         chunks["dst_reg"].append(c_dst)
         chunks["addr"].append(c_addr)
-        chunks["size"].append(c_size)
+        chunks["size"].append(c_size.astype(np.uint8))
         chunks["store_value"].append(c_sval)
         chunks["store_data_seq"].append(c_sdseq)
-        chunks["taken"].append(c_taken)
+        chunks["taken"].append(c_taken.astype(np.uint8))
         chunks["base_seq"].append(c_base)
         chunks["offset"].append(c_off)
         chunks["src_count"].append(c_srcn)
@@ -714,28 +723,23 @@ class _BlockGenerator:
 
     # -- invariants ------------------------------------------------------------
 
-    def _self_check(
-        self,
-        cols: dict[str, np.ndarray],
-        offsets: np.ndarray,
-        flat: np.ndarray,
-        counts: np.ndarray,
-    ) -> None:
+    def _self_check(self, arrays: dict[str, array]) -> None:
         """Vectorized generation-time invariant check (mirrors
-        :meth:`ColumnTrace.validate`, at numpy speed)."""
-        n = len(cols["op"])
-        rows = np.arange(n, dtype=_I64)
-        op = cols["op"]
-        base = cols["base_seq"]
-        addr = cols["addr"]
-        size = cols["size"]
-        offset = cols["offset"]
-        sdseq = cols["store_data_seq"]
+        :meth:`ColumnTrace.validate`, at numpy speed), over zero-copy
+        views of the finished narrow columns."""
+        op = _np_view(arrays["op"])
+        base = _np_view(arrays["base_seq"])
+        addr = _np_view(arrays["addr"])
+        size = _np_view(arrays["size"])
+        offset = _np_view(arrays["offset"])
+        sdseq = _np_view(arrays["store_data_seq"])
+        flat = _np_view(arrays["src_flat"])
+        rows = np.arange(len(op), dtype=_I64)
         if not bool(np.all((base == NO_PRODUCER) | ((base >= 0) & (base < rows)))):
             raise ValueError("v2 generator: base producer not strictly earlier")
         if not bool(np.all((sdseq == NO_PRODUCER) | ((sdseq >= 0) & (sdseq < rows)))):
             raise ValueError("v2 generator: store data producer not strictly earlier")
-        owner = np.repeat(rows, counts)
+        owner = np.repeat(rows, np.diff(_np_view(arrays["src_offsets"])))
         if not bool(np.all((flat >= 0) & (flat < owner))):
             raise ValueError("v2 generator: source not strictly earlier")
         mem = (op == _OP_LOAD) | (op == _OP_STORE)
@@ -757,41 +761,24 @@ class _BlockGenerator:
         n = self.n_insts
         while self.rows_total < n:
             self._generate_block()
+        # Finalize one column at a time: concatenate its chunks, narrow
+        # the result, and drop the chunks before the next column, so at
+        # most one column is ever held in both forms.  _self_check then
+        # reads the narrow columns in place.
         chunks = self.chunks
-        cols = {
-            name: np.concatenate(chunks[name])[:n]
-            for name in (
-                "pc",
-                "op",
-                "dst_reg",
-                "addr",
-                "size",
-                "store_value",
-                "store_data_seq",
-                "taken",
-                "base_seq",
-                "offset",
-            )
-        }
-        counts = np.concatenate(chunks["src_count"])[:n]
-        offsets = np.zeros(n + 1, dtype=_I64)
-        np.cumsum(counts, out=offsets[1:])
-        flat = np.concatenate(chunks["src_flat"])[: int(offsets[-1])]
-        self._self_check(cols, offsets, flat, counts)
+
+        def finalize(name: str, length: int) -> np.ndarray:
+            return np.concatenate(chunks.pop(name))[:length]
+
         arrays = {
-            "pc": _np_column(cols["pc"], "I", "Q"),
-            "op": _np_column(cols["op"], "B", "B"),
-            "dst_reg": _np_column(cols["dst_reg"], "i", "q"),
-            "addr": _np_column(cols["addr"], "I", "Q"),
-            "size": _np_column(cols["size"], "B", "B"),
-            "store_value": _np_column(cols["store_value"], "Q", "Q"),
-            "store_data_seq": _np_column(cols["store_data_seq"], "i", "q"),
-            "taken": _np_column(cols["taken"], "B", "B"),
-            "base_seq": _np_column(cols["base_seq"], "i", "q"),
-            "offset": _np_column(cols["offset"], "i", "q"),
-            "src_offsets": _np_column(offsets, "I", "Q"),
-            "src_flat": _np_column(flat, "i", "q"),
+            name: _np_column(finalize(name, n), narrow, wide)
+            for name, narrow, wide in INST_COLUMNS
         }
+        offsets = np.zeros(n + 1, dtype=_I64)
+        np.cumsum(finalize("src_count", n), out=offsets[1:])
+        arrays["src_offsets"] = _np_column(offsets, "I", "Q")
+        arrays["src_flat"] = _np_column(finalize("src_flat", int(offsets[-1])), "i", "q")
+        self._self_check(arrays)
         wrong_path = {
             seq: addrs for seq, addrs in self.wrong_path.items() if seq < n
         }

@@ -166,6 +166,7 @@ class TestGenerationAmortization:
         backend = SerialBackend(trace_cache=cache)
         results = backend.run(family_spec.cells())
         assert backend.last_provider.generations == 2
+        assert backend.last_provider.disk_hits == 0  # never served
         assert [s.fingerprint() for s in results] == [
             s.fingerprint() for s in family_serial
         ]
@@ -259,6 +260,39 @@ class TestProvider:
         provider.trace(a, INSTS)
         provider.trace(b, INSTS)
         assert len(provider._decoded) == 1
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "warm-cache"])
+    def test_serial_sweep_holds_one_trace_at_a_time(
+        self, family_spec, tmp_path, monkeypatch, cached
+    ):
+        """While a serial sweep moves from gcc to bzip2, the provider's
+        decoded memo is empty whenever a trace is generated or decoded:
+        the last trace is dropped before the next is built."""
+        import repro.experiments.traces as traces_mod
+
+        cache = TraceCache(tmp_path) if cached else None
+        if cached:
+            SerialBackend(trace_cache=cache).run(family_spec.cells())
+        backend = SerialBackend(trace_cache=cache)
+        provider = backend.last_provider
+        held: list[tuple[str, int]] = []
+        materialize, decode = WorkloadSpec.materialize, traces_mod.decode_trace
+
+        def counting_materialize(workload, n_insts, seed=None):
+            held.append(("materialize", len(provider._decoded)))
+            return materialize(workload, n_insts, seed)
+
+        def counting_decode(data):
+            held.append(("decode", len(provider._decoded)))
+            return decode(data)
+
+        monkeypatch.setattr(WorkloadSpec, "materialize", counting_materialize)
+        monkeypatch.setattr(traces_mod, "decode_trace", counting_decode)
+        cells = family_spec.cells()
+        assert list(dict.fromkeys(r.workload.name for r in cells)) == ["gcc", "bzip2"]
+        backend.run(cells)
+        step = "decode" if cached else "materialize"
+        assert held == [(step, 0), (step, 0)]
 
     def test_encoded_keeps_no_decoded_trace(self):
         provider = TraceProvider()

@@ -16,6 +16,7 @@ from repro.isa.inst import (
     KIND_OTHER,
     KIND_STORE,
     DynInst,
+    TraceMeta,
     memory_signature,
 )
 from repro.isa.ops import ISSUE_CLASS_BY_OP, LATENCY_BY_OP, OpClass
@@ -177,6 +178,39 @@ class TestMetaAndGolden:
         trace = small_trace()
         assert_golden_matches_oracle(trace)
         assert golden_execute(trace).load_values == {2: 0xAB}
+
+    def test_signature_is_built_on_first_read(self):
+        trace = generate_trace(spec_profile("gcc"), 3000)
+        meta = trace.meta()
+        assert meta._signature is None
+        assert meta.signature == meta_oracle(trace)["signature"]
+        assert meta.signature is meta._signature
+        assert meta._build_signature is None
+
+    def test_lazy_signature_length_is_checked(self):
+        meta = TraceMeta(
+            kind=[0], latency=[1], issue_class=[0], words=[()], signature=lambda: []
+        )
+        with pytest.raises(ValueError, match="equal lengths"):
+            meta.signature
+
+    def test_columns_share_one_int_per_value(self):
+        """Every mention of a producer seq in ``srcs``, ``base_seq`` and
+        ``store_data_seq`` is one object, and ``words``/``signature`` reuse
+        the hot lists' address and base ints."""
+        trace = generate_trace(spec_profile("gcc"), 3000)
+        hot, meta = trace.hot(), trace.meta()
+        seen: dict[int, int] = {}
+        mentions = [*hot.base_seq, *hot.store_data_seq]
+        mentions += [seq for srcs in hot.srcs for seq in srcs]
+        for seq in mentions:
+            assert seen.setdefault(seq, id(seq)) == id(seq), seq
+        assert len(seen) > 300  # far past the small-int cache
+        for i, words in enumerate(meta.words):
+            if words:
+                assert words[0] is hot.addr[i]
+            if meta.signature[i] is not None:
+                assert meta.signature[i][0] is hot.base_seq[i]
 
 
 class TestValidate:
