@@ -133,7 +133,7 @@ class TraceMeta:
         latency: list[int],
         issue_class: list[int],
         words: list[tuple[int, ...]],
-        signature: list[Signature | None] | Callable[[], list[Signature | None]],
+        signature: Callable[[], list[Signature | None]],
     ) -> None:
         if not (len(kind) == len(latency) == len(issue_class) == len(words)):
             raise ValueError("TraceMeta columns must have equal lengths")
@@ -145,27 +145,22 @@ class TraceMeta:
         self.issue_class = issue_class
         #: Touched 4-byte-aligned words per seq (empty for non-memory ops).
         self.words = words
-        if callable(signature):
-            self._signature = None
-            self._build_signature = signature
-        else:
-            self._signature = self._checked(signature)
-            self._build_signature = None
+        self._signature = None
+        self._build_signature = signature
 
     @property
     def signature(self) -> list[Signature | None]:
         """Register-integration signature per seq (None if untrackable).
 
-        A callable passed as ``signature`` is called on the first read.
-        This is a property, not a ``__getattr__`` hook: a class with that
-        hook loses CPython's specialized slot reads on every attribute."""
+        Built by the ``signature`` callable on the first read (only RLE
+        reads it).  This is a property, not a ``__getattr__`` hook: a class
+        with that hook loses CPython's specialized slot reads on every
+        attribute."""
         signature = self._signature
         if signature is None:
-            signature = self._signature = self._checked(self._build_signature())
+            signature = self._build_signature()
+            if len(signature) != len(self.kind):
+                raise ValueError("TraceMeta columns must have equal lengths")
+            self._signature = signature
             self._build_signature = None
-        return signature
-
-    def _checked(self, signature: list[Signature | None]) -> list[Signature | None]:
-        if len(signature) != len(self.kind):
-            raise ValueError("TraceMeta columns must have equal lengths")
         return signature

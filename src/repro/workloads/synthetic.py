@@ -127,6 +127,15 @@ def _np_column(col: np.ndarray, narrow: str, wide: str) -> array:
     return out
 
 
+def _byte_chunk(col: np.ndarray, name: str) -> np.ndarray:
+    """A block's chunk of a byte column (``op``, ``size``, ``taken``) as
+    uint8.  A value outside 0..255 raises here instead of wrapping, since
+    :meth:`_BlockGenerator._self_check` only sees the narrowed column."""
+    if len(col) and (int(col.min()) < 0 or int(col.max()) > 255):
+        raise ValueError(f"v2 generator: {name} value outside a byte")
+    return col.astype(np.uint8)
+
+
 def _np_view(col: array) -> np.ndarray:
     """A zero-copy numpy view of a finished :mod:`array` column."""
     return np.frombuffer(col, dtype=_TC_DTYPE[col.typecode])
@@ -703,17 +712,17 @@ class _BlockGenerator:
         flat[starts[m2] + 1] = c_srcb[m2]
 
         # Byte columns are kept in their final uint8 form from the start
-        # (the values run() would narrow them to); the rest stay int64
-        # until run() knows each column's range.
+        # (range-checked, the values run() would narrow them to); the rest
+        # stay int64 until run() knows each column's range.
         chunks = self.chunks
         chunks["pc"].append(c_pc)
-        chunks["op"].append(c_op.astype(np.uint8))
+        chunks["op"].append(_byte_chunk(c_op, "op"))
         chunks["dst_reg"].append(c_dst)
         chunks["addr"].append(c_addr)
-        chunks["size"].append(c_size.astype(np.uint8))
+        chunks["size"].append(_byte_chunk(c_size, "size"))
         chunks["store_value"].append(c_sval)
         chunks["store_data_seq"].append(c_sdseq)
-        chunks["taken"].append(c_taken.astype(np.uint8))
+        chunks["taken"].append(_byte_chunk(c_taken, "taken"))
         chunks["base_seq"].append(c_base)
         chunks["offset"].append(c_off)
         chunks["src_count"].append(c_srcn)

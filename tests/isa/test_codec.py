@@ -243,5 +243,5 @@ class TestMetaHooks:
         with pytest.raises(ValueError, match="equal lengths"):
             TraceMeta(
                 kind=[0, 0], latency=[1], issue_class=[0, 0], words=[(), ()],
-                signature=[None, None],
+                signature=lambda: [None, None],
             )

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.isa.codec import encode_trace
@@ -15,6 +16,7 @@ from repro.workloads.synthetic import (
     GLOBAL_BASE,
     HEAP_BASE,
     STACK_BASE,
+    _byte_chunk,
     generate_trace,
 )
 
@@ -149,6 +151,14 @@ class TestProfiles:
     def test_generator_rejects_empty(self):
         with pytest.raises(ValueError):
             generate_trace(spec_profile("gcc"), 0)
+
+    @pytest.mark.parametrize("values", [[4, 260], [1, -1]])
+    def test_byte_column_out_of_range_is_caught(self, values):
+        """Byte columns are narrowed per block, before the self-check reads
+        them, so a value that would wrap (260 -> 4) must raise there."""
+        with pytest.raises(ValueError, match="size value outside a byte"):
+            _byte_chunk(np.array(values, dtype=np.int64), "size")
+        assert _byte_chunk(np.array([4, 255]), "size").tolist() == [4, 255]
 
 
 class TestMultiBlockBudgets:
