@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from array import array
 from functools import partial
+from itertools import pairwise
 from typing import Iterator, Mapping, Sequence
 
 from repro.isa.inst import (
@@ -92,6 +93,14 @@ def _signatures(
     ]
 
 
+def _shared(column: array) -> list[int]:
+    """``column`` as a list holding one int object per distinct value.
+
+    The array is boxed item by item, so no unshared copy is ever whole."""
+    share = {}.setdefault
+    return list(map(share, column, column))
+
+
 def narrowest_array(values, narrow: str, wide: str) -> array:
     """An :mod:`array` of ``values`` in ``narrow`` form, widened on overflow."""
     if narrow != wide:
@@ -112,7 +121,11 @@ class HotColumns:
     sim core at object-path speed.  ``srcs`` holds the CSR slices as tuples
     and ``taken`` is pre-converted to ``bool``.  ``srcs``, ``base_seq`` and
     ``store_data_seq`` share one int object per producer seq, so a seq
-    named by several consumers is boxed once, not once per mention.
+    named by several consumers is boxed once, not once per mention.  ``pc``,
+    ``addr`` and ``srcs`` hold one object per distinct value (a loop's pcs
+    and a working set's addresses repeat; so do operand tuples): at 120k
+    gcc insts that is 3.6k pc ints instead of 120k.  ``store_value`` is
+    not shared: its values are nearly all distinct.
     """
 
     __slots__ = (
@@ -259,16 +272,19 @@ class ColumnTrace:
         ``kind``/``latency``/``issue_class`` are pure functions of the op
         column; ``words`` and ``signature`` are built from :meth:`hot`'s
         lists, so their tuples share those lists' int objects -- no
-        ``DynInst`` is materialized.  ``signature`` is built on first read
-        (only register integration reads it).
+        ``DynInst`` is materialized.  ``words`` holds one tuple per distinct
+        word set, as :class:`HotColumns` holds one int per distinct
+        address.  ``signature`` is built on first read (only register
+        integration reads it).
         """
         if self._meta is None:
             hot = self.hot()
             op_bytes = self.op.tobytes()
             kind = list(op_bytes.translate(KIND_TABLE))
             mem = _MEM_KINDS
+            share = {}.setdefault
             words: list[tuple[int, ...]] = [
-                ((a,) if s <= 4 else (a, a + 4)) if k in mem else ()
+                share((w := (a,) if s <= 4 else (a, a + 4)), w) if k in mem else ()
                 for k, a, s in zip(kind, hot.addr, hot.size)
             ]
             self._meta = TraceMeta(
@@ -290,23 +306,26 @@ class ColumnTrace:
         Producer seqs are :data:`NO_PRODUCER` or an earlier seq, as
         :meth:`validate` requires; each is looked up in one shared list
         of seq ints (whose last item, index ``NO_PRODUCER``, is
-        ``NO_PRODUCER`` itself)."""
+        ``NO_PRODUCER`` itself).  ``pc``, ``addr`` and ``srcs`` keep the
+        first object of each distinct value."""
         if self._hot is None:
             seqs = list(range(len(self.pc)))
             seqs.append(NO_PRODUCER)
-            share = seqs.__getitem__
+            seq_of = seqs.__getitem__
             hot = HotColumns()
-            hot.pc = self.pc.tolist()
+            hot.pc = _shared(self.pc)
             hot.dst_reg = self.dst_reg.tolist()
-            hot.addr = self.addr.tolist()
+            hot.addr = _shared(self.addr)
             hot.size = self.size.tolist()
             hot.store_value = self.store_value.tolist()
-            hot.store_data_seq = list(map(share, self.store_data_seq.tolist()))
-            hot.base_seq = list(map(share, self.base_seq.tolist()))
+            hot.store_data_seq = list(map(seq_of, self.store_data_seq.tolist()))
+            hot.base_seq = list(map(seq_of, self.base_seq.tolist()))
             hot.taken = list(map(bool, self.taken.tolist()))
-            flat = list(map(share, self.src_flat.tolist()))
-            offsets = self.src_offsets.tolist()
-            hot.srcs = [tuple(flat[a:b]) for a, b in zip(offsets, offsets[1:])]
+            flat = tuple(map(seq_of, self.src_flat.tolist()))
+            share = {}.setdefault
+            hot.srcs = [
+                share((t := flat[a:b]), t) for a, b in pairwise(self.src_offsets)
+            ]
             self._hot = hot
         return self._hot
 

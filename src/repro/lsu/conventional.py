@@ -22,7 +22,10 @@ class ConventionalLSU(LoadStoreUnit):
 
     def __init__(self, proc) -> None:
         super().__init__(proc)
-        # Issued speculative loads indexed by word, for the LQ search.
+        # Issued, unsquashed loads indexed by word, for the LQ search: a
+        # load joins at issue and leaves at commit or squash (``_drop``),
+        # and a word's bucket is deleted when it empties, so the index
+        # holds only words some in-flight load touches.
         self._loads_by_word: dict[int, list[InFlight]] = {}
 
     #: The associative SQ's CAM check, bound directly (no wrapper frame).
@@ -32,7 +35,11 @@ class ConventionalLSU(LoadStoreUnit):
         self._assemble(load)  # default visibility: store.done
         loads_by_word = self._loads_by_word
         for word in self.words[load.seq]:
-            loads_by_word.setdefault(word, []).append(load)
+            bucket = loads_by_word.get(word)
+            if bucket is None:
+                loads_by_word[word] = [load]
+            else:
+                bucket.append(load)
 
     def on_store_resolved(self, store: InFlight) -> InFlight | None:
         """LQ search: oldest younger load that issued with a stale source.
@@ -44,15 +51,13 @@ class ConventionalLSU(LoadStoreUnit):
         not flushed.
         """
         victim: InFlight | None = None
+        loads_by_word = self._loads_by_word
         for word in self.words[store.seq]:
-            loads = self._loads_by_word.get(word)
-            if not loads:
+            loads = loads_by_word.get(word)
+            if loads is None:
                 continue
-            live = [ld for ld in loads if not ld.squashed and ld.issued]
-            if len(live) != len(loads):
-                self._loads_by_word[word] = live
             written = store_word_value(store, word)
-            for load in live:
+            for load in loads:
                 if load.seq <= store.seq or load.word_sources is None:
                     continue
                 index = index_of_word(load, word)
@@ -68,13 +73,16 @@ class ConventionalLSU(LoadStoreUnit):
 
     def _drop(self, load: InFlight) -> None:
         if load.kind == KIND_LOAD and load.word_sources is not None:
+            loads_by_word = self._loads_by_word
             for word in self.words[load.seq]:
-                loads = self._loads_by_word.get(word)
+                loads = loads_by_word.get(word)
                 if loads is not None:
                     try:
                         loads.remove(load)
                     except ValueError:
-                        pass
+                        continue
+                    if not loads:
+                        del loads_by_word[word]
 
     def on_load_commit(self, load: InFlight) -> None:
         self._drop(load)

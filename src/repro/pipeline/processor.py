@@ -26,6 +26,16 @@ value, and commit repairs any divergence by flushing.  A run can therefore
 be checked against the golden functional execution, and the test suite
 does so for every configuration.
 
+Memory.  A cell's state is O(window + data footprint), never O(trace
+length).  Only entries the re-execution stage will retire are queued on
+``rex_queue`` (REEXECUTE and SVW_ONLY; ``+PERFECT`` verifies each load at
+commit and queues nothing), the conventional LQ index drops a word once
+its last load leaves, and the ROB, ``inflight_by_seq``, ``store_words``
+and the uncommitted-load queue empty as instructions commit;
+``tests/pipeline/test_cell_memory.py`` checks all of them after every
+configuration's run.  What grows with the run is the caches and the
+committed memory image, i.e. the footprint.
+
 Performance notes.  This loop is the hot path of every experiment, so it
 is written for interpreter throughput while staying *bit-identical* to the
 straightforward formulation (``tests/pipeline/test_skip_ahead.py`` and the
@@ -178,6 +188,7 @@ class Processor:
         "_rex_reexecute",
         "_rex_perfect",
         "_rex_svw_only",
+        "_rex_active",
         # stage constants, bound once per run and unpacked per stage call
         "_dispatch_consts",
         "_issue_consts",
@@ -302,6 +313,9 @@ class Processor:
         self._rex_reexecute = rex_mode is RexMode.REEXECUTE
         self._rex_perfect = rex_mode is RexMode.PERFECT
         self._rex_svw_only = rex_mode is RexMode.SVW_ONLY
+        #: The modes whose re-execution stage drains ``rex_queue``; only
+        #: they queue entries (``+PERFECT`` verifies at commit instead).
+        self._rex_active = self._rex_reexecute or self._rex_svw_only
         svw_upd = self.svw is not None and self.svw.config.update_on_forward
         # Devirtualize the per-instruction LSU hooks: variants that keep
         # the base no-op pay nothing per event, overriding variants get a
@@ -510,7 +524,7 @@ class Processor:
         watchdog = self.config.watchdog_cycles
         inval = self.config.invalidation_interval
         skip = self._skip_ahead
-        rex_active = self._rex_reexecute or self._rex_svw_only
+        rex_active = self._rex_active
         # Containers are bound once in __init__ and never rebound, so the
         # per-cycle stage gates below can hold direct references.  Stage
         # methods are bound once too: the gates run every simulated cycle.
@@ -1179,7 +1193,8 @@ class Processor:
             entry.svw = self.ssn.retire
         # RLE: try to integrate before doing anything else.
         if self.it is not None and self._try_integrate(entry):
-            self.rex_queue.append(entry)
+            if self._rex_active:
+                self.rex_queue.append(entry)
             return
         self.iq_occ += 1
         # Memory dependence prediction.
@@ -1193,7 +1208,7 @@ class Processor:
                     self.stats.store_set_waits += 1
         if self._on_load_dispatch is not None:
             self._on_load_dispatch(entry)
-        if self._uses_rex:
+        if self._rex_active:
             self.rex_queue.append(entry)
 
     def _try_integrate(self, entry: InFlight) -> bool:
@@ -1250,7 +1265,7 @@ class Processor:
             signature = self.meta.signature[entry.seq]
             if signature is not None:
                 self.it.create(signature, entry, ssn=entry.ssn, from_store=True)
-        if self._uses_rex:
+        if self._rex_active:
             self.rex_queue.append(entry)
 
     # ------------------------------------------------------------------ flushes
