@@ -7,17 +7,21 @@ mechanism: coherence invalidations act as asynchronous stores, writing
 to that line then fail the filter test and re-execute.
 
 We exercise the mechanism with a synthetic invalidation stream (see
-repro.multi): silent invalidations measure filtering cost without
-perturbing single-thread functional correctness.
+:func:`repro.harness.configs.nlqsm_configs`): silent invalidations measure
+filtering cost without perturbing single-thread functional correctness.
 """
 
-from repro.multi.invalidation import run_nlqsm_experiment
+from repro.experiments.run import run_experiment
+from repro.experiments.spec import matrix_spec
+from repro.harness.configs import nlqsm_configs
 
 from benchmarks.conftest import BENCH_INSTS
 
 
 def _run():
-    return run_nlqsm_experiment("gcc", n_insts=BENCH_INSTS, invalidation_interval=400)
+    spec = matrix_spec("nlqsm", nlqsm_configs(400), ["gcc"], BENCH_INSTS)
+    result = run_experiment(spec)
+    return result.stats["gcc"]["baseline"], result.stats["gcc"]["invalidations"]
 
 
 def test_nlqsm(benchmark):

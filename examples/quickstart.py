@@ -13,7 +13,7 @@ golden functional execution.
 """
 
 from repro import Processor, eight_wide, kernel_trace
-from repro.core import SVWConfig
+from repro.core.svw import SVWConfig
 from repro.isa.golden import golden_execute
 from repro.pipeline.config import LSUKind, RexMode
 

@@ -9,7 +9,7 @@ than the forwarding one -> re-execute) and Figure 4b (collision with an
 *older* store -> skip).
 """
 
-from repro.core import SVWConfig, SVWEngine
+from repro.core.svw import SVWConfig, SVWEngine
 
 ADDR = {"A": 0x1000, "B": 0x2008, "C": 0x3010, "D": 0x4018}
 
@@ -30,7 +30,7 @@ def play(title: str, collisions: list[tuple[int, str]]) -> None:
     for number in (63, 64, 65, 66):
         ssn = engine.ssn.dispatch_store()
         print(f"dispatch store {ssn}")
-    load_svw = engine.svw_at_dispatch()
+    load_svw = engine.ssn.retire  # the dispatch rule: ld.SVW = SSN_RETIRE
     print(f"dispatch load: ld.SVW = SSN_RETIRE = {load_svw}")
     engine.ssn.dispatch_store()  # store 67, younger than the load
     print("dispatch store 67")

@@ -4,7 +4,7 @@ Filtering for Enhanced Load Optimization" (ISCA 2005).
 Quickstart::
 
     from repro import Processor, eight_wide, spec_profile, generate_trace
-    from repro.core import SVWConfig
+    from repro.core.svw import SVWConfig
     from repro.pipeline.config import LSUKind, RexMode
 
     trace = generate_trace(spec_profile("gcc"), 30_000)

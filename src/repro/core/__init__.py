@@ -8,32 +8,7 @@ Three pieces (paper section 3):
   table, indexed by low-order address bits, holding the SSN of the last
   retired store to each matching address.  Several organizations from the
   paper's sensitivity study (Figure 8) are provided.
-- :mod:`repro.core.svw` -- the filter engine: per-load vulnerability-window
-  establishment and update rules for each load optimization, the
-  re-execution filter test ``SSBF[ld.addr] > ld.SVW``, and the composition
-  rule for multiple simultaneous optimizations (section 3.5).
+- :mod:`repro.core.svw` -- the filter engine: the ``+UPD`` window update,
+  the re-execution filter test ``SSBF[ld.addr] > ld.SVW``, and the SSBF
+  updates of stores and invalidations.
 """
-
-from repro.core.ssbf import (
-    BankedSSBF,
-    DualBloomSSBF,
-    InfiniteSSBF,
-    SimpleSSBF,
-    SSBFBase,
-    make_ssbf,
-)
-from repro.core.ssn import SSNState
-from repro.core.svw import SVWConfig, SVWEngine, compose_svw
-
-__all__ = [
-    "BankedSSBF",
-    "DualBloomSSBF",
-    "InfiniteSSBF",
-    "SSBFBase",
-    "SSNState",
-    "SVWConfig",
-    "SVWEngine",
-    "SimpleSSBF",
-    "compose_svw",
-    "make_ssbf",
-]

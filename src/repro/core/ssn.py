@@ -31,7 +31,7 @@ class SSNState:
         bits: SSN width in bits, or ``None`` for infinite (never drains).
     """
 
-    __slots__ = ("bits", "wrap_limit", "retire", "rename", "drains", "total_stores")
+    __slots__ = ("bits", "wrap_limit", "retire", "rename", "drains")
 
     def __init__(self, bits: int | None = 16) -> None:
         if bits is not None and bits < 4:
@@ -41,14 +41,12 @@ class SSNState:
         self.retire = 0
         self.rename = 0
         self.drains = 0
-        self.total_stores = 0
 
     # -- dispatch / commit events ----------------------------------------------
 
     def dispatch_store(self) -> int:
         """Assign the next SSN to a dispatching store."""
         self.rename += 1
-        self.total_stores += 1
         return self.rename
 
     def retire_store(self) -> None:

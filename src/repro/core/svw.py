@@ -25,8 +25,15 @@ RLE        an eliminated load is vulnerable from the original load onward:
            ``ld.SVW = IT-entry.SSN`` (captured at IT-entry creation)
 =========  ================================================================
 
+The processor applies the dispatch rule inline (``ld.SVW = ssn.retire``)
+and calls :meth:`SVWEngine.svw_after_forward` for ``+UPD``, so this module
+holds the one copy of the ``+UPD`` rule the simulator and the Figure 4
+worked example share.
+
 Composition (section 3.5): a load subject to several optimizations is
-vulnerable to the largest window, i.e. ``SVW = MIN(svw_a, svw_b)``.
+vulnerable to the largest window, ``SVW = MIN(svw_a, svw_b)``.  The
+processor does not apply MIN: an RLE-eliminated load takes the IT entry's
+SSN as its whole window, even when SSQ or NLQ also marks it.
 """
 
 from __future__ import annotations
@@ -38,13 +45,6 @@ from typing import Callable
 
 from repro.core.ssbf import SSBFBase, make_ssbf
 from repro.core.ssn import SSNState
-
-
-def compose_svw(*svws: int) -> int:
-    """Compose per-optimization SVW definitions (section 3.5): MIN wins."""
-    if not svws:
-        raise ValueError("need at least one SVW value")
-    return min(svws)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +89,7 @@ class SVWConfig:
 class SVWEngine:
     """Run-time SVW state: SSN counters, the SSBF, and the filter test."""
 
-    __slots__ = ("config", "ssn", "ssbf", "on_drain", "filter_tests", "filter_hits", "invalidations", "weak_upd")
+    __slots__ = ("config", "ssn", "ssbf", "on_drain", "weak_upd")
 
     def __init__(self, config: SVWConfig | None = None) -> None:
         self.config = config or SVWConfig()
@@ -103,22 +103,16 @@ class SVWEngine:
         self.weak_upd = os.environ.get("SVW_FUZZ_WEAK_UPD", "") == "1"
         #: Hooks run at wrap-around drains (e.g. RLE flash-clears its IT).
         self.on_drain: list[Callable[[], None]] = []
-        # Statistics.
-        self.filter_tests = 0
-        self.filter_hits = 0  # positive tests: load must re-execute
-        self.invalidations = 0
 
     # -- load-side interface -----------------------------------------------------
-
-    def svw_at_dispatch(self) -> int:
-        """Baseline vulnerability window for NLQ-LS / NLQ-SM / SSQ loads."""
-        return self.ssn.retire
 
     def svw_after_forward(self, current_svw: int, store_ssn: int) -> int:
         """Shrink the window after store-load forwarding (``+UPD``).
 
         Reading from the in-flight store with ``store_ssn`` makes the load
-        invulnerable to that store and everything older.
+        invulnerable to that store and everything older.  The processor
+        calls this for each load that forwarded from a store younger than
+        its window (``store_ssn > current_svw``).
         """
         if not self.config.update_on_forward:
             return current_svw
@@ -132,11 +126,7 @@ class SVWEngine:
         """The re-execution filter test: ``SSBF[ld.addr] > ld.SVW``."""
         if not self.config.enabled:
             return True
-        self.filter_tests += 1
-        hit = self.ssbf.lookup(addr, size) > svw
-        if hit:
-            self.filter_hits += 1
-        return hit
+        return self.ssbf.lookup(addr, size) > svw
 
     # -- store-side interface --------------------------------------------------------
 
@@ -148,15 +138,10 @@ class SVWEngine:
     def record_invalidation(self, line_addr: int, line_bytes: int = 64) -> None:
         """A coherence invalidation (NLQ-SM): pretend an asynchronous store
         younger than everything in flight wrote the whole line."""
-        self.invalidations += 1
         if self.config.enabled:
             self.ssbf.invalidate_line(line_addr, line_bytes, self.ssn.rename + 1)
 
     # -- wrap-around drains -------------------------------------------------------------
-
-    @property
-    def wrap_pending(self) -> bool:
-        return self.ssn.wrap_pending
 
     def drain(self) -> None:
         """Wrap-around drain: reset SSNs, flash-clear SSBF, notify hooks."""
@@ -164,12 +149,3 @@ class SVWEngine:
         self.ssbf.flash_clear()
         for hook in self.on_drain:
             hook()
-
-    # -- statistics -----------------------------------------------------------------------
-
-    @property
-    def filter_rate(self) -> float:
-        """Fraction of tested loads the filter excused from re-execution."""
-        if not self.filter_tests:
-            return 0.0
-        return 1.0 - (self.filter_hits / self.filter_tests)

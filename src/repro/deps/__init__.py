@@ -7,8 +7,3 @@
   tagless table, indexed by low-order address bits, holding the PC of the
   last retired store to write each matching address.
 """
-
-from repro.deps.spct import SPCT
-from repro.deps.storesets import StoreSets
-
-__all__ = ["SPCT", "StoreSets"]

@@ -34,8 +34,6 @@ class StoreSets:
         "_next_ssid",
         "_clear_interval",
         "_accesses_since_clear",
-        "trainings",
-        "load_waits",
     )
 
     def __init__(self, ssit_entries: int = 16384, lfst_entries: int = 1024,
@@ -49,8 +47,6 @@ class StoreSets:
         self._next_ssid = 0
         self._clear_interval = clear_interval
         self._accesses_since_clear = 0
-        self.trainings = 0
-        self.load_waits = 0
 
     def _index(self, pc: int) -> int:
         return (pc >> 2) & self._ssit_mask
@@ -74,10 +70,7 @@ class StoreSets:
         ssid = self._ssit[(load_pc >> 2) & self._ssit_mask]
         if ssid == _INVALID:
             return None
-        store_seq = self._lfst.get(ssid)
-        if store_seq is not None:
-            self.load_waits += 1
-        return store_seq
+        return self._lfst.get(ssid)
 
     def store_dispatched(self, store_pc: int, seq: int) -> int | None:
         """Register a dispatching store.
@@ -105,7 +98,6 @@ class StoreSets:
 
     def train(self, load_pc: int, store_pc: int) -> None:
         """A load at ``load_pc`` collided with a store at ``store_pc``."""
-        self.trainings += 1
         li, si = self._index(load_pc), self._index(store_pc)
         load_ssid, store_ssid = self._ssit[li], self._ssit[si]
         if load_ssid == _INVALID and store_ssid == _INVALID:

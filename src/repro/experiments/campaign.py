@@ -394,7 +394,7 @@ class CampaignDaemon:
             )
             return
         peer = writer.get_extra_info("peername")
-        host = str(register.get("host") or (peer[0] if peer else "127.0.0.1"))
+        host = peer[0] if peer else "127.0.0.1"
         try:
             host, port = parse_worker(f"{host}:{register['port']}")
         except (KeyError, ValueError) as exc:

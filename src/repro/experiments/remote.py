@@ -367,13 +367,11 @@ class WorkerAgent:
         port: int = 0,
         trace_cache: TraceCache | None = None,
         progress: Callable[[str], None] | None = None,
-        advertise_host: str | None = None,
         faults: FaultPlan | None = None,
     ) -> None:
         self.faults = faults
         self.trace_cache = trace_cache
         self.progress = progress
-        self.advertise_host = advertise_host
         self._server = socket.create_server((host, port))
         self.host, self.port = self._server.getsockname()[:2]
         self._lock = threading.Lock()
@@ -494,8 +492,6 @@ class WorkerAgent:
             "protocol": PROTOCOL_VERSION,
             "port": self.port,
         }
-        if self.advertise_host is not None:
-            register["host"] = self.advertise_host
         backoff = retry_interval
         jitter = random.Random()  # de-syncs the fleet; needs no determinism
         down_announced = False
@@ -1196,17 +1192,13 @@ class RemoteBackend:
 # ---------------------------------------------------------------- loopback fleet
 
 
-def spawn_worker_agents(
-    count: int,
-    trace_cache_dir: str | None = None,
-    startup_timeout: float = 30.0,
-) -> list[tuple[subprocess.Popen, str]]:
+def spawn_worker_agents(count: int) -> list[tuple[subprocess.Popen, str]]:
     """Start ``count`` loopback ``svw-repro worker`` subprocesses on
     ephemeral ports; returns each agent with its ``host:port`` address.
 
-    Each agent binds port 0 and reports the kernel's pick on stdout, so
-    there is no port coordination.  If any agent fails to start, every
-    agent started so far is stopped before the error propagates.
+    Each agent binds port 0 and reports the kernel's pick on stdout within
+    30 s, so there is no port coordination.  If any agent fails to start,
+    every agent started so far is stopped before the error propagates.
     """
     if count < 1:
         raise ValueError("a worker fleet needs at least one agent")
@@ -1223,8 +1215,6 @@ def spawn_worker_agents(
         sys.executable, "-m", "repro.harness.cli",
         "worker", "--host", "127.0.0.1", "--port", "0", "--quiet",
     ]
-    if trace_cache_dir is not None:
-        command += ["--trace-cache-dir", trace_cache_dir]
     agents: list[subprocess.Popen] = []
     try:
         for _ in range(count):
@@ -1234,7 +1224,7 @@ def spawn_worker_agents(
                 )
             )
         addresses = []
-        deadline = time.monotonic() + startup_timeout
+        deadline = time.monotonic() + 30.0
         for agent in agents:
             assert agent.stdout is not None
             # Wait for readability before readline: a worker wedged before
@@ -1245,7 +1235,7 @@ def spawn_worker_agents(
             )[0]:
                 raise RuntimeError(
                     f"worker agent (pid {agent.pid}) reported no address "
-                    f"within {startup_timeout:.0f}s"
+                    "within 30s"
                 )
             line = agent.stdout.readline().strip()
             if "listening on" not in line:
@@ -1278,11 +1268,7 @@ def stop_worker_agents(agents: Sequence[subprocess.Popen], wait: bool = True) ->
 
 
 @contextmanager
-def local_worker_fleet(
-    count: int,
-    trace_cache_dir: str | None = None,
-    startup_timeout: float = 30.0,
-) -> Iterator[list[str]]:
+def local_worker_fleet(count: int) -> Iterator[list[str]]:
     """``count`` loopback ``svw-repro worker`` subprocesses on ephemeral ports.
 
     Yields their ``host:port`` addresses, for a :class:`RemoteBackend`
@@ -1290,7 +1276,7 @@ def local_worker_fleet(
     real worker processes, real sockets.  ``--jobs N`` keeps its own
     session fleet of the same agents (:mod:`repro.experiments.pool`).
     """
-    fleet = spawn_worker_agents(count, trace_cache_dir, startup_timeout)
+    fleet = spawn_worker_agents(count)
     try:
         yield [address for _, address in fleet]
     finally:

@@ -5,8 +5,3 @@ The paper's fetch unit has an 8K-entry hybrid direction predictor and a
 cycle.  The timing model charges a redirect penalty equal to the front-end
 pipeline depth on a misprediction.
 """
-
-from repro.frontend.btb import BTB
-from repro.frontend.direction import Bimodal, Gshare, HybridPredictor
-
-__all__ = ["BTB", "Bimodal", "Gshare", "HybridPredictor"]

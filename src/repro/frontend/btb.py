@@ -14,7 +14,7 @@ class BTB:
     """Tagged set-associative target buffer; stores only tags (targets are
     trace-known), so a hit means "target would have been available"."""
 
-    __slots__ = ("_sets", "_assoc", "_table", "lookups", "misses")
+    __slots__ = ("_sets", "_assoc", "_table")
 
     def __init__(self, entries: int = 2048, assoc: int = 2) -> None:
         if entries % assoc:
@@ -25,8 +25,6 @@ class BTB:
         self._assoc = assoc
         # Each set is an LRU-ordered list of tags (most recent last).
         self._table: list[list[int]] = [[] for _ in range(self._sets)]
-        self.lookups = 0
-        self.misses = 0
 
     def _locate(self, pc: int) -> tuple[list[int], int]:
         index = (pc >> 2) & (self._sets - 1)
@@ -35,18 +33,12 @@ class BTB:
 
     def lookup_and_update(self, pc: int) -> bool:
         """Probe for ``pc``; allocate/refresh the entry.  Returns hit."""
-        self.lookups += 1
         ways, tag = self._locate(pc)
         if tag in ways:
             ways.remove(tag)
             ways.append(tag)
             return True
-        self.misses += 1
         if len(ways) >= self._assoc:
             ways.pop(0)
         ways.append(tag)
         return False
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.lookups if self.lookups else 0.0

@@ -113,11 +113,58 @@ def fig8_configs() -> dict[str, MachineConfig]:
     return configs
 
 
+def spec_updates_configs() -> dict[str, MachineConfig]:
+    """Section 3.6: atomic (baseline) vs speculative SSBF updates on SSQ.
+
+    ``speculative`` also pollutes the SSBF with the wrong-path stores a
+    squash discards (``wrong_path_injection``).
+    """
+    ssq_svw = fig6_configs()["+SVW+UPD"]
+    return {
+        "baseline": ssq_svw.derive("atomic", svw=SVWConfig(speculative_updates=False)),
+        "speculative": ssq_svw.derive(
+            "speculative",
+            svw=SVWConfig(speculative_updates=True),
+            wrong_path_injection=True,
+        ),
+    }
+
+
+def nlqsm_configs(invalidation_interval: int) -> dict[str, MachineConfig]:
+    """Section 3.2: NLQ-SM, without and with coherence invalidations.
+
+    The paper defines NLQ-SM but does not evaluate it ("our simulation
+    infrastructure does not execute shared-memory programs").  Both
+    configurations use the banked SSBF; ``invalidations`` adds a silent
+    synthetic invalidation every ``invalidation_interval`` cycles, which
+    writes ``SSN_RENAME + 1`` over the line and marks every in-flight
+    load, so the filtering cost is measured without perturbing
+    single-thread correctness.
+    """
+    nlqsm = eight_wide(
+        "nlqsm-0",
+        lsu=LSUKind.NLQ,
+        rex_mode=RexMode.REEXECUTE,
+        rex_stages=NLQ_REX_STAGES,
+        store_issue=2,
+        svw=SVWConfig(ssbf_kind="banked"),
+    )
+    return {
+        "baseline": nlqsm,
+        "invalidations": nlqsm.derive(
+            f"nlqsm-{invalidation_interval}",
+            invalidation_interval=invalidation_interval,
+        ),
+    }
+
+
 def composition_configs() -> dict[str, MachineConfig]:
     """Section 3.5: NLQ + SSQ + RLE composed on one machine.
 
-    SSQ marks every load; RLE-eliminated loads take their SVW from the IT;
-    the composition rule is MIN.  The 8-wide machine hosts all three.
+    SSQ marks every load.  An RLE-eliminated load takes the IT entry's SSN
+    as its window (section 3.4); the section 3.5 MIN rule is not applied,
+    so the SSQ dispatch window does not widen it.  The 8-wide machine hosts
+    all three.
     """
     combined = eight_wide(
         "NLQ+SSQ+RLE",

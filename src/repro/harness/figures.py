@@ -28,6 +28,7 @@ from repro.harness.configs import (
     fig6_configs,
     fig7_configs,
     fig8_configs,
+    spec_updates_configs,
     svw_replacement_configs,
 )
 from repro.workloads.registry import WorkloadSpec
@@ -102,17 +103,7 @@ def spec_updates_spec(
     causing a small relative increase in re-executions -- the price for
     avoiding elongated serializations.
     """
-    ssq_svw = fig6_configs()["+SVW+UPD"]
-    configs = {
-        "baseline": replace(ssq_svw, name="atomic", svw=SVWConfig(speculative_updates=False)),
-        "speculative": replace(
-            ssq_svw,
-            name="speculative",
-            svw=SVWConfig(speculative_updates=True),
-            wrong_path_injection=True,
-        ),
-    }
-    return matrix_spec("spec_updates", configs, benchmarks, n_insts)
+    return matrix_spec("spec_updates", spec_updates_configs(), benchmarks, n_insts)
 
 
 def composition_spec(

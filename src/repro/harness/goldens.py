@@ -5,8 +5,9 @@ fingerprint and is stamped with the ``MODEL_EPOCH`` and ``TRACE_EPOCH``
 (:mod:`repro.fingerprint`) it was computed under.  The cells reuse the
 configurations the system already runs
 (:func:`~repro.experiments.fuzz.fuzz_matrix`,
-:func:`~repro.harness.bench.bench_configs` and the fig5-7 configurations
-of :mod:`repro.harness.configs`), so there is no second config matrix.
+:func:`~repro.harness.bench.bench_configs`, and the fig5-7 and
+spec-updates configurations of :mod:`repro.harness.configs`), so there is
+no second config matrix.
 
 A fingerprint moves only through a deliberate epoch bump.  A change to
 the timing model (simulator core, LSUs, memory hierarchy) bumps
@@ -23,7 +24,12 @@ from typing import Callable
 from repro.experiments.fuzz import fuzz_matrix
 from repro.fingerprint import MODEL_EPOCH, TRACE_EPOCH
 from repro.harness.bench import BENCH_INSTS, BENCH_WORKLOADS, bench_configs
-from repro.harness.configs import fig5_configs, fig6_configs, fig7_configs
+from repro.harness.configs import (
+    fig5_configs,
+    fig6_configs,
+    fig7_configs,
+    spec_updates_configs,
+)
 from repro.pipeline.processor import Processor
 from repro.workloads.kernels import kernel_trace
 from repro.workloads.phased import PHASED_CATALOG, generate_phased_trace
@@ -67,6 +73,12 @@ def golden_cells() -> dict[str, Callable[..., str]]:
             cells[f"fig/gcc/{figure}/{name}"] = functools.partial(
                 _simulate, config, gcc, warmup=500
             )
+    # Section 3.6's SSBF update orders; ``speculative`` runs the wrong-path
+    # SSBF pollution a squash leaves behind.
+    for name, config in spec_updates_configs().items():
+        cells[f"wrong-path/gcc/{name}"] = functools.partial(
+            _simulate, config, gcc, warmup=500
+        )
     # The phase composer: each catalog class on three fuzz cells.
     for phased_name, phased in PHASED_CATALOG.items():
         trace = functools.cache(functools.partial(generate_phased_trace, phased, 4000))

@@ -19,22 +19,3 @@ Four layers live here:
   dynamic traces from them and defines architecturally-correct results for
   end-to-end verification.
 """
-
-from repro.isa.coltrace import ColumnTrace
-from repro.isa.golden import GoldenResult, golden_execute
-from repro.isa.inst import DynInst
-from repro.isa.ops import OpClass, latency_of
-from repro.isa.program import Label, Op, Program, ProgramBuilder
-
-__all__ = [
-    "ColumnTrace",
-    "DynInst",
-    "GoldenResult",
-    "Label",
-    "Op",
-    "OpClass",
-    "Program",
-    "ProgramBuilder",
-    "golden_execute",
-    "latency_of",
-]

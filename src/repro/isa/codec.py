@@ -137,9 +137,8 @@ def _read_header(buf) -> tuple[dict, memoryview]:
 def _checked_payload(header: dict, payload: memoryview) -> memoryview:
     """The column bytes, bounded by the column table and checksummed.
 
-    Shared-memory segments round up to page size, so the buffer may carry
-    trailing padding: the payload is bounded by the column table before
-    checksumming.
+    The column table fixes the payload's length: a shorter buffer is
+    truncated, and only the counted bytes are checksummed and returned.
     """
     try:
         total = 0

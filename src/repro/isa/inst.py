@@ -117,8 +117,9 @@ class TraceMeta:
     """Flat per-instruction metadata precomputed once per trace.
 
     The simulator's inner loops index these lists by dynamic seq instead
-    of calling :meth:`DynInst.words`, :func:`~repro.isa.ops.latency_of`,
-    :func:`~repro.isa.ops.issue_class_of`, or the ``is_load``/``is_store``
+    of calling :meth:`DynInst.words`, reading
+    :data:`~repro.isa.ops.LATENCY_BY_OP` /
+    :data:`~repro.isa.ops.ISSUE_CLASS_BY_OP`, or the ``is_load``/``is_store``
     properties once per instruction per cycle.  Everything here is derived
     from the immutable trace columns, so one build is shared by every
     machine configuration that replays it (see

@@ -23,10 +23,6 @@ class OpClass(enum.IntEnum):
     BRANCH = 5
     NOP = 6
 
-    @property
-    def is_mem(self) -> bool:
-        return self in (OpClass.LOAD, OpClass.STORE)
-
 
 #: Execution latencies in cycles (excluding cache access for memory ops).
 #: Loads/stores listed here cover address generation; the memory hierarchy
@@ -53,19 +49,8 @@ _ISSUE_CLASS = {
     OpClass.NOP: OpClass.IALU,
 }
 
-#: Flat lookup tables indexed by ``int(op)``.  The simulator's per-cycle
-#: loops read these (via precomputed per-instruction metadata, see
-#: :class:`repro.isa.inst.TraceMeta`) instead of paying a dict lookup and
-#: enum hash per dynamic instruction per cycle.
+#: The rules as flat tables indexed by ``int(op)``: per-trace metadata
+#: (:class:`repro.isa.inst.TraceMeta`) is built from these, so the
+#: simulator's per-cycle loops pay no dict lookup or enum hash.
 LATENCY_BY_OP: tuple[int, ...] = tuple(_LATENCY[op] for op in OpClass)
 ISSUE_CLASS_BY_OP: tuple[int, ...] = tuple(int(_ISSUE_CLASS[op]) for op in OpClass)
-
-
-def latency_of(op: OpClass) -> int:
-    """Execution latency of ``op`` in cycles."""
-    return _LATENCY[op]
-
-
-def issue_class_of(op: OpClass) -> OpClass:
-    """The issue-bandwidth class ``op`` draws a slot from."""
-    return _ISSUE_CLASS[op]

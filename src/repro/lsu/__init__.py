@@ -11,15 +11,3 @@
   reached through a steering predictor, with per-bank best-effort
   forwarding buffers; *every* load is marked.
 """
-
-from repro.lsu.base import LoadStoreUnit
-from repro.lsu.conventional import ConventionalLSU
-from repro.lsu.nlq import NonAssociativeLQ
-from repro.lsu.ssq import SpeculativeSQ
-
-__all__ = [
-    "ConventionalLSU",
-    "LoadStoreUnit",
-    "NonAssociativeLQ",
-    "SpeculativeSQ",
-]

@@ -6,15 +6,3 @@ plus a single store-retire/re-execute read-write port.  This package models
 both the *functional* state (what values live where) and the *timing* state
 (hit/miss latency, bank and port structural hazards).
 """
-
-from repro.memsys.cache import Cache, CacheConfig
-from repro.memsys.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.memsys.memimg import MemoryImage
-
-__all__ = [
-    "Cache",
-    "CacheConfig",
-    "HierarchyConfig",
-    "MemoryHierarchy",
-    "MemoryImage",
-]

@@ -2,9 +2,10 @@
 
 Values live in :class:`~repro.memsys.memimg.MemoryImage`; caches model
 *timing* state only (which lines are resident).  LRU replacement, write-back
-write-allocate.  The L1D is bank-interleaved by line address; bank conflict
-accounting lives in the pipeline's port arbitration, which asks
-:meth:`CacheConfig.bank_of` where an access must go.
+write-allocate.  The L1D is bank-interleaved by line address; bank
+conflicts are arbitrated by the pipeline's issue stage, and the SSQ's
+per-bank forwarding buffers ask :meth:`MemoryHierarchy.load_bank
+<repro.memsys.hierarchy.MemoryHierarchy.load_bank>` for a line's bank.
 """
 
 from __future__ import annotations
@@ -43,13 +44,6 @@ class CacheConfig:
     def from_dict(cls, payload: dict[str, object]) -> "CacheConfig":
         return cls(**payload)  # type: ignore[arg-type]
 
-    def line_of(self, addr: int) -> int:
-        return addr // self.line_bytes
-
-    def bank_of(self, addr: int) -> int:
-        """Bank an access to ``addr`` is routed to (line-interleaved)."""
-        return self.line_of(addr) & (self.banks - 1)
-
 
 class Cache:
     """One level of set-associative cache with LRU replacement."""
@@ -61,8 +55,6 @@ class Cache:
         "_line_bytes",
         "_set_mask",
         "_assoc",
-        "hits",
-        "misses",
     )
 
     def __init__(self, config: CacheConfig) -> None:
@@ -74,17 +66,6 @@ class Cache:
         self._line_bytes = config.line_bytes
         self._set_mask = config.sets - 1
         self._assoc = config.assoc
-        self.hits = 0
-        self.misses = 0
-
-    def _locate(self, addr: int) -> tuple[dict[int, int], int]:
-        line = addr // self._line_bytes
-        return self._sets[line & self._set_mask], line
-
-    def probe(self, addr: int) -> bool:
-        """Check residency without changing replacement state."""
-        ways, line = self._locate(addr)
-        return line in ways
 
     def access(self, addr: int) -> bool:
         """Access ``addr``: update LRU, fill on miss.  Returns hit."""
@@ -94,9 +75,7 @@ class Cache:
         self._stamp = stamp
         if line in ways:
             ways[line] = stamp
-            self.hits += 1
             return True
-        self.misses += 1
         if len(ways) >= self._assoc:
             victim = min(ways, key=ways.get)  # true LRU
             del ways[victim]
@@ -105,20 +84,9 @@ class Cache:
 
     def invalidate(self, addr: int) -> bool:
         """Drop the line holding ``addr`` (coherence).  Returns present."""
-        ways, line = self._locate(addr)
+        line = addr // self._line_bytes
+        ways = self._sets[line & self._set_mask]
         if line in ways:
             del ways[line]
             return True
         return False
-
-    def flash_clear(self) -> None:
-        for ways in self._sets:
-            ways.clear()
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0

@@ -70,9 +70,9 @@ class MemoryHierarchy:
     def load_access(self, addr: int) -> int:
         """Latency of a data-side access starting at the L1D.
 
-        This is the execution-time load path; it is also the body behind
-        :meth:`rex_access` and the residency update of :meth:`store_access`
-        (one call frame, since it runs once per simulated memory op).
+        The one access path: a load's execution, a load's re-execution and
+        a store's commit all update residency through it (once per
+        simulated memory op, so in one call frame).
         """
         latency = self._l1d_latency
         if self.l1d.access(addr):
@@ -82,30 +82,11 @@ class MemoryHierarchy:
             return latency
         return latency + self._memory_latency
 
-    def rex_access(self, addr: int) -> int:
-        """Latency of a re-execution data-cache read.
-
-        Re-executing loads read addresses that were either recently loaded
-        or recently stored, so they overwhelmingly hit; misses behave like
-        loads.
-        """
-        return self.load_access(addr)
-
-    def store_access(self, addr: int) -> int:
-        """Port-occupancy latency of a store commit.
-
-        The store writes through the L1D write port; a miss allocates the
-        line but the write buffer hides the fill latency, so the *port* is
-        occupied for a single cycle either way (the paper's single
-        store-retirement port).
-        """
-        self.load_access(addr)  # keep residency/statistics honest
-        return 1
-
     def invalidate(self, addr: int) -> None:
         """Coherence invalidation from another thread/agent."""
         self.l1d.invalidate(addr)
         self.l2.invalidate(addr)
 
     def load_bank(self, addr: int) -> int:
+        """The L1D bank a line-interleaved access to ``addr`` goes to."""
         return (addr // self._l1d_line_bytes) & self._l1d_bank_mask

@@ -14,8 +14,6 @@ address space.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 _WORD_MASK = 0xFFFF_FFFF
 
 
@@ -53,23 +51,9 @@ class MemoryImage:
         clone._words = dict(self._words)
         return clone
 
-    def words(self) -> dict[int, int]:
-        """A snapshot of the backing word dictionary (for assertions)."""
-        return dict(self._words)
-
-    def touched(self) -> Iterable[int]:
-        """Word addresses ever written."""
-        return self._words.keys()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MemoryImage):
             return NotImplemented
         # Zero-valued words are equivalent to absent words.
         keys = set(self._words) | set(other._words)
         return all(self._words.get(k, 0) == other._words.get(k, 0) for k in keys)
-
-    def __len__(self) -> int:
-        return len(self._words)
-
-    def __repr__(self) -> str:
-        return f"MemoryImage({len(self._words)} words)"

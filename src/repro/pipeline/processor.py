@@ -316,7 +316,6 @@ class Processor:
         #: The modes whose re-execution stage drains ``rex_queue``; only
         #: they queue entries (``+PERFECT`` verifies at commit instead).
         self._rex_active = self._rex_reexecute or self._rex_svw_only
-        svw_upd = self.svw is not None and self.svw.config.update_on_forward
         # Devirtualize the per-instruction LSU hooks: variants that keep
         # the base no-op pay nothing per event, overriding variants get a
         # pre-bound method (no attribute chase in the loops).
@@ -394,9 +393,7 @@ class Processor:
             self._load_must_wait,
             self._execute_load,
             self._load_access,
-            svw_upd,
-            svw_upd and self.svw.weak_upd,
-            self.ssn,
+            self.svw.svw_after_forward if self.svw is not None else None,
             config.load_latency - l1d.latency,
             self._completes,
             slot_template,
@@ -419,7 +416,7 @@ class Processor:
             config.width,
             self._rex_svw_only,
             self._uncommitted_loads,
-            self.hierarchy.rex_access,
+            self._load_access,
         )
 
     # ------------------------------------------------------------------ helpers
@@ -498,7 +495,7 @@ class Processor:
 
     # ------------------------------------------------------------------ main loop
 
-    def run(self, max_cycles: int | None = None) -> SimStats:
+    def run(self) -> SimStats:
         """Simulate until the whole trace commits; returns statistics.
 
         The cyclic-garbage collector is suspended for the duration: the
@@ -507,19 +504,19 @@ class Processor:
         the periodic generation-0 scans are pure overhead: entries point
         only at younger entries (a producer lists its waiters) and no
         substrate, the LSU included, holds the processor.  A processor --
-        finished, stopped by ``max_cycles`` or by a
-        :class:`SimulationError` -- is freed by refcounting alone.
+        finished or stopped by a :class:`SimulationError` -- is freed by
+        refcounting alone.
         """
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            return self._run(max_cycles)
+            return self._run()
         finally:
             if gc_was_enabled:
                 gc.enable()
 
-    def _run(self, max_cycles: int | None) -> SimStats:
+    def _run(self) -> SimStats:
         total = self._trace_len
         watchdog = self.config.watchdog_cycles
         inval = self.config.invalidation_interval
@@ -543,8 +540,6 @@ class Processor:
         stats = self.stats
         rex0 = ser0 = 0
         while self._committed_total < total:
-            if max_cycles is not None and self.cycle >= max_cycles:
-                break
             cycle = self.cycle + 1
             self.cycle = cycle
             if skip:
@@ -593,11 +588,6 @@ class Processor:
                 # every cycle up to the next event is an exact replay:
                 # account the counters and jump the clock.
                 limit = self._next_event_cycle(watchdog, inval) - 1
-                if max_cycles is not None and limit > max_cycles:
-                    # The cap, not the scanned event, is what actually ends
-                    # this jump -- attribute the wake-up accordingly.
-                    limit = max_cycles
-                    self._wake_cause = "max_cycles"
                 n = limit - cycle
                 if n > 0:
                     delta = stats.rex_port_stalls - rex0
@@ -851,7 +841,10 @@ class Processor:
         stats.committed_stores += 1
         self.sq_occ -= 1
         addr = head.addr
-        self.hierarchy.store_access(addr)
+        # The store writes through the single store-retirement port: a
+        # miss allocates the line, but the write buffer hides the fill, so
+        # only residency changes (the port is held for this one cycle).
+        self._load_access(addr)
         self.committed_memory.write(addr, head.store_value, head.size)
         self.ssn.retire_store()
         self.spct.record(addr, head.size, head.pc)
@@ -888,7 +881,7 @@ class Processor:
         """Advance the in-order re-execution pipe (the caller checked that
         re-execution is on and the front entry is done)."""
         (queue, svw, atomic, budget, svw_only, uncommitted_loads,
-         rex_access) = self._rex_consts
+         load_access) = self._rex_consts
         cycle = self.cycle
         qlen = len(queue)
         index = 0
@@ -951,7 +944,10 @@ class Processor:
                             self.stats.rex_port_stalls += 1
                             break  # in-order start
                         entry.rex_state = _IN_FLIGHT
-                        access = rex_access(entry.addr)
+                        # A re-executing load reads an address recently
+                        # loaded or stored, so it almost always hits; a
+                        # miss costs what a load's would.
+                        access = load_access(entry.addr)
                         # RLE's elongated pipe (register-file address/value
                         # reads) adds latency but does not hold the D$ port.
                         extra = 2 if entry.eliminated else 0
@@ -981,7 +977,7 @@ class Processor:
 
     def _do_issue(self) -> None:
         (ready, m_kind, m_iclass, m_latency, line_bytes, bank_mask,
-         load_must_wait, execute_load, load_access, svw_upd, svw_weak, ssn,
+         load_must_wait, execute_load, load_access, svw_after_forward,
          load_base_latency, completes, slot_template, fsq_budget) = self._issue_consts
         cycle = self.cycle
         slots = slot_template.copy()
@@ -1023,9 +1019,9 @@ class Processor:
                 # Issue the load (inlined: once per issued load).
                 entry.issued = True
                 execute_load(entry)
-                if svw_upd and entry.forwarded_ssn > entry.svw:
-                    # ``+UPD``: forwarding shrinks the vulnerability window.
-                    entry.svw = ssn.rename if svw_weak else entry.forwarded_ssn
+                if svw_after_forward is not None and entry.forwarded_ssn > entry.svw:
+                    # ``+UPD``: forwarding may shrink the vulnerability window.
+                    entry.svw = svw_after_forward(entry.svw, entry.forwarded_ssn)
                 # Timing: the configured load-to-use latency covers the
                 # L1D + SQ path; anything beyond the L1 adds the
                 # hierarchy's miss penalty.
@@ -1189,7 +1185,7 @@ class Processor:
         if self._uses_rex:
             entry.rex_state = _PENDING
         if self.svw is not None:
-            # svw_at_dispatch() inlined: the NLQ/SSQ baseline window.
+            # The NLQ/SSQ dispatch rule: ``ld.SVW = SSN_RETIRE``.
             entry.svw = self.ssn.retire
         # RLE: try to integrate before doing anything else.
         if self.it is not None and self._try_integrate(entry):
@@ -1363,8 +1359,8 @@ class Processor:
         """Synthetic NLQ-SM coherence invalidation.
 
         The paper defines NLQ-SM but runs no shared-memory program, so
-        :mod:`repro.multi.invalidation` drives the mechanism with this
-        stream instead.
+        :func:`repro.harness.configs.nlqsm_configs` drives the mechanism
+        with this stream instead.
 
         A remote agent invalidates the line of a recently-touched load
         address.  All in-flight loads become vulnerable (the NLQ-SM

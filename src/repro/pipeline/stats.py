@@ -73,8 +73,7 @@ class SimStats:
     skipped_cycles: int = 0
     #: What ended each jump: wake-up cause -> jump count.  Causes are the
     #: candidates of ``Processor._next_event_cycle`` (completion, commit,
-    #: rex_port, rex_inflight, fetch_resume, invalidation, watchdog) plus
-    #: ``max_cycles`` for jumps truncated by a ``run(max_cycles=...)`` cap.
+    #: rex_port, rex_inflight, fetch_resume, invalidation, watchdog).
     wakeup_causes: dict[str, int] = field(default_factory=dict)
 
     # -- derived ------------------------------------------------------------------------------

@@ -12,7 +12,3 @@ natural re-execution filter (only eliminated loads re-execute), but at a
 25-40% elimination rate that filter still yields a substantial
 re-execution stream, which is where SVW comes in (section 3.4).
 """
-
-from repro.rle.integration import IntegrationTable, ITEntry, signature_of
-
-__all__ = ["ITEntry", "IntegrationTable", "signature_of"]

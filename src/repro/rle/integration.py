@@ -26,21 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 
-from repro.isa.inst import DynInst, Signature, memory_signature
+from repro.isa.inst import Signature
 from repro.pipeline.inflight import InFlight
-
-__all__ = ["ITEntry", "IntegrationTable", "Signature", "signature_of"]
-
-
-def signature_of(inst: DynInst) -> Signature | None:
-    """Operation signature of a memory instruction, or None if untrackable.
-
-    Memory ops whose base register predates the trace window (no producer)
-    are not tracked: their "physical register" identity is unknown.  The
-    computation lives in :func:`repro.isa.inst.memory_signature` so traces
-    can precompute it per instruction; this is the RLE-facing name.
-    """
-    return memory_signature(inst)
 
 
 @dataclass(slots=True)
@@ -71,7 +58,7 @@ _STAMP = attrgetter("stamp")
 class IntegrationTable:
     """Set-associative IT with LRU replacement."""
 
-    __slots__ = ("_sets_count", "_assoc", "_sets", "_stamp", "hits", "misses")
+    __slots__ = ("_sets_count", "_assoc", "_sets", "_stamp")
 
     def __init__(self, entries: int = 512, assoc: int = 2) -> None:
         if entries % assoc:
@@ -82,8 +69,6 @@ class IntegrationTable:
             dict() for _ in range(self._sets_count)
         ]
         self._stamp = 0
-        self.hits = 0
-        self.misses = 0
 
     def _set_for(self, signature: Signature) -> dict[Signature, ITEntry]:
         return self._sets[hash(signature) % self._sets_count]
@@ -93,9 +78,7 @@ class IntegrationTable:
         executed or was itself integrated)."""
         entry = self._set_for(signature).get(signature)
         if entry is None or not entry.creator.done:
-            self.misses += 1
             return None
-        self.hits += 1
         self._stamp += 1
         entry.stamp = self._stamp
         return entry

@@ -52,8 +52,6 @@ class TraceCache:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
 
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.v{CODEC_VERSION}.svwt"
@@ -66,12 +64,9 @@ class TraceCache:
         on :class:`~repro.isa.codec.TraceCodecError`.
         """
         try:
-            data = self.path_for(key).read_bytes()
+            return self.path_for(key).read_bytes()
         except OSError:
-            self.misses += 1
             return None
-        self.hits += 1
-        return data
 
     def save(self, key: str, data: bytes) -> None:
         atomic_write_bytes(self.path_for(key), data)

@@ -103,13 +103,11 @@ class TestWrapAround:
         with pytest.raises(ValueError):
             SSNState(bits=3)
 
-    def test_total_stores_counts_across_drains(self):
+    def test_ssns_restart_at_one_after_drain(self):
+        """SSN 0 stays reserved for "no store since the last clear"."""
         ssn = SSNState(bits=4)
         for _ in range(15):
             ssn.dispatch_store()
             ssn.retire_store()
         ssn.drain()
-        for _ in range(5):
-            ssn.dispatch_store()
-            ssn.retire_store()
-        assert ssn.total_stores == 20
+        assert ssn.dispatch_store() == 1

@@ -1,20 +1,18 @@
 """Unit tests for the SVW filter engine (paper section 3)."""
 
-import pytest
-
-from repro.core.svw import SVWConfig, SVWEngine, compose_svw
+from repro.core.svw import SVWConfig, SVWEngine
 
 
 class TestFilterTest:
     def test_negative_test_when_no_conflict(self):
         engine = SVWEngine()
-        svw = engine.svw_at_dispatch()
+        svw = engine.ssn.retire
         assert not engine.must_reexecute(0x1000, 8, svw)
 
     def test_positive_test_after_vulnerable_store(self):
         """A store inside the load's window forces re-execution."""
         engine = SVWEngine()
-        svw = engine.svw_at_dispatch()  # load dispatches first
+        svw = engine.ssn.retire  # load dispatches first
         ssn = engine.ssn.dispatch_store()
         engine.record_store(0x1000, 8, ssn)
         assert engine.must_reexecute(0x1000, 8, svw)
@@ -26,12 +24,12 @@ class TestFilterTest:
         ssn = engine.ssn.dispatch_store()
         engine.record_store(0x1000, 8, ssn)
         engine.ssn.retire_store()
-        svw = engine.svw_at_dispatch()  # load dispatches after retirement
+        svw = engine.ssn.retire  # load dispatches after retirement
         assert not engine.must_reexecute(0x1000, 8, svw)
 
     def test_different_address_no_reexecution(self):
         engine = SVWEngine()
-        svw = engine.svw_at_dispatch()
+        svw = engine.ssn.retire
         ssn = engine.ssn.dispatch_store()
         engine.record_store(0x1000, 8, ssn)
         # 0x2008 indexes a different SSBF entry than 0x1000.
@@ -39,18 +37,7 @@ class TestFilterTest:
 
     def test_disabled_engine_reexecutes_everything(self):
         engine = SVWEngine(SVWConfig(enabled=False))
-        assert engine.must_reexecute(0x1000, 8, engine.svw_at_dispatch())
-
-    def test_filter_statistics(self):
-        engine = SVWEngine()
-        svw = engine.svw_at_dispatch()
-        ssn = engine.ssn.dispatch_store()
-        engine.record_store(0x1000, 8, ssn)
-        engine.must_reexecute(0x1000, 8, svw)  # hit
-        engine.must_reexecute(0x2008, 8, svw)  # filtered
-        assert engine.filter_tests == 2
-        assert engine.filter_hits == 1
-        assert engine.filter_rate == pytest.approx(0.5)
+        assert engine.must_reexecute(0x1000, 8, engine.ssn.retire)
 
 
 class TestForwardUpdate:
@@ -58,7 +45,7 @@ class TestForwardUpdate:
         """Reading from store N makes the load invulnerable to stores <= N
         (the +UPD rule, section 3.1)."""
         engine = SVWEngine()
-        svw = engine.svw_at_dispatch()
+        svw = engine.ssn.retire
         older = engine.ssn.dispatch_store()
         forwarding = engine.ssn.dispatch_store()
         engine.record_store(0x1000, 8, older)
@@ -73,7 +60,7 @@ class TestForwardUpdate:
         """Figure 4a: a store *younger* than the forwarding store still
         forces re-execution."""
         engine = SVWEngine()
-        svw = engine.svw_at_dispatch()
+        svw = engine.ssn.retire
         forwarding = engine.ssn.dispatch_store()
         younger = engine.ssn.dispatch_store()
         updated = engine.svw_after_forward(svw, forwarding)
@@ -82,24 +69,9 @@ class TestForwardUpdate:
 
     def test_update_disabled_by_config(self):
         engine = SVWEngine(SVWConfig(update_on_forward=False))
-        svw = engine.svw_at_dispatch()
+        svw = engine.ssn.retire
         ssn = engine.ssn.dispatch_store()
         assert engine.svw_after_forward(svw, ssn) == svw
-
-
-class TestComposition:
-    def test_min_rule(self):
-        """Section 3.5: a load under several optimizations is vulnerable to
-        the largest window: MIN of the SVW definitions."""
-        assert compose_svw(10, 25) == 10
-        assert compose_svw(25, 10, 17) == 10
-
-    def test_single_value(self):
-        assert compose_svw(5) == 5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compose_svw()
 
 
 class TestInvalidation:
@@ -107,12 +79,11 @@ class TestInvalidation:
         """NLQ-SM: an invalidation writes SSN_RENAME+1, making every
         in-flight load to that line test positive (section 3.2)."""
         engine = SVWEngine(SVWConfig(ssbf_kind="banked"))
-        svw = engine.svw_at_dispatch()
+        svw = engine.ssn.retire
         engine.ssn.dispatch_store()  # some in-flight store
         engine.record_invalidation(0x4000)
         for offset in range(0, 64, 8):
             assert engine.must_reexecute(0x4000 + offset, 8, svw)
-        assert engine.invalidations == 1
 
     def test_loads_dispatched_after_invalidation_unaffected(self):
         engine = SVWEngine(SVWConfig(ssbf_kind="banked"))
@@ -122,7 +93,7 @@ class TestInvalidation:
         ssn = engine.ssn.dispatch_store()
         engine.ssn.retire_store()
         assert ssn >= 1
-        svw = engine.svw_at_dispatch()
+        svw = engine.ssn.retire
         assert not engine.must_reexecute(0x4000, 8, svw)
 
 
@@ -135,7 +106,7 @@ class TestDrain:
             ssn = engine.ssn.dispatch_store()
             engine.record_store(0x1000, 8, ssn)
             engine.ssn.retire_store()
-        assert engine.wrap_pending
+        assert engine.ssn.wrap_pending
         engine.drain()
         assert cleared == [True]
-        assert not engine.must_reexecute(0x1000, 8, engine.svw_at_dispatch())
+        assert not engine.must_reexecute(0x1000, 8, engine.ssn.retire)

@@ -32,7 +32,7 @@ def dispatch_window(engine):
     for number in (63, 64, 65, 66):
         ssns[number] = engine.ssn.dispatch_store()
         assert ssns[number] == number
-    load_svw = engine.svw_at_dispatch()  # snapshot 1: ld.SVW = 62
+    load_svw = engine.ssn.retire  # snapshot 1: ld.SVW = SSN_RETIRE = 62
     ssns[67] = engine.ssn.dispatch_store()
     return ssns, load_svw
 
@@ -92,3 +92,28 @@ def test_figure_4b_without_update_reexecutes(engine):
         engine.record_store(addr, 8, ssn)
         engine.ssn.retire_store()
     assert engine.must_reexecute(ADDR_A, 8, load_svw)
+
+
+@pytest.mark.parametrize("update_on_forward", [True, False])
+def test_simulator_runs_this_update_rule(
+    monkeypatch, spill_fill_trace, update_on_forward
+):
+    """The ``+UPD`` rule above is the one the processor applies: every
+    forwarding load's window goes through ``svw_after_forward``, which
+    leaves it unchanged under ``+SVW-UPD``."""
+    from repro.harness.configs import fig5_configs
+    from repro.pipeline.processor import Processor
+
+    calls = []
+    rule = SVWEngine.svw_after_forward
+
+    def counted(self, current_svw, store_ssn):
+        updated = rule(self, current_svw, store_ssn)
+        calls.append(updated > current_svw)
+        return updated
+
+    monkeypatch.setattr(SVWEngine, "svw_after_forward", counted)
+    name = "+SVW+UPD" if update_on_forward else "+SVW-UPD"
+    Processor(fig5_configs()[name], spill_fill_trace, validate=True).run()
+    assert calls
+    assert all(calls) if update_on_forward else not any(calls)

@@ -5,45 +5,30 @@ import random
 import pytest
 
 from repro.frontend.btb import BTB
-from repro.frontend.direction import Bimodal, Gshare, HybridPredictor
-
-
-class TestBimodal:
-    def test_learns_bias(self):
-        predictor = Bimodal(1024)
-        for _ in range(4):
-            predictor.update(0x100, True)
-        assert predictor.predict(0x100)
-
-    def test_hysteresis(self):
-        predictor = Bimodal(1024)
-        for _ in range(4):
-            predictor.update(0x100, True)
-        predictor.update(0x100, False)  # one anomaly
-        assert predictor.predict(0x100)  # still predicts taken
-
-    def test_power_of_two_enforced(self):
-        with pytest.raises(ValueError):
-            Bimodal(1000)
-
-
-class TestGshare:
-    def test_learns_alternating_pattern(self):
-        """Bimodal cannot learn T/NT alternation; gshare can."""
-        predictor = Gshare(4096, history_bits=8)
-        outcome = True
-        correct = 0
-        for i in range(400):
-            prediction = predictor.predict(0x200)
-            if prediction == outcome and i >= 200:
-                correct += 1
-            predictor.update(0x200, outcome)
-            outcome = not outcome
-        assert correct > 180  # near-perfect once warmed
+from repro.frontend.direction import HybridPredictor
 
 
 class TestHybrid:
+    def test_learns_bias(self):
+        predictor = HybridPredictor(1024)
+        for _ in range(4):
+            predictor.predict_and_update(0x100, True)
+        assert predictor.predict_and_update(0x100, True)
+
+    def test_hysteresis(self):
+        predictor = HybridPredictor(1024)
+        for _ in range(4):
+            predictor.predict_and_update(0x100, True)
+        predictor.predict_and_update(0x100, False)  # one anomaly
+        assert predictor.predict_and_update(0x100, True)  # still predicts taken
+
+    def test_power_of_two_enforced(self):
+        with pytest.raises(ValueError):
+            HybridPredictor(1000)
+
     def test_chooser_picks_working_component(self):
+        """Bimodal cannot learn T/NT alternation; gshare can, and the
+        chooser moves to it."""
         predictor = HybridPredictor(4096)
         outcome = True
         for i in range(600):
@@ -65,11 +50,6 @@ class TestHybrid:
                 if i > 500:
                     miss += 1
         assert miss / 1500 < 0.15
-
-    def test_mispredict_rate_statistic(self):
-        predictor = HybridPredictor(1024)
-        predictor.predict_and_update(0x10, True)
-        assert 0.0 <= predictor.mispredict_rate <= 1.0
 
 
 class TestBTB:

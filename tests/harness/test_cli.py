@@ -83,13 +83,13 @@ def test_spawned_worker_agents_command_line_parses(monkeypatch):
 
     monkeypatch.setattr(subprocess, "Popen", popen)
     with pytest.raises(OSError):
-        remote.spawn_worker_agents(1, trace_cache_dir="traces")
+        remote.spawn_worker_agents(1)
     (command,) = spawned
     argv = command[command.index("repro.harness.cli") + 1 :]
     assert argv[0] == "worker"
     args = build_parser().parse_args(argv)
     assert (args.host, args.port, args.trace_cache_dir, args.quiet) == (
-        "127.0.0.1", 0, "traces", True
+        "127.0.0.1", 0, None, True
     )
 
 

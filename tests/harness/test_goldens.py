@@ -3,7 +3,8 @@
 The table must carry the current ``MODEL_EPOCH`` and ``TRACE_EPOCH``
 (:mod:`repro.fingerprint`) and exactly the cells of
 :func:`repro.harness.goldens.golden_cells`, and every row must recompute
-to its pinned fingerprint (the v2 rows with skip-ahead on and off).  A
+to its pinned fingerprint (the v2 and wrong-path rows with skip-ahead on
+and off).  A
 deliberate move is an epoch bump: a timing-model change bumps
 ``MODEL_EPOCH``, a trace-generator change bumps ``TRACE_EPOCH``; then run
 ``svw-repro goldens`` and review the table diff.  The ``v2-goldens`` CI
@@ -22,6 +23,7 @@ from repro.fingerprint import MODEL_EPOCH, TRACE_EPOCH
 from repro.harness import goldens
 from repro.harness.bench import BENCH_WORKLOADS, bench_configs
 from repro.harness.cli import main
+from repro.harness.configs import spec_updates_configs
 from repro.workloads.phased import PHASED_CATALOG
 
 TABLE = Path(__file__).resolve().parents[1] / "goldens.json"
@@ -102,6 +104,14 @@ def test_fig_rows_are_the_figure_configs(pinned):
     assert len(fig) == 15
 
 
+def test_wrong_path_rows_are_the_spec_updates_configs(pinned):
+    """One ``wrong-path/gcc/<config>`` row per spec-updates configuration:
+    the only rows whose machine pollutes the SSBF from the wrong path."""
+    rows = {k.removeprefix("wrong-path/gcc/") for k in pinned if k.startswith("wrong-path/")}
+    assert rows == set(spec_updates_configs()) == {"baseline", "speculative"}
+    assert spec_updates_configs()["speculative"].wrong_path_injection
+
+
 def test_phased_rows_cover_catalog(pinned):
     phased = {k.split("/")[1] for k in pinned if k.startswith("phased/")}
     assert sorted(phased) == sorted(PHASED_CATALOG)
@@ -162,8 +172,8 @@ def test_golden_row(key, pinned, fresh):
     )
 
 
-@pytest.mark.parametrize("key", [k for k in KEYS if k.startswith("v2/")])
-def test_v2_row_without_skip_ahead(key, pinned, cells):
+@pytest.mark.parametrize("key", [k for k in KEYS if k.startswith(("v2/", "wrong-path/"))])
+def test_row_without_skip_ahead(key, pinned, cells):
     assert cells[key](skip_ahead=False) == pinned[key], key
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.isa.coltrace import ColumnTrace
 from repro.isa.inst import DynInst
-from repro.isa.ops import OpClass, issue_class_of, latency_of
+from repro.isa.ops import ISSUE_CLASS_BY_OP, LATENCY_BY_OP, OpClass
 
 
 class TestDynInst:
@@ -82,20 +82,18 @@ class TestTraceValidation:
 
 
 class TestOps:
+    """The tables ``TraceMeta`` is built from, indexed by ``int(op)``."""
+
     def test_imul_is_longer_than_ialu(self):
-        assert latency_of(OpClass.IMUL) > latency_of(OpClass.IALU)
+        assert LATENCY_BY_OP[OpClass.IMUL] > LATENCY_BY_OP[OpClass.IALU]
 
     def test_imul_shares_integer_issue_ports(self):
-        assert issue_class_of(OpClass.IMUL) is OpClass.IALU
-
-    def test_mem_property(self):
-        assert OpClass.LOAD.is_mem and OpClass.STORE.is_mem
-        assert not OpClass.BRANCH.is_mem
+        assert ISSUE_CLASS_BY_OP[OpClass.IMUL] == OpClass.IALU
 
     @pytest.mark.parametrize("op", list(OpClass))
     def test_every_class_has_latency_and_port(self, op):
-        assert latency_of(op) >= 1
-        assert issue_class_of(op) in (
+        assert LATENCY_BY_OP[op] >= 1
+        assert ISSUE_CLASS_BY_OP[op] in (
             OpClass.IALU,
             OpClass.FALU,
             OpClass.LOAD,

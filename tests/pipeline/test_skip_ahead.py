@@ -4,9 +4,8 @@ The skip-ahead scheduler jumps the clock over provably idle cycles and
 replays their stall-counter increments arithmetically.  These tests pin
 the core guarantee: for every LSU kind x re-execution mode, a run with
 skip-ahead enabled produces a bit-identical ``SimStats`` fingerprint to
-the cycle-by-cycle run -- including the per-cycle stall counters and the
-``max_cycles`` truncation path -- and the execution backends inherit the
-same results.
+the cycle-by-cycle run -- including the per-cycle stall counters -- and
+the execution backends inherit the same results.
 """
 
 from __future__ import annotations
@@ -58,16 +57,6 @@ def test_skip_ahead_bit_identical(name, small_gcc_trace):
     assert fast.fingerprint() == slow.fingerprint(), (
         f"{name}: skip-ahead changed results\nfast: {fast}\nslow: {slow}"
     )
-
-
-@pytest.mark.parametrize("name", ["nlq-reexecute-svw", "ssq-svw-only"])
-def test_skip_ahead_bit_identical_under_max_cycles(name, small_gcc_trace):
-    """The truncation path must stop at the same cycle with the same stats."""
-    config = CASES[name]
-    fast = Processor(config, small_gcc_trace).run(max_cycles=1500)
-    slow = Processor(config, small_gcc_trace, skip_ahead=False).run(max_cycles=1500)
-    assert fast.cycles == slow.cycles
-    assert fast.fingerprint() == slow.fingerprint()
 
 
 def test_serial_backend_matches_unskipped_run(small_gcc_trace):
@@ -153,7 +142,7 @@ class TestCoverageReport:
         assert sum(fast.wakeup_causes.values()) == fast.skip_jumps
         assert set(fast.wakeup_causes) <= {
             "completion", "commit", "rex_port", "rex_inflight",
-            "fetch_resume", "invalidation", "watchdog", "max_cycles",
+            "fetch_resume", "invalidation", "watchdog",
         }
         # ...the unskipped run records none of it...
         assert (slow.skip_jumps, slow.skipped_cycles, slow.wakeup_causes) == (0, 0, {})
@@ -176,17 +165,6 @@ class TestCoverageReport:
         revived = SimStats.from_dict(legacy)
         assert revived.fingerprint() == stats.fingerprint()
         assert revived.skip_jumps == 0
-
-    def test_max_cycles_clamp_is_its_own_cause(self, small_gcc_trace):
-        """A jump truncated by the run() cap is attributed to the cap, not
-        to the (never reached) event the scan found beyond it."""
-        truncated = 0
-        for cap in (500, 800, 1000, 2000, 3000):
-            stats = Processor(CASES["conventional-none"], small_gcc_trace).run(
-                max_cycles=cap
-            )
-            truncated += stats.wakeup_causes.get("max_cycles", 0)
-        assert truncated > 0
 
     def test_summary_mentions_skip_coverage(self, small_gcc_trace):
         stats = Processor(CASES["conventional-none"], small_gcc_trace).run()

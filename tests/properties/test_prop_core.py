@@ -78,7 +78,7 @@ class TestFilterSoundness:
         conflicted_in_window = False
         for i, (addr, size) in enumerate(stream):
             if i == dispatch_at:
-                load_svw = engine.svw_at_dispatch()
+                load_svw = engine.ssn.retire
             addr &= ~(size - 1)
             ssn = engine.ssn.dispatch_store()
             engine.record_store(addr, size, ssn)
@@ -86,7 +86,7 @@ class TestFilterSoundness:
             if i >= dispatch_at and _words(addr, size) & probe_words:
                 conflicted_in_window = True
         if load_svw is None:
-            load_svw = engine.svw_at_dispatch()
+            load_svw = engine.ssn.retire
 
         if not engine.must_reexecute(probe, probe_size, load_svw):
             assert not conflicted_in_window, (

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.isa.coltrace import ColumnTrace
 from repro.isa.inst import KIND_LOAD, KIND_STORE, DynInst
 from repro.isa.ops import OpClass
 from repro.pipeline.inflight import InFlight
-from repro.rle.integration import IntegrationTable, signature_of
+from repro.rle.integration import IntegrationTable
 
 
 def _load(seq, value=0):
@@ -24,17 +25,24 @@ def _store(seq, value=0):
     return entry
 
 
+def _last_signature(load: DynInst):
+    """The signature the processor integrates ``load`` under: its trace's
+    ``TraceMeta.signature``, after ``load.seq`` ALU producers."""
+    insts = [DynInst(seq=i, pc=4 * i, op=OpClass.IALU, dst_reg=1) for i in range(load.seq)]
+    return ColumnTrace.from_insts("t", [*insts, load]).meta().signature[load.seq]
+
+
 class TestSignatures:
     def test_signature_components(self):
         inst = DynInst(
             seq=5, pc=0x100, op=OpClass.LOAD, addr=0x1000, size=8,
             base_seq=3, offset=8,
         )
-        assert signature_of(inst) == (3, 8, 8)
+        assert _last_signature(inst) == (3, 8, 8)
 
     def test_untracked_base_has_no_signature(self):
         inst = DynInst(seq=0, pc=0, op=OpClass.LOAD, addr=0x100, size=8)
-        assert signature_of(inst) is None
+        assert _last_signature(inst) is None
 
 
 class TestLookupAndCreate:

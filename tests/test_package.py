@@ -15,10 +15,11 @@ import pytest
 import repro
 
 ROOT = Path(__file__).resolve().parents[1]
-LAZY_PACKAGES = ("repro", "repro.experiments", "repro.workloads")
+LAZY_PACKAGES = ("repro", "repro.experiments")
 
 #: Modules a worker agent never executes: the trace generators (and numpy
-#: through them), the campaign tier (and asyncio) and the fuzzer.
+#: through them), the campaign tier (and asyncio), the fuzzer, and the
+#: kernel assembler and golden executor (a worker only decodes traces).
 WORKER_NEVER_IMPORTS = (
     "numpy",
     "asyncio",
@@ -26,6 +27,8 @@ WORKER_NEVER_IMPORTS = (
     "repro.experiments.fuzz",
     "repro.workloads.synthetic",
     "repro.workloads.mutate",
+    "repro.isa.golden",
+    "repro.isa.program",
 )
 
 WORKER_IMPORTS = f"""
