@@ -73,6 +73,23 @@ class TestForwardUpdate:
         ssn = engine.ssn.dispatch_store()
         assert engine.svw_after_forward(svw, ssn) == svw
 
+    def test_update_never_reopens_the_window(self):
+        """Forwarding from a store the window already excludes leaves the
+        window where it is: ``+UPD`` only moves it forward."""
+        engine = SVWEngine()
+        assert engine.svw_after_forward(10, 7) == 10
+
+    def test_weak_upd_mutant_widens_to_ssn_rename(self, monkeypatch):
+        """The planted fuzz mutant lives in this rule: it excuses the load
+        from every store renamed so far, not just the forwarding one."""
+        monkeypatch.setenv("SVW_FUZZ_WEAK_UPD", "1")
+        engine = SVWEngine()
+        svw = engine.ssn.retire
+        forwarding = engine.ssn.dispatch_store()
+        engine.ssn.dispatch_store()  # younger than the forwarding store
+        assert engine.svw_after_forward(svw, forwarding) == engine.ssn.rename
+        assert engine.ssn.rename > forwarding
+
 
 class TestInvalidation:
     def test_invalidation_acts_as_future_store(self):

@@ -80,6 +80,26 @@ def test_figure_4b_load_skips_reexecution(engine):
     assert not engine.must_reexecute(ADDR_A, 8, load_svw)
 
 
+def test_figure_4a_weak_upd_mutant_skips_reexecution(monkeypatch):
+    """The fuzz-smoke mutant (``SVW_FUZZ_WEAK_UPD=1``) widens the Figure 4a
+    window past store 66, so the load that must re-execute is excused --
+    the missed violation the differential oracle has to catch."""
+    monkeypatch.setenv("SVW_FUZZ_WEAK_UPD", "1")
+    engine = SVWEngine(SVWConfig())
+    for _ in range(62):
+        engine.ssn.dispatch_store()
+        engine.ssn.retire_store()
+    _, load_svw = dispatch_window(engine)
+    engine.record_store(ADDR_C, 8, 63)
+    engine.ssn.retire_store()
+    load_svw = engine.svw_after_forward(load_svw, 65)
+    assert load_svw == 67  # SSN_RENAME, not the forwarding store's 65
+    for ssn, addr in ((64, ADDR_D), (65, ADDR_A), (66, ADDR_A)):
+        engine.record_store(addr, 8, ssn)
+        engine.ssn.retire_store()
+    assert not engine.must_reexecute(ADDR_A, 8, load_svw)
+
+
 def test_figure_4b_without_update_reexecutes(engine):
     """Without the forward update (or without SVW at all), the Figure 4b
     load re-executes -- the paper notes 'Without SVW, this load

@@ -18,6 +18,7 @@ from repro.harness.configs import (
     fig7_configs,
     fig8_configs,
     fig8_ssbf_variants,
+    nlqsm_configs,
     svw_replacement_configs,
 )
 from repro.harness.figures import EXPERIMENTS
@@ -56,6 +57,15 @@ class TestConfigs:
     def test_replacement_mode(self):
         configs = svw_replacement_configs()
         assert configs["NLQ+SVW-only"].rex_mode is RexMode.SVW_ONLY
+
+    def test_nlqsm_pair_differs_only_in_invalidations(self):
+        """The config names are part of each cell's stats fingerprint."""
+        configs = nlqsm_configs(400)
+        baseline, noisy = configs["baseline"], configs["invalidations"]
+        assert (baseline.name, noisy.name) == ("nlqsm-0", "nlqsm-400")
+        assert (baseline.invalidation_interval, noisy.invalidation_interval) == (0, 400)
+        assert noisy.derive(baseline.name, invalidation_interval=0) == baseline
+        assert baseline.svw.ssbf_kind == "banked"
 
     def test_composition_has_rle_and_ssq(self):
         combined = composition_configs()["combined"]

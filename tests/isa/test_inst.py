@@ -90,6 +90,11 @@ class TestOps:
     def test_imul_shares_integer_issue_ports(self):
         assert ISSUE_CLASS_BY_OP[OpClass.IMUL] == OpClass.IALU
 
+    def test_mem_ops_issue_on_memory_ports(self):
+        assert ISSUE_CLASS_BY_OP[OpClass.LOAD] == OpClass.LOAD
+        assert ISSUE_CLASS_BY_OP[OpClass.STORE] == OpClass.STORE
+        assert ISSUE_CLASS_BY_OP[OpClass.BRANCH] not in (OpClass.LOAD, OpClass.STORE)
+
     @pytest.mark.parametrize("op", list(OpClass))
     def test_every_class_has_latency_and_port(self, op):
         assert LATENCY_BY_OP[op] >= 1

@@ -1,7 +1,7 @@
 """A simulated cell holds no reference cycle: refcounting frees it.
 
-Every machine the fuzzer and the fig5-7 sweeps build is run with the
-cyclic collector off, then dropped; a following ``gc.collect()`` must
+Every machine the fuzzer, the fig5-7 sweeps, NLQ-SM and the spec-updates
+study build is run with the cyclic collector off, then dropped; a following ``gc.collect()`` must
 find nothing.  A run cut short by a raised :class:`SimulationError` must
 leave nothing behind either.
 """
@@ -14,16 +14,25 @@ import gc
 import pytest
 
 from repro.experiments.fuzz import fuzz_matrix
-from repro.harness.configs import fig5_configs, fig6_configs, fig7_configs
+from repro.harness.configs import (
+    fig5_configs,
+    fig6_configs,
+    fig7_configs,
+    nlqsm_configs,
+    spec_updates_configs,
+)
 from repro.pipeline.processor import Processor, SimulationError
 from repro.workloads.spec2000 import spec_profile
 from repro.workloads.synthetic import generate_trace
 
 CONFIGS = {
     f"{family.__name__}:{name}": config
-    for family in (fuzz_matrix, fig5_configs, fig6_configs, fig7_configs)
+    for family in (fuzz_matrix, fig5_configs, fig6_configs, fig7_configs, spec_updates_configs)
     for name, config in family().items()
 }
+CONFIGS.update(
+    (f"nlqsm_configs:{name}", config) for name, config in nlqsm_configs(200).items()
+)
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,7 @@ from repro.isa.inst import KIND_LOAD
 from repro.pipeline.config import LSUKind, RexMode, eight_wide, four_wide
 from repro.pipeline.inflight import InFlight
 from repro.pipeline.processor import Processor, SimulationError
+from repro.rle.integration import IntegrationTable
 from repro.workloads.kernels import kernel_trace
 from repro.workloads.spec2000 import spec_profile
 from repro.workloads.synthetic import generate_trace
@@ -169,6 +170,33 @@ class TestRLE:
         ).run()
         assert without.squash_reuse_loads == 0
         assert without.reexec_rate <= with_squ.reexec_rate + 0.01
+
+    def test_eliminated_load_takes_it_entry_ssn(self, monkeypatch, small_vortex_trace):
+        """Section 3.4: an eliminated load's window is the SSN its IT entry
+        was created under, not ``SSN_RETIRE`` and not a MIN of the two;
+        squash reuse, which SVW cannot cover, gets no window at all."""
+        found = []
+        lookup = IntegrationTable.lookup
+        integrate = Processor._try_integrate
+
+        def recorded_lookup(self, signature):
+            found.append(lookup(self, signature))
+            return found[-1]
+
+        checked = []
+
+        def checked_integrate(self, entry):
+            eliminated = integrate(self, entry)
+            if eliminated:
+                expected = -1 if entry.squash_reuse else found[-1].ssn
+                checked.append((entry.svw == expected, entry.svw != self.ssn.retire))
+            return eliminated
+
+        monkeypatch.setattr(IntegrationTable, "lookup", recorded_lookup)
+        monkeypatch.setattr(Processor, "_try_integrate", checked_integrate)
+        Processor(self._rle(svw=SVWConfig()), small_vortex_trace, validate=True).run()
+        assert checked and all(ok for ok, _ in checked)
+        assert any(differs for _, differs in checked)
 
 
 class TestSSNWrap:

@@ -16,7 +16,7 @@ from repro.core.svw import SVWConfig
 from repro.experiments.backends import SerialBackend
 from repro.experiments.spec import WorkloadSpec, matrix_spec
 from repro.experiments.run import run_experiment
-from repro.harness.configs import NLQ_REX_STAGES, SSQ_REX_STAGES
+from repro.harness.configs import NLQ_REX_STAGES, SSQ_REX_STAGES, nlqsm_configs
 from repro.pipeline.config import LSUKind, MachineConfig, RexMode, eight_wide
 from repro.pipeline.processor import Processor
 
@@ -57,6 +57,17 @@ def test_skip_ahead_bit_identical(name, small_gcc_trace):
     assert fast.fingerprint() == slow.fingerprint(), (
         f"{name}: skip-ahead changed results\nfast: {fast}\nslow: {slow}"
     )
+
+
+def test_skip_ahead_bit_identical_with_invalidations(small_gcc_trace):
+    """NLQ-SM's synthetic invalidations are a wake-up of their own."""
+    config = nlqsm_configs(200)["invalidations"]
+    fast = Processor(config, small_gcc_trace, validate=True, warmup=1000).run()
+    slow = Processor(
+        config, small_gcc_trace, validate=True, warmup=1000, skip_ahead=False
+    ).run()
+    assert fast.wakeup_causes.get("invalidation", 0) > 0
+    assert fast.fingerprint() == slow.fingerprint()
 
 
 def test_serial_backend_matches_unskipped_run(small_gcc_trace):
