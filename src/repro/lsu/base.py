@@ -5,6 +5,17 @@ store index); LSU variants implement *visibility*: which older stores a
 load can see at execution time.  Getting visibility wrong is never fatal --
 it produces a stale value that the re-execution machinery must catch,
 which is precisely the speculation the paper studies.
+
+The contract is seven hooks, one per load-store event:
+
+- dispatch: ``on_load_dispatch`` and ``admit_store`` (which may refuse a
+  store and stall dispatch);
+- issue: ``execute_load``, which executes the load or names the store it
+  must wait for;
+- completion: ``on_store_resolved`` (address known) and
+  ``on_store_forwardable`` (address and data known);
+- exit: ``on_leave``, for a load or store that commits or is squashed;
+- verification: ``on_rex_failure``, when re-execution catches a stale load.
 """
 
 from __future__ import annotations
@@ -48,12 +59,10 @@ class LoadStoreUnit(abc.ABC):
 
     # -- dispatch hooks ---------------------------------------------------------
 
-    def store_dispatch_ready(self, store: InFlight) -> bool:
-        """False if structural state (e.g. a full FSQ) must stall dispatch."""
+    def admit_store(self, store: InFlight) -> bool:
+        """Allocate variant-specific store state, or return False and change
+        nothing if structural state (a full FSQ) must stall dispatch."""
         return True
-
-    def on_store_dispatch(self, store: InFlight) -> None:
-        """Allocate variant-specific store state."""
 
     def on_load_dispatch(self, load: InFlight) -> None:
         """Allocate variant-specific load state."""
@@ -65,11 +74,16 @@ class LoadStoreUnit(abc.ABC):
     # the FSQ (the SSQ) must set the flag at dispatch.
 
     @abc.abstractmethod
-    def execute_load(self, load: InFlight) -> None:
-        """Produce the load's execution-time value.
+    def execute_load(self, load: InFlight) -> InFlight | None:
+        """Produce the load's execution-time value, or name the store it
+        must wait for.
 
-        Must set ``exec_value``, ``word_sources`` and ``forwarded_ssn``;
-        may set ``marked`` (natural re-execution filter) and ``fsq``.
+        On execution, sets ``exec_value``, ``word_sources`` and
+        ``forwarded_ssn`` and returns None; may set ``marked`` (natural
+        re-execution filter).  An associative-SQ CAM match against a store
+        whose address is known but whose data has not arrived cannot
+        forward: the load returns that store, changes nothing, and the
+        scheduler replays it.
         """
 
     def on_store_resolved(self, store: InFlight) -> InFlight | None:
@@ -83,42 +97,11 @@ class LoadStoreUnit(abc.ABC):
     def on_store_forwardable(self, store: InFlight) -> None:
         """Store address *and* data are now available."""
 
-    def load_must_wait(self, load: InFlight) -> InFlight | None:
-        """A store the load must wait for before issuing, or None.
-
-        An SQ CAM match against a store whose address is known but whose
-        data has not arrived cannot forward; the load replays until the
-        data shows up.  Variants without an associative SQ return None
-        (the load proceeds and re-execution cleans up).
-        """
-        return None
-
-    def _sq_data_blocker(self, load: InFlight) -> InFlight | None:
-        """Shared implementation of :meth:`load_must_wait` for CAM-SQ LSUs."""
-        load_seq = load.seq
-        store_words = self.store_words
-        for word in self.words[load_seq]:
-            stores = store_words.get(word)
-            if not stores:
-                continue
-            for store in reversed(stores):
-                if store.seq >= load_seq or store.squashed or not store.issued:
-                    continue  # younger, gone, or address unknown to the CAM
-                if not store.done:
-                    return store  # CAM match without data yet: replay
-                break  # youngest older CAM match can forward
-        return None
-
     # -- retirement hooks ----------------------------------------------------------------
 
-    def on_store_commit(self, store: InFlight) -> None:
-        """Free variant-specific store state."""
-
-    def on_load_commit(self, load: InFlight) -> None:
-        """Free variant-specific load state."""
-
-    def on_squash(self, entry: InFlight) -> None:
-        """Entry squashed; release its variant-specific state."""
+    def on_leave(self, entry: InFlight) -> None:
+        """A load or store left the window (commit or squash alike);
+        release its variant-specific state."""
 
     def on_rex_failure(self, load: InFlight, store_pc: int | None) -> None:
         """Re-execution caught a stale load; train steering/dependence state."""
@@ -129,14 +112,17 @@ class LoadStoreUnit(abc.ABC):
         self,
         load: InFlight,
         visible: Callable[[InFlight], bool] | None = None,
-    ) -> None:
+    ) -> InFlight | None:
         """Per-word value assembly with the given store-visibility rule.
 
-        ``visible=None`` is the common "address resolved and data present"
-        rule (``store.done``), inlined without a predicate call per store
-        because this runs once per issued load.  ``store_words`` holds no
-        empty bucket (commit and squash delete them), so a word it lacks
-        has no in-flight writer.
+        ``visible=None`` is the associative SQ's CAM rule, inlined without
+        a predicate call per store because this runs once per issued load:
+        a word's supplier is its youngest older store whose address is
+        known (``issued``), and if that store's data has not arrived (not
+        ``done``) the load is blocked -- the store is returned and the load
+        is left untouched.  A given ``visible`` never blocks.
+        ``store_words`` holds no empty bucket (commit and squash delete
+        them), so a word it lacks has no in-flight writer.
         """
         load_seq = load.seq
         store_words = self.store_words
@@ -153,7 +139,7 @@ class LoadStoreUnit(abc.ABC):
             load.exec_value = committed_read(load.addr, load.size)
             load.word_sources = (FROM_MEMORY,) * len(words)
             load.forwarded_ssn = 0
-            return
+            return None
         sources = []
         forwarded_ssns = []
         value = 0
@@ -162,13 +148,17 @@ class LoadStoreUnit(abc.ABC):
             stores = store_words.get(word)
             if stores:
                 for store in reversed(stores):
-                    if (
-                        store.seq < load_seq
-                        and not store.squashed
-                        and (store.done if visible is None else visible(store))
-                    ):
-                        supplier = store
-                        break
+                    if store.seq >= load_seq or store.squashed:
+                        continue
+                    if visible is None:
+                        if not store.issued:
+                            continue  # address unknown to the CAM
+                        if not store.done:
+                            return store  # CAM match without data yet: replay
+                    elif not visible(store):
+                        continue
+                    supplier = store
+                    break
             if supplier is None:
                 value |= committed_read(word, 4) << (32 * shift)
                 sources.append(FROM_MEMORY)
@@ -187,3 +177,4 @@ class LoadStoreUnit(abc.ABC):
         load.forwarded_ssn = min(forwarded_ssns)
         if load.forwarded_ssn > 0:
             self.stats.forwarded_loads += 1
+        return None

@@ -22,17 +22,17 @@ class ConventionalLSU(LoadStoreUnit):
 
     def __init__(self, proc) -> None:
         super().__init__(proc)
-        # Issued, unsquashed loads indexed by word, for the LQ search: a
-        # load joins at issue and leaves at commit or squash (``_drop``),
-        # and a word's bucket is deleted when it empties, so the index
-        # holds only words some in-flight load touches.
+        # Executed, unsquashed loads indexed by word, for the LQ search: a
+        # load joins when ``execute_load`` executes it (a load the SQ CAM
+        # blocks does not join) and leaves at commit or squash (``on_leave``),
+        # and a word's bucket is deleted when it empties, so the index holds
+        # only words some in-flight load touches.
         self._loads_by_word: dict[int, list[InFlight]] = {}
 
-    #: The associative SQ's CAM check, bound directly (no wrapper frame).
-    load_must_wait = LoadStoreUnit._sq_data_blocker
-
-    def execute_load(self, load: InFlight) -> None:
-        self._assemble(load)  # default visibility: store.done
+    def execute_load(self, load: InFlight) -> InFlight | None:
+        blocker = self._assemble(load)  # the CAM rule
+        if blocker is not None:
+            return blocker
         loads_by_word = self._loads_by_word
         for word in self.words[load.seq]:
             bucket = loads_by_word.get(word)
@@ -40,6 +40,7 @@ class ConventionalLSU(LoadStoreUnit):
                 loads_by_word[word] = [load]
             else:
                 bucket.append(load)
+        return None
 
     def on_store_resolved(self, store: InFlight) -> InFlight | None:
         """LQ search: oldest younger load that issued with a stale source.
@@ -71,25 +72,19 @@ class ConventionalLSU(LoadStoreUnit):
                     victim = load
         return victim
 
-    def _drop(self, load: InFlight) -> None:
-        if load.kind == KIND_LOAD and load.word_sources is not None:
+    def on_leave(self, entry: InFlight) -> None:
+        """Drop an executed load from the LQ index."""
+        if entry.kind == KIND_LOAD and entry.word_sources is not None:
             loads_by_word = self._loads_by_word
-            for word in self.words[load.seq]:
+            for word in self.words[entry.seq]:
                 loads = loads_by_word.get(word)
                 if loads is not None:
                     try:
-                        loads.remove(load)
+                        loads.remove(entry)
                     except ValueError:
                         continue
                     if not loads:
                         del loads_by_word[word]
-
-    def on_load_commit(self, load: InFlight) -> None:
-        self._drop(load)
-
-    def on_squash(self, entry: InFlight) -> None:
-        if entry.kind == KIND_LOAD:
-            self._drop(entry)
 
 
 def index_of_word(load: InFlight, word: int) -> int:

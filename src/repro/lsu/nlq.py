@@ -30,8 +30,9 @@ class NonAssociativeLQ(LoadStoreUnit):
         #: In-flight stores by age, pruned lazily once resolved or squashed.
         self._unresolved: list[tuple[int, InFlight]] = []
 
-    def on_store_dispatch(self, store: InFlight) -> None:
+    def admit_store(self, store: InFlight) -> bool:
         heappush(self._unresolved, (store.seq, store))
+        return True
 
     def older_unresolved_store_exists(self, seq: int) -> bool:
         """Is any older in-flight store's address still unknown?
@@ -49,14 +50,14 @@ class NonAssociativeLQ(LoadStoreUnit):
             return heap[0][0] < seq
         return False
 
-    #: The associative SQ's CAM check, bound directly (no wrapper frame).
-    load_must_wait = LoadStoreUnit._sq_data_blocker
-
-    def execute_load(self, load: InFlight) -> None:
-        self._assemble(load)  # default visibility: store.done
+    def execute_load(self, load: InFlight) -> InFlight | None:
+        blocker = self._assemble(load)  # the CAM rule
+        if blocker is not None:
+            return blocker
         # Natural filter: mark loads issuing past unresolved older stores.
         if self.older_unresolved_store_exists(load.seq):
             load.marked = True
+        return None
 
     def on_rex_failure(self, load: InFlight, store_pc: int | None) -> None:
         """Train a precise store-load pair through the SPCT."""

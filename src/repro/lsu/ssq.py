@@ -54,15 +54,13 @@ class SpeculativeSQ(LoadStoreUnit):
 
     # -- dispatch -----------------------------------------------------------------
 
-    def store_dispatch_ready(self, store: InFlight) -> bool:
+    def admit_store(self, store: InFlight) -> bool:
         if store.pc in self.store_bits:
-            return self.fsq_occupancy < self.fsq_size
-        return True
-
-    def on_store_dispatch(self, store: InFlight) -> None:
-        if store.pc in self.store_bits:
+            if self.fsq_occupancy >= self.fsq_size:
+                return False  # a full FSQ stalls dispatch
             store.fsq = True
             self.fsq_occupancy += 1
+        return True
 
     def on_load_dispatch(self, load: InFlight) -> None:
         # No natural filter: every load re-executes (absent SVW).
@@ -73,6 +71,8 @@ class SpeculativeSQ(LoadStoreUnit):
     # -- execution -------------------------------------------------------------------
 
     def execute_load(self, load: InFlight) -> None:
+        """Never blocks: with no associative SQ, a load sees only done FSQ
+        stores and the forwarding buffers."""
         if load.fsq:
             self._assemble(load, _fsq_visible)
             return
@@ -113,20 +113,16 @@ class SpeculativeSQ(LoadStoreUnit):
 
     # -- retirement / recovery --------------------------------------------------------
 
-    def on_store_commit(self, store: InFlight) -> None:
-        self._release(store)
-
-    def on_squash(self, entry: InFlight) -> None:
-        if entry.kind == KIND_STORE:
-            self._release(entry)
-
-    def _release(self, store: InFlight) -> None:
-        if store.fsq:
-            store.fsq = False
+    def on_leave(self, entry: InFlight) -> None:
+        """Release a store's FSQ entry and forwarding-buffer slot."""
+        if entry.kind != KIND_STORE:
+            return
+        if entry.fsq:
+            entry.fsq = False
             self.fsq_occupancy -= 1
-        bank = self.hierarchy.load_bank(store.addr)
+        bank = self.hierarchy.load_bank(entry.addr)
         try:
-            self._buffers[bank].remove(store)
+            self._buffers[bank].remove(entry)
         except ValueError:
             pass
 

@@ -4,8 +4,9 @@ A fresh :class:`InFlight` is allocated every time a dynamic instruction is
 dispatched (including re-dispatch after a squash).  Since the
 column-native refactor it carries the handful of static facts the stage
 loops and LSU variants read -- ``pc``, ``kind``, ``dst_reg`` and, for
-memory ops and branches, ``addr``/``size``/``store_value``/``taken`` --
-copied out of the trace's flat columns at dispatch; it no longer wraps a
+memory ops, ``addr``/``size``/``store_value`` -- copied out of the
+trace's flat columns at dispatch (a branch's outcome is read from its
+column and never stored); it no longer wraps a
 :class:`~repro.isa.inst.DynInst` object.  All timing and speculation state
 lives here, never in the immutable trace.
 
@@ -56,7 +57,6 @@ class InFlight:
         "addr",
         "size",
         "store_value",
-        "taken",
         "squashed",
         "pending_srcs",
         "data_pending",
@@ -102,8 +102,6 @@ class InFlight:
         self.size = 0
         #: Value written (stores), else 0.
         self.store_value = 0
-        #: Branch outcome (branches), else False.
-        self.taken = False
         self.squashed = False
         self.pending_srcs = 0
         #: Stores: 1 while the store-data producer is outstanding.  Store

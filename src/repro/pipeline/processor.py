@@ -54,6 +54,12 @@ golden-equivalence suite enforce this):
   re-reading a dozen attributes per call, and avoids rebuilding per-cycle
   containers (issue slots are a flat list copy, bank arbitration is a
   bitmask);
+- the LSU contract is seven hooks (:mod:`repro.lsu.base`).  The five a
+  variant may leave at the base no-op (``on_load_dispatch``,
+  ``admit_store``, ``on_store_resolved``, ``on_store_forwardable`` and
+  ``on_leave``) are bound once per run, None when the variant keeps the
+  default; an issuing load makes one LSU call, ``execute_load``, which
+  executes it or names the store it must wait for;
 - enum members are read once, into module constants or per-run booleans:
   CPython 3.11 does not cache an enum-member read, which costs several
   times a plain attribute read;
@@ -83,7 +89,15 @@ Measured and rejected on CPython 3.11 (do not rebuild):
   matrix 1.60 -> 1.61 s).  Both were exact and both are below what
   perfbench resolves: issue deferrals per committed instruction on
   ``figures`` are 0.216 slot, 0.215 SQ-CAM, 0.123 bank and 0.006 FSQ,
-  each one cheap heap pop.
+  each one cheap heap pop;
+- an ``InFlight`` constructor taking ``addr``, ``size`` and
+  ``store_value`` (1.007x total over the 240 ``figures`` cells in
+  ``benchmarks/ab_cells.py``, against 1.006x for an A/A pass).
+
+Measured and not settled: a ready heap of bare seqs resolved through
+``inflight_by_seq`` at each pop read 1.017x and 1.020x total in two
+passes of the same tool (0.989x over 45 cells in an earlier
+measurement), below what perfbench resolves (README *Measured rejects*).
 
 ``svw-repro bench --stages`` splits ``Processor.run`` per stage to measure
 the next candidate against.
@@ -197,14 +211,10 @@ class Processor:
         # devirtualized hooks (bound methods, or None when the LSU variant
         # inherits the no-op default)
         "_on_load_dispatch",
-        "_on_store_dispatch",
-        "_on_load_commit",
-        "_on_store_commit",
-        "_on_squash",
+        "_admit_store",
+        "_on_leave",
         "_on_store_resolved",
         "_on_store_forwardable",
-        "_store_dispatch_ready",
-        "_load_must_wait",
         "_execute_load",
         "_load_access",
     )
@@ -326,14 +336,10 @@ class Processor:
             return None if getattr(lsu_cls, name) is getattr(LoadStoreUnit, name) else getattr(lsu, name)
 
         self._on_load_dispatch = _hook("on_load_dispatch")
-        self._on_store_dispatch = _hook("on_store_dispatch")
-        self._on_load_commit = _hook("on_load_commit")
-        self._on_store_commit = _hook("on_store_commit")
-        self._on_squash = _hook("on_squash")
+        self._admit_store = _hook("admit_store")
+        self._on_leave = _hook("on_leave")
         self._on_store_resolved = _hook("on_store_resolved")
         self._on_store_forwardable = _hook("on_store_forwardable")
-        self._store_dispatch_ready = _hook("store_dispatch_ready")
-        self._load_must_wait = _hook("load_must_wait")
         self._execute_load = lsu.execute_load
         self._load_access = self.hierarchy.load_access
         #: Per-cycle issue-bandwidth budgets indexed by ``int(OpClass)``
@@ -379,7 +385,7 @@ class Processor:
             self.rob,
             self.inflight_by_seq,
             self._ready,
-            self._store_dispatch_ready,
+            self._admit_store,
             self.ssn,
             self.svw is not None,
         )
@@ -390,7 +396,6 @@ class Processor:
             self.meta.latency,
             l1d.line_bytes,
             l1d.banks - 1,
-            self._load_must_wait,
             self._execute_load,
             self._load_access,
             self.svw.svw_after_forward if self.svw is not None else None,
@@ -827,8 +832,8 @@ class Processor:
                 stats.eliminated_reuse += 1
             if head.squash_reuse:
                 stats.squash_reuse_loads += 1
-        if self._on_load_commit is not None:
-            self._on_load_commit(head)
+        if self._on_leave is not None:
+            self._on_leave(head)
         if self._golden is not None:
             expected = self._golden[head.seq]
             if head.exec_value != expected:
@@ -862,8 +867,8 @@ class Processor:
             self.store_sets.store_done(head.pc, head.seq)
         if head.fsq:
             stats.fsq_stores += 1
-        if self._on_store_commit is not None:
-            self._on_store_commit(head)
+        if self._on_leave is not None:
+            self._on_leave(head)
 
     def _perfect_verify(self, load: InFlight) -> None:
         """Ideal re-execution: zero latency, infinite bandwidth."""
@@ -977,7 +982,7 @@ class Processor:
 
     def _do_issue(self) -> None:
         (ready, m_kind, m_iclass, m_latency, line_bytes, bank_mask,
-         load_must_wait, execute_load, load_access, svw_after_forward,
+         execute_load, load_access, svw_after_forward,
          load_base_latency, completes, slot_template, fsq_budget) = self._issue_consts
         cycle = self.cycle
         slots = slot_template.copy()
@@ -1005,20 +1010,19 @@ class Processor:
                 if uses_fsq and fsq_budget <= 0:
                     deferred.append(item)
                     continue
-                if load_must_wait is not None and load_must_wait(entry) is not None:
-                    # SQ CAM hit on a store without data: replay next cycle.
-                    deferred.append(item)
-                    continue
                 bank_bit = 1 << ((entry.addr // line_bytes) & bank_mask)
                 if banks_used & bank_bit:
+                    deferred.append(item)
+                    continue
+                # Issue the load (inlined: once per issued load).
+                if execute_load(entry) is not None:
+                    # SQ CAM hit on a store without data: replay next cycle.
                     deferred.append(item)
                     continue
                 banks_used |= bank_bit
                 if uses_fsq:
                     fsq_budget -= 1
-                # Issue the load (inlined: once per issued load).
                 entry.issued = True
-                execute_load(entry)
                 if svw_after_forward is not None and entry.forwarded_ssn > entry.svw:
                     # ``+UPD``: forwarding may shrink the vulnerability window.
                     entry.svw = svw_after_forward(entry.svw, entry.forwarded_ssn)
@@ -1062,7 +1066,7 @@ class Processor:
             self._worked = True
         (trace_len, width, rob_size, iq_size, lq_size, sq_size, num_regs,
          m_kind, m_dst, m_pc, m_taken, m_addr, m_size, m_sval, m_base, m_sdata,
-         m_srcs, rob, inflight_by_seq, ready, store_dispatch_ready, ssn,
+         m_srcs, rob, inflight_by_seq, ready, admit_store, ssn,
          svw_present) = self._dispatch_consts
         # Written back once per call: nothing the loop calls reads them.
         fetch_seq = self.fetch_seq
@@ -1105,7 +1109,7 @@ class Processor:
                 entry.addr = m_addr[fetch_seq]
                 entry.size = m_size[fetch_seq]
                 entry.store_value = m_sval[fetch_seq]
-                if store_dispatch_ready is not None and not store_dispatch_ready(entry):
+                if admit_store is not None and not admit_store(entry):
                     stall = "fsq"
                     break
                 # Stores split address (issue-gating) from data
@@ -1129,8 +1133,6 @@ class Processor:
                 if kind == KIND_LOAD:
                     entry.addr = m_addr[fetch_seq]
                     entry.size = m_size[fetch_seq]
-                elif taken:
-                    entry.taken = True
                 # Register dataflow (waiters appended inline: this runs
                 # once per source operand).
                 for src in m_srcs[fetch_seq]:
@@ -1146,7 +1148,7 @@ class Processor:
                     self._dispatch_load(entry)
                 else:
                     if kind == KIND_BRANCH:
-                        self._dispatch_branch(entry)
+                        self._dispatch_branch(entry, taken)
                     self.iq_occ += 1
             # Place the entry into the window.  Only an integrated load
             # is issued at dispatch, and it never enters the ready heap.
@@ -1166,9 +1168,9 @@ class Processor:
         if dispatched:
             self._worked = True
 
-    def _dispatch_branch(self, entry: InFlight) -> None:
-        correct = self.predictor.predict_and_update(entry.pc, entry.taken)
-        btb_hit = self.btb.lookup_and_update(entry.pc) if entry.taken else True
+    def _dispatch_branch(self, entry: InFlight, taken: bool) -> None:
+        correct = self.predictor.predict_and_update(entry.pc, taken)
+        btb_hit = self.btb.lookup_and_update(entry.pc) if taken else True
         if not correct:
             entry.mispredicted = True
             self.stats.branch_mispredicts += 1
@@ -1255,8 +1257,6 @@ class Processor:
                 if blocker is not None and blocker.kind == KIND_STORE and not blocker.done:
                     entry.pending_srcs += 1
                     blocker.add_waiter(entry)
-        if self._on_store_dispatch is not None:
-            self._on_store_dispatch(entry)
         if self.it is not None:
             signature = self.meta.signature[entry.seq]
             if signature is not None:
@@ -1303,7 +1303,7 @@ class Processor:
         rob = self.rob
         m_words = self.meta.words
         store_words = self.store_words
-        on_squash = self._on_squash
+        on_leave = self._on_leave
         while rob and rob[-1].seq >= flush_seq:
             entry = rob.pop()
             entry.squashed = True
@@ -1315,8 +1315,6 @@ class Processor:
                 self.reg_occ -= 1
             if kind == KIND_LOAD:
                 self.lq_occ -= 1
-                if on_squash is not None:
-                    on_squash(entry)
             elif kind == KIND_STORE:
                 self.sq_occ -= 1
                 for word in m_words[entry.seq]:
@@ -1333,8 +1331,10 @@ class Processor:
                             del store_words[word]
                 if self.store_sets is not None:
                     self.store_sets.store_done(entry.pc, entry.seq)
-                if on_squash is not None:
-                    on_squash(entry)
+            else:
+                continue
+            if on_leave is not None:
+                on_leave(entry)
         uncommitted = self._uncommitted_loads
         while uncommitted and uncommitted[-1] >= flush_seq:
             uncommitted.pop()
