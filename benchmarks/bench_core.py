@@ -8,24 +8,18 @@ LSU kind across the default figure workloads, written to
 
 Run it through the CLI::
 
-    svw-repro bench                              # full run
-    svw-repro bench --quick                      # CI smoke
-    svw-repro bench --compare old.json new.json  # speedups + fingerprint check
+    svw-repro bench           # full run
+    svw-repro bench --quick   # CI smoke
 
 or as a pytest module (``pytest benchmarks/bench_core.py``), which runs
 the quick variant and sanity-checks the emitted schema.
 """
 
-from repro.harness.bench import (
-    BENCH_SCHEMA_VERSION,
-    bench_configs,
-    compare_bench,
-    run_bench,
-)
+from repro.harness.bench import BENCH_SCHEMA_VERSION, bench_configs, run_bench
 
 
 def test_bench_core_quick(tmp_path):
-    """Quick benchmark run: schema, coverage, and self-comparison."""
+    """Quick benchmark run: schema and coverage."""
     payload = run_bench(quick=True, repeats=1)
     assert payload["schema_version"] == BENCH_SCHEMA_VERSION
     kinds = {r["lsu"] for r in payload["results"]}
@@ -36,8 +30,4 @@ def test_bench_core_quick(tmp_path):
         assert r["insts_per_sec"] > 0
         assert len(r["stats_fingerprint"]) == 64
     assert payload["aggregate"]["all"]["insts_per_sec"] > 0
-    # A payload compared against itself is bit-identical at speedup 1.0.
-    report = compare_bench(payload, payload)
-    assert "bit-identical" in report
-    assert "WARNING" not in report
 

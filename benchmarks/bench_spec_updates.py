@@ -1,9 +1,9 @@
 """Section 3.6: speculative vs atomic SSBF updates.
 
 Speculative updates let stores write the SSBF while older loads are still
-re-executing (plus wrong-path pollution after squashes); the cost is a
-small relative increase in re-executions, the benefit is avoiding the
-elongated load-to-younger-store serialization that atomic updates force.
+re-executing; the cost is a small relative increase in re-executions, the
+benefit is avoiding the elongated load-to-younger-store serialization that
+atomic updates force.
 """
 
 from repro.experiments.run import run_experiment

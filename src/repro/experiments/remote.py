@@ -112,7 +112,10 @@ if TYPE_CHECKING:
 
 #: Version 2 ships every trace as a ``Z`` frame; version-1 peers could
 #: also send raw ``T`` frames, so the hello exchange refuses them.
-PROTOCOL_VERSION = 2
+#: Version 3 ships trace codec version 4 and machine configs one field
+#: shorter; a version-2 peer would fail deep in decode or ``from_dict``, so
+#: the handshake refuses it.
+PROTOCOL_VERSION = 3
 
 FRAME_JSON = b"J"
 #: The one trace frame kind: zlib-compressed encoded-trace bytes.

@@ -5,8 +5,9 @@ processor.Processor` -- the quantity every figure sweep is bottlenecked on
 -- for one representative machine configuration per LSU kind, across the
 default figure workloads.  Results are written to ``BENCH_core.json`` so
 the performance trajectory of the simulation core is tracked from PR to
-PR; compare two snapshots with :func:`compare_bench` (or
-``svw-repro bench --compare old.json new.json``).
+PR.  To compare two checkouts, run ``benchmarks/ab_cells.py`` on one
+host: it times each cell of both sides interleaved and checks their
+fingerprints.
 
 Methodology:
 
@@ -27,9 +28,8 @@ Methodology:
   wrappers' cost).  The timed repeats never run the wrappers.
 
 ``BENCH_core.json`` is a timing snapshot: its per-cell fingerprints are
-provenance for :func:`compare_bench`, not a gate.  The same cells are
-pinned, with every other golden fingerprint, in the golden table of
-:mod:`repro.harness.goldens`.
+provenance, not a gate.  The same cells are pinned, with every other
+golden fingerprint, in the golden table of :mod:`repro.harness.goldens`.
 
 ``model_epoch`` and ``trace_epoch`` name the code epochs of
 :mod:`repro.fingerprint` the snapshot simulated under.  After a change
@@ -63,7 +63,6 @@ snapshots from different epochs are expected to differ.
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 from typing import Callable
@@ -318,59 +317,4 @@ def render_bench(payload: dict) -> str:
         lines.append(
             f"skip-ahead: {jumps} jumps across all cells (wake-ups: {breakdown})"
         )
-    return "\n".join(lines)
-
-
-def load_bench(path: str) -> dict:
-    """Read a ``BENCH_core.json`` snapshot, refusing any other schema
-    version."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    version = payload.get("schema_version")
-    if version != BENCH_SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported bench schema {version!r}")
-    return payload
-
-
-#: First words of the line a ``compare_bench`` table ends with when a cell's
-#: stats fingerprint differs between the two snapshots.
-DIVERGED = "WARNING: results diverged"
-
-
-def compare_bench(old: dict, new: dict) -> str:
-    """Per-LSU-kind speedup table between two ``BENCH_core.json`` payloads.
-
-    Also cross-checks the per-cell stats fingerprints: a speedup is only
-    meaningful if the simulations produced bit-identical results.
-    """
-    lines = [f"{'lsu':14s} {'old k/s':>9s} {'new k/s':>9s} {'speedup':>8s}"]
-    for kind, new_agg in new["aggregate"].items():
-        old_agg = old["aggregate"].get(kind)
-        if old_agg is None:
-            continue
-        ratio = (
-            new_agg["insts_per_sec"] / old_agg["insts_per_sec"]
-            if old_agg["insts_per_sec"]
-            else float("nan")
-        )
-        lines.append(
-            f"{kind:14s} {old_agg['insts_per_sec'] / 1000:9.1f} "
-            f"{new_agg['insts_per_sec'] / 1000:9.1f} {ratio:7.2f}x"
-        )
-    old_fp = {
-        (r["lsu"], r["workload"]): r["stats_fingerprint"] for r in old["results"]
-    }
-    diverged = [
-        key
-        for key in old_fp
-        if any(
-            (r["lsu"], r["workload"]) == key
-            and r["stats_fingerprint"] != old_fp[key]
-            for r in new["results"]
-        )
-    ]
-    if diverged:
-        lines.append(f"{DIVERGED} for {sorted(diverged)}")
-    else:
-        lines.append("results bit-identical across comparable cells")
     return "\n".join(lines)

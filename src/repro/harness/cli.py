@@ -19,7 +19,6 @@ Examples::
     svw-repro bench --quick --json BENCH_core.json
     svw-repro bench --workloads gcc --lsus nlq   # one cell, for development
     svw-repro bench --quick --stages       # plus the per-stage wall split
-    svw-repro bench --compare old.json new.json   # speedups + fingerprint check
     svw-repro goldens                      # regenerate tests/goldens.json
     svw-repro worker --port 7501           # start a remote worker agent
     svw-repro fig5 --remote-workers hostA:7501,hostB:7501
@@ -314,14 +313,9 @@ def _emit_benchmark(
 
 
 def _run_bench(args: argparse.Namespace) -> int:
-    """``svw-repro bench``: the core-throughput benchmark, or ``--compare``."""
+    """``svw-repro bench``: the core-throughput benchmark."""
     from repro.harness import bench
 
-    if args.compare is not None:
-        old, new = (bench.load_bench(path) for path in args.compare)
-        table = bench.compare_bench(old, new)
-        print(table)
-        return 1 if bench.DIVERGED in table else 0
     payload = bench.run_bench(
         workloads=_names(args.workloads),
         n_insts=args.insts,
@@ -691,14 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="add each cell's per-stage wall split (complete, commit, rex, "
         "issue, dispatch, loop) from one extra instrumented run",
-    )
-    bench.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("OLD", "NEW"),
-        help="instead of running, print the speedup table between two saved "
-        "snapshots and cross-check their per-cell fingerprints (a WARNING "
-        "line names any cell that diverged, and the command exits 1)",
     )
     bench.set_defaults(run=_run_bench)
 

@@ -116,16 +116,13 @@ def fig8_configs() -> dict[str, MachineConfig]:
 def spec_updates_configs() -> dict[str, MachineConfig]:
     """Section 3.6: atomic (baseline) vs speculative SSBF updates on SSQ.
 
-    ``speculative`` also pollutes the SSBF with the wrong-path stores a
-    squash discards (``wrong_path_injection``).
+    ``speculative`` is fig6's ``+SVW+UPD`` machine under its own name.
     """
     ssq_svw = fig6_configs()["+SVW+UPD"]
     return {
         "baseline": ssq_svw.derive("atomic", svw=SVWConfig(speculative_updates=False)),
         "speculative": ssq_svw.derive(
-            "speculative",
-            svw=SVWConfig(speculative_updates=True),
-            wrong_path_injection=True,
+            "speculative", svw=SVWConfig(speculative_updates=True)
         ),
     }
 

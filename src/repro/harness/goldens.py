@@ -73,10 +73,9 @@ def golden_cells() -> dict[str, Callable[..., str]]:
             cells[f"fig/gcc/{figure}/{name}"] = functools.partial(
                 _simulate, config, gcc, warmup=500
             )
-    # Section 3.6's SSBF update orders; ``speculative`` runs the wrong-path
-    # SSBF pollution a squash leaves behind.
+    # Section 3.6's SSBF update orders: atomic and speculative.
     for name, config in spec_updates_configs().items():
-        cells[f"wrong-path/gcc/{name}"] = functools.partial(
+        cells[f"spec-updates/gcc/{name}"] = functools.partial(
             _simulate, config, gcc, warmup=500
         )
     # The phase composer: each catalog class on three fuzz cells.

@@ -21,11 +21,10 @@ Wire layout (all little-endian)::
 The JSON header records the trace name, instruction count, a CRC32 of the
 column payload, and the ordered ``(column, typecode, item_count)`` table
 the decoder slices the payload with.  Columns are :mod:`array` typecodes;
-variable-length per-instruction data (register sources, wrong-path address
-sets) is stored as a flattened value column plus an offsets column, the
-standard CSR trick.  Derived per-instruction metadata (kind, latency,
-issue class) is not on the wire: the decoded trace re-derives it from the
-op column.
+the variable-length register-source lists are stored as a flattened value
+column plus an offsets column, the standard CSR trick.  Derived
+per-instruction metadata (kind, latency, issue class) is not on the wire:
+the decoded trace re-derives it from the op column.
 """
 
 from __future__ import annotations
@@ -46,9 +45,10 @@ MAGIC = b"SVWT"
 #: the byte layout is unchanged from version 1, but v1-era cache entries
 #: hold traces the numpy generator no longer reproduces, and their keys
 #: (profile fingerprint + budget) would collide across the break.
-#: Version 3 stops writing the derived ``meta_*`` columns.  The decoder
-#: reads only this version.
-CODEC_VERSION = 3
+#: Version 3 stops writing the derived ``meta_*`` columns.  Version 4 drops
+#: the per-branch address-set columns (``wp_seq``/``wp_offsets``/``wp_flat``).
+#: The decoder reads only this version.
+CODEC_VERSION = 4
 
 _HEADER_FMT = "<4sII"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
@@ -67,23 +67,12 @@ def encode_trace(trace: ColumnTrace) -> bytes:
     columns["src_offsets"] = trace.src_offsets
     columns["src_flat"] = trace.src_flat
 
-    # Initial memory image and wrong-path address sets.  Iteration order of
-    # both dicts is preserved bit-for-bit: nothing downstream should depend
-    # on it, but "decode(encode(t)) is indistinguishable from t" is a far
-    # easier invariant to test than "order never matters".
+    # The initial memory image.  Its iteration order is preserved
+    # bit-for-bit: nothing downstream should depend on it, but
+    # "decode(encode(t)) is indistinguishable from t" is a far easier
+    # invariant to test than "order never matters".
     columns["mem_addr"] = narrowest_array(trace.initial_memory.keys(), "I", "Q")
     columns["mem_value"] = array("Q", trace.initial_memory.values())
-    wp_seq = narrowest_array(trace.wrong_path_addrs.keys(), "I", "Q")
-    wp_offsets = array("Q", bytes(8 * (len(wp_seq) + 1)))
-    wp_flat: list[int] = []
-    total = 0
-    for i, addrs in enumerate(trace.wrong_path_addrs.values()):
-        wp_flat.extend(addrs)
-        total += len(addrs)
-        wp_offsets[i + 1] = total
-    columns["wp_seq"] = wp_seq
-    columns["wp_offsets"] = narrowest_array(wp_offsets, "I", "Q")
-    columns["wp_flat"] = narrowest_array(wp_flat, "I", "Q")
 
     table = [[name, col.typecode, len(col)] for name, col in columns.items()]
     payload = b"".join(col.tobytes() for col in columns.values())
@@ -217,17 +206,8 @@ def _build_column_trace(header: dict, columns: dict[str, array]) -> ColumnTrace:
         raise TraceCodecError("missing register-source columns")
 
     initial_memory = dict(zip(columns["mem_addr"], columns["mem_value"]))
-    wp_offsets = columns["wp_offsets"]
-    wp_flat = columns["wp_flat"]
-    wrong_path = {
-        seq: tuple(wp_flat[wp_offsets[i] : wp_offsets[i + 1]])
-        for i, seq in enumerate(columns["wp_seq"])
-    }
     return ColumnTrace(
-        name=header["name"],
-        columns=columns,
-        initial_memory=initial_memory,
-        wrong_path_addrs=wrong_path,
+        name=header["name"], columns=columns, initial_memory=initial_memory
     )
 
 
@@ -237,7 +217,6 @@ def roundtrip_equal(a: ColumnTrace, b: ColumnTrace) -> bool:
         a.name == b.name
         and a.insts == b.insts
         and a.initial_memory == b.initial_memory
-        and a.wrong_path_addrs == b.wrong_path_addrs
         and [memory_signature(i) if i.is_mem else None for i in a.insts]
         == [memory_signature(i) if i.is_mem else None for i in b.insts]
     )

@@ -148,9 +148,6 @@ class ColumnTrace:
         name: Workload name (benchmark profile or kernel).
         initial_memory: Word-granularity initial memory image
             (4-byte-aligned address -> 32-bit value); absent words read 0.
-        wrong_path_addrs: Plausible wrong-path store addresses per dynamic
-            branch/flush point, keyed by the seq at which a flush might
-            occur; used to model speculative SSBF pollution.
 
     One typed array per :data:`INST_COLUMNS` entry plus the
     ``src_offsets``/``src_flat`` CSR pair hold the instructions; ``seq`` is
@@ -161,7 +158,6 @@ class ColumnTrace:
     __slots__ = (
         "name",
         "initial_memory",
-        "wrong_path_addrs",
         "pc",
         "op",
         "dst_reg",
@@ -185,7 +181,6 @@ class ColumnTrace:
         name: str,
         columns: Mapping[str, array],
         initial_memory: dict[int, int] | None = None,
-        wrong_path_addrs: dict[int, tuple[int, ...]] | None = None,
     ) -> None:
         self.name = name
         n = len(columns["pc"])
@@ -207,7 +202,6 @@ class ColumnTrace:
         self.src_offsets = src_offsets
         self.src_flat = src_flat
         self.initial_memory = {} if initial_memory is None else initial_memory
-        self.wrong_path_addrs = {} if wrong_path_addrs is None else wrong_path_addrs
         self._meta: TraceMeta | None = None
         self._hot: HotColumns | None = None
         self._golden_loads: dict[int, int] | None = None
@@ -221,7 +215,6 @@ class ColumnTrace:
         name: str,
         columns: Mapping[str, Sequence[int]],
         initial_memory: dict[int, int] | None = None,
-        wrong_path_addrs: dict[int, tuple[int, ...]] | None = None,
     ) -> "ColumnTrace":
         """Adopt plain-list columns (the generator's output), narrowing each."""
         arrays: dict[str, array] = {
@@ -230,7 +223,7 @@ class ColumnTrace:
         }
         arrays["src_offsets"] = narrowest_array(columns["src_offsets"], "I", "Q")
         arrays["src_flat"] = narrowest_array(columns["src_flat"], "i", "q")
-        return cls(name, arrays, initial_memory, wrong_path_addrs)
+        return cls(name, arrays, initial_memory)
 
     @classmethod
     def from_insts(
@@ -238,7 +231,6 @@ class ColumnTrace:
         name: str,
         insts: Sequence[DynInst],
         initial_memory: dict[int, int] | None = None,
-        wrong_path_addrs: dict[int, tuple[int, ...]] | None = None,
     ) -> "ColumnTrace":
         """Columnize a ``DynInst`` list (kernels, hand-written streams).
 
@@ -259,7 +251,7 @@ class ColumnTrace:
             src_offsets.append(len(src_flat))
         columns["src_offsets"] = src_offsets
         columns["src_flat"] = src_flat
-        return cls.from_lists(name, columns, initial_memory, wrong_path_addrs)
+        return cls.from_lists(name, columns, initial_memory)
 
     # -- protocol ------------------------------------------------------------
 

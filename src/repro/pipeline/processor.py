@@ -932,9 +932,10 @@ class Processor:
                             # fetch at its own seq: everything older has
                             # committed, so the re-issued access read committed
                             # memory and is architecturally correct.  A repeat
-                            # positive test is stale SSBF state (e.g.
-                            # wrong-path pollution re-injected by the flush
-                            # itself) and flushing again would livelock.
+                            # positive test is stale SSBF state (an aliasing
+                            # store's entry, or an NLQ-SM invalidation stamped
+                            # ``SSN_RENAME + 1``) and flushing again would
+                            # livelock.
                             if entry.seq in self._svw_retried:
                                 self._svw_retried.discard(entry.seq)
                                 must = False
@@ -1348,12 +1349,6 @@ class Processor:
             self.fetch_blocker = None
         self.fetch_seq = flush_seq
         self.fetch_resume = max(self.fetch_resume, self.cycle + self.config.flush_penalty)
-        if (
-            self.config.wrong_path_injection
-            and self.svw is not None
-            and self.svw.config.speculative_updates
-        ):
-            self._inject_wrong_path_updates(flush_seq)
 
     def _inject_invalidation(self) -> None:
         """Synthetic NLQ-SM coherence invalidation.
@@ -1383,18 +1378,3 @@ class Processor:
         for entry in self.rob:
             if entry.kind == KIND_LOAD and entry.rex_state is _PENDING:
                 entry.marked = True
-
-    def _inject_wrong_path_updates(self, flush_seq: int) -> None:
-        """Model SSBF pollution by wrong-path stores.
-
-        The first of the next 8 seqs that has recorded wrong-path store
-        addresses writes each of them into the SSBF at ``SSN_RENAME + 1``,
-        as the squashed stores' speculative updates would have.
-        """
-        assert self.svw is not None
-        for seq in range(flush_seq, min(flush_seq + 8, self._trace_len)):
-            addrs = self.trace.wrong_path_addrs.get(seq)
-            if addrs:
-                for addr in addrs:
-                    self.svw.record_store(addr, 8, self.ssn.rename + 1)
-                break

@@ -152,7 +152,6 @@ class _Columns:
         self.src_offsets = trace.src_offsets.tolist()
         self.src_flat = trace.src_flat.tolist()
         self.initial_memory = dict(trace.initial_memory)
-        self.wrong_path = dict(trace.wrong_path_addrs)
 
     def rebuild(self, name: str) -> ColumnTrace:
         trace = ColumnTrace.from_lists(
@@ -172,7 +171,6 @@ class _Columns:
                 "src_flat": self.src_flat,
             },
             initial_memory=self.initial_memory,
-            wrong_path_addrs=self.wrong_path,
         )
         trace.validate()
         return trace
@@ -214,8 +212,6 @@ def _apply_wrap(cols: _Columns, op: MutationOp) -> None:
         cols.store_value[i] = int(value)
         cols.store_data_seq[i] = NO_PRODUCER
         cols.taken[i] = 0
-        # No longer a branch: its wrong-path injection slot dies with it.
-        cols.wrong_path.pop(i, None)
 
 
 def _apply_sizemix(cols: _Columns, op: MutationOp) -> None:

@@ -13,9 +13,9 @@ block sampler.
 Phased traces are ordinary :class:`~repro.isa.coltrace.ColumnTrace`
 streams: segments are generated independently (each from its own derived
 seed) and concatenated by shifting every producer reference -- register
-sources, base-address producers, store-data producers, wrong-path keys --
-by the running row offset.  Cross-segment dataflow is deliberately absent
-(a phase change behaves like a call into fresh code), which keeps the
+sources, base-address producers and store-data producers -- by the running
+row offset.  Cross-segment dataflow is deliberately absent (a phase change
+behaves like a call into fresh code), which keeps the
 ``validate()`` invariants compositional: producers stay strictly earlier,
 and signature keys ``(base_seq, offset)`` cannot collide across segments
 because base producers live in disjoint seq ranges.
@@ -171,8 +171,8 @@ def generate_phased_trace(
 
     Each segment runs the stationary v2 generator on its own derived seed;
     columns are concatenated with producer references (``src_flat``,
-    ``base_seq``, ``store_data_seq``, wrong-path keys) shifted by the
-    running row offset.  The result revalidates the full column invariants.
+    ``base_seq``, ``store_data_seq``) shifted by the running row offset.
+    The result revalidates the full column invariants.
     """
     # Imported here so that naming or keying a phased workload never
     # loads the generator (and numpy).
@@ -189,7 +189,6 @@ def generate_phased_trace(
     src_offsets: list[int] = [0]
     src_flat: list[int] = []
     initial_memory: dict[int, int] = {}
-    wrong_path: dict[int, tuple[int, ...]] = {}
     row_base = 0
     for index, ((profile, _), budget) in enumerate(zip(segments, budgets)):
         segment = generate_trace(
@@ -207,17 +206,10 @@ def generate_phased_trace(
         src_flat.extend(v + row_base for v in segment.src_flat)
         src_offsets.extend(v + flat_base for v in list(segment.src_offsets)[1:])
         initial_memory.update(segment.initial_memory)
-        for seq, addrs in segment.wrong_path_addrs.items():
-            wrong_path[seq + row_base] = addrs
         row_base += len(segment)
     columns["src_offsets"] = src_offsets
     columns["src_flat"] = src_flat
-    trace = ColumnTrace.from_lists(
-        phased.name,
-        columns,
-        initial_memory=initial_memory,
-        wrong_path_addrs=wrong_path,
-    )
+    trace = ColumnTrace.from_lists(phased.name, columns, initial_memory=initial_memory)
     trace.validate()
     return trace
 

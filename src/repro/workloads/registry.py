@@ -72,7 +72,6 @@ def _trace_digest(trace: ColumnTrace) -> str:
             "name": trace.name,
             "insts": insts,
             "initial_memory": sorted(trace.initial_memory.items()),
-            "wrong_path": sorted(trace.wrong_path_addrs.items()),
         }
     )
 

@@ -6,8 +6,8 @@ kind selection, static-PC skew, address/alias/size selection, dependence
 distances and branch outcomes are all drawn for the whole block -- and
 scatters the results straight into the codec's flat columns.  Only the
 few inherently sequential decisions (exact silent-store values against
-the functional memory image, collision claiming, wrong-path payloads)
-run as small per-block Python loops over a handful of rows.
+the functional memory image, collision claiming) run as small per-block
+Python loops over a handful of rows.
 
 This module draws a **different RNG stream** than the retired epoch-v1
 generator: moving from per-instruction ``random.Random`` draws to
@@ -260,7 +260,6 @@ class _BlockGenerator:
         self.value_counter = 0
         self.memory = MemoryImage()
         self.pending_collisions: list[tuple[int, int, int, int, int]] = []
-        self.wrong_path: dict[int, tuple[int, ...]] = {}
         # Accumulated per-block column chunks, finalized by run().
         self.chunks: dict[str, list[np.ndarray]] = {
             name: []
@@ -332,10 +331,9 @@ class _BlockGenerator:
         u_lac = rng.random(B)
         u_lacd = rng.random(B)
         u_taken = rng.random(B)
-        u_wp = rng.random(B)
-        u_wpc = rng.random(B)
-        u_wpa1 = rng.random(B)
-        u_wpa2 = rng.random(B)
+        # Four retired per-slot draws, still consumed so that every later
+        # draw (and so every trace) stays the same.
+        rng.random(4 * B)
         u_felim = rng.random(B)
 
         # -- kinds -------------------------------------------------------------
@@ -692,17 +690,6 @@ class _BlockGenerator:
             c_sval[row] = value
         self.value_counter = counter
 
-        # -- wrong-path address payloads ---------------------------------------
-        wp = is_branch & (u_wp < 0.4)
-        heap_words = prof.heap_bytes // 8
-        wpa1 = HEAP_BASE + (u_wpa1 * heap_words).astype(_I64) * 8
-        wpa2 = GLOBAL_BASE + (u_wpa2 * prof.global_words).astype(_I64) * 8
-        for s_idx in np.flatnonzero(wp).tolist():
-            addrs = (int(wpa1[s_idx]),)
-            if u_wpc[s_idx] < 0.5:
-                addrs += (int(wpa2[s_idx]),)
-            self.wrong_path[int(main_rows[s_idx])] = addrs
-
         # -- flat source list (CSR values; offsets derive from counts) ---------
         starts = np.cumsum(c_srcn) - c_srcn
         flat = np.empty(int(c_srcn.sum()), dtype=_I64)
@@ -788,15 +775,7 @@ class _BlockGenerator:
         arrays["src_offsets"] = _np_column(offsets, "I", "Q")
         arrays["src_flat"] = _np_column(finalize("src_flat", int(offsets[-1])), "i", "q")
         self._self_check(arrays)
-        wrong_path = {
-            seq: addrs for seq, addrs in self.wrong_path.items() if seq < n
-        }
-        return ColumnTrace(
-            self.profile.name,
-            arrays,
-            initial_memory={},
-            wrong_path_addrs=wrong_path,
-        )
+        return ColumnTrace(self.profile.name, arrays, initial_memory={})
 
 
 def generate_trace(

@@ -337,11 +337,12 @@ class TestProtocolRobustness:
             assert stats[0].committed == requests[0].n_insts - requests[0].warmup
 
     def test_hello_mismatch_rejected(self):
-        assert PROTOCOL_VERSION == 2
+        assert PROTOCOL_VERSION == 3
         with WorkerAgent() as agent:
             host, port = parse_worker(agent.address)
-            # Protocol 1 peers could still send raw T trace frames.
-            for protocol in (999, 1):
+            # Protocol 1 peers could still send raw T trace frames; protocol
+            # 2 peers encode traces and configs of the previous layout.
+            for protocol in (999, 1, 2):
                 with socket.create_connection((host, port)) as conn:
                     send_json(conn, {"type": "hello", "protocol": protocol})
                     # Agent drops the connection without a hello back.

@@ -94,7 +94,8 @@ def test_spawned_worker_agents_command_line_parses(monkeypatch):
 
 
 #: Per command family: a valid command line, and one flag the family
-#: does not take (five for ``fig5``, three for ``worker``).
+#: does not take (five for ``fig5``, three for ``worker``, two for
+#: ``bench``).
 FOREIGN_FLAGS = {
     "fig5": (
         "fig5 --benchmarks gcc --insts 2000",
@@ -102,7 +103,7 @@ FOREIGN_FLAGS = {
     ),
     "all": ("all", "--seed 3"),
     "fuzz": ("fuzz", "--benchmarks gcc"),
-    "bench": ("bench", "--jobs 2"),
+    "bench": ("bench", "--jobs 2 --compare old.json new.json"),
     "goldens": ("goldens", "--insts 1000"),
     "worker": ("worker", "--job-deadline 5 --cache-dir X --slots 2"),
     "campaignd": ("campaignd", "--slots 2"),

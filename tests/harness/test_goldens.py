@@ -3,8 +3,8 @@
 The table must carry the current ``MODEL_EPOCH`` and ``TRACE_EPOCH``
 (:mod:`repro.fingerprint`) and exactly the cells of
 :func:`repro.harness.goldens.golden_cells`, and every row must recompute
-to its pinned fingerprint (the v2 and wrong-path rows with skip-ahead on
-and off).  A
+to its pinned fingerprint (the v2 and spec-updates rows with skip-ahead
+on and off).  A
 deliberate move is an epoch bump: a timing-model change bumps
 ``MODEL_EPOCH``, a trace-generator change bumps ``TRACE_EPOCH``; then run
 ``svw-repro goldens`` and review the table diff.  The ``v2-goldens`` CI
@@ -23,7 +23,7 @@ from repro.fingerprint import MODEL_EPOCH, TRACE_EPOCH
 from repro.harness import goldens
 from repro.harness.bench import BENCH_WORKLOADS, bench_configs
 from repro.harness.cli import main
-from repro.harness.configs import spec_updates_configs
+from repro.harness.configs import fig6_configs, spec_updates_configs
 from repro.workloads.phased import PHASED_CATALOG
 
 TABLE = Path(__file__).resolve().parents[1] / "goldens.json"
@@ -104,12 +104,19 @@ def test_fig_rows_are_the_figure_configs(pinned):
     assert len(fig) == 15
 
 
-def test_wrong_path_rows_are_the_spec_updates_configs(pinned):
-    """One ``wrong-path/gcc/<config>`` row per spec-updates configuration:
-    the only rows whose machine pollutes the SSBF from the wrong path."""
-    rows = {k.removeprefix("wrong-path/gcc/") for k in pinned if k.startswith("wrong-path/")}
+def test_spec_updates_rows_are_the_spec_updates_configs(pinned):
+    """One ``spec-updates/gcc/<config>`` row per spec-updates configuration.
+    ``speculative`` is fig6's ``+SVW+UPD`` machine under its own name."""
+    rows = {
+        k.removeprefix("spec-updates/gcc/")
+        for k in pinned
+        if k.startswith("spec-updates/")
+    }
     assert rows == set(spec_updates_configs()) == {"baseline", "speculative"}
-    assert spec_updates_configs()["speculative"].wrong_path_injection
+    assert (
+        spec_updates_configs()["speculative"].fingerprint()
+        == fig6_configs()["+SVW+UPD"].fingerprint()
+    )
 
 
 def test_phased_rows_cover_catalog(pinned):
@@ -177,8 +184,8 @@ def test_v2_row_without_skip_ahead(key, pinned, cells):
     assert cells[key](skip_ahead=False) == pinned[key], key
 
 
-@pytest.mark.parametrize("key", [k for k in KEYS if k.startswith("wrong-path/")])
-def test_wrong_path_row_without_skip_ahead(key, pinned, cells):
+@pytest.mark.parametrize("key", [k for k in KEYS if k.startswith("spec-updates/")])
+def test_spec_updates_row_without_skip_ahead(key, pinned, cells):
     assert cells[key](skip_ahead=False) == pinned[key], key
 
 

@@ -2,14 +2,11 @@
 
 import argparse
 import itertools
-import json
-from pathlib import Path
 
 import pytest
 
 from repro.experiments import FigureResult, local_worker_fleet, matrix_spec, run_experiment
 from repro.harness import cli
-from repro.harness.bench import compare_bench
 from repro.harness.cli import build_parser, main
 from repro.harness.configs import (
     composition_configs,
@@ -183,32 +180,6 @@ class TestCLI:
         monkeypatch.setattr(cli, "_run_figure", record)
         assert main(["all", "--benchmarks", "gcc", "--quiet"]) == 0
         assert ran == sorted(EXPERIMENTS)
-
-    @pytest.mark.parametrize(
-        "command, snapshot, cells, compare",
-        [
-            ("bench", "BENCH_core.json", "results", compare_bench),
-        ],
-    )
-    def test_compare_snapshots(self, command, snapshot, cells, compare, tmp_path, capsys):
-        """``--compare OLD NEW`` prints the compare table: a snapshot is
-        bit-identical to itself, and a doctored fingerprint is a WARNING
-        and a failed run."""
-        payload = json.loads((Path(__file__).parents[2] / snapshot).read_text())
-        same = tmp_path / "same.json"
-        same.write_text(json.dumps(payload))
-        payload[cells][0]["stats_fingerprint"] = "0" * 64
-        doctored = tmp_path / "doctored.json"
-        doctored.write_text(json.dumps(payload))
-
-        assert main([command, "--compare", str(same), str(same)]) == 0
-        out = capsys.readouterr().out
-        assert "bit-identical" in out and "WARNING" not in out
-        original = json.loads(same.read_text())
-        assert out == compare(original, original) + "\n"
-
-        assert main([command, "--compare", str(same), str(doctored)]) == 1
-        assert "WARNING" in capsys.readouterr().out
 
     def test_backends_write_byte_identical_json(self, tmp_path):
         """One sweep run serially, with ``--jobs 2`` and on a

@@ -26,7 +26,7 @@ from tests.isa.test_coltrace import assert_meta_matches_oracle
 def all_opclass_trace() -> ColumnTrace:
     """A hand-built trace with at least one instruction of every OpClass,
     both memory sizes, untrackable bases, 64-bit store values, negative
-    offsets, wrong-path sets, and an initial memory image."""
+    offsets, and an initial memory image."""
     insts = [
         DynInst(seq=0, pc=0x100, op=OpClass.IALU, dst_reg=3),
         DynInst(seq=1, pc=0x104, op=OpClass.IMUL, src_seqs=(0,), dst_reg=4),
@@ -72,7 +72,6 @@ def all_opclass_trace() -> ColumnTrace:
         "all-ops",
         insts,
         initial_memory={0x2000: (1 << 63) + 17, 0x1000: 42, 0x2004: 7},
-        wrong_path_addrs={6: (0x3000, 0x3008), 8: ()},
     )
 
 
@@ -92,9 +91,6 @@ class TestRoundTrip:
         assert clone.insts == trace.insts
         # dict *order* is preserved, not just content
         assert list(clone.initial_memory.items()) == list(trace.initial_memory.items())
-        assert list(clone.wrong_path_addrs.items()) == list(
-            trace.wrong_path_addrs.items()
-        )
         # bools stay bools (a 1 would change stable digests)
         assert clone.insts[6].taken is True
         assert clone.insts[8].taken is False
@@ -206,7 +202,7 @@ class TestOneVersion:
 
     def test_v2_frame_is_rejected(self):
         data = bytearray(encode_trace(all_opclass_trace()))
-        assert data[4] == CODEC_VERSION == 3
+        assert data[4] == CODEC_VERSION == 4
         data[4] = 2
         with pytest.raises(TraceCodecError, match="version 2"):
             decode_trace(bytes(data))

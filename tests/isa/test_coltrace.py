@@ -82,10 +82,7 @@ def rebuilt_from_insts(trace: ColumnTrace) -> ColumnTrace:
     """Fresh columns built from ``trace``'s ``DynInst`` view, sharing no
     cached meta or hot lists with it."""
     return ColumnTrace.from_insts(
-        trace.name,
-        list(trace.insts),
-        initial_memory=dict(trace.initial_memory),
-        wrong_path_addrs=dict(trace.wrong_path_addrs),
+        trace.name, list(trace.insts), initial_memory=dict(trace.initial_memory)
     )
 
 
@@ -131,7 +128,6 @@ class TestConversion:
         assert columns.insts == insts
         assert columns.name == "small"
         assert columns.initial_memory == {0x1000: 7}
-        assert columns.wrong_path_addrs == {}
 
     def test_iteration_and_indexing(self):
         columns = small_trace()

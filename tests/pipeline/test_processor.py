@@ -5,7 +5,6 @@ from heapq import heappop, heappush
 import pytest
 
 from repro.core.svw import SVWConfig
-from repro.harness.configs import spec_updates_configs
 from repro.isa import golden
 from repro.isa.inst import KIND_LOAD
 from repro.pipeline.config import LSUKind, RexMode, eight_wide, four_wide
@@ -242,25 +241,6 @@ class TestInvalidations:
         ).run()
         assert noisy.marked_loads > quiet.marked_loads
         assert noisy.committed == len(small_gcc_trace)
-
-
-class TestWrongPathPollution:
-    """Section 3.6: with speculative SSBF updates, a squash leaves the
-    wrong-path stores' updates behind at ``SSN_RENAME + 1``; the
-    spec-updates ``speculative`` config models that, ``baseline``
-    (atomic updates) does not."""
-
-    @pytest.mark.parametrize("label", ["baseline", "speculative"])
-    def test_squash_pollutes_ssbf_only_under_speculative_updates(
-        self, small_gcc_trace, label
-    ):
-        processor = Processor(spec_updates_configs()[label], small_gcc_trace)
-        seq, addrs = min(small_gcc_trace.wrong_path_addrs.items())
-        processor._squash_from(seq)
-        polluted = label == "speculative"
-        expected = processor.ssn.rename + 1 if polluted else 0
-        for addr in addrs:
-            assert processor.svw.ssbf.lookup(addr, 8) == expected
 
 
 class TestPerfectMode:

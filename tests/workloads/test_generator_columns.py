@@ -9,8 +9,8 @@ this suite pins that the two forms are the same trace:
 
 1. **Wire identity**: columns rebuilt with ``ColumnTrace.from_insts`` from
    the view give the exact encoded wire bytes of the generated trace
-   (every column, the CSR source lists, wrong-path sets, the initial
-   memory image and the name), per profile x 3 seeds.
+   (every column, the CSR source lists, the initial memory image and the
+   name), per profile x 3 seeds.
 2. **Metadata and golden execution**: the per-instruction ``TraceMeta``
    and the golden functional execution computed from the columns equal
    independent per-``DynInst`` oracles (the ops tables and a

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.isa.codec import encode_trace
+from repro.isa.coltrace import INST_COLUMNS
 from repro.isa.ops import OpClass
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.spec2000 import SPEC2000_PROFILES, SPEC_ORDER, spec_profile
@@ -71,12 +72,6 @@ class TestStructure:
         addrs = [i.addr for i in trace.insts if i.is_mem]
         for base in (STACK_BASE, GLOBAL_BASE, HEAP_BASE, FORWARD_BASE):
             assert any(base <= a < base + 0x1000_0000 for a in addrs), hex(base)
-
-    def test_wrong_path_addresses_attached(self, trace):
-        assert trace.wrong_path_addrs
-        for seq, addrs in trace.wrong_path_addrs.items():
-            assert trace.insts[seq].is_branch
-            assert all(a % 8 == 0 for a in addrs)
 
     def test_redundant_loads_share_signatures(self, trace):
         """RLE candidates: loads repeating (base producer, offset)."""
@@ -162,16 +157,33 @@ class TestProfiles:
         assert _byte_chunk(np.array([4, 255]), "size").tolist() == [4, 255]
 
 
+def column_digest(trace) -> str:
+    """Digest of every instruction column, the CSR source lists and the
+    initial memory image, by value: no codec byte enters it."""
+    h = hashlib.sha256()
+    for name in [name for name, _, _ in INST_COLUMNS] + ["src_offsets", "src_flat"]:
+        h.update(f"{name}={getattr(trace, name).tolist()};".encode())
+    h.update(repr(sorted(trace.initial_memory.items())).encode())
+    return h.hexdigest()[:16]
+
+
 class TestMultiBlockBudgets:
     """Budgets of several generator blocks, which the golden table (small
     budgets) does not reach."""
 
     @pytest.mark.parametrize(
-        "n_insts,digest", [(20_000, "2cb35f69f3b91dde"), (100_000, "f711557e40b66701")]
+        "n_insts,columns,encoded",
+        [
+            (20_000, "e0ff66cab6192a25", "896912810700dd4f"),
+            (100_000, "607a7eb9a1da9cb4", "0910e4670fa5e8c2"),
+        ],
     )
-    def test_encoded_trace_is_pinned(self, n_insts, digest):
-        data = encode_trace(generate_trace(spec_profile("gcc"), n_insts))
-        assert hashlib.sha256(data).hexdigest()[:16] == digest
+    def test_encoded_trace_is_pinned(self, n_insts, columns, encoded):
+        """``columns`` pins the instruction stream itself and moves only with
+        the generator; ``encoded`` also moves with the codec's layout."""
+        trace = generate_trace(spec_profile("gcc"), n_insts)
+        assert column_digest(trace) == columns
+        assert hashlib.sha256(encode_trace(trace)).hexdigest()[:16] == encoded
 
     def test_generation_peak_bytes_per_inst(self):
         """Generation finalizes one column at a time: at 100k insts the
