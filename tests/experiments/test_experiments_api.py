@@ -16,7 +16,7 @@ from repro.experiments import (
     matrix_spec,
     run_experiment,
 )
-from repro.harness.configs import fig5_configs
+from repro.harness.configs import fig5_configs, fig6_configs, spec_updates_configs
 from repro.pipeline.config import eight_wide
 from repro.pipeline.stats import SimStats
 from repro.workloads.kernels import kernel_trace
@@ -195,6 +195,22 @@ class TestResultStore:
         run_experiment(small_spec, store=store)
         bigger = dataclasses.replace(small_spec, n_insts=INSTS * 2)
         assert store.load(bigger.cells()[0]) is None
+
+    def test_spec_updates_speculative_is_fig6s_svw_upd_cell(self, tmp_path):
+        """Section 3.6's ``speculative`` machine is fig6's ``+SVW+UPD``: a
+        store filled by fig6 serves it without a simulation."""
+        upd = {"+SVW+UPD": fig6_configs()["+SVW+UPD"]}
+        fig6 = matrix_spec("fig6", upd, ["gcc"], INSTS, baseline="+SVW+UPD")
+        speculative = {"speculative": spec_updates_configs()["speculative"]}
+        spec_updates = matrix_spec(
+            "spec_updates", speculative, ["gcc"], INSTS, baseline="speculative"
+        )
+        assert fig6.cells()[0].fingerprint() == spec_updates.cells()[0].fingerprint()
+        store = ResultStore(tmp_path)
+        run_experiment(fig6, store=store)
+        warm = run_experiment(spec_updates, store=store)
+        assert store.hits == 1 and len(store) == 1
+        assert warm.stats["gcc"]["speculative"].config_name == "speculative"
 
     def test_hit_carries_the_requesting_configs_name(self, tmp_path):
         """Configs that differ only in name share a stored cell; a hit is

@@ -41,7 +41,7 @@ from repro.experiments.remote import (
 from repro.experiments.scheduler import derive_deadline
 from repro.experiments.traces import workload_key
 from repro.fingerprint import TRACE_EPOCH
-from repro.isa.codec import encode_trace
+from repro.isa.codec import CODEC_VERSION, encode_trace
 from repro.workloads.spec2000 import spec_profile
 from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace_cache import TraceCache
@@ -556,6 +556,23 @@ class TestFsck:
         assert [p.name for p in cache.root.iterdir()] == [
             cache.path_for(f"good-key-e{TRACE_EPOCH}").name
         ]
+
+    def test_trace_cache_orphans_the_previous_codec_version(self, tmp_path):
+        """A file the previous codec wrote keeps its key but not its
+        ``.v{CODEC_VERSION}`` suffix: no lookup reads it, scrub reports it
+        and ``fix`` removes it."""
+        cache = TraceCache(tmp_path / "traces")
+        key = f"gcc-key-e{TRACE_EPOCH}"
+        current = cache.path_for(key)
+        previous = current.with_name(
+            current.name.replace(f".v{CODEC_VERSION}.", f".v{CODEC_VERSION - 1}.")
+        )
+        previous.write_bytes(encode_trace(generate_trace(spec_profile("gcc"), 800)))
+        assert cache.load(key) is None
+        report = cache.scrub()
+        assert report.orphaned == [previous.name] and not report.ok
+        cache.scrub(fix=True)
+        assert not previous.exists() and cache.scrub().ok
 
     def test_fsck_cli_scrubs_a_trace_cache_by_the_one_rule(self, tmp_path, capsys):
         """A stale tmp fails a trace cache's check and ``--fix`` deletes

@@ -349,6 +349,23 @@ class TestProtocolRobustness:
                     with pytest.raises((ConnectionError, RemoteProtocolError)):
                         recv_json(conn)
 
+    def test_job_config_of_another_layout_is_a_cell_error(self, requests):
+        """A config dict with a field this build lacks fails its one cell
+        with an error frame naming the field; the agent serves on."""
+        job = build_job_message(requests[0], 7, "trace-key", None)
+        job["config"]["retired_knob"] = True
+        with WorkerAgent() as agent:
+            host, port = parse_worker(agent.address)
+            with socket.create_connection((host, port)) as conn:
+                send_json(conn, {"type": "hello", "protocol": PROTOCOL_VERSION})
+                assert recv_json(conn)["type"] == "hello"
+                send_json(conn, job)
+                reply = recv_json(conn)
+            assert (reply["type"], reply["job_id"]) == ("error", 7)
+            assert "retired_knob" in reply["message"]
+            stats = RemoteBackend([agent.address]).run(requests[:1])
+            assert stats[0].committed == requests[0].n_insts - requests[0].warmup
+
     def test_backend_rejects_bad_addresses_up_front(self):
         with pytest.raises(ValueError):
             RemoteBackend([])

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from repro.core.svw import SVWConfig
 from repro.experiments import FigureResult, local_worker_fleet, matrix_spec, run_experiment
 from repro.harness import cli
 from repro.harness.cli import build_parser, main
@@ -16,6 +17,7 @@ from repro.harness.configs import (
     fig8_configs,
     fig8_ssbf_variants,
     nlqsm_configs,
+    spec_updates_configs,
     svw_replacement_configs,
 )
 from repro.harness.figures import EXPERIMENTS
@@ -63,6 +65,16 @@ class TestConfigs:
         assert (baseline.invalidation_interval, noisy.invalidation_interval) == (0, 400)
         assert noisy.derive(baseline.name, invalidation_interval=0) == baseline
         assert baseline.svw.ssbf_kind == "banked"
+
+    def test_spec_updates_pair_differs_only_in_speculative_updates(self):
+        """Section 3.6's gap is the SSBF update policy and nothing else."""
+        configs = spec_updates_configs()
+        atomic, speculative = configs["baseline"], configs["speculative"]
+        assert not atomic.svw.speculative_updates
+        assert speculative.svw.speculative_updates
+        assert speculative.derive(
+            atomic.name, svw=SVWConfig(speculative_updates=False)
+        ) == atomic
 
     def test_composition_has_rle_and_ssq(self):
         combined = composition_configs()["combined"]

@@ -207,6 +207,14 @@ class TestOneVersion:
         with pytest.raises(TraceCodecError, match="version 2"):
             decode_trace(bytes(data))
 
+    def test_v3_frame_is_rejected(self):
+        """Version 3 frames carried per-branch address sets after the
+        instruction columns; this decoder does not read that layout."""
+        data = bytearray(encode_trace(all_opclass_trace()))
+        data[4] = CODEC_VERSION - 1
+        with pytest.raises(TraceCodecError, match="version 3"):
+            decode_trace(bytes(data))
+
     def test_v2_frame_in_the_trace_cache_is_regenerated(self, tmp_path):
         from repro.experiments.traces import TraceProvider
         from repro.workloads.registry import WorkloadSpec, workload_key

@@ -38,6 +38,16 @@ class TestValidation:
             MachineConfig(name="bad", lsu=LSUKind.NLQ, rex_mode=RexMode.SVW_ONLY)
 
 
+class TestSerialization:
+    def test_from_dict_refuses_a_field_the_config_lacks(self):
+        """A config dict of another layout (an older or newer peer) fails
+        loudly instead of silently dropping the field."""
+        payload = eight_wide().to_dict()
+        payload["retired_knob"] = True
+        with pytest.raises(TypeError, match="retired_knob"):
+            MachineConfig.from_dict(payload)
+
+
 class TestCommitDepth:
     def test_baseline_depth(self):
         assert eight_wide().commit_depth == 1

@@ -225,6 +225,30 @@ class TestSVWOnlyMode:
         # is covered by validate=True in the test above
 
 
+    def test_stale_positive_flushes_a_load_once(self, small_gcc_trace, monkeypatch):
+        """NLQ-SM invalidations stamp ``SSN_RENAME + 1`` over lines, so a
+        refetched load can test positive again on state no store wrote;
+        it is filtered then, never flushed a second time."""
+        flushed = []
+        real = Processor._svw_only_flush
+
+        def recording_flush(self, load):
+            flushed.append(load.seq)
+            real(self, load)
+
+        monkeypatch.setattr(Processor, "_svw_only_flush", recording_flush)
+        config = _nlq(
+            "svw-only-sm",
+            svw=SVWConfig(ssbf_kind="banked"),
+            rex_mode=RexMode.SVW_ONLY,
+            invalidation_interval=200,
+        )
+        stats = Processor(config, small_gcc_trace, validate=True).run()
+        assert stats.committed == len(small_gcc_trace)
+        assert stats.svw_only_flushes == len(flushed) > 0
+        assert len(set(flushed)) == len(flushed)
+
+
 class TestInvalidations:
     def test_nlqsm_marks_inflight_loads(self, small_gcc_trace):
         quiet = Processor(

@@ -14,6 +14,7 @@ from repro.isa.ops import OpClass
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.spec2000 import SPEC2000_PROFILES, SPEC_ORDER, spec_profile
 from repro.workloads.synthetic import (
+    BLOCK_SLOTS,
     FORWARD_BASE,
     GLOBAL_BASE,
     HEAP_BASE,
@@ -29,6 +30,18 @@ class TestDeterminism:
         b = generate_trace(spec_profile("gcc"), 3000)
         assert [i.addr for i in a.insts] == [i.addr for i in b.insts]
         assert [i.pc for i in a.insts] == [i.pc for i in b.insts]
+
+    def test_one_wide_draw_consumes_four_narrow_draws(self):
+        """The generator retires four per-slot draws as one discarded
+        ``random(4 * B)``: it yields the same doubles and leaves the stream
+        where four ``random(B)`` calls did, so every later draw is kept."""
+        for block in (0, 1, 7):
+            seq = np.random.SeedSequence(entropy=12345, spawn_key=(block,))
+            wide = np.random.Generator(np.random.PCG64(seq))
+            narrow = np.random.Generator(np.random.PCG64(seq))
+            retired = np.concatenate([narrow.random(BLOCK_SLOTS) for _ in range(4)])
+            assert np.array_equal(wide.random(4 * BLOCK_SLOTS), retired)
+            assert np.array_equal(wide.random(BLOCK_SLOTS), narrow.random(BLOCK_SLOTS))
 
     def test_different_seed_different_trace(self):
         a = generate_trace(spec_profile("gcc"), 3000, seed=1)
