@@ -25,9 +25,7 @@ holds.
 
 from __future__ import annotations
 
-import os
 import signal
-import socket
 import subprocess
 import sys
 import tempfile
@@ -35,7 +33,8 @@ import threading
 import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from loopback import REPO, cli_env, free_port, spawn, wait_port
+
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.experiments import ResultStore, SerialBackend, matrix_spec  # noqa: E402
@@ -55,39 +54,6 @@ def quick_specs():
         "fig5-overlap", dict(list(configs.items())[:3]), ["gcc", "crafty"], n_insts=INSTS
     )
     return spec_a, spec_b
-
-
-def free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def cli_env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
-def spawn(args: list[str]) -> subprocess.Popen:
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.harness.cli", *args],
-        env=cli_env(),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-
-
-def wait_port(port: int, timeout: float = 60.0) -> None:
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            socket.create_connection(("127.0.0.1", port), timeout=1).close()
-            return
-        except OSError:
-            if time.monotonic() > deadline:
-                raise SystemExit(f"nothing listening on :{port} after {timeout}s")
-            time.sleep(0.2)
 
 
 def main() -> int:

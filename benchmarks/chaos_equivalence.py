@@ -40,9 +40,7 @@ holds.
 
 from __future__ import annotations
 
-import os
 import signal
-import socket
 import subprocess
 import sys
 import tempfile
@@ -50,7 +48,8 @@ import threading
 import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from loopback import REPO, cli_env, free_port, spawn, wait_port
+
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.experiments import (  # noqa: E402
@@ -81,27 +80,6 @@ def quick_spec():
     return matrix_spec("fig5-chaos", configs, ["gcc", "vortex", "crafty"], n_insts=INSTS)
 
 
-def free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def cli_env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
-def spawn(args: list[str], stderr_path: Path) -> subprocess.Popen:
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.harness.cli", *args],
-        env=cli_env(),
-        stdout=subprocess.DEVNULL,
-        stderr=open(stderr_path, "ab"),
-    )
-
-
 def fsck_exit(central: Path, *extra: str) -> int:
     """``svw-repro fsck --cache-dir central [extra]``'s exit status."""
     return subprocess.run(
@@ -111,18 +89,6 @@ def fsck_exit(central: Path, *extra: str) -> int:
         stderr=subprocess.DEVNULL,
         timeout=120,
     ).returncode
-
-
-def wait_port(port: int, timeout: float = 60.0) -> None:
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            socket.create_connection(("127.0.0.1", port), timeout=1).close()
-            return
-        except OSError:
-            if time.monotonic() > deadline:
-                raise SystemExit(f"nothing listening on :{port} after {timeout}s")
-            time.sleep(0.2)
 
 
 def assert_plan_reproducibility() -> None:

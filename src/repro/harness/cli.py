@@ -15,10 +15,6 @@ Examples::
     svw-repro all --cache-dir ~/.cache/svw # reruns become cache reads
     svw-repro fig5 --json results.json     # machine-readable results
     svw-repro fig5 --jobs 8 --trace-cache-dir ~/.cache/svw-traces
-    svw-repro bench                        # core-throughput benchmark
-    svw-repro bench --quick --json BENCH_core.json
-    svw-repro bench --workloads gcc --lsus nlq   # one cell, for development
-    svw-repro bench --quick --stages       # plus the per-stage wall split
     svw-repro goldens                      # regenerate tests/goldens.json
     svw-repro worker --port 7501           # start a remote worker agent
     svw-repro fig5 --remote-workers hostA:7501,hostB:7501
@@ -300,40 +296,17 @@ def _run_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _emit_benchmark(
-    args: argparse.Namespace, payload: dict, render, default_out: str
-) -> None:
-    """Render bench or goldens output and write its JSON to ``--json``, or
-    to ``default_out`` when no ``--json`` is given."""
-    if args.json != "-":
-        print(render(payload))
-    _write_json(default_out if args.json is None else args.json, payload)
-    if args.json is None and not args.quiet:
-        print(f"wrote {default_out}", file=sys.stderr)
-
-
-def _run_bench(args: argparse.Namespace) -> int:
-    """``svw-repro bench``: the core-throughput benchmark."""
-    from repro.harness import bench
-
-    payload = bench.run_bench(
-        workloads=_names(args.workloads),
-        n_insts=args.insts,
-        repeats=args.repeats,
-        quick=args.quick,
-        progress=_progress_fn(args),
-        lsus=_names(args.lsus),
-        stages=args.stages,
-    )
-    _emit_benchmark(args, payload, bench.render_bench, "BENCH_core.json")
-    return 0
-
-
 def _run_goldens(args: argparse.Namespace) -> int:
-    """``svw-repro goldens``: regenerate the golden fingerprint table."""
+    """``svw-repro goldens``: regenerate the golden fingerprint table and
+    write it to ``--json``, or to ``tests/goldens.json`` without one."""
     from repro.harness import goldens
 
-    _emit_benchmark(args, goldens.build_table(), goldens.render_table, goldens.GOLDENS_PATH)
+    table = goldens.build_table()
+    if args.json != "-":
+        print(goldens.render_table(table))
+    _write_json(goldens.GOLDENS_PATH if args.json is None else args.json, table)
+    if args.json is None and not args.quiet:
+        print(f"wrote {goldens.GOLDENS_PATH}", file=sys.stderr)
     return 0
 
 
@@ -626,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
         "all", parents=sweep, help="every experiment, on one backend"
     ).set_defaults(run=_run_figures)
 
-    # -- fuzz, bench, goldens -----------------------------------------------
+    # -- fuzz, goldens ------------------------------------------------------
     fuzz = commands.add_parser(
         "fuzz",
         parents=[
@@ -657,36 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="mutated trials per run (default 3)",
     )
     fuzz.set_defaults(run=_run_fuzz)
-
-    bench = commands.add_parser(
-        "bench",
-        parents=[
-            insts(DEFAULT_INSTS),
-            _option("--workloads", help="comma-separated workload subset"),
-            json_out,
-            quiet,
-        ],
-        help="the core-simulator throughput benchmark",
-    )
-    bench.add_argument("--quick", action="store_true", help="reduced budget (CI smoke)")
-    bench.add_argument(
-        "--repeats",
-        type=_positive_int,
-        default=3,
-        help="timing repetitions (best-of; default 3)",
-    )
-    bench.add_argument(
-        "--lsus",
-        help="comma-separated LSU kinds (conventional,nlq,ssq); with "
-        "--workloads this narrows the harness to a single cell",
-    )
-    bench.add_argument(
-        "--stages",
-        action="store_true",
-        help="add each cell's per-stage wall split (complete, commit, rex, "
-        "issue, dispatch, loop) from one extra instrumented run",
-    )
-    bench.set_defaults(run=_run_bench)
 
     commands.add_parser(
         "goldens", parents=[json_out, quiet], help="regenerate the golden fingerprint table"

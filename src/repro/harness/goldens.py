@@ -4,10 +4,10 @@
 fingerprint and is stamped with the ``MODEL_EPOCH`` and ``TRACE_EPOCH``
 (:mod:`repro.fingerprint`) it was computed under.  The cells reuse the
 configurations the system already runs
-(:func:`~repro.experiments.fuzz.fuzz_matrix`,
-:func:`~repro.harness.bench.bench_configs`, and the fig5-7 and
-spec-updates configurations of :mod:`repro.harness.configs`), so there is
-no second config matrix.
+(:func:`~repro.experiments.fuzz.fuzz_matrix`, and the fig5-7 and
+spec-updates configurations of :mod:`repro.harness.configs`, of which
+:func:`bench_configs` picks one per LSU kind), so there is no second
+config matrix.
 
 A fingerprint moves only through a deliberate epoch bump.  A change to
 the timing model (simulator core, LSUs, memory hierarchy) bumps
@@ -23,13 +23,13 @@ from typing import Callable
 
 from repro.experiments.fuzz import fuzz_matrix
 from repro.fingerprint import MODEL_EPOCH, TRACE_EPOCH
-from repro.harness.bench import BENCH_INSTS, BENCH_WORKLOADS, bench_configs
 from repro.harness.configs import (
     fig5_configs,
     fig6_configs,
     fig7_configs,
     spec_updates_configs,
 )
+from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import Processor
 from repro.workloads.kernels import kernel_trace
 from repro.workloads.phased import PHASED_CATALOG, generate_phased_trace
@@ -42,6 +42,30 @@ GOLDENS_PATH = "tests/goldens.json"
 
 #: The figures whose every configuration is pinned on the v2 gcc trace.
 FIGURE_CONFIGS = {"fig5": fig5_configs, "fig6": fig6_configs, "fig7": fig7_configs}
+
+#: Instruction budget of each ``core/*`` row (the figure sweeps' default).
+BENCH_INSTS = 30_000
+
+#: The ``core/*`` rows' workloads, a slice of the figure workloads: one
+#: streaming (bzip2), one forwarding-heavy/high-IPC (vortex), one
+#: ambiguous-store heavy (twolf), one branchy low-IPC (gcc), one
+#: miss-dominated (mcf).
+BENCH_WORKLOADS = ["bzip2", "vortex", "twolf", "gcc", "mcf"]
+
+
+def bench_configs() -> dict[str, tuple[str, MachineConfig]]:
+    """One representative configuration per LSU kind.
+
+    Returns ``{lsu_kind: (figure_label, config)}`` -- the conventional
+    baseline from Figure 5, NLQ with the full SVW filter (Figure 5's
+    ``+SVW+UPD``), and SSQ with the full SVW filter (Figure 6's
+    ``+SVW+UPD``), i.e. the cells the paper's headline results live on.
+    """
+    return {
+        "conventional": ("fig5/baseline", fig5_configs()["baseline"]),
+        "nlq": ("fig5/+SVW+UPD", fig5_configs()["+SVW+UPD"]),
+        "ssq": ("fig6/+SVW+UPD", fig6_configs()["+SVW+UPD"]),
+    }
 
 
 def _simulate(config, trace, warmup=0, validate=False, skip_ahead=True) -> str:
@@ -95,7 +119,7 @@ def golden_cells() -> dict[str, Callable[..., str]]:
         cells[f"kernel/spill_fill/{lsu}"] = functools.partial(
             _simulate, config, spill_fill, validate=True
         )
-    # The `svw-repro bench` matrix, the cells BENCH_core.json times.
+    # The LSU trio on a slice of the figure workloads, at full length.
     for workload in BENCH_WORKLOADS:
         trace = functools.cache(
             functools.partial(generate_trace, spec_profile(workload), BENCH_INSTS)

@@ -99,8 +99,8 @@ Measured and not settled: a ready heap of bare seqs resolved through
 passes of the same tool (0.989x over 45 cells in an earlier
 measurement), below what perfbench resolves (README *Measured rejects*).
 
-``svw-repro bench --stages`` splits ``Processor.run`` per stage to measure
-the next candidate against.
+``benchmarks/ab_cells.py`` splits ``Processor.run`` per stage, parent
+against change, to measure the next candidate against.
 """
 
 from __future__ import annotations
@@ -301,7 +301,8 @@ class Processor:
         self._uncommitted_loads: deque[int] = deque()
         #: Seqs already flushed once by `_svw_only_flush`; a repeat positive
         #: filter test on a refetched load is a false positive (see the
-        #: SVW_ONLY decision in `_rex_stage`) and must not flush again.
+        #: SVW_ONLY decision in `_do_rex`) and must not flush again.  A seq
+        #: leaves the set at its refetched copy's first SVW-stage test.
         self._svw_retried: set[int] = set()
         self._last_commit_cycle = 0
         self._committed_total = 0
@@ -918,6 +919,10 @@ class Processor:
             state = entry.rex_state
             if state is _PENDING:
                 if not entry.marked:
+                    if svw_only and self._svw_retried:
+                        # A refetched copy that is not marked passes the
+                        # SVW stage untested; its seq is done all the same.
+                        self._svw_retried.discard(entry.seq)
                     entry.rex_state = _DONE_OK
                     self._worked = True
                 else:
@@ -927,7 +932,7 @@ class Processor:
                         must = True
                     if svw_only:
                         # Config validation guarantees svw is present here.
-                        if must and self._svw_retried:
+                        if self._svw_retried and entry.seq in self._svw_retried:
                             # A load refetched by `_svw_only_flush` restarted
                             # fetch at its own seq: everything older has
                             # committed, so the re-issued access read committed
@@ -935,10 +940,10 @@ class Processor:
                             # positive test is stale SSBF state (an aliasing
                             # store's entry, or an NLQ-SM invalidation stamped
                             # ``SSN_RENAME + 1``) and flushing again would
-                            # livelock.
-                            if entry.seq in self._svw_retried:
-                                self._svw_retried.discard(entry.seq)
-                                must = False
+                            # livelock.  The seq leaves the set at this first
+                            # test, positive or not, so the set stays bounded.
+                            self._svw_retried.discard(entry.seq)
+                            must = False
                         entry.rex_state = _SVW_FLUSH if must else _FILTERED
                         self._worked = True
                     elif not must:

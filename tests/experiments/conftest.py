@@ -15,8 +15,8 @@ import time
 import pytest
 
 from repro.experiments import SerialBackend, matrix_spec
-from repro.harness.bench import bench_configs
 from repro.harness.configs import fig5_configs
+from repro.harness.goldens import bench_configs
 
 INSTS = 1500
 FAMILY_INSTS = 1200

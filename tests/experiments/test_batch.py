@@ -28,8 +28,8 @@ from repro.experiments import (
 from repro.experiments.pool import _session_fleets
 from repro.experiments.remote import stop_worker_agents
 from repro.experiments.spec import WorkloadSpec
-from repro.harness.bench import bench_configs
 from repro.harness.configs import fig5_configs
+from repro.harness.goldens import bench_configs
 from repro.pipeline.config import LSUKind
 from repro.workloads.kernels import kernel_trace
 from repro.workloads.trace_cache import TraceCache, trace_key

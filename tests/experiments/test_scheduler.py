@@ -16,8 +16,8 @@ from repro.experiments.scheduler import (
     check_limits,
     derive_deadline,
 )
-from repro.harness.bench import bench_configs
 from repro.harness.configs import fig5_configs
+from repro.harness.goldens import bench_configs
 from repro.pipeline.config import RexMode
 
 CONFIGS = dict(list(fig5_configs().items())[:3])  # baseline, NLQ, +SVW-UPD

@@ -22,7 +22,6 @@ ROOT = Path(__file__).resolve().parents[2]
 #: ``benchmarks/chaos_equivalence.py``.
 DRIVER_COMMANDS = [
     "fig5 --benchmarks gcc --insts 2000 --jobs 2 --json - --quiet",
-    "bench --quick --stages --json BENCH_core.json",
     "worker --host 127.0.0.1 --port 7501 --trace-cache-dir /tmp/svw-worker-cache --quiet",
     "worker --host 127.0.0.1 --port 7502 --trace-cache-dir /tmp/svw-worker-cache --quiet",
     "fig5 --benchmarks gcc,vortex --insts 6000 --quiet --json serial.json",
@@ -94,8 +93,7 @@ def test_spawned_worker_agents_command_line_parses(monkeypatch):
 
 
 #: Per command family: a valid command line, and one flag the family
-#: does not take (five for ``fig5``, three for ``worker``, two for
-#: ``bench``).
+#: does not take (five for ``fig5``, three for ``worker``).
 FOREIGN_FLAGS = {
     "fig5": (
         "fig5 --benchmarks gcc --insts 2000",
@@ -103,7 +101,6 @@ FOREIGN_FLAGS = {
     ),
     "all": ("all", "--seed 3"),
     "fuzz": ("fuzz", "--benchmarks gcc"),
-    "bench": ("bench", "--jobs 2 --compare old.json new.json"),
     "goldens": ("goldens", "--insts 1000"),
     "worker": ("worker", "--job-deadline 5 --cache-dir X --slots 2"),
     "campaignd": ("campaignd", "--slots 2"),
@@ -125,6 +122,14 @@ def test_a_flag_that_does_not_apply_exits_2(family, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: svw-repro {family} [-h]")
     assert f"svw-repro {family}: error: unrecognized arguments: {foreign}" in err
+
+
+def test_there_is_no_bench_command(capsys):
+    """``benchmarks/ab_cells.py`` is the one core-throughput tool."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -214,4 +219,3 @@ def test_fuzz_insts_default_and_override():
     assert parser.parse_args(["fuzz"]).insts == FUZZ_INSTS
     assert parser.parse_args(["fuzz", "--insts", "30000"]).insts == 30000
     assert parser.parse_args(["fig5"]).insts == DEFAULT_INSTS
-    assert parser.parse_args(["bench"]).insts == DEFAULT_INSTS

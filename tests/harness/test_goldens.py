@@ -21,9 +21,10 @@ import pytest
 from repro.experiments.fuzz import fuzz_matrix
 from repro.fingerprint import MODEL_EPOCH, TRACE_EPOCH
 from repro.harness import goldens
-from repro.harness.bench import BENCH_WORKLOADS, bench_configs
 from repro.harness.cli import main
 from repro.harness.configs import fig6_configs, spec_updates_configs
+from repro.harness.goldens import BENCH_WORKLOADS, bench_configs
+from repro.pipeline.config import LSUKind
 from repro.workloads.phased import PHASED_CATALOG
 
 TABLE = Path(__file__).resolve().parents[1] / "goldens.json"
@@ -125,8 +126,10 @@ def test_phased_rows_cover_catalog(pinned):
 
 
 def test_kernel_and_core_rows_cover_bench_configs(pinned):
-    """The kernel row and each core workload pin every bench_configs() LSU."""
+    """The kernel row and each core workload pin every bench_configs() LSU,
+    one per LSU kind."""
     lsus = sorted(bench_configs())
+    assert lsus == sorted(kind.value for kind in LSUKind)
     for prefix in ["kernel/spill_fill"] + [f"core/{w}" for w in BENCH_WORKLOADS]:
         rows = sorted(
             k.removeprefix(prefix + "/") for k in pinned if k.startswith(prefix + "/")

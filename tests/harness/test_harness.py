@@ -136,9 +136,6 @@ BAD_NUMERIC_INPUT = {
     "--port": ["worker", "--port", "70000"],
     "--max-attempts": ["campaignd", "--max-attempts", "0"],
     "--rounds": ["fuzz", "--rounds", "0"],
-    "--repeats": [
-        "bench", "--workloads", "gcc", "--lsus", "nlq", "--insts", "500", "--repeats", "0"
-    ],
 }
 
 
@@ -172,7 +169,7 @@ class TestCLI:
         """The experiment subcommands, the members of ``all`` and the
         campaign commands' targets are all ``figures.EXPERIMENTS``."""
         others = {
-            "all", "bench", "goldens", "worker", "campaignd",
+            "all", "goldens", "worker", "campaignd",
             "fsck", "fuzz", "submit", "status", "cancel",
         }
         (commands,) = [

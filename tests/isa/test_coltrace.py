@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.harness.bench import bench_configs
+from repro.harness.goldens import bench_configs
 from repro.isa.codec import decode_trace, encode_trace
 from repro.isa.coltrace import INST_COLUMNS, ColumnTrace
 from repro.isa.golden import golden_execute

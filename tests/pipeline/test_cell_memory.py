@@ -31,7 +31,8 @@ from repro.workloads.synthetic import generate_trace
 def _cells() -> dict[str, MachineConfig]:
     """Every LSUKind x RexMode cell (both 8-bit-SSN wrap cells included),
     every fig5-7 config (the bench trio, RLE, ``+PERFECT``) and the
-    SVW_ONLY replacement cell, one per distinct machine."""
+    SVW_ONLY replacement cell, one per distinct machine, plus that cell
+    under NLQ-SM invalidations (the most SVW_ONLY refetches)."""
     cells: dict[str, MachineConfig] = {}
     seen: set[str] = set()
     for family in (fuzz_matrix, fig5_configs, fig6_configs, fig7_configs,
@@ -40,6 +41,10 @@ def _cells() -> dict[str, MachineConfig]:
             if config.fingerprint() not in seen:
                 seen.add(config.fingerprint())
                 cells[f"{family.__name__}:{name}"] = config
+    replacement = svw_replacement_configs()["NLQ+SVW-only"]
+    cells["svw_replacement_configs:NLQ+SVW-only+inval"] = replacement.derive(
+        "NLQ+SVW-only+inval", invalidation_interval=200
+    )
     return cells
 
 
@@ -73,6 +78,7 @@ def test_finished_run_leaves_no_per_run_state(trace, name):
         "inflight_by_seq": len(processor.inflight_by_seq),
         "store_words": len(processor.store_words),
         "_uncommitted_loads": len(processor._uncommitted_loads),
+        "_svw_retried": len(processor._svw_retried),
     }
     if isinstance(processor.lsu, ConventionalLSU):
         left["lq_index"] = len(processor.lsu._loads_by_word)

@@ -12,8 +12,6 @@ from repro.pipeline.inflight import InFlight
 from repro.pipeline.processor import Processor, SimulationError
 from repro.rle.integration import IntegrationTable
 from repro.workloads.kernels import kernel_trace
-from repro.workloads.spec2000 import spec_profile
-from repro.workloads.synthetic import generate_trace
 
 
 def _nlq(name="nlq", **kw):

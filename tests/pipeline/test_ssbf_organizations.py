@@ -26,7 +26,7 @@ import functools
 import pytest
 
 from repro.core.svw import SVWConfig
-from repro.harness.bench import bench_configs
+from repro.harness.goldens import bench_configs
 from repro.pipeline.config import LSUKind, RexMode, eight_wide
 from repro.pipeline.processor import Processor
 from repro.workloads.spec2000 import spec_profile

@@ -1,6 +1,7 @@
 """``benchmarks/ab_cells.py`` end to end, in a subprocess: an A/A run of
-this checkout finds identical fingerprints, and a checkout that simulates
-other bits exits 1 naming the cell that moved."""
+this checkout finds identical fingerprints (stage-timed runs included)
+and prints the per-stage split, and a checkout that simulates other bits
+exits 1 naming the cell that moved."""
 
 import shutil
 import subprocess
@@ -27,8 +28,18 @@ def test_aa_run_reports_identical_fingerprints():
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert [line.split()[0] for line in lines[:2]] == ["fig5/gcc/baseline", "fig5/gcc/+SVW+UPD"]
-    assert lines[-2].startswith("cells 2 ") and "total" in lines[-2] and "median cell" in lines[-2]
-    assert lines[-1] == "fingerprints identical"
+    stages = [line.split() for line in lines[2:8]]
+    assert [words[:2] for words in stages] == [
+        ["stage", stage] for stage in ("complete", "commit", "rex", "issue", "dispatch", "loop")
+    ]
+    for words in stages:
+        assert words[2] == "parent" and words[4] == "change" and words[6].endswith("x")
+        assert float(words[3].rstrip("s")) > 0 and float(words[5].rstrip("s")) > 0
+    assert lines[8].startswith("cells 2 ") and "total" in lines[8] and "median cell" in lines[8]
+    kinsts = lines[9].split()
+    assert kinsts[:3] == ["committed", "kinst/s", "parent"] and kinsts[4] == "change"
+    assert float(kinsts[3]) > 0 and float(kinsts[5]) > 0
+    assert lines[10:] == ["fingerprints identical"]
 
 
 def test_other_bits_exit_1(tmp_path):
