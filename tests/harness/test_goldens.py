@@ -137,6 +137,17 @@ def test_kernel_and_core_rows_cover_bench_configs(pinned):
         assert rows == lsus, prefix
 
 
+@pytest.mark.parametrize("lsu", sorted(bench_configs()))
+def test_bench_config_is_the_figure_cell_it_names(lsu):
+    """Each bench_configs() entry is its LSU kind's config, the very cell
+    of the figure its label names, rebuilt equal on every call."""
+    label, config = bench_configs()[lsu]
+    figure, name = label.split("/", 1)
+    assert config.lsu is LSUKind(lsu)
+    assert config.fingerprint() == goldens.FIGURE_CONFIGS[figure]()[name].fingerprint()
+    assert config.fingerprint() == bench_configs()[lsu][1].fingerprint()
+
+
 @pytest.mark.parametrize(
     "epoch, stale",
     [("trace_epoch", 1), ("trace_epoch", None), ("model_epoch", 0), ("model_epoch", None)],
